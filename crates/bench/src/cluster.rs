@@ -40,7 +40,7 @@ use naplet_server::bootstrap::BootstrapConfig;
 use naplet_server::daemon::{register_probe, PROBE_CODEBASE};
 use naplet_server::events::{Input, LocalEvent, Output, Wire};
 use naplet_server::status::StatusReport;
-use naplet_server::{LeasePolicy, LocationMode, NapletServer, RetryPolicy, ServerConfig};
+use naplet_server::{LeasePolicy, LocationMode, NapletServer, RetryPolicy, ServerConfig, Timers};
 
 /// The harness's in-process home node name, present in every generated
 /// bootstrap file so daemons know the route back.
@@ -343,7 +343,7 @@ pub struct CtlNode {
     server: NapletServer,
     rx: crossbeam::channel::Receiver<Frame>,
     net: TcpTransport,
-    timers: Vec<(Instant, LocalEvent)>,
+    timers: Timers<LocalEvent>,
     epoch: Instant,
     scratch: Vec<u8>,
     key: SigningKey,
@@ -402,7 +402,7 @@ impl CtlNode {
             server,
             rx,
             net,
-            timers: Vec::new(),
+            timers: Timers::new(),
             epoch,
             scratch: Vec::new(),
             key: SigningKey::new("ops", b"cluster-harness"),
@@ -464,11 +464,8 @@ impl CtlNode {
                 self.enact(outputs);
             }
         }
-        let now_i = Instant::now();
-        let (ready, pending): (Vec<_>, Vec<_>) =
-            self.timers.drain(..).partition(|(t, _)| *t <= now_i);
-        self.timers = pending;
-        for (_, event) in ready {
+        let due_by = Instant::now();
+        while let Some(event) = self.timers.pop_due(due_by) {
             let now = self.now();
             let outputs = self.server.handle(now, Input::Local(event));
             self.enact(outputs);
@@ -569,10 +566,7 @@ impl CtlNode {
                         let _ = self.net.send(frame);
                     }
                 }
-                Output::Schedule { delay_ms, event } => {
-                    self.timers
-                        .push((Instant::now() + Duration::from_millis(delay_ms), event));
-                }
+                Output::Schedule { delay_ms, event } => self.timers.arm_in(delay_ms, event),
                 Output::FetchCode { from, bytes, id } => {
                     let delay = self
                         .net
@@ -580,10 +574,7 @@ impl CtlNode {
                         .ok()
                         .flatten()
                         .unwrap_or(0);
-                    self.timers.push((
-                        Instant::now() + Duration::from_millis(delay),
-                        LocalEvent::CodeReady { id },
-                    ));
+                    self.timers.arm_in(delay, LocalEvent::CodeReady { id });
                 }
             }
         }

@@ -22,12 +22,37 @@
 //!
 //! Peers are static (the cluster-bootstrap config's peer list);
 //! discovery is future work tracked in ROADMAP.md.
+//!
+//! # Threads
+//!
+//! **Who writes.** [`TcpTransport::send`] encodes and writes on the
+//! caller's thread when the peer is connected and nothing is queued
+//! ahead of the frame. The socket is non-blocking, so the caller never
+//! waits on a peer: what the kernel does not take at once, and every
+//! frame sent while there is no connection, is queued for the peer's
+//! own thread. That thread takes the connection out of the shared
+//! state while it writes everything queued in one blocking `write_all`
+//! under the write deadline; senders queue behind it meanwhile, which
+//! keeps each peer's frames in send order across the two routes.
+//!
+//! **Who dials.** Only the peer thread, lazily, when a frame is queued
+//! and there is no connection. Frames it finds queued inside the
+//! backoff window are counted drops; a failed dial or write, on either
+//! route, counts its frames and arms the next window in
+//! [`PeerState::give_up`] and nowhere else.
+//!
+//! **What blocks on what, and how it stops.** A peer thread sleeps on
+//! its condition variable until a frame is queued or the peer is
+//! closed. The acceptor sleeps in `accept`; dropping the transport
+//! raises the stop flag and connects to its own listener to wake it.
+//! A reader sleeps in `read`; the acceptor shuts each inbound socket
+//! down on its way out. Nothing polls, and `Drop` joins every thread.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,11 +79,12 @@ pub struct TcpConfig {
     pub max_frame_bytes: usize,
     /// Timeout for one outbound connection attempt.
     pub connect_timeout_ms: u64,
-    /// Deadline for one outbound frame write. A peer that accepted the
-    /// connection but stopped draining it (wedged process, full socket
-    /// buffers) stalls `write` forever without this; with it the frame
-    /// becomes a counted drop and the connection re-dials through the
-    /// reconnect backoff. `0` disables the deadline.
+    /// Deadline for one write by the peer's thread (everything queued
+    /// at that moment). A peer that accepted the connection but stopped
+    /// draining it (wedged process, full socket buffers) stalls `write`
+    /// forever without this; with it the frames become counted drops
+    /// and the connection re-dials through the reconnect backoff. `0`
+    /// disables the deadline.
     pub write_timeout_ms: u64,
     /// First-attempt reconnect backoff (doubles per failed attempt).
     pub reconnect_base_ms: u64,
@@ -82,28 +108,27 @@ impl TcpConfig {
     }
 }
 
-type Registry = Arc<Mutex<HashMap<String, Sender<Frame>>>>;
+type Registry = Mutex<HashMap<String, Sender<Frame>>>;
 
 struct Shared {
     registry: Registry,
     stats: NetStats,
-    stop: Arc<AtomicBool>,
-    max_frame_bytes: usize,
+    stop: AtomicBool,
+    config: TcpConfig,
 }
 
 /// A live TCP transport: one listener, persistent per-peer outbound
 /// connections, shared [`NetStats`].
 pub struct TcpTransport {
     shared: Arc<Shared>,
-    config: TcpConfig,
     local_addr: SocketAddr,
-    /// Outbound queues, one writer thread per peer.
-    peers: Mutex<HashMap<String, Sender<Frame>>>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    peers: Mutex<HashMap<String, Arc<Peer>>>,
+    acceptor: Option<JoinHandle<()>>,
+    peer_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl TcpTransport {
-    /// Bind the listener and start the accept loop plus one writer per
+    /// Bind the listener and start the accept loop plus one thread per
     /// configured peer. With port `0` the OS picks; see
     /// [`TcpTransport::local_addr`].
     pub fn start(config: TcpConfig) -> Result<TcpTransport> {
@@ -112,29 +137,25 @@ impl TcpTransport {
         let local_addr = listener
             .local_addr()
             .map_err(|e| NapletError::Internal(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| NapletError::Internal(format!("nonblocking listener: {e}")))?;
         let shared = Arc::new(Shared {
-            registry: Arc::new(Mutex::new(HashMap::new())),
+            registry: Mutex::new(HashMap::new()),
             stats: NetStats::new(),
-            stop: Arc::new(AtomicBool::new(false)),
-            max_frame_bytes: config.max_frame_bytes,
+            stop: AtomicBool::new(false),
+            config,
         });
-        let transport = TcpTransport {
-            shared: Arc::clone(&shared),
-            config: config.clone(),
-            local_addr,
-            peers: Mutex::new(HashMap::new()),
-            threads: Mutex::new(Vec::new()),
-        };
         let accept_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
+        let acceptor = std::thread::Builder::new()
             .name("naplet-tcp-accept".into())
             .spawn(move || accept_loop(listener, accept_shared))
             .map_err(|e| NapletError::Internal(format!("spawn accept thread: {e}")))?;
-        transport.threads.lock().push(handle);
-        for (name, addr) in &config.peers {
+        let transport = TcpTransport {
+            shared: Arc::clone(&shared),
+            local_addr,
+            peers: Mutex::new(HashMap::new()),
+            acceptor: Some(acceptor),
+            peer_threads: Mutex::new(Vec::new()),
+        };
+        for (name, addr) in &shared.config.peers {
             transport.spawn_peer(name, *addr)?;
         }
         Ok(transport)
@@ -160,23 +181,23 @@ impl TcpTransport {
     }
 
     /// Send a frame: local endpoints deliver directly (free and
-    /// unmetered, like the fabric's local delivery); remote frames are
-    /// queued to the peer's writer. `Err` only for destinations in
-    /// neither the local registry nor the peer list.
+    /// unmetered, like the fabric's local delivery); a remote frame is
+    /// written to the peer's socket here and now when that cannot
+    /// block, and queued to the peer's thread otherwise. `Err` only
+    /// for destinations in neither the local registry nor the peer
+    /// list.
     pub fn send(&self, frame: Frame) -> Result<bool> {
         if let Some(tx) = self.shared.registry.lock().get(&frame.to) {
             let _ = tx.send(frame);
             return Ok(true);
         }
-        let peers = self.peers.lock();
-        let Some(tx) = peers.get(&frame.to) else {
+        let Some(peer) = self.peers.lock().get(&frame.to).cloned() else {
             return Err(NapletError::NotFound(format!(
                 "unknown destination host `{}`",
                 frame.to
             )));
         };
-        // a disconnected writer means shutdown is in progress
-        let _ = tx.send(frame);
+        peer.send(frame, &self.shared);
         Ok(true)
     }
 
@@ -186,16 +207,32 @@ impl TcpTransport {
     }
 
     fn spawn_peer(&self, name: &str, addr: SocketAddr) -> Result<()> {
-        let (tx, rx) = unbounded::<Frame>();
-        self.peers.lock().insert(name.to_string(), tx);
+        let peer = Arc::new(Peer {
+            state: std::sync::Mutex::new(PeerState {
+                conn: None,
+                queue: VecDeque::new(),
+                head_sent: 0,
+                scratch: Vec::new(),
+                jitter_key: name_key(name),
+                attempt: 0,
+                next_attempt: Instant::now(),
+                closed: false,
+            }),
+            wake: Condvar::new(),
+        });
+        if let Some(replaced) = self
+            .peers
+            .lock()
+            .insert(name.to_string(), Arc::clone(&peer))
+        {
+            replaced.close();
+        }
         let shared = Arc::clone(&self.shared);
-        let config = self.config.clone();
-        let key = name_key(name);
         let handle = std::thread::Builder::new()
             .name(format!("naplet-tcp-peer-{name}"))
-            .spawn(move || writer_loop(rx, addr, shared, config, key))
+            .spawn(move || peer_loop(&peer, addr, &shared))
             .map_err(|e| NapletError::Internal(format!("spawn peer thread: {e}")))?;
-        self.threads.lock().push(handle);
+        self.peer_threads.lock().push(handle);
         Ok(())
     }
 }
@@ -224,9 +261,27 @@ impl Transport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        // dropping the queue senders unblocks every writer
-        self.peers.lock().clear();
-        for handle in self.threads.lock().drain(..) {
+        for (_, peer) in self.peers.lock().drain() {
+            peer.close();
+        }
+        // the acceptor sleeps in `accept`: a connection to our own
+        // listener wakes it to see the flag (a wildcard listen address
+        // is reached through loopback)
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        // an acceptor that cannot be woken is left behind rather than
+        // hanging the drop
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+            if let Some(acceptor) = self.acceptor.take() {
+                let _ = acceptor.join();
+            }
+        }
+        for handle in self.peer_threads.lock().drain(..) {
             let _ = handle.join();
         }
     }
@@ -244,38 +299,47 @@ fn name_key(name: &str) -> u64 {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    // every live reader, with a second handle on its socket so the
+    // socket can be shut down under it at stop
+    let mut readers: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
+                readers.retain(|(_, reader)| !reader.is_finished());
+                let Ok(socket) = stream.try_clone() else {
+                    continue;
+                };
                 let conn_shared = Arc::clone(&shared);
-                if let Ok(handle) = std::thread::Builder::new()
+                if let Ok(reader) = std::thread::Builder::new()
                     .name("naplet-tcp-read".into())
                     .spawn(move || reader_loop(stream, conn_shared))
                 {
-                    readers.push(handle);
+                    readers.push((socket, reader));
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // out of descriptors or the like: wait for it to pass
+            // rather than spin on the error
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
-        readers.retain(|h| !h.is_finished());
     }
-    for handle in readers {
-        let _ = handle.join();
+    for (socket, reader) in readers {
+        let _ = socket.shutdown(Shutdown::Both);
+        let _ = reader.join();
     }
 }
 
 fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let mut buf = BytesMut::new();
     let mut chunk = [0u8; 64 * 1024];
-    while !shared.stop.load(Ordering::Relaxed) {
+    loop {
         match stream.read(&mut chunk) {
             Ok(0) => {
-                // EOF; data short of a full frame is a counted loss
+                // EOF (or shut down at stop); data short of a full
+                // frame is a counted loss
                 if !buf.is_empty() {
                     shared.stats.record_drop();
                 }
@@ -284,7 +348,7 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
                 loop {
-                    match Frame::decode_limited(&mut buf, shared.max_frame_bytes) {
+                    match Frame::decode_limited(&mut buf, shared.config.max_frame_bytes) {
                         Ok(Some(frame)) => deliver(&shared, frame),
                         Ok(None) => break,
                         Err(_) => {
@@ -297,7 +361,7 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
                     }
                 }
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => {
                 // ECONNRESET and friends: fault-schedule-equivalent drop
                 shared.stats.record_drop();
@@ -318,92 +382,179 @@ fn deliver(shared: &Shared, frame: Frame) {
     }
 }
 
-fn writer_loop(
-    rx: Receiver<Frame>,
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    config: TcpConfig,
+/// One outbound peer: its connection and the frames waiting for its
+/// thread, shared between that thread and every sender.
+struct Peer {
+    state: std::sync::Mutex<PeerState>,
+    /// Signalled when a frame is queued or the peer is closed.
+    wake: Condvar,
+}
+
+struct PeerState {
+    /// The connected socket, non-blocking while it sits here. `None`
+    /// both when there is no connection and while the peer thread has
+    /// it out to write the queue; either way senders queue.
+    conn: Option<TcpStream>,
+    /// Frames for the peer thread, in send order.
+    queue: VecDeque<Frame>,
+    /// Bytes of `queue[0]` a sender put on the wire before the socket
+    /// pushed back; the peer thread writes the rest.
+    head_sent: usize,
+    /// Encode scratch for sender-side writes, reused across frames.
+    scratch: Vec<u8>,
     jitter_key: u64,
-) {
-    let mut conn: Option<TcpStream> = None;
-    let mut attempt: u32 = 0;
-    let mut next_attempt = Instant::now();
-    // one encode scratch per writer thread, reused across frames
-    let mut scratch: Vec<u8> = Vec::new();
-    loop {
-        let frame = match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(frame) => frame,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Relaxed) {
+    /// Consecutive failures since the last successful dial.
+    attempt: u32,
+    /// No dial before this instant; frames queued earlier are lost.
+    next_attempt: Instant,
+    /// The transport is going away or the peer was re-pointed.
+    closed: bool,
+}
+
+impl PeerState {
+    /// The one place a connection is given up, whichever thread found
+    /// out: count the `lost` frames, forget the socket, arm the next
+    /// reconnect window. The next send past the window re-dials the
+    /// (possibly restarted) peer.
+    fn give_up(&mut self, lost: usize, shared: &Shared) {
+        count_drops(&shared.stats, lost);
+        self.conn = None;
+        self.attempt = self.attempt.saturating_add(1);
+        let wait = jittered_backoff_ms(
+            shared.config.reconnect_base_ms,
+            shared.config.reconnect_max_ms,
+            self.jitter_key,
+            self.attempt,
+        );
+        self.next_attempt = Instant::now() + Duration::from_millis(wait);
+    }
+}
+
+fn count_drops(stats: &NetStats, lost: usize) {
+    for _ in 0..lost {
+        stats.record_drop();
+    }
+}
+
+impl Peer {
+    /// Every update leaves the state consistent between statements, so
+    /// a panicked holder does not make it unusable.
+    fn lock(&self) -> MutexGuard<'_, PeerState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.wake.notify_one();
+    }
+
+    fn send(&self, frame: Frame, shared: &Shared) {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        if let (true, Some(conn)) = (st.queue.is_empty(), st.conn.as_mut()) {
+            st.scratch.clear();
+            frame.encode_into(&mut st.scratch);
+            let sent = match conn.write(&st.scratch) {
+                Ok(n) => n,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => 0,
+                Err(_) => {
+                    st.give_up(1, shared);
                     return;
                 }
-                continue;
+            };
+            if sent == st.scratch.len() {
+                let stats = &shared.stats;
+                stats.record(&frame.from, &frame.to, frame.class, frame.wire_len(), 0);
+                return;
             }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-        };
-        if shared.stop.load(Ordering::Relaxed) {
+            // the socket pushed back: the peer thread finishes the
+            // frame under the write deadline
+            st.head_sent = sent;
+        }
+        st.queue.push_back(frame);
+        drop(guard);
+        self.wake.notify_one();
+    }
+}
+
+/// `write_all` with the socket switched to blocking, so that its write
+/// deadline applies, and back to non-blocking for the senders. A peer
+/// that accepted the connection but stopped draining it ends here as an
+/// error instead of wedging the thread.
+fn write_blocking(mut conn: &TcpStream, buf: &[u8]) -> std::io::Result<()> {
+    conn.set_nonblocking(false)?;
+    conn.write_all(buf)?;
+    conn.set_nonblocking(true)
+}
+
+fn dial(addr: SocketAddr, config: &TcpConfig) -> std::io::Result<TcpStream> {
+    let timeout = Duration::from_millis(config.connect_timeout_ms);
+    let conn = TcpStream::connect_timeout(&addr, timeout)?;
+    let _ = conn.set_nodelay(true);
+    if config.write_timeout_ms > 0 {
+        let deadline = Duration::from_millis(config.write_timeout_ms);
+        let _ = conn.set_write_timeout(Some(deadline));
+    }
+    Ok(conn)
+}
+
+fn peer_loop(peer: &Peer, addr: SocketAddr, shared: &Shared) {
+    // everything queued is encoded here and leaves in one write
+    let mut bytes: Vec<u8> = Vec::new();
+    let mut st = peer.lock();
+    loop {
+        while st.queue.is_empty() && !st.closed {
+            st = peer.wake.wait(st).unwrap_or_else(|p| p.into_inner());
+        }
+        if st.closed {
             return;
         }
-        if conn.is_none() {
-            let now = Instant::now();
-            if now < next_attempt {
-                // inside the backoff window: the frame is lost, the
+        let batch = std::mem::take(&mut st.queue);
+        let skip = std::mem::take(&mut st.head_sent);
+        // the connection stays out of the shared state while this
+        // thread writes, so senders queue behind the write
+        let conn = match st.conn.take() {
+            Some(conn) => conn,
+            None if Instant::now() < st.next_attempt => {
+                // inside the backoff window: the frames are lost, the
                 // reliability layer above will retransmit past it
-                shared.stats.record_drop();
+                count_drops(&shared.stats, batch.len());
                 continue;
             }
-            match TcpStream::connect_timeout(
-                &addr,
-                Duration::from_millis(config.connect_timeout_ms),
-            ) {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    if config.write_timeout_ms > 0 {
-                        let _ = stream.set_write_timeout(Some(Duration::from_millis(
-                            config.write_timeout_ms,
-                        )));
+            None => {
+                drop(st);
+                let dialled = dial(addr, &shared.config);
+                st = peer.lock();
+                match dialled {
+                    Ok(conn) => {
+                        st.attempt = 0;
+                        conn
                     }
-                    conn = Some(stream);
-                    attempt = 0;
-                }
-                Err(_) => {
-                    attempt = attempt.saturating_add(1);
-                    let wait = jittered_backoff_ms(
-                        config.reconnect_base_ms,
-                        config.reconnect_max_ms,
-                        jitter_key,
-                        attempt,
-                    );
-                    next_attempt = now + Duration::from_millis(wait);
-                    shared.stats.record_drop();
-                    continue;
+                    Err(_) => {
+                        st.give_up(batch.len(), shared);
+                        continue;
+                    }
                 }
             }
+        };
+        drop(st);
+        bytes.clear();
+        for frame in &batch {
+            frame.encode_into(&mut bytes);
         }
-        scratch.clear();
-        frame.encode_into(&mut scratch);
-        let stream = conn.as_mut().expect("connected above");
-        match stream.write_all(&scratch) {
+        let wrote = write_blocking(&conn, &bytes[skip..]);
+        st = peer.lock();
+        match wrote {
             Ok(()) => {
-                shared
-                    .stats
-                    .record(&frame.from, &frame.to, frame.class, frame.wire_len(), 0);
+                for f in &batch {
+                    shared
+                        .stats
+                        .record(&f.from, &f.to, f.class, f.wire_len(), 0);
+                }
+                st.conn = Some(conn);
             }
-            Err(_) => {
-                // connection dropped mid-write: count the loss, arm the
-                // reconnect backoff — the next send past the window
-                // re-dials the (possibly restarted) peer
-                shared.stats.record_drop();
-                conn = None;
-                attempt = attempt.saturating_add(1);
-                let wait = jittered_backoff_ms(
-                    config.reconnect_base_ms,
-                    config.reconnect_max_ms,
-                    jitter_key,
-                    attempt,
-                );
-                next_attempt = Instant::now() + Duration::from_millis(wait);
-            }
+            // dropped mid-write, or the write deadline passed
+            Err(_) => st.give_up(batch.len(), shared),
         }
     }
 }
@@ -499,7 +650,7 @@ mod tests {
     fn stalled_peer_write_times_out_and_counts_a_drop() {
         // a listener that never accepts: connections land in the
         // kernel backlog, so connect succeeds but nothing ever drains
-        // the socket — without a write deadline the writer thread
+        // the socket — without a write deadline the peer thread
         // wedges forever once the buffers fill
         let sink = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = sink.local_addr().unwrap();
@@ -510,15 +661,17 @@ mod tests {
         let a = TcpTransport::start(config).unwrap();
         a.add_peer("stall", addr).unwrap();
         // enough bytes to overrun loopback send+receive buffers
+        let mut slowest_send = Duration::ZERO;
         for _ in 0..64 {
-            a.send(Frame::new(
-                "a",
-                "stall",
-                TrafficClass::Message,
-                vec![0u8; 256 * 1024],
-            ))
-            .unwrap();
+            let frame = Frame::new("a", "stall", TrafficClass::Message, vec![0u8; 256 * 1024]);
+            let t0 = Instant::now();
+            a.send(frame).unwrap();
+            slowest_send = slowest_send.max(t0.elapsed());
         }
+        assert!(
+            slowest_send < Duration::from_millis(50),
+            "a sender must never wait on a stalled peer; slowest send took {slowest_send:?}"
+        );
         let deadline = Instant::now() + Duration::from_secs(10);
         while a.stats().snapshot().dropped == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
@@ -527,11 +680,98 @@ mod tests {
             a.stats().snapshot().dropped >= 1,
             "write deadline must turn a stalled peer into counted drops"
         );
-        // the writer armed its reconnect backoff instead of wedging:
+        // the peer thread armed its reconnect backoff instead of wedging:
         // dropping the transport joins every thread, so reaching the
         // end of this test at all proves the loop came back
         drop(a);
         drop(sink);
+    }
+
+    /// Whether `from`'s connection to `peer` is up with nothing queued,
+    /// i.e. whether the next send will be written on the caller's thread.
+    fn writes_directly(from: &TcpTransport, peer: &str) -> bool {
+        let peer = Arc::clone(from.peers.lock().get(peer).expect("known peer"));
+        let st = peer.lock();
+        st.conn.is_some() && st.queue.is_empty()
+    }
+
+    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn send_order_holds_across_queued_and_direct_writes() {
+        let (a, b) = pair();
+        let bin = b.register("b");
+        let numbered =
+            |n: u32| Frame::new("a", "b", TrafficClass::Message, n.to_be_bytes().to_vec());
+        // no connection yet: these wait for the peer thread's dial
+        assert!(!writes_directly(&a, "b"));
+        for n in 0..100 {
+            a.send(numbered(n)).unwrap();
+        }
+        // once the peer thread has handed the connection back, sends
+        // from this thread go straight to the socket
+        wait_until("the queue has drained", || writes_directly(&a, "b"));
+        for n in 100..200 {
+            a.send(numbered(n)).unwrap();
+            assert!(writes_directly(&a, "b"), "frame {n} should not have queued");
+        }
+        // and a frame big enough to overrun the socket buffer goes back
+        // to the peer thread part-written, with small ones behind it
+        a.send(Frame::new(
+            "a",
+            "b",
+            TrafficClass::Message,
+            vec![7u8; 8 * 1024 * 1024],
+        ))
+        .unwrap();
+        for n in 200..300 {
+            a.send(numbered(n)).unwrap();
+        }
+        let mut got = Vec::new();
+        while got.len() < 300 {
+            let f = recv(&bin);
+            if f.payload.len() == 4 {
+                got.push(u32::from_be_bytes(f.payload[..].try_into().unwrap()));
+            } else {
+                assert_eq!(got.len(), 200, "the big frame keeps its place");
+                assert!(f.payload.len() == 8 * 1024 * 1024 && f.payload.iter().all(|b| *b == 7));
+            }
+        }
+        assert_eq!(got, (0..300).collect::<Vec<u32>>());
+        // a frame is metered after its write returns, which the receiver
+        // does not wait for
+        wait_until("every frame is metered", || {
+            a.stats().snapshot().messages(TrafficClass::Message) == 301
+        });
+        assert_eq!(a.stats().snapshot().dropped, 0);
+    }
+
+    #[test]
+    fn drop_joins_idle_peers_and_open_inbound_connections_promptly() {
+        let (a, b) = pair();
+        let ain = a.register("a");
+        let bin = b.register("b");
+        a.send(Frame::new("a", "b", TrafficClass::Message, vec![1u8]))
+            .unwrap();
+        b.send(Frame::new("b", "a", TrafficClass::Message, vec![2u8]))
+            .unwrap();
+        recv(&bin);
+        recv(&ain);
+        // `a` now has an idle connected peer thread, a reader blocked on
+        // `b`'s connection and its acceptor; each holds the shared state
+        let shared = Arc::clone(&a.shared);
+        assert!(Arc::strong_count(&shared) >= 4);
+        let t0 = Instant::now();
+        drop(a);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(200), "drop took {took:?}");
+        assert_eq!(Arc::strong_count(&shared), 1, "a thread outlived the drop");
     }
 
     #[test]

@@ -36,6 +36,12 @@ use crate::threaded::ThreadedNet;
 pub trait Transport: Send + Sync + 'static {
     /// Register a local endpoint named `host` and obtain its inbox.
     /// Frames addressed to `host` arrive on the returned receiver.
+    ///
+    /// Registering a name again replaces the endpoint: the transport
+    /// lets go of the previous inbox's sender, so whoever is blocked on
+    /// that inbox drains what was already delivered and then sees it
+    /// disconnect. Drivers stop a server thread this way instead of
+    /// making it poll a flag.
     fn register(&self, host: &str) -> Receiver<Frame>;
 
     /// Send a frame toward `frame.to`. See the trait docs for the
@@ -107,6 +113,30 @@ mod tests {
             .send(Frame::new("a", "ghost", TrafficClass::Message, vec![]))
             .is_err());
         assert_eq!(t.stats().snapshot().messages(TrafficClass::Message), 1);
+    }
+
+    #[test]
+    fn registering_again_disconnects_the_previous_inbox() {
+        use crossbeam::channel::RecvTimeoutError;
+        let threaded = threaded();
+        let tcp = crate::tcp::TcpTransport::start(crate::tcp::TcpConfig::new(
+            "127.0.0.1:0".parse().unwrap(),
+            Default::default(),
+        ))
+        .unwrap();
+        for t in [&threaded as &dyn Transport, &tcp] {
+            let old = t.register("a");
+            t.send(Frame::new("a", "a", TrafficClass::Message, vec![1u8]))
+                .unwrap();
+            let new = t.register("a");
+            // what was delivered before the replacement is still there
+            let wait = std::time::Duration::from_secs(1);
+            assert_eq!(&old.recv_timeout(wait).unwrap().payload[..], &[1]);
+            assert_eq!(old.recv_timeout(wait), Err(RecvTimeoutError::Disconnected));
+            t.send(Frame::new("a", "a", TrafficClass::Message, vec![2u8]))
+                .unwrap();
+            assert_eq!(&new.recv_timeout(wait).unwrap().payload[..], &[2]);
+        }
     }
 
     #[test]

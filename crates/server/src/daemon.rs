@@ -5,8 +5,8 @@
 //! (see [`crate::bootstrap`]). Boot order matters and is fixed here so
 //! every node restarts identically:
 //!
-//! 1. bind the listen socket and start writer threads toward the
-//!    static peer list;
+//! 1. bind the listen socket and start one thread per peer in the
+//!    static peer list (each dials on its first queued frame);
 //! 2. open the write-ahead journal ([`FileStore`] when the node has a
 //!    `journal` path, in-memory otherwise);
 //! 3. replay the journal — retransmitted handshakes go out before the
@@ -16,7 +16,7 @@
 //!
 //! Shutdown is cooperative: any holder of the [`Daemon::shutdown_flag`]
 //! (the SIGTERM handler in `napletd`, a test harness) stores `true`,
-//! the serve loop drains, and [`Daemon::run`] returns a
+//! [`Daemon::run`] shuts the runtime down and returns a
 //! [`DaemonSummary`] built from the server's final status report. The
 //! `FileStore` journal writes through on every record, so a clean exit
 //! needs no separate flush step — the summary's journal figures are

@@ -105,6 +105,9 @@ impl JournalStore for MemoryStore {
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
+    /// Records on disk: scanned once in `open`, then kept by `put` and
+    /// `remove`, because the journal asks for it on every write.
+    records: usize,
 }
 
 impl FileStore {
@@ -113,7 +116,9 @@ impl FileStore {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
             .map_err(|e| NapletError::Internal(format!("journal dir {}: {e}", dir.display())))?;
-        Ok(FileStore { dir })
+        let mut store = FileStore { dir, records: 0 };
+        store.records = store.keys()?.len();
+        Ok(store)
     }
 
     /// Keys contain `/` separators; encode every byte outside
@@ -156,14 +161,22 @@ impl JournalStore for FileStore {
     fn put(&mut self, key: &str, value: &[u8]) -> Result<()> {
         let path = self.path(key);
         let tmp = path.with_extension("tmp");
+        let replaces = path.exists();
         std::fs::write(&tmp, value)
             .and_then(|()| std::fs::rename(&tmp, &path))
-            .map_err(|e| NapletError::Internal(format!("journal write {key}: {e}")))
+            .map_err(|e| NapletError::Internal(format!("journal write {key}: {e}")))?;
+        if !replaces {
+            self.records += 1;
+        }
+        Ok(())
     }
 
     fn remove(&mut self, key: &str) -> Result<()> {
         match std::fs::remove_file(self.path(key)) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                self.records = self.records.saturating_sub(1);
+                Ok(())
+            }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(NapletError::Internal(format!("journal remove {key}: {e}"))),
         }
@@ -194,6 +207,10 @@ impl JournalStore for FileStore {
         }
         keys.sort();
         Ok(keys)
+    }
+
+    fn count(&self) -> usize {
+        self.records
     }
 }
 
@@ -625,6 +642,36 @@ mod tests {
         let store = FileStore::open(&dir).unwrap();
         assert_eq!(store.keys().unwrap(), vec!["n/abc".to_string()]);
         assert_eq!(store.get("n/abc").unwrap().unwrap(), b"hello");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_store_count_tracks_keys_through_writes_and_reopen() {
+        let dir = temp_dir();
+        let mut store = FileStore::open(&dir).unwrap();
+        let agrees = |store: &FileStore| {
+            assert_eq!(store.count(), store.keys().unwrap().len());
+            store.count()
+        };
+        assert_eq!(agrees(&store), 0);
+        for key in ["n/a", "n/b", "s/1/x"] {
+            store.put(key, b"v1").unwrap();
+        }
+        store.put("n/a", b"v2").unwrap(); // an overwrite adds no record
+        assert_eq!(agrees(&store), 3);
+        store.remove("n/b").unwrap();
+        store.remove("n/b").unwrap(); // nor does removing twice take two
+        store.remove("never/there").unwrap();
+        assert_eq!(agrees(&store), 2);
+        store.put("n/b", b"back").unwrap();
+        assert_eq!(agrees(&store), 3);
+        // a torn write left by a crash is not a record
+        std::fs::write(dir.join("torn.tmp"), b"junk").unwrap();
+        drop(store);
+        let mut store = FileStore::open(&dir).unwrap();
+        assert_eq!(agrees(&store), 3);
+        store.remove("s/1/x").unwrap();
+        assert_eq!(agrees(&store), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

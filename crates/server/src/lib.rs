@@ -36,6 +36,7 @@ pub mod security;
 pub mod server;
 pub mod service_channel;
 pub mod status;
+pub mod timers;
 
 pub use bootstrap::{BootstrapConfig, NodeConfig};
 pub use daemon::{register_probe, Daemon, DaemonSummary, TraceDumper, PROBE_CODEBASE};
@@ -60,3 +61,4 @@ pub use security::{Matcher, Permission, Policy, Rule, SecurityManager};
 pub use server::{LocationMode, NapletServer, ServerConfig};
 pub use service_channel::{ChannelIo, OpenService, PrivilegedService, ServiceChannel};
 pub use status::{ReplStatus, ResidentStatus, StatusReport};
+pub use timers::Timers;

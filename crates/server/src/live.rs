@@ -9,6 +9,26 @@
 //! `naplet_net::ThreadedNet` fabric (modelled link delays scaled into
 //! real sleeps) or the real-socket `naplet_net::TcpTransport` the
 //! `napletd` daemon deploys on.
+//!
+//! # Threads
+//!
+//! One thread per server, plus one sweep thread when the watchdog or
+//! the metrics history is on. A server thread is the only code that
+//! touches its `NapletServer`, its [`Timers`] and its trace-context
+//! table. It blocks on exactly one thing, its transport inbox, for no
+//! longer than the earliest armed deadline (indefinitely when nothing
+//! is armed): a frame or a due timer wakes it, nothing else does.
+//! Sends happen on the server thread — [`Transport::send`] never waits
+//! on a peer. Before [`LiveRuntime::start`] the caller's thread plays
+//! the same role: launches and recovery enact their sends at once and
+//! park their timers in the server's queue, which moves to the thread
+//! with the server.
+//!
+//! [`LiveRuntime::shutdown`] raises the stop flag and registers every
+//! host again, which replaces the endpoint and so disconnects the
+//! inbox each thread is blocked on (see [`Transport::register`]); the
+//! thread sees the disconnect, returns its server and is joined. The
+//! sweep thread sleeps one tick at a time and checks the same flag.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -24,6 +44,7 @@ use naplet_obs::{ObsSink, TraceKind, WatchdogConfig};
 
 use crate::events::{Input, LocalEvent, Output, Wire};
 use crate::server::{NapletServer, ServerConfig};
+use crate::timers::Timers;
 
 /// A naplet space running on real threads over a pluggable
 /// [`Transport`]. The default transport is the in-process
@@ -37,11 +58,10 @@ pub struct LiveRuntime<T: Transport = ThreadedNet> {
     /// Servers constructed but not yet started (launch window), with
     /// any local timers armed by pre-start launches (e.g. handoff
     /// acknowledgement timeouts).
-    #[allow(clippy::type_complexity)]
     staging: Vec<(
         NapletServer,
         crossbeam::channel::Receiver<Frame>,
-        Vec<(Instant, LocalEvent)>,
+        Timers<LocalEvent>,
     )>,
     /// Shared observability sink handed to every server. Live traces
     /// are wall-clock ordered, so unlike the sim they are not
@@ -162,12 +182,9 @@ impl<T: Transport> LiveRuntime<T> {
         // directory replicas drive their consensus clock off a
         // self-rearming tick; the first one is armed here, the rest by
         // the server's own outputs
-        let mut timers = Vec::new();
+        let mut timers = Timers::new();
         if let Some(tick_ms) = server.arm_initial_repl_tick() {
-            timers.push((
-                Instant::now() + Duration::from_millis(tick_ms),
-                LocalEvent::ReplTick,
-            ));
+            timers.arm_in(tick_ms, LocalEvent::ReplTick);
         }
         self.staging.push((server, rx, timers));
         &mut self.staging.last_mut().expect("just pushed").0
@@ -303,12 +320,15 @@ impl<T: Transport> LiveRuntime<T> {
     /// Stop every server thread and return the servers for inspection
     /// (reports, logs, tables), keyed by host.
     pub fn shutdown(mut self) -> Vec<(String, NapletServer)> {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(sweeper) = self.sweeper.take() {
             let _ = sweeper.join();
         }
         let mut out = Vec::new();
         for (host, handle) in self.threads.drain(..) {
+            // a server thread sleeps on its inbox; replacing the
+            // endpoint disconnects that inbox and wakes it
+            drop(self.net.register(&host));
             if let Ok(server) = handle.join() {
                 out.push((host, server));
             }
@@ -326,59 +346,24 @@ fn serve<T: Transport>(
     mut server: NapletServer,
     net: Arc<T>,
     rx: crossbeam::channel::Receiver<Frame>,
-    mut timers: Vec<(Instant, LocalEvent)>,
+    mut timers: Timers<LocalEvent>,
     epoch: Instant,
     stop: Arc<AtomicBool>,
     obs: ObsSink,
     mut ctxs: CtxTable,
 ) -> NapletServer {
+    use crossbeam::channel::RecvTimeoutError;
     // one encode scratch per server thread: every outgoing wire reuses
     // its capacity instead of growing a fresh Vec per send
     let mut scratch = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        let now = Millis(epoch.elapsed().as_millis() as u64);
-        // keep fault schedules in step with wall-clock-since-epoch time
-        net.set_now(now.0);
-        if let Ok(frame) = rx.recv_timeout(Duration::from_millis(1)) {
-            match naplet_core::codec::from_bytes::<Wire>(&frame.payload) {
-                Ok(wire) => {
-                    let from = frame.from.clone();
-                    if obs.ctx_enabled() {
-                        if let Some(ctx) = &frame.ctx {
-                            ctxs.adopt(ctx);
-                        }
-                        obs.emit_ctx(
-                            now,
-                            server.host(),
-                            wire.subject(),
-                            frame.ctx.as_ref(),
-                            || TraceKind::WireRecv {
-                                from: from.clone(),
-                                label: wire.label().to_string(),
-                            },
-                        );
-                    }
-                    let outputs = server.handle(now, Input::Wire { from, wire });
-                    enact(
-                        server.host(),
-                        net.as_ref(),
-                        outputs,
-                        &mut timers,
-                        &mut scratch,
-                        &obs,
-                        &mut ctxs,
-                        now,
-                    );
-                }
-                Err(_) => { /* corrupt frame: drop */ }
-            }
-        }
-        // fire due local events
-        let now_i = Instant::now();
-        let (ready, pending): (Vec<_>, Vec<_>) = timers.drain(..).partition(|(t, _)| *t <= now_i);
-        timers = pending;
-        for (_, event) in ready {
+    while !stop.load(Ordering::SeqCst) {
+        // fire what is due; a timer armed while firing waits for the
+        // next round, so a self-rearming event cannot starve the inbox
+        let due_by = Instant::now();
+        while let Some(event) = timers.pop_due(due_by) {
             let now = Millis(epoch.elapsed().as_millis() as u64);
+            // keep fault schedules in step with wall-clock-since-epoch time
+            net.set_now(now.0);
             let outputs = server.handle(now, Input::Local(event));
             enact(
                 server.host(),
@@ -391,6 +376,49 @@ fn serve<T: Transport>(
                 now,
             );
         }
+        // then sleep on the inbox until a frame or the next deadline
+        let received = match timers.until_next(Instant::now()) {
+            Some(wait) => rx.recv_timeout(wait),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        let frame = match received {
+            Ok(frame) => frame,
+            Err(RecvTimeoutError::Timeout) => continue,
+            // the endpoint was replaced: shutdown
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
+        let Ok(wire) = naplet_core::codec::from_bytes::<Wire>(&frame.payload) else {
+            continue; // corrupt frame: drop
+        };
+        let now = Millis(epoch.elapsed().as_millis() as u64);
+        net.set_now(now.0);
+        let from = frame.from;
+        if obs.ctx_enabled() {
+            if let Some(ctx) = &frame.ctx {
+                ctxs.adopt(ctx);
+            }
+            obs.emit_ctx(
+                now,
+                server.host(),
+                wire.subject(),
+                frame.ctx.as_ref(),
+                || TraceKind::WireRecv {
+                    from: from.clone(),
+                    label: wire.label().to_string(),
+                },
+            );
+        }
+        let outputs = server.handle(now, Input::Wire { from, wire });
+        enact(
+            server.host(),
+            net.as_ref(),
+            outputs,
+            &mut timers,
+            &mut scratch,
+            &obs,
+            &mut ctxs,
+            now,
+        );
     }
     server
 }
@@ -400,7 +428,7 @@ fn enact<T: Transport>(
     host: &str,
     net: &T,
     outputs: Vec<Output>,
-    timers: &mut Vec<(Instant, LocalEvent)>,
+    timers: &mut Timers<LocalEvent>,
     scratch: &mut Vec<u8>,
     obs: &ObsSink,
     ctxs: &mut CtxTable,
@@ -439,19 +467,14 @@ fn enact<T: Transport>(
                     let _ = net.send(frame);
                 }
             }
-            Output::Schedule { delay_ms, event } => {
-                timers.push((Instant::now() + Duration::from_millis(delay_ms), event));
-            }
+            Output::Schedule { delay_ms, event } => timers.arm_in(delay_ms, event),
             Output::FetchCode { from, bytes, id } => {
                 let delay = net
                     .fetch(&from, host, TrafficClass::Code, bytes)
                     .ok()
                     .flatten()
                     .unwrap_or(0);
-                timers.push((
-                    Instant::now() + Duration::from_millis(delay),
-                    LocalEvent::CodeReady { id },
-                ));
+                timers.arm_in(delay, LocalEvent::CodeReady { id });
             }
         }
     }

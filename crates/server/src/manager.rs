@@ -17,6 +17,8 @@ use serde::{Deserialize, Serialize};
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
 
+use crate::directory::DirEvent;
+
 /// Lifecycle status tracked in the home naplet table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NapletStatus {
@@ -102,6 +104,25 @@ impl NapletManager {
         if let Some(e) = self.table.get_mut(id) {
             e.status = status;
             e.last_known = at.to_string();
+            e.updated = now;
+        }
+    }
+
+    /// A movement registration reached the home: the naplet runs at
+    /// `host` after an arrival and is in transit from it after a
+    /// departure. Each stop talks to the home on its own connection, so
+    /// a registration can be overtaken by the journey's final notice;
+    /// it therefore never reopens a `Completed` or `Destroyed` row.
+    pub fn note_movement(&mut self, id: &NapletId, event: DirEvent, host: &str, now: Millis) {
+        let Some(e) = self.table.get_mut(id) else {
+            return;
+        };
+        if !matches!(e.status, NapletStatus::Completed | NapletStatus::Destroyed) {
+            e.status = match event {
+                DirEvent::Arrival => NapletStatus::Running,
+                DirEvent::Departure => NapletStatus::InTransit,
+            };
+            e.last_known = host.to_string();
             e.updated = now;
         }
     }

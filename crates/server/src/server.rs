@@ -738,12 +738,7 @@ impl NapletServer {
                 if id.home() == self.host {
                     self.leases.renew(&id, now);
                 }
-                let status = if event == DirEvent::Arrival {
-                    NapletStatus::Running
-                } else {
-                    NapletStatus::InTransit
-                };
-                self.manager.update_status(&id, status, &host, now);
+                self.manager.note_movement(&id, event, &host, now);
                 if self.repl.as_ref().is_some_and(|r| r.is_leader()) {
                     if let Some((ack_to, ack_id)) = self.repl_pending_acks.remove(&index) {
                         if ack_to == self.host {
@@ -1066,13 +1061,7 @@ impl NapletServer {
                 self.directory.register(&id, &host, event, now);
                 // any movement registration is a sign of life
                 self.leases.renew(&id, now);
-                if event == DirEvent::Arrival {
-                    self.manager
-                        .update_status(&id, NapletStatus::Running, &host, now);
-                } else {
-                    self.manager
-                        .update_status(&id, NapletStatus::InTransit, &host, now);
-                }
+                self.manager.note_movement(&id, event, &host, now);
                 if let Some(ack_to) = ack_to {
                     out.push(Output::Send {
                         to: ack_to,

@@ -16,7 +16,7 @@ use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
 use naplet_server::{
-    Input, LocationMode, MonitorPolicy, NapletServer, NapletStatus, Output, ServerConfig,
+    DirEvent, Input, LocationMode, MonitorPolicy, NapletServer, NapletStatus, Output, ServerConfig,
     SimRuntime, TransferEnvelope, Wire,
 };
 
@@ -334,4 +334,49 @@ fn forward_cap_breaks_chase_cycles() {
         "the cap must drop the cycling message exactly once"
     );
     assert!(a.messenger.forwards_performed + b.messenger.forwards_performed <= 4);
+}
+
+/// Each stop reports to the home on its own connection, so the last
+/// stop's completion notice can overtake an earlier stop's departure
+/// registration. The late registration must not reopen the row.
+#[test]
+fn movement_registration_after_the_completion_notice_keeps_completed() {
+    let mut cfg = ServerConfig::open("home", LocationMode::HomeManagers);
+    cfg.codebase = registry();
+    let mut home = NapletServer::new(cfg);
+    let naplet = agent(Pattern::seq_of_hosts(&["s0", "s1"], None), 1);
+    let id = naplet.id().clone();
+    home.launch(naplet, Millis(0));
+    let status = |home: &NapletServer| home.manager.table_entry(&id).unwrap().status;
+
+    let register = |event, host: &str| Wire::DirRegister {
+        id: id.clone(),
+        host: host.into(),
+        event,
+        ack_to: None,
+        attempt: 1,
+    };
+    let deliver = |home: &mut NapletServer, at, from: &str, wire| {
+        home.handle(
+            Millis(at),
+            Input::Wire {
+                from: from.into(),
+                wire,
+            },
+        );
+    };
+    deliver(&mut home, 10, "s0", register(DirEvent::Arrival, "s0"));
+    assert_eq!(status(&home), NapletStatus::Running);
+    let notice = Wire::Notify {
+        id: id.clone(),
+        status: NapletStatus::Completed,
+        host: "s1".into(),
+        detail: String::new(),
+    };
+    deliver(&mut home, 30, "s1", notice);
+    assert_eq!(status(&home), NapletStatus::Completed);
+    // s0's departure, sent before the journey finished, lands last
+    deliver(&mut home, 31, "s0", register(DirEvent::Departure, "s0"));
+    assert_eq!(status(&home), NapletStatus::Completed);
+    assert_eq!(home.manager.table_entry(&id).unwrap().last_known, "s1");
 }

@@ -1,9 +1,12 @@
 //! Workspace-level integration tests: scenarios that span every crate
 //! through the public facade (`naplet::prelude`).
 
+use std::time::Duration;
+
 use naplet::man::{ManWorld, NET_MANAGEMENT};
+use naplet::net::{Frame, TcpConfig, TcpTransport};
 use naplet::prelude::*;
-use naplet::server::{Matcher, Permission};
+use naplet::server::{LiveRuntime, Matcher, Permission};
 use naplet::snmp::oids;
 
 fn man_world(devices: usize) -> ManWorld {
@@ -244,4 +247,106 @@ fn facade_prelude_supports_full_agent_lifecycle() {
     assert_eq!(reports.len(), 2);
     assert_eq!(reports[0].1, Value::from("hello from s0"));
     assert_eq!(reports[1].1, Value::from("hello from s1"));
+}
+
+// ---------------------------------------------------------------------
+// The live frame path: real sockets and server threads (both finish in
+// well under a second; the waits below are ceilings, not costs).
+// ---------------------------------------------------------------------
+
+fn tcp_endpoint() -> TcpTransport {
+    TcpTransport::start(TcpConfig::new(
+        "127.0.0.1:0".parse().unwrap(),
+        Default::default(),
+    ))
+    .unwrap()
+}
+
+#[test]
+fn tcp_transport_round_trips_frames_between_two_endpoints() {
+    let (a, b) = (tcp_endpoint(), tcp_endpoint());
+    a.add_peer("b", b.local_addr()).unwrap();
+    b.add_peer("a", a.local_addr()).unwrap();
+    let (a_in, b_in) = (a.register("a"), b.register("b"));
+    let wait = Duration::from_secs(5);
+    // the first frame waits for the dial, the rest are written by the
+    // sending thread; all arrive in order, byte for byte, and come back
+    let sent: Vec<Frame> = (0..50u8)
+        .map(|n| Frame::new("a", "b", TrafficClass::Message, vec![n; 1 + n as usize]))
+        .collect();
+    for frame in &sent {
+        a.send(frame.clone()).unwrap();
+    }
+    for frame in &sent {
+        let got = b_in.recv_timeout(wait).unwrap();
+        assert_eq!(&got, frame);
+        b.send(Frame::new("b", "a", got.class, got.payload))
+            .unwrap();
+    }
+    for frame in &sent {
+        assert_eq!(a_in.recv_timeout(wait).unwrap().payload, frame.payload);
+    }
+    assert_eq!(
+        a.stats().snapshot().dropped + b.stats().snapshot().dropped,
+        0
+    );
+}
+
+#[test]
+fn live_runtime_completes_a_journey_over_tcp() {
+    /// Reports home from every stop and tells the test where it ran.
+    struct Tourist(crossbeam::channel::Sender<String>);
+    impl NapletBehavior for Tourist {
+        fn on_start(&mut self, ctx: &mut dyn NapletContext) -> naplet::core::Result<()> {
+            let host = ctx.host_name().to_string();
+            ctx.report_home(Value::from(format!("visited {host}")))?;
+            let _ = self.0.send(host);
+            Ok(())
+        }
+    }
+    let (visited_tx, visited) = crossbeam::channel::unbounded();
+    let mut registry = CodebaseRegistry::new();
+    registry.register("tourist", 512, move || Tourist(visited_tx.clone()));
+
+    // one process-shaped half per host: its own socket, its own runtime
+    let mut home = LiveRuntime::over(tcp_endpoint());
+    let mut away = LiveRuntime::over(tcp_endpoint());
+    let (home_addr, away_addr) = (home.transport().local_addr(), away.transport().local_addr());
+    home.transport().add_peer("away", away_addr).unwrap();
+    away.transport().add_peer("home", home_addr).unwrap();
+    for (live, host) in [(&mut home, "home"), (&mut away, "away")] {
+        let mut cfg = ServerConfig::open(host, LocationMode::HomeManagers);
+        cfg.codebase = registry.clone();
+        live.add_server(cfg);
+    }
+    let key = SigningKey::new("demo", b"secret");
+    let itinerary = Itinerary::new(Pattern::seq_of_hosts(&["away", "home"], None)).unwrap();
+    let naplet = Naplet::create(
+        &key,
+        "demo",
+        "home",
+        Millis(0),
+        "tourist",
+        AgentKind::Native,
+        itinerary,
+        vec![],
+    )
+    .unwrap();
+    home.launch(naplet).unwrap();
+    home.start();
+    away.start();
+
+    // out over one connection, back over the other
+    let wait = Duration::from_secs(5);
+    assert_eq!(visited.recv_timeout(wait).unwrap(), "away");
+    assert_eq!(visited.recv_timeout(wait).unwrap(), "home");
+    away.shutdown();
+    let servers = home.shutdown();
+    let (_, home_server) = servers.into_iter().find(|(h, _)| h == "home").unwrap();
+    // away's report travelled ahead of the agent on the same connection
+    let reports: Vec<Value> = home_server.reports.iter().map(|(_, v)| v.clone()).collect();
+    assert_eq!(
+        reports,
+        [Value::from("visited away"), Value::from("visited home")]
+    );
 }
