@@ -8,7 +8,9 @@
 //! * unsigned integers: LEB128 varint
 //! * signed integers: zigzag + varint
 //! * floats: little-endian IEEE-754
-//! * strings / byte strings: varint length prefix + raw bytes
+//! * strings / byte strings: varint length prefix + raw bytes. `Vec<u8>`
+//!   and `[u8]` are byte strings (the vendored serde shim routes them to
+//!   `serialize_bytes`); a fixed-size `[u8; N]` is a tuple of `N` `u8`s
 //! * options: 1-byte tag
 //! * enums: varint variant index + payload
 //! * sequences / maps: varint element count + elements
@@ -1099,6 +1101,98 @@ mod tests {
             encoded_size(&v).unwrap(),
             to_bytes(&v).unwrap().len() as u64
         );
+    }
+
+    const PAYLOAD: [u8; 4] = [0x00, 0x7f, 0x80, 0xff];
+
+    /// The format, pinned: a byte buffer is its length and then its
+    /// bytes untouched, whatever their value and wherever it sits.
+    /// Fails if `vendor/serde` is swapped for upstream serde, which
+    /// encodes `Vec<u8>` as a sequence of `u8` elements.
+    #[test]
+    fn byte_strings_golden() {
+        use crate::naplet::AgentKind;
+        use crate::value::Value;
+
+        let golden = [4, 0x00, 0x7f, 0x80, 0xff];
+        assert_eq!(to_bytes(&PAYLOAD.to_vec()).unwrap(), golden);
+        assert_eq!(to_bytes(&PAYLOAD[..]).unwrap(), golden);
+        assert_eq!(from_bytes::<Vec<u8>>(&golden).unwrap(), PAYLOAD);
+        // enum variant index, then the same five bytes
+        let value = Value::Bytes(PAYLOAD.to_vec());
+        assert_eq!(to_bytes(&value).unwrap(), [5, 4, 0x00, 0x7f, 0x80, 0xff]);
+        assert_eq!(round_trip(&value), value);
+        let kind = AgentKind::Vm(PAYLOAD.to_vec());
+        assert_eq!(to_bytes(&kind).unwrap(), [1, 4, 0x00, 0x7f, 0x80, 0xff]);
+        assert_eq!(round_trip(&kind), kind);
+        // a fixed-size array is a tuple: no prefix, one varint per element
+        assert_eq!(
+            to_bytes(&PAYLOAD).unwrap(),
+            [0x00, 0x7f, 0x80, 0x01, 0xff, 0x01]
+        );
+        assert_eq!(round_trip(&PAYLOAD), PAYLOAD);
+    }
+
+    /// Sequences of anything but `u8` are what they always were.
+    #[test]
+    fn other_sequences_golden() {
+        let shorts = vec![1u16, 300, 65535];
+        assert_eq!(
+            to_bytes(&shorts).unwrap(),
+            [3, 0x01, 0xac, 0x02, 0xff, 0xff, 0x03]
+        );
+        round_trip(&shorts);
+        let strings = vec!["a".to_string(), "bc".to_string()];
+        assert_eq!(to_bytes(&strings).unwrap(), [2, 1, b'a', 2, b'b', b'c']);
+        round_trip(&strings);
+        let nested = vec![vec![0xffu8], vec![]];
+        assert_eq!(to_bytes(&nested).unwrap(), [2, 1, 0xff, 0]);
+        round_trip(&nested);
+    }
+
+    #[test]
+    fn byte_strings_round_trip_at_length_prefix_boundaries() {
+        use rand::{rngs::StdRng, RngCore, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(15);
+        for len in [0usize, 1, 127, 128, 16_383, 16_384, 70_000] {
+            let mut blob = vec![0u8; len];
+            rng.fill_bytes(&mut blob);
+            let bytes = to_bytes(&blob).unwrap();
+            let prefix = uvarint_len(len as u64) as usize;
+            assert_eq!(bytes.len(), prefix + len, "len={len}");
+            assert_eq!(&bytes[prefix..], &blob[..], "payload is verbatim");
+            assert_eq!(encoded_size(&blob).unwrap(), bytes.len() as u64);
+            assert_eq!(from_bytes::<Vec<u8>>(&bytes).unwrap(), blob);
+            let v = crate::value::Value::Bytes(blob);
+            assert_eq!(encoded_size(&v).unwrap(), 1 + bytes.len() as u64);
+            round_trip(&v);
+        }
+    }
+
+    #[test]
+    fn byte_string_length_beyond_input_is_an_error_not_an_allocation() {
+        // claims 1 GiB, 16 EiB; carries three bytes
+        for claimed in [1u64 << 30, u64::MAX] {
+            let mut bad = Vec::new();
+            write_uvarint(&mut bad, claimed);
+            bad.extend_from_slice(&[1, 2, 3]);
+            let mut de = Decoder { input: &bad };
+            let Err(NapletError::Codec(why)) = de.get_len_bytes() else {
+                panic!("length {claimed} over 3 bytes of input must not decode");
+            };
+            assert!(why.starts_with("eof"), "refused before any copy: {why}");
+            assert!(matches!(
+                from_bytes::<Vec<u8>>(&bad),
+                Err(NapletError::Codec(_))
+            ));
+            assert!(matches!(
+                from_bytes::<crate::value::Value>(&[&[5u8][..], &bad].concat()),
+                Err(NapletError::Codec(_))
+            ));
+        }
+        // one byte short is refused the same way
+        assert!(from_bytes::<Vec<u8>>(&[4, 0x00, 0x7f, 0x80]).is_err());
     }
 
     #[test]

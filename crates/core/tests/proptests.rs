@@ -41,6 +41,8 @@ fn value(depth: u32) -> BoxedStrategy<Value> {
         (-1e12f64..1e12).prop_map(Value::Float),
         ".{0,24}".prop_map(Value::Str),
         vec(any::<u8>(), 0..32).prop_map(Value::Bytes),
+        // one large case, either side of the 2- to 3-byte length prefix
+        vec(any::<u8>(), 16_380..16_390).prop_map(Value::Bytes),
     ];
     leaf.prop_recursive(depth, 64, 8, |inner| {
         prop_oneof![

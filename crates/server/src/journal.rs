@@ -251,7 +251,10 @@ pub enum JournalPhase {
     Parked,
 }
 
-/// One durable naplet record: the serialized agent plus its phase.
+/// One durable naplet record: the serialized agent plus its phase. On
+/// disk that is the length-prefixed raw image, then the phase, then the
+/// timestamp; the writers in [`Journal`] emit exactly this layout from a
+/// borrowed image, so the field order here is the format.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JournalRecord {
     /// `napcode`-encoded [`Naplet`] snapshot.
@@ -347,13 +350,12 @@ impl Journal {
         phase: JournalPhase,
         now: Millis,
     ) -> Result<()> {
-        let record = JournalRecord {
-            naplet: codec::to_bytes(naplet)?,
-            phase,
-            updated: now,
-        };
-        self.store
-            .put(&Self::naplet_key(id), &codec::to_bytes(&record)?)
+        // A `u64` and a byte string's length prefix are the same
+        // uvarint, so the image's size followed by the naplet's own
+        // encoding is byte for byte the `Vec<u8>` image field.
+        let image_len = codec::encoded_size(naplet)?;
+        let framing = codec::encoded_size(&(image_len, &phase, now))?;
+        self.put_record(id, image_len + framing, &(image_len, naplet, phase, now))
     }
 
     /// Like [`record_naplet`](Self::record_naplet), but from an
@@ -368,13 +370,22 @@ impl Journal {
         phase: JournalPhase,
         now: Millis,
     ) -> Result<()> {
-        let record = JournalRecord {
-            naplet: naplet_bytes.to_vec(),
-            phase,
-            updated: now,
-        };
-        self.store
-            .put(&Self::naplet_key(id), &codec::to_bytes(&record)?)
+        let fields = (naplet_bytes, phase, now);
+        self.put_record(id, codec::encoded_size(&fields)?, &fields)
+    }
+
+    /// Write `fields` — a tuple that encodes as a [`JournalRecord`]
+    /// does (napcode frames neither tuples nor structs) while only
+    /// borrowing the image — through one buffer of its encoded `size`.
+    fn put_record<T: Serialize>(&mut self, id: &NapletId, size: u64, fields: &T) -> Result<()> {
+        let mut buf = Vec::with_capacity(size as usize);
+        codec::to_bytes_into(fields, &mut buf)?;
+        debug_assert_eq!(
+            buf.len() as u64,
+            size,
+            "record sized apart from its encoding"
+        );
+        self.store.put(&Self::naplet_key(id), &buf)
     }
 
     /// Retire a naplet record: the agent is durably someone else's
@@ -614,6 +625,65 @@ mod tests {
         }
         journal.retire(&id).unwrap();
         assert!(journal.naplet_records().is_empty());
+    }
+
+    /// Both writers hand the store the bytes of the `JournalRecord`
+    /// they stand for — no more than the image plus a few dozen bytes
+    /// of phase and timestamp — and the one reader gets the naplet back.
+    #[test]
+    fn a_record_is_the_image_once_plus_phase_and_time() {
+        let mut naplet = sample_naplet();
+        // high bytes: a byte's value must not change what it costs
+        naplet.state.set("ballast", vec![0xffu8; 64 * 1024]);
+        let id = naplet.id().clone();
+        let image = naplet.to_wire().unwrap();
+        assert!(image.len() <= 64 * 1024 + 1024, "image {}", image.len());
+        let phase = || JournalPhase::Resident {
+            applied_epoch: 3,
+            action: None,
+        };
+        let record = JournalRecord {
+            naplet: image.clone(),
+            phase: phase(),
+            updated: Millis(5),
+        };
+        let expected = codec::to_bytes(&record).unwrap();
+        assert_eq!(codec::encoded_size(&record).unwrap(), expected.len() as u64);
+        assert!(expected.len() <= image.len() + 64, "{}", expected.len());
+
+        let mut journal = Journal::in_memory();
+        let stored = |journal: &Journal| {
+            let value = journal.store.get(&Journal::naplet_key(&id)).unwrap();
+            value.expect("record written")
+        };
+        journal
+            .record_naplet(&id, &naplet, phase(), Millis(5))
+            .unwrap();
+        assert_eq!(stored(&journal), expected, "from a borrowed naplet");
+        journal.retire(&id).unwrap();
+        journal
+            .record_naplet_bytes(&id, &image, phase(), Millis(5))
+            .unwrap();
+        assert_eq!(stored(&journal), expected, "from a borrowed image");
+
+        let records = journal.naplet_records();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].1, record);
+        assert_eq!(records[0].1.decode_naplet().unwrap(), naplet);
+    }
+
+    /// The record layout, pinned: length-prefixed raw image, phase,
+    /// timestamp (see `naplet_core::codec`'s `byte_strings_golden`).
+    #[test]
+    fn journal_record_golden_bytes() {
+        let record = JournalRecord {
+            naplet: vec![0x00, 0x7f, 0x80, 0xff],
+            phase: JournalPhase::Parked,
+            updated: Millis(5),
+        };
+        let golden = [4, 0x00, 0x7f, 0x80, 0xff, 2, 5];
+        assert_eq!(codec::to_bytes(&record).unwrap(), golden);
+        assert_eq!(codec::from_bytes::<JournalRecord>(&golden).unwrap(), record);
     }
 
     #[test]

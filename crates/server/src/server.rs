@@ -487,20 +487,12 @@ impl NapletServer {
     /// disabled (bench baseline) or encoding fails.
     fn journal_shared(&mut self, naplet: &SharedNaplet, phase: JournalPhase, now: Millis) {
         if !self.cow_handoff {
-            let owned = naplet.get().clone();
-            self.journal_naplet(&owned, phase, now);
-            return;
+            return self.journal_naplet(naplet.get(), phase, now);
         }
-        let bytes = match naplet.wire_bytes() {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                let owned = naplet.get().clone();
-                self.journal_naplet(&owned, phase, now);
-                return;
-            }
-        };
-        let id = naplet.id().clone();
-        self.journal_image(&id, &bytes, phase, now);
+        match naplet.wire_bytes() {
+            Ok(bytes) => self.journal_image(naplet.id(), &bytes, phase, now),
+            Err(_) => self.journal_naplet(naplet.get(), phase, now),
+        }
     }
 
     /// Journal a pre-encoded agent image directly.

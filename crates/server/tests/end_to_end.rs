@@ -15,8 +15,8 @@ use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel, TrafficClass};
 use naplet_server::{
-    LocationMode, Matcher, MonitorPolicy, NapletStatus, Permission, Policy, RunState,
-    SecurityManager, ServerConfig, SimRuntime,
+    LocationMode, Matcher, MonitorPolicy, NapletServer, NapletStatus, Output, Permission, Policy,
+    RunState, SecurityManager, ServerConfig, SimRuntime, Wire,
 };
 
 const CODEBASE: &str = "naplet://code/collector.jar";
@@ -715,30 +715,32 @@ fn privileged_service_access_via_channels() {
     assert_eq!(rt.server("s0").unwrap().resources.live_channels(), 0);
 }
 
-#[test]
-fn bandwidth_budget_drops_excess_posts_but_keeps_reports() {
-    /// Posts three chunky messages to a (absent) peer, then reports.
-    struct Chatter;
+/// One visit to `s0` by an agent that posts each of `payloads` to an
+/// (absent) peer and then reports, under a per-visit post budget.
+/// Returns the `Message`-class frames the fabric carried — the posts
+/// that were kept plus the explicit and the final-action report —
+/// and whether `s0` logged a budget hit.
+fn chatter_visit(payloads: Vec<Vec<u8>>, budget: u64) -> (u64, bool) {
+    struct Chatter(Vec<Vec<u8>>);
     impl NapletBehavior for Chatter {
         fn on_start(&mut self, ctx: &mut dyn NapletContext) -> Result<()> {
             let peer = naplet_core::NapletId::new("peer", "s1", Millis(9)).unwrap();
             ctx.address_book().put(peer.clone(), "s1");
-            for k in 0..3 {
-                let _ = ctx.post_message(&peer, Value::Bytes(vec![k as u8; 200]));
+            for payload in &self.0 {
+                let _ = ctx.post_message(&peer, Value::Bytes(payload.clone()));
             }
             ctx.report_home(Value::from("done"))
         }
     }
     let mut reg = CodebaseRegistry::new();
-    reg.register("chatter", 0, || Chatter);
+    reg.register("chatter", 0, move || Chatter(payloads.clone()));
     let fabric = Fabric::new(LatencyModel::Constant(1), Bandwidth(None), 4);
     let mut rt = SimRuntime::new(fabric);
     for host in ["home", "s0", "s1"] {
         let mut cfg = ServerConfig::open(host, LocationMode::ForwardingTrace);
         cfg.codebase = reg.clone();
-        // budget fits exactly one 200-byte payload
         cfg.monitor_policy = MonitorPolicy {
-            max_msg_bytes_per_visit: 250,
+            max_msg_bytes_per_visit: budget,
             ..MonitorPolicy::default()
         };
         rt.add_server(cfg);
@@ -760,15 +762,77 @@ fn bandwidth_budget_drops_excess_posts_but_keeps_reports() {
     rt.launch(naplet).unwrap();
     rt.run_to_quiescence(100_000);
 
-    // exactly one post made it onto the wire; the reports still arrived
-    let snap = rt.fabric().stats().snapshot();
-    // one Post (s0→s1) + the explicit report + the final-action report
-    assert_eq!(snap.messages(TrafficClass::Message), 3);
+    let reports = rt.drain_reports("home");
+    assert!(!reports.is_empty(), "reports flow whatever the budget did");
     let s0 = rt.server("s0").unwrap();
-    assert!(s0
+    let hit = s0
         .log
         .iter()
-        .any(|l| l.line.contains("bandwidth budget hit")));
-    let reports = rt.drain_reports("home");
-    assert!(!reports.is_empty(), "reports still flow after budget hit");
+        .any(|l| l.line.contains("bandwidth budget hit"));
+    let frames = rt.fabric().stats().snapshot();
+    (frames.messages(TrafficClass::Message), hit)
+}
+
+#[test]
+fn bandwidth_budget_drops_excess_posts_but_keeps_reports() {
+    // three chunky posts; the budget fits exactly one 200-byte payload
+    let payloads = (0..3).map(|k| vec![k as u8; 200]).collect();
+    // one Post (s0→s1) + the explicit report + the final-action report
+    assert_eq!(chatter_visit(payloads, 250), (3, true));
+}
+
+#[test]
+fn bandwidth_budget_charges_a_post_its_length_whatever_its_bytes() {
+    // `Value::Bytes` of 1000 bytes: variant tag + 2-byte length + payload
+    const CHARGE: u64 = 1 + 2 + 1000;
+    for fill in [0x01u8, 0xff] {
+        let post = || vec![vec![fill; 1000]];
+        assert_eq!(chatter_visit(post(), 1100), (3, false), "fill {fill:#x}");
+        assert_eq!(chatter_visit(post(), CHARGE), (3, false), "fill {fill:#x}");
+        assert_eq!(
+            chatter_visit(post(), CHARGE - 1),
+            (2, true),
+            "fill {fill:#x}"
+        );
+    }
+}
+
+#[test]
+fn landing_request_announces_the_size_the_agent_has() {
+    const BALLAST: usize = 64 * 1024;
+    let mut home = NapletServer::new(ServerConfig::open("home", LocationMode::ForwardingTrace));
+    let it = Itinerary::new(Pattern::seq_of_hosts(&["s0"], None)).unwrap();
+    let mut naplet = Naplet::create(
+        &key(),
+        "czxu",
+        "home",
+        Millis(1),
+        CODEBASE,
+        AgentKind::Native,
+        it,
+        vec![],
+    )
+    .unwrap();
+    // high bytes: a byte's value must not change what it costs
+    naplet
+        .state
+        .set("ballast", Value::Bytes(vec![0xff; BALLAST]));
+    let announced: Vec<u64> = home
+        .launch(naplet, Millis(2))
+        .into_iter()
+        .filter_map(|o| match o {
+            Output::Send {
+                wire: Wire::LandingRequest { est_bytes, .. },
+                ..
+            } => Some(est_bytes),
+            _ => None,
+        })
+        .collect();
+    let [est_bytes] = announced[..] else {
+        panic!("one landing request per launch, got {announced:?}");
+    };
+    assert!(
+        (BALLAST as u64..=BALLAST as u64 + 1024).contains(&est_bytes),
+        "a {BALLAST} B ballast announced as {est_bytes} B"
+    );
 }

@@ -350,3 +350,130 @@ fn live_runtime_completes_a_journey_over_tcp() {
         [Value::from("visited away"), Value::from("visited home")]
     );
 }
+
+// ---------------------------------------------------------------------
+// Real state on board: a 64 KiB agent through the codec, the transfer
+// frames and the journal, on threads and across a crash (both well under
+// a second together).
+// ---------------------------------------------------------------------
+
+const BALLAST: usize = 64 * 1024;
+
+/// Notes the stop in its state, reports its ballast home from there and
+/// tells the test where it ran.
+struct Courier(crossbeam::channel::Sender<String>);
+impl NapletBehavior for Courier {
+    fn on_start(&mut self, ctx: &mut dyn NapletContext) -> naplet::core::Result<()> {
+        let host = ctx.host_name().to_string();
+        let mut visits = match ctx.state().get("visits") {
+            Value::List(l) => l,
+            _ => Vec::new(),
+        };
+        visits.push(Value::from(host.as_str()));
+        ctx.state().set("visits", Value::List(visits));
+        let ballast = ctx.state().get("ballast");
+        ctx.report_home(ballast)?;
+        let _ = self.0.send(host);
+        Ok(())
+    }
+}
+
+/// A courier registry, a courier over `route` with seeded random
+/// ballast, the ballast, and the channel the stops are announced on.
+fn courier(
+    route: &[&str],
+    seed: u64,
+) -> (
+    CodebaseRegistry,
+    Naplet,
+    Value,
+    crossbeam::channel::Receiver<String>,
+) {
+    use rand::{rngs::StdRng, RngCore, SeedableRng};
+
+    let (stops_tx, stops) = crossbeam::channel::unbounded();
+    let mut registry = CodebaseRegistry::new();
+    registry.register("courier", 512, move || Courier(stops_tx.clone()));
+    let itinerary = Itinerary::new(Pattern::seq_of_hosts(route, None))
+        .unwrap()
+        .with_final_action(ActionSpec::ReportHome);
+    let mut naplet = Naplet::create(
+        &SigningKey::new("demo", b"secret"),
+        "demo",
+        "home",
+        Millis(0),
+        "courier",
+        AgentKind::Native,
+        itinerary,
+        vec![],
+    )
+    .unwrap();
+    let mut bytes = vec![0u8; BALLAST];
+    StdRng::seed_from_u64(seed).fill_bytes(&mut bytes);
+    let ballast = Value::Bytes(bytes);
+    naplet.state.set("ballast", ballast.clone());
+    (registry, naplet, ballast, stops)
+}
+
+#[test]
+fn a_64k_agent_rings_three_live_hosts_with_its_ballast_intact() {
+    let ring = ["n1", "n2", "n3", "home"];
+    let (registry, naplet, ballast, stops) = courier(&ring, 15);
+    let fabric = Fabric::new(LatencyModel::Constant(1), Bandwidth::fast_ethernet(), 15);
+    let mut live = LiveRuntime::new(fabric, 0);
+    for host in ring {
+        let mut cfg = ServerConfig::open(host, LocationMode::HomeManagers);
+        cfg.codebase = registry.clone();
+        live.add_server(cfg);
+    }
+    live.launch(naplet).unwrap();
+    live.start();
+    for host in ring {
+        assert_eq!(stops.recv_timeout(Duration::from_secs(5)).unwrap(), host);
+    }
+    let servers = live.shutdown();
+    let (_, home) = servers.into_iter().find(|(h, _)| h == "home").unwrap();
+    // each stop's report left ahead of the agent, so all four are in
+    assert_eq!(home.reports.len(), ring.len());
+    for (_, report) in &home.reports {
+        assert!(report == &ballast, "every byte of the ballast, unchanged");
+    }
+}
+
+#[test]
+fn a_64k_agent_survives_its_hosts_crash_and_completes_exactly_once() {
+    let route = ["s0", "s1", "s2"];
+    let (registry, naplet, ballast, _stops) = courier(&route, 16);
+    let mut rt = SimRuntime::new(Fabric::lan());
+    for host in ["home", "s0", "s1", "s2"] {
+        let mut cfg = ServerConfig::open(host, LocationMode::HomeManagers);
+        cfg.codebase = registry.clone();
+        rt.add_server(cfg);
+    }
+    rt.launch(naplet).unwrap();
+    // s1 journals the arrival before acknowledging it: crash it the
+    // moment it is the agent's keeper, restart it 40 ms later
+    while rt
+        .server("s1")
+        .unwrap()
+        .journal()
+        .naplet_records()
+        .is_empty()
+    {
+        rt.step().expect("the journey reaches s1");
+    }
+    rt.crash_server("s1", Some(40));
+    rt.run_to_quiescence(1_000_000);
+
+    assert_eq!(rt.server("s1").unwrap().recovery_stats().rehydrated, 1);
+    let reports = rt.drain_reports("home");
+    let (finished, from_stops) = reports.split_last().expect("the journey completes");
+    // one report per stop and one final state: nothing lost, nothing twice
+    assert_eq!(from_stops.len(), route.len());
+    assert!(from_stops.iter().all(|(_, report)| report == &ballast));
+    assert!(finished.1.get("ballast") == ballast);
+    assert_eq!(
+        finished.1.get("visits"),
+        Value::List(route.iter().map(|h| Value::from(*h)).collect())
+    );
+}
