@@ -829,7 +829,8 @@ fn collect_segments(
 /// per-host flight segments (complete, epoch 0) — the same ring
 /// migration `figures trace` exports, in the shape the analyzer
 /// consumes. Byte-identical across runs, so CI `cmp`s two of them and
-/// `--diff`s against the committed BENCH_PR10.json baseline.
+/// `--diff`s against the committed attribution baseline
+/// (`crates/obs/tests/fixtures/analyze-sim-baseline.json`).
 fn sim_segments() -> Vec<naplet_obs::FlatSegment> {
     let out = traced_chaos_experiment(0.05, &[("s1", 10, 700)], 42);
     let mut hosts: std::collections::BTreeMap<String, Vec<naplet_obs::FlatEvent>> =

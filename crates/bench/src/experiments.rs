@@ -1,7 +1,6 @@
 //! The MAN-based experiments (F3, E1, E2) and table rendering.
 
 use naplet_net::{Bandwidth, LatencyModel, TrafficClass};
-use naplet_snmp::Oid;
 
 use naplet_man::{health_oids, ManWorld};
 
@@ -119,19 +118,6 @@ pub fn exp_filtering(devices: usize, seed: u64) -> (u64, u64) {
     (
         raw.stats.bytes(TrafficClass::Message),
         filtered.stats.bytes(TrafficClass::Message),
-    )
-}
-
-/// Native-vs-VM agent comparison on the same task (ablation).
-pub fn exp_vm_vs_native(devices: usize, vars: usize, seed: u64) -> (ManRow, ManRow) {
-    let oids: Vec<Oid> = health_oids(vars, 4);
-    let mut w = man_world(devices, LatencyModel::lan(), seed);
-    let native = w.agent_poll(&oids, false, None).expect("native");
-    let vm = w.vm_agent_poll(&oids).expect("vm");
-    let central = w.centralized_poll(&oids, true).expect("central");
-    (
-        row(devices, vars, &native, &central),
-        row(devices, vars, &vm, &central),
     )
 }
 

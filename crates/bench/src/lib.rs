@@ -1,22 +1,19 @@
 //! # naplet-bench
 //!
-//! Experiment drivers and benchmark harness: every table/figure row in
-//! EXPERIMENTS.md regenerates through this crate, either via the
-//! `figures` binary (`cargo run -p naplet-bench --bin figures`) or the
-//! criterion benches (`cargo bench`).
+//! Experiment drivers and the multi-process cluster harness: every
+//! table/figure row in EXPERIMENTS.md regenerates through the
+//! `figures` binary (`cargo run -p naplet-bench --bin figures`).
+//! Performance is measured by the standalone `benchmark/` package.
 
 #![warn(missing_docs)]
 
-pub mod churn;
 pub mod cluster;
 pub mod experiments;
 pub mod scenarios;
-pub mod suite;
 
-pub use churn::{run_churn, ChurnConfig, ChurnReport};
 pub use experiments::{
-    exp_e1_crossover, exp_e2_latency, exp_e2_walk, exp_f3_devices, exp_filtering, exp_vm_vs_native,
-    render_man_table, ManRow,
+    exp_e1_crossover, exp_e2_latency, exp_e2_walk, exp_f3_devices, exp_filtering, render_man_table,
+    ManRow,
 };
 pub use scenarios::{
     accumulation_experiment, bench_key, chaos_experiment, code_loading_experiment,
@@ -25,8 +22,4 @@ pub use scenarios::{
     watched_chaos_experiment, AccumulationOutcome, ChaosOutcome, CodeLoadingOutcome,
     CrashChaosOutcome, ItineraryOutcome, MessagingOutcome, Probe, RingWorld, TracedChaosOutcome,
     PROBE_CODEBASE, PROBE_CODE_SIZE,
-};
-pub use suite::{
-    compare_reports, normalize_timing, run_suite, CompareCheck, Profile, SuiteConfig, SuiteReport,
-    WorkloadResult, TIMING_FIELDS,
 };

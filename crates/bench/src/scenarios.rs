@@ -1,7 +1,8 @@
 //! Reusable experiment scenarios built on the framework.
 //!
-//! These power both the criterion benches and the `figures` binary,
-//! so every number in EXPERIMENTS.md regenerates from one code path.
+//! These power the `figures` binary and the chaos/trace/status test
+//! suites, so every number in EXPERIMENTS.md regenerates from the code
+//! path the tests hold.
 
 use naplet_core::behavior::NapletBehavior;
 use naplet_core::clock::Millis;
@@ -548,8 +549,7 @@ pub struct TracedChaosOutcome {
     pub status: Vec<StatusReport>,
 }
 
-/// [`chaos_experiment`] with the tracer enabled. Kept separate so the
-/// criterion loops keep measuring the untraced hot path.
+/// [`chaos_experiment`] with the tracer enabled.
 pub fn traced_chaos_experiment(
     loss: f64,
     down_windows: &[(&str, u64, u64)],

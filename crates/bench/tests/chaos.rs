@@ -53,6 +53,19 @@ fn journey_survives_loss_and_down_windows() {
     );
 }
 
+/// The fixed-seed tests above pin one schedule each; retry gaps show
+/// up only across many loss patterns, so sweep the seed at each loss
+/// rate (256 runs, well under a second in release).
+#[test]
+fn journey_completes_across_a_seed_and_loss_sweep() {
+    for loss in [0.0, 0.02, 0.05, 0.10] {
+        for seed in 2..66 {
+            let out = chaos_experiment(loss, &[], seed);
+            assert_eq!(out.completed, 1, "loss {loss} seed {seed}: {out:?}");
+        }
+    }
+}
+
 #[test]
 fn healthy_run_adds_no_migration_traffic() {
     let out = chaos_experiment(0.0, &[], 7);

@@ -6,7 +6,10 @@ use proptest::prelude::*;
 
 use naplet_core::clock::Millis;
 use naplet_core::codec;
+use naplet_core::credential::SigningKey;
 use naplet_core::itinerary::{ActionSpec, Guard, GuardEnv, Itinerary, Pattern, Step, Visit};
+use naplet_core::message::{Message, Sender};
+use naplet_core::naplet::{AgentKind, Naplet, SharedNaplet};
 use naplet_core::navlog::NavigationLog;
 use naplet_core::state::NapletState;
 use naplet_core::value::Value;
@@ -68,6 +71,46 @@ fn pattern(depth: u32) -> BoxedStrategy<Pattern> {
             ]
         })
         .boxed()
+}
+
+/// An arbitrary live naplet: random route, random state entries,
+/// random launch instant — the shapes that actually cross the wire.
+fn naplet() -> impl Strategy<Value = Naplet> {
+    (
+        vec(ident(), 1..6),
+        vec(("[a-z]{1,8}", value(2)), 0..5),
+        1u64..1_000_000,
+    )
+        .prop_map(|(hosts, entries, ts)| {
+            let refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
+            let it = Itinerary::new(Pattern::seq_of_hosts(&refs, None))
+                .unwrap()
+                .with_final_action(ActionSpec::ReportHome);
+            let mut nap = Naplet::create(
+                &SigningKey::new("czxu", b"proptest-secret"),
+                "czxu",
+                "home",
+                Millis(ts),
+                "naplet://code/probe.jar",
+                AgentKind::Native,
+                it,
+                vec![],
+            )
+            .unwrap();
+            for (k, v) in entries {
+                nap.state.set(&k, v);
+            }
+            nap
+        })
+}
+
+fn message() -> impl Strategy<Value = Message> {
+    (any::<u64>(), ident(), ident(), any::<u64>(), value(2)).prop_map(
+        |(seq, owner, home, ts, body)| {
+            let to = NapletId::new("czxu", &home, Millis(1)).unwrap();
+            Message::user(seq, Sender::Owner(owner), to, Millis(ts), body)
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -132,6 +175,46 @@ proptest! {
     fn encoded_size_equals_len(v in value(2)) {
         let bytes = codec::to_bytes(&v).unwrap();
         prop_assert_eq!(codec::encoded_size(&v).unwrap(), bytes.len() as u64);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Encode-path identity laws: the handoff's shared image and the scratch
+// buffers must produce the bytes a fresh encode produces
+// ---------------------------------------------------------------------------
+
+proptest! {
+    /// The CoW snapshot serializes byte-for-byte like the naplet it
+    /// wraps, its cached wire image is that same encoding, and the
+    /// counting walk agrees with the real encoder.
+    #[test]
+    fn shared_naplet_is_byte_identical(nap in naplet()) {
+        let naive = codec::to_bytes(&nap).unwrap();
+        let shared = SharedNaplet::new(nap.clone());
+        prop_assert_eq!(&codec::to_bytes(&shared).unwrap(), &naive);
+        let cached = shared.wire_bytes().unwrap();
+        prop_assert_eq!(cached.as_slice(), naive.as_slice());
+        prop_assert_eq!(shared.wire_size().unwrap(), naive.len() as u64);
+        prop_assert_eq!(codec::encoded_size(&nap).unwrap(), naive.len() as u64);
+        // and the round trip returns the same agent
+        let back: Naplet = codec::from_bytes(&naive).unwrap();
+        prop_assert_eq!(back, nap);
+    }
+
+    /// Scratch-buffer encoding reuses capacity but must produce the
+    /// same bytes as a fresh encode, even when the scratch is dirty.
+    #[test]
+    fn scratch_encode_is_byte_identical(
+        nap in naplet(),
+        msg in message(),
+        junk in vec(any::<u8>(), 0..64),
+    ) {
+        let mut scratch = junk;
+        codec::to_bytes_into(&nap, &mut scratch).unwrap();
+        prop_assert_eq!(&scratch, &codec::to_bytes(&nap).unwrap());
+        codec::to_bytes_into(&msg, &mut scratch).unwrap();
+        prop_assert_eq!(&scratch, &codec::to_bytes(&msg).unwrap());
+        prop_assert_eq!(codec::encoded_size(&msg).unwrap(), scratch.len() as u64);
     }
 }
 

@@ -5,80 +5,30 @@
 //! given fabric seed. The naplet-server runtime drives its whole
 //! multi-server world off one such queue.
 //!
-//! Two interchangeable backends exist. The default is a *bucketed*
-//! queue — a `BTreeMap` from virtual time to a FIFO of payloads —
-//! which fits the workload's shape: most events land in a handful of
-//! near-future time buckets (link latency plus dwell), so scheduling
-//! is an O(log #distinct-times) map probe plus a `VecDeque` push
-//! instead of a full heap sift of every pending event. The original
-//! global [`BinaryHeap`] remains available via
-//! [`EventQueue::with_heap_backend`] so benchmarks can A/B the two;
-//! both pop in exactly the same (time, insertion) order.
+//! The queue is *bucketed* — a `BTreeMap` from virtual time to a FIFO
+//! of payloads — which fits the workload's shape: most events land in
+//! a handful of near-future time buckets (link latency plus dwell), so
+//! scheduling is an O(log #distinct-times) map probe plus a `VecDeque`
+//! push instead of a heap sift over every pending event. Insertion
+//! order within a bucket is the global push order, so pops come out in
+//! (time, insertion) order; the unit tests hold it to a binary-heap
+//! reference model.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// An event queue over virtual milliseconds.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    backend: Backend<T>,
-    seq: u64,
+    buckets: BTreeMap<u64, VecDeque<T>>,
     len: usize,
     now: u64,
 }
 
-#[derive(Debug)]
-enum Backend<T> {
-    /// Per-time FIFO buckets; insertion order within a bucket is the
-    /// global sequence order, so pops match the heap exactly.
-    Bucketed(BTreeMap<u64, VecDeque<T>>),
-    /// The original single max-heap (kept for baseline comparison).
-    Heap(BinaryHeap<Entry<T>>),
-}
-
-#[derive(Debug)]
-struct Entry<T> {
-    time: u64,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so earliest (time, seq) pops first
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
 impl<T> EventQueue<T> {
-    /// Empty queue at time 0 (bucketed backend).
+    /// Empty queue at time 0.
     pub fn new() -> EventQueue<T> {
         EventQueue {
-            backend: Backend::Bucketed(BTreeMap::new()),
-            seq: 0,
-            len: 0,
-            now: 0,
-        }
-    }
-
-    /// Empty queue at time 0 using the legacy binary-heap backend.
-    /// Identical observable behaviour; exists so the bench suite can
-    /// measure the bucketed backend against the original.
-    pub fn with_heap_backend() -> EventQueue<T> {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::new()),
-            seq: 0,
+            buckets: BTreeMap::new(),
             len: 0,
             now: 0,
         }
@@ -93,15 +43,8 @@ impl<T> EventQueue<T> {
     /// clamped to `now` (events never travel backwards).
     pub fn push_at(&mut self, time: u64, payload: T) {
         let time = time.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
         self.len += 1;
-        match &mut self.backend {
-            Backend::Bucketed(buckets) => {
-                buckets.entry(time).or_default().push_back(payload);
-            }
-            Backend::Heap(heap) => heap.push(Entry { time, seq, payload }),
-        }
+        self.buckets.entry(time).or_default().push_back(payload);
     }
 
     /// Schedule `delay` ms after the current time.
@@ -111,41 +54,26 @@ impl<T> EventQueue<T> {
 
     /// Time of the earliest pending event, without popping it.
     pub fn peek_time(&self) -> Option<u64> {
-        match &self.backend {
-            Backend::Bucketed(buckets) => buckets.keys().next().copied(),
-            Backend::Heap(heap) => heap.peek().map(|e| e.time),
-        }
+        self.buckets.keys().next().copied()
     }
 
     /// The earliest pending event's payload, without popping it
     /// (drivers use this to aim fault injection at the next event).
     pub fn peek(&self) -> Option<&T> {
-        match &self.backend {
-            Backend::Bucketed(buckets) => buckets.first_key_value().and_then(|(_, q)| q.front()),
-            Backend::Heap(heap) => heap.peek().map(|e| &e.payload),
-        }
+        self.buckets.first_key_value().and_then(|(_, q)| q.front())
     }
 
     /// Pop the earliest event, advancing virtual time to it.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        let popped = match &mut self.backend {
-            Backend::Bucketed(buckets) => {
-                let mut entry = buckets.first_entry()?;
-                let time = *entry.key();
-                let payload = entry.get_mut().pop_front().expect("bucket never empty");
-                if entry.get().is_empty() {
-                    entry.remove();
-                }
-                (time, payload)
-            }
-            Backend::Heap(heap) => {
-                let e = heap.pop()?;
-                (e.time, e.payload)
-            }
-        };
+        let mut entry = self.buckets.first_entry()?;
+        let time = *entry.key();
+        let payload = entry.get_mut().pop_front().expect("bucket never empty");
+        if entry.get().is_empty() {
+            entry.remove();
+        }
         self.len -= 1;
-        self.now = popped.0;
-        Some(popped)
+        self.now = time;
+        Some((time, payload))
     }
 
     /// Number of pending events.
@@ -168,79 +96,74 @@ impl<T> Default for EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn both() -> [EventQueue<&'static str>; 2] {
-        [EventQueue::new(), EventQueue::with_heap_backend()]
-    }
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in both() {
-            q.push_at(30, "c");
-            q.push_at(10, "a");
-            q.push_at(20, "b");
-            assert_eq!(q.pop(), Some((10, "a")));
-            assert_eq!(q.pop(), Some((20, "b")));
-            assert_eq!(q.now(), 20);
-            assert_eq!(q.pop(), Some((30, "c")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push_at(30, "c");
+        q.push_at(10, "a");
+        q.push_at(20, "b");
+        assert_eq!(q.pop(), Some((10, "a")));
+        assert_eq!(q.pop(), Some((20, "b")));
+        assert_eq!(q.now(), 20);
+        assert_eq!(q.pop(), Some((30, "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn fifo_tie_break_at_same_time() {
-        for mut q in [EventQueue::new(), EventQueue::with_heap_backend()] {
-            for i in 0..10 {
-                q.push_at(5, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>());
+        let mut q = EventQueue::new();
+        for i in 0..10 {
+            q.push_at(5, i);
         }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn push_after_uses_now() {
-        for mut q in both() {
-            q.push_at(100, "x");
-            q.pop();
-            q.push_after(5, "y");
-            assert_eq!(q.pop(), Some((105, "y")));
-        }
+        let mut q = EventQueue::new();
+        q.push_at(100, "x");
+        q.pop();
+        q.push_after(5, "y");
+        assert_eq!(q.pop(), Some((105, "y")));
     }
 
     #[test]
     fn past_times_clamped() {
-        for mut q in both() {
-            q.push_at(50, "a");
-            q.pop();
-            q.push_at(10, "late");
-            assert_eq!(q.pop(), Some((50, "late")));
-            assert_eq!(q.now(), 50);
-        }
+        let mut q = EventQueue::new();
+        q.push_at(50, "a");
+        q.pop();
+        q.push_at(10, "late");
+        assert_eq!(q.pop(), Some((50, "late")));
+        assert_eq!(q.now(), 50);
     }
 
     #[test]
     fn len_and_empty() {
-        for mut q in [EventQueue::<()>::new(), EventQueue::with_heap_backend()] {
-            assert!(q.is_empty());
-            q.push_at(1, ());
-            q.push_at(2, ());
-            assert_eq!(q.len(), 2);
-            q.peek();
-            q.peek_time();
-            assert_eq!(q.len(), 2);
-            q.pop();
-            q.pop();
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::<()>::new();
+        assert!(q.is_empty());
+        q.push_at(1, ());
+        q.push_at(2, ());
+        assert_eq!(q.len(), 2);
+        q.peek();
+        q.peek_time();
+        assert_eq!(q.len(), 2);
+        q.pop();
+        q.pop();
+        assert!(q.is_empty());
     }
 
-    /// The optimization contract: for any interleaving of pushes and
-    /// pops the two backends emit identical (time, payload) streams.
+    /// The ordering contract: for any interleaving of pushes and pops
+    /// the bucketed queue emits the (time, payload) stream of the
+    /// reference model, a binary heap ordered by (time, push sequence).
     #[test]
     fn bucketed_and_heap_pop_identically() {
         let mut fast = EventQueue::new();
-        let mut slow = EventQueue::with_heap_backend();
+        let mut slow: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
         // deterministic LCG drives a mixed push/pop schedule
         let mut rng: u64 = 0x5eed_cafe;
         let mut step = || {
@@ -249,21 +172,25 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             rng >> 33
         };
-        for i in 0..2_000u64 {
+        let pop_slow = |slow: &mut BinaryHeap<_>| slow.pop().map(|Reverse((t, _, p))| (t, p));
+        for _ in 0..2_000 {
             let op = step() % 4;
             if op < 3 {
                 let delay = step() % 17; // heavy tie collisions
-                fast.push_after(delay, i);
-                slow.push_after(delay, i);
+                let payload = step() % 100; // unordered, so only seq breaks ties
+                slow.push(Reverse((fast.now() + delay, seq, payload)));
+                seq += 1;
+                fast.push_after(delay, payload);
             } else {
-                assert_eq!(fast.pop(), slow.pop());
+                assert_eq!(fast.pop(), pop_slow(&mut slow));
             }
             assert_eq!(fast.len(), slow.len());
-            assert_eq!(fast.peek_time(), slow.peek_time());
-            assert_eq!(fast.peek(), slow.peek());
+            let head = slow.peek().map(|Reverse(e)| *e);
+            assert_eq!(fast.peek_time(), head.map(|(t, _, _)| t));
+            assert_eq!(fast.peek().copied(), head.map(|(_, _, p)| p));
         }
         loop {
-            let (a, b) = (fast.pop(), slow.pop());
+            let (a, b) = (fast.pop(), pop_slow(&mut slow));
             assert_eq!(a, b);
             if a.is_none() {
                 break;

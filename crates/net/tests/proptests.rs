@@ -1,9 +1,10 @@
 //! Property tests for the network substrate.
 
-use bytes::BytesMut;
+use bytes::{BufMut, BytesMut};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use naplet_core::tracectx::TraceCtx;
 use naplet_net::{Bandwidth, EventQueue, Fabric, Frame, LatencyModel, TrafficClass};
 
 fn class_strategy() -> impl Strategy<Value = TrafficClass> {
@@ -17,7 +18,76 @@ fn class_strategy() -> impl Strategy<Value = TrafficClass> {
     ]
 }
 
+fn ident() -> impl Strategy<Value = String> {
+    "[a-z][a-z0-9_.-]{0,12}"
+}
+
+fn trace_ctx() -> impl Strategy<Value = TraceCtx> {
+    (ident(), ident(), any::<u32>(), any::<u64>()).prop_map(|(journey, origin, hop, seq)| {
+        TraceCtx {
+            journey,
+            origin,
+            hop,
+            seq,
+        }
+    })
+}
+
+/// An arbitrary frame, with or without a trace context.
+fn frame() -> impl Strategy<Value = Frame> {
+    (
+        ident(),
+        ident(),
+        class_strategy(),
+        vec(any::<u8>(), 0..512),
+        proptest::option::of(trace_ctx()),
+    )
+        .prop_map(|(from, to, class, payload, ctx)| Frame {
+            from,
+            to,
+            class,
+            payload: payload.into(),
+            ctx,
+        })
+}
+
 proptest! {
+    /// Appending via `encode_into` writes exactly the bytes `encode`
+    /// produces, `wire_len` predicts them, and they decode back.
+    #[test]
+    fn frame_encode_into_is_byte_identical(f in frame(), junk in vec(any::<u8>(), 0..32)) {
+        let fresh = f.encode();
+        prop_assert_eq!(fresh.len() as u64, f.wire_len());
+        let mut buf = BytesMut::new();
+        buf.put_slice(&junk);
+        f.encode_into(&mut buf);
+        prop_assert_eq!(&buf[junk.len()..], fresh.as_ref());
+        let mut stream = BytesMut::from(fresh.as_ref());
+        let back = Frame::decode(&mut stream).unwrap().unwrap();
+        prop_assert_eq!(back, f);
+        prop_assert!(stream.is_empty());
+    }
+
+    /// Attaching a trace context must cost nothing when it is absent:
+    /// a ctx-less frame encodes byte-for-byte like the pre-tracing
+    /// format, and stripping the ctx from a stamped frame recovers
+    /// exactly that encoding.
+    #[test]
+    fn ctx_free_frames_are_byte_stable(f in frame()) {
+        let mut bare = f.clone();
+        bare.ctx = None;
+        let bare_bytes = bare.encode();
+        // the class tag byte never carries the ctx flag when absent
+        prop_assert_eq!(bare_bytes[4] & 0x80, 0);
+        if let Some(ctx) = &f.ctx {
+            let stamped = f.encode();
+            prop_assert_eq!(stamped[4] & 0x80, 0x80);
+            // ctx block size is exactly what wire_len predicts
+            let ctx_len = 2 + ctx.journey.len() + 2 + ctx.origin.len() + 4 + 8;
+            prop_assert_eq!(stamped.len(), bare_bytes.len() + ctx_len);
+        }
+    }
+
     #[test]
     fn frame_encode_decode_round_trip(
         from in "[a-z0-9.-]{1,24}",

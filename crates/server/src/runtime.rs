@@ -86,12 +86,6 @@ pub struct SimRuntime {
     /// Shared observability sink handed to every server; runtime-level
     /// wire/crash events are recorded here too.
     obs: ObsSink,
-    /// Baseline cost profile: size outgoing wires by fully encoding
-    /// them (the pre-optimization behaviour) instead of the counting
-    /// serializer. Paired with the heap event queue by
-    /// [`SimRuntime::with_baseline_profile`] so the bench suite can
-    /// A/B the hot-path work; results are byte-for-byte identical.
-    baseline_sizing: bool,
     /// True while a [`SimEvent::WatchdogTick`] sits in the queue.
     tick_pending: bool,
     /// Stall alerts raised by the watchdog, in raise order.
@@ -116,25 +110,10 @@ impl SimRuntime {
             dropped: 0,
             events_processed: 0,
             obs: ObsSink::default(),
-            baseline_sizing: false,
             tick_pending: false,
             alerts: Vec::new(),
             ctxs: CtxTable::new(),
         }
-    }
-
-    /// New runtime with the pre-optimization cost profile: the legacy
-    /// binary-heap event queue, allocation-based wire sizing, and deep
-    /// agent clones per hop (copy-on-write handoff disabled on every
-    /// server added afterwards). Exists so the bench suite can measure
-    /// the optimized paths against their originals in one process;
-    /// every observable output (events, traces, byte meters) is
-    /// identical.
-    pub fn with_baseline_profile(fabric: Fabric) -> SimRuntime {
-        let mut rt = SimRuntime::new(fabric);
-        rt.queue = EventQueue::with_heap_backend();
-        rt.baseline_sizing = true;
-        rt
     }
 
     /// The fabric (stats, failure injection).
@@ -195,13 +174,11 @@ impl SimRuntime {
             .entry(host.clone())
             .or_insert_with(|| config.clone());
         let obs = self.obs.clone();
-        let cow = !self.baseline_sizing;
         let epoch = self.crash_epoch.get(&host).copied().unwrap_or(0);
         let queue = &mut self.queue;
         self.servers.entry(host.clone()).or_insert_with(|| {
             let mut server = NapletServer::new(config);
             server.set_obs(obs);
-            server.set_cow_handoff(cow);
             // a directory replica needs its consensus clock running
             // before any input arrives, or no leader is ever elected
             if let Some(tick_ms) = server.arm_initial_repl_tick() {
@@ -563,7 +540,6 @@ impl SimRuntime {
             });
         let mut fresh = NapletServer::new(config);
         fresh.set_obs(self.obs.clone());
-        fresh.set_cow_handoff(!self.baseline_sizing);
         fresh.set_journal(journal);
         self.servers.insert(host.to_string(), fresh);
         if let Some(at) = restart_at {
@@ -647,15 +623,8 @@ impl SimRuntime {
 
     fn schedule_wire(&mut self, from: &str, to: &str, wire: Wire) {
         // byte metering: the counting serializer walks the wire value
-        // without materializing any bytes; the baseline profile pays
-        // the original full-encode-then-measure cost
-        let payload_len = if self.baseline_sizing {
-            naplet_core::codec::to_bytes(&wire)
-                .map(|b| b.len())
-                .unwrap_or(0)
-        } else {
-            naplet_core::codec::encoded_size(&wire).unwrap_or(0) as usize
-        };
+        // without materializing any bytes
+        let payload_len = naplet_core::codec::encoded_size(&wire).unwrap_or(0) as usize;
         let bytes = frame_bytes(from, to, payload_len);
         let class = wire.traffic_class();
         let now = Millis(self.queue.now());

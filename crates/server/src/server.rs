@@ -125,10 +125,10 @@ enum TransferPhase {
 /// What the origin retains for an outbound migration.
 enum RetainedAgent {
     /// The live in-memory handle: custody before the Transfer frame is
-    /// sent, and (on the baseline profile) for the whole handoff.
+    /// sent, and for the whole handoff if the image fails to encode.
     Local(SharedNaplet),
-    /// After the Transfer is sent on the CoW path the origin keeps only
-    /// the encoded image: the live handle rides in the frame, so the
+    /// After the Transfer is sent the origin keeps only the encoded
+    /// image: the live handle rides in the frame, so the
     /// destination's admission is a move instead of a deep clone. The
     /// rare retransmit/failure paths decode the image back.
     Image {
@@ -145,11 +145,23 @@ impl RetainedAgent {
         }
     }
 
-    /// The live handle, present outside the post-send CoW window.
+    /// The live handle, when that is the form retained.
     fn local(&self) -> Option<&SharedNaplet> {
         match self {
             RetainedAgent::Local(n) => Some(n),
             RetainedAgent::Image { .. } => None,
+        }
+    }
+
+    /// A copy to put in a (re)transmitted Transfer frame: an `Arc` bump
+    /// of the live handle, or the retained image decoded back.
+    fn wire_copy(&self) -> SharedNaplet {
+        match self {
+            RetainedAgent::Local(n) => n.clone(),
+            RetainedAgent::Image { bytes, .. } => SharedNaplet::new(
+                naplet_core::codec::from_bytes(bytes)
+                    .expect("retained agent image decodes: it was produced by our own encoder"),
+            ),
         }
     }
 
@@ -214,12 +226,6 @@ pub struct NapletServer {
     actions: ActionRegistry,
     max_residents: Option<usize>,
     retry: RetryPolicy,
-    /// Copy-on-write handoff fast path (default on). Off restores the
-    /// pre-optimization costs — deep agent clones per transfer frame
-    /// and a full re-encode per journal write — so the bench suite can
-    /// measure the optimization honestly inside one process. Wire
-    /// bytes and traces are identical either way.
-    cow_handoff: bool,
     next_token: u64,
     pending_transfers: HashMap<u64, PendingTransfer>,
     pending_queries: HashMap<u64, PendingQuery>,
@@ -324,7 +330,6 @@ impl NapletServer {
             actions: config.actions,
             max_residents: config.max_residents,
             retry: config.retry,
-            cow_handoff: true,
             next_token: 0,
             pending_transfers: HashMap::new(),
             pending_queries: HashMap::new(),
@@ -396,16 +401,6 @@ impl NapletServer {
     /// Mutable access to the security manager (policy reconfiguration).
     pub fn security_mut(&mut self) -> &mut SecurityManager {
         &mut self.security
-    }
-
-    /// Toggle the copy-on-write handoff fast path (default on).
-    /// Turning it off restores the pre-optimization baseline — a deep
-    /// agent clone per transfer frame and a full re-encode per journal
-    /// write — and exists so the bench suite can A/B the optimization
-    /// within one process. Observable behaviour (wire bytes, traces,
-    /// journal contents) is identical either way.
-    pub fn set_cow_handoff(&mut self, enabled: bool) {
-        self.cow_handoff = enabled;
     }
 
     /// Mutable access to the action registry.
@@ -483,12 +478,8 @@ impl NapletServer {
 
     /// Journal a snapshot from a shared agent image, reusing its cached
     /// encoding instead of re-serializing the whole agent per write.
-    /// Falls back to the re-encoding path when the CoW fast path is
-    /// disabled (bench baseline) or encoding fails.
+    /// Falls back to the re-encoding path when encoding fails.
     fn journal_shared(&mut self, naplet: &SharedNaplet, phase: JournalPhase, now: Millis) {
-        if !self.cow_handoff {
-            return self.journal_naplet(naplet.get(), phase, now);
-        }
         match naplet.wire_bytes() {
             Ok(bytes) => self.journal_image(naplet.id(), &bytes, phase, now),
             Err(_) => self.journal_naplet(naplet.get(), phase, now),
@@ -1591,7 +1582,7 @@ impl NapletServer {
         // copy, journal snapshots and transfer frames all reuse one
         // encoding computed at most once per itinerary hop
         let naplet = SharedNaplet::new(naplet);
-        let est_bytes = self.estimate_wire_size(&naplet);
+        let est_bytes = naplet.wire_size().unwrap_or(0);
         let wire = Wire::LandingRequest {
             token: transfer_id,
             from_host: self.host.clone(),
@@ -1635,43 +1626,6 @@ impl NapletServer {
             });
         out.push(Output::Send { to: dest, wire });
         self.arm_transfer_timer(transfer_id, 1, out);
-    }
-
-    /// Wire-size estimate for a landing request. The fast path reads
-    /// the shared image's cached size (computed once per hop); the
-    /// baseline path re-encodes the whole agent, as the code did
-    /// before the CoW optimization.
-    fn estimate_wire_size(&self, naplet: &SharedNaplet) -> u64 {
-        if self.cow_handoff {
-            naplet.wire_size().unwrap_or(0)
-        } else {
-            naplet_core::codec::to_bytes(naplet.get())
-                .map(|b| b.len() as u64)
-                .unwrap_or(0)
-        }
-    }
-
-    /// The agent image that rides in a transfer frame: an `Arc` bump on
-    /// the fast path, a deep clone on the baseline path.
-    fn clone_for_wire(&self, naplet: &SharedNaplet) -> SharedNaplet {
-        if self.cow_handoff {
-            naplet.clone()
-        } else {
-            SharedNaplet::new(naplet.get().clone())
-        }
-    }
-
-    /// Rebuild a wire copy from whatever custody form we retained: the
-    /// live handle (baseline, or pre-encode failure) or the encoded
-    /// image kept after the first transmission.
-    fn wire_copy(&self, retained: &RetainedAgent) -> SharedNaplet {
-        match retained {
-            RetainedAgent::Local(n) => self.clone_for_wire(n),
-            RetainedAgent::Image { bytes, .. } => SharedNaplet::new(
-                naplet_core::codec::from_bytes(bytes)
-                    .expect("retained agent image decodes: it was produced by our own encoder"),
-            ),
-        }
     }
 
     /// Arm the acknowledgement timer for the given attempt of an
@@ -1780,26 +1734,18 @@ impl NapletServer {
             },
             now,
         );
-        // CoW path: the origin keeps only the encoded image, so the
-        // live handle moves into the frame and the destination admits
-        // it without a clone. Baseline path: deep-clone for the wire
-        // and keep the in-memory copy, as the pre-optimization code did.
-        let (wire_naplet, retained) = if self.cow_handoff {
-            match naplet.wire_bytes() {
-                Ok(bytes) => {
-                    let retained = RetainedAgent::Image {
-                        id: id.clone(),
-                        bytes,
-                    };
-                    (naplet, retained)
-                }
-                Err(_) => (naplet.clone(), RetainedAgent::Local(naplet)),
+        // the origin keeps only the encoded image, so the live handle
+        // moves into the frame and the destination admits it without a
+        // clone
+        let (wire_naplet, retained) = match naplet.wire_bytes() {
+            Ok(bytes) => {
+                let retained = RetainedAgent::Image {
+                    id: id.clone(),
+                    bytes,
+                };
+                (naplet, retained)
             }
-        } else {
-            (
-                SharedNaplet::new(naplet.get().clone()),
-                RetainedAgent::Local(naplet),
-            )
+            Err(_) => (naplet.clone(), RetainedAgent::Local(naplet)),
         };
         out.push(Output::Send {
             to: dest.clone(),
@@ -1850,12 +1796,12 @@ impl NapletServer {
                     from_host: self.host.clone(),
                     credential: local.credential().clone(),
                     naplet_id: id.clone(),
-                    est_bytes: self.estimate_wire_size(local),
+                    est_bytes: local.wire_size().unwrap_or(0),
                     attempt,
                 }
             }
             TransferPhase::AwaitingAck => Wire::Transfer(TransferEnvelope {
-                naplet: self.wire_copy(&pending.naplet),
+                naplet: pending.naplet.wire_copy(),
                 action: pending.action.clone(),
                 transfer_id,
                 attempt,

@@ -10,7 +10,9 @@ use naplet_core::codebase::CodebaseRegistry;
 use naplet_core::context::NapletContext;
 use naplet_core::credential::SigningKey;
 use naplet_core::error::Result;
+use naplet_core::id::NapletId;
 use naplet_core::itinerary::{ActionSpec, Itinerary, Pattern};
+use naplet_core::message::{Payload, Sender};
 use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
@@ -39,17 +41,24 @@ impl NapletBehavior for Collector {
 }
 
 fn world(seed: u64, lease: Option<LeasePolicy>) -> SimRuntime {
+    world_of(seed, lease, &WORKERS, 5)
+}
+
+fn world_of(seed: u64, lease: Option<LeasePolicy>, workers: &[&str], dwell_ms: u64) -> SimRuntime {
     let mut reg = CodebaseRegistry::new();
     reg.register(CODEBASE, 4096, || Collector);
     let fabric = Fabric::new(LatencyModel::Constant(2), Bandwidth::fast_ethernet(), seed);
     let mut rt = SimRuntime::new(fabric);
     let replicas: Vec<String> = REPLICAS.iter().map(|r| r.to_string()).collect();
     let mode = LocationMode::ReplicatedDirectory(replicas);
-    for host in std::iter::once("home").chain(WORKERS).chain(REPLICAS) {
+    for host in std::iter::once("home")
+        .chain(workers.iter().copied())
+        .chain(REPLICAS)
+    {
         let mut cfg = ServerConfig::open(host, mode.clone());
         cfg.codebase = reg.clone();
         cfg.monitor_policy = MonitorPolicy {
-            native_dwell_ms: 5,
+            native_dwell_ms: dwell_ms,
             ..MonitorPolicy::default()
         };
         cfg.lease = lease.clone();
@@ -224,4 +233,109 @@ fn home_redispatch_after_failover_never_duplicates_an_agent() {
         .filter(|e| e.status == NapletStatus::Lost)
         .count();
     assert_eq!(lost, 0);
+}
+
+/// What an owner-post storm through a leader crash must preserve.
+#[derive(Debug, PartialEq, Eq)]
+struct StormCounts {
+    completed: usize,
+    duplicate_reports: usize,
+    elections: u64,
+    lookups: usize,
+    lookups_confirmed: usize,
+    locator_hits: u64,
+    locator_stale_hits: u64,
+}
+
+/// 240 two-hop probes in 8 waves of 30 (120 ms apart) over 6 workers;
+/// the owner posts twice at every 20th naplet while it is under way,
+/// and the directory leader is crashed as wave 3 launches and restarts
+/// 1500 ms later.
+fn owner_post_storm() -> StormCounts {
+    const STORM_WORKERS: [&str; 6] = ["w0", "w1", "w2", "w3", "w4", "w5"];
+    const NAPLETS: usize = 240;
+    const WAVE_GAP_MS: u64 = 120;
+    // a 20 ms dwell lets a mid-journey post win the race against the
+    // moving agent: resolving costs one directory round trip
+    let mut rt = world_of(7, None, &STORM_WORKERS, 20);
+    // launch into a replica set that already has its first leader
+    while leaders(&rt).is_empty() && rt.now().0 < 10_000 {
+        rt.run_until(Millis(rt.now().0 + 100));
+    }
+    let base = rt.now().0 + 50;
+    let mut launched: Vec<NapletId> = Vec::new();
+    let mut lookups = 0usize;
+    for wave in 0..8u64 {
+        let wave_start = base + wave * WAVE_GAP_MS;
+        rt.run_until(Millis(wave_start));
+        if wave == 3 {
+            let leader = leaders(&rt).pop().expect("a leader to crash at wave 3");
+            rt.crash_server(&leader, Some(1_500));
+        }
+        let mut sampled = Vec::new();
+        for _ in 0..NAPLETS / 8 {
+            let i = launched.len();
+            let route = [STORM_WORKERS[i % 6], STORM_WORKERS[(i + 5) % 6]];
+            // NapletId is (owner, home, creation ms): one ms per launch
+            let naplet = probe(&route, i as u64 + 1);
+            launched.push(naplet.id().clone());
+            if i.is_multiple_of(20) {
+                sampled.push(naplet.id().clone());
+            }
+            rt.launch(naplet).unwrap();
+        }
+        // the first post resolves through the replicated directory; the
+        // second, a beat later, finds a cached location the agent has
+        // usually left, so it must chase
+        for burst in [WAVE_GAP_MS / 3, WAVE_GAP_MS / 2] {
+            rt.run_until(Millis(wave_start + burst));
+            for id in &sampled {
+                lookups += 1;
+                rt.owner_post("home", id.clone(), Payload::User(Value::Int(0)))
+                    .unwrap();
+            }
+        }
+    }
+    let processed = rt.run_to_quiescence(5_000_000);
+    assert!(processed < 5_000_000, "storm must quiesce");
+
+    let reports = rt.drain_reports("home");
+    let per_naplet =
+        |id: &NapletId| -> usize { reports.iter().filter(|(from, _)| from == id).count() };
+    let (mut locator_hits, mut locator_stale_hits) = (0, 0);
+    for host in rt.server_hosts() {
+        let locator = &rt.server(&host).unwrap().locator;
+        locator_hits += locator.hits;
+        locator_stale_hits += locator.stale_hits;
+    }
+    let messenger = &rt.server("home").unwrap().messenger;
+    let owner = Sender::Owner("home".into());
+    StormCounts {
+        completed: launched.iter().filter(|id| per_naplet(id) >= 1).count(),
+        duplicate_reports: launched.iter().filter(|id| per_naplet(id) > 1).count(),
+        elections: rt.obs().metrics.snapshot().counter("repl.elections"),
+        lookups,
+        lookups_confirmed: (1..=lookups as u64)
+            .filter(|seq| messenger.confirmation(&owner, *seq).is_some())
+            .count(),
+        locator_hits,
+        locator_stale_hits,
+    }
+}
+
+#[test]
+fn owner_posts_through_a_leader_crash_lose_and_duplicate_nothing() {
+    let a = owner_post_storm();
+    assert_eq!(a.completed, 240, "no journey may be lost: {a:?}");
+    assert_eq!(a.duplicate_reports, 0, "no journey may duplicate: {a:?}");
+    assert!(a.elections >= 2, "expected a re-election: {a:?}");
+    // posts made outside the outage confirm; one whose target retires
+    // before redelivery legitimately never does
+    assert!(
+        a.lookups > 0 && a.lookups_confirmed >= a.lookups / 3,
+        "too few posts confirmed: {a:?}"
+    );
+    assert!(a.locator_hits >= 1, "cache never hit: {a:?}");
+    assert!(a.locator_stale_hits >= 1, "no stale answer observed: {a:?}");
+    assert_eq!(a, owner_post_storm(), "seeded storm must repeat exactly");
 }
