@@ -11,10 +11,10 @@
 //! re-dispatch.
 //!
 //! The harness's own home node (`ctl`) runs in-process so tests can
-//! inspect reports and lease counters between pumps: it is a plain
-//! [`NapletServer`] over a [`TcpTransport`], pumped manually by
-//! [`CtlNode::pump`] exactly the way `LiveRuntime`'s server threads
-//! pump — same inputs, same output enactment — minus the thread.
+//! inspect reports and lease counters between pumps: it is a
+//! [`Node`] over a [`TcpTransport`] — the same driver `LiveRuntime`'s
+//! server threads run — pumped on the test thread by
+//! [`CtlNode::pump_until`].
 //!
 //! Daemon stdout/stderr land in per-node log files under the
 //! harness's scratch directory (override with
@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use naplet_core::clock::Millis;
@@ -31,16 +32,14 @@ use naplet_core::credential::SigningKey;
 use naplet_core::error::{NapletError, Result};
 use naplet_core::itinerary::{Itinerary, Pattern};
 use naplet_core::naplet::{AgentKind, Naplet};
-use naplet_core::tracectx::CtxTable;
 use naplet_core::value::Value;
 use naplet_net::tcp::TcpTransport;
-use naplet_net::{Frame, TrafficClass, Transport};
-use naplet_obs::{ObsSink, TraceKind, DEFAULT_RECORDER_CAPACITY};
+use naplet_obs::{ObsSink, DEFAULT_RECORDER_CAPACITY};
 use naplet_server::bootstrap::BootstrapConfig;
 use naplet_server::daemon::{register_probe, PROBE_CODEBASE};
-use naplet_server::events::{Input, LocalEvent, Output, Wire};
+use naplet_server::node::unix_ms_at;
 use naplet_server::status::StatusReport;
-use naplet_server::{LeasePolicy, LocationMode, NapletServer, RetryPolicy, ServerConfig, Timers};
+use naplet_server::{LeasePolicy, LocationMode, NapletServer, Node, RetryPolicy, ServerConfig};
 
 /// The harness's in-process home node name, present in every generated
 /// bootstrap file so daemons know the route back.
@@ -340,29 +339,20 @@ impl Drop for ClusterHarness {
 /// reports, lease counters and the status table stay inspectable
 /// while the cluster runs.
 pub struct CtlNode {
-    server: NapletServer,
-    rx: crossbeam::channel::Receiver<Frame>,
-    net: TcpTransport,
-    timers: Timers<LocalEvent>,
-    epoch: Instant,
-    scratch: Vec<u8>,
+    /// Records into its own flight recorder and stamps its sends like
+    /// any daemon, so a merged cluster trace can pair the launch
+    /// handshake with its admission on the first daemon.
+    node: Node<TcpTransport>,
     key: SigningKey,
-    launched: u64,
     /// Creation timestamp handed to the previous launch: two probes
     /// launched within one wall-clock millisecond must still get
     /// distinct naplet ids (id = owner+home+creation time).
     last_launch_ts: u64,
-    /// Flight recorder + trace contexts: the ctl node stamps its sends
-    /// like any daemon, so a merged cluster trace can pair the launch
-    /// handshake with its admission on the first daemon.
-    obs: ObsSink,
-    ctxs: CtxTable,
 }
 
 impl CtlNode {
     fn start(config: &BootstrapConfig) -> Result<CtlNode> {
         let net = TcpTransport::start(config.tcp_config(CTL)?)?;
-        let rx = net.register(CTL);
         // mirror the daemons' location mode: with a `[directory]`
         // section the home routes registrations (and lease probes) at
         // the replica set instead of acting as its own manager
@@ -391,37 +381,17 @@ impl CtlNode {
         let epoch = Instant::now();
         let obs = ObsSink::default();
         obs.enable_recorder(DEFAULT_RECORDER_CAPACITY);
-        let unix_now = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        obs.recorder.set_epoch_unix_ms(unix_now);
-        let mut server = NapletServer::new(cfg);
-        server.set_obs(obs.clone());
+        obs.recorder.set_epoch_unix_ms(unix_ms_at(epoch));
         Ok(CtlNode {
-            server,
-            rx,
-            net,
-            timers: Timers::new(),
-            epoch,
-            scratch: Vec::new(),
+            node: Node::new(Arc::new(net), cfg, obs, epoch),
             key: SigningKey::new("ops", b"cluster-harness"),
-            launched: 0,
             last_launch_ts: 0,
-            obs,
-            ctxs: CtxTable::new(),
         })
-    }
-
-    /// Wall-clock server time, ms since the ctl node booted.
-    pub fn now(&self) -> Millis {
-        Millis(self.epoch.elapsed().as_millis() as u64)
     }
 
     /// Launch one probe around `hosts` (in order) and home again.
     pub fn launch_probe(&mut self, hosts: &[&str]) -> Result<()> {
-        self.launched += 1;
-        let ts = self.now().0.max(self.last_launch_ts + 1);
+        let ts = self.node.now().0.max(self.last_launch_ts + 1);
         self.last_launch_ts = ts;
         let it = Itinerary::new(Pattern::seq_of_hosts(hosts, None))?;
         let naplet = Naplet::create(
@@ -434,42 +404,8 @@ impl CtlNode {
             it,
             vec![],
         )?;
-        let now = self.now();
-        let outputs = self.server.launch(naplet, now);
-        self.enact(outputs);
+        self.node.launch(naplet);
         Ok(())
-    }
-
-    /// One pump round: drain arrived frames, fire due timers, enact
-    /// everything — the manual-transmission version of
-    /// `LiveRuntime`'s server thread loop.
-    pub fn pump(&mut self) {
-        while let Ok(frame) = self.rx.try_recv() {
-            if let Ok(wire) = naplet_core::codec::from_bytes::<Wire>(&frame.payload) {
-                let now = self.now();
-                let from = frame.from.clone();
-                if self.obs.ctx_enabled() {
-                    if let Some(ctx) = &frame.ctx {
-                        self.ctxs.adopt(ctx);
-                    }
-                    self.obs
-                        .emit_ctx(now, CTL, wire.subject(), frame.ctx.as_ref(), || {
-                            TraceKind::WireRecv {
-                                from: from.clone(),
-                                label: wire.label().to_string(),
-                            }
-                        });
-                }
-                let outputs = self.server.handle(now, Input::Wire { from, wire });
-                self.enact(outputs);
-            }
-        }
-        let due_by = Instant::now();
-        while let Some(event) = self.timers.pop_due(due_by) {
-            let now = self.now();
-            let outputs = self.server.handle(now, Input::Local(event));
-            self.enact(outputs);
-        }
     }
 
     /// Pump until `pred(self)` holds or `timeout` passes; returns
@@ -481,14 +417,20 @@ impl CtlNode {
     ) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            self.pump();
+            self.node.pump();
             if pred(self) {
                 return true;
             }
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(10));
+            // a frame or a timer ends the wait at once; the 10 ms cap
+            // is for predicates that read transport counters (drops,
+            // retransmits), which other threads move without waking
+            // this inbox
+            self.node
+                .wait(Some(deadline.min(now + Duration::from_millis(10))));
         }
     }
 
@@ -498,7 +440,7 @@ impl CtlNode {
     /// admission. The precise "agent is resident there" gate chaos
     /// tests kill on.
     pub fn running_at(&self, host: &str) -> bool {
-        self.server
+        self.server()
             .manager
             .launched()
             .iter()
@@ -507,76 +449,32 @@ impl CtlNode {
 
     /// Values probes have reported home so far.
     pub fn reports(&self) -> Vec<Value> {
-        self.server.reports.iter().map(|(_, v)| v.clone()).collect()
+        self.server()
+            .reports
+            .iter()
+            .map(|(_, v)| v.clone())
+            .collect()
     }
 
     /// The home server's status report (lease counters, journal lag).
     pub fn status(&self) -> StatusReport {
-        self.server.status_report(self.now())
+        self.server().status_report(self.node.now())
     }
 
     /// The underlying server, for assertions beyond the status report.
     pub fn server(&self) -> &NapletServer {
-        &self.server
+        &self.node.server
     }
 
     /// Wire statistics of the ctl transport (drops during outages,
     /// retransmissions).
     pub fn net_stats(&self) -> naplet_net::StatsSnapshot {
-        self.net.stats().snapshot()
+        self.node.transport().stats().snapshot()
     }
 
     /// The ctl node's own flight-recorder segment, for merging with the
     /// segments fetched (or dumped) from the daemons.
     pub fn trace_segment(&self) -> naplet_obs::TraceSegment {
-        self.obs.recorder.dump(CTL)
-    }
-
-    fn enact(&mut self, outputs: Vec<Output>) {
-        for output in outputs {
-            match output {
-                Output::Send { to, wire } => {
-                    let attempt = wire.retry_attempt();
-                    if attempt > 1 {
-                        self.net.stats().record_retransmit();
-                    }
-                    if naplet_core::codec::to_bytes_into(&wire, &mut self.scratch).is_ok() {
-                        let mut frame =
-                            Frame::new(CTL, &to, wire.traffic_class(), self.scratch.clone());
-                        if self.obs.ctx_enabled() {
-                            let ctx = wire.subject().map(|id| {
-                                let new_hop =
-                                    matches!(&wire, Wire::Transfer(env) if env.attempt == 1);
-                                self.ctxs.on_send(&id.to_string(), CTL, new_hop)
-                            });
-                            frame = frame.with_ctx(ctx.clone());
-                            let bytes = frame.wire_len();
-                            let now = self.now();
-                            self.obs
-                                .emit_ctx(now, CTL, wire.subject(), ctx.as_ref(), || {
-                                    TraceKind::WireSend {
-                                        to: to.clone(),
-                                        label: wire.label().to_string(),
-                                        class: wire.traffic_class().label().to_string(),
-                                        bytes,
-                                        attempt,
-                                    }
-                                });
-                        }
-                        let _ = self.net.send(frame);
-                    }
-                }
-                Output::Schedule { delay_ms, event } => self.timers.arm_in(delay_ms, event),
-                Output::FetchCode { from, bytes, id } => {
-                    let delay = self
-                        .net
-                        .fetch(&from, CTL, TrafficClass::Code, bytes)
-                        .ok()
-                        .flatten()
-                        .unwrap_or(0);
-                    self.timers.arm_in(delay, LocalEvent::CodeReady { id });
-                }
-            }
-        }
+        self.server().obs().recorder.dump(CTL)
     }
 }

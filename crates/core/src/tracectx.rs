@@ -40,9 +40,9 @@ pub struct TraceCtx {
 }
 
 /// Per-driver table of the freshest [`TraceCtx`] known for each
-/// journey. Every driver that moves wire values (the sim runtime, a
-/// live server loop, the cluster control node) owns one; senders
-/// advance it, receivers adopt what arrived when it is at least as
+/// journey. Every driver that moves wire values (the sim runtime, and
+/// each wall-clock node: server threads, harness and station nodes
+/// alike) owns one; senders advance it, receivers adopt what arrived when it is at least as
 /// fresh as what they knew.
 #[derive(Debug, Clone, Default)]
 pub struct CtxTable {

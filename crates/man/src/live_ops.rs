@@ -5,16 +5,16 @@
 //! the same protocol pointed at real daemons. A
 //! [`ClusterStatusPoller`] is a station node from the cluster's
 //! bootstrap file (an entry no daemon was started for — conventionally
-//! `ctl` or `mon`): it binds the station's listen address, sends
-//! privileged `StatusRequest` frames to named peers over TCP, and
-//! pumps its in-process station server until every reply has landed or
-//! the deadline passes.
+//! `ctl` or `mon`): a [`Node`] bound to the station's listen address
+//! that sends privileged requests to named peers over TCP and sleeps
+//! on its inbox until the replies have landed or the deadline passes.
 //!
 //! A daemon that is down, or whose security policy refuses
 //! `PrivilegedService("status")`, simply contributes no report — the
 //! poller returns what it heard, sorted by host, and the caller
 //! compares against the set it asked for.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use naplet_core::clock::Millis;
@@ -22,12 +22,11 @@ use naplet_core::credential::{Credential, SigningKey};
 use naplet_core::error::Result;
 use naplet_core::NapletId;
 use naplet_net::tcp::TcpTransport;
-use naplet_net::Frame;
-use naplet_obs::{FlatSegment, MetricsHistoryPage, TraceSegment};
+use naplet_obs::{FlatSegment, MetricsHistoryPage, ObsSink, TraceSegment};
 use naplet_server::bootstrap::BootstrapConfig;
-use naplet_server::events::{Input, Wire};
+use naplet_server::events::Wire;
 use naplet_server::status::StatusReport;
-use naplet_server::{LocationMode, NapletServer, ServerConfig};
+use naplet_server::{LocationMode, NapletServer, Node, ServerConfig};
 
 /// The same station wearing its distributed-tracing hat:
 /// [`ClusterStatusPoller::fetch_traces`] pages every daemon's flight
@@ -39,14 +38,10 @@ pub type ClusterTracePoller = ClusterStatusPoller;
 
 /// A status station attached to a live cluster.
 pub struct ClusterStatusPoller {
-    station: String,
-    server: NapletServer,
-    rx: crossbeam::channel::Receiver<Frame>,
-    net: TcpTransport,
-    key: SigningKey,
+    node: Node<TcpTransport>,
+    /// What every request presents to the peer's policy matrix.
+    credential: Credential,
     next_token: u64,
-    epoch: Instant,
-    scratch: Vec<u8>,
 }
 
 impl ClusterStatusPoller {
@@ -55,70 +50,70 @@ impl ClusterStatusPoller {
     /// no daemon occupies.
     pub fn connect(config: &BootstrapConfig, station: &str) -> Result<ClusterStatusPoller> {
         let net = TcpTransport::start(config.tcp_config(station)?)?;
-        let rx = net.register(station);
-        let server = NapletServer::new(ServerConfig::open(station, LocationMode::ForwardingTrace));
+        let key = SigningKey::new("ops", b"status-station");
+        let id = NapletId::new(&key.principal, station, Millis(1))?;
         Ok(ClusterStatusPoller {
-            station: station.to_string(),
-            server,
-            rx,
-            net,
-            key: SigningKey::new("ops", b"status-station"),
+            node: Node::new(
+                Arc::new(net),
+                ServerConfig::open(station, LocationMode::ForwardingTrace),
+                ObsSink::default(),
+                Instant::now(),
+            ),
+            credential: Credential::issue(&key, id, "ops-plane", vec![]),
             next_token: 0,
-            epoch: Instant::now(),
-            scratch: Vec::new(),
         })
     }
 
-    fn now(&self) -> Millis {
-        Millis(self.epoch.elapsed().as_millis() as u64)
+    /// Send `target` the request `build(token, reply_to, credential)`
+    /// makes under a fresh token; returns the token.
+    fn ask(&mut self, target: &str, build: impl FnOnce(u64, String, Credential) -> Wire) -> u64 {
+        self.next_token += 1;
+        let reply_to = self.node.server.host().to_string();
+        let wire = build(self.next_token, reply_to, self.credential.clone());
+        self.node.send(target, wire);
+        self.next_token
+    }
+
+    /// Sleep on the station's inbox until `take` finds what it is
+    /// looking for among the replies the server has collected, or
+    /// `deadline` passes.
+    fn await_reply<R>(
+        &mut self,
+        deadline: Instant,
+        mut take: impl FnMut(&mut NapletServer) -> Option<R>,
+    ) -> Option<R> {
+        loop {
+            self.node.pump();
+            if let Some(reply) = take(&mut self.node.server) {
+                return Some(reply);
+            }
+            if Instant::now() >= deadline || !self.node.wait(Some(deadline)) {
+                return None;
+            }
+        }
     }
 
     /// Poll `targets` and wait up to `timeout` for their reports.
     /// Returns whatever arrived in time, sorted by host — absent hosts
     /// are the caller's signal that a node is down or refusing.
     pub fn poll(&mut self, targets: &[String], timeout: Duration) -> Result<Vec<StatusReport>> {
-        let id = NapletId::new(&self.key.principal, &self.station, Millis(1))?;
-        let credential = Credential::issue(&self.key, id, "ops-plane", vec![]);
-        let mut waiting = std::collections::BTreeSet::new();
-        for target in targets {
-            self.next_token += 1;
-            waiting.insert(self.next_token);
-            let wire = Wire::StatusRequest {
-                token: self.next_token,
-                reply_to: self.station.clone(),
-                credential: credential.clone(),
-            };
-            if naplet_core::codec::to_bytes_into(&wire, &mut self.scratch).is_ok() {
-                let frame = Frame::new(
-                    &self.station,
-                    target,
-                    wire.traffic_class(),
-                    self.scratch.clone(),
-                );
-                let _ = self.net.send(frame);
+        let mut waiting: std::collections::BTreeSet<u64> = targets
+            .iter()
+            .map(|target| {
+                self.ask(target, |token, reply_to, credential| Wire::StatusRequest {
+                    token,
+                    reply_to,
+                    credential,
+                })
+            })
+            .collect();
+        self.await_reply(Instant::now() + timeout, |server| {
+            for (token, _) in &server.status_replies {
+                waiting.remove(token);
             }
-        }
-
-        let deadline = Instant::now() + timeout;
-        while !waiting.is_empty() && Instant::now() < deadline {
-            match self.rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(frame) => {
-                    if let Ok(wire) = naplet_core::codec::from_bytes::<Wire>(&frame.payload) {
-                        let now = self.now();
-                        let from = frame.from.clone();
-                        // a station only collects; replies need no
-                        // enactment of their own
-                        let _ = self.server.handle(now, Input::Wire { from, wire });
-                    }
-                    for (token, _) in &self.server.status_replies {
-                        waiting.remove(token);
-                    }
-                }
-                Err(_) => continue,
-            }
-        }
-
-        let mut reports: Vec<StatusReport> = std::mem::take(&mut self.server.status_replies)
+            waiting.is_empty().then_some(())
+        });
+        let mut reports: Vec<StatusReport> = std::mem::take(&mut self.node.server.status_replies)
             .into_iter()
             .filter_map(|(_, report)| report)
             .collect();
@@ -138,8 +133,6 @@ impl ClusterStatusPoller {
         timeout: Duration,
     ) -> Result<Vec<FlatSegment>> {
         const PAGE: u32 = 512;
-        let id = NapletId::new(&self.key.principal, &self.station, Millis(1))?;
-        let credential = Credential::issue(&self.key, id, "ops-plane", vec![]);
         let deadline = Instant::now() + timeout;
         let mut segments = Vec::new();
         for target in targets {
@@ -149,50 +142,26 @@ impl ClusterStatusPoller {
             let mut merged: Option<TraceSegment> = None;
             let mut from_seq = 0u64;
             loop {
-                self.next_token += 1;
-                let token = self.next_token;
-                let wire = Wire::TraceSegmentRequest {
-                    token,
-                    reply_to: self.station.clone(),
-                    credential: credential.clone(),
-                    from_seq,
-                    max_events: PAGE,
-                };
-                if naplet_core::codec::to_bytes_into(&wire, &mut self.scratch).is_ok() {
-                    let frame = Frame::new(
-                        &self.station,
-                        target,
-                        wire.traffic_class(),
-                        self.scratch.clone(),
-                    );
-                    let _ = self.net.send(frame);
-                }
-                let mut page: Option<Option<TraceSegment>> = None;
-                while page.is_none() && Instant::now() < deadline {
-                    match self.rx.recv_timeout(Duration::from_millis(20)) {
-                        Ok(frame) => {
-                            if let Ok(wire) = naplet_core::codec::from_bytes::<Wire>(&frame.payload)
-                            {
-                                let now = self.now();
-                                let from = frame.from.clone();
-                                let _ = self.server.handle(now, Input::Wire { from, wire });
-                            }
-                            for (t, seg) in std::mem::take(&mut self.server.trace_replies) {
-                                if t == token {
-                                    page = Some(seg);
-                                }
-                            }
-                        }
-                        Err(_) => continue,
+                let token = self.ask(target, |token, reply_to, credential| {
+                    Wire::TraceSegmentRequest {
+                        token,
+                        reply_to,
+                        credential,
+                        from_seq,
+                        max_events: PAGE,
                     }
-                }
-                let Some(Some(seg)) = page else {
+                });
+                let page = self.await_reply(deadline, |server| {
+                    let replies = std::mem::take(&mut server.trace_replies);
+                    replies.into_iter().find(|(t, _)| *t == token)
+                });
+                let Some((_, Some(seg))) = page else {
                     // refused, recorder off, or timed out: keep what
                     // we have (possibly nothing) and move on
                     break;
                 };
                 let got = seg.events.len();
-                let next_from = seg.start_seq + got as u64;
+                from_seq = seg.start_seq + got as u64;
                 match &mut merged {
                     None => merged = Some(seg),
                     Some(m) => {
@@ -204,7 +173,6 @@ impl ClusterStatusPoller {
                 if got < PAGE as usize {
                     break;
                 }
-                from_seq = next_from;
             }
             if let Some(seg) = merged {
                 segments.push(FlatSegment::from_segment(&seg));
@@ -225,8 +193,6 @@ impl ClusterStatusPoller {
         timeout: Duration,
     ) -> Result<Vec<MetricsHistoryPage>> {
         const PAGE: u32 = 64;
-        let id = NapletId::new(&self.key.principal, &self.station, Millis(1))?;
-        let credential = Credential::issue(&self.key, id, "ops-plane", vec![]);
         let deadline = Instant::now() + timeout;
         let mut pages = Vec::new();
         for target in targets {
@@ -235,50 +201,26 @@ impl ClusterStatusPoller {
             let mut merged: Option<MetricsHistoryPage> = None;
             let mut from_seq = 0u64;
             loop {
-                self.next_token += 1;
-                let token = self.next_token;
-                let wire = Wire::MetricsHistoryRequest {
-                    token,
-                    reply_to: self.station.clone(),
-                    credential: credential.clone(),
-                    from_seq,
-                    max_samples: PAGE,
-                };
-                if naplet_core::codec::to_bytes_into(&wire, &mut self.scratch).is_ok() {
-                    let frame = Frame::new(
-                        &self.station,
-                        target,
-                        wire.traffic_class(),
-                        self.scratch.clone(),
-                    );
-                    let _ = self.net.send(frame);
-                }
-                let mut page: Option<Option<MetricsHistoryPage>> = None;
-                while page.is_none() && Instant::now() < deadline {
-                    match self.rx.recv_timeout(Duration::from_millis(20)) {
-                        Ok(frame) => {
-                            if let Ok(wire) = naplet_core::codec::from_bytes::<Wire>(&frame.payload)
-                            {
-                                let now = self.now();
-                                let from = frame.from.clone();
-                                let _ = self.server.handle(now, Input::Wire { from, wire });
-                            }
-                            for (t, p) in std::mem::take(&mut self.server.metrics_history_replies) {
-                                if t == token {
-                                    page = Some(p);
-                                }
-                            }
-                        }
-                        Err(_) => continue,
+                let token = self.ask(target, |token, reply_to, credential| {
+                    Wire::MetricsHistoryRequest {
+                        token,
+                        reply_to,
+                        credential,
+                        from_seq,
+                        max_samples: PAGE,
                     }
-                }
-                let Some(Some(p)) = page else {
+                });
+                let page = self.await_reply(deadline, |server| {
+                    let replies = std::mem::take(&mut server.metrics_history_replies);
+                    replies.into_iter().find(|(t, _)| *t == token)
+                });
+                let Some((_, Some(p))) = page else {
                     // refused, history off, or timed out: keep what we
                     // have (possibly nothing) and move on
                     break;
                 };
                 let got = p.samples.len();
-                let next_from = p.start_seq + got as u64;
+                from_seq = p.start_seq + got as u64;
                 match &mut merged {
                     None => merged = Some(p),
                     Some(m) => {
@@ -291,7 +233,6 @@ impl ClusterStatusPoller {
                 if got < PAGE as usize {
                     break;
                 }
-                from_seq = next_from;
             }
             if let Some(p) = merged {
                 pages.push(p);
@@ -467,7 +408,6 @@ mod tests {
     use super::*;
     use naplet_server::Daemon;
     use std::net::TcpListener;
-    use std::sync::atomic::Ordering;
 
     fn free_addrs(n: usize) -> Vec<String> {
         // reserved until the Vec drops, just before the daemons bind
@@ -602,8 +542,7 @@ mod tests {
         assert!(merged.event_count > 0);
 
         for daemon in [alpha, beta] {
-            daemon.shutdown_flag().store(true, Ordering::Relaxed);
-            daemon.run().unwrap();
+            daemon.shutdown().unwrap();
         }
     }
 
@@ -621,8 +560,10 @@ mod tests {
         let mut poller = ClusterStatusPoller::connect(&config, "mon").unwrap();
         let targets = vec!["alpha".to_string()];
         // a status poll first so the daemon has wire traffic to sample,
-        // then wait out at least one sweep tick so the history ring
-        // holds a sample covering it
+        // then read the history until a sweep tick (50 ms apart) has
+        // put a sample covering it in the ring; every read is a round
+        // trip that blocks on the station's inbox, so this neither
+        // spins nor sleeps
         let reports = poller.poll(&targets, Duration::from_secs(10)).unwrap();
         assert_eq!(reports.len(), 1);
         let probes_in = |pages: &[MetricsHistoryPage]| -> u64 {
@@ -640,7 +581,6 @@ mod tests {
             if probes_in(&pages) > 0 || Instant::now() > deadline {
                 break pages;
             }
-            std::thread::sleep(Duration::from_millis(100));
         };
         assert_eq!(pages.len(), 1, "alpha must answer the history read");
         let page = &pages[0];
@@ -659,8 +599,7 @@ mod tests {
         assert!(table.contains("alpha"), "{table}");
         assert!(table.contains("wire.sent"), "{table}");
 
-        alpha.shutdown_flag().store(true, Ordering::Relaxed);
-        alpha.run().unwrap();
+        alpha.shutdown().unwrap();
     }
 
     #[test]
@@ -693,9 +632,7 @@ mod tests {
         assert!(none.is_empty(), "no daemon named ghost can answer");
 
         for daemon in [alpha, beta] {
-            let flag = daemon.shutdown_flag();
-            flag.store(true, Ordering::Relaxed);
-            daemon.run().unwrap();
+            daemon.shutdown().unwrap();
         }
     }
 }

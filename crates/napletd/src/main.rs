@@ -11,9 +11,11 @@
 //! napletd --check-config cluster3.toml            # validate and exit
 //! ```
 //!
-//! SIGTERM (and SIGINT) trigger a cooperative shutdown: the serve loop
-//! drains, the write-through journal is left consistent for the next
-//! incarnation to replay, and a final status summary is printed.
+//! The daemon serves on its own threads; the main thread does nothing
+//! but check two signal flags every 20 ms. SIGTERM (and SIGINT) end in
+//! a clean shutdown: the serve loop drains, the write-through journal
+//! is left consistent for the next incarnation to replay, and a final
+//! status summary is printed.
 //! SIGUSR1 dumps the flight recorder (the bounded ring of recent trace
 //! events) to `<trace_dir>/<node>.trace.json` without disturbing the
 //! daemon; the same dump is written on clean shutdown and from the
@@ -25,11 +27,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use naplet_server::bootstrap::BootstrapConfig;
 use naplet_server::daemon::Daemon;
 
-/// Raised by the signal handler; bridged onto the daemon's own
-/// cooperative shutdown flag by a watcher thread.
+/// Raised by SIGTERM/SIGINT; the main thread then shuts the daemon
+/// down.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// Raised by SIGUSR1; the watcher thread writes the flight dump and
+/// Raised by SIGUSR1; the main thread writes the flight dump and
 /// clears it.
 static DUMP_TRACE: AtomicBool = AtomicBool::new(false);
 
@@ -166,29 +168,21 @@ fn main() -> ExitCode {
         });
     }
 
-    // bridge the signal flags onto the daemon: SIGTERM/SIGINT raise
-    // the cooperative shutdown flag, SIGUSR1 writes a flight dump
-    let shutdown = daemon.shutdown_flag();
-    {
-        let dumper = dumper.clone();
-        let node = node.clone();
-        std::thread::spawn(move || {
-            while !SHUTDOWN.load(Ordering::Relaxed) {
-                if DUMP_TRACE.swap(false, Ordering::Relaxed) {
-                    match dumper.write() {
-                        Ok(path) => {
-                            println!("napletd[{node}]: trace dumped to {}", path.display())
-                        }
-                        Err(e) => eprintln!("napletd[{node}]: trace dump failed: {e}"),
-                    }
-                }
-                std::thread::sleep(std::time::Duration::from_millis(20));
+    // the daemon serves on its own threads; this one only watches the
+    // signal flags: SIGUSR1 writes a flight dump, SIGTERM/SIGINT end
+    // the wait (a handler may do no more than store an atomic, so
+    // there is nothing to block on)
+    while !SHUTDOWN.load(Ordering::Relaxed) {
+        if DUMP_TRACE.swap(false, Ordering::Relaxed) {
+            match dumper.write() {
+                Ok(path) => println!("napletd[{node}]: trace dumped to {}", path.display()),
+                Err(e) => eprintln!("napletd[{node}]: trace dump failed: {e}"),
             }
-            shutdown.store(true, Ordering::Relaxed);
-        });
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
     }
 
-    match daemon.run() {
+    match daemon.shutdown() {
         Ok(summary) => {
             let s = &summary.status;
             println!(

@@ -200,6 +200,21 @@ impl ObsSink {
         self.tracer.push(event);
     }
 
+    /// Account one journey-stall alert the watchdog raised: the
+    /// `alerts.raised` total, its `alerts.orphan` / `alerts.stalled`
+    /// kind, and the alert event to every enabled consumer. Both the
+    /// sim's sweep and the live sweeper thread report through here.
+    pub fn record_stall_alert(&self, alert: &StallAlert) {
+        self.metrics.incr("alerts.raised", 1);
+        let kind = if alert.orphan {
+            "alerts.orphan"
+        } else {
+            "alerts.stalled"
+        };
+        self.metrics.incr(kind, 1);
+        self.push_event(alert.event.clone());
+    }
+
     /// Freeze everything observed so far into one exportable value.
     pub fn snapshot(&self) -> ObsSnapshot {
         ObsSnapshot {

@@ -14,17 +14,13 @@
 //!    re-enters the retry machinery first;
 //! 4. start the server thread plus the watchdog sweeper.
 //!
-//! Shutdown is cooperative: any holder of the [`Daemon::shutdown_flag`]
-//! (the SIGTERM handler in `napletd`, a test harness) stores `true`,
-//! [`Daemon::run`] shuts the runtime down and returns a
-//! [`DaemonSummary`] built from the server's final status report. The
-//! `FileStore` journal writes through on every record, so a clean exit
-//! needs no separate flush step — the summary's journal figures are
-//! what a successor process will replay.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+//! A started daemon serves on its own threads; whoever owns it decides
+//! when it ends (`napletd`'s main thread on SIGTERM, a test when it is
+//! done) and calls [`Daemon::shutdown`], which stops the runtime and
+//! returns a [`DaemonSummary`] built from the server's final status
+//! report. The `FileStore` journal writes through on every record, so
+//! a clean exit needs no separate flush step — the summary's journal
+//! figures are what a successor process will replay.
 
 use std::path::PathBuf;
 
@@ -67,7 +63,6 @@ pub fn register_probe(codebase: &mut naplet_core::codebase::CodebaseRegistry) {
 pub struct Daemon {
     node: String,
     live: LiveRuntime<TcpTransport>,
-    shutdown: Arc<AtomicBool>,
     recovery: RecoveryStats,
     trace_path: PathBuf,
 }
@@ -200,7 +195,6 @@ impl Daemon {
         Ok(Daemon {
             node: node.to_string(),
             live,
-            shutdown: Arc::new(AtomicBool::new(false)),
             recovery,
             trace_path,
         })
@@ -216,13 +210,6 @@ impl Daemon {
         }
     }
 
-    /// The cooperative shutdown flag. Storing `true` (from a signal
-    /// handler, another thread, or a test) makes [`Daemon::run`]
-    /// return after the serve loop drains.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
     /// What the boot-time journal replay restored.
     pub fn recovery(&self) -> RecoveryStats {
         self.recovery
@@ -233,12 +220,9 @@ impl Daemon {
         self.live.transport()
     }
 
-    /// Serve until the shutdown flag is raised, then stop the server
-    /// and watchdog threads and summarize.
-    pub fn run(self) -> Result<DaemonSummary> {
-        while !self.shutdown.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_millis(20));
-        }
+    /// Stop the server and watchdog threads, write the flight dumps
+    /// and summarize.
+    pub fn shutdown(self) -> Result<DaemonSummary> {
         let alerts = self.live.alerts().len() as u64;
         let now = self.live.now();
         let dumper = self.trace_dumper();
@@ -270,11 +254,16 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::Wire;
+    use crate::node::Node;
     use naplet_core::clock::Millis;
-    use naplet_core::credential::SigningKey;
+    use naplet_core::credential::{Credential, SigningKey};
+    use naplet_core::id::NapletId;
     use naplet_core::itinerary::{Itinerary, Pattern};
     use naplet_core::naplet::{AgentKind, Naplet};
     use std::net::TcpListener;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     /// Two free ports, reserved briefly so the config is valid when
     /// the daemons bind.
@@ -318,10 +307,14 @@ mod tests {
         op_transport
             .add_peer("alpha", addr_a.parse().unwrap())
             .unwrap();
-        let mut op = LiveRuntime::over(op_transport);
         let mut cfg = ServerConfig::open("op", LocationMode::HomeManagers);
         cfg.codebase.register(PROBE_CODEBASE, 256, || ClusterProbe);
-        op.add_server(cfg);
+        let mut op = Node::new(
+            Arc::new(op_transport),
+            cfg,
+            ObsSink::default(),
+            Instant::now(),
+        );
         let key = SigningKey::new("ops", b"secret");
         let it = Itinerary::new(Pattern::singleton("alpha")).unwrap();
         let naplet = Naplet::create(
@@ -335,17 +328,18 @@ mod tests {
             vec![],
         )
         .unwrap();
-        op.launch(naplet).unwrap();
-        op.start();
+        op.launch(naplet);
 
         // the probe migrates op → alpha, runs, and reports home; the
-        // running server belongs to its thread, so give the journey a
-        // bounded while, then stop and inspect (retry backoff covers
-        // any frame the connection setup races)
-        std::thread::sleep(Duration::from_secs(2));
-        let servers = op.shutdown();
-        let (_, op_server) = servers.into_iter().find(|(h, _)| h == "op").unwrap();
-        let reports: Vec<Value> = op_server.reports.iter().map(|(_, v)| v.clone()).collect();
+        // operator is pumped right here, so the test ends the moment
+        // the report is in (retry backoff covers any frame the
+        // connection setup races)
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while op.server.reports.is_empty() {
+            assert!(Instant::now() < deadline, "probe never reported home");
+            op.wait(Some(deadline));
+        }
+        let reports: Vec<Value> = op.server.reports.iter().map(|(_, v)| v.clone()).collect();
         assert_eq!(
             reports,
             vec![Value::from("probe:alpha")],
@@ -353,9 +347,7 @@ mod tests {
         );
 
         for daemon in [alpha, beta] {
-            let flag = daemon.shutdown_flag();
-            flag.store(true, Ordering::Relaxed);
-            let summary = daemon.run().unwrap();
+            let summary = daemon.shutdown().unwrap();
             assert_eq!(summary.status.parked, 0);
         }
     }
@@ -377,14 +369,12 @@ mod tests {
             0,
             "first boot replays nothing"
         );
-        daemon.shutdown_flag().store(true, Ordering::Relaxed);
-        daemon.run().unwrap();
+        daemon.shutdown().unwrap();
 
         // a second incarnation reopens the same journal directory
         let daemon = Daemon::start(&config, "alpha").unwrap();
         assert_eq!(daemon.recovery().rehydrated, 0);
-        daemon.shutdown_flag().store(true, Ordering::Relaxed);
-        daemon.run().unwrap();
+        daemon.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -397,7 +387,7 @@ mod tests {
 
     #[test]
     fn replicated_directory_cluster_elects_one_leader_over_tcp() {
-        let addrs: Vec<String> = (0..3)
+        let addrs: Vec<String> = (0..4)
             .map(|_| {
                 TcpListener::bind("127.0.0.1:0")
                     .unwrap()
@@ -407,26 +397,66 @@ mod tests {
             })
             .collect();
         let mut text = String::new();
-        for (i, addr) in addrs.iter().enumerate() {
+        for (i, addr) in addrs[..3].iter().enumerate() {
             text.push_str(&format!("[[node]]\nname = \"d{i}\"\nlisten = \"{addr}\"\n"));
         }
+        // a station entry no daemon occupies, to watch the election from
+        text.push_str(&format!(
+            "[[node]]\nname = \"mon\"\nlisten = \"{}\"\n",
+            addrs[3]
+        ));
         text.push_str("[directory]\nreplicas = \"d0, d1, d2\"\n");
         let config = BootstrapConfig::parse(&text).unwrap();
         let daemons: Vec<Daemon> = (0..3)
             .map(|i| Daemon::start(&config, &format!("d{i}")).unwrap())
             .collect();
 
-        // give the replica set a moment to elect, then inspect the
-        // final status reports: exactly one leader, everyone agreeing
-        // on it, and at least the leader's noop committed everywhere
-        std::thread::sleep(Duration::from_secs(2));
-        let summaries: Vec<DaemonSummary> = daemons
-            .into_iter()
-            .map(|d| {
-                d.shutdown_flag().store(true, Ordering::Relaxed);
-                d.run().unwrap()
-            })
-            .collect();
+        // watch the election over the status protocol: ask every
+        // replica until all three report a leader with its noop
+        // committed (or 5 s pass; the assertions below then say what
+        // was missing)
+        let mut mon = Node::new(
+            Arc::new(TcpTransport::start(config.tcp_config("mon").unwrap()).unwrap()),
+            ServerConfig::open("mon", LocationMode::ForwardingTrace),
+            ObsSink::default(),
+            Instant::now(),
+        );
+        let key = SigningKey::new("ops", b"secret");
+        let id = NapletId::new("ops", "mon", Millis(1)).unwrap();
+        let credential = Credential::issue(&key, id, "ops-plane", vec![]);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut elected = false;
+        while !elected && Instant::now() < deadline {
+            for (token, replica) in ["d0", "d1", "d2"].into_iter().enumerate() {
+                mon.send(
+                    replica,
+                    Wire::StatusRequest {
+                        token: token as u64,
+                        reply_to: "mon".into(),
+                        credential: credential.clone(),
+                    },
+                );
+            }
+            // one round: the three answers, or 50 ms
+            let round = deadline.min(Instant::now() + Duration::from_millis(50));
+            while mon.server.status_replies.len() < 3 && Instant::now() < round {
+                mon.wait(Some(round));
+            }
+            let replies = std::mem::take(&mut mon.server.status_replies);
+            elected = replies.len() == 3
+                && replies.iter().all(|(_, report)| {
+                    report
+                        .as_ref()
+                        .and_then(|r| r.repl.as_ref())
+                        .is_some_and(|r| r.leader.is_some() && r.commit >= 1)
+                });
+        }
+
+        // then the final status reports: exactly one leader, everyone
+        // agreeing on it, and at least the leader's noop committed
+        // everywhere
+        let summaries: Vec<DaemonSummary> =
+            daemons.into_iter().map(|d| d.shutdown().unwrap()).collect();
         let repl: Vec<_> = summaries
             .iter()
             .map(|s| s.status.repl.as_ref().expect("replica must report"))

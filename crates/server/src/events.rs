@@ -2,8 +2,9 @@
 //!
 //! Servers are written as deterministic event handlers:
 //! `handle(now, Input) -> Vec<Output>`. A driver (the discrete-event
-//! [`crate::runtime::SimRuntime`], or a threaded loop) turns `Output`s
-//! into fabric transfers and scheduled local events. Everything that
+//! [`crate::runtime::SimRuntime`], or the wall-clock
+//! [`crate::node::Node`]) turns `Output`s into fabric transfers and
+//! scheduled local events. Everything that
 //! crosses a link is a [`Wire`] value, codec-encoded into a
 //! `naplet_net::Frame` so byte counts are exact.
 
@@ -297,6 +298,15 @@ impl Wire {
             Wire::DirRegister { attempt, .. } => *attempt,
             _ => 1,
         }
+    }
+
+    /// Whether sending this wire opens a new hop of its journey: only
+    /// a first-attempt `Transfer` does — retransmissions keep the hop
+    /// they were minted with, so hops count migrations, not
+    /// transmissions. Every driver feeds this to
+    /// `CtxTable::on_send`.
+    pub fn opens_hop(&self) -> bool {
+        matches!(self, Wire::Transfer(env) if env.attempt == 1)
     }
 
     /// Stable short label for traces and logs.

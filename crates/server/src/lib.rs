@@ -13,7 +13,9 @@
 //!
 //! Servers are deterministic event handlers; [`runtime::SimRuntime`]
 //! drives them over a metered fabric in virtual time (measurements),
-//! and the same handlers can be pumped by threads for live operation.
+//! and [`node::Node`] drives the same handlers on a wall clock over any
+//! `naplet_net::Transport` — on [`live::LiveRuntime`]'s threads or on
+//! the caller's own.
 
 #![warn(missing_docs)]
 
@@ -28,6 +30,7 @@ pub mod locator;
 pub mod manager;
 pub mod messenger;
 pub mod monitor;
+pub mod node;
 pub mod repl;
 pub mod resources;
 pub mod retry;
@@ -36,7 +39,7 @@ pub mod security;
 pub mod server;
 pub mod service_channel;
 pub mod status;
-pub mod timers;
+mod timers;
 
 pub use bootstrap::{BootstrapConfig, NodeConfig};
 pub use daemon::{register_probe, Daemon, DaemonSummary, TraceDumper, PROBE_CODEBASE};
@@ -53,6 +56,7 @@ pub use messenger::Messenger;
 pub use monitor::{
     MonitorPolicy, NapletMonitor, Priority, ResourceUsage, RunEntry, RunState, SchedulingPolicy,
 };
+pub use node::Node;
 pub use repl::{DirOp, ReplConfig, ReplMsg, ReplicaCore};
 pub use resources::ResourceManager;
 pub use retry::RetryPolicy;
@@ -61,4 +65,3 @@ pub use security::{Matcher, Permission, Policy, Rule, SecurityManager};
 pub use server::{LocationMode, NapletServer, ServerConfig};
 pub use service_channel::{ChannelIo, OpenService, PrivilegedService, ServiceChannel};
 pub use status::{ReplStatus, ResidentStatus, StatusReport};
-pub use timers::Timers;

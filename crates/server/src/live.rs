@@ -12,17 +12,15 @@
 //!
 //! # Threads
 //!
-//! One thread per server, plus one sweep thread when the watchdog or
-//! the metrics history is on. A server thread is the only code that
-//! touches its `NapletServer`, its [`Timers`] and its trace-context
-//! table. It blocks on exactly one thing, its transport inbox, for no
-//! longer than the earliest armed deadline (indefinitely when nothing
-//! is armed): a frame or a due timer wakes it, nothing else does.
-//! Sends happen on the server thread — [`Transport::send`] never waits
-//! on a peer. Before [`LiveRuntime::start`] the caller's thread plays
-//! the same role: launches and recovery enact their sends at once and
-//! park their timers in the server's queue, which moves to the thread
-//! with the server.
+//! Every server lives in a [`Node`], which owns its inbox, timers and
+//! trace contexts and holds the one receive → handle → enact loop.
+//! Before [`LiveRuntime::start`] the nodes sit in a staging list and
+//! the caller's thread drives them: launches and recovery send their
+//! handshakes at once and leave their timers in the node's heap.
+//! `start` moves each node onto a thread of its own running
+//! [`Node::run`], plus one sweep thread when the watchdog or the
+//! metrics history is on (a watchdog should not run on the thread it
+//! watches).
 //!
 //! [`LiveRuntime::shutdown`] raises the stop flag and registers every
 //! host again, which replaces the endpoint and so disconnects the
@@ -38,13 +36,11 @@ use std::time::{Duration, Instant};
 use naplet_core::clock::Millis;
 use naplet_core::error::{NapletError, Result};
 use naplet_core::naplet::Naplet;
-use naplet_core::tracectx::CtxTable;
-use naplet_net::{Fabric, Frame, ThreadedNet, TrafficClass, Transport};
-use naplet_obs::{ObsSink, TraceKind, WatchdogConfig};
+use naplet_net::{Fabric, ThreadedNet, Transport};
+use naplet_obs::{ObsSink, WatchdogConfig};
 
-use crate::events::{Input, LocalEvent, Output, Wire};
+use crate::node::{unix_ms_at, Node};
 use crate::server::{NapletServer, ServerConfig};
-use crate::timers::Timers;
 
 /// A naplet space running on real threads over a pluggable
 /// [`Transport`]. The default transport is the in-process
@@ -55,24 +51,14 @@ pub struct LiveRuntime<T: Transport = ThreadedNet> {
     stop: Arc<AtomicBool>,
     epoch: Instant,
     threads: Vec<(String, JoinHandle<NapletServer>)>,
-    /// Servers constructed but not yet started (launch window), with
-    /// any local timers armed by pre-start launches (e.g. handoff
-    /// acknowledgement timeouts).
-    staging: Vec<(
-        NapletServer,
-        crossbeam::channel::Receiver<Frame>,
-        Timers<LocalEvent>,
-    )>,
+    /// Nodes constructed but not yet started (launch window).
+    staging: Vec<Node<T>>,
     /// Shared observability sink handed to every server. Live traces
     /// are wall-clock ordered, so unlike the sim they are not
     /// deterministic — but the same taxonomy and exporters apply.
     obs: ObsSink,
     /// Watchdog sweep thread (armed by `enable_watchdog` + `start`).
     sweeper: Option<JoinHandle<()>>,
-    /// Trace contexts for sends enacted before `start` (launch and
-    /// recovery handshakes); each server thread keeps its own table
-    /// once running.
-    staging_ctxs: CtxTable,
 }
 
 impl LiveRuntime<ThreadedNet> {
@@ -102,7 +88,6 @@ impl<T: Transport> LiveRuntime<T> {
             staging: Vec::new(),
             obs: ObsSink::default(),
             sweeper: None,
-            staging_ctxs: CtxTable::new(),
         }
     }
 
@@ -127,14 +112,7 @@ impl<T: Transport> LiveRuntime<T> {
     /// merged on one shared axis.
     pub fn enable_recorder(&mut self, capacity: usize) {
         self.obs.enable_recorder(capacity);
-        let elapsed = self.epoch.elapsed().as_millis() as u64;
-        let unix_now = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        self.obs
-            .recorder
-            .set_epoch_unix_ms(unix_now.saturating_sub(elapsed));
+        self.obs.recorder.set_epoch_unix_ms(unix_ms_at(self.epoch));
     }
 
     /// Turn on wall-clock hot-path profiling (handler-latency
@@ -148,14 +126,7 @@ impl<T: Transport> LiveRuntime<T> {
     /// [`LiveRuntime::start`] takes one delta sample per tick.
     pub fn enable_metrics_history(&mut self, capacity: usize) {
         self.obs.enable_metrics_history(capacity);
-        let elapsed = self.epoch.elapsed().as_millis() as u64;
-        let unix_now = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        self.obs
-            .history
-            .set_epoch_unix_ms(unix_now.saturating_sub(elapsed));
+        self.obs.history.set_epoch_unix_ms(unix_ms_at(self.epoch));
     }
 
     /// Arm the journey watchdog for the whole space. The sweep thread
@@ -176,18 +147,16 @@ impl<T: Transport> LiveRuntime<T> {
     /// Add a server. It starts pumping when [`LiveRuntime::start`] is
     /// called; until then naplets may be launched from it.
     pub fn add_server(&mut self, config: ServerConfig) -> &mut NapletServer {
-        let rx = self.net.register(&config.host);
-        let mut server = NapletServer::new(config);
-        server.set_obs(self.obs.clone());
-        // directory replicas drive their consensus clock off a
-        // self-rearming tick; the first one is armed here, the rest by
-        // the server's own outputs
-        let mut timers = Timers::new();
-        if let Some(tick_ms) = server.arm_initial_repl_tick() {
-            timers.arm_in(tick_ms, LocalEvent::ReplTick);
-        }
-        self.staging.push((server, rx, timers));
-        &mut self.staging.last_mut().expect("just pushed").0
+        let node = Node::new(Arc::clone(&self.net), config, self.obs.clone(), self.epoch);
+        self.staging.push(node);
+        &mut self.staging.last_mut().expect("just pushed").server
+    }
+
+    fn staged(&mut self, host: &str) -> Result<&mut Node<T>> {
+        self.staging
+            .iter_mut()
+            .find(|node| node.server.host() == host)
+            .ok_or_else(|| NapletError::NotFound(format!("no staged server at `{host}`")))
     }
 
     /// Launch a naplet from its home server. Only valid before
@@ -195,78 +164,28 @@ impl<T: Transport> LiveRuntime<T> {
     /// thread; use owner messages instead).
     pub fn launch(&mut self, naplet: Naplet) -> Result<()> {
         let home = naplet.home().to_string();
-        let now = self.now();
-        let (server, _, timers) = self
-            .staging
-            .iter_mut()
-            .find(|(s, _, _)| s.host() == home)
-            .ok_or_else(|| NapletError::NotFound(format!("no staged server at `{home}`")))?;
-        let outputs = server.launch(naplet, now);
-        // launches produce sends (handshakes) plus acknowledgement
-        // timers; the timers are handed to the server's thread on start
-        let host = home.clone();
-        let net = Arc::clone(&self.net);
-        let obs = self.obs.clone();
-        enact(
-            &host,
-            net.as_ref(),
-            outputs,
-            timers,
-            &mut Vec::new(),
-            &obs,
-            &mut self.staging_ctxs,
-            now,
-        );
+        self.staged(&home)?.launch(naplet);
         Ok(())
     }
 
     /// Replay a staged server's write-ahead journal and enact the
     /// recovery outputs — retransmitted handshakes go out over the
-    /// transport, re-armed acknowledgement/lease timers are handed to
-    /// the server's thread on [`LiveRuntime::start`]. Only valid
-    /// before `start` (recovery is a boot-time activity; a running
-    /// server's journal belongs to its thread).
+    /// transport, re-armed acknowledgement/lease timers move to the
+    /// server's thread on [`LiveRuntime::start`]. Only valid before
+    /// `start` (recovery is a boot-time activity; a running server's
+    /// journal belongs to its thread).
     pub fn recover(&mut self, host: &str) -> Result<crate::journal::RecoveryStats> {
-        let now = self.now();
-        let net = Arc::clone(&self.net);
-        let (server, _, timers) = self
-            .staging
-            .iter_mut()
-            .find(|(s, _, _)| s.host() == host)
-            .ok_or_else(|| NapletError::NotFound(format!("no staged server at `{host}`")))?;
-        let outputs = server.recover(now);
-        let stats = server.recovery_stats();
-        let host = host.to_string();
-        let obs = self.obs.clone();
-        enact(
-            &host,
-            net.as_ref(),
-            outputs,
-            timers,
-            &mut Vec::new(),
-            &obs,
-            &mut self.staging_ctxs,
-            now,
-        );
-        Ok(stats)
+        Ok(self.staged(host)?.recover())
     }
 
     /// Start all staged servers on their threads.
     pub fn start(&mut self) {
-        for (server, rx, timers) in self.staging.drain(..) {
-            let host = server.host().to_string();
-            let net = Arc::clone(&self.net);
+        for node in self.staging.drain(..) {
+            let host = node.server.host().to_string();
             let stop = Arc::clone(&self.stop);
-            let epoch = self.epoch;
-            let obs = self.obs.clone();
-            // hand the staging-window contexts to every thread so a
-            // launch handshake and the hops after it share one journey
-            // sequence (receivers re-converge by adopting frame
-            // contexts anyway)
-            let ctxs = self.staging_ctxs.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("naplet-server-{host}"))
-                .spawn(move || serve(server, net, rx, timers, epoch, stop, obs, ctxs))
+                .spawn(move || node.run(&stop))
                 .expect("spawn server thread");
             self.threads.push((host, handle));
         }
@@ -290,16 +209,7 @@ impl<T: Transport> LiveRuntime<T> {
                         let now = Millis(epoch.elapsed().as_millis() as u64);
                         if obs.watchdog.enabled() {
                             for alert in obs.watchdog.check(now) {
-                                obs.metrics.incr("alerts.raised", 1);
-                                obs.metrics.incr(
-                                    if alert.orphan {
-                                        "alerts.orphan"
-                                    } else {
-                                        "alerts.stalled"
-                                    },
-                                    1,
-                                );
-                                obs.push_event(alert.event);
+                                obs.record_stall_alert(&alert);
                             }
                         }
                         // one metrics delta per sweep tick (no-op
@@ -334,149 +244,10 @@ impl<T: Transport> LiveRuntime<T> {
             }
         }
         // staged-but-never-started servers are returned too
-        for (server, _, _) in self.staging.drain(..) {
-            out.push((server.host().to_string(), server));
+        for node in self.staging.drain(..) {
+            out.push((node.server.host().to_string(), node.server));
         }
         out
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn serve<T: Transport>(
-    mut server: NapletServer,
-    net: Arc<T>,
-    rx: crossbeam::channel::Receiver<Frame>,
-    mut timers: Timers<LocalEvent>,
-    epoch: Instant,
-    stop: Arc<AtomicBool>,
-    obs: ObsSink,
-    mut ctxs: CtxTable,
-) -> NapletServer {
-    use crossbeam::channel::RecvTimeoutError;
-    // one encode scratch per server thread: every outgoing wire reuses
-    // its capacity instead of growing a fresh Vec per send
-    let mut scratch = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        // fire what is due; a timer armed while firing waits for the
-        // next round, so a self-rearming event cannot starve the inbox
-        let due_by = Instant::now();
-        while let Some(event) = timers.pop_due(due_by) {
-            let now = Millis(epoch.elapsed().as_millis() as u64);
-            // keep fault schedules in step with wall-clock-since-epoch time
-            net.set_now(now.0);
-            let outputs = server.handle(now, Input::Local(event));
-            enact(
-                server.host(),
-                net.as_ref(),
-                outputs,
-                &mut timers,
-                &mut scratch,
-                &obs,
-                &mut ctxs,
-                now,
-            );
-        }
-        // then sleep on the inbox until a frame or the next deadline
-        let received = match timers.until_next(Instant::now()) {
-            Some(wait) => rx.recv_timeout(wait),
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-        };
-        let frame = match received {
-            Ok(frame) => frame,
-            Err(RecvTimeoutError::Timeout) => continue,
-            // the endpoint was replaced: shutdown
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        let Ok(wire) = naplet_core::codec::from_bytes::<Wire>(&frame.payload) else {
-            continue; // corrupt frame: drop
-        };
-        let now = Millis(epoch.elapsed().as_millis() as u64);
-        net.set_now(now.0);
-        let from = frame.from;
-        if obs.ctx_enabled() {
-            if let Some(ctx) = &frame.ctx {
-                ctxs.adopt(ctx);
-            }
-            obs.emit_ctx(
-                now,
-                server.host(),
-                wire.subject(),
-                frame.ctx.as_ref(),
-                || TraceKind::WireRecv {
-                    from: from.clone(),
-                    label: wire.label().to_string(),
-                },
-            );
-        }
-        let outputs = server.handle(now, Input::Wire { from, wire });
-        enact(
-            server.host(),
-            net.as_ref(),
-            outputs,
-            &mut timers,
-            &mut scratch,
-            &obs,
-            &mut ctxs,
-            now,
-        );
-    }
-    server
-}
-
-#[allow(clippy::too_many_arguments)]
-fn enact<T: Transport>(
-    host: &str,
-    net: &T,
-    outputs: Vec<Output>,
-    timers: &mut Timers<LocalEvent>,
-    scratch: &mut Vec<u8>,
-    obs: &ObsSink,
-    ctxs: &mut CtxTable,
-    now: Millis,
-) {
-    for output in outputs {
-        match output {
-            Output::Send { to, wire } => {
-                let attempt = wire.retry_attempt();
-                if attempt > 1 {
-                    net.stats().record_retransmit();
-                }
-                // encode into the reused scratch, then copy exactly the
-                // payload's length into the owned frame buffer — the
-                // repeated grow-and-copy of a cold Vec is what the
-                // storm benchmarks flagged here
-                if naplet_core::codec::to_bytes_into(&wire, scratch).is_ok() {
-                    let mut frame = Frame::new(host, &to, wire.traffic_class(), scratch.clone());
-                    if obs.ctx_enabled() {
-                        let ctx = wire.subject().map(|id| {
-                            let new_hop = matches!(&wire, Wire::Transfer(env) if env.attempt == 1);
-                            ctxs.on_send(&id.to_string(), host, new_hop)
-                        });
-                        frame = frame.with_ctx(ctx.clone());
-                        let bytes = frame.wire_len();
-                        obs.emit_ctx(now, host, wire.subject(), ctx.as_ref(), || {
-                            TraceKind::WireSend {
-                                to: to.clone(),
-                                label: wire.label().to_string(),
-                                class: wire.traffic_class().label().to_string(),
-                                bytes,
-                                attempt,
-                            }
-                        });
-                    }
-                    let _ = net.send(frame);
-                }
-            }
-            Output::Schedule { delay_ms, event } => timers.arm_in(delay_ms, event),
-            Output::FetchCode { from, bytes, id } => {
-                let delay = net
-                    .fetch(&from, host, TrafficClass::Code, bytes)
-                    .ok()
-                    .flatten()
-                    .unwrap_or(0);
-                timers.arm_in(delay, LocalEvent::CodeReady { id });
-            }
-        }
     }
 }
 
@@ -500,26 +271,31 @@ mod tests {
         }
     }
 
-    fn wait_for_reports(hosts: &[(String, NapletServer)], home: &str) -> Vec<Value> {
-        hosts
-            .iter()
-            .find(|(h, _)| h == home)
-            .map(|(_, s)| s.reports.iter().map(|(_, v)| v.clone()).collect())
-            .unwrap_or_default()
-    }
-
     #[test]
     fn live_runtime_completes_a_journey_on_threads() {
         let mut reg = CodebaseRegistry::new();
         reg.register("greeter", 256, || Greeter);
         let fabric = Fabric::new(LatencyModel::Constant(1), naplet_net::Bandwidth(None), 2);
         let mut live = LiveRuntime::new(fabric, 0); // no real sleeps
-
-        for host in ["home", "a", "b"] {
+        let open = |host: &str| {
             let mut cfg = ServerConfig::open(host, LocationMode::HomeManagers);
             cfg.codebase = reg.clone();
-            live.add_server(cfg);
+            cfg
+        };
+        for host in ["a", "b"] {
+            live.add_server(open(host));
         }
+        live.start();
+
+        // a running server belongs to its thread, so the home is a node
+        // on the same net that this thread pumps: its reports are in
+        // plain sight and the test ends when they are in, not on a timer
+        let mut home = Node::new(
+            Arc::clone(&live.net),
+            open("home"),
+            live.obs.clone(),
+            live.epoch,
+        );
         let key = SigningKey::new("t", b"k");
         let it = Itinerary::new(Pattern::seq_of_hosts(&["a", "b"], None)).unwrap();
         let naplet = Naplet::create(
@@ -533,26 +309,16 @@ mod tests {
             vec![],
         )
         .unwrap();
-        live.launch(naplet).unwrap();
-        live.start();
-
-        // poll until the journey finishes (bounded)
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let servers = loop {
-            std::thread::sleep(Duration::from_millis(20));
-            if Instant::now() > deadline {
-                break live.shutdown();
-            }
-            // cannot peek while running; rely on time then shut down
-            if Instant::now() > deadline - Duration::from_millis(4_800) {
-                // ~200ms elapsed: plenty for 2 hops with 0-scale delays
-                break live.shutdown();
-            }
-        };
-        let reports = wait_for_reports(&servers, "home");
-        assert_eq!(reports.len(), 2, "reports: {reports:?}");
-        assert!(reports.contains(&Value::from("hi from a")));
-        assert!(reports.contains(&Value::from("hi from b")));
+        home.launch(naplet);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while home.server.reports.len() < 2 {
+            assert!(Instant::now() < deadline, "journey stalled");
+            home.wait(Some(deadline));
+        }
+        let reports: Vec<&Value> = home.server.reports.iter().map(|(_, v)| v).collect();
+        assert!(reports.contains(&&Value::from("hi from a")));
+        assert!(reports.contains(&&Value::from("hi from b")));
+        assert_eq!(live.shutdown().len(), 2);
     }
 
     #[test]

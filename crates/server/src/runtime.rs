@@ -66,6 +66,20 @@ enum SimEvent {
     WatchdogTick,
 }
 
+impl SimEvent {
+    /// The host this event happens at (`None` for the space-wide
+    /// watchdog tick).
+    fn target(&self) -> Option<&str> {
+        match self {
+            SimEvent::Deliver { to, .. } => Some(to),
+            SimEvent::Local { host, .. }
+            | SimEvent::Crash { host, .. }
+            | SimEvent::Restart { host } => Some(host),
+            SimEvent::WatchdogTick => None,
+        }
+    }
+}
+
 /// The deterministic multi-server driver.
 pub struct SimRuntime {
     fabric: Fabric,
@@ -173,26 +187,17 @@ impl SimRuntime {
         self.configs
             .entry(host.clone())
             .or_insert_with(|| config.clone());
-        let obs = self.obs.clone();
-        let epoch = self.crash_epoch.get(&host).copied().unwrap_or(0);
-        let queue = &mut self.queue;
-        self.servers.entry(host.clone()).or_insert_with(|| {
+        if !self.servers.contains_key(&host) {
             let mut server = NapletServer::new(config);
-            server.set_obs(obs);
+            server.set_obs(self.obs.clone());
             // a directory replica needs its consensus clock running
             // before any input arrives, or no leader is ever elected
             if let Some(tick_ms) = server.arm_initial_repl_tick() {
-                queue.push_after(
-                    tick_ms,
-                    SimEvent::Local {
-                        host,
-                        event: LocalEvent::ReplTick,
-                        epoch,
-                    },
-                );
+                self.push_local(&host, tick_ms, LocalEvent::ReplTick);
             }
-            server
-        })
+            self.servers.insert(host.clone(), server);
+        }
+        self.servers.get_mut(&host).expect("installed above")
     }
 
     /// Register a plain station host that collects wire values. The
@@ -269,13 +274,8 @@ impl SimRuntime {
     /// Returns the number of events processed in this call.
     pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
         let mut processed = 0;
-        while processed < max_events {
-            let Some((_, ev)) = self.queue.pop() else {
-                break;
-            };
+        while processed < max_events && self.dispatch_next() {
             processed += 1;
-            self.events_processed += 1;
-            self.dispatch(ev);
         }
         processed
     }
@@ -284,16 +284,8 @@ impl SimRuntime {
     /// queued) or quiescence.
     pub fn run_until(&mut self, until: Millis) -> u64 {
         let mut processed = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > until.0 {
-                break;
-            }
-            let Some((_, ev)) = self.queue.pop() else {
-                break;
-            };
+        while self.queue.peek_time().is_some_and(|t| t <= until.0) && self.dispatch_next() {
             processed += 1;
-            self.events_processed += 1;
-            self.dispatch(ev);
         }
         processed
     }
@@ -325,26 +317,17 @@ impl SimRuntime {
     /// (`None` when the queue is empty or the event had no single
     /// target). Lets tests crash a server at a precise event index.
     pub fn step(&mut self) -> Option<String> {
-        let (_, ev) = self.queue.pop()?;
-        self.events_processed += 1;
-        let target = match &ev {
-            SimEvent::Deliver { to, .. } => Some(to.clone()),
-            SimEvent::Local { host, .. } => Some(host.clone()),
-            SimEvent::Crash { host, .. } | SimEvent::Restart { host } => Some(host.clone()),
-            SimEvent::WatchdogTick => None,
-        };
-        self.dispatch(ev);
+        let target = self.peek_target();
+        self.dispatch_next();
         target
     }
 
     /// The host the next queued event targets, without processing it.
     pub fn peek_target(&self) -> Option<String> {
-        self.queue.peek().and_then(|ev| match ev {
-            SimEvent::Deliver { to, .. } => Some(to.clone()),
-            SimEvent::Local { host, .. } => Some(host.clone()),
-            SimEvent::Crash { host, .. } | SimEvent::Restart { host } => Some(host.clone()),
-            SimEvent::WatchdogTick => None,
-        })
+        self.queue
+            .peek()
+            .and_then(SimEvent::target)
+            .map(str::to_string)
     }
 
     /// Aggregated recovery statistics over every server.
@@ -362,6 +345,17 @@ impl SimRuntime {
             .get_mut(home)
             .map(|s| std::mem::take(&mut s.reports))
             .unwrap_or_default()
+    }
+
+    /// Pop the next queued event, count it and dispatch it; `false`
+    /// when the queue is empty.
+    fn dispatch_next(&mut self) -> bool {
+        let Some((_, ev)) = self.queue.pop() else {
+            return false;
+        };
+        self.events_processed += 1;
+        self.dispatch(ev);
+        true
     }
 
     fn dispatch(&mut self, ev: SimEvent) {
@@ -457,16 +451,7 @@ impl SimRuntime {
         let config = self.obs.watchdog.config();
         let alerts = self.obs.watchdog.check(now);
         for alert in &alerts {
-            self.obs.metrics.incr("alerts.raised", 1);
-            self.obs.metrics.incr(
-                if alert.orphan {
-                    "alerts.orphan"
-                } else {
-                    "alerts.stalled"
-                },
-                1,
-            );
-            self.obs.push_event(alert.event.clone());
+            self.obs.record_stall_alert(alert);
             if config.early_redispatch {
                 // pull the home server's lease check forward: the
                 // watchdog suspects an orphan before the lease window
@@ -567,23 +552,27 @@ impl SimRuntime {
         self.process_outputs(host, outputs);
     }
 
-    fn process_outputs(&mut self, host: &str, outputs: Vec<Output>) {
+    /// Queue a local event for `host`, stamped with its current crash
+    /// epoch so a crash in between voids it.
+    fn push_local(&mut self, host: &str, delay_ms: u64, event: LocalEvent) {
         let epoch = self.crash_epoch.get(host).copied().unwrap_or(0);
+        self.queue.push_after(
+            delay_ms,
+            SimEvent::Local {
+                host: host.to_string(),
+                event,
+                epoch,
+            },
+        );
+    }
+
+    fn process_outputs(&mut self, host: &str, outputs: Vec<Output>) {
         for output in outputs {
             match output {
                 Output::Send { to, wire } => {
                     self.schedule_wire(host, &to, wire);
                 }
-                Output::Schedule { delay_ms, event } => {
-                    self.queue.push_after(
-                        delay_ms,
-                        SimEvent::Local {
-                            host: host.to_string(),
-                            event,
-                            epoch,
-                        },
-                    );
-                }
+                Output::Schedule { delay_ms, event } => self.push_local(host, delay_ms, event),
                 Output::FetchCode { from, bytes, id } => {
                     let delay = if bytes == 0 || from == host {
                         Some(0)
@@ -592,30 +581,12 @@ impl SimRuntime {
                             .transfer(&from, host, TrafficClass::Code, bytes)
                             .unwrap_or(Some(0))
                     };
-                    let event = LocalEvent::CodeReady { id };
-                    match delay {
-                        Some(d) => self.queue.push_after(
-                            d,
-                            SimEvent::Local {
-                                host: host.to_string(),
-                                event,
-                                epoch,
-                            },
-                        ),
-                        None => {
-                            // fetch lost: retry optimistic immediate
-                            // delivery so the agent is not stranded
-                            self.dropped += 1;
-                            self.queue.push_after(
-                                1,
-                                SimEvent::Local {
-                                    host: host.to_string(),
-                                    event,
-                                    epoch,
-                                },
-                            );
-                        }
+                    // fetch lost: retry optimistic immediate delivery
+                    // so the agent is not stranded
+                    if delay.is_none() {
+                        self.dropped += 1;
                     }
+                    self.push_local(host, delay.unwrap_or(1), LocalEvent::CodeReady { id });
                 }
             }
         }
@@ -636,10 +607,8 @@ impl SimRuntime {
         // (tracer or flight recorder) is on, so the tracing-off hot
         // path allocates nothing extra
         let ctx = if self.obs.ctx_enabled() {
-            wire.subject().map(|id| {
-                let new_hop = matches!(&wire, Wire::Transfer(env) if env.attempt == 1);
-                self.ctxs.on_send(&id.to_string(), from, new_hop)
-            })
+            wire.subject()
+                .map(|id| self.ctxs.on_send(&id.to_string(), from, wire.opens_hop()))
         } else {
             None
         };

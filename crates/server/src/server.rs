@@ -1186,23 +1186,10 @@ impl NapletServer {
                 reply_to,
                 credential,
             } => {
-                // the probe is privileged: only credentials the policy
-                // matrix grants PrivilegedService("status") may read a
-                // server's internals
-                let report = match self
-                    .security
-                    .check(&credential, Permission::PrivilegedService("status".into()))
-                {
-                    Ok(()) => {
-                        self.obs.metrics.incr("status.probes", 1);
-                        Some(self.status_report(now))
-                    }
-                    Err(e) => {
-                        self.obs.metrics.incr("status.refused", 1);
-                        self.logf(now, format!("STATUS probe from {from} refused: {e}"));
-                        None
-                    }
-                };
+                let counters = ("status.probes", "status.refused");
+                let report = self
+                    .privileged_read(&credential, from, "STATUS probe", counters, now)
+                    .then(|| self.status_report(now));
                 out.push(Output::Send {
                     to: reply_to,
                     wire: Wire::StatusReply { token, report },
@@ -1223,24 +1210,14 @@ impl NapletServer {
                 // the flight recorder holds the same internals as a
                 // status report (hosts, journeys, failures), so reads
                 // ride the same privileged-service grant
-                let segment = match self
-                    .security
-                    .check(&credential, Permission::PrivilegedService("status".into()))
-                {
-                    Ok(()) => {
-                        self.obs.metrics.incr("trace.reads", 1);
-                        Some(
-                            self.obs
-                                .recorder
-                                .segment(&self.host, from_seq, max_events as usize),
-                        )
-                    }
-                    Err(e) => {
-                        self.obs.metrics.incr("trace.refused", 1);
-                        self.logf(now, format!("TRACE read from {from} refused: {e}"));
-                        None
-                    }
-                };
+                let counters = ("trace.reads", "trace.refused");
+                let segment = self
+                    .privileged_read(&credential, from, "TRACE read", counters, now)
+                    .then(|| {
+                        self.obs
+                            .recorder
+                            .segment(&self.host, from_seq, max_events as usize)
+                    });
                 out.push(Output::Send {
                     to: reply_to,
                     wire: Wire::TraceSegmentReply { token, segment },
@@ -1258,24 +1235,14 @@ impl NapletServer {
             } => {
                 // the history ring is the metrics registry over time —
                 // same sensitivity, same privileged-service grant
-                let page = match self
-                    .security
-                    .check(&credential, Permission::PrivilegedService("status".into()))
-                {
-                    Ok(()) => {
-                        self.obs.metrics.incr("history.reads", 1);
-                        Some(
-                            self.obs
-                                .history
-                                .page(&self.host, from_seq, max_samples as usize),
-                        )
-                    }
-                    Err(e) => {
-                        self.obs.metrics.incr("history.refused", 1);
-                        self.logf(now, format!("HISTORY read from {from} refused: {e}"));
-                        None
-                    }
-                };
+                let counters = ("history.reads", "history.refused");
+                let page = self
+                    .privileged_read(&credential, from, "HISTORY read", counters, now)
+                    .then(|| {
+                        self.obs
+                            .history
+                            .page(&self.host, from_seq, max_samples as usize)
+                    });
                 out.push(Output::Send {
                     to: reply_to,
                     wire: Wire::MetricsHistoryReply { token, page },
@@ -1283,6 +1250,33 @@ impl NapletServer {
             }
             Wire::MetricsHistoryReply { token, page } => {
                 self.metrics_history_replies.push((token, page));
+            }
+        }
+    }
+
+    /// The gate every ops-plane read passes: only credentials the
+    /// policy matrix grants `PrivilegedService("status")` may read a
+    /// server's internals. Counts the outcome under the matching one
+    /// of `(granted, refused)` and logs a refusal as
+    /// `"{what} from {from} refused"`.
+    fn privileged_read(
+        &mut self,
+        credential: &naplet_core::credential::Credential,
+        from: &str,
+        what: &str,
+        (granted, refused): (&str, &str),
+        now: Millis,
+    ) -> bool {
+        let permission = Permission::PrivilegedService("status".into());
+        match self.security.check(credential, permission) {
+            Ok(()) => {
+                self.obs.metrics.incr(granted, 1);
+                true
+            }
+            Err(e) => {
+                self.obs.metrics.incr(refused, 1);
+                self.logf(now, format!("{what} from {from} refused: {e}"));
+                false
             }
         }
     }
@@ -1387,33 +1381,9 @@ impl NapletServer {
                     // be the dead node that forced this retry
                     self.replica_hint = self.replica_hint.wrapping_add(1);
                 }
-                let Some(holder) = self.directory_holder(&id) else {
-                    self.proceed_after_registration(&id, false, now, out);
-                    return;
-                };
                 let next = attempt + 1;
                 self.logf(now, format!("RETRY register {id} (attempt {next})"));
-                let wire = Wire::DirRegister {
-                    id: id.clone(),
-                    host: self.host.clone(),
-                    event: DirEvent::Arrival,
-                    ack_to: Some(self.host.clone()),
-                    attempt: next,
-                };
-                if holder == self.host && self.repl.is_some() {
-                    // this host is itself a replica: submit directly
-                    // instead of a self-addressed wire
-                    let op = DirOp::Register {
-                        id: id.clone(),
-                        host: self.host.clone(),
-                        event: DirEvent::Arrival,
-                        at: now,
-                    };
-                    self.repl_submit(op, wire, now, out);
-                } else {
-                    out.push(Output::Send { to: holder, wire });
-                }
-                self.arm_register_timer(&id, next, out);
+                self.register_movement(&id, DirEvent::Arrival, Some(next), now, out);
             }
             LocalEvent::LeaseCheck { id } => {
                 self.check_lease(&id, now, out);
@@ -1678,21 +1648,7 @@ impl NapletServer {
         self.manager.record_departure(&id, &dest, now);
         self.resources.release(&id);
         // DEPART registration (no ack needed, paper §4.1)
-        if let Some(holder) = self.directory_holder(&id) {
-            let wire = Wire::DirRegister {
-                id: id.clone(),
-                host: self.host.clone(),
-                event: DirEvent::Departure,
-                ack_to: None,
-                attempt: 1,
-            };
-            if holder == self.host {
-                self.directory
-                    .register(&id, &self.host, DirEvent::Departure, now);
-            } else {
-                out.push(Output::Send { to: holder, wire });
-            }
-        }
+        self.register_movement(&id, DirEvent::Departure, None, now, out);
         self.logf(now, format!("DEPART {id} -> {dest}"));
         // forward any early-stashed messages for it towards the
         // destination so the chase can catch up, and likewise any
@@ -1926,23 +1882,7 @@ impl NapletServer {
         }
         self.note_special_mailbox_depth();
         // make the parked naplet locatable here again
-        if let Some(holder) = self.directory_holder(&id) {
-            if holder == self.host {
-                self.directory
-                    .register(&id, &self.host.clone(), DirEvent::Arrival, now);
-            } else {
-                out.push(Output::Send {
-                    to: holder,
-                    wire: Wire::DirRegister {
-                        id: id.clone(),
-                        host: self.host.clone(),
-                        event: DirEvent::Arrival,
-                        ack_to: None,
-                        attempt: 1,
-                    },
-                });
-            }
-        }
+        self.register_movement(&id, DirEvent::Arrival, None, now, out);
         self.notify_home(
             &id,
             NapletStatus::Parked,
@@ -2123,7 +2063,7 @@ impl NapletServer {
             .gauge_max("mailbox_depth", entry.mailbox.len() as u64);
 
         // ARRIVAL registration: execution postponed until acknowledged
-        self.reregister_arrival(&id, true, now, out);
+        self.register_movement(&id, DirEvent::Arrival, Some(1), now, out);
 
         // early control messages now interrupt the just-arrived naplet
         for verb in pending_controls {
@@ -2131,84 +2071,70 @@ impl NapletServer {
         }
     }
 
-    /// Register an arrival with the directory holder. With
-    /// `gate_execution` the resident waits in `AwaitingArrivalAck`
-    /// until the registration is acknowledged (normal admission);
-    /// without it the registration is fire-and-forget — used by
-    /// recovery for visits whose execution already happened, where
-    /// only the directory entry needs restoring.
-    fn reregister_arrival(
+    /// Register a movement of `id` at this host with whoever holds the
+    /// directory under the current mode: a remote holder gets a
+    /// `DirRegister`, a directory replica submits to its own consensus
+    /// core (the registration must commit like anyone else's), a plain
+    /// holder writes its local table.
+    ///
+    /// `gate: Some(attempt)` is an arrival whose execution waits in
+    /// `AwaitingArrivalAck` for the acknowledgement: the registration
+    /// asks for a `DirAck` and is retried like any other acked frame —
+    /// a lost `DirRegister`/`DirAck`, or a replica set with no leader
+    /// yet, must not strand the agent. Where nothing can be lost (local
+    /// table, no directory at all) the gate opens at once. `None` is
+    /// fire-and-forget: departures, parking, and recovery of visits
+    /// that already ran, where only the directory entry needs
+    /// restoring.
+    fn register_movement(
         &mut self,
         id: &NapletId,
-        gate_execution: bool,
+        event: DirEvent,
+        gate: Option<u32>,
         now: Millis,
         out: &mut Vec<Output>,
     ) {
-        match self.directory_holder(id) {
-            Some(holder) if holder != self.host => {
-                out.push(Output::Send {
-                    to: holder.clone(),
-                    wire: Wire::DirRegister {
-                        id: id.clone(),
-                        host: self.host.clone(),
-                        event: DirEvent::Arrival,
-                        ack_to: gate_execution.then(|| self.host.clone()),
-                        attempt: 1,
-                    },
-                });
-                if gate_execution {
-                    // stay in AwaitingArrivalAck until DirAck; the
-                    // registration is retried like any other acked
-                    // frame — a lost DirRegister/DirAck must not
-                    // strand the agent
-                    self.obs
-                        .emit(now, &self.host, Some(id), || TraceKind::RegisterGated {
-                            holder,
-                        });
-                    self.arm_register_timer(id, 1, out);
+        let holder = match self.directory_holder(id) {
+            Some(holder) if holder != self.host || self.repl.is_some() => holder,
+            holder => {
+                if holder.is_some() {
+                    self.directory.register(id, &self.host, event, now);
                 }
-            }
-            Some(_) if self.repl.is_some() => {
-                // we are a directory replica: the registration must go
-                // through consensus like anyone else's; the gate is
-                // released by the commit (repl_pending_acks) or by the
-                // retry timer if no leader emerges
-                let op = DirOp::Register {
-                    id: id.clone(),
-                    host: self.host.clone(),
-                    event: DirEvent::Arrival,
-                    at: now,
-                };
-                let wire = Wire::DirRegister {
-                    id: id.clone(),
-                    host: self.host.clone(),
-                    event: DirEvent::Arrival,
-                    ack_to: gate_execution.then(|| self.host.clone()),
-                    attempt: 1,
-                };
-                self.repl_submit(op, wire, now, out);
-                if gate_execution {
-                    let holder = self.host.clone();
-                    self.obs
-                        .emit(now, &self.host, Some(id), || TraceKind::RegisterGated {
-                            holder,
-                        });
-                    self.arm_register_timer(id, 1, out);
-                }
-            }
-            Some(_) => {
-                // we are the directory holder: register synchronously
-                self.directory
-                    .register(id, &self.host.clone(), DirEvent::Arrival, now);
-                if gate_execution {
+                if gate.is_some() {
                     self.proceed_after_registration(id, false, now, out);
                 }
+                return;
             }
-            None => {
-                if gate_execution {
-                    self.proceed_after_registration(id, false, now, out);
-                }
+        };
+        let wire = Wire::DirRegister {
+            id: id.clone(),
+            host: self.host.clone(),
+            event,
+            ack_to: gate.map(|_| self.host.clone()),
+            attempt: gate.unwrap_or(1),
+        };
+        if holder == self.host {
+            let op = DirOp::Register {
+                id: id.clone(),
+                host: self.host.clone(),
+                event,
+                at: now,
+            };
+            self.repl_submit(op, wire, now, out);
+        } else {
+            out.push(Output::Send {
+                to: holder.clone(),
+                wire,
+            });
+        }
+        if let Some(attempt) = gate {
+            if attempt == 1 {
+                self.obs
+                    .emit(now, &self.host, Some(id), || TraceKind::RegisterGated {
+                        holder,
+                    });
             }
+            self.arm_register_timer(id, attempt, out);
         }
     }
 
@@ -3205,7 +3131,7 @@ impl NapletServer {
                             });
                         self.logf(now, format!("RECOVER resident {id} (visit applied)"));
                         self.monitor.admit(naplet, None, RunState::VisitDone, now);
-                        self.reregister_arrival(&id, false, now, &mut out);
+                        self.register_movement(&id, DirEvent::Arrival, None, now, &mut out);
                         out.push(Output::Schedule {
                             delay_ms: 0,
                             event: LocalEvent::VisitDone { id: id.clone() },
@@ -3220,7 +3146,7 @@ impl NapletServer {
                         self.logf(now, format!("RECOVER resident {id} (re-running visit)"));
                         self.monitor
                             .admit(naplet, action, RunState::AwaitingArrivalAck, now);
-                        self.reregister_arrival(&id, true, now, &mut out);
+                        self.register_movement(&id, DirEvent::Arrival, Some(1), now, &mut out);
                     }
                 }
                 JournalPhase::InFlight {

@@ -1,4 +1,4 @@
-//! The live drivers' timer queue.
+//! The wall-clock driver's timer queue.
 //!
 //! A server arms a timer for nearly every frame it handles (handoff
 //! and registration acknowledgement timeouts, lease checks, dwell) and
@@ -6,9 +6,8 @@
 //! looks. [`Timers`] keeps them in a binary heap ordered by deadline,
 //! then by arm order, so a driver pays `O(log n)` to arm, looks at
 //! nothing but the head to learn how long it may sleep, and pops only
-//! what is due. Every wall-clock driver shares it: `LiveRuntime`'s
-//! server threads, its pre-start staging window, and the cluster
-//! harness's hand-pumped home node.
+//! what is due. [`crate::node::Node`] is its one user, which is every
+//! wall-clock driver there is.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -55,11 +54,6 @@ impl<E> Default for Timers<E> {
 }
 
 impl<E> Timers<E> {
-    /// An empty queue.
-    pub fn new() -> Timers<E> {
-        Timers::default()
-    }
-
     /// Arm `event` to fire at `deadline`.
     pub fn arm(&mut self, deadline: Instant, event: E) {
         self.heap.push(Armed {
@@ -91,16 +85,6 @@ impl<E> Timers<E> {
             .peek()
             .map(|armed| armed.deadline.saturating_duration_since(now))
     }
-
-    /// How many timers are armed.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether nothing is armed.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +95,7 @@ mod tests {
     fn fires_by_deadline_then_arm_order() {
         let t0 = Instant::now();
         let at = |ms| t0 + Duration::from_millis(ms);
-        let mut timers = Timers::new();
+        let mut timers = Timers::default();
         timers.arm(at(30), "late");
         timers.arm(at(10), "first-armed");
         timers.arm(at(10), "second-armed");
@@ -125,14 +109,14 @@ mod tests {
             fired,
             ["early", "first-armed", "second-armed", "third-armed"]
         );
-        assert_eq!(timers.len(), 1, "the 30 ms timer is not due at 10 ms");
+        assert_eq!(timers.heap.len(), 1, "the 30 ms timer is not due at 10 ms");
         assert_eq!(timers.pop_due(at(30)), Some("late"));
     }
 
     #[test]
     fn one_due_among_ten_thousand_pops_alone() {
         let t0 = Instant::now();
-        let mut timers = Timers::new();
+        let mut timers = Timers::default();
         for i in 0..10_000u64 {
             timers.arm(t0 + Duration::from_secs(3_600 + i), i);
         }
@@ -140,7 +124,7 @@ mod tests {
         let now = t0 + Duration::from_millis(2);
         assert_eq!(timers.pop_due(now), Some(u64::MAX));
         assert_eq!(timers.pop_due(now), None);
-        assert_eq!(timers.len(), 10_000);
+        assert_eq!(timers.heap.len(), 10_000);
         assert_eq!(
             timers.until_next(now),
             Some(Duration::from_secs(3_600) - Duration::from_millis(2))
@@ -150,9 +134,8 @@ mod tests {
     #[test]
     fn time_to_next_deadline() {
         let t0 = Instant::now();
-        let mut timers = Timers::new();
+        let mut timers = Timers::default();
         assert_eq!(timers.until_next(t0), None, "nothing armed");
-        assert!(timers.is_empty());
         timers.arm(t0 + Duration::from_millis(40), ());
         assert_eq!(timers.until_next(t0), Some(Duration::from_millis(40)));
         // a deadline in the past is due now, not a negative wait

@@ -18,7 +18,7 @@ use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
 use naplet_server::repl::Role;
 use naplet_server::{
-    LeasePolicy, LocationMode, MonitorPolicy, NapletStatus, ServerConfig, SimRuntime,
+    DirEvent, LeasePolicy, LocationMode, MonitorPolicy, NapletStatus, ServerConfig, SimRuntime,
 };
 
 const CODEBASE: &str = "naplet://code/collector.jar";
@@ -133,6 +133,41 @@ fn registrations_commit_on_every_replica_and_journeys_complete() {
         let core = rt.server(r).unwrap().repl_core().unwrap();
         assert_eq!(core.state.len(), 0, "{r} still tracks a finished agent");
     }
+}
+
+#[test]
+fn a_replica_hosting_a_naplet_registers_its_moves_through_consensus() {
+    let mut rt = world(11, None);
+    rt.run_to_quiescence(60_000);
+    let leader = leaders(&rt).pop().expect("an elected leader");
+    let naplet = probe(&[leader.as_str(), "s0"], 1);
+    let id = naplet.id().clone();
+    rt.launch(naplet).unwrap();
+    // after every event, what the leader's committed directory says
+    // about the naplet (consecutive repeats folded)
+    let mut committed: Vec<(String, DirEvent)> = Vec::new();
+    while rt.step().is_some() {
+        assert!(rt.events_processed < 200_000, "run must quiesce");
+        let core = rt.server(&leader).unwrap().repl_core().unwrap();
+        if let Some(entry) = core.state.lookup(&id) {
+            let seen = (entry.host.clone(), entry.event);
+            if committed.last() != Some(&seen) {
+                committed.push(seen);
+            }
+        }
+    }
+    assert_eq!(rt.drain_reports("home").len(), 1, "journey completes");
+    // the replica's own visit is in the replicated log like anyone
+    // else's, departure included ...
+    for event in [DirEvent::Arrival, DirEvent::Departure] {
+        assert!(
+            committed.contains(&(leader.clone(), event)),
+            "no committed {event:?} at {leader}: {committed:?}"
+        );
+    }
+    // ... and nowhere else: in this mode nothing reads the plain
+    // per-host table, so nothing may be written to it
+    assert_eq!(rt.server(&leader).unwrap().directory.len(), 0);
 }
 
 #[test]

@@ -1,12 +1,13 @@
 //! Workspace-level integration tests: scenarios that span every crate
 //! through the public facade (`naplet::prelude`).
 
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use naplet::man::{ManWorld, NET_MANAGEMENT};
 use naplet::net::{Frame, TcpConfig, TcpTransport};
 use naplet::prelude::*;
-use naplet::server::{LiveRuntime, Matcher, Permission};
+use naplet::server::{LiveRuntime, Matcher, Node, Permission};
 use naplet::snmp::oids;
 
 fn man_world(devices: usize) -> ManWorld {
@@ -349,6 +350,72 @@ fn live_runtime_completes_a_journey_over_tcp() {
         reports,
         [Value::from("visited away"), Value::from("visited home")]
     );
+}
+
+#[test]
+fn a_hand_pumped_node_sends_a_journey_through_a_started_live_runtime() {
+    struct Tourist;
+    impl NapletBehavior for Tourist {
+        fn on_start(&mut self, ctx: &mut dyn NapletContext) -> naplet::core::Result<()> {
+            ctx.report_home(Value::from(format!("visited {}", ctx.host_name())))
+        }
+    }
+    let mut registry = CodebaseRegistry::new();
+    registry.register("tourist", 512, || Tourist);
+    let open = |host: &str| {
+        let mut cfg = ServerConfig::open(host, LocationMode::HomeManagers);
+        cfg.codebase = registry.clone();
+        cfg
+    };
+
+    // two servers on their own threads behind one socket ...
+    let mut away = LiveRuntime::over(tcp_endpoint());
+    away.add_server(open("a"));
+    away.add_server(open("b"));
+    away.start();
+    // ... and the home on another, driven by this thread: the same
+    // `Node` loop the runtime's threads run, pumped by hand
+    let home_net = tcp_endpoint();
+    let away_addr = away.transport().local_addr();
+    home_net.add_peer("a", away_addr).unwrap();
+    home_net.add_peer("b", away_addr).unwrap();
+    away.transport()
+        .add_peer("home", home_net.local_addr())
+        .unwrap();
+    let mut home = Node::new(
+        Arc::new(home_net),
+        open("home"),
+        ObsSink::default(),
+        Instant::now(),
+    );
+
+    let key = SigningKey::new("demo", b"secret");
+    let itinerary = Itinerary::new(Pattern::seq_of_hosts(&["a", "b"], None)).unwrap();
+    let naplet = Naplet::create(
+        &key,
+        "demo",
+        "home",
+        Millis(0),
+        "tourist",
+        AgentKind::Native,
+        itinerary,
+        vec![],
+    )
+    .unwrap();
+    home.launch(naplet);
+    // the home's tables are in plain sight between pumps: done when
+    // both reports are in, not when a timer says so
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while home.server.reports.len() < 2 {
+        assert!(Instant::now() < deadline, "journey stalled");
+        home.wait(Some(deadline));
+    }
+    let reports: Vec<Value> = home.server.reports.iter().map(|(_, v)| v.clone()).collect();
+    assert_eq!(
+        reports,
+        [Value::from("visited a"), Value::from("visited b")]
+    );
+    assert_eq!(away.shutdown().len(), 2);
 }
 
 // ---------------------------------------------------------------------
