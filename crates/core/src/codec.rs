@@ -16,6 +16,13 @@
 //! * sequences / maps: varint element count + elements
 //! * tuples / structs: fields in declaration order, no framing
 //!
+//! A value that already holds its own napcode encoding
+//! ([`SharedNaplet`](crate::naplet::SharedNaplet)) is spliced, not walked:
+//! the encoder appends the held bytes, the size counter adds their length
+//! and the decoder hands back the span a value was read from (the vendored
+//! shim's `serialize_encoded` / `deserialize_spanned` hooks). The bytes are
+//! the ones the walk would write.
+//!
 //! Because the format is not self-describing, both ends must agree on the
 //! type — exactly the contract Java serialization gives the paper (both
 //! sides load the same class). Every byte written is accounted by the
@@ -344,6 +351,11 @@ impl<'a, 'b> ser::Serializer for &'b mut Encoder<'a> {
     fn is_human_readable(&self) -> bool {
         false
     }
+
+    fn serialize_encoded<T: Serialize + ?Sized>(self, _value: &T, image: &[u8]) -> Result<()> {
+        self.out.extend_from_slice(image);
+        Ok(())
+    }
 }
 
 /// Either-sized compound encoder used for seqs and maps.
@@ -631,6 +643,11 @@ impl<'a> ser::Serializer for &'a mut SizeCounter {
     fn is_human_readable(&self) -> bool {
         false
     }
+
+    fn serialize_encoded<T: Serialize + ?Sized>(self, _value: &T, image: &[u8]) -> Result<()> {
+        self.len += image.len() as u64;
+        Ok(())
+    }
 }
 
 impl CountCompound<'_> {
@@ -910,6 +927,12 @@ impl<'de> de::Deserializer<'de> for &mut Decoder<'de> {
 
     fn is_human_readable(&self) -> bool {
         false
+    }
+
+    fn deserialize_spanned<T: Deserialize<'de>>(self) -> Result<(T, Option<&'de [u8]>)> {
+        let input = self.input;
+        let value = T::deserialize(&mut *self)?;
+        Ok((value, Some(&input[..input.len() - self.input.len()])))
     }
 }
 

@@ -231,9 +231,18 @@ impl Naplet {
         codec::encoded_size(self)
     }
 
-    /// Serialize for migration.
+    /// Serialize for migration. The buffer starts at the size of what
+    /// makes an agent large — its state and a carried VM image — so a
+    /// 64 KiB agent is not copied through a dozen doublings on its way
+    /// out.
     pub fn to_wire(&self) -> Result<Vec<u8>> {
-        codec::to_bytes(self)
+        let vm_image = match &self.kind {
+            AgentKind::Native => 0,
+            AgentKind::Vm(image) => image.len(),
+        };
+        let mut out = Vec::with_capacity(512 + vm_image + self.state.deep_size() as usize);
+        codec::to_bytes_into(self, &mut out)?;
+        Ok(out)
     }
 
     /// Deserialize a migrated naplet.
@@ -242,19 +251,22 @@ impl Naplet {
     }
 }
 
-/// A copy-on-write handle to an immutable [`Naplet`] snapshot.
+/// A copy-on-write handle to an immutable [`Naplet`] snapshot plus its
+/// wire image.
 ///
 /// During a migration the same agent image is needed several times —
-/// the journal write, the transfer frame, every retransmit of that
-/// frame, and the byte metering on the fabric. Deep-cloning (and
-/// re-encoding) the whole agent each time dominates the handoff hot
-/// path, so the reliable-transfer layer holds one `SharedNaplet`
-/// instead: clones are `Arc` bumps, and the wire encoding / wire size
-/// are computed once and cached inside the shared allocation.
+/// the origin's journal records, the transfer frame and every
+/// retransmit of it, the byte metering on the fabric, the destination's
+/// admission record. The image is produced once — by the first
+/// [`wire_bytes`](Self::wire_bytes), or kept from the frame the handle
+/// was decoded off — and from then on only copied: clones are `Arc`
+/// bumps, and serializing the handle into napcode splices the cached
+/// bytes instead of walking the agent again.
 ///
 /// The handle serializes exactly like the underlying [`Naplet`]
-/// (byte-identical `napcode`), so it can replace `Naplet` inside wire
-/// envelopes without changing the format.
+/// (byte-identical `napcode`, cache filled or not), so it replaces
+/// `Naplet` inside wire envelopes without changing the format; a
+/// serializer other than napcode sees a plain `Naplet`.
 #[derive(Debug, Clone)]
 pub struct SharedNaplet {
     inner: Arc<SharedInner>,
@@ -263,11 +275,9 @@ pub struct SharedNaplet {
 #[derive(Debug)]
 struct SharedInner {
     naplet: Naplet,
-    /// Cached `to_wire` snapshot, filled on first use and shared by
-    /// every clone of the handle (journal + retransmits reuse it).
+    /// The naplet's `to_wire` image, shared by every clone of the
+    /// handle.
     bytes: OnceLock<Arc<Vec<u8>>>,
-    /// Cached wire size for when only metering is needed.
-    size: OnceLock<u64>,
 }
 
 impl SharedNaplet {
@@ -277,7 +287,6 @@ impl SharedNaplet {
             inner: Arc::new(SharedInner {
                 naplet,
                 bytes: OnceLock::new(),
-                size: OnceLock::new(),
             }),
         }
     }
@@ -296,8 +305,8 @@ impl SharedNaplet {
         }
     }
 
-    /// The wire encoding, computed once per snapshot and shared across
-    /// clones — the cheap path for journal writes and retransmits.
+    /// The wire image: encoded on first use unless the handle arrived
+    /// with it, then shared across clones.
     pub fn wire_bytes(&self) -> Result<Arc<Vec<u8>>> {
         if let Some(bytes) = self.inner.bytes.get() {
             return Ok(Arc::clone(bytes));
@@ -306,18 +315,11 @@ impl SharedNaplet {
         Ok(Arc::clone(self.inner.bytes.get_or_init(|| bytes)))
     }
 
-    /// The wire size in bytes, cached like [`wire_bytes`]
-    /// (`SharedNaplet::wire_bytes`) but without materialising the
-    /// encoding when it has not been needed yet.
+    /// The wire size in bytes: the length of
+    /// [`wire_bytes`](Self::wire_bytes). Shadows [`Naplet::wire_size`],
+    /// which would walk the agent behind the handle's back.
     pub fn wire_size(&self) -> Result<u64> {
-        if let Some(bytes) = self.inner.bytes.get() {
-            return Ok(bytes.len() as u64);
-        }
-        if let Some(&size) = self.inner.size.get() {
-            return Ok(size);
-        }
-        let size = self.inner.naplet.wire_size()?;
-        Ok(*self.inner.size.get_or_init(|| size))
+        Ok(self.wire_bytes()?.len() as u64)
     }
 }
 
@@ -345,7 +347,10 @@ impl Serialize for SharedNaplet {
         &self,
         serializer: S,
     ) -> std::result::Result<S::Ok, S::Error> {
-        self.inner.naplet.serialize(serializer)
+        match self.inner.bytes.get() {
+            Some(image) => serializer.serialize_encoded(&self.inner.naplet, image),
+            None => self.inner.naplet.serialize(serializer),
+        }
     }
 }
 
@@ -353,7 +358,12 @@ impl<'de> Deserialize<'de> for SharedNaplet {
     fn deserialize<D: serde::Deserializer<'de>>(
         deserializer: D,
     ) -> std::result::Result<SharedNaplet, D::Error> {
-        Naplet::deserialize(deserializer).map(SharedNaplet::new)
+        let (naplet, span) = deserializer.deserialize_spanned::<Naplet>()?;
+        let shared = SharedNaplet::new(naplet);
+        if let Some(span) = span {
+            let _ = shared.inner.bytes.set(Arc::new(span.to_vec()));
+        }
+        Ok(shared)
     }
 }
 

@@ -80,8 +80,9 @@ fn naplet() -> impl Strategy<Value = Naplet> {
         vec(ident(), 1..6),
         vec(("[a-z]{1,8}", value(2)), 0..5),
         1u64..1_000_000,
+        option::of(vec(any::<u8>(), 0..48)),
     )
-        .prop_map(|(hosts, entries, ts)| {
+        .prop_map(|(hosts, entries, ts, vm_image)| {
             let refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
             let it = Itinerary::new(Pattern::seq_of_hosts(&refs, None))
                 .unwrap()
@@ -92,7 +93,7 @@ fn naplet() -> impl Strategy<Value = Naplet> {
                 "home",
                 Millis(ts),
                 "naplet://code/probe.jar",
-                AgentKind::Native,
+                vm_image.map_or(AgentKind::Native, AgentKind::Vm),
                 it,
                 vec![],
             )
@@ -215,6 +216,272 @@ proptest! {
         codec::to_bytes_into(&msg, &mut scratch).unwrap();
         prop_assert_eq!(&scratch, &codec::to_bytes(&msg).unwrap());
         prop_assert_eq!(codec::encoded_size(&msg).unwrap(), scratch.len() as u64);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Splice laws: a handle that holds its image hands napcode the bytes
+// instead of a walk, and nothing downstream can tell
+// ---------------------------------------------------------------------------
+
+/// The shape of a transfer envelope around a plain naplet: what the
+/// wire carried before handles spliced.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct PlainEnvelope {
+    naplet: Naplet,
+    action: Option<ActionSpec>,
+    transfer_id: u64,
+}
+
+/// The same envelope around a handle.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct SharedEnvelope {
+    naplet: SharedNaplet,
+    action: Option<ActionSpec>,
+    transfer_id: u64,
+}
+
+/// A serializer that is not napcode: a text dump of the data-model
+/// calls it receives. It does not override `serialize_encoded`.
+struct Dump<'a>(&'a mut String);
+
+#[derive(Debug)]
+struct DumpError(String);
+
+impl std::fmt::Display for DumpError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl serde::ser::Error for DumpError {
+    fn custom<T: std::fmt::Display>(msg: T) -> Self {
+        DumpError(msg.to_string())
+    }
+}
+
+macro_rules! dump_leaves {
+    ($($method:ident($ty:ty);)+) => {
+        $(fn $method(self, v: $ty) -> Result<(), DumpError> {
+            self.0.push_str(&format!("{v:?} "));
+            Ok(())
+        })+
+    };
+}
+
+macro_rules! dump_compounds {
+    ($($tr:ident $method:ident($($key:ty)?);)+) => {
+        $(impl serde::ser::$tr for Dump<'_> {
+            type Ok = ();
+            type Error = DumpError;
+            fn $method<T: serde::Serialize + ?Sized>(
+                &mut self,
+                $(_: $key,)?
+                value: &T,
+            ) -> Result<(), DumpError> {
+                value.serialize(Dump(&mut *self.0))
+            }
+            fn end(self) -> Result<(), DumpError> {
+                self.0.push_str("] ");
+                Ok(())
+            }
+        })+
+    };
+}
+
+dump_compounds! {
+    SerializeSeq serialize_element();
+    SerializeTuple serialize_element();
+    SerializeTupleStruct serialize_field();
+    SerializeTupleVariant serialize_field();
+    SerializeStruct serialize_field(&'static str);
+    SerializeStructVariant serialize_field(&'static str);
+}
+
+impl serde::ser::SerializeMap for Dump<'_> {
+    type Ok = ();
+    type Error = DumpError;
+    fn serialize_key<T: serde::Serialize + ?Sized>(&mut self, key: &T) -> Result<(), DumpError> {
+        key.serialize(Dump(&mut *self.0))
+    }
+    fn serialize_value<T: serde::Serialize + ?Sized>(
+        &mut self,
+        value: &T,
+    ) -> Result<(), DumpError> {
+        value.serialize(Dump(&mut *self.0))
+    }
+    fn end(self) -> Result<(), DumpError> {
+        self.0.push_str("] ");
+        Ok(())
+    }
+}
+
+impl<'a> Dump<'a> {
+    fn open(self, what: &str) -> Result<Dump<'a>, DumpError> {
+        self.0.push_str(what);
+        self.0.push_str("[ ");
+        Ok(self)
+    }
+}
+
+impl<'a> serde::Serializer for Dump<'a> {
+    type Ok = ();
+    type Error = DumpError;
+    type SerializeSeq = Dump<'a>;
+    type SerializeTuple = Dump<'a>;
+    type SerializeTupleStruct = Dump<'a>;
+    type SerializeTupleVariant = Dump<'a>;
+    type SerializeMap = Dump<'a>;
+    type SerializeStruct = Dump<'a>;
+    type SerializeStructVariant = Dump<'a>;
+
+    dump_leaves! {
+        serialize_bool(bool); serialize_char(char); serialize_str(&str); serialize_bytes(&[u8]);
+        serialize_i8(i8); serialize_i16(i16); serialize_i32(i32); serialize_i64(i64);
+        serialize_u8(u8); serialize_u16(u16); serialize_u32(u32); serialize_u64(u64);
+        serialize_f32(f32); serialize_f64(f64);
+    }
+    fn serialize_none(self) -> Result<(), DumpError> {
+        self.serialize_str("none")
+    }
+    fn serialize_some<T: serde::Serialize + ?Sized>(self, value: &T) -> Result<(), DumpError> {
+        value.serialize(self)
+    }
+    fn serialize_unit(self) -> Result<(), DumpError> {
+        self.serialize_str("unit")
+    }
+    fn serialize_unit_struct(self, name: &'static str) -> Result<(), DumpError> {
+        self.serialize_str(name)
+    }
+    fn serialize_unit_variant(
+        self,
+        _: &'static str,
+        _: u32,
+        variant: &'static str,
+    ) -> Result<(), DumpError> {
+        self.serialize_str(variant)
+    }
+    fn serialize_newtype_struct<T: serde::Serialize + ?Sized>(
+        self,
+        _: &'static str,
+        value: &T,
+    ) -> Result<(), DumpError> {
+        value.serialize(self)
+    }
+    fn serialize_newtype_variant<T: serde::Serialize + ?Sized>(
+        self,
+        _: &'static str,
+        _: u32,
+        variant: &'static str,
+        value: &T,
+    ) -> Result<(), DumpError> {
+        self.0.push_str(variant);
+        value.serialize(self)
+    }
+    fn serialize_seq(self, _: Option<usize>) -> Result<Self, DumpError> {
+        self.open("seq")
+    }
+    fn serialize_tuple(self, _: usize) -> Result<Self, DumpError> {
+        self.open("tuple")
+    }
+    fn serialize_tuple_struct(self, name: &'static str, _: usize) -> Result<Self, DumpError> {
+        self.open(name)
+    }
+    fn serialize_tuple_variant(
+        self,
+        _: &'static str,
+        _: u32,
+        variant: &'static str,
+        _: usize,
+    ) -> Result<Self, DumpError> {
+        self.open(variant)
+    }
+    fn serialize_map(self, _: Option<usize>) -> Result<Self, DumpError> {
+        self.open("map")
+    }
+    fn serialize_struct(self, name: &'static str, _: usize) -> Result<Self, DumpError> {
+        self.open(name)
+    }
+    fn serialize_struct_variant(
+        self,
+        _: &'static str,
+        _: u32,
+        variant: &'static str,
+        _: usize,
+    ) -> Result<Self, DumpError> {
+        self.open(variant)
+    }
+}
+
+fn dump<T: serde::Serialize>(value: &T) -> String {
+    let mut text = String::new();
+    value.serialize(Dump(&mut text)).unwrap();
+    text
+}
+
+proptest! {
+    /// Inside an envelope, a handle encodes and sizes to the bytes the
+    /// plain naplet gives, whether its image is cached or not.
+    #[test]
+    fn a_handle_in_an_envelope_splices_byte_identically(
+        nap in naplet(),
+        action in option::of(Just(ActionSpec::ReportHome)),
+        transfer_id in any::<u64>(),
+    ) {
+        let plain = codec::to_bytes(&PlainEnvelope {
+            naplet: nap.clone(),
+            action: action.clone(),
+            transfer_id,
+        })
+        .unwrap();
+        let shared = SharedEnvelope { naplet: nap.into(), action, transfer_id };
+        // cache empty: the walk
+        prop_assert_eq!(&codec::to_bytes(&shared).unwrap(), &plain);
+        prop_assert_eq!(codec::encoded_size(&shared).unwrap(), plain.len() as u64);
+        // cache filled: the splice
+        let image = shared.naplet.wire_bytes().unwrap();
+        prop_assert_eq!(&codec::to_bytes(&shared).unwrap(), &plain);
+        prop_assert_eq!(codec::encoded_size(&shared).unwrap(), plain.len() as u64);
+        let mut scratch = vec![0xAA; 7];
+        codec::to_bytes_into(&shared, &mut scratch).unwrap();
+        prop_assert_eq!(&scratch, &plain);
+        prop_assert_eq!(&plain[..image.len()], image.as_slice());
+    }
+
+    /// A handle decoded off a frame arrives holding the frame's own
+    /// span, and that span is what encoding the decoded naplet gives.
+    #[test]
+    fn a_decoded_handle_keeps_the_span_it_was_read_from(
+        nap in naplet(),
+        transfer_id in any::<u64>(),
+    ) {
+        let image = nap.to_wire().unwrap();
+        let sent = SharedEnvelope { naplet: nap.into(), action: None, transfer_id };
+        for fill in [false, true] {
+            if fill {
+                sent.naplet.wire_bytes().unwrap();
+            }
+            let frame = codec::to_bytes(&sent).unwrap();
+            let got: SharedEnvelope = codec::from_bytes(&frame).unwrap();
+            prop_assert_eq!(&got, &sent);
+            let span = got.naplet.wire_bytes().unwrap();
+            prop_assert_eq!(span.as_slice(), &frame[..image.len()]);
+            prop_assert_eq!(span.as_slice(), &got.naplet.get().to_wire().unwrap()[..]);
+            // forwarding the decoded envelope re-emits the same frame
+            prop_assert_eq!(&codec::to_bytes(&got).unwrap(), &frame);
+        }
+    }
+
+    /// A serializer other than napcode is handed the naplet itself,
+    /// never the cached napcode image.
+    #[test]
+    fn a_foreign_serializer_sees_a_plain_naplet(nap in naplet()) {
+        let plain = dump(&nap);
+        prop_assert!(plain.starts_with("Naplet[ "));
+        let shared = SharedNaplet::new(nap);
+        prop_assert_eq!(&dump(&shared), &plain);
+        shared.wire_bytes().unwrap();
+        prop_assert_eq!(&dump(&shared), &plain);
     }
 }
 

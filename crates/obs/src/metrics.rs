@@ -67,6 +67,21 @@ impl Histogram {
     }
 }
 
+/// The metric under `name`, created by `init` on first use. Looked up
+/// by `&str`: only that first use allocates a key, and every later
+/// call — under the registry lock all servers share — allocates nothing.
+fn slot<'a, V>(
+    map: &'a mut BTreeMap<String, V>,
+    name: &str,
+    init: impl FnOnce() -> V,
+) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), init());
+    }
+    map.get_mut(name)
+        .expect("present: inserted above if absent")
+}
+
 #[derive(Default)]
 struct RegistryInner {
     counters: BTreeMap<String, u64>,
@@ -89,25 +104,21 @@ impl MetricsRegistry {
     /// Add `by` to counter `name` (created at zero on first use).
     pub fn incr(&self, name: &str, by: u64) {
         let mut inner = self.inner.lock();
-        *inner.counters.entry(name.to_string()).or_insert(0) += by;
+        *slot(&mut inner.counters, name, || 0) += by;
     }
 
     /// Record `value` into histogram `name`, creating it with `bounds`
     /// on first use (later calls keep the original bounds).
     pub fn observe(&self, name: &str, bounds: &[u64], value: u64) {
         let mut inner = self.inner.lock();
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
+        slot(&mut inner.histograms, name, || Histogram::new(bounds)).observe(value);
     }
 
     /// Raise max-gauge `name` to `value` if it is higher (high-water
     /// marks for queue depths).
     pub fn gauge_max(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock();
-        let g = inner.gauges.entry(name.to_string()).or_insert(0);
+        let g = slot(&mut inner.gauges, name, || 0);
         *g = (*g).max(value);
     }
 

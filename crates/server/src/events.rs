@@ -25,10 +25,13 @@ use crate::manager::NapletStatus;
 /// into (the `T` of `<S;T>` decided at the previous host).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransferEnvelope {
-    /// The serialized agent. Held as a [`SharedNaplet`] so the retained
-    /// retransmission copy, the journal snapshot and the frame on the
-    /// wire all share one immutable image (encoded once); the format on
-    /// the wire is identical to a plain `Naplet`.
+    /// The agent, held as a [`SharedNaplet`]: the origin's journal
+    /// records, its retained retransmission copy, the frame on the wire
+    /// and the destination's admission record are all copies of the one
+    /// image encoded when the migration began — encoding the envelope
+    /// splices it, decoding one keeps the frame's span as the new
+    /// handle's image. The format on the wire is identical to a plain
+    /// `Naplet`.
     pub naplet: SharedNaplet,
     /// Post-action for the upcoming visit.
     pub action: Option<ActionSpec>,
@@ -311,29 +314,36 @@ impl Wire {
 
     /// Stable short label for traces and logs.
     pub fn label(&self) -> &'static str {
+        &self.handler_key()["handler_us.".len()..]
+    }
+
+    /// Name of the wall-clock histogram of this wire's handler,
+    /// `handler_us.<label>` — static, so profiling every event formats
+    /// and allocates nothing.
+    pub fn handler_key(&self) -> &'static str {
         match self {
-            Wire::LandingRequest { .. } => "LandingRequest",
-            Wire::LandingReply { .. } => "LandingReply",
-            Wire::Transfer(_) => "Transfer",
-            Wire::TransferAck { .. } => "TransferAck",
-            Wire::DirRegister { .. } => "DirRegister",
-            Wire::DirAck { .. } => "DirAck",
-            Wire::DirRemove { .. } => "DirRemove",
-            Wire::DirQuery { .. } => "DirQuery",
-            Wire::DirReply { .. } => "DirReply",
-            Wire::Post { .. } => "Post",
-            Wire::PostConfirm { .. } => "PostConfirm",
-            Wire::Report { .. } => "Report",
-            Wire::Notify { .. } => "Notify",
-            Wire::AppRequest { .. } => "AppRequest",
-            Wire::AppReply { .. } => "AppReply",
-            Wire::StatusRequest { .. } => "StatusRequest",
-            Wire::StatusReply { .. } => "StatusReply",
-            Wire::TraceSegmentRequest { .. } => "TraceSegmentRequest",
-            Wire::TraceSegmentReply { .. } => "TraceSegmentReply",
-            Wire::MetricsHistoryRequest { .. } => "MetricsHistoryRequest",
-            Wire::MetricsHistoryReply { .. } => "MetricsHistoryReply",
-            Wire::Repl { .. } => "Repl",
+            Wire::LandingRequest { .. } => "handler_us.LandingRequest",
+            Wire::LandingReply { .. } => "handler_us.LandingReply",
+            Wire::Transfer(_) => "handler_us.Transfer",
+            Wire::TransferAck { .. } => "handler_us.TransferAck",
+            Wire::DirRegister { .. } => "handler_us.DirRegister",
+            Wire::DirAck { .. } => "handler_us.DirAck",
+            Wire::DirRemove { .. } => "handler_us.DirRemove",
+            Wire::DirQuery { .. } => "handler_us.DirQuery",
+            Wire::DirReply { .. } => "handler_us.DirReply",
+            Wire::Post { .. } => "handler_us.Post",
+            Wire::PostConfirm { .. } => "handler_us.PostConfirm",
+            Wire::Report { .. } => "handler_us.Report",
+            Wire::Notify { .. } => "handler_us.Notify",
+            Wire::AppRequest { .. } => "handler_us.AppRequest",
+            Wire::AppReply { .. } => "handler_us.AppReply",
+            Wire::StatusRequest { .. } => "handler_us.StatusRequest",
+            Wire::StatusReply { .. } => "handler_us.StatusReply",
+            Wire::TraceSegmentRequest { .. } => "handler_us.TraceSegmentRequest",
+            Wire::TraceSegmentReply { .. } => "handler_us.TraceSegmentReply",
+            Wire::MetricsHistoryRequest { .. } => "handler_us.MetricsHistoryRequest",
+            Wire::MetricsHistoryReply { .. } => "handler_us.MetricsHistoryReply",
+            Wire::Repl { .. } => "handler_us.Repl",
         }
     }
 
@@ -430,16 +440,22 @@ pub enum LocalEvent {
 }
 
 impl LocalEvent {
-    /// Stable short label for traces, logs, and profiling series.
+    /// Stable short label for traces and logs.
     pub fn label(&self) -> &'static str {
+        &self.handler_key()["handler_us.".len()..]
+    }
+
+    /// Name of the wall-clock histogram of this event's handler, as
+    /// [`Wire::handler_key`].
+    pub fn handler_key(&self) -> &'static str {
         match self {
-            LocalEvent::VisitDone { .. } => "VisitDone",
-            LocalEvent::CodeReady { .. } => "CodeReady",
-            LocalEvent::TransferTimeout { .. } => "TransferTimeout",
-            LocalEvent::RegisterTimeout { .. } => "RegisterTimeout",
-            LocalEvent::LeaseCheck { .. } => "LeaseCheck",
-            LocalEvent::PostTimeout { .. } => "PostTimeout",
-            LocalEvent::ReplTick => "ReplTick",
+            LocalEvent::VisitDone { .. } => "handler_us.VisitDone",
+            LocalEvent::CodeReady { .. } => "handler_us.CodeReady",
+            LocalEvent::TransferTimeout { .. } => "handler_us.TransferTimeout",
+            LocalEvent::RegisterTimeout { .. } => "handler_us.RegisterTimeout",
+            LocalEvent::LeaseCheck { .. } => "handler_us.LeaseCheck",
+            LocalEvent::PostTimeout { .. } => "handler_us.PostTimeout",
+            LocalEvent::ReplTick => "handler_us.ReplTick",
         }
     }
 }
@@ -605,6 +621,60 @@ mod tests {
         assert_eq!(back, w);
     }
 
+    /// A `Transfer` frame is byte for byte what it was when the
+    /// envelope's handle re-walked the agent — variant index, the
+    /// naplet's own encoding, then the envelope's fields — whether the
+    /// handle holds its image (the splice) or not (the walk), and the
+    /// sim's size-only metering agrees.
+    #[test]
+    fn transfer_frames_are_unchanged_by_the_splice() {
+        use naplet_core::codec;
+        use naplet_core::credential::SigningKey;
+        use naplet_core::itinerary::{Itinerary, Pattern};
+        use naplet_core::naplet::{AgentKind, Naplet};
+
+        let agent = |kind: AgentKind, ballast: usize| {
+            let it = Itinerary::new(Pattern::seq_of_hosts(&["s0", "s1"], None)).unwrap();
+            let key = SigningKey::new("czxu", b"secret");
+            let mut naplet =
+                Naplet::create(&key, "czxu", "home", Millis(1), "probe", kind, it, vec![]).unwrap();
+            // high bytes: a byte's value must not change what it costs
+            naplet.state.set("ballast", vec![0xffu8; ballast]);
+            naplet
+        };
+        for naplet in [
+            agent(AgentKind::Native, 0),
+            agent(AgentKind::Vm(vec![0x00, 0x7f, 0x80, 0xff]), 0),
+            agent(AgentKind::Native, 64 * 1024),
+        ] {
+            let action = Some(ActionSpec::ReportHome);
+            let mut expected = vec![2]; // `Wire::Transfer`
+            expected.extend(naplet.to_wire().unwrap());
+            expected.extend(codec::to_bytes(&(&action, 9u64, 3u32)).unwrap());
+
+            let wire = Wire::Transfer(TransferEnvelope {
+                naplet: naplet.into(),
+                action,
+                transfer_id: 9,
+                attempt: 3,
+            });
+            for fill in [false, true] {
+                if let (true, Wire::Transfer(envelope)) = (fill, &wire) {
+                    envelope.naplet.wire_bytes().unwrap();
+                }
+                assert_eq!(codec::to_bytes(&wire).unwrap(), expected, "fill={fill}");
+                assert_eq!(codec::encoded_size(&wire).unwrap(), expected.len() as u64);
+            }
+            // the receiving handle holds the frame's own span
+            let Wire::Transfer(got) = codec::from_bytes::<Wire>(&expected).unwrap() else {
+                panic!("a Transfer decodes as a Transfer");
+            };
+            let image = got.naplet.wire_bytes().unwrap();
+            assert_eq!(image.as_slice(), &expected[1..1 + image.len()]);
+            assert_eq!(image.as_slice(), &got.naplet.get().to_wire().unwrap()[..]);
+        }
+    }
+
     #[test]
     fn transfer_ack_round_trips_and_is_control_class() {
         let id = NapletId::new("u", "h", Millis(0)).unwrap();
@@ -667,7 +737,10 @@ mod tests {
             reason: String::new(),
         };
         assert_eq!(reply.label(), "LandingReply");
+        assert_eq!(reply.handler_key(), "handler_us.LandingReply");
         assert_eq!(reply.subject(), None);
+        assert_eq!(LocalEvent::ReplTick.label(), "ReplTick");
+        assert_eq!(LocalEvent::ReplTick.handler_key(), "handler_us.ReplTick");
     }
 
     #[test]

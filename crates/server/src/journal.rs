@@ -6,13 +6,17 @@
 //! each hosted naplet at the boundaries the protocol already computes:
 //!
 //! * **admission** — before the arrival is acknowledged, so the origin
-//!   may safely retire its copy once the `TransferAck` arrives;
+//!   may safely retire its copy once the `TransferAck` arrives. The
+//!   record is the image exactly as received; recovery stamps the
+//!   arrival (at the record's time) that admission stamped on the live
+//!   copy;
 //! * **visit completion** — the post-checkpoint snapshot together with
 //!   the navigation log's *visit epoch*, the exactly-once ratchet that
 //!   stops a replayed visit from re-applying its effects;
 //! * **departure** — the in-flight snapshot plus the transfer id and
 //!   retry state, so a crashed origin resumes the handoff instead of
-//!   dropping it;
+//!   dropping it. Its image is the one the Transfer frame carries and
+//!   the destination's admission record stores;
 //! * **retirement** — once a `TransferAck` confirms the destination
 //!   holds the agent durably (or the journey ends), the record is
 //!   removed.
@@ -253,8 +257,8 @@ pub enum JournalPhase {
 
 /// One durable naplet record: the serialized agent plus its phase. On
 /// disk that is the length-prefixed raw image, then the phase, then the
-/// timestamp; the writers in [`Journal`] emit exactly this layout from a
-/// borrowed image, so the field order here is the format.
+/// timestamp; [`Journal::record_naplet_bytes`] emits exactly this layout
+/// from a borrowed image, so the field order here is the format.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JournalRecord {
     /// `napcode`-encoded [`Naplet`] snapshot.
@@ -340,51 +344,28 @@ impl Journal {
         format!("s/{transfer_id}/{origin}")
     }
 
-    /// Durably record `naplet` in `phase`. Errors are returned for the
-    /// caller to log; the protocol proceeds regardless (a failed write
-    /// degrades durability, not correctness of the live run).
-    pub fn record_naplet(
-        &mut self,
-        id: &NapletId,
-        naplet: &Naplet,
-        phase: JournalPhase,
-        now: Millis,
-    ) -> Result<()> {
-        // A `u64` and a byte string's length prefix are the same
-        // uvarint, so the image's size followed by the naplet's own
-        // encoding is byte for byte the `Vec<u8>` image field.
-        let image_len = codec::encoded_size(naplet)?;
-        let framing = codec::encoded_size(&(image_len, &phase, now))?;
-        self.put_record(id, image_len + framing, &(image_len, naplet, phase, now))
-    }
-
-    /// Like [`record_naplet`](Self::record_naplet), but from an
-    /// already-encoded agent image — the hot path for handoffs, where a
-    /// [`naplet_core::naplet::SharedNaplet`] snapshot is encoded once
-    /// and every phase update (departure, retransmit) reuses the bytes
-    /// instead of re-serializing the whole agent.
+    /// Durably record the agent whose encoded `image` the caller holds
+    /// — a [`naplet_core::naplet::SharedNaplet`]'s cached bytes, or one
+    /// fresh encoding of a resident — in `phase`. The one writer of
+    /// naplet records: the byte string, then the phase and time — each
+    /// encoded once — are a [`JournalRecord`]'s bytes (napcode frames
+    /// neither tuples nor structs), built in one buffer of exactly that
+    /// size while only borrowing the image and the phase.
+    /// Errors are returned for the caller to log; the protocol proceeds
+    /// regardless (a failed write degrades durability, not correctness
+    /// of the live run).
     pub fn record_naplet_bytes(
         &mut self,
         id: &NapletId,
-        naplet_bytes: &[u8],
-        phase: JournalPhase,
+        image: &[u8],
+        phase: &JournalPhase,
         now: Millis,
     ) -> Result<()> {
-        let fields = (naplet_bytes, phase, now);
-        self.put_record(id, codec::encoded_size(&fields)?, &fields)
-    }
-
-    /// Write `fields` — a tuple that encodes as a [`JournalRecord`]
-    /// does (napcode frames neither tuples nor structs) while only
-    /// borrowing the image — through one buffer of its encoded `size`.
-    fn put_record<T: Serialize>(&mut self, id: &NapletId, size: u64, fields: &T) -> Result<()> {
-        let mut buf = Vec::with_capacity(size as usize);
-        codec::to_bytes_into(fields, &mut buf)?;
-        debug_assert_eq!(
-            buf.len() as u64,
-            size,
-            "record sized apart from its encoding"
-        );
+        let tail = codec::to_bytes(&(phase, now))?;
+        let prefix = codec::uvarint_len(image.len() as u64) as usize;
+        let mut buf = Vec::with_capacity(prefix + image.len() + tail.len());
+        codec::to_bytes_into(image, &mut buf)?;
+        buf.extend_from_slice(&tail);
         self.store.put(&Self::naplet_key(id), &buf)
     }
 
@@ -597,10 +578,10 @@ mod tests {
         let naplet = sample_naplet();
         let id = naplet.id().clone();
         journal
-            .record_naplet(
+            .record_naplet_bytes(
                 &id,
-                &naplet,
-                JournalPhase::Resident {
+                &naplet.to_wire().unwrap(),
+                &JournalPhase::Resident {
                     applied_epoch: 0,
                     action: Some(ActionSpec::ReportHome),
                 },
@@ -627,9 +608,9 @@ mod tests {
         assert!(journal.naplet_records().is_empty());
     }
 
-    /// Both writers hand the store the bytes of the `JournalRecord`
-    /// they stand for — no more than the image plus a few dozen bytes
-    /// of phase and timestamp — and the one reader gets the naplet back.
+    /// The writer hands the store the bytes of the `JournalRecord` it
+    /// stands for — no more than the image plus a few dozen bytes of
+    /// phase and timestamp — and the one reader gets the naplet back.
     #[test]
     fn a_record_is_the_image_once_plus_phase_and_time() {
         let mut naplet = sample_naplet();
@@ -638,13 +619,12 @@ mod tests {
         let id = naplet.id().clone();
         let image = naplet.to_wire().unwrap();
         assert!(image.len() <= 64 * 1024 + 1024, "image {}", image.len());
-        let phase = || JournalPhase::Resident {
-            applied_epoch: 3,
-            action: None,
-        };
         let record = JournalRecord {
             naplet: image.clone(),
-            phase: phase(),
+            phase: JournalPhase::Resident {
+                applied_epoch: 3,
+                action: None,
+            },
             updated: Millis(5),
         };
         let expected = codec::to_bytes(&record).unwrap();
@@ -652,24 +632,75 @@ mod tests {
         assert!(expected.len() <= image.len() + 64, "{}", expected.len());
 
         let mut journal = Journal::in_memory();
-        let stored = |journal: &Journal| {
-            let value = journal.store.get(&Journal::naplet_key(&id)).unwrap();
-            value.expect("record written")
-        };
         journal
-            .record_naplet(&id, &naplet, phase(), Millis(5))
+            .record_naplet_bytes(&id, &image, &record.phase, Millis(5))
             .unwrap();
-        assert_eq!(stored(&journal), expected, "from a borrowed naplet");
-        journal.retire(&id).unwrap();
-        journal
-            .record_naplet_bytes(&id, &image, phase(), Millis(5))
-            .unwrap();
-        assert_eq!(stored(&journal), expected, "from a borrowed image");
+        let stored = journal.store.get(&Journal::naplet_key(&id)).unwrap();
+        assert_eq!(stored.expect("record written"), expected);
 
         let records = journal.naplet_records();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].1, record);
         assert_eq!(records[0].1.decode_naplet().unwrap(), naplet);
+    }
+
+    /// One hop, one image: what the origin journals in flight, what the
+    /// Transfer frame carries and what the destination journals at
+    /// admission are the same bytes — moved with the handle (the sim)
+    /// or decoded off the frame (a `Node`).
+    #[test]
+    fn both_ends_of_a_hop_journal_the_identical_image() {
+        use crate::{Input, LocationMode, NapletServer, Output, ServerConfig};
+
+        let sent_to = |out: Vec<Output>, host: &str| {
+            let mut wires = out.into_iter().filter_map(|o| match o {
+                Output::Send { to, wire } if to == host => Some(wire),
+                _ => None,
+            });
+            wires.next().expect("a frame for the peer")
+        };
+        for framed in [false, true] {
+            // home managers: the visit waits for home's DirAck, so the
+            // admission record is still the journal's latest
+            let server =
+                |host| NapletServer::new(ServerConfig::open(host, LocationMode::HomeManagers));
+            let (mut home, mut s1) = (server("home"), server("s1"));
+            let deliver = |to: &mut NapletServer, at, from: &str, wire| {
+                let from = from.to_string();
+                to.handle(Millis(at), Input::Wire { from, wire })
+            };
+            let request = sent_to(home.launch(sample_naplet(), Millis(1)), "s1");
+            let permit = sent_to(deliver(&mut s1, 2, "home", request), "home");
+            let mut transfer = sent_to(deliver(&mut home, 3, "s1", permit), "s1");
+            let frame = codec::to_bytes(&transfer).unwrap();
+            if framed {
+                transfer = codec::from_bytes(&frame).unwrap();
+            }
+            deliver(&mut s1, 4, "home", transfer);
+
+            let origin = home.journal().naplet_records();
+            let dest = s1.journal().naplet_records();
+            let (origin, dest) = (&origin[0].1, &dest[0].1);
+            assert!(matches!(
+                origin.phase,
+                JournalPhase::InFlight {
+                    awaiting_ack: true,
+                    ..
+                }
+            ));
+            assert_eq!(
+                dest.phase,
+                JournalPhase::Resident {
+                    applied_epoch: 0,
+                    action: None
+                }
+            );
+            assert_eq!(dest.updated, Millis(4));
+            assert_eq!(origin.naplet, dest.naplet, "framed={framed}");
+            assert_eq!(frame[1..1 + dest.naplet.len()], dest.naplet[..]);
+            // as received: the arrival is stamped on the live copy only
+            assert_eq!(dest.decode_naplet().unwrap().nav_log.hops(), 0);
+        }
     }
 
     /// The record layout, pinned: length-prefixed raw image, phase,
@@ -785,8 +816,9 @@ mod tests {
         assert_eq!(journal.lag(), (0, 0));
         let naplet = sample_naplet();
         let id = naplet.id().clone();
+        let image = naplet.to_wire().unwrap();
         journal
-            .record_naplet(&id, &naplet, JournalPhase::Parked, Millis(1))
+            .record_naplet_bytes(&id, &image, &JournalPhase::Parked, Millis(1))
             .unwrap();
         journal.record_creation(&id, &naplet).unwrap(); // not lag
         journal.note_seen("s1", 7, Millis(1)).unwrap(); // not lag

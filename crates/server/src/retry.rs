@@ -53,9 +53,46 @@ impl RetryPolicy {
     }
 }
 
+/// Jitter key for a timer that belongs to a naplet instead of a
+/// transfer (arrival registrations): a multiplicative hash over the
+/// id's canonical text, folded as `Display` writes it — nothing is
+/// formatted into a `String` first.
+pub(crate) fn naplet_jitter_key(id: &naplet_core::NapletId) -> u64 {
+    use std::fmt::Write;
+
+    struct Fold(u64);
+    impl Write for Fold {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 = s.bytes().fold(self.0, |h, b| {
+                h.wrapping_mul(131).wrapping_add(u64::from(b))
+            });
+            Ok(())
+        }
+    }
+    let mut key = Fold(0x5245_4749);
+    let _ = write!(key, "{id}"); // `Fold` never fails
+    key.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The key is what hashing the formatted id always gave, so seeded
+    /// jitter — and every seeded trace — is unchanged.
+    #[test]
+    fn naplet_jitter_key_is_the_hash_of_the_formatted_id() {
+        use naplet_core::clock::Millis;
+
+        let original = naplet_core::NapletId::new("czxu", "home.host", Millis(1_234_567)).unwrap();
+        let clone = original.clone_child(2).clone_child(11);
+        for id in [original, clone] {
+            let formatted = id.to_string().bytes().fold(0x5245_4749u64, |h, b| {
+                h.wrapping_mul(131).wrapping_add(u64::from(b))
+            });
+            assert_eq!(naplet_jitter_key(&id), formatted, "{id}");
+        }
+    }
 
     #[test]
     fn backoff_doubles_and_caps() {

@@ -9,6 +9,7 @@
 //! under the discrete-event runtime and under threaded drivers.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use naplet_core::behavior::ActionRegistry;
 use naplet_core::clock::Millis;
@@ -112,6 +113,9 @@ impl ServerConfig {
     }
 }
 
+/// How long a granted landing keeps mail for its naplet waiting here.
+const EXPECTED_ARRIVAL_TTL_MS: u64 = 60_000;
+
 /// Where an outbound migration stands in the acknowledged handoff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TransferPhase {
@@ -131,10 +135,7 @@ enum RetainedAgent {
     /// image: the live handle rides in the frame, so the
     /// destination's admission is a move instead of a deep clone. The
     /// rare retransmit/failure paths decode the image back.
-    Image {
-        id: NapletId,
-        bytes: std::sync::Arc<Vec<u8>>,
-    },
+    Image { id: NapletId, bytes: Arc<Vec<u8>> },
 }
 
 impl RetainedAgent {
@@ -154,14 +155,13 @@ impl RetainedAgent {
     }
 
     /// A copy to put in a (re)transmitted Transfer frame: an `Arc` bump
-    /// of the live handle, or the retained image decoded back.
+    /// of the live handle, or the retained image decoded back into a
+    /// handle that keeps it (the frame splices it again).
     fn wire_copy(&self) -> SharedNaplet {
         match self {
             RetainedAgent::Local(n) => n.clone(),
-            RetainedAgent::Image { bytes, .. } => SharedNaplet::new(
-                naplet_core::codec::from_bytes(bytes)
-                    .expect("retained agent image decodes: it was produced by our own encoder"),
-            ),
+            RetainedAgent::Image { bytes, .. } => naplet_core::codec::from_bytes(bytes)
+                .expect("retained agent image decodes: it was produced by our own encoder"),
         }
     }
 
@@ -232,6 +232,8 @@ pub struct NapletServer {
     /// Naplets whose LANDING we granted and whose transfer has not
     /// arrived yet: messages for them wait here instead of chasing a
     /// stale footprint trail (§4.2 case 3 under cyclic itineraries).
+    /// An expectation lapses [`EXPECTED_ARRIVAL_TTL_MS`] after the
+    /// grant — its transfer was lost — so mail does not wait forever.
     expected_arrivals: HashMap<NapletId, Millis>,
     /// Transfers already admitted here, keyed by (origin host,
     /// transfer id): a retransmitted `Transfer` is re-acknowledged but
@@ -457,41 +459,31 @@ impl NapletServer {
         self.next_token
     }
 
-    /// Journal a naplet snapshot, logging (not failing) on store errors
-    /// — a degraded journal weakens durability, never the live run.
-    fn journal_naplet(&mut self, naplet: &Naplet, phase: JournalPhase, now: Millis) {
-        let id = naplet.id().clone();
-        let phase_label = phase_label(&phase);
-        if let Err(e) = self.journal.record_naplet(&id, naplet, phase, now) {
-            self.logf(now, format!("JOURNAL write failed for {id}: {e}"));
-        }
-        let records = self.journal.len() as u64;
-        self.obs
-            .metrics
-            .observe("journal_records", COUNT_BOUNDS, records);
-        self.obs
-            .emit(now, &self.host, Some(&id), || TraceKind::JournalAppend {
-                phase: phase_label.to_string(),
-                records,
-            });
+    /// Journal a snapshot of a resident: the one walk of the agent the
+    /// record costs.
+    fn journal_naplet(&mut self, naplet: &Naplet, phase: &JournalPhase, now: Millis) {
+        let image = naplet.to_wire().map(Arc::new);
+        self.journal_image(naplet.id(), image, phase, now);
     }
 
-    /// Journal a snapshot from a shared agent image, reusing its cached
-    /// encoding instead of re-serializing the whole agent per write.
-    /// Falls back to the re-encoding path when encoding fails.
-    fn journal_shared(&mut self, naplet: &SharedNaplet, phase: JournalPhase, now: Millis) {
-        match naplet.wire_bytes() {
-            Ok(bytes) => self.journal_image(naplet.id(), &bytes, phase, now),
-            Err(_) => self.journal_naplet(naplet.get(), phase, now),
-        }
-    }
-
-    /// Journal a pre-encoded agent image directly.
-    fn journal_image(&mut self, id: &NapletId, bytes: &[u8], phase: JournalPhase, now: Millis) {
-        let phase_label = phase_label(&phase);
-        if let Err(e) = self.journal.record_naplet_bytes(id, bytes, phase, now) {
+    /// Journal an agent image the caller holds — a handle's
+    /// `wire_bytes()` wherever a handoff calls this; every naplet record
+    /// is written here. Logs (never fails) when there is no image or the
+    /// store refuses it: a degraded journal weakens durability, never
+    /// the live run.
+    fn journal_image(
+        &mut self,
+        id: &NapletId,
+        image: Result<Arc<Vec<u8>>>,
+        phase: &JournalPhase,
+        now: Millis,
+    ) {
+        let written =
+            image.and_then(|image| self.journal.record_naplet_bytes(id, &image, phase, now));
+        if let Err(e) = written {
             self.logf(now, format!("JOURNAL write failed for {id}: {e}"));
         }
+        let phase_label = phase_label(phase);
         let records = self.journal.len() as u64;
         self.obs
             .metrics
@@ -503,14 +495,26 @@ impl NapletServer {
             });
     }
 
-    /// Journal from whatever custody form the origin currently holds.
-    fn journal_retained(&mut self, retained: &RetainedAgent, phase: JournalPhase, now: Millis) {
-        match retained {
-            RetainedAgent::Local(n) => self.journal_shared(n, phase, now),
-            RetainedAgent::Image { id, bytes } => {
-                let (id, bytes) = (id.clone(), std::sync::Arc::clone(bytes));
-                self.journal_image(&id, &bytes, phase, now);
-            }
+    /// Journal where the handoff `pending` stands, from whatever
+    /// custody form the origin holds. The phase owns the checkpoint
+    /// cursor for the write and hands it back, so a hop clones the
+    /// cursor once (in `continue_journey`), not once per record.
+    fn journal_pending(&mut self, transfer_id: u64, pending: &mut PendingTransfer, now: Millis) {
+        let phase = JournalPhase::InFlight {
+            transfer_id,
+            dest: pending.dest.clone(),
+            checkpoint: std::mem::take(&mut pending.checkpoint),
+            awaiting_ack: pending.phase == TransferPhase::AwaitingAck,
+            attempt: pending.attempt,
+            action: pending.action.clone(),
+        };
+        let image = match &pending.naplet {
+            RetainedAgent::Local(n) => n.wire_bytes(),
+            RetainedAgent::Image { bytes, .. } => Ok(Arc::clone(bytes)),
+        };
+        self.journal_image(pending.naplet.id(), image, &phase, now);
+        if let JournalPhase::InFlight { checkpoint, .. } = phase {
+            pending.checkpoint = checkpoint;
         }
     }
 
@@ -538,6 +542,8 @@ impl NapletServer {
         let before = self.seen_transfers.len();
         self.seen_transfers.retain(|_, t| now.since(*t) < ttl);
         self.seen_evicted += (before - self.seen_transfers.len()) as u64;
+        self.expected_arrivals
+            .retain(|_, granted| now.since(*granted) < EXPECTED_ARRIVAL_TTL_MS);
         // the durable copies of the same entries age out in lock-step
         let _ = self.journal.compact_seen(now, ttl);
         self.messenger.compact(now, ttl);
@@ -827,8 +833,8 @@ impl NapletServer {
         let profile = if self.obs.profiling_enabled() {
             Some((
                 match &input {
-                    Input::Wire { wire, .. } => wire.label(),
-                    Input::Local(ev) => ev.label(),
+                    Input::Wire { wire, .. } => wire.handler_key(),
+                    Input::Local(ev) => ev.handler_key(),
                 },
                 std::time::Instant::now(),
             ))
@@ -841,9 +847,9 @@ impl NapletServer {
             Input::Wire { from, wire } => self.handle_wire(now, &from, wire, &mut out),
             Input::Local(ev) => self.handle_local(now, ev, &mut out),
         }
-        if let Some((label, started)) = profile {
+        if let Some((key, started)) = profile {
             self.obs.metrics.observe(
-                &format!("handler_us.{label}"),
+                key,
                 naplet_obs::HANDLER_BOUNDS_US,
                 started.elapsed().as_micros() as u64,
             );
@@ -871,9 +877,6 @@ impl NapletServer {
                     Err(e) => (false, e.to_string()),
                 };
                 if granted {
-                    // age out expectations whose transfer was lost so
-                    // parked messages do not wait forever
-                    self.expected_arrivals.retain(|_, t| now.since(*t) < 60_000);
                     self.expected_arrivals.insert(naplet_id.clone(), now);
                 }
                 self.logf(
@@ -1548,11 +1551,12 @@ impl NapletServer {
             return;
         }
         let transfer_id = self.token();
-        // from here the agent travels as a shared image: the pending
-        // copy, journal snapshots and transfer frames all reuse one
-        // encoding computed at most once per itinerary hop
+        // the departure image: the agent is walked here, once, and the
+        // size estimate, both in-flight journal records, the origin's
+        // retained copy, the Transfer frame and the destination's
+        // admission record all copy these bytes
         let naplet = SharedNaplet::new(naplet);
-        let est_bytes = naplet.wire_size().unwrap_or(0);
+        let est_bytes = naplet.wire_bytes().map_or(0, |image| image.len() as u64);
         let wire = Wire::LandingRequest {
             token: transfer_id,
             from_host: self.host.clone(),
@@ -1561,34 +1565,21 @@ impl NapletServer {
             est_bytes,
             attempt: 1,
         };
+        let id = naplet.id().clone();
+        let mut pending = PendingTransfer {
+            naplet: RetainedAgent::Local(naplet),
+            action,
+            mailbox,
+            dest: dest.clone(),
+            checkpoint,
+            phase: TransferPhase::AwaitingPermit,
+            attempt: 1,
+            started: now,
+        };
         // journal before the first frame leaves: a crash here resumes
         // the handoff instead of losing the departing agent
-        self.journal_shared(
-            &naplet,
-            JournalPhase::InFlight {
-                transfer_id,
-                dest: dest.clone(),
-                checkpoint: checkpoint.clone(),
-                awaiting_ack: false,
-                attempt: 1,
-                action: action.clone(),
-            },
-            now,
-        );
-        let id = naplet.id().clone();
-        self.pending_transfers.insert(
-            transfer_id,
-            PendingTransfer {
-                naplet: RetainedAgent::Local(naplet),
-                action,
-                mailbox,
-                dest: dest.clone(),
-                checkpoint,
-                phase: TransferPhase::AwaitingPermit,
-                attempt: 1,
-                started: now,
-            },
-        );
+        self.journal_pending(transfer_id, &mut pending, now);
+        self.pending_transfers.insert(transfer_id, pending);
         self.obs
             .emit(now, &self.host, Some(&id), || TraceKind::LandingRequested {
                 dest: dest.clone(),
@@ -1613,9 +1604,7 @@ impl NapletServer {
     /// Arm the acknowledgement timer for an arrival registration; keyed
     /// on the naplet id so concurrent arrivals jitter apart.
     fn arm_register_timer(&self, id: &NapletId, attempt: u32, out: &mut Vec<Output>) {
-        let key = id.to_string().bytes().fold(0x5245_4749u64, |h, b| {
-            h.wrapping_mul(131).wrapping_add(u64::from(b))
-        });
+        let key = crate::retry::naplet_jitter_key(id);
         out.push(Output::Schedule {
             delay_ms: self.retry.jittered_backoff_ms(key, attempt),
             event: LocalEvent::RegisterTimeout {
@@ -1672,24 +1661,8 @@ impl NapletServer {
             });
         let naplet = match naplet {
             RetainedAgent::Local(n) => n,
-            RetainedAgent::Image { bytes, .. } => SharedNaplet::new(
-                naplet_core::codec::from_bytes(&bytes)
-                    .expect("retained agent image decodes: it was produced by our own encoder"),
-            ),
+            image => image.wire_copy(),
         };
-        // advance the journaled phase: past the permit, transfer sent
-        self.journal_shared(
-            &naplet,
-            JournalPhase::InFlight {
-                transfer_id,
-                dest: dest.clone(),
-                checkpoint: checkpoint.clone(),
-                awaiting_ack: true,
-                attempt: 1,
-                action: action.clone(),
-            },
-            now,
-        );
         // the origin keeps only the encoded image, so the live handle
         // moves into the frame and the destination admits it without a
         // clone
@@ -1703,28 +1676,28 @@ impl NapletServer {
             }
             Err(_) => (naplet.clone(), RetainedAgent::Local(naplet)),
         };
+        let mut pending = PendingTransfer {
+            naplet: retained,
+            action,
+            mailbox: Mailbox::new(),
+            dest,
+            checkpoint,
+            phase: TransferPhase::AwaitingAck,
+            attempt: 1,
+            started,
+        };
+        // advance the journaled phase: past the permit, transfer sent
+        self.journal_pending(transfer_id, &mut pending, now);
         out.push(Output::Send {
-            to: dest.clone(),
+            to: pending.dest.clone(),
             wire: Wire::Transfer(TransferEnvelope {
                 naplet: wire_naplet,
-                action: action.clone(),
+                action: pending.action.clone(),
                 transfer_id,
                 attempt: 1,
             }),
         });
-        self.pending_transfers.insert(
-            transfer_id,
-            PendingTransfer {
-                naplet: retained,
-                action,
-                mailbox: Mailbox::new(),
-                dest,
-                checkpoint,
-                phase: TransferPhase::AwaitingAck,
-                attempt: 1,
-                started,
-            },
-        );
+        self.pending_transfers.insert(transfer_id, pending);
         self.arm_transfer_timer(transfer_id, 1, out);
     }
 
@@ -1752,7 +1725,7 @@ impl NapletServer {
                     from_host: self.host.clone(),
                     credential: local.credential().clone(),
                     naplet_id: id.clone(),
-                    est_bytes: local.wire_size().unwrap_or(0),
+                    est_bytes: local.wire_bytes().map_or(0, |image| image.len() as u64),
                     attempt,
                 }
             }
@@ -1765,18 +1738,7 @@ impl NapletServer {
         };
         // keep the journaled attempt in step so a recovered origin
         // picks up the retry budget where it left off
-        self.journal_retained(
-            &pending.naplet,
-            JournalPhase::InFlight {
-                transfer_id,
-                dest: dest.clone(),
-                checkpoint: pending.checkpoint.clone(),
-                awaiting_ack: pending.phase == TransferPhase::AwaitingAck,
-                attempt,
-                action: pending.action.clone(),
-            },
-            now,
-        );
+        self.journal_pending(transfer_id, &mut pending, now);
         let phase = match pending.phase {
             TransferPhase::AwaitingPermit => "permit",
             TransferPhase::AwaitingAck => "transfer",
@@ -1892,7 +1854,7 @@ impl NapletServer {
         );
         // a parked agent held for owner recovery must survive a crash
         // of the server holding it
-        self.journal_naplet(&naplet, JournalPhase::Parked, now);
+        self.journal_naplet(&naplet, &JournalPhase::Parked, now);
         self.parked.insert(id, naplet);
     }
 
@@ -1981,9 +1943,6 @@ impl NapletServer {
         out: &mut Vec<Output>,
     ) {
         let TransferEnvelope { naplet, action, .. } = envelope;
-        // sole owner on the receiving side (the origin's retained copy
-        // lives in another process/server), so this is move-or-clone
-        let mut naplet = naplet.into_owned();
         let id = naplet.id().clone();
         if let Err(e) = self.security.verify_naplet(&naplet) {
             self.logf(now, format!("ARRIVAL rejected for {id}: {e}"));
@@ -1994,25 +1953,23 @@ impl NapletServer {
         if from.is_some() {
             self.manager.record_arrival(&id, from, now);
         }
-        naplet.nav_log.record_arrival(&self.host, now);
-        // server-side state inspection/update under protection modes
-        if let Some(hook) = &mut self.state_hook {
-            let mut view = naplet.state.server_view(&self.host);
-            hook(&mut view);
-        }
         self.logf(now, format!("ARRIVAL {id}"));
         // durable before the TransferAck (already queued) can commit
         // the origin's release: from here this server owns the agent.
-        // `applied_epoch` is one behind — this visit has not run yet.
-        let epoch = naplet.nav_log.visit_epoch();
-        self.journal_naplet(
-            &naplet,
-            JournalPhase::Resident {
-                applied_epoch: epoch.saturating_sub(1),
-                action: action.clone(),
-            },
-            now,
-        );
+        // The record is the image as received — the handle's own bytes
+        // off the frame, nothing encoded (a same-host visit encodes
+        // here) — with no arrival stamped, so `applied_epoch`, the
+        // image's own epoch, is one behind the visit about to open;
+        // `recover` re-stamps from the record's time.
+        let phase = JournalPhase::Resident {
+            applied_epoch: naplet.nav_log.visit_epoch(),
+            action: action.clone(),
+        };
+        self.journal_image(&id, naplet.wire_bytes(), &phase, now);
+        // sole owner on the receiving side (the origin's retained copy
+        // lives in another process/server), so this is move-or-clone
+        let mut naplet = naplet.into_owned();
+        self.stamp_arrival(&mut naplet, now);
 
         let state = RunState::AwaitingArrivalAck;
         let entry = self.monitor.admit(naplet, action, state, now);
@@ -2068,6 +2025,20 @@ impl NapletServer {
         // early control messages now interrupt the just-arrived naplet
         for verb in pending_controls {
             self.apply_control(&id, &verb, now, out);
+        }
+    }
+
+    /// Open the visit on the live copy: stamp the arrival in the
+    /// navigation log, then let the host inspect/update the agent's
+    /// state under its protection modes. Admission runs this after
+    /// journaling the image as received and recovery runs it again on
+    /// that record (at the record's time), so the hook may see one
+    /// arrival twice and must be deterministic.
+    fn stamp_arrival(&mut self, naplet: &mut Naplet, at: Millis) {
+        naplet.nav_log.record_arrival(&self.host, at);
+        if let Some(hook) = &mut self.state_hook {
+            let mut view = naplet.state.server_view(&self.host);
+            hook(&mut view);
         }
     }
 
@@ -2301,7 +2272,7 @@ impl NapletServer {
                         let epoch = entry.naplet.nav_log.visit_epoch();
                         self.journal_naplet(
                             &entry.naplet,
-                            JournalPhase::Resident {
+                            &JournalPhase::Resident {
                                 applied_epoch: epoch,
                                 action: None,
                             },
@@ -2682,7 +2653,8 @@ impl NapletServer {
         // not resident — but if its landing was granted here and the
         // transfer is still in flight, wait for it (case 3) rather
         // than chasing a stale trail
-        if self.expected_arrivals.contains_key(&target) {
+        let expected = self.expected_arrivals.get(&target);
+        if expected.is_some_and(|granted| now.since(*granted) < EXPECTED_ARRIVAL_TTL_MS) {
             self.messenger.stash_early(msg, &origin_host);
             self.note_special_mailbox_depth();
             return;
@@ -3100,7 +3072,7 @@ impl NapletServer {
         let mut suppressed = 0u64;
         let mut resumed = 0u64;
         for (_key, record) in self.journal.naplet_records() {
-            let Ok(naplet) = record.decode_naplet() else {
+            let Ok(mut naplet) = record.decode_naplet() else {
                 continue; // undecodable record: nothing restorable
             };
             let id = naplet.id().clone();
@@ -3121,6 +3093,11 @@ impl NapletServer {
                 } => {
                     // restore the footprint so message chases find us
                     self.manager.record_arrival(&id, None, now);
+                    if naplet.nav_log.current_visit().is_none() {
+                        // an admission record is the image as received:
+                        // open the visit as admission did, at its time
+                        self.stamp_arrival(&mut naplet, record.updated);
+                    }
                     if applied_epoch >= naplet.nav_log.visit_epoch() {
                         // effects already escaped: resume at visit end
                         self.recovery.replays_suppressed += 1;

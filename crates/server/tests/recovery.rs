@@ -229,3 +229,117 @@ fn home_crash_rebuilds_lease_table() {
         "completion must release the rebuilt lease"
     );
 }
+
+/// Every server greets an arriving agent by bumping its public
+/// `greeted` counter through the mode-checked view (paper §2.1).
+fn greet(rt: &mut SimRuntime, host: &str) {
+    rt.server_mut(host).unwrap().set_arrival_state_hook(|view| {
+        if let Ok(Value::Int(n)) = view.get("greeted") {
+            view.set("greeted", n + 1).unwrap();
+        }
+    });
+}
+
+fn greeted_world() -> (SimRuntime, Naplet) {
+    let mut rt = world(2, None, 3);
+    for host in ["home", "s0", "s1"] {
+        greet(&mut rt, host);
+    }
+    let mut naplet = agent(&["s0", "s1", "home"], 1);
+    naplet.state.set_public("greeted", 0);
+    (rt, naplet)
+}
+
+/// With an arrival hook installed, crash whichever worker the next
+/// event targets, before every event index of a 3-hop journey: the
+/// admission record holds the agent as received and recovery opens the
+/// visit again, so each run still completes exactly once, stops at the
+/// same hosts once each, and ends in the uncrashed run's state.
+#[test]
+fn a_crash_at_any_event_leaves_arrival_hooks_applied_once_per_visit() {
+    // (final state as reported home, route with one entry per arrival)
+    let run = |crash_at: Option<u64>| -> Option<(Value, Vec<String>, u64)> {
+        let (mut rt, naplet) = greeted_world();
+        rt.launch(naplet).unwrap();
+        let mut steps = 0;
+        if let Some(k) = crash_at {
+            while steps < k && rt.step().is_some() {
+                steps += 1;
+            }
+            match rt.peek_target() {
+                Some(host) if host != "home" => {
+                    rt.crash_server(&host, Some(40));
+                    greet(&mut rt, &host); // the restarted process installs its hook again
+                }
+                _ => return None,
+            }
+        }
+        while rt.step().is_some() {
+            steps += 1;
+        }
+        let reports = rt.drain_reports("home");
+        assert_eq!(reports.len(), 1, "crash before event {crash_at:?}");
+        let completed = &rt.server("home").unwrap().completed;
+        assert_eq!(completed.len(), 1, "crash before event {crash_at:?}");
+        let route = completed[0].1.route();
+        let route = route.into_iter().map(str::to_string).collect();
+        Some((reports[0].1.clone(), route, steps))
+    };
+    let (state, route, events) = run(None).unwrap();
+    assert_eq!(visits(&state), ["s0", "s1", "home"]);
+    assert_eq!(route, ["s0", "s1", "home"]);
+    assert_eq!(state.get("greeted"), Value::Int(3));
+    let mut crashed = 0;
+    for k in 0..events {
+        let Some((crashed_state, crashed_route, _)) = run(Some(k)) else {
+            continue; // the next event targeted home, the observer
+        };
+        crashed += 1;
+        assert_eq!(crashed_state, state, "crash before event {k}");
+        assert_eq!(crashed_route, route, "crash before event {k}");
+    }
+    assert!(crashed >= 10, "only {crashed} indices crashed a worker");
+}
+
+/// A host recovered from an admission record holds the agent it
+/// received, with the arrival stamped at the admission's time (not the
+/// recovery's) and the arrival hook applied once.
+#[test]
+fn recovery_from_an_admission_record_reopens_the_visit_as_admitted() {
+    let (mut rt, naplet) = greeted_world();
+    let id = naplet.id().clone();
+    rt.launch(naplet).unwrap();
+    // s0 admits at t=9 and waits for home's DirAck
+    while rt.server("s0").unwrap().monitor.get(&id).is_none() {
+        rt.step().expect("the agent reaches s0");
+    }
+    let s0 = rt.server("s0").unwrap();
+    let admitted = s0.monitor.get(&id).unwrap().naplet.clone();
+    let records = s0.journal().naplet_records();
+    let [(_, record)] = &records[..] else {
+        panic!("one admission record, got {records:?}");
+    };
+    let admitted_at = record.updated;
+    let received = record.decode_naplet().unwrap();
+    assert_eq!(received.nav_log.hops(), 0, "journaled as received");
+    assert_eq!(received.state.get("greeted"), Value::Int(0));
+
+    rt.crash_server("s0", Some(40));
+    greet(&mut rt, "s0");
+    while rt.server("s0").unwrap().recovery_stats().rehydrated == 0 {
+        rt.step().expect("s0 restarts");
+    }
+    assert!(rt.now() > admitted_at, "recovered later than admitted");
+    let recovered = &rt.server("s0").unwrap().monitor.get(&id).unwrap().naplet;
+    let mut expected = received;
+    expected.nav_log.record_arrival("s0", admitted_at);
+    expected.state.set_public("greeted", 1);
+    assert_eq!(recovered, &expected);
+    assert_eq!(recovered, &admitted, "as the admission left it");
+
+    rt.run_to_quiescence(1_000_000);
+    let reports = rt.drain_reports("home");
+    assert_eq!(reports.len(), 1, "journey must complete");
+    assert_eq!(visits(&reports[0].1), ["s0", "s1", "home"]);
+    assert_eq!(reports[0].1.get("greeted"), Value::Int(3));
+}
