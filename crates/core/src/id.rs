@@ -11,10 +11,16 @@
 //!
 //! e.g. `czxu@ece.eng.wayne.edu:010512172720:2.1` — the first clone of
 //! the second clone of the original naplet created by `czxu`.
-//! Identifiers are immutable for the naplet's whole life cycle.
+//! Identifiers are immutable for the naplet's whole life cycle, which
+//! is what lets [`NapletId`] be a shared handle: every table, frame and
+//! event that names a naplet holds a reference to one set of fields
+//! instead of its own copy of two strings and a vector.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -22,8 +28,17 @@ use crate::clock::Millis;
 use crate::error::{NapletError, Result};
 
 /// Immutable, system-wide unique naplet identifier.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct NapletId {
+///
+/// A refcounted handle: `clone` bumps a counter and `==` tries pointer
+/// identity first. Ordering, hashing, text form and encoding are those
+/// of the four fields, whichever allocation they sit in.
+#[derive(Clone)]
+pub struct NapletId(Arc<Fields>);
+
+/// What an identifier says; its declaration order is the comparison
+/// order and the wire layout.
+#[derive(PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+struct Fields {
     user: String,
     home: String,
     created: Millis,
@@ -40,19 +55,35 @@ impl NapletId {
     /// reserved separator characters `@`, `:` or whitespace
     /// (`home` may contain dots, as host names do).
     pub fn new(user: &str, home: &str, created: Millis) -> Result<NapletId> {
+        NapletId::checked(user, home, created, Vec::new())
+    }
+
+    /// An identifier from parts that arrive from outside (a caller, a
+    /// parsed string): `user` and `home` are validated.
+    fn checked(user: &str, home: &str, created: Millis, heritage: Vec<u32>) -> Result<NapletId> {
         validate_part(user, "user")?;
         validate_part(home, "home host")?;
-        Ok(NapletId {
+        Ok(NapletId(Arc::new(Fields {
             user: user.to_string(),
             home: home.to_string(),
             created,
-            heritage: Vec::new(),
-        })
+            heritage,
+        })))
+    }
+
+    /// The member of this identifier's family with the given heritage.
+    fn relative(&self, heritage: Vec<u32>) -> NapletId {
+        NapletId(Arc::new(Fields {
+            user: self.0.user.clone(),
+            home: self.0.home.clone(),
+            created: self.0.created,
+            heritage,
+        }))
     }
 
     /// The creating user ("who").
     pub fn user(&self) -> &str {
-        &self.user
+        &self.0.user
     }
 
     /// The home host on which the naplet was created ("where").
@@ -60,29 +91,29 @@ impl NapletId {
     /// home NapletManagers provide distributed directory service
     /// (paper §4.1).
     pub fn home(&self) -> &str {
-        &self.home
+        &self.0.home
     }
 
     /// Creation timestamp ("when").
     pub fn created(&self) -> Millis {
-        self.created
+        self.0.created
     }
 
     /// Clone heritage sequence (empty for the original).
     pub fn heritage(&self) -> &[u32] {
-        &self.heritage
+        &self.0.heritage
     }
 
     /// True when this id belongs to the original, never-cloned naplet
     /// of its family.
     pub fn is_original(&self) -> bool {
-        self.heritage.is_empty()
+        self.0.heritage.is_empty()
     }
 
     /// Number of clone generations between this naplet and the family
     /// original.
     pub fn generation(&self) -> usize {
-        self.heritage.len()
+        self.0.heritage.len()
     }
 
     /// Derive the identifier of the `ordinal`-th clone of this naplet.
@@ -92,66 +123,53 @@ impl NapletId {
     /// logically re-identified as `….0` and the `k`-th spawned clone as
     /// `….k` (`k ≥ 1`). Both are produced with this method.
     pub fn clone_child(&self, ordinal: u32) -> NapletId {
-        let mut heritage = self.heritage.clone();
+        let mut heritage = self.0.heritage.clone();
         heritage.push(ordinal);
-        NapletId {
-            user: self.user.clone(),
-            home: self.home.clone(),
-            created: self.created,
-            heritage,
-        }
+        self.relative(heritage)
     }
 
     /// The parent identifier in the clone tree, or `None` for the
     /// original.
     pub fn parent(&self) -> Option<NapletId> {
-        if self.heritage.is_empty() {
+        if self.0.heritage.is_empty() {
             return None;
         }
-        let mut heritage = self.heritage.clone();
+        let mut heritage = self.0.heritage.clone();
         heritage.pop();
-        Some(NapletId {
-            user: self.user.clone(),
-            home: self.home.clone(),
-            created: self.created,
-            heritage,
-        })
+        Some(self.relative(heritage))
     }
 
     /// The family original this naplet descends from.
     pub fn original(&self) -> NapletId {
-        NapletId {
-            user: self.user.clone(),
-            home: self.home.clone(),
-            created: self.created,
-            heritage: Vec::new(),
-        }
+        self.relative(Vec::new())
     }
 
     /// True if `self` is an ancestor of `other` in the clone tree
     /// (proper ancestor: `x` is not an ancestor of itself).
     pub fn is_ancestor_of(&self, other: &NapletId) -> bool {
         self.same_family(other)
-            && self.heritage.len() < other.heritage.len()
-            && other.heritage[..self.heritage.len()] == self.heritage[..]
+            && self.0.heritage.len() < other.0.heritage.len()
+            && other.0.heritage[..self.0.heritage.len()] == self.0.heritage[..]
     }
 
     /// True when two ids descend from the same original naplet.
     pub fn same_family(&self, other: &NapletId) -> bool {
-        self.user == other.user && self.home == other.home && self.created == other.created
+        self.0.user == other.0.user
+            && self.0.home == other.0.home
+            && self.0.created == other.0.created
     }
 
     /// A short display form for logs: `user@host:…:heritage` with the
     /// timestamp elided.
     pub fn short(&self) -> String {
-        if self.heritage.is_empty() {
-            format!("{}@{}", self.user, self.home)
+        if self.0.heritage.is_empty() {
+            format!("{}@{}", self.0.user, self.0.home)
         } else {
             format!(
                 "{}@{}:{}",
-                self.user,
-                self.home,
-                heritage_string(&self.heritage)
+                self.0.user,
+                self.0.home,
+                Dotted(&self.0.heritage)
             )
         }
     }
@@ -169,16 +187,25 @@ fn validate_part(s: &str, what: &str) -> Result<()> {
     Ok(())
 }
 
-fn heritage_string(h: &[u32]) -> String {
-    h.iter().map(u32::to_string).collect::<Vec<_>>().join(".")
+/// A heritage in its dotted text form, `h0.h1.h2`.
+struct Dotted<'a>(&'a [u32]);
+
+impl fmt::Display for Dotted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, ordinal) in self.0.iter().enumerate() {
+            let dot = if i == 0 { "" } else { "." };
+            write!(f, "{dot}{ordinal}")?;
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for NapletId {
     /// Canonical textual form: `user@host:timestamp[:h0.h1...]`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@{}:{}", self.user, self.home, self.created.0)?;
-        if !self.heritage.is_empty() {
-            write!(f, ":{}", heritage_string(&self.heritage))?;
+        write!(f, "{}@{}:{}", self.0.user, self.0.home, self.0.created.0)?;
+        if !self.0.heritage.is_empty() {
+            write!(f, ":{}", Dotted(&self.0.heritage))?;
         }
         Ok(())
     }
@@ -220,9 +247,73 @@ impl FromStr for NapletId {
                 "too many `:` sections in `{s}`"
             )));
         }
-        let mut id = NapletId::new(user, home, created)?;
-        id.heritage = heritage;
-        Ok(id)
+        NapletId::checked(user, home, created, heritage)
+    }
+}
+
+impl PartialEq for NapletId {
+    /// Same handle, else same fields — the cheap ones first, since ids
+    /// of one run mostly share `user` and `home` and differ in these.
+    fn eq(&self, other: &NapletId) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.created == other.0.created
+                && self.0.heritage == other.0.heritage
+                && self.0.user == other.0.user
+                && self.0.home == other.0.home)
+    }
+}
+
+impl Eq for NapletId {}
+
+impl PartialOrd for NapletId {
+    fn partial_cmp(&self, other: &NapletId) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for NapletId {
+    fn cmp(&self, other: &NapletId) -> Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            Ordering::Equal
+        } else {
+            self.0.cmp(&other.0)
+        }
+    }
+}
+
+impl Hash for NapletId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl fmt::Debug for NapletId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NapletId")
+            .field("user", &self.0.user)
+            .field("home", &self.0.home)
+            .field("created", &self.0.created)
+            .field("heritage", &self.0.heritage)
+            .finish()
+    }
+}
+
+// napcode frames no struct, so delegating to the fields keeps the bytes
+// a four-field `NapletId` always had
+impl Serialize for NapletId {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        self.0.serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for NapletId {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<NapletId, D::Error> {
+        Fields::deserialize(deserializer).map(|fields| NapletId(Arc::new(fields)))
     }
 }
 
@@ -336,5 +427,47 @@ mod tests {
         let bytes = crate::codec::to_bytes(&id).unwrap();
         let back: NapletId = crate::codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, id);
+    }
+
+    /// The handle is invisible on the wire: an id encodes as its four
+    /// fields in order, whether built, cloned or decoded.
+    #[test]
+    fn encodes_as_the_plain_four_fields() {
+        use crate::codec::to_bytes;
+        let id = base().clone_child(4).clone_child(0);
+        let mut golden = vec![4];
+        golden.extend(b"czxu");
+        golden.push(17);
+        golden.extend(b"ece.eng.wayne.edu");
+        golden.extend([0xb0, 0x8d, 0xcc, 0x94, 0x27]); // 10512172720
+        golden.extend([2, 4, 0]);
+        let fields = ("czxu", "ece.eng.wayne.edu", 10512172720u64, vec![4u32, 0]);
+        assert_eq!(to_bytes(&fields).unwrap(), golden);
+        assert_eq!(to_bytes(&id).unwrap(), golden);
+        assert_eq!(to_bytes(&id.clone()).unwrap(), golden);
+        let decoded: NapletId = crate::codec::from_bytes(&golden).unwrap();
+        assert_eq!(to_bytes(&decoded).unwrap(), golden);
+        // an original's heritage is the empty sequence
+        golden.truncate(golden.len() - 3);
+        golden.push(0);
+        assert_eq!(to_bytes(&base()).unwrap(), golden);
+    }
+
+    #[test]
+    fn equality_is_by_content_across_allocations() {
+        let a = base().clone_child(1);
+        let b: NapletId = a.to_string().parse().unwrap();
+        assert!(!Arc::ptr_eq(&a.0, &b.0));
+        assert_eq!(a, b);
+        assert_eq!(a.cmp(&b), Ordering::Equal);
+        assert_ne!(a, base().clone_child(2));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert!(format!("{a:?}").starts_with("NapletId { user: \"czxu\", "));
+    }
+
+    #[test]
+    fn ids_cross_threads() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<NapletId>();
     }
 }

@@ -1,12 +1,17 @@
 //! Runtime itinerary traversal (paper §3).
 //!
 //! A [`Cursor`] is the serializable "where am I in the journey" state a
-//! naplet carries. Servers drive it: [`Cursor::next`] yields the next
-//! [`Step`] — travel to a host, fork clones for a `Par`, run a
-//! post-action, or finish. Guards are evaluated at decision time
-//! against the naplet's state and hop count, so the same pattern can
-//! unfold differently depending on what the agent has learned
-//! (conditional visits).
+//! naplet carries. It holds no part of the travel plan: every pending
+//! item is either an action to run or a *reference to a node of the
+//! plan* — the child indices leading to it from the root — so the one
+//! [`Pattern`] inside the naplet's [`Itinerary`](super::Itinerary) is
+//! the only copy that travels, and a cursor can only ever name what
+//! that plan declares. Servers drive it: [`Cursor::next`] resolves the
+//! top reference against the plan and yields the next [`Step`] — travel
+//! to a host, fork clones for a `Par`, run a post-action, or finish.
+//! Guards are evaluated at decision time against the naplet's state and
+//! hop count, so the same pattern can unfold differently depending on
+//! what the agent has learned (conditional visits).
 //!
 //! ## `Par` semantics
 //!
@@ -66,25 +71,46 @@ pub enum Step {
 /// A pending unit of traversal work.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum WorkItem {
-    Pat(Pattern),
+    /// The plan node that `path` — child indices from the root — leads
+    /// to. Of a `Seq`, the children from `next` on are still to come;
+    /// every other node is entered whole and ignores `next`.
+    Node { path: Vec<usize>, next: usize },
+    /// A `Par` completion action or the itinerary's final action.
     Act(ActionSpec),
 }
 
-/// Serializable traversal state. The stack's top is its last element.
+impl WorkItem {
+    /// Child `index` of the node at `path`, not yet entered.
+    fn child(path: &[usize], index: usize) -> WorkItem {
+        let mut child = Vec::with_capacity(path.len() + 1);
+        child.extend_from_slice(path);
+        child.push(index);
+        WorkItem::Node {
+            path: child,
+            next: 0,
+        }
+    }
+}
+
+/// Serializable traversal state: a stack of references into the plan
+/// the naplet's itinerary holds (top = last element). Its size follows
+/// the plan's nesting depth, not the number of visits still to come, so
+/// checkpointing it is a few integers wherever the agent is.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct Cursor {
     stack: Vec<WorkItem>,
 }
 
 impl Cursor {
-    /// Begin traversing `pattern`; `final_action` (if any) runs after
-    /// everything else, on the originator branch.
-    pub(super) fn begin(pattern: Pattern, final_action: Option<ActionSpec>) -> Cursor {
+    /// Begin traversing a plan at its root; `final_action` (if any)
+    /// runs after everything else, on the originator branch.
+    pub(super) fn begin(final_action: Option<ActionSpec>) -> Cursor {
         let mut stack = Vec::with_capacity(2);
-        if let Some(act) = final_action {
-            stack.push(WorkItem::Act(act));
-        }
-        stack.push(WorkItem::Pat(pattern));
+        stack.extend(final_action.map(WorkItem::Act));
+        stack.push(WorkItem::Node {
+            path: Vec::new(),
+            next: 0,
+        });
         Cursor { stack }
     }
 
@@ -94,67 +120,77 @@ impl Cursor {
         Cursor { stack: Vec::new() }
     }
 
-    /// True when the journey has no remaining work.
+    /// True when no work item remains: [`Cursor::next`] returns
+    /// [`Step::Done`] from here on. (What does remain may still unfold
+    /// to nothing — failing guards, the exhausted tail of a `Seq`.)
     pub fn is_done(&self) -> bool {
         self.stack.is_empty()
     }
 
-    /// Advance to the next directive, consuming skipped visits.
-    pub fn next(&mut self, env: &GuardEnv<'_>) -> Step {
+    /// Advance to the next directive over `plan` — the pattern this
+    /// cursor was started on — consuming skipped visits.
+    ///
+    /// A reference that leaves `plan` (a corrupted record, a hostile
+    /// image, another agent's cursor) names nothing and is dropped.
+    /// Every turn pops one item and pushes at most two that lie
+    /// strictly deeper or further along the finite plan, so this
+    /// neither panics nor loops whatever the cursor holds.
+    pub fn next(&mut self, plan: &Pattern, env: &GuardEnv<'_>) -> Step {
         loop {
-            let Some(item) = self.stack.pop() else {
-                return Step::Done;
+            let (path, next) = match self.stack.pop() {
+                None => return Step::Done,
+                Some(WorkItem::Act(a)) => return Step::Action(a),
+                Some(WorkItem::Node { path, next }) => (path, next),
             };
-            match item {
-                WorkItem::Act(a) => return Step::Action(a),
-                WorkItem::Pat(Pattern::Singleton(v)) => {
+            let Some(node) = resolve(plan, &path) else {
+                continue;
+            };
+            match node {
+                Pattern::Singleton(v) => {
                     if v.guard.eval(env) {
                         return Step::Visit {
-                            host: v.host,
-                            action: v.action,
+                            host: v.host.clone(),
+                            action: v.action.clone(),
                         };
                     }
                     // guard failed: conditional visit skipped
                 }
-                WorkItem::Pat(Pattern::Seq(parts)) => {
-                    // push in reverse so the first part is on top
-                    for p in parts.into_iter().rev() {
-                        self.stack.push(WorkItem::Pat(p));
+                Pattern::Seq(parts) => {
+                    if next < parts.len() {
+                        // the rest of the sequence waits under the child
+                        let child = WorkItem::child(&path, next);
+                        self.stack.push(WorkItem::Node {
+                            path,
+                            next: next + 1,
+                        });
+                        self.stack.push(child);
                     }
                 }
-                WorkItem::Pat(Pattern::Alt(alts)) => {
+                Pattern::Alt(alts) => {
                     // take the first alternative whose entry guard
                     // passes; when none does, the Alt is skipped whole
-                    if let Some(chosen) = alts.into_iter().find(|p| entry_guard_passes(p, env)) {
-                        self.stack.push(WorkItem::Pat(chosen));
+                    if let Some(chosen) = alts.iter().position(|p| entry_guard_passes(p, env)) {
+                        self.stack.push(WorkItem::child(&path, chosen));
                     }
                 }
-                WorkItem::Pat(Pattern::Par {
-                    mut branches,
-                    after,
-                }) => {
+                Pattern::Par { branches, after } => {
                     if branches.is_empty() {
                         continue;
                     }
-                    let first = branches.remove(0);
-                    // spawned clones: just their branch + completion action
-                    let clones: Vec<Cursor> = branches
-                        .into_iter()
-                        .map(|b| {
-                            let mut stack = Vec::with_capacity(2);
-                            if let Some(a) = after.clone() {
-                                stack.push(WorkItem::Act(a));
-                            }
-                            stack.push(WorkItem::Pat(b));
-                            Cursor { stack }
+                    // one executor's share: its branch, then the
+                    // completion action
+                    let share = |branch: usize| {
+                        let act = after.clone().map(WorkItem::Act);
+                        act.into_iter().chain([WorkItem::child(&path, branch)])
+                    };
+                    // the emitting naplet continues with branch 0 before
+                    // the existing sequel; each extra branch is a clone's
+                    let clones: Vec<Cursor> = (1..branches.len())
+                        .map(|b| Cursor {
+                            stack: share(b).collect(),
                         })
                         .collect();
-                    // the emitting naplet continues with branch 0 (and
-                    // its completion action) before the existing sequel
-                    if let Some(a) = after {
-                        self.stack.push(WorkItem::Act(a));
-                    }
-                    self.stack.push(WorkItem::Pat(first));
+                    self.stack.extend(share(0));
                     if !clones.is_empty() {
                         return Step::Fork { clones };
                     }
@@ -163,11 +199,12 @@ impl Cursor {
         }
     }
 
-    /// The host of the next visit *if* traversal were advanced now,
-    /// without consuming anything. Forks and actions yield `None`.
-    pub fn peek_next_host(&self, env: &GuardEnv<'_>) -> Option<String> {
+    /// The host of the next visit *if* traversal over `plan` were
+    /// advanced now, without consuming anything. Forks and actions
+    /// yield `None`.
+    pub fn peek_next_host(&self, plan: &Pattern, env: &GuardEnv<'_>) -> Option<String> {
         let mut probe = self.clone();
-        match probe.next(env) {
+        match probe.next(plan, env) {
             Step::Visit { host, .. } => Some(host),
             _ => None,
         }
@@ -177,6 +214,12 @@ impl Cursor {
     pub fn remaining_depth(&self) -> usize {
         self.stack.len()
     }
+}
+
+/// The plan node `path` leads to; `None` when the path leaves the plan.
+fn resolve<'p>(plan: &'p Pattern, path: &[usize]) -> Option<&'p Pattern> {
+    path.iter()
+        .try_fold(plan, |node, &index| node.children().get(index))
 }
 
 /// Would this pattern's first reachable visit run, under `env`?
@@ -208,12 +251,16 @@ mod tests {
 
     /// Drive a cursor to completion with all guards implicitly passing,
     /// collecting (hosts, actions) in order; panics on Fork.
-    fn run_linear(mut c: Cursor, state: &NapletState) -> (Vec<String>, Vec<ActionSpec>) {
+    fn run_linear(
+        it: &Itinerary,
+        mut c: Cursor,
+        state: &NapletState,
+    ) -> (Vec<String>, Vec<ActionSpec>) {
         let mut hosts = Vec::new();
         let mut actions = Vec::new();
         let mut hops = 0;
         loop {
-            match c.next(&env(state, hops)) {
+            match c.next(it.pattern(), &env(state, hops)) {
                 Step::Visit { host, action } => {
                     hosts.push(host);
                     hops += 1;
@@ -232,7 +279,7 @@ mod tests {
     fn sequence_visits_in_order() {
         let it = Itinerary::new(Pattern::seq_of_hosts(&["a", "b", "c"], None)).unwrap();
         let state = NapletState::new();
-        let (hosts, actions) = run_linear(it.start(), &state);
+        let (hosts, actions) = run_linear(&it, it.start(), &state);
         assert_eq!(hosts, ["a", "b", "c"]);
         assert!(actions.is_empty());
     }
@@ -245,7 +292,7 @@ mod tests {
         ))
         .unwrap();
         let state = NapletState::new();
-        let (hosts, actions) = run_linear(it.start(), &state);
+        let (hosts, actions) = run_linear(&it, it.start(), &state);
         assert_eq!(hosts.len(), 2);
         assert_eq!(actions, vec![ActionSpec::DataComm, ActionSpec::DataComm]);
     }
@@ -257,12 +304,15 @@ mod tests {
             .with_final_action(ActionSpec::ReportHome);
         let state = NapletState::new();
         let mut c = it.start();
-        assert!(matches!(c.next(&env(&state, 0)), Step::Visit { .. }));
+        assert!(matches!(
+            c.next(it.pattern(), &env(&state, 0)),
+            Step::Visit { .. }
+        ));
         assert_eq!(
-            c.next(&env(&state, 1)),
+            c.next(it.pattern(), &env(&state, 1)),
             Step::Action(ActionSpec::ReportHome)
         );
-        assert_eq!(c.next(&env(&state, 1)), Step::Done);
+        assert_eq!(c.next(it.pattern(), &env(&state, 1)), Step::Done);
         assert!(c.is_done());
     }
 
@@ -274,13 +324,13 @@ mod tests {
         let mut state = NapletState::new();
         let mut c = it.start();
 
-        let Step::Visit { host, .. } = c.next(&env(&state, 0)) else {
+        let Step::Visit { host, .. } = c.next(it.pattern(), &env(&state, 0)) else {
             panic!()
         };
         assert_eq!(host, "a");
         // found it at `a`: remaining conditional visits are skipped
         state.set("found", true);
-        assert_eq!(c.next(&env(&state, 1)), Step::Done);
+        assert_eq!(c.next(it.pattern(), &env(&state, 1)), Step::Done);
     }
 
     #[test]
@@ -293,13 +343,13 @@ mod tests {
 
         // mirror down → origin
         let state = NapletState::new();
-        let (hosts, _) = run_linear(it.start(), &state);
+        let (hosts, _) = run_linear(&it, it.start(), &state);
         assert_eq!(hosts, ["origin"]);
 
         // mirror up → mirror
         let mut state = NapletState::new();
         state.set("mirror-up", true);
-        let (hosts, _) = run_linear(it.start(), &state);
+        let (hosts, _) = run_linear(&it, it.start(), &state);
         assert_eq!(hosts, ["mirror"]);
     }
 
@@ -312,11 +362,14 @@ mod tests {
         // with `primary` marked unreachable, the Alt falls back
         let unreachable = vec!["primary".to_string()];
         let mut c = it.start();
-        let step = c.next(&GuardEnv {
-            state: &state,
-            hops: 0,
-            unreachable: &unreachable,
-        });
+        let step = c.next(
+            it.pattern(),
+            &GuardEnv {
+                state: &state,
+                hops: 0,
+                unreachable: &unreachable,
+            },
+        );
         assert_eq!(
             step,
             Step::Visit {
@@ -328,11 +381,14 @@ mod tests {
         // a plain Seq visit is NOT skipped by unreachability
         let it = Itinerary::new(Pattern::seq_of_hosts(&["primary", "b"], None)).unwrap();
         let mut c = it.start();
-        let step = c.next(&GuardEnv {
-            state: &state,
-            hops: 0,
-            unreachable: &unreachable,
-        });
+        let step = c.next(
+            it.pattern(),
+            &GuardEnv {
+                state: &state,
+                hops: 0,
+                unreachable: &unreachable,
+            },
+        );
         assert_eq!(
             step,
             Step::Visit {
@@ -353,7 +409,7 @@ mod tests {
         );
         let it = Itinerary::new(p).unwrap();
         let state = NapletState::new();
-        let (hosts, _) = run_linear(it.start(), &state);
+        let (hosts, _) = run_linear(&it, it.start(), &state);
         assert_eq!(hosts, ["z"]);
     }
 
@@ -368,7 +424,7 @@ mod tests {
         );
         let it = Itinerary::new(p).unwrap();
         let state = NapletState::new();
-        let (hosts, _) = run_linear(it.start(), &state);
+        let (hosts, _) = run_linear(&it, it.start(), &state);
         assert_eq!(hosts, ["fallback"]);
     }
 
@@ -383,16 +439,16 @@ mod tests {
         let state = NapletState::new();
         let mut c = it.start();
 
-        let Step::Fork { clones } = c.next(&env(&state, 0)) else {
+        let Step::Fork { clones } = c.next(it.pattern(), &env(&state, 0)) else {
             panic!("expected fork")
         };
         assert_eq!(clones.len(), 1);
 
         // originator walks s0, s1
-        let (hosts, _) = run_linear(c, &state);
+        let (hosts, _) = run_linear(&it, c, &state);
         assert_eq!(hosts, ["s0", "s1"]);
         // clone walks s2, s3
-        let (hosts, _) = run_linear(clones.into_iter().next().unwrap(), &state);
+        let (hosts, _) = run_linear(&it, clones.into_iter().next().unwrap(), &state);
         assert_eq!(hosts, ["s2", "s3"]);
     }
 
@@ -405,15 +461,15 @@ mod tests {
         let it = Itinerary::new(p).unwrap();
         let state = NapletState::new();
         let mut c = it.start();
-        let Step::Fork { clones } = c.next(&env(&state, 0)) else {
+        let Step::Fork { clones } = c.next(it.pattern(), &env(&state, 0)) else {
             panic!()
         };
 
-        let (hosts, actions) = run_linear(c, &state);
+        let (hosts, actions) = run_linear(&it, c, &state);
         assert_eq!(hosts, ["a"]);
         assert_eq!(actions, vec![ActionSpec::DataComm]);
 
-        let (hosts, actions) = run_linear(clones.into_iter().next().unwrap(), &state);
+        let (hosts, actions) = run_linear(&it, clones.into_iter().next().unwrap(), &state);
         assert_eq!(hosts, ["b"]);
         assert_eq!(actions, vec![ActionSpec::DataComm]);
     }
@@ -429,17 +485,17 @@ mod tests {
             .with_final_action(ActionSpec::ReportHome);
         let state = NapletState::new();
         let mut c = it.start();
-        let Step::Fork { clones } = c.next(&env(&state, 0)) else {
+        let Step::Fork { clones } = c.next(it.pattern(), &env(&state, 0)) else {
             panic!()
         };
 
         // clone: only its branch, no sequel, no final action
-        let (hosts, actions) = run_linear(clones.into_iter().next().unwrap(), &state);
+        let (hosts, actions) = run_linear(&it, clones.into_iter().next().unwrap(), &state);
         assert_eq!(hosts, ["b"]);
         assert!(actions.is_empty());
 
         // originator: branch 0, then sequel, then final action
-        let (hosts, actions) = run_linear(c, &state);
+        let (hosts, actions) = run_linear(&it, c, &state);
         assert_eq!(hosts, ["a", "home-stretch"]);
         assert_eq!(actions, vec![ActionSpec::ReportHome]);
     }
@@ -453,7 +509,7 @@ mod tests {
         .unwrap();
         let state = NapletState::new();
         let mut c = it.start();
-        let Step::Fork { clones } = c.next(&env(&state, 0)) else {
+        let Step::Fork { clones } = c.next(it.pattern(), &env(&state, 0)) else {
             panic!()
         };
         assert_eq!(clones.len(), 4);
@@ -473,7 +529,7 @@ mod tests {
         let mut hosts = Vec::new();
         let mut hops = 0;
         loop {
-            match c.next(&env(&state, hops)) {
+            match c.next(it.pattern(), &env(&state, hops)) {
                 Step::Visit { host, .. } => {
                     hosts.push(host);
                     hops += 1;
@@ -490,13 +546,13 @@ mod tests {
         let it = Itinerary::new(Pattern::seq_of_hosts(&["a", "b", "c"], None)).unwrap();
         let state = NapletState::new();
         let mut c = it.start();
-        let _ = c.next(&env(&state, 0)); // consume visit to `a`
+        let _ = c.next(it.pattern(), &env(&state, 0)); // consume visit to `a`
 
         let bytes = crate::codec::to_bytes(&c).unwrap();
         let mut back: Cursor = crate::codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, c);
 
-        let Step::Visit { host, .. } = back.next(&env(&state, 1)) else {
+        let Step::Visit { host, .. } = back.next(it.pattern(), &env(&state, 1)) else {
             panic!()
         };
         assert_eq!(host, "b");
@@ -507,17 +563,127 @@ mod tests {
         let it = Itinerary::new(Pattern::seq_of_hosts(&["a", "b"], None)).unwrap();
         let state = NapletState::new();
         let c = it.start();
-        assert_eq!(c.peek_next_host(&env(&state, 0)), Some("a".to_string()));
-        assert_eq!(c.peek_next_host(&env(&state, 0)), Some("a".to_string()));
+        assert_eq!(
+            c.peek_next_host(it.pattern(), &env(&state, 0)),
+            Some("a".to_string())
+        );
+        assert_eq!(
+            c.peek_next_host(it.pattern(), &env(&state, 0)),
+            Some("a".to_string())
+        );
         assert_eq!(c.remaining_depth(), 1);
     }
 
     #[test]
     fn done_cursor_stays_done() {
+        let plan = Pattern::singleton("a");
         let mut c = Cursor::done();
         let state = NapletState::new();
         assert!(c.is_done());
-        assert_eq!(c.next(&env(&state, 0)), Step::Done);
-        assert_eq!(c.next(&env(&state, 0)), Step::Done);
+        assert_eq!(c.next(&plan, &env(&state, 0)), Step::Done);
+        assert_eq!(c.next(&plan, &env(&state, 0)), Step::Done);
+    }
+
+    /// The layout is the format: `Node` is variant 0 (path length, the
+    /// path's indices, `next`), `Act` variant 1, each a varint, the
+    /// stack bottom first.
+    #[test]
+    fn cursor_golden_bytes() {
+        let bytes = |c: &Cursor| crate::codec::to_bytes(c).unwrap();
+        let state = NapletState::new();
+
+        // seq(a, par(seq(b, c), d); DataComm), then ReportHome
+        let it = Itinerary::new(Pattern::seq2(
+            Pattern::singleton("a"),
+            Pattern::par_with_action(
+                vec![
+                    Pattern::seq_of_hosts(&["b", "c"], None),
+                    Pattern::singleton("d"),
+                ],
+                ActionSpec::DataComm,
+            ),
+        ))
+        .unwrap()
+        .with_final_action(ActionSpec::ReportHome);
+
+        // start: [Act(ReportHome), Node{[], 0}]
+        let mut c = it.start();
+        assert_eq!(bytes(&c), [2, 1, 0, 0, 0, 0]);
+
+        // mid-Seq, sent to `a`: [Act(ReportHome), Node{[], 1}]
+        assert!(matches!(
+            c.next(it.pattern(), &env(&state, 0)),
+            Step::Visit { .. }
+        ));
+        assert_eq!(bytes(&c), [2, 1, 0, 0, 0, 1]);
+
+        // the fork: the clone holds [Act(DataComm), Node{[1, 1], 0}]
+        let Step::Fork { clones } = c.next(it.pattern(), &env(&state, 1)) else {
+            panic!("expected fork")
+        };
+        assert_eq!(bytes(&clones[0]), [2, 1, 1, 0, 2, 1, 1, 0]);
+
+        // inside branch 0, sent to `b`: [Act(ReportHome), Node{[], 2},
+        // Act(DataComm), Node{[1, 0], 1}]
+        assert!(matches!(
+            c.next(it.pattern(), &env(&state, 1)),
+            Step::Visit { .. }
+        ));
+        assert_eq!(bytes(&c), [4, 1, 0, 0, 0, 2, 1, 1, 0, 2, 1, 0, 1]);
+    }
+
+    #[test]
+    fn a_flat_route_keeps_its_cursor_in_a_few_bytes() {
+        let hosts: Vec<String> = (0..48).map(|i| format!("host-{i:02}")).collect();
+        let refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
+        let it = Itinerary::new(Pattern::seq_of_hosts(&refs, None))
+            .unwrap()
+            .with_final_action(ActionSpec::ReportHome);
+        let state = NapletState::new();
+        let mut c = it.start();
+        let size = crate::codec::encoded_size(&c).unwrap();
+        assert!(size <= 8, "{size} bytes at the start");
+        for (hops, host) in hosts.iter().enumerate() {
+            let step = c.next(it.pattern(), &env(&state, hops));
+            assert_eq!(
+                step,
+                Step::Visit {
+                    host: host.clone(),
+                    action: None
+                }
+            );
+            assert_eq!(crate::codec::encoded_size(&c).unwrap(), size, "hop {hops}");
+        }
+    }
+
+    #[test]
+    fn a_reference_that_leaves_the_plan_is_dropped() {
+        let plan = Pattern::seq_of_hosts(&["a", "b"], None);
+        let state = NapletState::new();
+        let node = |path: &[usize], next| WorkItem::Node {
+            path: path.to_vec(),
+            next,
+        };
+        let mut c = Cursor {
+            stack: vec![
+                WorkItem::Act(ActionSpec::ReportHome),
+                node(&[1], usize::MAX), // a real visit: `next` is ignored
+                node(&[], usize::MAX),  // past the end of the Seq
+                node(&[0, 0], 0),       // below a Singleton
+                node(&[7], 0),          // no such child
+            ],
+        };
+        assert_eq!(
+            c.next(&plan, &env(&state, 0)),
+            Step::Visit {
+                host: "b".into(),
+                action: None
+            }
+        );
+        assert_eq!(
+            c.next(&plan, &env(&state, 1)),
+            Step::Action(ActionSpec::ReportHome)
+        );
+        assert_eq!(c.next(&plan, &env(&state, 1)), Step::Done);
     }
 }

@@ -15,9 +15,10 @@
 //! * `C` — a guard condition ([`Guard`]) making the visit conditional.
 //!
 //! [`Pattern`] is the static, composable travel plan; [`Cursor`] is the
-//! serializable runtime traversal state that moves with the naplet and
-//! tells the server what to do next ([`Step`]): travel somewhere, fork
-//! clones for a `Par`, run a pattern-level action, or finish.
+//! serializable runtime traversal state that moves with the naplet —
+//! indices into that plan, never a copy of any part of it — and tells
+//! the server what to do next ([`Step`]): travel somewhere, fork clones
+//! for a `Par`, run a pattern-level action, or finish.
 
 mod cursor;
 mod guard;
@@ -67,9 +68,11 @@ impl Itinerary {
     }
 
     /// Begin traversal: the serializable cursor that travels with the
-    /// naplet.
+    /// naplet, pointing at the root of [`pattern`](Self::pattern). It
+    /// copies nothing of the plan; drive it with
+    /// [`Cursor::next`]`(self.pattern(), env)`.
     pub fn start(&self) -> Cursor {
-        Cursor::begin(self.pattern.clone(), self.final_action.clone())
+        Cursor::begin(self.final_action.clone())
     }
 
     /// All hosts this itinerary could ever visit (deduplicated,

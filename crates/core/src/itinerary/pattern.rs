@@ -193,6 +193,18 @@ impl Pattern {
         )
     }
 
+    /// The sub-patterns directly under this node, in declaration
+    /// order (none for a `Singleton`). A traversal
+    /// [`Cursor`](super::Cursor) names a node by the indices it follows
+    /// through these slices from the root.
+    pub(super) fn children(&self) -> &[Pattern] {
+        match self {
+            Pattern::Singleton(_) => &[],
+            Pattern::Seq(ps) | Pattern::Alt(ps) => ps,
+            Pattern::Par { branches, .. } => branches,
+        }
+    }
+
     /// Validate structural invariants: no empty composites, no empty
     /// host names.
     pub fn validate(&self) -> Result<()> {

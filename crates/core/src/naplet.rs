@@ -2,8 +2,9 @@
 //! travels between servers.
 //!
 //! A naplet bundles its immutable identity (`NapletId`, codebase,
-//! credential), its protected application state, its itinerary and
-//! traversal cursor, its address book and its navigation log. The
+//! credential), its protected application state, its itinerary and the
+//! traversal cursor that indexes into it (the plan travels once; the
+//! cursor is a few integers), its address book and its navigation log. The
 //! execution context is *not* part of the naplet — it is transient,
 //! attached by the hosting server on arrival (see
 //! [`crate::context::NapletContext`]).
@@ -131,7 +132,8 @@ impl Naplet {
         &self.itinerary
     }
 
-    /// The live traversal cursor.
+    /// The live traversal cursor: references into
+    /// [`itinerary`](Self::itinerary)'s pattern, cheap to clone.
     pub fn cursor(&self) -> &Cursor {
         &self.cursor
     }
@@ -171,7 +173,7 @@ impl Naplet {
             hops: self.nav_log.hops(),
             unreachable: &unreachable,
         };
-        self.cursor.next(&env)
+        self.cursor.next(self.itinerary.pattern(), &env)
     }
 
     /// The next destination host without consuming traversal state.
@@ -182,13 +184,16 @@ impl Naplet {
             hops: self.nav_log.hops(),
             unreachable: &unreachable,
         };
-        self.cursor.peek_next_host(&env)
+        self.cursor.peek_next_host(self.itinerary.pattern(), &env)
     }
 
     /// Rewind the traversal cursor to a previously saved checkpoint.
     /// The reliable-transfer layer snapshots the cursor before each
     /// `advance()` so a permanently failed migration can be re-decided
     /// (an `Alt` then picks another branch via the failure records).
+    /// The cursor is resolved against this naplet's own itinerary, so
+    /// one that was not taken from it can skip work but never add a
+    /// visit the plan does not declare.
     pub fn set_cursor(&mut self, cursor: Cursor) {
         self.cursor = cursor;
     }
@@ -491,6 +496,39 @@ mod tests {
         let before = n.wire_size().unwrap();
         n.state.set("blob", Value::Bytes(vec![0; 2048]));
         assert!(n.wire_size().unwrap() >= before + 2048);
+    }
+
+    /// The plan travels once: apart from the navigation log, the image
+    /// is the same size at every stop of a flat route.
+    #[test]
+    fn the_image_grows_only_by_its_navigation_log() {
+        let hosts: Vec<String> = (0..48).map(|i| format!("host-{i:02}")).collect();
+        let refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
+        let it = Itinerary::new(Pattern::seq_of_hosts(&refs, None))
+            .unwrap()
+            .with_final_action(ActionSpec::ReportHome);
+        let mut n = Naplet::create(
+            &key(),
+            "czxu",
+            "home.host",
+            Millis(7),
+            "naplet://code/demo.jar",
+            AgentKind::Native,
+            it,
+            vec![],
+        )
+        .unwrap();
+        let rest = |n: &Naplet| {
+            n.to_wire().unwrap().len() as u64 - codec::encoded_size(&n.nav_log).unwrap()
+        };
+        let at_launch = rest(&n);
+        for (hop, host) in hosts.iter().enumerate() {
+            assert!(matches!(n.advance(), Step::Visit { .. }));
+            assert_eq!(rest(&n), at_launch, "departing for hop {hop}");
+            n.nav_log
+                .record_arrival(host.as_str(), Millis(10 * hop as u64));
+            n.nav_log.record_departure(Millis(10 * hop as u64 + 5));
+        }
     }
 
     #[test]

@@ -150,6 +150,43 @@ proptest! {
         let back: NapletId = codec::from_bytes(&bytes).unwrap();
         prop_assert_eq!(back, id);
     }
+
+    /// The handle compares, orders, hashes and encodes as its four
+    /// fields do, whether two ids share an allocation (`clone`), hold
+    /// equal content in separate ones (decoded, parsed) or differ.
+    #[test]
+    fn id_handle_behaves_as_its_fields(a in close_id(), other in close_id(), how in 0usize..4) {
+        let b = match how {
+            0 => a.clone(),
+            1 => codec::from_bytes(&codec::to_bytes(&a).unwrap()).unwrap(),
+            2 => a.to_string().parse().unwrap(),
+            _ => other,
+        };
+        let fields = |id: &NapletId| {
+            (id.user().to_string(), id.home().to_string(), id.created(), id.heritage().to_vec())
+        };
+        prop_assert_eq!(a == b, fields(&a) == fields(&b));
+        prop_assert_eq!(a.cmp(&b), fields(&a).cmp(&fields(&b)));
+        prop_assert_eq!(a.partial_cmp(&b), Some(a.cmp(&b)));
+        prop_assert_eq!(hash_of(&a), hash_of(&fields(&a)));
+        prop_assert_eq!(codec::to_bytes(&a).unwrap(), codec::to_bytes(&fields(&a)).unwrap());
+    }
+}
+
+/// Ids from a domain small enough that two draws often coincide in
+/// some or all fields.
+fn close_id() -> impl Strategy<Value = NapletId> {
+    ("[ab]", "[ab]", 0u64..2, vec(0u32..2, 0..3)).prop_map(|(user, home, ts, heritage)| {
+        let id = NapletId::new(&user, &home, Millis(ts)).unwrap();
+        heritage.into_iter().fold(id, |id, h| id.clone_child(h))
+    })
+}
+
+fn hash_of<T: std::hash::Hash>(value: &T) -> u64 {
+    use std::hash::Hasher;
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -489,34 +526,16 @@ proptest! {
 // Itinerary laws
 // ---------------------------------------------------------------------------
 
-/// Fully unfold a cursor (including forks), collecting every visited
-/// host across all agents.
-fn unfold_all(mut cursor: naplet_core::Cursor, state: &NapletState) -> Vec<String> {
-    let mut visited = Vec::new();
-    let mut hops = 0usize;
-    let mut pending = Vec::new();
-    loop {
-        let step = cursor.next(&GuardEnv {
-            state,
-            hops,
-            unreachable: &[],
-        });
-        match step {
-            Step::Visit { host, .. } => {
-                visited.push(host);
-                hops += 1;
-            }
-            Step::Fork { clones } => pending.extend(clones),
-            Step::Action(_) => {}
-            Step::Done => match pending.pop() {
-                Some(next) => {
-                    cursor = next;
-                    hops = 0;
-                }
-                None => return visited,
-            },
-        }
-    }
+/// Fully unfold an itinerary (including forks), collecting every
+/// visited host across all agents.
+fn unfold_all(it: &Itinerary, state: &NapletState) -> Vec<String> {
+    let deeds = unfold(it, state, &[], false).into_values().flatten();
+    deeds
+        .filter_map(|did| match did {
+            Did::Visit(host, _) => Some(host),
+            Did::Act(_) => None,
+        })
+        .collect()
 }
 
 proptest! {
@@ -525,7 +544,7 @@ proptest! {
         prop_assume!(p.validate().is_ok());
         let it = Itinerary::new(p.clone()).unwrap();
         let state = NapletState::new();
-        let visited = unfold_all(it.start(), &state);
+        let visited = unfold_all(&it, &state);
         // With no guards, total visits across all agents equals the
         // analytic count with first-alternative choice.
         prop_assert_eq!(visited.len(), p.total_visits_first_alt());
@@ -544,7 +563,7 @@ proptest! {
         let mut cursor = it.start();
         let mut hops = 0usize;
         for _ in 0..steps {
-            match cursor.next(&GuardEnv { state: &state, hops, unreachable: &[] }) {
+            match cursor.next(it.pattern(), &GuardEnv { state: &state, hops, unreachable: &[] }) {
                 Step::Visit { .. } => hops += 1,
                 Step::Done => break,
                 _ => {}
@@ -563,7 +582,7 @@ proptest! {
             .collect();
         let it = Itinerary::new(Pattern::Seq(parts)).unwrap();
         let state = NapletState::new();
-        prop_assert!(unfold_all(it.start(), &state).is_empty());
+        prop_assert!(unfold_all(&it, &state).is_empty());
     }
 
     #[test]
@@ -577,7 +596,7 @@ proptest! {
         let mut hops = 0usize;
         while let Some(mut cursor) = stack.pop() {
             loop {
-                match cursor.next(&GuardEnv { state: &state, hops, unreachable: &[] }) {
+                match cursor.next(it.pattern(), &GuardEnv { state: &state, hops, unreachable: &[] }) {
                     Step::Fork { clones } => {
                         agents += clones.len();
                         stack.extend(clones);
@@ -593,6 +612,274 @@ proptest! {
         // agents_required() bounds by the max; the runtime count can
         // never exceed the static bound.
         prop_assert!(agents <= p.agents_required());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The index cursor against a reference interpreter of `Pattern`
+// ---------------------------------------------------------------------------
+
+fn action() -> impl Strategy<Value = ActionSpec> {
+    prop_oneof![
+        Just(ActionSpec::ReportHome),
+        Just(ActionSpec::DataComm),
+        "[a-z]{1,4}".prop_map(ActionSpec::Named),
+    ]
+}
+
+fn guard() -> impl Strategy<Value = Guard> {
+    prop_oneof![
+        Just(Guard::Always),
+        Just(Guard::Always),
+        Just(Guard::Never),
+        (0u32..4).prop_map(Guard::HopsLessThan),
+        Just(Guard::state_truthy("flag")),
+        Just(Guard::not(Guard::state_truthy("flag"))),
+    ]
+}
+
+/// A plan over five hosts with every feature the BNF has: guarded
+/// visits, per-visit actions, `Par` completion actions.
+fn plan(depth: u32) -> BoxedStrategy<Pattern> {
+    let visit = ("[a-e]", guard(), option::of(action())).prop_map(|(host, guard, action)| {
+        Pattern::Singleton(Visit {
+            host,
+            guard,
+            action,
+        })
+    });
+    visit
+        .prop_recursive(depth, 24, 4, |inner| {
+            prop_oneof![
+                vec(inner.clone(), 1..4).prop_map(Pattern::Seq),
+                vec(inner.clone(), 1..4).prop_map(Pattern::Alt),
+                (vec(inner, 1..4), option::of(action()))
+                    .prop_map(|(branches, after)| Pattern::Par { branches, after }),
+            ]
+        })
+        .boxed()
+}
+
+/// One thing an agent did on its journey.
+#[derive(Debug, Clone, PartialEq)]
+enum Did {
+    Visit(String, Option<ActionSpec>),
+    Act(ActionSpec),
+}
+
+/// What every agent of a family did, in order, keyed by clone heritage:
+/// the originator is `[]`, an agent's k-th clone appends `k`.
+type Deeds = std::collections::BTreeMap<Vec<u32>, Vec<Did>>;
+
+/// The itinerary semantics of DESIGN.md §4.1, written as a recursive
+/// interpreter of `Pattern` that shares nothing with `Cursor`.
+struct Reference<'a> {
+    state: &'a NapletState,
+    unreachable: &'a [String],
+    deeds: Deeds,
+}
+
+impl Reference<'_> {
+    fn run(it: &Itinerary, state: &NapletState, unreachable: &[String]) -> Deeds {
+        let mut r = Reference {
+            state,
+            unreachable,
+            deeds: Deeds::new(),
+        };
+        r.deeds.insert(Vec::new(), Vec::new());
+        r.walk(it.pattern(), &[]);
+        r.deeds
+            .get_mut(&[][..])
+            .unwrap()
+            .extend(it.final_action().cloned().map(Did::Act));
+        r.deeds
+    }
+
+    /// Decision-time environment of agent `me`: its own visits so far.
+    fn env(&self, me: &[u32]) -> GuardEnv<'_> {
+        let hops = self.deeds[me]
+            .iter()
+            .filter(|d| matches!(d, Did::Visit(..)))
+            .count();
+        GuardEnv {
+            state: self.state,
+            hops,
+            unreachable: self.unreachable,
+        }
+    }
+
+    fn walk(&mut self, p: &Pattern, me: &[u32]) {
+        match p {
+            Pattern::Singleton(v) => {
+                if v.guard.eval(&self.env(me)) {
+                    let did = Did::Visit(v.host.clone(), v.action.clone());
+                    self.deeds.get_mut(me).unwrap().push(did);
+                }
+            }
+            Pattern::Seq(parts) => parts.iter().for_each(|p| self.walk(p, me)),
+            Pattern::Alt(alts) => {
+                if let Some(p) = alts.iter().find(|p| self.may_start(p, me)) {
+                    self.walk(p, me);
+                }
+            }
+            Pattern::Par { branches, after } => {
+                // clones are born when the Par is reached, before anyone moves
+                let born = self
+                    .deeds
+                    .keys()
+                    .filter(|k| k.len() == me.len() + 1 && k.starts_with(me))
+                    .count();
+                let agents: Vec<Vec<u32>> = (0..branches.len())
+                    .map(|b| {
+                        if b == 0 {
+                            me.to_vec()
+                        } else {
+                            [me, &[(born + b) as u32]].concat()
+                        }
+                    })
+                    .collect();
+                for agent in &agents {
+                    self.deeds.entry(agent.clone()).or_default();
+                }
+                for (p, agent) in branches.iter().zip(&agents) {
+                    self.walk(p, agent);
+                    self.deeds
+                        .get_mut(agent)
+                        .unwrap()
+                        .extend(after.clone().map(Did::Act));
+                }
+            }
+        }
+    }
+
+    /// An `Alt` takes its first alternative whose entry visit would run.
+    fn may_start(&self, p: &Pattern, me: &[u32]) -> bool {
+        match p {
+            Pattern::Singleton(v) => {
+                !self.unreachable.contains(&v.host) && v.guard.eval(&self.env(me))
+            }
+            Pattern::Seq(parts) => self.may_start(&parts[0], me),
+            Pattern::Alt(ps) | Pattern::Par { branches: ps, .. } => {
+                ps.iter().any(|p| self.may_start(p, me))
+            }
+        }
+    }
+}
+
+/// Drive the real cursor over `it` for every agent it forks; with
+/// `reencode`, the cursor goes through its wire form before every step
+/// (as it does between two hosts).
+fn unfold(it: &Itinerary, state: &NapletState, unreachable: &[String], reencode: bool) -> Deeds {
+    let mut deeds = Deeds::new();
+    let mut agents = vec![(Vec::new(), it.start())];
+    while let Some((me, mut cursor)) = agents.pop() {
+        let (mut did, mut hops, mut born) = (Vec::new(), 0, 0);
+        loop {
+            if reencode {
+                cursor = codec::from_bytes(&codec::to_bytes(&cursor).unwrap()).unwrap();
+            }
+            match cursor.next(
+                it.pattern(),
+                &GuardEnv {
+                    state,
+                    hops,
+                    unreachable,
+                },
+            ) {
+                Step::Visit { host, action } => {
+                    did.push(Did::Visit(host, action));
+                    hops += 1;
+                }
+                Step::Action(a) => did.push(Did::Act(a)),
+                Step::Fork { clones } => {
+                    for clone in clones {
+                        born += 1;
+                        agents.push(([&me[..], &[born]].concat(), clone));
+                    }
+                }
+                Step::Done => break,
+            }
+        }
+        deeds.insert(me, did);
+    }
+    deeds
+}
+
+/// A stand-in with `Cursor`'s wire layout (pinned by
+/// `cursor_golden_bytes`), to build cursors no traversal would produce.
+#[derive(Debug, Clone, serde::Serialize)]
+enum ForgedItem {
+    Node { path: Vec<usize>, next: usize },
+    Act(ActionSpec),
+}
+
+fn forged_cursor() -> impl Strategy<Value = naplet_core::Cursor> {
+    let index = || prop_oneof![0usize..5, Just(usize::MAX)];
+    let item = prop_oneof![
+        (vec(index(), 0..5), index()).prop_map(|(path, next)| ForgedItem::Node { path, next }),
+        action().prop_map(ForgedItem::Act),
+    ];
+    vec(item, 0..6).prop_map(|stack| codec::from_bytes(&codec::to_bytes(&stack).unwrap()).unwrap())
+}
+
+fn nodes(p: &Pattern) -> usize {
+    match p {
+        Pattern::Singleton(_) => 1,
+        Pattern::Seq(ps) | Pattern::Alt(ps) | Pattern::Par { branches: ps, .. } => {
+            1 + ps.iter().map(nodes).sum::<usize>()
+        }
+    }
+}
+
+proptest! {
+    /// The cursor unfolds every plan exactly as the reference
+    /// interpreter reads it — same agents, same visits and actions in
+    /// the same order — under any state, hop budget and unreachable
+    /// set, and whether or not it crosses the wire between steps.
+    #[test]
+    fn cursor_unfolds_like_the_reference_interpreter(
+        p in plan(3),
+        final_action in option::of(action()),
+        flag in any::<bool>(),
+        unreachable in vec("[a-e]", 0..3),
+    ) {
+        let mut it = Itinerary::new(p).unwrap();
+        if let Some(a) = final_action {
+            it = it.with_final_action(a);
+        }
+        let mut state = NapletState::new();
+        state.set("flag", flag);
+        let expected = Reference::run(&it, &state, &unreachable);
+        prop_assert_eq!(&unfold(&it, &state, &unreachable, false), &expected);
+        prop_assert_eq!(&unfold(&it, &state, &unreachable, true), &expected);
+    }
+
+    /// A cursor that was never taken from the plan it is driven over
+    /// (corrupted record, hostile image) cannot panic, cannot loop and
+    /// cannot name a visit the plan does not declare.
+    #[test]
+    fn a_forged_cursor_terminates_inside_the_plan(forged in forged_cursor(), p in plan(3)) {
+        let state = NapletState::new();
+        let hosts = p.hosts();
+        let budget = (forged.remaining_depth() + 1) * 4 * (nodes(&p) + 1);
+        let mut agents = vec![forged];
+        let mut steps = 0usize;
+        while let Some(mut cursor) = agents.pop() {
+            let mut hops = 0usize;
+            loop {
+                steps += 1;
+                prop_assert!(steps <= budget, "{} steps over a {}-node plan", steps, nodes(&p));
+                match cursor.next(&p, &GuardEnv { state: &state, hops, unreachable: &[] }) {
+                    Step::Visit { host, .. } => {
+                        prop_assert!(hosts.contains(&host));
+                        hops += 1;
+                    }
+                    Step::Action(_) => {}
+                    Step::Fork { clones } => agents.extend(clones),
+                    Step::Done => break,
+                }
+            }
+        }
     }
 }
 

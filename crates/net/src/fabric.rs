@@ -204,7 +204,7 @@ impl Fabric {
         }
         let blocked = inner.down.contains(from)
             || inner.down.contains(to)
-            || inner.cut.contains(&ordered(from, to))
+            || (!inner.cut.is_empty() && inner.cut.contains(&ordered(from, to)))
             || inner.scheduled_down(from)
             || inner.scheduled_down(to);
         let lost = blocked || {

@@ -80,7 +80,9 @@ impl Counter {
 #[derive(Debug, Default)]
 struct Inner {
     by_class: BTreeMap<TrafficClass, Counter>,
-    by_link: BTreeMap<(String, String), Counter>,
+    /// Per-directed-link counters as rows keyed by sender, then
+    /// receiver, so the per-frame lookup borrows both names.
+    by_link: BTreeMap<String, BTreeMap<String, Counter>>,
     dropped: u64,
     retransmits: u64,
     crashes: u64,
@@ -174,11 +176,16 @@ impl NetStats {
             .entry(class)
             .or_default()
             .add(bytes, latency_ms);
-        inner
-            .by_link
-            .entry((from.to_string(), to.to_string()))
-            .or_default()
-            .add(bytes, latency_ms);
+        // only a link's first transfer allocates its names
+        let known = inner.by_link.get_mut(from).and_then(|row| row.get_mut(to));
+        if let Some(link) = known {
+            link.add(bytes, latency_ms);
+        } else {
+            let row = inner.by_link.entry(from.to_string()).or_default();
+            row.entry(to.to_string())
+                .or_default()
+                .add(bytes, latency_ms);
+        }
     }
 
     /// Record a dropped transfer (loss / partition).
@@ -206,7 +213,14 @@ impl NetStats {
         let inner = self.inner.lock();
         StatsSnapshot {
             by_class: inner.by_class.clone(),
-            by_link: inner.by_link.clone(),
+            by_link: inner
+                .by_link
+                .iter()
+                .flat_map(|(from, row)| {
+                    row.iter()
+                        .map(move |(to, link)| ((from.clone(), to.clone()), *link))
+                })
+                .collect(),
             dropped: inner.dropped,
             retransmits: inner.retransmits,
             crashes: inner.crashes,

@@ -82,7 +82,14 @@ impl MemoryStore {
 
 impl JournalStore for MemoryStore {
     fn put(&mut self, key: &str, value: &[u8]) -> Result<()> {
-        self.map.insert(key.to_string(), value.to_vec());
+        // a naplet is re-recorded several times per stay: overwrite in
+        // place, keeping the key and the value's buffer
+        if let Some(held) = self.map.get_mut(key) {
+            held.clear();
+            held.extend_from_slice(value);
+        } else {
+            self.map.insert(key.to_string(), value.to_vec());
+        }
         Ok(())
     }
 
@@ -319,6 +326,8 @@ impl RecoveryStats {
 #[derive(Debug)]
 pub struct Journal {
     store: Box<dyn JournalStore>,
+    /// Scratch the per-hop `n/<naplet-id>` keys are written into.
+    key: String,
 }
 
 impl Journal {
@@ -329,11 +338,18 @@ impl Journal {
 
     /// Journal over any store implementation.
     pub fn with_store(store: Box<dyn JournalStore>) -> Journal {
-        Journal { store }
+        Journal {
+            store,
+            key: String::new(),
+        }
     }
 
-    fn naplet_key(id: &NapletId) -> String {
-        format!("n/{id}")
+    /// `n/<id>`, written over the scratch: these keys are built five
+    /// times per stay.
+    fn naplet_key_in<'k>(scratch: &'k mut String, id: &NapletId) -> &'k str {
+        scratch.clear();
+        let _ = write!(scratch, "n/{id}");
+        scratch
     }
 
     fn creation_key(id: &NapletId) -> String {
@@ -347,9 +363,9 @@ impl Journal {
     /// Durably record the agent whose encoded `image` the caller holds
     /// — a [`naplet_core::naplet::SharedNaplet`]'s cached bytes, or one
     /// fresh encoding of a resident — in `phase`. The one writer of
-    /// naplet records: the byte string, then the phase and time — each
-    /// encoded once — are a [`JournalRecord`]'s bytes (napcode frames
-    /// neither tuples nor structs), built in one buffer of exactly that
+    /// naplet records: the byte string, the phase and the time as one
+    /// tuple are a [`JournalRecord`]'s bytes (napcode frames neither
+    /// tuples nor structs), encoded once into a buffer of exactly that
     /// size while only borrowing the image and the phase.
     /// Errors are returned for the caller to log; the protocol proceeds
     /// regardless (a failed write degrades durability, not correctness
@@ -361,37 +377,36 @@ impl Journal {
         phase: &JournalPhase,
         now: Millis,
     ) -> Result<()> {
-        let tail = codec::to_bytes(&(phase, now))?;
-        let prefix = codec::uvarint_len(image.len() as u64) as usize;
-        let mut buf = Vec::with_capacity(prefix + image.len() + tail.len());
-        codec::to_bytes_into(image, &mut buf)?;
-        buf.extend_from_slice(&tail);
-        self.store.put(&Self::naplet_key(id), &buf)
+        let record = (image, phase, now);
+        let mut buf = Vec::with_capacity(codec::encoded_size(&record)? as usize);
+        codec::to_bytes_into(&record, &mut buf)?;
+        self.store.put(Self::naplet_key_in(&mut self.key, id), &buf)
     }
 
     /// Retire a naplet record: the agent is durably someone else's
     /// responsibility (acked away) or its journey ended here.
     pub fn retire(&mut self, id: &NapletId) -> Result<()> {
-        self.store.remove(&Self::naplet_key(id))
+        self.store.remove(Self::naplet_key_in(&mut self.key, id))
+    }
+
+    /// The keys under `prefix`, sorted (none when the store cannot be
+    /// scanned).
+    fn keys_under(&self, prefix: &str) -> Vec<String> {
+        let mut keys = self.store.keys().unwrap_or_default();
+        keys.retain(|key| key.starts_with(prefix));
+        keys
     }
 
     /// All live naplet records, sorted by id, for recovery scans.
     pub fn naplet_records(&self) -> Vec<(String, JournalRecord)> {
-        let Ok(keys) = self.store.keys() else {
-            return Vec::new();
+        let decode = |key: String| {
+            let record = codec::from_bytes(&self.store.get(&key).ok()??).ok()?;
+            Some((key["n/".len()..].to_string(), record))
         };
-        let mut out = Vec::new();
-        for key in keys {
-            let Some(id) = key.strip_prefix("n/") else {
-                continue;
-            };
-            if let Ok(Some(bytes)) = self.store.get(&key) {
-                if let Ok(record) = codec::from_bytes::<JournalRecord>(&bytes) {
-                    out.push((id.to_string(), record));
-                }
-            }
-        }
-        out
+        self.keys_under("n/")
+            .into_iter()
+            .filter_map(decode)
+            .collect()
     }
 
     /// Record the creation snapshot of a naplet dispatched from this
@@ -409,13 +424,8 @@ impl Journal {
 
     /// Ids with a creation record, sorted.
     pub fn creations(&self) -> Vec<String> {
-        let Ok(keys) = self.store.keys() else {
-            return Vec::new();
-        };
-        keys.iter()
-            .filter_map(|k| k.strip_prefix("c/"))
-            .map(str::to_string)
-            .collect()
+        let ids = self.keys_under("c/").into_iter();
+        ids.map(|key| key["c/".len()..].to_string()).collect()
     }
 
     /// Drop the creation record once the journey reaches a terminal
@@ -436,21 +446,8 @@ impl Journal {
 
     /// All durable dedup entries: `((origin, transfer_id), seen-at)`.
     pub fn seen(&self) -> Vec<((String, u64), Millis)> {
-        let Ok(keys) = self.store.keys() else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for key in keys {
-            if !key.starts_with("s/") {
-                continue;
-            }
-            if let Ok(Some(bytes)) = self.store.get(&key) {
-                if let Ok(entry) = codec::from_bytes::<((String, u64), Millis)>(&bytes) {
-                    out.push(entry);
-                }
-            }
-        }
-        out
+        let decode = |key: &String| codec::from_bytes(&self.store.get(key).ok()??).ok();
+        self.keys_under("s/").iter().filter_map(decode).collect()
     }
 
     /// Evict dedup entries older than `ttl_ms`; returns how many.
@@ -487,21 +484,9 @@ impl Journal {
     /// protocol has not yet confirmed away. O(records); meant for
     /// status sweeps, not hot paths.
     pub fn lag(&self) -> (u64, u64) {
-        let Ok(keys) = self.store.keys() else {
-            return (0, 0);
-        };
-        let mut entries = 0u64;
-        let mut bytes = 0u64;
-        for key in keys {
-            if !key.starts_with("n/") {
-                continue;
-            }
-            entries += 1;
-            if let Ok(Some(value)) = self.store.get(&key) {
-                bytes += value.len() as u64;
-            }
-        }
-        (entries, bytes)
+        let keys = self.keys_under("n/");
+        let values = keys.iter().filter_map(|key| self.store.get(key).ok()?);
+        (keys.len() as u64, values.map(|v| v.len() as u64).sum())
     }
 
     /// Durably write a consensus record under `r/<suffix>`. The
@@ -524,12 +509,8 @@ impl Journal {
 
     /// All consensus-record suffixes, sorted (recovery scan).
     pub fn repl_keys(&self) -> Vec<String> {
-        let Ok(keys) = self.store.keys() else {
-            return Vec::new();
-        };
-        keys.into_iter()
-            .filter_map(|k| k.strip_prefix("r/").map(|s| s.to_string()))
-            .collect()
+        let suffixes = self.keys_under("r/").into_iter();
+        suffixes.map(|key| key["r/".len()..].to_string()).collect()
     }
 
     /// Number of records of any kind.
@@ -565,6 +546,13 @@ mod tests {
             vec![],
         )
         .unwrap()
+    }
+
+    impl Journal {
+        /// The naplet key layout, stated apart from the scratch writer.
+        fn naplet_key(id: &NapletId) -> String {
+            format!("n/{id}")
+        }
     }
 
     fn temp_dir() -> PathBuf {

@@ -56,9 +56,6 @@ pub struct Node<T: Transport> {
     inbox: Receiver<Frame>,
     timers: Timers<LocalEvent>,
     ctxs: CtxTable,
-    /// Encode scratch: every outgoing wire reuses its capacity instead
-    /// of growing a fresh `Vec` per send.
-    scratch: Vec<u8>,
     epoch: Instant,
 }
 
@@ -82,7 +79,6 @@ impl<T: Transport> Node<T> {
             inbox,
             timers,
             ctxs: CtxTable::new(),
-            scratch: Vec::new(),
             epoch,
         }
     }
@@ -243,13 +239,18 @@ impl<T: Transport> Node<T> {
         if attempt > 1 {
             self.net.stats().record_retransmit();
         }
-        // encode into the reused scratch, then copy exactly the
-        // payload's length into the owned frame buffer
-        if codec::to_bytes_into(&wire, &mut self.scratch).is_err() {
+        // sizing is a counting walk (O(1) over a Transfer's cached
+        // image), so the frame's own buffer is allocated once, exactly,
+        // and encoded into
+        let Ok(size) = codec::encoded_size(&wire) else {
+            return;
+        };
+        let mut payload = Vec::with_capacity(size as usize);
+        if codec::to_bytes_into(&wire, &mut payload).is_err() {
             return;
         }
         let host = self.server.host();
-        let mut frame = Frame::new(host, to, wire.traffic_class(), self.scratch.clone());
+        let mut frame = Frame::new(host, to, wire.traffic_class(), payload);
         let obs = self.server.obs();
         if obs.ctx_enabled() {
             let ctx = wire

@@ -10,6 +10,7 @@
 //! centralized SNMP management station of the §6 baseline is a station.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use naplet_core::clock::Millis;
 use naplet_core::error::{NapletError, Result};
@@ -32,19 +33,22 @@ fn frame_bytes(from: &str, to: &str, payload_len: usize) -> u64 {
     (4 + 1 + 2 + from.len() + 2 + to.len() + payload_len) as u64
 }
 
+/// Host names in per-frame and per-timer events are the space's shared
+/// ones ([`SimRuntime::name`]): queueing one clones a handle, not a
+/// string.
 #[allow(clippy::large_enum_variant)] // Deliver carries whole agents
 #[derive(Debug)]
 enum SimEvent {
     Deliver {
-        from: String,
-        to: String,
+        from: Arc<str>,
+        to: Arc<str>,
         wire: Wire,
         /// Trace context the frame carried (absent while tracing and
         /// the flight recorder are both off).
         ctx: Option<TraceCtx>,
     },
     Local {
-        host: String,
+        host: Arc<str>,
         event: LocalEvent,
         /// The host's crash epoch when the event was scheduled. A
         /// crash bumps the epoch, so timers armed by the dead process
@@ -71,10 +75,8 @@ impl SimEvent {
     /// watchdog tick).
     fn target(&self) -> Option<&str> {
         match self {
-            SimEvent::Deliver { to, .. } => Some(to),
-            SimEvent::Local { host, .. }
-            | SimEvent::Crash { host, .. }
-            | SimEvent::Restart { host } => Some(host),
+            SimEvent::Deliver { to: host, .. } | SimEvent::Local { host, .. } => Some(host),
+            SimEvent::Crash { host, .. } | SimEvent::Restart { host } => Some(host),
             SimEvent::WatchdogTick => None,
         }
     }
@@ -86,6 +88,8 @@ pub struct SimRuntime {
     queue: EventQueue<SimEvent>,
     servers: HashMap<String, NapletServer>,
     stations: HashMap<String, Vec<(String, Wire)>>,
+    /// One shared copy of every server's and station's name.
+    names: HashSet<Arc<str>>,
     /// Original configurations, kept so a crashed server can be
     /// rebuilt exactly as it was born.
     configs: HashMap<String, ServerConfig>,
@@ -118,6 +122,7 @@ impl SimRuntime {
             queue: EventQueue::new(),
             servers: HashMap::new(),
             stations: HashMap::new(),
+            names: HashSet::new(),
             configs: HashMap::new(),
             crash_epoch: HashMap::new(),
             crashed: HashSet::new(),
@@ -184,6 +189,7 @@ impl SimRuntime {
     pub fn add_server(&mut self, config: ServerConfig) -> &mut NapletServer {
         let host = config.host.clone();
         self.fabric.add_host(&host);
+        self.names.insert(Arc::from(host.as_str()));
         self.configs
             .entry(host.clone())
             .or_insert_with(|| config.clone());
@@ -193,7 +199,7 @@ impl SimRuntime {
             // a directory replica needs its consensus clock running
             // before any input arrives, or no leader is ever elected
             if let Some(tick_ms) = server.arm_initial_repl_tick() {
-                self.push_local(&host, tick_ms, LocalEvent::ReplTick);
+                self.push_local(&self.name(&host), tick_ms, LocalEvent::ReplTick);
             }
             self.servers.insert(host.clone(), server);
         }
@@ -206,6 +212,7 @@ impl SimRuntime {
     /// doubling at a time showed up in the storm benchmarks.
     pub fn add_station(&mut self, name: &str) {
         self.fabric.add_host(name);
+        self.names.insert(Arc::from(name));
         self.stations
             .entry(name.to_string())
             .or_insert_with(|| Vec::with_capacity(256));
@@ -237,7 +244,7 @@ impl SimRuntime {
             .get_mut(&home)
             .ok_or_else(|| NapletError::NotFound(format!("no server at home `{home}`")))?;
         let outputs = server.launch(naplet, now);
-        self.process_outputs(&home, outputs);
+        self.process_outputs(&self.name(&home), outputs);
         Ok(())
     }
 
@@ -250,7 +257,7 @@ impl SimRuntime {
             .get_mut(owner_host)
             .ok_or_else(|| NapletError::NotFound(format!("no server at `{owner_host}`")))?;
         let outputs = server.owner_post(to, payload, now);
-        self.process_outputs(owner_host, outputs);
+        self.process_outputs(&self.name(owner_host), outputs);
         Ok(())
     }
 
@@ -258,7 +265,7 @@ impl SimRuntime {
     /// the management station baseline). Metering and delay follow the
     /// wire's traffic class.
     pub fn station_send(&mut self, from: &str, to: &str, wire: Wire) -> Result<()> {
-        self.schedule_wire(from, to, wire);
+        self.schedule_wire(&self.name(from), to, wire);
         Ok(())
     }
 
@@ -370,7 +377,7 @@ impl SimRuntime {
                 wire,
                 ctx,
             } => {
-                if self.crashed.contains(&to) {
+                if self.crashed.contains(&*to) {
                     // the frame was already in flight when the host went
                     // down; it is lost at the dead NIC
                     self.dropped += 1;
@@ -379,7 +386,7 @@ impl SimRuntime {
                     self.obs
                         .emit_ctx(now, &to, wire.subject(), ctx.as_ref(), || {
                             TraceKind::WireDrop {
-                                to: to.clone(),
+                                to: to.to_string(),
                                 label: wire.label().to_string(),
                             }
                         });
@@ -391,28 +398,30 @@ impl SimRuntime {
                 self.obs
                     .emit_ctx(now, &to, wire.subject(), ctx.as_ref(), || {
                         TraceKind::WireRecv {
-                            from: from.clone(),
+                            from: from.to_string(),
                             label: wire.label().to_string(),
                         }
                     });
-                if let Some(server) = self.servers.get_mut(&to) {
+                // the one place a frame's sender becomes an owned string
+                let from = from.to_string();
+                if let Some(server) = self.servers.get_mut(&*to) {
                     let outputs = server.handle(now, Input::Wire { from, wire });
                     self.process_outputs(&to, outputs);
-                } else if let Some(inbox) = self.stations.get_mut(&to) {
+                } else if let Some(inbox) = self.stations.get_mut(&*to) {
                     inbox.push((from, wire));
                 }
                 // frames to unknown hosts were already rejected by the
                 // fabric at send time
             }
             SimEvent::Local { host, event, epoch } => {
-                if self.crashed.contains(&host)
-                    || epoch != self.crash_epoch.get(&host).copied().unwrap_or(0)
+                if self.crashed.contains(&*host)
+                    || epoch != self.crash_epoch.get(&*host).copied().unwrap_or(0)
                 {
                     // timers armed by a process that has since crashed:
                     // volatile state died with it
                     return;
                 }
-                if let Some(server) = self.servers.get_mut(&host) {
+                if let Some(server) = self.servers.get_mut(&*host) {
                     let outputs = server.handle(now, Input::Local(event));
                     self.process_outputs(&host, outputs);
                 }
@@ -460,8 +469,7 @@ impl SimRuntime {
                     if let Some(server) = self.servers.get_mut(&alert.home) {
                         let outputs =
                             server.handle(now, Input::Local(LocalEvent::LeaseCheck { id }));
-                        let home = alert.home.clone();
-                        self.process_outputs(&home, outputs);
+                        self.process_outputs(&self.name(&alert.home), outputs);
                     }
                 }
             }
@@ -549,24 +557,33 @@ impl SimRuntime {
             return;
         };
         let outputs = server.recover(now);
-        self.process_outputs(host, outputs);
+        self.process_outputs(&self.name(host), outputs);
     }
 
     /// Queue a local event for `host`, stamped with its current crash
     /// epoch so a crash in between voids it.
-    fn push_local(&mut self, host: &str, delay_ms: u64, event: LocalEvent) {
-        let epoch = self.crash_epoch.get(host).copied().unwrap_or(0);
+    fn push_local(&mut self, host: &Arc<str>, delay_ms: u64, event: LocalEvent) {
+        let epoch = self.crash_epoch.get(&**host).copied().unwrap_or(0);
         self.queue.push_after(
             delay_ms,
             SimEvent::Local {
-                host: host.to_string(),
+                host: Arc::clone(host),
                 event,
                 epoch,
             },
         );
     }
 
-    fn process_outputs(&mut self, host: &str, outputs: Vec<Output>) {
+    /// The space's shared copy of `host`'s name (a fresh one for a
+    /// host that never joined, whose frames the fabric rejects).
+    fn name(&self, host: &str) -> Arc<str> {
+        self.names
+            .get(host)
+            .cloned()
+            .unwrap_or_else(|| Arc::from(host))
+    }
+
+    fn process_outputs(&mut self, host: &Arc<str>, outputs: Vec<Output>) {
         for output in outputs {
             match output {
                 Output::Send { to, wire } => {
@@ -574,7 +591,7 @@ impl SimRuntime {
                 }
                 Output::Schedule { delay_ms, event } => self.push_local(host, delay_ms, event),
                 Output::FetchCode { from, bytes, id } => {
-                    let delay = if bytes == 0 || from == host {
+                    let delay = if bytes == 0 || *from == **host {
                         Some(0)
                     } else {
                         self.fabric
@@ -592,7 +609,7 @@ impl SimRuntime {
         }
     }
 
-    fn schedule_wire(&mut self, from: &str, to: &str, wire: Wire) {
+    fn schedule_wire(&mut self, from: &Arc<str>, to: &str, wire: Wire) {
         // byte metering: the counting serializer walks the wire value
         // without materializing any bytes
         let payload_len = naplet_core::codec::encoded_size(&wire).unwrap_or(0) as usize;
@@ -628,8 +645,8 @@ impl SimRuntime {
                 self.queue.push_after(
                     delay,
                     SimEvent::Deliver {
-                        from: from.to_string(),
-                        to: to.to_string(),
+                        from: Arc::clone(from),
+                        to: self.name(to),
                         wire,
                         ctx,
                     },
