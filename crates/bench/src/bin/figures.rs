@@ -803,7 +803,7 @@ fn collect_segments(
             .map(|n| n.name.clone())
             .filter(|n| n != station)
             .collect();
-        let mut poller = match naplet_man::ClusterTracePoller::connect(&config, station) {
+        let mut poller = match naplet_man::ClusterStatusPoller::connect(&config, station) {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("{cmd}: cannot bind station `{station}`: {e}");

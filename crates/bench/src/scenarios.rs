@@ -656,7 +656,7 @@ fn chaos_experiment_impl(
     let mut usage = Vec::new();
     for host in rt.server_hosts() {
         let s = rt.server(&host).unwrap();
-        parked += s.parked.len();
+        parked += s.navigator.parked.len();
         for (nid, u) in s.monitor.usage() {
             usage.push((host.clone(), nid.clone(), *u));
         }
@@ -824,7 +824,7 @@ fn crash_chaos_impl(
     let duplicate_visits = counts.values().filter(|&&c| c > 1).count();
     let mut parked = 0usize;
     for host in rt.server_hosts() {
-        parked += rt.server(&host).unwrap().parked.len();
+        parked += rt.server(&host).unwrap().navigator.parked.len();
     }
     let recovery = rt.recovery_totals();
 

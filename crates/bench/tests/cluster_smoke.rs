@@ -112,7 +112,7 @@ fn cluster_trace_merges_a_ring_journey_across_live_daemons() {
 
     // --- live fetch: page every daemon's recorder over the wire ----
     let mut poller =
-        naplet_man::ClusterTracePoller::connect(harness.config(), naplet_bench::cluster::MON)
+        naplet_man::ClusterStatusPoller::connect(harness.config(), naplet_bench::cluster::MON)
             .unwrap();
     let targets: Vec<String> = ["n1", "n2", "n3"].iter().map(|s| s.to_string()).collect();
     let mut segments = poller

@@ -17,7 +17,7 @@ use naplet_core::credential::{Credential, SigningKey};
 use naplet_core::error::{NapletError, Result};
 use naplet_core::id::NapletId;
 use naplet_core::value::Value;
-use naplet_server::{SimRuntime, StatusReport, Wire};
+use naplet_server::{OpsRead, SimRuntime, StatusReport, Wire};
 use naplet_snmp::{Oid, SnmpOp, SnmpRequest, SnmpResponse};
 
 use crate::service::SharedDevice;
@@ -145,7 +145,7 @@ impl CentralizedManager {
     }
 
     /// Poll every target server's ops-plane status over the wire-level
-    /// status protocol. The privileged `StatusRequest` frames carry a
+    /// ops protocol. The privileged `OpsRequest` frames carry a
     /// credential issued under `key`; a server whose security policy
     /// denies `PrivilegedService("status")` answers with no report and
     /// is omitted from the result. Reports come back sorted by host,
@@ -164,10 +164,11 @@ impl CentralizedManager {
             rt.station_send(
                 &self.station.clone(),
                 target,
-                Wire::StatusRequest {
+                Wire::OpsRequest {
                     token: self.next_token,
                     reply_to: self.station.clone(),
                     credential: credential.clone(),
+                    read: OpsRead::Status,
                 },
             )?;
         }
@@ -175,12 +176,9 @@ impl CentralizedManager {
         let server = rt
             .server_mut(&self.station)
             .ok_or_else(|| NapletError::NotFound(format!("no server at `{}`", self.station)))?;
-        let mut reports: Vec<StatusReport> = std::mem::take(&mut server.status_replies)
-            .into_iter()
-            .filter_map(|(_, report)| report)
-            .collect();
-        reports.sort_by(|a, b| a.host.cmp(&b.host));
-        Ok(reports)
+        let replies = std::mem::take(&mut server.ops_replies);
+        let pages = replies.into_iter().filter_map(|(_, page)| page);
+        Ok(crate::live_ops::sorted_reports(pages))
     }
 
     /// Walk a subtree on every device with per-variable get-next

@@ -10,7 +10,7 @@
 //!   threshold-filtering and VM-bytecode variants);
 //! * [`centralized`] — the SNMP micro-management baseline running from
 //!   a management station over the same metered fabric;
-//! * [`live_ops`] — the same status protocol pointed at a real
+//! * [`live_ops`] — the same ops protocol pointed at a real
 //!   `napletd` cluster over TCP;
 //! * [`workload`] — MIB variable sets for health polls, table walks
 //!   and error diagnosis;
@@ -27,7 +27,7 @@ pub mod workload;
 pub mod world;
 
 pub use centralized::{install_snmp_endpoint, CentralizedManager, SNMP_TAG};
-pub use live_ops::{ClusterStatusPoller, ClusterTracePoller};
+pub use live_ops::ClusterStatusPoller;
 pub use nm_naplet::{
     nm_naplet, nm_vm_naplet, nm_vm_program, register_nm_codebase, with_threshold, NmBehavior,
     NM_CODEBASE, NM_CODE_SIZE,

@@ -1,19 +1,23 @@
 //! Live ops plane over real sockets: poll a running `napletd` cluster.
 //!
 //! [`crate::centralized::CentralizedManager::status_poll`] drives the
-//! wire-level status protocol inside the deterministic sim; this is
-//! the same protocol pointed at real daemons. A
-//! [`ClusterStatusPoller`] is a station node from the cluster's
-//! bootstrap file (an entry no daemon was started for — conventionally
-//! `ctl` or `mon`): a [`Node`] bound to the station's listen address
-//! that sends privileged requests to named peers over TCP and sleeps
-//! on its inbox until the replies have landed or the deadline passes.
+//! wire-level ops protocol inside the deterministic sim; this is the
+//! same protocol pointed at real daemons. A [`ClusterStatusPoller`] is
+//! a station node from the cluster's bootstrap file (an entry no daemon
+//! was started for — conventionally `ctl` or `mon`): a [`Node`] bound
+//! to the station's listen address that sends privileged `OpsRequest`s
+//! to named peers over TCP and sleeps on its inbox until the replies
+//! have landed or the deadline passes. One station reads all three
+//! kinds: status reports, flight-recorder segments (for
+//! [`naplet_obs::merge_cluster_trace`] to join into one cluster-wide
+//! Chrome trace) and metrics histories.
 //!
 //! A daemon that is down, or whose security policy refuses
-//! `PrivilegedService("status")`, simply contributes no report — the
+//! `PrivilegedService("status")`, simply contributes nothing — the
 //! poller returns what it heard, sorted by host, and the caller
 //! compares against the set it asked for.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,21 +26,13 @@ use naplet_core::credential::{Credential, SigningKey};
 use naplet_core::error::Result;
 use naplet_core::NapletId;
 use naplet_net::tcp::TcpTransport;
-use naplet_obs::{FlatSegment, MetricsHistoryPage, ObsSink, TraceSegment};
+use naplet_obs::{FlatSegment, MetricsHistoryPage, ObsSink};
 use naplet_server::bootstrap::BootstrapConfig;
-use naplet_server::events::Wire;
+use naplet_server::events::{OpsPage, OpsRead, Wire};
 use naplet_server::status::StatusReport;
-use naplet_server::{LocationMode, NapletServer, Node, ServerConfig};
+use naplet_server::{LocationMode, Node, ServerConfig};
 
-/// The same station wearing its distributed-tracing hat:
-/// [`ClusterStatusPoller::fetch_traces`] pages every daemon's flight
-/// recorder out over the privileged trace protocol, for
-/// [`naplet_obs::merge_cluster_trace`] to join into one cluster-wide
-/// Chrome trace. One bound station serves both protocols, so the
-/// alias exists purely to name the role.
-pub type ClusterTracePoller = ClusterStatusPoller;
-
-/// A status station attached to a live cluster.
+/// An ops station attached to a live cluster.
 pub struct ClusterStatusPoller {
     node: Node<TcpTransport>,
     /// What every request presents to the peer's policy matrix.
@@ -64,31 +60,35 @@ impl ClusterStatusPoller {
         })
     }
 
-    /// Send `target` the request `build(token, reply_to, credential)`
-    /// makes under a fresh token; returns the token.
-    fn ask(&mut self, target: &str, build: impl FnOnce(u64, String, Credential) -> Wire) -> u64 {
+    /// Ask `target` for `read` under a fresh token; returns the token.
+    fn ask(&mut self, target: &str, read: OpsRead) -> u64 {
         self.next_token += 1;
-        let reply_to = self.node.server.host().to_string();
-        let wire = build(self.next_token, reply_to, self.credential.clone());
+        let wire = Wire::OpsRequest {
+            token: self.next_token,
+            reply_to: self.node.server.host().to_string(),
+            credential: self.credential.clone(),
+            read,
+        };
         self.node.send(target, wire);
         self.next_token
     }
 
-    /// Sleep on the station's inbox until `take` finds what it is
-    /// looking for among the replies the server has collected, or
-    /// `deadline` passes.
-    fn await_reply<R>(
-        &mut self,
-        deadline: Instant,
-        mut take: impl FnMut(&mut NapletServer) -> Option<R>,
-    ) -> Option<R> {
+    /// Sleep on the station's inbox until every token in `waiting` has
+    /// its reply or `deadline` passes. Returns the pages that came, in
+    /// arrival order; refusals and late replies to earlier requests
+    /// are dropped.
+    fn collect(&mut self, mut waiting: BTreeSet<u64>, deadline: Instant) -> Vec<OpsPage> {
+        let mut pages = Vec::new();
         loop {
             self.node.pump();
-            if let Some(reply) = take(&mut self.node.server) {
-                return Some(reply);
+            for (token, page) in self.node.server.ops_replies.drain(..) {
+                if waiting.remove(&token) {
+                    pages.extend(page);
+                }
             }
-            if Instant::now() >= deadline || !self.node.wait(Some(deadline)) {
-                return None;
+            let done = waiting.is_empty() || Instant::now() >= deadline;
+            if done || !self.node.wait(Some(deadline)) {
+                return pages;
             }
         }
     }
@@ -97,149 +97,84 @@ impl ClusterStatusPoller {
     /// Returns whatever arrived in time, sorted by host — absent hosts
     /// are the caller's signal that a node is down or refusing.
     pub fn poll(&mut self, targets: &[String], timeout: Duration) -> Result<Vec<StatusReport>> {
-        let mut waiting: std::collections::BTreeSet<u64> = targets
-            .iter()
-            .map(|target| {
-                self.ask(target, |token, reply_to, credential| Wire::StatusRequest {
-                    token,
-                    reply_to,
-                    credential,
-                })
-            })
-            .collect();
-        self.await_reply(Instant::now() + timeout, |server| {
-            for (token, _) in &server.status_replies {
-                waiting.remove(token);
-            }
-            waiting.is_empty().then_some(())
-        });
-        let mut reports: Vec<StatusReport> = std::mem::take(&mut self.node.server.status_replies)
-            .into_iter()
-            .filter_map(|(_, report)| report)
-            .collect();
-        reports.sort_by(|a, b| a.host.cmp(&b.host));
-        Ok(reports)
+        let asked = targets.iter().map(|t| self.ask(t, OpsRead::Status));
+        let waiting = asked.collect();
+        let pages = self.collect(waiting, Instant::now() + timeout);
+        Ok(sorted_reports(pages))
     }
 
-    /// Fetch every target's flight-recorder segment, paging each ring
-    /// out with `TraceSegmentRequest` until a page comes back short.
-    /// Returns one [`FlatSegment`] per answering host (sorted by
-    /// host), ready for [`naplet_obs::merge_cluster_trace`]. A daemon
-    /// that is down, refuses the privileged read, or never enabled its
-    /// recorder contributes nothing.
+    /// Page a ring out of every target: ask with `read(from_seq, max)`
+    /// from sequence 0 until a page comes back short, joining the pages
+    /// of one host into one. Returns one merged page per answering
+    /// host, sorted by host. A daemon that is down, refuses the
+    /// privileged read, or never enabled the ring contributes nothing.
+    fn page_out(
+        &mut self,
+        targets: &[String],
+        timeout: Duration,
+        max: u32,
+        read: fn(u64, u32) -> OpsRead,
+    ) -> Vec<OpsPage> {
+        let deadline = Instant::now() + timeout;
+        let mut targets = targets.to_vec();
+        targets.sort(); // a page's host is the target that answered
+        let mut rings = Vec::new();
+        for target in &targets {
+            // one host at a time keeps token bookkeeping trivial and
+            // ring fetches are an offline/ops activity, not a hot path
+            let mut merged = None;
+            let mut from_seq = 0;
+            loop {
+                let token = self.ask(target, read(from_seq, max));
+                // refused, ring off, or timed out: keep what we have
+                // (possibly nothing) and move on
+                let Some(page) = self.collect([token].into(), deadline).pop() else {
+                    break;
+                };
+                let (next_seq, got) = join(&mut merged, page);
+                from_seq = next_seq;
+                if got < max as usize {
+                    break;
+                }
+            }
+            rings.extend(merged);
+        }
+        rings
+    }
+
+    /// Fetch every target's flight-recorder ring, one [`FlatSegment`]
+    /// per answering host (sorted by host), ready for
+    /// [`naplet_obs::merge_cluster_trace`].
     pub fn fetch_traces(
         &mut self,
         targets: &[String],
         timeout: Duration,
     ) -> Result<Vec<FlatSegment>> {
-        const PAGE: u32 = 512;
-        let deadline = Instant::now() + timeout;
-        let mut segments = Vec::new();
-        for target in targets {
-            // page this target's ring until a short page or deadline;
-            // one host at a time keeps token bookkeeping trivial and
-            // trace fetches are an offline/ops activity, not a hot path
-            let mut merged: Option<TraceSegment> = None;
-            let mut from_seq = 0u64;
-            loop {
-                let token = self.ask(target, |token, reply_to, credential| {
-                    Wire::TraceSegmentRequest {
-                        token,
-                        reply_to,
-                        credential,
-                        from_seq,
-                        max_events: PAGE,
-                    }
-                });
-                let page = self.await_reply(deadline, |server| {
-                    let replies = std::mem::take(&mut server.trace_replies);
-                    replies.into_iter().find(|(t, _)| *t == token)
-                });
-                let Some((_, Some(seg))) = page else {
-                    // refused, recorder off, or timed out: keep what
-                    // we have (possibly nothing) and move on
-                    break;
-                };
-                let got = seg.events.len();
-                from_seq = seg.start_seq + got as u64;
-                match &mut merged {
-                    None => merged = Some(seg),
-                    Some(m) => {
-                        m.next_seq = seg.next_seq;
-                        m.dropped = seg.dropped;
-                        m.events.extend(seg.events);
-                    }
-                }
-                if got < PAGE as usize {
-                    break;
-                }
-            }
-            if let Some(seg) = merged {
-                segments.push(FlatSegment::from_segment(&seg));
-            }
-        }
-        segments.sort_by(|a, b| a.host.cmp(&b.host));
-        Ok(segments)
+        let read = |from_seq, max| OpsRead::Trace { from_seq, max };
+        let rings = self.page_out(targets, timeout, 512, read).into_iter();
+        Ok(rings
+            .filter_map(|ring| match ring {
+                OpsPage::Trace(segment) => Some(FlatSegment::from_segment(&segment)),
+                _ => None,
+            })
+            .collect())
     }
 
-    /// Page every target's metrics-history ring out over the
-    /// privileged `MetricsHistoryRequest` protocol. Returns one merged
-    /// [`MetricsHistoryPage`] per answering host (sorted by host). A
-    /// daemon that is down, refuses the privileged read, or never
-    /// enabled its history contributes nothing.
+    /// Fetch every target's metrics-history ring, one merged
+    /// [`MetricsHistoryPage`] per answering host (sorted by host).
     pub fn fetch_metrics_history(
         &mut self,
         targets: &[String],
         timeout: Duration,
     ) -> Result<Vec<MetricsHistoryPage>> {
-        const PAGE: u32 = 64;
-        let deadline = Instant::now() + timeout;
-        let mut pages = Vec::new();
-        for target in targets {
-            // one host at a time, same as fetch_traces: token
-            // bookkeeping stays trivial and this is an ops activity
-            let mut merged: Option<MetricsHistoryPage> = None;
-            let mut from_seq = 0u64;
-            loop {
-                let token = self.ask(target, |token, reply_to, credential| {
-                    Wire::MetricsHistoryRequest {
-                        token,
-                        reply_to,
-                        credential,
-                        from_seq,
-                        max_samples: PAGE,
-                    }
-                });
-                let page = self.await_reply(deadline, |server| {
-                    let replies = std::mem::take(&mut server.metrics_history_replies);
-                    replies.into_iter().find(|(t, _)| *t == token)
-                });
-                let Some((_, Some(p))) = page else {
-                    // refused, history off, or timed out: keep what we
-                    // have (possibly nothing) and move on
-                    break;
-                };
-                let got = p.samples.len();
-                from_seq = p.start_seq + got as u64;
-                match &mut merged {
-                    None => merged = Some(p),
-                    Some(m) => {
-                        m.next_seq = p.next_seq;
-                        m.dropped = p.dropped;
-                        m.total = p.total;
-                        m.samples.extend(p.samples);
-                    }
-                }
-                if got < PAGE as usize {
-                    break;
-                }
-            }
-            if let Some(p) = merged {
-                pages.push(p);
-            }
-        }
-        pages.sort_by(|a, b| a.host.cmp(&b.host));
-        Ok(pages)
+        let read = |from_seq, max| OpsRead::MetricsHistory { from_seq, max };
+        let rings = self.page_out(targets, timeout, 64, read).into_iter();
+        Ok(rings
+            .filter_map(|ring| match ring {
+                OpsPage::MetricsHistory(page) => Some(page),
+                _ => None,
+            })
+            .collect())
     }
 
     /// Render fetched metrics histories as per-host rate tables: the
@@ -403,6 +338,40 @@ impl ClusterStatusPoller {
     }
 }
 
+/// The status reports among `pages`, sorted by host (so the same
+/// cluster polled twice encodes byte-identically).
+pub(crate) fn sorted_reports(pages: impl IntoIterator<Item = OpsPage>) -> Vec<StatusReport> {
+    let reports = pages.into_iter().filter_map(|page| match page {
+        OpsPage::Status(report) => Some(report),
+        _ => None,
+    });
+    let mut reports: Vec<StatusReport> = reports.collect();
+    reports.sort_by(|a, b| a.host.cmp(&b.host));
+    reports
+}
+
+/// Append `page` to what `merged` holds of the same ring. Returns the
+/// sequence the next page starts at and how many entries this one held.
+fn join(merged: &mut Option<OpsPage>, page: OpsPage) -> (u64, usize) {
+    let (start_seq, got) = match &page {
+        OpsPage::Trace(p) => (p.start_seq, p.events.len()),
+        OpsPage::MetricsHistory(p) => (p.start_seq, p.samples.len()),
+        OpsPage::Status(_) => (0, 0),
+    };
+    match (merged.as_mut(), page) {
+        (Some(OpsPage::Trace(m)), OpsPage::Trace(p)) => {
+            (m.next_seq, m.dropped, m.total) = (p.next_seq, p.dropped, p.total);
+            m.events.extend(p.events);
+        }
+        (Some(OpsPage::MetricsHistory(m)), OpsPage::MetricsHistory(p)) => {
+            (m.next_seq, m.dropped, m.total) = (p.next_seq, p.dropped, p.total);
+            m.samples.extend(p.samples);
+        }
+        (_, page) => *merged = Some(page),
+    }
+    (start_seq + got as u64, got)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,26 +391,7 @@ mod tests {
     fn blank_report(host: &str) -> StatusReport {
         StatusReport {
             host: host.into(),
-            at: Millis(0),
-            residents: Vec::new(),
-            parked: 0,
-            mailbox_depth: 0,
-            special_mailbox_depth: 0,
-            journal_entries: 0,
-            journal_bytes: 0,
-            leases_held: 0,
-            leases_expired: 0,
-            leases_redispatched: 0,
-            leases_lost: 0,
-            locator_entries: 0,
-            locator_hits: 0,
-            locator_misses: 0,
-            locator_stale_hits: 0,
-            locator_evictions: 0,
-            locator_oldest_age_ms: 0,
-            pending_transfers: 0,
-            outstanding_posts: 0,
-            repl: None,
+            ..StatusReport::default()
         }
     }
 
@@ -508,7 +458,7 @@ mod tests {
         let alpha = Daemon::start(&config, "alpha").unwrap();
         let beta = Daemon::start(&config, "beta").unwrap();
 
-        let mut poller = ClusterTracePoller::connect(&config, "mon").unwrap();
+        let mut poller = ClusterStatusPoller::connect(&config, "mon").unwrap();
         let targets = vec!["alpha".to_string(), "beta".to_string()];
         // a status poll first, so each daemon's recorder has at least
         // its wire.recv/wire.send pair for the status exchange

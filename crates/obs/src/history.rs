@@ -9,8 +9,8 @@
 //! timestamped delta into a bounded [`Ring`] — so the retained record
 //! is a sequence of interval deltas, cheap to keep permanently and
 //! trivially convertible to rates. Remote readers page it out over
-//! the privileged `MetricsHistoryRequest/Reply` wire pair (same gating
-//! as the status and trace protocols) as [`MetricsHistoryPage`]s, and
+//! the privileged ops request (the same gate and frames as status
+//! reports and trace segments) as [`MetricsHistoryPage`]s, and
 //! `napletd` dumps it next to the flight recorder on SIGUSR1, clean
 //! shutdown, and panic — "what happened in the 60s before the crash"
 //! is always answerable.

@@ -254,7 +254,7 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::Wire;
+    use crate::events::{OpsPage, OpsRead, Wire};
     use crate::node::Node;
     use naplet_core::clock::Millis;
     use naplet_core::credential::{Credential, SigningKey};
@@ -430,25 +430,27 @@ mod tests {
             for (token, replica) in ["d0", "d1", "d2"].into_iter().enumerate() {
                 mon.send(
                     replica,
-                    Wire::StatusRequest {
+                    Wire::OpsRequest {
                         token: token as u64,
                         reply_to: "mon".into(),
                         credential: credential.clone(),
+                        read: OpsRead::Status,
                     },
                 );
             }
             // one round: the three answers, or 50 ms
             let round = deadline.min(Instant::now() + Duration::from_millis(50));
-            while mon.server.status_replies.len() < 3 && Instant::now() < round {
+            while mon.server.ops_replies.len() < 3 && Instant::now() < round {
                 mon.wait(Some(round));
             }
-            let replies = std::mem::take(&mut mon.server.status_replies);
+            let replies = std::mem::take(&mut mon.server.ops_replies);
             elected = replies.len() == 3
-                && replies.iter().all(|(_, report)| {
-                    report
-                        .as_ref()
-                        .and_then(|r| r.repl.as_ref())
-                        .is_some_and(|r| r.leader.is_some() && r.commit >= 1)
+                && replies.iter().all(|(_, page)| {
+                    let Some(OpsPage::Status(report)) = page else {
+                        return false;
+                    };
+                    let repl = report.repl.as_ref();
+                    repl.is_some_and(|r| r.leader.is_some() && r.commit >= 1)
                 });
         }
 

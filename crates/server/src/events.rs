@@ -200,77 +200,27 @@ pub enum Wire {
         /// The admitted naplet (diagnostics).
         id: NapletId,
     },
-    /// Privileged health probe: ask a server for its
-    /// [`crate::status::StatusReport`]. Gated by the receiving
-    /// server's security policy under
+    /// Privileged ops-plane read of a server's internals. Every kind of
+    /// read passes the receiving server's one gate,
     /// `Permission::PrivilegedService("status")` — an unauthorized
     /// credential is refused with an empty reply.
-    StatusRequest {
-        /// Correlation token (echoed in the reply).
-        token: u64,
-        /// Where to send the reply.
-        reply_to: String,
-        /// The prober's credential, checked against the policy matrix.
-        credential: naplet_core::credential::Credential,
-    },
-    /// Health probe reply. `report` is `None` when the probe was
-    /// refused by the security policy.
-    StatusReply {
-        /// Echoed token.
-        token: u64,
-        /// The probed server's report, or `None` on refusal.
-        report: Option<crate::status::StatusReport>,
-    },
-    /// Privileged flight-recorder read: page out the server's recent
-    /// trace events from absolute sequence `from_seq`. Gated by the
-    /// same `Permission::PrivilegedService("status")` grant as
-    /// [`Wire::StatusRequest`].
-    TraceSegmentRequest {
+    OpsRequest {
         /// Correlation token (echoed in the reply).
         token: u64,
         /// Where to send the reply.
         reply_to: String,
         /// The reader's credential, checked against the policy matrix.
         credential: naplet_core::credential::Credential,
-        /// First absolute event sequence wanted (see
-        /// [`naplet_obs::TraceSegment`] paging).
-        from_seq: u64,
-        /// Page-size ceiling.
-        max_events: u32,
+        /// What to read.
+        read: OpsRead,
     },
-    /// Flight-recorder page. `segment` is `None` when the read was
-    /// refused by the security policy.
-    TraceSegmentReply {
+    /// The answer to an [`Wire::OpsRequest`]. `page` is `None` when the
+    /// read was refused by the security policy.
+    OpsReply {
         /// Echoed token.
         token: u64,
-        /// One page of the recorder, or `None` on refusal.
-        segment: Option<naplet_obs::TraceSegment>,
-    },
-    /// Privileged metrics time-series read: page out the server's
-    /// recent [`naplet_obs::MetricsSample`] deltas from absolute
-    /// sequence `from_seq`. Gated by the same
-    /// `Permission::PrivilegedService("status")` grant as
-    /// [`Wire::StatusRequest`].
-    MetricsHistoryRequest {
-        /// Correlation token (echoed in the reply).
-        token: u64,
-        /// Where to send the reply.
-        reply_to: String,
-        /// The reader's credential, checked against the policy matrix.
-        credential: naplet_core::credential::Credential,
-        /// First absolute sample sequence wanted (see
-        /// [`naplet_obs::MetricsHistoryPage`] paging).
-        from_seq: u64,
-        /// Page-size ceiling.
-        max_samples: u32,
-    },
-    /// Metrics time-series page. `page` is `None` when the read was
-    /// refused by the security policy.
-    MetricsHistoryReply {
-        /// Echoed token.
-        token: u64,
-        /// One page of the history ring, or `None` on refusal.
-        page: Option<naplet_obs::MetricsHistoryPage>,
+        /// What was read, or `None` on refusal.
+        page: Option<OpsPage>,
     },
     /// Consensus traffic between directory replicas
     /// ([`crate::repl`]): elections, log replication, snapshots.
@@ -278,6 +228,41 @@ pub enum Wire {
         /// The consensus message.
         msg: crate::repl::ReplMsg,
     },
+}
+
+/// What an [`Wire::OpsRequest`] reads. The two rings page: ask from
+/// absolute sequence `from_seq` for at most `max` entries, then again
+/// from where the page ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum OpsRead {
+    /// The server's [`crate::status::StatusReport`].
+    Status,
+    /// A page of its flight recorder ([`naplet_obs::TraceSegment`]).
+    Trace {
+        /// First absolute event sequence wanted.
+        from_seq: u64,
+        /// Page-size ceiling.
+        max: u32,
+    },
+    /// A page of its metrics history
+    /// ([`naplet_obs::MetricsHistoryPage`]).
+    MetricsHistory {
+        /// First absolute sample sequence wanted.
+        from_seq: u64,
+        /// Page-size ceiling.
+        max: u32,
+    },
+}
+
+/// What an [`Wire::OpsReply`] carries, one variant per [`OpsRead`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum OpsPage {
+    /// The probed server's report.
+    Status(crate::status::StatusReport),
+    /// One page of the recorder.
+    Trace(naplet_obs::TraceSegment),
+    /// One page of the history ring.
+    MetricsHistory(naplet_obs::MetricsHistoryPage),
 }
 
 impl Wire {
@@ -337,12 +322,8 @@ impl Wire {
             Wire::Notify { .. } => "handler_us.Notify",
             Wire::AppRequest { .. } => "handler_us.AppRequest",
             Wire::AppReply { .. } => "handler_us.AppReply",
-            Wire::StatusRequest { .. } => "handler_us.StatusRequest",
-            Wire::StatusReply { .. } => "handler_us.StatusReply",
-            Wire::TraceSegmentRequest { .. } => "handler_us.TraceSegmentRequest",
-            Wire::TraceSegmentReply { .. } => "handler_us.TraceSegmentReply",
-            Wire::MetricsHistoryRequest { .. } => "handler_us.MetricsHistoryRequest",
-            Wire::MetricsHistoryReply { .. } => "handler_us.MetricsHistoryReply",
+            Wire::OpsRequest { .. } => "handler_us.OpsRequest",
+            Wire::OpsReply { .. } => "handler_us.OpsReply",
             Wire::Repl { .. } => "handler_us.Repl",
         }
     }
@@ -367,12 +348,8 @@ impl Wire {
             | Wire::Post { .. }
             | Wire::AppRequest { .. }
             | Wire::AppReply { .. }
-            | Wire::StatusRequest { .. }
-            | Wire::StatusReply { .. }
-            | Wire::TraceSegmentRequest { .. }
-            | Wire::TraceSegmentReply { .. }
-            | Wire::MetricsHistoryRequest { .. }
-            | Wire::MetricsHistoryReply { .. }
+            | Wire::OpsRequest { .. }
+            | Wire::OpsReply { .. }
             | Wire::Repl { .. } => None,
         }
     }
@@ -743,54 +720,24 @@ mod tests {
         assert_eq!(LocalEvent::ReplTick.handler_key(), "handler_us.ReplTick");
     }
 
+    /// One case per read kind: the request and a refusal round-trip as
+    /// Control-class frames outside the retry protocol, and so does
+    /// each kind's page.
     #[test]
-    fn status_frames_are_control_class_and_round_trip() {
+    fn ops_frames_are_control_class_and_round_trip() {
+        let round_trip = |wire: Wire, label: &str| {
+            assert_eq!(wire.traffic_class(), TrafficClass::Control);
+            assert_eq!(wire.retry_attempt(), 1);
+            assert_eq!(wire.label(), label);
+            assert_eq!(wire.subject(), None);
+            let bytes = naplet_core::codec::to_bytes(&wire).unwrap();
+            let back: Wire = naplet_core::codec::from_bytes(&bytes).unwrap();
+            assert_eq!(back, wire);
+        };
         let key = naplet_core::credential::SigningKey::new("ops", b"secret");
         let id = NapletId::new("ops", "man", Millis(0)).unwrap();
-        let req = Wire::StatusRequest {
-            token: 5,
-            reply_to: "man".into(),
-            credential: naplet_core::credential::Credential::issue(&key, id, "status", vec![]),
-        };
-        assert_eq!(req.traffic_class(), TrafficClass::Control);
-        assert_eq!(req.retry_attempt(), 1);
-        assert_eq!(req.label(), "StatusRequest");
-        assert_eq!(req.subject(), None);
-        let bytes = naplet_core::codec::to_bytes(&req).unwrap();
-        let back: Wire = naplet_core::codec::from_bytes(&bytes).unwrap();
-        assert_eq!(back, req);
-
-        let reply = Wire::StatusReply {
-            token: 5,
-            report: None,
-        };
-        assert_eq!(reply.label(), "StatusReply");
-        assert_eq!(reply.traffic_class(), TrafficClass::Control);
-        let bytes = naplet_core::codec::to_bytes(&reply).unwrap();
-        let back: Wire = naplet_core::codec::from_bytes(&bytes).unwrap();
-        assert_eq!(back, reply);
-    }
-
-    #[test]
-    fn metrics_history_frames_are_control_class_and_round_trip() {
-        let key = naplet_core::credential::SigningKey::new("ops", b"secret");
-        let id = NapletId::new("ops", "man", Millis(0)).unwrap();
-        let req = Wire::MetricsHistoryRequest {
-            token: 9,
-            reply_to: "man".into(),
-            credential: naplet_core::credential::Credential::issue(&key, id, "status", vec![]),
-            from_seq: 4,
-            max_samples: 64,
-        };
-        assert_eq!(req.traffic_class(), TrafficClass::Control);
-        assert_eq!(req.retry_attempt(), 1);
-        assert_eq!(req.label(), "MetricsHistoryRequest");
-        assert_eq!(req.subject(), None);
-        let bytes = naplet_core::codec::to_bytes(&req).unwrap();
-        let back: Wire = naplet_core::codec::from_bytes(&bytes).unwrap();
-        assert_eq!(back, req);
-
-        let page = naplet_obs::MetricsHistoryPage {
+        let credential = naplet_core::credential::Credential::issue(&key, id, "status", vec![]);
+        let history = naplet_obs::MetricsHistoryPage {
             host: "n1".into(),
             next_seq: 2,
             total: 2,
@@ -800,16 +747,59 @@ mod tests {
             }],
             ..naplet_obs::MetricsHistoryPage::default()
         };
-        let reply = Wire::MetricsHistoryReply {
-            token: 9,
-            page: Some(page),
+        let cases = [
+            (
+                OpsRead::Status,
+                OpsPage::Status(crate::status::StatusReport::default()),
+            ),
+            (
+                OpsRead::Trace {
+                    from_seq: 4,
+                    max: 512,
+                },
+                OpsPage::Trace(naplet_obs::TraceSegment::default()),
+            ),
+            (
+                OpsRead::MetricsHistory {
+                    from_seq: 4,
+                    max: 64,
+                },
+                OpsPage::MetricsHistory(history),
+            ),
+        ];
+        for (token, (read, page)) in cases.into_iter().enumerate() {
+            let token = token as u64;
+            let request = Wire::OpsRequest {
+                token,
+                reply_to: "man".into(),
+                credential: credential.clone(),
+                read,
+            };
+            round_trip(request, "OpsRequest");
+            let page = Some(page);
+            round_trip(Wire::OpsReply { token, page }, "OpsReply");
+            round_trip(Wire::OpsReply { token, page: None }, "OpsReply");
+        }
+    }
+
+    /// The hop, directory and post frames keep the variant indices they
+    /// had before the ops plane collapsed: only what follows
+    /// `TransferAck` (14) moved.
+    #[test]
+    fn the_ops_collapse_left_the_first_fifteen_variant_indices_alone() {
+        let id = NapletId::new("u", "h", Millis(0)).unwrap();
+        let tag = |wire: &Wire| naplet_core::codec::to_bytes(wire).unwrap()[0];
+        let ack = Wire::TransferAck {
+            transfer_id: 1,
+            id: id.clone(),
         };
-        assert_eq!(reply.label(), "MetricsHistoryReply");
-        assert_eq!(reply.traffic_class(), TrafficClass::Control);
-        assert_eq!(reply.subject(), None);
-        let bytes = naplet_core::codec::to_bytes(&reply).unwrap();
-        let back: Wire = naplet_core::codec::from_bytes(&bytes).unwrap();
-        assert_eq!(back, reply);
+        assert_eq!(tag(&ack), 14);
+        assert_eq!(tag(&Wire::DirAck { id }), 4);
+        let reply = Wire::OpsReply {
+            token: 1,
+            page: None,
+        };
+        assert_eq!(tag(&reply), 16);
     }
 
     #[test]

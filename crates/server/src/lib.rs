@@ -7,9 +7,9 @@
 //! NapletMonitor ([`monitor`]), NapletSecurityManager ([`security`]),
 //! ResourceManager ([`resources`]) with dynamically created
 //! ServiceChannels ([`service_channel`]), NapletManager ([`manager`]),
-//! Messenger ([`messenger`]), Navigator (the migration protocol inside
-//! [`server`]) and Locator ([`locator`]); plus the optional
-//! NapletDirectory ([`directory`]).
+//! Messenger ([`messenger`]), Navigator ([`navigator`]) and Locator
+//! ([`locator`]); plus the optional NapletDirectory ([`directory`]).
+//! [`server`] routes events between them and keeps the journal.
 //!
 //! Servers are deterministic event handlers; [`runtime::SimRuntime`]
 //! drives them over a metered fabric in virtual time (measurements),
@@ -30,6 +30,7 @@ pub mod locator;
 pub mod manager;
 pub mod messenger;
 pub mod monitor;
+pub mod navigator;
 pub mod node;
 pub mod repl;
 pub mod resources;
@@ -44,7 +45,9 @@ mod timers;
 pub use bootstrap::{BootstrapConfig, NodeConfig};
 pub use daemon::{register_probe, Daemon, DaemonSummary, TraceDumper, PROBE_CODEBASE};
 pub use directory::{DirEntry, DirEvent, NapletDirectory};
-pub use events::{EventLog, Input, LocalEvent, LogEntry, Output, TransferEnvelope, Wire};
+pub use events::{
+    EventLog, Input, LocalEvent, LogEntry, OpsPage, OpsRead, Output, TransferEnvelope, Wire,
+};
 pub use journal::{
     FileStore, Journal, JournalPhase, JournalRecord, JournalStore, MemoryStore, RecoveryStats,
 };
@@ -56,6 +59,7 @@ pub use messenger::Messenger;
 pub use monitor::{
     MonitorPolicy, NapletMonitor, Priority, ResourceUsage, RunEntry, RunState, SchedulingPolicy,
 };
+pub use navigator::Navigator;
 pub use node::Node;
 pub use repl::{DirOp, ReplConfig, ReplMsg, ReplicaCore};
 pub use resources::ResourceManager;

@@ -275,7 +275,9 @@ impl<T: Transport> Node<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::{OpsPage, OpsRead};
     use crate::repl::ReplConfig;
+    use crate::security::Policy;
     use crate::server::LocationMode;
     use naplet_core::credential::{Credential, SigningKey};
     use naplet_net::{Bandwidth, Fabric, LatencyModel, ThreadedNet};
@@ -293,14 +295,19 @@ mod tests {
         Node::new(Arc::clone(net), config, obs.clone(), Instant::now())
     }
 
-    fn status_request(token: u64, reply_to: &str) -> Wire {
+    fn ops_request(token: u64, reply_to: &str, read: OpsRead) -> Wire {
         let key = SigningKey::new("ops", b"secret");
         let id = NapletId::new("ops", reply_to, Millis(1)).unwrap();
-        Wire::StatusRequest {
+        Wire::OpsRequest {
             token,
             reply_to: reply_to.to_string(),
             credential: Credential::issue(&key, id, "ops-plane", vec![]),
+            read,
         }
+    }
+
+    fn status_request(token: u64, reply_to: &str) -> Wire {
+        ops_request(token, reply_to, OpsRead::Status)
     }
 
     /// How many `ReplTick`s servers recording into `obs` have handled
@@ -312,40 +319,78 @@ mod tests {
             .map_or(0, |h| h.total)
     }
 
+    /// One round trip per read kind, granted and then refused: the
+    /// page that comes back is the kind that was asked for (`None` on
+    /// refusal), the kind's own counter moves, and both directions are
+    /// traced at both ends.
     #[test]
-    fn send_and_pump_round_trip_a_status_request() {
-        let net = net();
-        let obs = ObsSink::default();
-        obs.enable_tracing();
-        let mut a = node(&net, "a", &obs);
-        let mut b = node(&net, "b", &obs);
-        b.send("a", status_request(7, "b"));
-        a.pump();
-        b.pump();
-        let replies = std::mem::take(&mut b.server.status_replies);
-        assert_eq!(replies.len(), 1);
-        assert_eq!(replies[0].0, 7);
-        assert_eq!(replies[0].1.as_ref().map(|r| r.host.as_str()), Some("a"));
-        // both directions were traced at both ends
-        let lines: Vec<String> = obs
-            .tracer
-            .events()
-            .iter()
-            .filter_map(|e| match &e.kind {
-                TraceKind::WireSend { label, .. } => Some(format!("{} send {label}", e.host)),
-                TraceKind::WireRecv { label, .. } => Some(format!("{} recv {label}", e.host)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            lines,
-            [
-                "b send StatusRequest",
-                "a recv StatusRequest",
-                "a send StatusReply",
-                "b recv StatusReply"
-            ]
-        );
+    fn send_and_pump_round_trip_each_kind_of_ops_read() {
+        let page = OpsRead::Trace {
+            from_seq: 0,
+            max: 8,
+        };
+        let history = OpsRead::MetricsHistory {
+            from_seq: 0,
+            max: 8,
+        };
+        let cases = [
+            (
+                OpsRead::Status,
+                "status.probes",
+                "status.refused",
+                "STATUS probe",
+            ),
+            (page, "trace.reads", "trace.refused", "TRACE read"),
+            (history, "history.reads", "history.refused", "HISTORY read"),
+        ];
+        for (read, granted, refused, what) in cases {
+            let net = net();
+            let obs = ObsSink::default();
+            obs.enable_tracing();
+            let mut a = node(&net, "a", &obs);
+            let mut b = node(&net, "b", &obs);
+            let mut ask = |token: u64, a: &mut Node<ThreadedNet>| {
+                b.send("a", ops_request(token, "b", read));
+                a.pump();
+                b.pump();
+                let mut replies = std::mem::take(&mut b.server.ops_replies);
+                assert_eq!(replies.len(), 1, "{what}");
+                let (echoed, page) = replies.remove(0);
+                assert_eq!(echoed, token);
+                page
+            };
+            let host = match ask(7, &mut a).expect("an open policy grants the read") {
+                OpsPage::Status(report) if read == OpsRead::Status => report.host,
+                OpsPage::Trace(segment) if read == page => segment.host,
+                OpsPage::MetricsHistory(samples) if read == history => samples.host,
+                other => panic!("{what} answered with {other:?}"),
+            };
+            assert_eq!(host, "a");
+            a.server.security_mut().set_policy(Policy::deny_all());
+            assert_eq!(ask(8, &mut a), None, "{what} refused");
+            let counters = obs.metrics.snapshot().counters;
+            assert_eq!(counters.get(granted), Some(&1), "{what}");
+            assert_eq!(counters.get(refused), Some(&1), "{what}");
+            let refusal = format!("{what} from b refused");
+            assert!(a.server.log.iter().any(|e| e.line.starts_with(&refusal)));
+            let lines: Vec<String> = obs
+                .tracer
+                .events()
+                .iter()
+                .filter_map(|e| match &e.kind {
+                    TraceKind::WireSend { label, .. } => Some(format!("{} send {label}", e.host)),
+                    TraceKind::WireRecv { label, .. } => Some(format!("{} recv {label}", e.host)),
+                    _ => None,
+                })
+                .collect();
+            let one = [
+                "b send OpsRequest",
+                "a recv OpsRequest",
+                "a send OpsReply",
+                "b recv OpsReply",
+            ];
+            assert_eq!(lines, [one, one].concat(), "{what}");
+        }
     }
 
     #[test]
@@ -364,7 +409,7 @@ mod tests {
         a.pump();
         assert_eq!(ticks_handled(&obs), 1, "the due timer fired");
         b.pump();
-        assert_eq!(b.server.status_replies.len(), 3, "and the backlog drained");
+        assert_eq!(b.server.ops_replies.len(), 3, "and the backlog drained");
     }
 
     #[test]
@@ -395,7 +440,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(10);
         for token in 1..=2 {
             b.send("a", status_request(token, "b"));
-            while b.server.status_replies.len() < token as usize {
+            while b.server.ops_replies.len() < token as usize {
                 assert!(Instant::now() < deadline, "status request {token} starved");
                 b.wait(Some(deadline));
             }
@@ -423,7 +468,7 @@ mod tests {
         drop(net.register("a"));
         assert!(a.wait(None));
         b.pump();
-        assert_eq!(b.server.status_replies.len(), 1);
+        assert_eq!(b.server.ops_replies.len(), 1);
         // then the inbox reads as closed, without blocking, and `run`
         // hands the server back though nobody raised `stop`
         assert!(!a.wait(None));

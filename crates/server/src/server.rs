@@ -2,11 +2,13 @@
 //!
 //! A server wires the seven architecture components together —
 //! NapletMonitor, NapletSecurityManager, ResourceManager,
-//! NapletManager, Messenger, Navigator (the migration protocol in this
-//! file) and Locator — plus dynamically created ServiceChannels. It is
-//! written as a deterministic event handler: a driver feeds it
-//! [`Input`]s and enacts the [`Output`]s, so the same server runs
-//! under the discrete-event runtime and under threaded drivers.
+//! NapletManager, Messenger, Navigator and Locator — plus dynamically
+//! created ServiceChannels. This file is the router between them and
+//! the keeper of the journal: it feeds each component's transitions
+//! and enacts their outcomes (records, bookkeeping, log, metrics,
+//! trace). It is written as a deterministic event handler: a driver
+//! feeds it [`Input`]s and enacts the [`Output`]s, so the same server
+//! runs under the discrete-event runtime and under threaded drivers.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,13 +28,16 @@ use naplet_vm::{ContextVmHost, VmImage, VmYield};
 use naplet_obs::{ObsSink, TraceKind, COUNT_BOUNDS, LATENCY_BOUNDS_MS};
 
 use crate::directory::{DirEvent, NapletDirectory};
-use crate::events::{EventLog, Input, LocalEvent, LogEntry, Output, TransferEnvelope, Wire};
+use crate::events::{
+    EventLog, Input, LocalEvent, LogEntry, OpsPage, OpsRead, Output, TransferEnvelope, Wire,
+};
 use crate::journal::{Journal, JournalPhase, RecoveryStats};
 use crate::lease::{LeasePolicy, LeaseTable};
 use crate::locator::Locator;
 use crate::manager::{NapletManager, NapletStatus};
 use crate::messenger::Messenger;
 use crate::monitor::{MonitorPolicy, NapletMonitor, RunState};
+use crate::navigator::{Attempt, Due, Failed, Navigator, Verdict};
 use crate::repl::{DirOp, ReplConfig, ReplNote, ReplicaCore};
 use crate::resources::ResourceManager;
 use crate::retry::RetryPolicy;
@@ -113,93 +118,6 @@ impl ServerConfig {
     }
 }
 
-/// How long a granted landing keeps mail for its naplet waiting here.
-const EXPECTED_ARRIVAL_TTL_MS: u64 = 60_000;
-
-/// Where an outbound migration stands in the acknowledged handoff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TransferPhase {
-    /// LandingRequest sent; waiting for the LandingReply permit.
-    AwaitingPermit,
-    /// Transfer sent; waiting for the receiver's TransferAck. The
-    /// origin retains the serialized naplet until then.
-    AwaitingAck,
-}
-
-/// What the origin retains for an outbound migration.
-enum RetainedAgent {
-    /// The live in-memory handle: custody before the Transfer frame is
-    /// sent, and for the whole handoff if the image fails to encode.
-    Local(SharedNaplet),
-    /// After the Transfer is sent the origin keeps only the encoded
-    /// image: the live handle rides in the frame, so the
-    /// destination's admission is a move instead of a deep clone. The
-    /// rare retransmit/failure paths decode the image back.
-    Image { id: NapletId, bytes: Arc<Vec<u8>> },
-}
-
-impl RetainedAgent {
-    fn id(&self) -> &NapletId {
-        match self {
-            RetainedAgent::Local(n) => n.id(),
-            RetainedAgent::Image { id, .. } => id,
-        }
-    }
-
-    /// The live handle, when that is the form retained.
-    fn local(&self) -> Option<&SharedNaplet> {
-        match self {
-            RetainedAgent::Local(n) => Some(n),
-            RetainedAgent::Image { .. } => None,
-        }
-    }
-
-    /// A copy to put in a (re)transmitted Transfer frame: an `Arc` bump
-    /// of the live handle, or the retained image decoded back into a
-    /// handle that keeps it (the frame splices it again).
-    fn wire_copy(&self) -> SharedNaplet {
-        match self {
-            RetainedAgent::Local(n) => n.clone(),
-            RetainedAgent::Image { bytes, .. } => naplet_core::codec::from_bytes(bytes)
-                .expect("retained agent image decodes: it was produced by our own encoder"),
-        }
-    }
-
-    /// Take the agent back into sole local custody (failure paths).
-    fn into_naplet(self) -> Naplet {
-        match self {
-            RetainedAgent::Local(n) => n.into_owned(),
-            RetainedAgent::Image { bytes, .. } => naplet_core::codec::from_bytes(&bytes)
-                .expect("retained agent image decodes: it was produced by our own encoder"),
-        }
-    }
-}
-
-/// An outbound migration the navigator has not committed yet. The
-/// naplet stays in the origin's custody until the destination
-/// acknowledges the transfer, so a lost frame can be retried and a
-/// dead destination can be failed over.
-struct PendingTransfer {
-    /// The retained custody copy — live handle or encoded image.
-    naplet: RetainedAgent,
-    action: Option<ActionSpec>,
-    mailbox: Mailbox,
-    dest: String,
-    /// Cursor snapshot from before the `advance()` that chose `dest`;
-    /// restored on permanent failure so the itinerary can re-decide
-    /// (an `Alt` then falls back to its next branch).
-    checkpoint: Cursor,
-    phase: TransferPhase,
-    attempt: u32,
-    /// When the handoff opened (LandingRequest first sent) — the base
-    /// of the handoff-RTT and landing-latency observations.
-    started: Millis,
-}
-
-struct PendingQuery {
-    msg: Message,
-}
-
 type AppHandler = Box<dyn FnMut(&str, &[u8]) -> Result<Vec<u8>> + Send>;
 type StateHook = Box<dyn FnMut(&mut naplet_core::state::ServerStateView<'_>) + Send>;
 
@@ -227,23 +145,11 @@ pub struct NapletServer {
     max_residents: Option<usize>,
     retry: RetryPolicy,
     next_token: u64,
-    pending_transfers: HashMap<u64, PendingTransfer>,
-    pending_queries: HashMap<u64, PendingQuery>,
-    /// Naplets whose LANDING we granted and whose transfer has not
-    /// arrived yet: messages for them wait here instead of chasing a
-    /// stale footprint trail (§4.2 case 3 under cyclic itineraries).
-    /// An expectation lapses [`EXPECTED_ARRIVAL_TTL_MS`] after the
-    /// grant — its transfer was lost — so mail does not wait forever.
-    expected_arrivals: HashMap<NapletId, Millis>,
-    /// Transfers already admitted here, keyed by (origin host,
-    /// transfer id): a retransmitted `Transfer` is re-acknowledged but
-    /// never re-admitted (idempotent delivery).
-    seen_transfers: HashMap<(String, u64), Millis>,
-    /// Naplets stranded here after the reliable-transfer layer gave up
-    /// on a required destination with no itinerary fallback. Held for
-    /// owner inspection/recovery; their home is notified with
-    /// [`NapletStatus::Parked`].
-    pub parked: HashMap<NapletId, Naplet>,
+    /// The migration protocol: outbound custody, expected landings,
+    /// transfer dedup and the parked set.
+    pub navigator: Navigator,
+    /// Messages waiting on a directory lookup, by query token.
+    pending_queries: HashMap<u64, Message>,
     app_handler: Option<AppHandler>,
     state_hook: Option<StateHook>,
     /// Write-ahead journal: durable naplet snapshots at protocol
@@ -257,8 +163,6 @@ pub struct NapletServer {
     last_sweep: Millis,
     /// Recovery diagnostics accumulated across crash replays.
     recovery: RecoveryStats,
-    /// Receiver-side dedup entries evicted by the retention sweep.
-    pub seen_evicted: u64,
     /// Navigation logs of journeys that completed at this server
     /// (diagnostics: duplicate-visit assertions read these).
     pub completed: Vec<(NapletId, naplet_core::navlog::NavigationLog)>,
@@ -267,15 +171,9 @@ pub struct NapletServer {
     /// Application-level replies received at this host
     /// (token, tag, body).
     pub app_replies: Vec<(u64, String, Vec<u8>)>,
-    /// Status-probe replies received at this host (token, report);
-    /// `None` reports mark probes the peer's security policy refused.
-    pub status_replies: Vec<(u64, Option<StatusReport>)>,
-    /// Flight-recorder pages received at this host (token, segment);
-    /// `None` segments mark reads the peer's security policy refused.
-    pub trace_replies: Vec<(u64, Option<naplet_obs::TraceSegment>)>,
-    /// Metrics-history pages received at this host (token, page);
-    /// `None` pages mark reads the peer's security policy refused.
-    pub metrics_history_replies: Vec<(u64, Option<naplet_obs::MetricsHistoryPage>)>,
+    /// Ops-plane replies received at this host (token, page); `None`
+    /// pages mark reads the peer's security policy refused.
+    pub ops_replies: Vec<(u64, Option<OpsPage>)>,
     /// Human-readable event log (bounded ring).
     pub log: EventLog,
     /// Structured observation endpoint (shared with the driver).
@@ -317,6 +215,7 @@ impl NapletServer {
             }
             _ => None,
         };
+        let navigator = Navigator::new(&config.host, config.retry.clone());
         NapletServer {
             host: config.host,
             mode: config.mode,
@@ -331,13 +230,10 @@ impl NapletServer {
             code_cache: CodeCache::new(),
             actions: config.actions,
             max_residents: config.max_residents,
+            navigator,
             retry: config.retry,
             next_token: 0,
-            pending_transfers: HashMap::new(),
             pending_queries: HashMap::new(),
-            expected_arrivals: HashMap::new(),
-            seen_transfers: HashMap::new(),
-            parked: HashMap::new(),
             app_handler: None,
             state_hook: None,
             journal,
@@ -346,13 +242,10 @@ impl NapletServer {
             retention_ms: config.retention_ms,
             last_sweep: Millis(0),
             recovery: RecoveryStats::default(),
-            seen_evicted: 0,
             completed: Vec::new(),
             reports: Vec::new(),
             app_replies: Vec::new(),
-            status_replies: Vec::new(),
-            trace_replies: Vec::new(),
-            metrics_history_replies: Vec::new(),
+            ops_replies: Vec::new(),
             log: EventLog::with_capacity(config.log_capacity),
             obs: ObsSink::default(),
             repl,
@@ -467,10 +360,7 @@ impl NapletServer {
     }
 
     /// Journal an agent image the caller holds — a handle's
-    /// `wire_bytes()` wherever a handoff calls this; every naplet record
-    /// is written here. Logs (never fails) when there is no image or the
-    /// store refuses it: a degraded journal weakens durability, never
-    /// the live run.
+    /// `wire_bytes()`; every resident record is written here.
     fn journal_image(
         &mut self,
         id: &NapletId,
@@ -480,42 +370,41 @@ impl NapletServer {
     ) {
         let written =
             image.and_then(|image| self.journal.record_naplet_bytes(id, &image, phase, now));
+        self.journal_written(id, written, phase_label(phase), now);
+    }
+
+    /// Journal where the handoff `transfer_id` stands, as the navigator
+    /// shows it: every in-flight record is written here.
+    fn journal_pending(&mut self, transfer_id: u64, now: Millis) {
+        let journal = &mut self.journal;
+        let view = self
+            .navigator
+            .journal_view(transfer_id, |id, image, phase| {
+                let written =
+                    image.and_then(|image| journal.record_naplet_bytes(id, &image, phase, now));
+                (id.clone(), written, phase_label(phase))
+            });
+        if let Some((id, written, phase)) = view {
+            self.journal_written(&id, written, phase, now);
+        }
+    }
+
+    /// Account for a naplet record just written. Logs (never fails)
+    /// when there was no image or the store refused it: a degraded
+    /// journal weakens durability, never the live run.
+    fn journal_written(&mut self, id: &NapletId, written: Result<()>, phase: &str, now: Millis) {
         if let Err(e) = written {
             self.logf(now, format!("JOURNAL write failed for {id}: {e}"));
         }
-        let phase_label = phase_label(phase);
         let records = self.journal.len() as u64;
         self.obs
             .metrics
             .observe("journal_records", COUNT_BOUNDS, records);
         self.obs
             .emit(now, &self.host, Some(id), || TraceKind::JournalAppend {
-                phase: phase_label.to_string(),
+                phase: phase.to_string(),
                 records,
             });
-    }
-
-    /// Journal where the handoff `pending` stands, from whatever
-    /// custody form the origin holds. The phase owns the checkpoint
-    /// cursor for the write and hands it back, so a hop clones the
-    /// cursor once (in `continue_journey`), not once per record.
-    fn journal_pending(&mut self, transfer_id: u64, pending: &mut PendingTransfer, now: Millis) {
-        let phase = JournalPhase::InFlight {
-            transfer_id,
-            dest: pending.dest.clone(),
-            checkpoint: std::mem::take(&mut pending.checkpoint),
-            awaiting_ack: pending.phase == TransferPhase::AwaitingAck,
-            attempt: pending.attempt,
-            action: pending.action.clone(),
-        };
-        let image = match &pending.naplet {
-            RetainedAgent::Local(n) => n.wire_bytes(),
-            RetainedAgent::Image { bytes, .. } => Ok(Arc::clone(bytes)),
-        };
-        self.journal_image(pending.naplet.id(), image, &phase, now);
-        if let JournalPhase::InFlight { checkpoint, .. } = phase {
-            pending.checkpoint = checkpoint;
-        }
     }
 
     /// Retire a naplet's journal record and trace the shrink.
@@ -539,11 +428,7 @@ impl NapletServer {
         }
         self.last_sweep = now;
         let ttl = self.retention_ms;
-        let before = self.seen_transfers.len();
-        self.seen_transfers.retain(|_, t| now.since(*t) < ttl);
-        self.seen_evicted += (before - self.seen_transfers.len()) as u64;
-        self.expected_arrivals
-            .retain(|_, granted| now.since(*granted) < EXPECTED_ARRIVAL_TTL_MS);
+        self.navigator.sweep(now, ttl);
         // the durable copies of the same entries age out in lock-step
         let _ = self.journal.compact_seen(now, ttl);
         self.messenger.compact(now, ttl);
@@ -868,32 +753,24 @@ impl NapletServer {
                 from_host,
                 credential,
                 naplet_id,
-                est_bytes,
                 attempt,
+                ..
             } => {
-                let decision = self.landing_decision(&credential, &naplet_id, est_bytes);
-                let (granted, reason) = match decision {
+                let (granted, reason) = match self.landing_decision(&credential) {
                     Ok(()) => (true, String::new()),
                     Err(e) => (false, e.to_string()),
                 };
-                if granted {
-                    self.expected_arrivals.insert(naplet_id.clone(), now);
-                }
+                let (verdict, counter) = if granted {
+                    self.navigator.expect(naplet_id.clone(), now);
+                    ("grant", "landing.granted")
+                } else {
+                    ("deny", "landing.denied")
+                };
                 self.logf(
                     now,
-                    format!(
-                        "LANDING {naplet_id} from {from_host} (attempt {attempt}): {}",
-                        if granted { "grant" } else { "deny" }
-                    ),
+                    format!("LANDING {naplet_id} from {from_host} (attempt {attempt}): {verdict}"),
                 );
-                self.obs.metrics.incr(
-                    if granted {
-                        "landing.granted"
-                    } else {
-                        "landing.denied"
-                    },
-                    1,
-                );
+                self.obs.metrics.incr(counter, 1);
                 self.obs.emit(now, &self.host, Some(&naplet_id), || {
                     TraceKind::LandingDecision {
                         origin: from_host.clone(),
@@ -915,56 +792,46 @@ impl NapletServer {
                 granted,
                 reason,
             } => {
-                // a reply is stray when the transfer was already
-                // committed/failed, or a duplicate when a retried
-                // request was answered more than once
-                let stale = match self.pending_transfers.get(&token) {
-                    None => true,
-                    Some(p) => p.phase != TransferPhase::AwaitingPermit,
-                };
-                if stale {
+                // stray: the transfer was already committed or failed, a
+                // retried request was answered twice, or the reply is not
+                // the destination's
+                let Some(permit) = self.navigator.permit(token, from, granted) else {
                     self.logf(now, format!("stray LandingReply token {token}"));
                     return;
-                }
-                let pending = self.pending_transfers.remove(&token).unwrap();
-                {
-                    let id = pending.naplet.id().clone();
-                    let (dest, started) = (pending.dest.clone(), pending.started);
-                    self.obs.metrics.observe(
-                        "landing_latency_ms",
-                        LATENCY_BOUNDS_MS,
-                        now.since(started),
-                    );
-                    self.obs
-                        .emit(now, &self.host, Some(&id), || TraceKind::PermitReceived {
-                            dest,
-                            transfer_id: token,
-                            granted,
-                            started,
-                        });
-                }
-                if granted {
-                    self.complete_departure(token, pending, now, out);
-                } else {
-                    let id = pending.naplet.id().clone();
-                    self.logf(
-                        now,
-                        format!("LANDING denied for {id} at {}: {reason}", pending.dest),
-                    );
-                    // itinerary exception: skip the refused visit
-                    self.continue_journey(pending.naplet.into_naplet(), pending.mailbox, now, out);
+                };
+                let (id, dest, started) = (&permit.id, &permit.dest, permit.started);
+                self.obs.metrics.observe(
+                    "landing_latency_ms",
+                    LATENCY_BOUNDS_MS,
+                    now.since(started),
+                );
+                self.obs
+                    .emit(now, &self.host, Some(id), || TraceKind::PermitReceived {
+                        dest: dest.clone(),
+                        transfer_id: token,
+                        granted,
+                        started,
+                    });
+                match permit.verdict {
+                    Verdict::Granted(transfer) => {
+                        self.complete_departure(token, id, permit.mailbox, transfer, now, out);
+                    }
+                    Verdict::Denied(naplet) => {
+                        self.logf(now, format!("LANDING denied for {id} at {dest}: {reason}"));
+                        // itinerary exception: skip the refused visit
+                        self.continue_journey(naplet, permit.mailbox, now, out);
+                    }
                 }
             }
             Wire::Transfer(envelope) => {
                 let transfer_id = envelope.transfer_id;
                 let id = envelope.naplet.id().clone();
-                let key = (from.to_string(), transfer_id);
-                let duplicate = self.seen_transfers.contains_key(&key);
+                let fresh = self.navigator.admit_once(from, transfer_id, now);
                 self.obs
                     .emit(now, &self.host, Some(&id), || TraceKind::TransferReceived {
                         origin: from.to_string(),
                         transfer_id,
-                        duplicate,
+                        duplicate: !fresh,
                     });
                 // acknowledge every attempt — the previous ack may have
                 // been the frame that was lost
@@ -975,7 +842,7 @@ impl NapletServer {
                         id: id.clone(),
                     },
                 });
-                if duplicate {
+                if !fresh {
                     self.logf(
                         now,
                         format!(
@@ -990,35 +857,40 @@ impl NapletServer {
                 if let Err(e) = self.journal.note_seen(from, transfer_id, now) {
                     self.logf(now, format!("JOURNAL seen failed for {id}: {e}"));
                 }
-                self.seen_transfers.insert(key, now);
                 self.admit_arrival(envelope, Some(from), Mailbox::new(), now, out);
             }
             Wire::TransferAck { transfer_id, id } => {
-                if let Some(pending) = self.pending_transfers.remove(&transfer_id) {
-                    // commit: the destination has the agent — release
-                    // the retained copy and retire the journal record
-                    // (the destination journaled it before acking)
-                    self.journal_retire(&id, now);
-                    self.logf(now, format!("HANDOFF commit {id} (transfer {transfer_id})"));
-                    self.obs.metrics.incr("handoff.commits", 1);
-                    self.obs.metrics.observe(
-                        "handoff_rtt_ms",
-                        LATENCY_BOUNDS_MS,
-                        now.since(pending.started),
+                let Some(commit) = self.navigator.ack(transfer_id, from, &id) else {
+                    self.logf(
+                        now,
+                        format!("stray TransferAck transfer {transfer_id} for {id} from {from}"),
                     );
-                    self.obs.metrics.observe(
-                        "transfer_attempts",
-                        COUNT_BOUNDS,
-                        u64::from(pending.attempt),
-                    );
-                    self.obs
-                        .emit(now, &self.host, Some(&id), || TraceKind::HandoffCommit {
-                            dest: pending.dest.clone(),
-                            transfer_id,
-                            started: pending.started,
-                            attempts: pending.attempt,
-                        });
-                }
+                    return;
+                };
+                // commit: the destination has the agent — custody is
+                // released and its journal record retires (the
+                // destination journaled it before acking)
+                let id = &commit.id;
+                self.journal_retire(id, now);
+                self.logf(now, format!("HANDOFF commit {id} (transfer {transfer_id})"));
+                self.obs.metrics.incr("handoff.commits", 1);
+                self.obs.metrics.observe(
+                    "handoff_rtt_ms",
+                    LATENCY_BOUNDS_MS,
+                    now.since(commit.started),
+                );
+                self.obs.metrics.observe(
+                    "transfer_attempts",
+                    COUNT_BOUNDS,
+                    u64::from(commit.attempts),
+                );
+                self.obs
+                    .emit(now, &self.host, Some(id), || TraceKind::HandoffCommit {
+                        dest: commit.dest.clone(),
+                        transfer_id,
+                        started: commit.started,
+                        attempts: commit.attempts,
+                    });
             }
             Wire::DirRegister {
                 id,
@@ -1094,16 +966,16 @@ impl NapletServer {
             }
             Wire::DirReply { token, id, entry } => {
                 if let Some(probe_id) = self.pending_lease_probes.remove(&token) {
-                    self.resolve_lease_probe(probe_id, entry, now, out);
+                    self.resolve_lease_probe(probe_id, entry, now);
                     return;
                 }
-                let Some(pending) = self.pending_queries.remove(&token) else {
+                let Some(msg) = self.pending_queries.remove(&token) else {
                     return;
                 };
                 match entry {
                     Some((host, _event, _at)) => {
                         self.cache_location(id.clone(), &host, now);
-                        self.send_post(pending.msg, &host, now, out);
+                        self.send_post(msg, &host, now, out);
                     }
                     None => {
                         // unknown to the directory: the naplet may not
@@ -1111,9 +983,9 @@ impl NapletServer {
                         // its home server's special mailbox (case 3)
                         let home = id.home().to_string();
                         if home == self.host {
-                            self.messenger.stash_early(pending.msg, &self.host);
+                            self.messenger.stash_early(msg, &self.host);
                         } else {
-                            self.send_post(pending.msg, &home, now, out);
+                            self.send_post(msg, &home, now, out);
                         }
                     }
                 }
@@ -1184,75 +1056,48 @@ impl NapletServer {
                 // centralized management baseline running at this host)
                 self.app_replies.push((token, tag, body));
             }
-            Wire::StatusRequest {
+            Wire::OpsRequest {
                 token,
                 reply_to,
                 credential,
+                read,
             } => {
-                let counters = ("status.probes", "status.refused");
-                let report = self
-                    .privileged_read(&credential, from, "STATUS probe", counters, now)
-                    .then(|| self.status_report(now));
-                out.push(Output::Send {
-                    to: reply_to,
-                    wire: Wire::StatusReply { token, report },
-                });
-            }
-            Wire::StatusReply { token, report } => {
-                // collected for the polling side (peer server, the
-                // centralized manager, or a figures CLI station)
-                self.status_replies.push((token, report));
-            }
-            Wire::TraceSegmentRequest {
-                token,
-                reply_to,
-                credential,
-                from_seq,
-                max_events,
-            } => {
-                // the flight recorder holds the same internals as a
-                // status report (hosts, journeys, failures), so reads
-                // ride the same privileged-service grant
-                let counters = ("trace.reads", "trace.refused");
-                let segment = self
-                    .privileged_read(&credential, from, "TRACE read", counters, now)
-                    .then(|| {
-                        self.obs
-                            .recorder
-                            .segment(&self.host, from_seq, max_events as usize)
-                    });
-                out.push(Output::Send {
-                    to: reply_to,
-                    wire: Wire::TraceSegmentReply { token, segment },
-                });
-            }
-            Wire::TraceSegmentReply { token, segment } => {
-                self.trace_replies.push((token, segment));
-            }
-            Wire::MetricsHistoryRequest {
-                token,
-                reply_to,
-                credential,
-                from_seq,
-                max_samples,
-            } => {
-                // the history ring is the metrics registry over time —
-                // same sensitivity, same privileged-service grant
-                let counters = ("history.reads", "history.refused");
+                // the flight recorder and the history ring hold the same
+                // internals as a status report (hosts, journeys,
+                // failures), so every read rides the one privileged grant
+                let (what, counters) = match read {
+                    OpsRead::Status => ("STATUS probe", ("status.probes", "status.refused")),
+                    OpsRead::Trace { .. } => ("TRACE read", ("trace.reads", "trace.refused")),
+                    OpsRead::MetricsHistory { .. } => {
+                        ("HISTORY read", ("history.reads", "history.refused"))
+                    }
+                };
                 let page = self
-                    .privileged_read(&credential, from, "HISTORY read", counters, now)
-                    .then(|| {
-                        self.obs
-                            .history
-                            .page(&self.host, from_seq, max_samples as usize)
+                    .privileged_read(&credential, from, what, counters, now)
+                    .then(|| match read {
+                        OpsRead::Status => OpsPage::Status(self.status_report(now)),
+                        OpsRead::Trace { from_seq, max } => {
+                            let recorder = &self.obs.recorder;
+                            OpsPage::Trace(recorder.segment(&self.host, from_seq, max as usize))
+                        }
+                        OpsRead::MetricsHistory { from_seq, max } => {
+                            let history = &self.obs.history;
+                            OpsPage::MetricsHistory(history.page(
+                                &self.host,
+                                from_seq,
+                                max as usize,
+                            ))
+                        }
                     });
                 out.push(Output::Send {
                     to: reply_to,
-                    wire: Wire::MetricsHistoryReply { token, page },
+                    wire: Wire::OpsReply { token, page },
                 });
             }
-            Wire::MetricsHistoryReply { token, page } => {
-                self.metrics_history_replies.push((token, page));
+            Wire::OpsReply { token, page } => {
+                // collected for the polling side (peer server, the
+                // centralized manager, or an ops station)
+                self.ops_replies.push((token, page));
             }
         }
     }
@@ -1344,21 +1189,26 @@ impl NapletServer {
             LocalEvent::TransferTimeout {
                 transfer_id,
                 attempt,
-            } => {
-                let Some(pending) = self.pending_transfers.remove(&transfer_id) else {
-                    return; // acknowledged (or failed) in the meantime
-                };
-                if pending.attempt != attempt {
-                    // a newer attempt has its own timer; this one is stale
-                    self.pending_transfers.insert(transfer_id, pending);
-                    return;
+            } => match self.navigator.due(transfer_id, attempt, now) {
+                Due::Stale => {}
+                Due::Retry { id, phase, frame } => {
+                    // keep the journaled attempt in step so a recovered
+                    // origin picks up the retry budget where it left off
+                    self.journal_pending(transfer_id, now);
+                    let (dest, attempt) = (&frame.to, frame.attempt);
+                    self.logf(now, format!("RETRY {id} -> {dest} (attempt {attempt})"));
+                    self.obs.metrics.incr("handoff.retransmits", 1);
+                    self.obs
+                        .emit(now, &self.host, Some(&id), || TraceKind::Retransmit {
+                            dest: dest.clone(),
+                            transfer_id,
+                            attempt,
+                            phase: phase.to_string(),
+                        });
+                    self.send_attempt(transfer_id, frame, out);
                 }
-                if pending.attempt >= self.retry.max_retries {
-                    self.fail_migration(transfer_id, pending, now, out);
-                    return;
-                }
-                self.retransmit(transfer_id, pending, now, out);
-            }
+                Due::Failed(failed) => self.fail_migration(transfer_id, failed, now, out),
+            },
             LocalEvent::RegisterTimeout { id, attempt } => {
                 let waiting = self
                     .monitor
@@ -1450,12 +1300,7 @@ impl NapletServer {
     // Navigator: migration protocol
     // =====================================================================
 
-    fn landing_decision(
-        &self,
-        credential: &naplet_core::credential::Credential,
-        _naplet_id: &NapletId,
-        _est_bytes: u64,
-    ) -> Result<()> {
+    fn landing_decision(&self, credential: &naplet_core::credential::Credential) -> Result<()> {
         self.security.verify(credential)?;
         self.security.check(credential, Permission::Landing)?;
         if let Some(cap) = self.max_residents {
@@ -1551,52 +1396,34 @@ impl NapletServer {
             return;
         }
         let transfer_id = self.token();
-        // the departure image: the agent is walked here, once, and the
-        // size estimate, both in-flight journal records, the origin's
-        // retained copy, the Transfer frame and the destination's
-        // admission record all copy these bytes
-        let naplet = SharedNaplet::new(naplet);
-        let est_bytes = naplet.wire_bytes().map_or(0, |image| image.len() as u64);
-        let wire = Wire::LandingRequest {
-            token: transfer_id,
-            from_host: self.host.clone(),
-            credential: naplet.credential().clone(),
-            naplet_id: naplet.id().clone(),
-            est_bytes,
-            attempt: 1,
-        };
         let id = naplet.id().clone();
-        let mut pending = PendingTransfer {
-            naplet: RetainedAgent::Local(naplet),
-            action,
-            mailbox,
-            dest: dest.clone(),
-            checkpoint,
-            phase: TransferPhase::AwaitingPermit,
-            attempt: 1,
-            started: now,
-        };
+        let naplet = SharedNaplet::new(naplet);
+        let request =
+            self.navigator
+                .open(transfer_id, naplet, mailbox, action, dest, checkpoint, now);
         // journal before the first frame leaves: a crash here resumes
         // the handoff instead of losing the departing agent
-        self.journal_pending(transfer_id, &mut pending, now);
-        self.pending_transfers.insert(transfer_id, pending);
+        self.journal_pending(transfer_id, now);
         self.obs
             .emit(now, &self.host, Some(&id), || TraceKind::LandingRequested {
-                dest: dest.clone(),
+                dest: request.to.clone(),
                 transfer_id,
             });
-        out.push(Output::Send { to: dest, wire });
-        self.arm_transfer_timer(transfer_id, 1, out);
+        self.send_attempt(transfer_id, request, out);
     }
 
-    /// Arm the acknowledgement timer for the given attempt of an
-    /// outstanding transfer (shared by both handoff phases).
-    fn arm_transfer_timer(&self, transfer_id: u64, attempt: u32, out: &mut Vec<Output>) {
+    /// Put one attempt of a handoff frame on the wire and arm the
+    /// acknowledgement timer behind it (shared by both phases).
+    fn send_attempt(&self, transfer_id: u64, frame: Attempt, out: &mut Vec<Output>) {
+        out.push(Output::Send {
+            to: frame.to,
+            wire: frame.wire,
+        });
         out.push(Output::Schedule {
-            delay_ms: self.retry.jittered_backoff_ms(transfer_id, attempt),
+            delay_ms: frame.timeout_ms,
             event: LocalEvent::TransferTimeout {
                 transfer_id,
-                attempt,
+                attempt: frame.attempt,
             },
         });
     }
@@ -1615,178 +1442,64 @@ impl NapletServer {
     }
 
     /// The landing permit arrived: perform the one-time departure side
-    /// effects and send the agent. The naplet stays in our custody
-    /// (phase `AwaitingAck`) until the destination acknowledges it.
+    /// effects and send the agent. The navigator retains it until the
+    /// destination acknowledges; `fail_migration` rolls these back.
     fn complete_departure(
         &mut self,
         transfer_id: u64,
-        pending: PendingTransfer,
+        id: &NapletId,
+        mut mailbox: Mailbox,
+        transfer: Attempt,
         now: Millis,
         out: &mut Vec<Output>,
     ) {
-        let PendingTransfer {
-            naplet,
-            action,
-            mut mailbox,
-            dest,
-            checkpoint,
-            started,
-            ..
-        } = pending;
-        let id = naplet.id().clone();
-        self.manager.record_departure(&id, &dest, now);
-        self.resources.release(&id);
+        let dest = &transfer.to;
+        self.manager.record_departure(id, dest, now);
+        self.resources.release(id);
         // DEPART registration (no ack needed, paper §4.1)
-        self.register_movement(&id, DirEvent::Departure, None, now, out);
+        self.register_movement(id, DirEvent::Departure, None, now, out);
         self.logf(now, format!("DEPART {id} -> {dest}"));
         // forward any early-stashed messages for it towards the
         // destination so the chase can catch up, and likewise any
         // unread mailbox messages — the post office keeps custody of
         // undelivered mail rather than dropping it with the mailbox
-        for (mut m, origin) in self.messenger.drain_early(&id) {
+        for (mut m, origin) in self.messenger.drain_early(id) {
             m.forward_hops += 1;
-            self.send_post_from(m, &dest, origin, now, out);
+            self.send_post_from(m, dest, origin, now, out);
         }
         for mut m in mailbox.drain() {
             // unread mail leaves local custody: forget its delivery so
             // the chase can deliver it here again on a future revisit
             self.messenger.forget_delivery(&m.from, m.seq, m.sent_at);
             m.forward_hops += 1;
-            self.send_post(m, &dest, now, out);
+            self.send_post(m, dest, now, out);
         }
         self.obs
-            .emit(now, &self.host, Some(&id), || TraceKind::TransferSent {
-                dest: dest.clone(),
+            .emit(now, &self.host, Some(id), || TraceKind::TransferSent {
+                dest: dest.to_string(),
                 transfer_id,
             });
-        let naplet = match naplet {
-            RetainedAgent::Local(n) => n,
-            image => image.wire_copy(),
-        };
-        // the origin keeps only the encoded image, so the live handle
-        // moves into the frame and the destination admits it without a
-        // clone
-        let (wire_naplet, retained) = match naplet.wire_bytes() {
-            Ok(bytes) => {
-                let retained = RetainedAgent::Image {
-                    id: id.clone(),
-                    bytes,
-                };
-                (naplet, retained)
-            }
-            Err(_) => (naplet.clone(), RetainedAgent::Local(naplet)),
-        };
-        let mut pending = PendingTransfer {
-            naplet: retained,
-            action,
-            mailbox: Mailbox::new(),
-            dest,
-            checkpoint,
-            phase: TransferPhase::AwaitingAck,
-            attempt: 1,
-            started,
-        };
         // advance the journaled phase: past the permit, transfer sent
-        self.journal_pending(transfer_id, &mut pending, now);
-        out.push(Output::Send {
-            to: pending.dest.clone(),
-            wire: Wire::Transfer(TransferEnvelope {
-                naplet: wire_naplet,
-                action: pending.action.clone(),
-                transfer_id,
-                attempt: 1,
-            }),
-        });
-        self.pending_transfers.insert(transfer_id, pending);
-        self.arm_transfer_timer(transfer_id, 1, out);
+        self.journal_pending(transfer_id, now);
+        self.send_attempt(transfer_id, transfer, out);
     }
 
-    /// An acknowledgement timer expired with retries left: resend the
-    /// current phase's wire with the next attempt number.
-    fn retransmit(
-        &mut self,
-        transfer_id: u64,
-        mut pending: PendingTransfer,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
-        pending.attempt += 1;
-        let attempt = pending.attempt;
-        let dest = pending.dest.clone();
-        let id = pending.naplet.id().clone();
-        let wire = match pending.phase {
-            TransferPhase::AwaitingPermit => {
-                let local = pending
-                    .naplet
-                    .local()
-                    .expect("permit phase retains the live agent");
-                Wire::LandingRequest {
-                    token: transfer_id,
-                    from_host: self.host.clone(),
-                    credential: local.credential().clone(),
-                    naplet_id: id.clone(),
-                    est_bytes: local.wire_bytes().map_or(0, |image| image.len() as u64),
-                    attempt,
-                }
-            }
-            TransferPhase::AwaitingAck => Wire::Transfer(TransferEnvelope {
-                naplet: pending.naplet.wire_copy(),
-                action: pending.action.clone(),
-                transfer_id,
-                attempt,
-            }),
-        };
-        // keep the journaled attempt in step so a recovered origin
-        // picks up the retry budget where it left off
-        self.journal_pending(transfer_id, &mut pending, now);
-        let phase = match pending.phase {
-            TransferPhase::AwaitingPermit => "permit",
-            TransferPhase::AwaitingAck => "transfer",
-        };
-        self.pending_transfers.insert(transfer_id, pending);
-        self.logf(now, format!("RETRY {id} -> {dest} (attempt {attempt})"));
-        self.obs.metrics.incr("handoff.retransmits", 1);
-        self.obs
-            .emit(now, &self.host, Some(&id), || TraceKind::Retransmit {
-                dest: dest.clone(),
-                transfer_id,
-                attempt,
-                phase: phase.to_string(),
-            });
-        out.push(Output::Send { to: dest, wire });
-        self.arm_transfer_timer(transfer_id, attempt, out);
-    }
-
-    /// All retries exhausted: rewind the itinerary to the pre-departure
-    /// checkpoint, record the failure, and either fall back to another
-    /// branch (`Alt`) or park the naplet here.
+    /// All retries exhausted: the navigator rewound the itinerary to
+    /// the pre-departure checkpoint and recorded the failure; either
+    /// fall back to another branch (`Alt`) or park the naplet here.
     fn fail_migration(
         &mut self,
         transfer_id: u64,
-        pending: PendingTransfer,
+        failed: Failed,
         now: Millis,
         out: &mut Vec<Output>,
     ) {
-        let PendingTransfer {
-            naplet,
-            mailbox,
-            dest,
-            checkpoint,
-            phase,
-            attempt,
-            ..
-        } = pending;
-        // the agent is back in our sole custody: unshare for mutation
-        let mut naplet = naplet.into_naplet();
-        let id = naplet.id().clone();
-        let reason = match phase {
-            TransferPhase::AwaitingPermit => "no landing reply",
-            TransferPhase::AwaitingAck => "transfer unacknowledged",
-        };
+        let (id, dest, attempts) = (failed.agent.id().clone(), &failed.dest, failed.attempts);
+        let reason = failed.reason;
         self.logf(
             now,
             format!(
-                "HANDOFF failed {id} -> {dest} after {attempt} attempts \
+                "HANDOFF failed {id} -> {dest} after {attempts} attempts \
                  ({reason}; transfer {transfer_id})"
             ),
         );
@@ -1795,22 +1508,18 @@ impl NapletServer {
             .emit(now, &self.host, Some(&id), || TraceKind::HandoffFailed {
                 dest: dest.clone(),
                 transfer_id,
-                attempts: attempt,
+                attempts,
                 reason: reason.to_string(),
             });
-        naplet.set_cursor(checkpoint);
-        naplet.nav_log.record_failure(&dest, now, attempt, reason);
-        if phase == TransferPhase::AwaitingAck {
+        if failed.departed {
             // departure bookkeeping already ran optimistically when the
             // permit arrived; the agent is back in our custody now
             self.manager.record_arrival(&id, None, now);
         }
-        // with `dest` now in the unreachable set, an Alt re-decides;
-        // if the next step is still the same dead destination this is
-        // a hard (Seq) requirement — park instead of looping
-        match naplet.peek_next_host() {
-            Some(next) if next == dest => self.park(naplet, mailbox, &dest, attempt, now, out),
-            _ => self.continue_journey(naplet, mailbox, now, out),
+        if failed.park {
+            self.park(failed.agent, failed.mailbox, dest, attempts, now, out);
+        } else {
+            self.continue_journey(failed.agent, failed.mailbox, now, out);
         }
     }
 
@@ -1855,13 +1564,13 @@ impl NapletServer {
         // a parked agent held for owner recovery must survive a crash
         // of the server holding it
         self.journal_naplet(&naplet, &JournalPhase::Parked, now);
-        self.parked.insert(id, naplet);
+        self.navigator.parked.insert(id, naplet);
     }
 
     /// Outbound migrations currently awaiting a permit or an
     /// acknowledgement (diagnostics/tests).
     pub fn pending_transfer_count(&self) -> usize {
-        self.pending_transfers.len()
+        self.navigator.pending_count()
     }
 
     /// Assemble this server's health probe report: a deterministic,
@@ -1898,11 +1607,10 @@ impl NapletServer {
             });
         }
         let (journal_entries, journal_bytes) = self.journal.lag();
-        StatusReport {
+        let mut report = StatusReport {
             host: self.host.clone(),
             at: now,
             residents,
-            parked: self.parked.len() as u64,
             mailbox_depth,
             special_mailbox_depth: self.messenger.early_waiting() as u64,
             journal_entries,
@@ -1917,7 +1625,6 @@ impl NapletServer {
             locator_stale_hits: self.locator.stale_hits,
             locator_evictions: self.locator.evictions,
             locator_oldest_age_ms: self.locator.oldest_hint_age(now),
-            pending_transfers: self.pending_transfers.len() as u64,
             outstanding_posts: self.messenger.outstanding_count() as u64,
             repl: self.repl.as_ref().map(|r| crate::status::ReplStatus {
                 role: r.role().name().to_string(),
@@ -1927,7 +1634,10 @@ impl NapletServer {
                 leader: r.leader_hint().map(str::to_string),
                 entries: r.state.len() as u64,
             }),
-        }
+            ..StatusReport::default()
+        };
+        self.navigator.fill_status(&mut report);
+        report
     }
 
     /// Arrival processing (local continuation or network transfer).
@@ -1949,7 +1659,7 @@ impl NapletServer {
             self.notify_home(&id, NapletStatus::Destroyed, &e.to_string(), now, out);
             return;
         }
-        self.expected_arrivals.remove(&id);
+        self.navigator.arrived(&id);
         if from.is_some() {
             self.manager.record_arrival(&id, from, now);
         }
@@ -2553,7 +2263,7 @@ impl NapletServer {
         match self.directory_holder(&target) {
             Some(holder) if holder != self.host => {
                 let token = self.token();
-                self.pending_queries.insert(token, PendingQuery { msg });
+                self.pending_queries.insert(token, msg);
                 out.push(Output::Send {
                     to: holder,
                     wire: Wire::DirQuery {
@@ -2653,8 +2363,7 @@ impl NapletServer {
         // not resident — but if its landing was granted here and the
         // transfer is still in flight, wait for it (case 3) rather
         // than chasing a stale trail
-        let expected = self.expected_arrivals.get(&target);
-        if expected.is_some_and(|granted| now.since(*granted) < EXPECTED_ARRIVAL_TTL_MS) {
+        if self.navigator.expecting(&target, now) {
             self.messenger.stash_early(msg, &origin_host);
             self.note_special_mailbox_depth();
             return;
@@ -2850,23 +2559,19 @@ impl NapletServer {
         now: Millis,
         out: &mut Vec<Output>,
     ) {
-        let home = id.home().to_string();
-        let wire = Wire::Notify {
-            id: id.clone(),
-            status,
-            host: self.host.clone(),
-            detail: detail.to_string(),
-        };
-        if home == self.host {
-            if let Wire::Notify {
-                id, status, host, ..
-            } = &wire
-            {
-                self.note_status_at_home(id, *status, now);
-                self.manager.update_status(id, *status, host, now);
-            }
+        if id.home() == self.host {
+            self.note_status_at_home(id, status, now);
+            self.manager.update_status(id, status, &self.host, now);
         } else {
-            out.push(Output::Send { to: home, wire });
+            out.push(Output::Send {
+                to: id.home().to_string(),
+                wire: Wire::Notify {
+                    id: id.clone(),
+                    status,
+                    host: self.host.clone(),
+                    detail: detail.to_string(),
+                },
+            });
         }
     }
 
@@ -3006,9 +2711,7 @@ impl NapletServer {
         id: NapletId,
         entry: Option<(String, DirEvent, Millis)>,
         now: Millis,
-        out: &mut Vec<Output>,
     ) {
-        let _ = out;
         let Some(policy) = self.lease_policy.clone() else {
             return;
         };
@@ -3064,18 +2767,20 @@ impl NapletServer {
         }
         // dedup + token state first: nothing replayed below may admit
         // a duplicate or reuse a pre-crash transfer id
-        for (key, at) in self.journal.seen() {
-            self.seen_transfers.insert(key, at);
+        for ((origin, transfer_id), at) in self.journal.seen() {
+            self.navigator.admit_once(&origin, transfer_id, at);
         }
         self.next_token = self.next_token.max(self.journal.token_watermark());
         let mut local = 0u64;
         let mut suppressed = 0u64;
         let mut resumed = 0u64;
         for (_key, record) in self.journal.naplet_records() {
-            let Ok(mut naplet) = record.decode_naplet() else {
+            // the handle keeps the record's bytes as its image, so a
+            // resumed handoff re-sends and re-journals them as they are
+            let Ok(agent) = naplet_core::codec::from_bytes::<SharedNaplet>(&record.naplet) else {
                 continue; // undecodable record: nothing restorable
             };
-            let id = naplet.id().clone();
+            let id = agent.id().clone();
             self.recovery.rehydrated += 1;
             local += 1;
             match record.phase {
@@ -3085,12 +2790,13 @@ impl NapletServer {
                         .emit(now, &self.host, Some(&id), || TraceKind::RecoveryReplayed {
                             phase: "parked".to_string(),
                         });
-                    self.parked.insert(id, naplet);
+                    self.navigator.parked.insert(id, agent.into_owned());
                 }
                 JournalPhase::Resident {
                     applied_epoch,
                     action,
                 } => {
+                    let mut naplet = agent.into_owned();
                     // restore the footprint so message chases find us
                     self.manager.record_arrival(&id, None, now);
                     if naplet.nav_log.current_visit().is_none() {
@@ -3128,11 +2834,8 @@ impl NapletServer {
                 }
                 JournalPhase::InFlight {
                     transfer_id,
-                    dest,
-                    checkpoint,
-                    awaiting_ack,
-                    attempt,
-                    action,
+                    ref dest,
+                    ..
                 } => {
                     self.recovery.handoffs_resumed += 1;
                     resumed += 1;
@@ -3144,33 +2847,17 @@ impl NapletServer {
                         now,
                         format!("RECOVER in-flight {id} -> {dest} (transfer {transfer_id})"),
                     );
-                    self.pending_transfers.insert(
-                        transfer_id,
-                        PendingTransfer {
-                            naplet: RetainedAgent::Local(naplet.into()),
-                            action,
-                            mailbox: Mailbox::new(),
-                            dest,
-                            started: now,
-                            checkpoint,
-                            phase: if awaiting_ack {
-                                TransferPhase::AwaitingAck
-                            } else {
-                                TransferPhase::AwaitingPermit
-                            },
-                            attempt,
-                        },
-                    );
                     // an immediate timeout re-drives the handoff: the
                     // ordinary handler retransmits the current phase's
                     // frame or fails over — no recovery-special paths
-                    out.push(Output::Schedule {
+                    let timer = self.navigator.restore(agent, record.phase, now);
+                    out.extend(timer.map(|(transfer_id, attempt)| Output::Schedule {
                         delay_ms: 0,
                         event: LocalEvent::TransferTimeout {
                             transfer_id,
                             attempt,
                         },
-                    });
+                    }));
                 }
             }
         }

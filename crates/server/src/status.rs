@@ -9,9 +9,9 @@
 //! costs and two probes of identical servers encode byte-identically
 //! (every list is sorted before it leaves the server).
 //!
-//! Reports travel in [`crate::events::Wire::StatusReply`] frames, the
-//! privileged status protocol any server or the centralized manager
-//! can speak over the same fabric the agents use.
+//! Reports travel as the [`crate::events::OpsPage::Status`] page of an
+//! `OpsReply` frame, the privileged ops protocol any server or the
+//! centralized manager can speak over the same fabric the agents use.
 
 use serde::{Deserialize, Serialize};
 
@@ -62,7 +62,7 @@ pub struct ReplStatus {
 /// report is a pure function of server state — byte-identical across
 /// identical seeded runs, which the status-plane determinism tests
 /// and the CI golden check rely on.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StatusReport {
     /// Reporting host.
     pub host: String,

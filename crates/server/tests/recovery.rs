@@ -15,7 +15,8 @@ use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
 use naplet_server::{
-    Input, LeasePolicy, LocalEvent, LocationMode, MonitorPolicy, ServerConfig, SimRuntime,
+    Input, JournalPhase, LeasePolicy, LocalEvent, LocationMode, MonitorPolicy, NapletServer,
+    Output, ServerConfig, SimRuntime, Wire,
 };
 
 const CODEBASE: &str = "naplet://code/collector.jar";
@@ -190,7 +191,7 @@ fn retention_sweep_bounds_dedup_table() {
     rt.launch(agent(&["s0", "home"], 1)).unwrap();
     rt.run_to_quiescence(1_000_000);
     let s0 = rt.server_mut("s0").unwrap();
-    assert_eq!(s0.seen_evicted, 0, "fresh entries must survive");
+    assert_eq!(s0.navigator.seen_evicted, 0, "fresh entries must survive");
     // drive any event far past the 600 s retention window; the sweep
     // runs at the top of the handler
     let ghost = naplet_core::id::NapletId::new("czxu", "home", Millis(999)).unwrap();
@@ -199,7 +200,7 @@ fn retention_sweep_bounds_dedup_table() {
         Input::Local(LocalEvent::LeaseCheck { id: ghost }),
     );
     assert!(
-        s0.seen_evicted >= 1,
+        s0.navigator.seen_evicted >= 1,
         "stale dedup entries must be evicted and counted"
     );
 }
@@ -342,4 +343,83 @@ fn recovery_from_an_admission_record_reopens_the_visit_as_admitted() {
     assert_eq!(reports.len(), 1, "journey must complete");
     assert_eq!(visits(&reports[0].1), ["s0", "s1", "home"]);
     assert_eq!(reports[0].1.get("greeted"), Value::Int(3));
+}
+
+/// A handoff resumed after a crash re-sends and re-journals the bytes
+/// its record holds — copied, never produced again by walking the
+/// agent. The record here is an image no encoder emits (its first
+/// length is a padded varint) yet decodes to the same agent, so a
+/// re-encoding anywhere on the way would show.
+#[test]
+fn a_recovered_handoff_resends_and_rejournals_the_journaled_image_itself() {
+    for awaiting_ack in [false, true] {
+        let mut cfg = ServerConfig::open("home", LocationMode::HomeManagers);
+        cfg.codebase = registry();
+        let mut origin = NapletServer::new(cfg.clone());
+        let naplet = agent(&["s0"], 1);
+        let id = naplet.id().clone();
+        origin.launch(naplet, Millis(0));
+        let permit = |token| Input::Wire {
+            from: "s0".into(),
+            wire: Wire::LandingReply {
+                token,
+                granted: true,
+                reason: String::new(),
+            },
+        };
+        if awaiting_ack {
+            origin.handle(Millis(4), permit(1));
+        }
+        // crash: only the journal survives, with the record swapped
+        // for its padded twin
+        let mut journal = origin.take_journal();
+        let (_, record) = journal.naplet_records().remove(0);
+        let sent = matches!(record.phase, JournalPhase::InFlight { awaiting_ack: a, .. } if a);
+        assert_eq!(sent, awaiting_ack);
+        let mut image = vec![record.naplet[0] | 0x80, 0x00];
+        image.extend_from_slice(&record.naplet[1..]);
+        let twin: Naplet = naplet_core::codec::from_bytes(&image).unwrap();
+        assert_eq!(twin, record.decode_naplet().unwrap());
+        assert_ne!(twin.to_wire().unwrap(), image, "no encoder pads a length");
+        journal
+            .record_naplet_bytes(&id, &image, &record.phase, record.updated)
+            .unwrap();
+
+        let mut recovered = NapletServer::new(cfg);
+        recovered.set_journal(journal);
+        let sends = |outputs: Vec<Output>| -> Vec<Wire> {
+            let wires = outputs.into_iter().filter_map(|o| match o {
+                Output::Send { to, wire } if to == "s0" => Some(wire),
+                _ => None,
+            });
+            wires.collect()
+        };
+        let timers = recovered.recover(Millis(100));
+        let [Output::Schedule { delay_ms: 0, event }] = &timers[..] else {
+            panic!("recovery arms one immediate timer, got {timers:?}");
+        };
+        let mut resent = sends(recovered.handle(Millis(100), Input::Local(event.clone())));
+        if !awaiting_ack {
+            // the permit is asked for again, sized by the record's bytes
+            let [Wire::LandingRequest { est_bytes, .. }] = &resent[..] else {
+                panic!("the permit phase resends its request, got {resent:?}");
+            };
+            assert_eq!(*est_bytes, image.len() as u64);
+            resent = sends(recovered.handle(Millis(104), permit(1)));
+        }
+        let [Wire::Transfer(envelope)] = &resent[..] else {
+            panic!("the agent leaves in one Transfer, got {resent:?}");
+        };
+        assert_eq!(*envelope.naplet.wire_bytes().unwrap(), image);
+        let frame = naplet_core::codec::to_bytes(&resent[0]).unwrap();
+        assert_eq!(
+            &frame[1..1 + image.len()],
+            &image[..],
+            "the frame splices it"
+        );
+        // retransmit and departure both journaled again: same bytes
+        let (_, rejournaled) = recovered.journal().naplet_records().remove(0);
+        assert_eq!(rejournaled.naplet, image);
+        assert_ne!(rejournaled.phase, record.phase, "the record did move on");
+    }
 }

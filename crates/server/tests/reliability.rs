@@ -16,8 +16,8 @@ use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
 use naplet_server::{
-    DirEvent, Input, LocationMode, MonitorPolicy, NapletServer, NapletStatus, Output, ServerConfig,
-    SimRuntime, TransferEnvelope, Wire,
+    DirEvent, Input, JournalPhase, LocationMode, MonitorPolicy, NapletServer, NapletStatus, Output,
+    ServerConfig, SimRuntime, TransferEnvelope, Wire,
 };
 
 const CODEBASE: &str = "naplet://code/collector.jar";
@@ -169,7 +169,8 @@ fn permanent_outage_parks_with_failure_record_and_status() {
     rt.run_to_quiescence(5_000_000);
 
     let s0 = rt.server("s0").unwrap();
-    let parked = s0.parked.get(&id).expect("naplet must be parked at s0");
+    let parked = s0.navigator.parked.get(&id);
+    let parked = parked.expect("naplet must be parked at s0");
     let failures = parked.nav_log.failures();
     assert_eq!(failures.len(), 1);
     assert_eq!(failures[0].host, "s1");
@@ -270,6 +271,80 @@ fn duplicate_transfer_is_reacked_but_not_readmitted() {
         .log
         .iter()
         .any(|e| e.line.contains("duplicate TRANSFER")));
+}
+
+/// An answer commits or refuses only the handoff it answers. A
+/// `TransferAck` that arrives before the permit, comes from a host that
+/// is not the destination, or names another naplet — and a refusal from
+/// a host the permit was never asked of — is logged as stray and
+/// releases nothing: custody and the journal record survive it, and the
+/// journey completes as if it had never been sent.
+#[test]
+fn a_stray_answer_releases_no_custody() {
+    let other = NapletId::new("czxu", "home", Millis(77)).unwrap();
+    type Stray = fn(u64, NapletId, NapletId) -> Wire;
+    let ack_of_mine: Stray = |transfer_id, id, _| Wire::TransferAck { transfer_id, id };
+    let ack_of_other: Stray = |transfer_id, _, id| Wire::TransferAck { transfer_id, id };
+    let refusal: Stray = |token, _, _| Wire::LandingReply {
+        token,
+        granted: false,
+        reason: "not yours to refuse".into(),
+    };
+    // (what, the phase it arrives in, who sends it, the frame)
+    let cases = [
+        ("an ack before the permit", false, "s0", ack_of_mine),
+        ("an ack from another host", true, "s1", ack_of_mine),
+        ("an ack naming another naplet", true, "s0", ack_of_other),
+        ("a refusal from another host", false, "s1", refusal),
+    ];
+    for (what, awaiting_ack, sender, stray) in cases {
+        let mut rt = world(LocationMode::HomeManagers, 2, 8);
+        let naplet = agent(Pattern::seq_of_hosts(&["s0"], None), 1);
+        let id = naplet.id().clone();
+        rt.launch(naplet).unwrap();
+        // home's in-flight record says which phase its handoff is in
+        let in_phase = |rt: &SimRuntime| {
+            let records = rt.server("home").unwrap().journal().naplet_records();
+            records.iter().find_map(|(_, record)| match record.phase {
+                JournalPhase::InFlight {
+                    transfer_id,
+                    awaiting_ack: sent,
+                    ..
+                } if sent == awaiting_ack => Some(transfer_id),
+                _ => None,
+            })
+        };
+        let transfer_id = loop {
+            if let Some(transfer_id) = in_phase(&rt) {
+                break transfer_id;
+            }
+            rt.step().expect(what);
+        };
+        let wire = stray(transfer_id, id.clone(), other.clone());
+        rt.station_send(sender, "home", wire).unwrap();
+        // one hop away, so it lands before the real answer can
+        let logged = |rt: &SimRuntime| {
+            let mut log = rt.server("home").unwrap().log.iter();
+            log.any(|e| e.line.starts_with("stray "))
+        };
+        while !logged(&rt) && rt.step().is_some() {}
+        let home = rt.server("home").unwrap();
+        assert_eq!(home.pending_transfer_count(), 1, "{what}");
+        assert_eq!(
+            in_phase(&rt),
+            Some(transfer_id),
+            "{what}: the record survives"
+        );
+
+        rt.run_to_quiescence(1_000_000);
+        let reports = rt.drain_reports("home");
+        assert_eq!(reports.len(), 1, "{what}: the journey still completes");
+        let visits = report_list(&reports[0].1, "visits");
+        assert_eq!(visits, vec![Value::Str("s0".into())], "{what}");
+        let home = rt.server("home").unwrap();
+        assert_eq!(home.pending_transfer_count(), 0, "{what}");
+        assert!(home.journal().naplet_records().is_empty(), "{what}");
+    }
 }
 
 #[test]
