@@ -7,9 +7,9 @@
 //! by a resource manager on the arrival of the naplet. It can't be
 //! serialized for migration."
 //!
-//! [`NapletContext`] is therefore a *trait*, implemented by the hosting
-//! `NapletServer`'s run context and handed to the behaviour's lifecycle
-//! hooks. It is never part of the serialized naplet. A self-contained
+//! [`NapletContext`] is therefore a *trait*, implemented by the run
+//! context of the hosting server's sandbox and handed to the
+//! behaviour's lifecycle hooks. It is never part of the serialized naplet. A self-contained
 //! [`LocalContext`] implementation backs unit tests and single-host
 //! examples.
 

@@ -4,7 +4,8 @@
 //! runtime that drives a whole naplet space.
 //!
 //! Seven components per server, as in Figure 2 of the paper:
-//! NapletMonitor ([`monitor`]), NapletSecurityManager ([`security`]),
+//! NapletMonitor ([`monitor`], which runs every piece of agent code in
+//! its [`sandbox`]), NapletSecurityManager ([`security`]),
 //! ResourceManager ([`resources`]) with dynamically created
 //! ServiceChannels ([`service_channel`]), NapletManager ([`manager`]),
 //! Messenger ([`messenger`]), Navigator ([`navigator`]) and Locator
@@ -36,6 +37,7 @@ pub mod repl;
 pub mod resources;
 pub mod retry;
 pub mod runtime;
+pub mod sandbox;
 pub mod security;
 pub mod server;
 pub mod service_channel;
@@ -57,7 +59,8 @@ pub use locator::Locator;
 pub use manager::{Footprint, NapletManager, NapletStatus, TableEntry};
 pub use messenger::Messenger;
 pub use monitor::{
-    MonitorPolicy, NapletMonitor, Priority, ResourceUsage, RunEntry, RunState, SchedulingPolicy,
+    Meter, MonitorPolicy, NapletMonitor, Priority, ResourceUsage, RunEntry, RunState,
+    SchedulingPolicy,
 };
 pub use navigator::Navigator;
 pub use node::Node;
@@ -65,6 +68,7 @@ pub use repl::{DirOp, ReplConfig, ReplMsg, ReplicaCore};
 pub use resources::ResourceManager;
 pub use retry::RetryPolicy;
 pub use runtime::SimRuntime;
+pub use sandbox::{Effects, ExecOutcome, Sandbox, What};
 pub use security::{Matcher, Permission, Policy, Rule, SecurityManager};
 pub use server::{LocationMode, NapletServer, ServerConfig};
 pub use service_channel::{ChannelIo, OpenService, PrivilegedService, ServiceChannel};

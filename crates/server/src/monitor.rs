@@ -14,6 +14,11 @@
 //! and bandwidth as message bytes posted per visit. Exceeding a budget
 //! raises `ResourceExhausted`, upon which the hosting server destroys
 //! the naplet — the "control" half of monitoring and control.
+//!
+//! This file is the monitor's bookkeeping: the run table, the policy,
+//! the per-visit [`Meter`] and the cumulative accounting. The
+//! execution boundary itself — the one place agent code runs, and so
+//! the one place the budgets are charged — is [`crate::sandbox`].
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -160,12 +165,53 @@ pub struct RunEntry {
     pub state: RunState,
     /// Post-action attached to the current visit.
     pub pending_action: Option<ActionSpec>,
-    /// Gas consumed this visit.
-    pub gas_this_visit: u64,
-    /// Message bytes posted this visit.
-    pub msg_bytes_this_visit: u64,
+    /// What this visit has consumed so far.
+    pub meter: Meter,
     /// Arrival time at this server.
     pub arrived_at: Millis,
+}
+
+/// The running totals of one visit that the CPU and bandwidth budgets
+/// are enforced against. Agent code that runs outside a visit (a
+/// pattern-level action, the final VM slice) is metered against a
+/// fresh one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Meter {
+    /// Gas consumed.
+    pub gas: u64,
+    /// Message payload bytes posted.
+    pub msg_bytes: u64,
+}
+
+impl Meter {
+    /// Charge gas against a CPU `budget`.
+    pub fn charge_gas(&mut self, budget: u64, gas: u64) -> Result<()> {
+        self.gas += gas;
+        if self.gas > budget {
+            Err(NapletError::ResourceExhausted {
+                resource: "cpu".into(),
+                detail: format!("visit used {} gas, budget {budget}", self.gas),
+            })
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Charge posted message bytes against the bandwidth budget.
+    pub fn charge_msg_bytes(&mut self, policy: &MonitorPolicy, bytes: u64) -> Result<()> {
+        self.msg_bytes += bytes;
+        if self.msg_bytes > policy.max_msg_bytes_per_visit {
+            Err(NapletError::ResourceExhausted {
+                resource: "bandwidth".into(),
+                detail: format!(
+                    "visit posted {} bytes, budget {}",
+                    self.msg_bytes, policy.max_msg_bytes_per_visit
+                ),
+            })
+        } else {
+            Ok(())
+        }
+    }
 }
 
 /// Cumulative per-naplet resource consumption at one server (paper
@@ -247,8 +293,7 @@ impl NapletMonitor {
             mailbox: Mailbox::new(),
             state,
             pending_action,
-            gas_this_visit: 0,
-            msg_bytes_this_visit: 0,
+            meter: Meter::default(),
             arrived_at: now,
         })
     }
@@ -319,50 +364,15 @@ impl NapletMonitor {
 
     // ------------------- budget enforcement -------------------
 
-    /// Charge gas against the visit CPU budget (tiered by the naplet's
-    /// scheduling priority).
-    pub fn charge_gas(entry: &mut RunEntry, policy: &MonitorPolicy, gas: u64) -> Result<()> {
-        let budget = policy.gas_budget_for(Priority::of(entry.naplet.credential()));
-        entry.gas_this_visit += gas;
-        if entry.gas_this_visit > budget {
-            Err(NapletError::ResourceExhausted {
-                resource: "cpu".into(),
-                detail: format!("visit used {} gas, budget {budget}", entry.gas_this_visit),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
     /// Check the memory budget after execution mutated state.
-    pub fn check_memory(entry: &RunEntry, policy: &MonitorPolicy, extra: u64) -> Result<()> {
-        let used = entry.naplet.state.deep_size() + extra;
+    pub fn check_memory(naplet: &Naplet, policy: &MonitorPolicy, extra: u64) -> Result<()> {
+        let used = naplet.state.deep_size() + extra;
         if used > policy.max_memory_bytes {
             Err(NapletError::ResourceExhausted {
                 resource: "memory".into(),
                 detail: format!(
                     "state uses {used} bytes, budget {}",
                     policy.max_memory_bytes
-                ),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Charge posted message bytes against the bandwidth budget.
-    pub fn charge_msg_bytes(
-        entry: &mut RunEntry,
-        policy: &MonitorPolicy,
-        bytes: u64,
-    ) -> Result<()> {
-        entry.msg_bytes_this_visit += bytes;
-        if entry.msg_bytes_this_visit > policy.max_msg_bytes_per_visit {
-            Err(NapletError::ResourceExhausted {
-                resource: "bandwidth".into(),
-                detail: format!(
-                    "visit posted {} bytes, budget {}",
-                    entry.msg_bytes_this_visit, policy.max_msg_bytes_per_visit
                 ),
             })
         } else {
@@ -448,19 +458,14 @@ mod tests {
     #[test]
     fn gas_budget_enforced() {
         let m = monitor();
-        let n = naplet(1);
-        let mut e = RunEntry {
-            naplet: n,
-            mailbox: Mailbox::new(),
-            state: RunState::Runnable,
-            pending_action: None,
-            gas_this_visit: 0,
-            msg_bytes_this_visit: 0,
-            arrived_at: Millis(0),
-        };
-        NapletMonitor::charge_gas(&mut e, m.policy(), 400).unwrap();
-        let err = NapletMonitor::charge_gas(&mut e, m.policy(), 200).unwrap_err();
+        let budget = m
+            .policy()
+            .gas_budget_for(Priority::of(naplet(1).credential()));
+        let mut meter = Meter::default();
+        meter.charge_gas(budget, 400).unwrap();
+        let err = meter.charge_gas(budget, 200).unwrap_err();
         assert_eq!(err.kind(), "resource");
+        assert_eq!(meter.gas, 600, "the overrun is on the meter");
     }
 
     #[test]
@@ -468,32 +473,15 @@ mod tests {
         let m = monitor();
         let mut n = naplet(1);
         n.state.set("blob", Value::Bytes(vec![0; 2000]));
-        let e = RunEntry {
-            naplet: n,
-            mailbox: Mailbox::new(),
-            state: RunState::Runnable,
-            pending_action: None,
-            gas_this_visit: 0,
-            msg_bytes_this_visit: 0,
-            arrived_at: Millis(0),
-        };
-        assert!(NapletMonitor::check_memory(&e, m.policy(), 0).is_err());
+        assert!(NapletMonitor::check_memory(&n, m.policy(), 0).is_err());
     }
 
     #[test]
     fn bandwidth_budget_enforced() {
         let m = monitor();
-        let mut e = RunEntry {
-            naplet: naplet(1),
-            mailbox: Mailbox::new(),
-            state: RunState::Runnable,
-            pending_action: None,
-            gas_this_visit: 0,
-            msg_bytes_this_visit: 0,
-            arrived_at: Millis(0),
-        };
-        NapletMonitor::charge_msg_bytes(&mut e, m.policy(), 60).unwrap();
-        assert!(NapletMonitor::charge_msg_bytes(&mut e, m.policy(), 10).is_err());
+        let mut meter = Meter::default();
+        meter.charge_msg_bytes(m.policy(), 60).unwrap();
+        assert!(meter.charge_msg_bytes(m.policy(), 10).is_err());
     }
 
     #[test]

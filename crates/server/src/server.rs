@@ -6,7 +6,9 @@
 //! created ServiceChannels. This file is the router between them and
 //! the keeper of the journal: it feeds each component's transitions
 //! and enacts their outcomes (records, bookkeeping, log, metrics,
-//! trace). It is written as a deterministic event handler: a driver
+//! trace). No agent code runs here: the monitor's
+//! [`sandbox`](crate::sandbox) runs it and hands back what it asked
+//! for. It is written as a deterministic event handler: a driver
 //! feeds it [`Input`]s and enacts the [`Output`]s, so the same server
 //! runs under the discrete-event runtime and under threaded drivers.
 
@@ -16,18 +18,16 @@ use std::sync::Arc;
 use naplet_core::behavior::ActionRegistry;
 use naplet_core::clock::Millis;
 use naplet_core::codebase::{CodeCache, CodebaseRegistry};
-use naplet_core::context::NapletContext;
 use naplet_core::error::{NapletError, Result};
 use naplet_core::id::NapletId;
 use naplet_core::itinerary::{ActionSpec, Cursor, Step};
 use naplet_core::message::{ControlVerb, Mailbox, Message, Payload, Sender};
 use naplet_core::naplet::{AgentKind, Naplet, SharedNaplet};
 use naplet_core::value::Value;
-use naplet_vm::{ContextVmHost, VmImage, VmYield};
 
 use naplet_obs::{ObsSink, TraceKind, COUNT_BOUNDS, LATENCY_BOUNDS_MS};
 
-use crate::directory::{DirEvent, NapletDirectory};
+use crate::directory::{DirEntry, DirEvent, NapletDirectory};
 use crate::events::{
     EventLog, Input, LocalEvent, LogEntry, OpsPage, OpsRead, Output, TransferEnvelope, Wire,
 };
@@ -36,11 +36,12 @@ use crate::lease::{LeasePolicy, LeaseTable};
 use crate::locator::Locator;
 use crate::manager::{NapletManager, NapletStatus};
 use crate::messenger::Messenger;
-use crate::monitor::{MonitorPolicy, NapletMonitor, RunState};
+use crate::monitor::{Meter, MonitorPolicy, NapletMonitor, RunState};
 use crate::navigator::{Attempt, Due, Failed, Navigator, Verdict};
 use crate::repl::{DirOp, ReplConfig, ReplNote, ReplicaCore};
 use crate::resources::ResourceManager;
 use crate::retry::RetryPolicy;
+use crate::sandbox::{Effects, ExecOutcome, Sandbox, What};
 use crate::security::{Permission, SecurityManager};
 use crate::status::{ResidentStatus, StatusReport};
 
@@ -60,6 +61,15 @@ pub enum LocationMode {
     /// committed state, and the name space survives replica crashes.
     ReplicatedDirectory(Vec<String>),
 }
+
+/// Retention window for dedup/bookkeeping tables (receiver-side
+/// transfer dedup, messenger confirmations): entries older than this
+/// are compacted away.
+const RETENTION_MS: u64 = 600_000;
+
+/// Ring capacity of the human-readable event log; the oldest lines are
+/// evicted (and counted) beyond this.
+const LOG_CAPACITY: usize = 4096;
 
 /// Static server configuration. `Clone` so a crash driver can rebuild
 /// a server from the same configuration it was born with.
@@ -85,13 +95,6 @@ pub struct ServerConfig {
     /// default) disables leasing entirely — no lease timers, no extra
     /// wire traffic, byte totals identical to a lease-free server.
     pub lease: Option<LeasePolicy>,
-    /// Retention window for dedup/bookkeeping tables (receiver-side
-    /// transfer dedup, messenger confirmations): entries older than
-    /// this are compacted away.
-    pub retention_ms: u64,
-    /// Ring capacity of the human-readable event log; the oldest lines
-    /// are evicted (and counted) beyond this. 0 disables the log.
-    pub log_capacity: usize,
     /// Consensus timing override for [`LocationMode::ReplicatedDirectory`]
     /// members. `None` (the default) derives [`ReplConfig::new`] from
     /// the mode's replica list; irrelevant in every other mode.
@@ -111,8 +114,6 @@ impl ServerConfig {
             max_residents: None,
             retry: RetryPolicy::default(),
             lease: None,
-            retention_ms: 600_000,
-            log_capacity: 4096,
             repl: None,
         }
     }
@@ -159,7 +160,6 @@ pub struct NapletServer {
     lease_policy: Option<LeasePolicy>,
     /// Live leases for naplets dispatched from this (home) server.
     pub leases: LeaseTable,
-    retention_ms: u64,
     last_sweep: Millis,
     /// Recovery diagnostics accumulated across crash replays.
     recovery: RecoveryStats,
@@ -239,14 +239,13 @@ impl NapletServer {
             journal,
             lease_policy: config.lease,
             leases: LeaseTable::new(),
-            retention_ms: config.retention_ms,
             last_sweep: Millis(0),
             recovery: RecoveryStats::default(),
             completed: Vec::new(),
             reports: Vec::new(),
             app_replies: Vec::new(),
             ops_replies: Vec::new(),
-            log: EventLog::with_capacity(config.log_capacity),
+            log: EventLog::with_capacity(LOG_CAPACITY),
             obs: ObsSink::default(),
             repl,
             replica_hint: 0,
@@ -423,15 +422,14 @@ impl NapletServer {
     /// retention window (satellite: these tables previously grew for
     /// the life of the server).
     fn sweep_retention(&mut self, now: Millis) {
-        if now.since(self.last_sweep) < self.retention_ms / 4 {
+        if now.since(self.last_sweep) < RETENTION_MS / 4 {
             return;
         }
         self.last_sweep = now;
-        let ttl = self.retention_ms;
-        self.navigator.sweep(now, ttl);
+        self.navigator.sweep(now, RETENTION_MS);
         // the durable copies of the same entries age out in lock-step
-        let _ = self.journal.compact_seen(now, ttl);
-        self.messenger.compact(now, ttl);
+        let _ = self.journal.compact_seen(now, RETENTION_MS);
+        self.messenger.compact(now, RETENTION_MS);
     }
 
     /// The host that holds directory state for `id` under the current
@@ -452,6 +450,17 @@ impl NapletServer {
                     Some(replicas[self.replica_hint % replicas.len()].clone())
                 }
             }
+        }
+    }
+
+    /// The committed location of `id` in the directory state this host
+    /// holds: a replica answers from the committed replicated state
+    /// (any member may serve reads — stale hits are healed by the
+    /// locator's forwarding chain), a plain holder from its table.
+    fn located(&self, id: &NapletId) -> Option<&DirEntry> {
+        match &self.repl {
+            Some(repl) => repl.state.lookup(id),
+            None => self.directory.lookup(id),
         }
     }
 
@@ -947,18 +956,7 @@ impl NapletServer {
                 id,
                 reply_to,
             } => {
-                // a replica answers from the committed replicated state;
-                // any member may serve reads (stale hits are healed by
-                // the locator's forwarding chain)
-                let entry = if let Some(repl) = &self.repl {
-                    repl.state
-                        .lookup(&id)
-                        .map(|e| (e.host.clone(), e.event, e.at))
-                } else {
-                    self.directory
-                        .lookup(&id)
-                        .map(|e| (e.host.clone(), e.event, e.at))
-                };
+                let entry = self.located(&id).map(|e| (e.host.clone(), e.event, e.at));
                 out.push(Output::Send {
                     to: reply_to,
                     wire: Wire::DirReply { token, id, entry },
@@ -1151,21 +1149,13 @@ impl NapletServer {
                         // the visit is over: fold it into the monitor's
                         // cumulative per-naplet resource accounting
                         let state_bytes = naplet.state.deep_size();
-                        self.monitor.account_visit(
-                            &id,
-                            entry.gas_this_visit,
-                            entry.msg_bytes_this_visit,
-                            state_bytes,
-                        );
-                        let dwell = now.since(entry.arrived_at);
+                        let Meter { gas, msg_bytes } = entry.meter;
+                        self.monitor.account_visit(&id, gas, msg_bytes, state_bytes);
+                        let arrived_at = entry.arrived_at;
+                        let dwell = now.since(arrived_at);
                         self.obs
                             .metrics
                             .observe("visit_dwell_ms", LATENCY_BOUNDS_MS, dwell);
-                        let (arrived_at, gas, msg_bytes) = (
-                            entry.arrived_at,
-                            entry.gas_this_visit,
-                            entry.msg_bytes_this_visit,
-                        );
                         let epoch = naplet.nav_log.visit_epoch();
                         self.obs
                             .emit(now, &self.host, Some(&id), || TraceKind::VisitEnd {
@@ -1362,14 +1352,23 @@ impl NapletServer {
                     // parent keeps advancing in this loop
                 }
                 Step::Action(action) => {
-                    self.run_action_standalone(&mut naplet, &mut mailbox, &action, now, out);
+                    // between visits: no monitor entry, so a fresh meter
+                    let (what, mut meter) = (What::Action(&action), Meter::default());
+                    let ran = self.run_agent(&mut naplet, &mut mailbox, &mut meter, what, now, out);
+                    if let Err(e) = ran {
+                        let id = naplet.id();
+                        self.logf(now, format!("action {action:?} failed for {id}: {e}"));
+                    }
                 }
                 Step::Done => {
                     // a VM agent parked at travel_next learns the
                     // journey is over (nil) and gets a final slice to
                     // report/clean up before destruction
-                    if matches!(naplet.kind(), AgentKind::Vm(_)) {
-                        self.final_vm_run(&mut naplet, &mut mailbox, now, out);
+                    let (what, mut meter) = (What::FinalSlice, Meter::default());
+                    let ran = self.run_agent(&mut naplet, &mut mailbox, &mut meter, what, now, out);
+                    if let Err(e) = ran {
+                        let id = naplet.id();
+                        self.logf(now, format!("final VM slice failed for {id}: {e}"));
                     }
                     self.finish_journey(naplet, now, "completed", true, out);
                     return;
@@ -1681,50 +1680,34 @@ impl NapletServer {
         let mut naplet = naplet.into_owned();
         self.stamp_arrival(&mut naplet, now);
 
-        let state = RunState::AwaitingArrivalAck;
-        let entry = self.monitor.admit(naplet, action, state, now);
-        let mut pending_controls = Vec::new();
-        // custody mail rides straight back into the new entry
-        for m in carry.drain() {
-            match &m.payload {
-                Payload::System(verb) => pending_controls.push(verb.clone()),
-                Payload::User(_) => entry.mailbox.deposit(m),
-            }
-        }
-        // deliver any messages that arrived before the naplet (§4.2
-        // case 3): user messages into the mailbox, system messages as
-        // interrupts after the arrival bookkeeping below; each drained
-        // message is confirmed to its origin (duplicates too — the
-        // earlier confirmation may be the frame that was lost)
+        // the new entry's mail: what the naplet already held in custody
+        // rides straight back in, then any messages that arrived before
+        // the naplet (§4.2 case 3), each confirmed to its origin
+        // (duplicates too — the earlier confirmation may be the frame
+        // that was lost). User messages go to the mailbox, system
+        // messages interrupt after the arrival bookkeeping below.
+        let (mut mail, mut pending_controls) = (Vec::new(), Vec::new());
+        let mut sort = |m: Message| match &m.payload {
+            Payload::System(verb) => pending_controls.push(verb.clone()),
+            Payload::User(_) => mail.push(m),
+        };
+        carry.drain().into_iter().for_each(&mut sort);
         for (m, origin) in self.messenger.drain_early(&id) {
-            let sender = m.from.clone();
-            let seq = m.seq;
+            let (sender, seq) = (m.from.clone(), m.seq);
             // redelivered copies may have been stashed more than once
             if self
                 .messenger
                 .record_delivery(sender.clone(), seq, m.sent_at)
             {
-                match &m.payload {
-                    Payload::System(verb) => pending_controls.push(verb.clone()),
-                    Payload::User(_) => entry.mailbox.deposit(m),
-                }
+                sort(m);
             }
-            if origin == self.host {
-                self.messenger
-                    .record_confirmation(sender, seq, &self.host, now);
-            } else {
-                out.push(Output::Send {
-                    to: origin,
-                    wire: Wire::PostConfirm {
-                        sender,
-                        seq,
-                        target: id.clone(),
-                        delivered_at: self.host.clone(),
-                    },
-                });
-            }
+            self.confirm_delivery(origin, sender, seq, id.clone(), now, out);
         }
-
+        let state = RunState::AwaitingArrivalAck;
+        let entry = self.monitor.admit(naplet, action, state, now);
+        for m in mail {
+            entry.mailbox.deposit(m);
+        }
         self.obs
             .metrics
             .gauge_max("mailbox_depth", entry.mailbox.len() as u64);
@@ -1878,227 +1861,77 @@ impl NapletServer {
     // Execution
     // =====================================================================
 
+    /// Run one piece of agent code in the monitor's sandbox and route
+    /// what it asked for. Every execution on this host passes here.
+    fn run_agent(
+        &mut self,
+        naplet: &mut Naplet,
+        mailbox: &mut Mailbox,
+        meter: &mut Meter,
+        what: What<'_>,
+        now: Millis,
+        out: &mut Vec<Output>,
+    ) -> Result<ExecOutcome> {
+        let sandbox = Sandbox {
+            host: &self.host,
+            now,
+            co_residents: self.monitor.len(),
+            resources: &mut self.resources,
+            security: &self.security,
+            codebase: &self.codebase,
+            actions: &self.actions,
+            policy: self.monitor.policy(),
+        };
+        let (result, effects) = sandbox.run(naplet, mailbox, meter, what);
+        self.route_effects(naplet, effects, now, out);
+        result
+    }
+
     fn execute_visit(&mut self, id: &NapletId, now: Millis, out: &mut Vec<Output>) {
         let Some(mut entry) = self.monitor.take(id) else {
             return;
         };
-        let policy = self.monitor.policy().clone();
-
-        let mut effects = Effects::default();
-        let exec_result = (|| -> Result<ExecOutcome> {
-            let outcome = match entry.naplet.kind().clone() {
-                AgentKind::Native => {
-                    let mut behavior = self.codebase.instantiate(entry.naplet.codebase())?;
-                    let priority = crate::monitor::Priority::of(entry.naplet.credential());
-                    let dwell = policy.dwell_for(priority, self.monitor.len() + 1);
-                    let gas = dwell * policy.gas_per_ms;
-                    NapletMonitor::charge_gas(&mut entry, &policy, gas)?;
-                    let mut ctx = RunCtx::new(
-                        &self.host,
-                        now,
-                        &mut entry.naplet,
-                        &mut entry.mailbox,
-                        &mut self.resources,
-                        &self.security,
-                        &mut effects,
-                    );
-                    behavior.on_start(&mut ctx)?;
-                    ExecOutcome::Continue
-                }
-                AgentKind::Vm(image_bytes) => {
-                    let mut image = VmImage::from_wire(&image_bytes)?;
-                    if image.status == naplet_vm::VmStatus::AwaitingTravel {
-                        // the strong-mobility resume: travel_next
-                        // returns the new host's name
-                        image.resume_after_travel(Some(&self.host))?;
-                    }
-                    let outcome = loop {
-                        let before = image.gas_used;
-                        let hops = entry.naplet.nav_log.hops();
-                        let mut ctx = RunCtx::new(
-                            &self.host,
-                            now,
-                            &mut entry.naplet,
-                            &mut entry.mailbox,
-                            &mut self.resources,
-                            &self.security,
-                            &mut effects,
-                        );
-                        let mut host_if = ContextVmHost::new(&mut ctx, hops);
-                        let yielded = naplet_vm::run(&mut image, &mut host_if, policy.gas_slice)?;
-                        NapletMonitor::charge_gas(&mut entry, &policy, image.gas_used - before)?;
-                        match yielded {
-                            VmYield::OutOfGas => continue,
-                            VmYield::Travel => break ExecOutcome::Continue,
-                            VmYield::Done(_) => break ExecOutcome::ProgramDone,
-                        }
-                    };
-                    // persist execution progress into the carried image
-                    *entry.naplet.kind_mut() = AgentKind::Vm(image.to_wire()?);
-                    let extra = image.memory_footprint();
-                    NapletMonitor::check_memory(&entry, &policy, extra)?;
-                    outcome
-                }
-            };
-
-            // the visit's post-action T
-            if let Some(action) = entry.pending_action.take() {
-                let mut ctx = RunCtx::new(
-                    &self.host,
-                    now,
-                    &mut entry.naplet,
-                    &mut entry.mailbox,
-                    &mut self.resources,
-                    &self.security,
-                    &mut effects,
-                );
-                run_action(&self.actions, &action, &mut ctx)?;
+        let action = entry.pending_action.take();
+        let result = self.run_agent(
+            &mut entry.naplet,
+            &mut entry.mailbox,
+            &mut entry.meter,
+            What::Visit(action.as_ref()),
+            now,
+            out,
+        );
+        match result {
+            Ok(outcome) if outcome.program_done => {
+                // VM program finished: journey ends here
+                let done_at = now.plus(outcome.dwell_ms);
+                self.finish_journey(entry.naplet, done_at, "completed", true, out);
             }
-            NapletMonitor::check_memory(&entry, &policy, 0)?;
-            Ok(outcome)
-        })();
-
-        let id = entry.naplet.id().clone();
-        self.apply_effects(&id, &mut entry, effects, now, out);
-
-        match exec_result {
             Ok(outcome) => {
-                let dwell = match entry.naplet.kind() {
-                    AgentKind::Native => {
-                        let priority = crate::monitor::Priority::of(entry.naplet.credential());
-                        policy.dwell_for(priority, self.monitor.len() + 1)
-                    }
-                    AgentKind::Vm(_) => {
-                        NapletMonitor::gas_to_ms(&policy, entry.gas_this_visit.max(1))
-                    }
-                };
-                match outcome {
-                    ExecOutcome::Continue => {
-                        entry.state = RunState::VisitDone;
-                        // the visit's effects just escaped (messages,
-                        // reports): ratchet the journaled epoch so a
-                        // recovery replay resumes at the visit's end
-                        // instead of running it again
-                        let epoch = entry.naplet.nav_log.visit_epoch();
-                        self.journal_naplet(
-                            &entry.naplet,
-                            &JournalPhase::Resident {
-                                applied_epoch: epoch,
-                                action: None,
-                            },
-                            now,
-                        );
-                        self.monitor.restore(entry);
-                        out.push(Output::Schedule {
-                            delay_ms: dwell,
-                            event: LocalEvent::VisitDone { id },
-                        });
-                    }
-                    ExecOutcome::ProgramDone => {
-                        // VM program finished: journey ends here
-                        let naplet = entry.naplet;
-                        self.resources.release(&id);
-                        self.finish_journey(naplet, now.plus(dwell), "completed", true, out);
-                    }
-                }
+                entry.state = RunState::VisitDone;
+                // the visit's effects just escaped (messages,
+                // reports): ratchet the journaled epoch so a
+                // recovery replay resumes at the visit's end
+                // instead of running it again
+                let epoch = entry.naplet.nav_log.visit_epoch();
+                self.journal_naplet(
+                    &entry.naplet,
+                    &JournalPhase::Resident {
+                        applied_epoch: epoch,
+                        action: None,
+                    },
+                    now,
+                );
+                self.monitor.restore(entry);
+                out.push(Output::Schedule {
+                    delay_ms: outcome.dwell_ms,
+                    event: LocalEvent::VisitDone { id: id.clone() },
+                });
             }
             Err(e) => {
                 self.monitor.kills.push((id.clone(), e.kind().to_string()));
                 self.monitor.restore(entry);
-                self.destroy_resident(&id, &e.to_string(), now, out);
+                self.destroy_resident(id, &e.to_string(), now, out);
             }
-        }
-    }
-
-    /// Give a VM agent whose itinerary just completed a final slice:
-    /// its pending `travel_next` resolves to nil so the program can
-    /// report results and halt.
-    fn final_vm_run(
-        &mut self,
-        naplet: &mut Naplet,
-        mailbox: &mut Mailbox,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
-        let AgentKind::Vm(bytes) = naplet.kind().clone() else {
-            return;
-        };
-        let policy = self.monitor.policy().clone();
-        let mut effects = Effects::default();
-        let result = (|| -> Result<()> {
-            let mut image = VmImage::from_wire(&bytes)?;
-            if image.status == naplet_vm::VmStatus::AwaitingTravel {
-                image.resume_after_travel(None)?;
-            }
-            let mut spent = 0u64;
-            loop {
-                if spent >= policy.max_gas_per_visit {
-                    return Err(NapletError::ResourceExhausted {
-                        resource: "cpu".into(),
-                        detail: "final slice budget exceeded".into(),
-                    });
-                }
-                let before = image.gas_used;
-                let hops = naplet.nav_log.hops();
-                let mut ctx = RunCtx::new(
-                    &self.host,
-                    now,
-                    naplet,
-                    mailbox,
-                    &mut self.resources,
-                    &self.security,
-                    &mut effects,
-                );
-                let mut host_if = ContextVmHost::new(&mut ctx, hops);
-                match naplet_vm::run(&mut image, &mut host_if, policy.gas_slice)? {
-                    VmYield::OutOfGas => {
-                        spent += image.gas_used - before;
-                        continue;
-                    }
-                    // a second travel request cannot be satisfied: the
-                    // journey is over — treat as completion
-                    VmYield::Travel | VmYield::Done(_) => break,
-                }
-            }
-            Ok(())
-        })();
-        let id = naplet.id().clone();
-        self.dispatch_effects(&id, naplet, effects, now, out);
-        if let Err(e) = result {
-            self.logf(now, format!("final VM slice failed for {id}: {e}"));
-        }
-    }
-
-    /// Run a pattern-level action for a naplet that is between visits
-    /// (not admitted to the monitor).
-    fn run_action_standalone(
-        &mut self,
-        naplet: &mut Naplet,
-        mailbox: &mut Mailbox,
-        action: &ActionSpec,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
-        let mut effects = Effects::default();
-        let result = {
-            let mut ctx = RunCtx::new(
-                &self.host,
-                now,
-                naplet,
-                mailbox,
-                &mut self.resources,
-                &self.security,
-                &mut effects,
-            );
-            run_action(&self.actions, action, &mut ctx)
-        };
-        let id = naplet.id().clone();
-        // standalone actions run outside a monitor entry; account
-        // bandwidth against a scratch entry-less path (still metered
-        // on the fabric)
-        self.dispatch_effects(&id, naplet, effects, now, out);
-        if let Err(e) = result {
-            self.logf(now, format!("action {action:?} failed for {id}: {e}"));
         }
     }
 
@@ -2106,57 +1939,16 @@ impl NapletServer {
     // Effects: messages, reports, logs
     // =====================================================================
 
-    fn apply_effects(
+    fn route_effects(
         &mut self,
-        id: &NapletId,
-        entry: &mut crate::monitor::RunEntry,
-        effects: Effects,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
-        let policy = self.monitor.policy().clone();
-        // bandwidth accounting: posts are charged in order; the first
-        // one that exceeds the budget and everything after it are
-        // dropped, but reports and logs still flow
-        let mut effects = effects;
-        let mut kept = Vec::with_capacity(effects.posts.len());
-        for (to, hint, body) in effects.posts.drain(..) {
-            let bytes = naplet_core::codec::encoded_size(&body).unwrap_or(0);
-            match NapletMonitor::charge_msg_bytes(entry, &policy, bytes) {
-                Ok(()) => kept.push((to, hint, body)),
-                Err(e) => {
-                    self.logf(now, format!("bandwidth budget hit for {id}: {e}"));
-                    break;
-                }
-            }
-        }
-        effects.posts = kept;
-        let naplet_home = entry.naplet.home().to_string();
-        self.route_effects(id, &naplet_home, effects, now, out);
-    }
-
-    fn dispatch_effects(
-        &mut self,
-        id: &NapletId,
         naplet: &Naplet,
         effects: Effects,
         now: Millis,
         out: &mut Vec<Output>,
     ) {
-        let home = naplet.home().to_string();
-        self.route_effects(id, &home, effects, now, out);
-    }
-
-    fn route_effects(
-        &mut self,
-        id: &NapletId,
-        home: &str,
-        effects: Effects,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
+        let (id, home) = (naplet.id(), naplet.home());
         for line in effects.logs {
-            self.logf(now, format!("[{}] {line}", id.short()));
+            self.logf(now, line);
         }
         for body in effects.reports {
             if home == self.host {
@@ -2274,14 +2066,8 @@ impl NapletServer {
                 });
             }
             Some(_) => {
-                // we hold the directory shard (a replica answers from
-                // its committed replicated state)
-                let hit = if let Some(repl) = &self.repl {
-                    repl.state.lookup(&target).map(|e| e.host.clone())
-                } else {
-                    self.directory.lookup(&target).map(|e| e.host.clone())
-                };
-                match hit {
+                // we hold the directory shard
+                match self.located(&target).map(|e| e.host.clone()) {
                     Some(host) => {
                         self.cache_location(target, &host, now);
                         self.send_post(msg, &host, now, out);
@@ -2306,6 +2092,34 @@ impl NapletServer {
                     },
                 }
             }
+        }
+    }
+
+    /// Message `seq` from `sender` reached `target` here: confirm it to
+    /// the host that posted it, or record the confirmation if that is
+    /// this host.
+    fn confirm_delivery(
+        &mut self,
+        origin: String,
+        sender: Sender,
+        seq: u64,
+        target: NapletId,
+        now: Millis,
+        out: &mut Vec<Output>,
+    ) {
+        if origin == self.host {
+            self.messenger
+                .record_confirmation(sender, seq, &self.host, now);
+        } else {
+            out.push(Output::Send {
+                to: origin,
+                wire: Wire::PostConfirm {
+                    sender,
+                    seq,
+                    target,
+                    delivered_at: self.host.clone(),
+                },
+            });
         }
     }
 
@@ -2344,20 +2158,7 @@ impl NapletServer {
             } else {
                 self.logf(now, format!("duplicate message {seq} for {target}"));
             }
-            if origin_host == self.host {
-                self.messenger
-                    .record_confirmation(sender, seq, &self.host.clone(), now);
-            } else {
-                out.push(Output::Send {
-                    to: origin_host,
-                    wire: Wire::PostConfirm {
-                        sender,
-                        seq,
-                        target,
-                        delivered_at: self.host.clone(),
-                    },
-                });
-            }
+            self.confirm_delivery(origin_host, sender, seq, target, now, out);
             return;
         }
         // not resident — but if its landing was granted here and the
@@ -2442,27 +2243,16 @@ impl NapletServer {
                 let Some(mut entry) = self.monitor.take(id) else {
                     return;
                 };
-                if let AgentKind::Native = entry.naplet.kind() {
-                    let mut effects = Effects::default();
-                    let res = self.codebase.instantiate(entry.naplet.codebase()).and_then(
-                        |mut behavior| {
-                            let mut ctx = RunCtx::new(
-                                &self.host,
-                                now,
-                                &mut entry.naplet,
-                                &mut entry.mailbox,
-                                &mut self.resources,
-                                &self.security,
-                                &mut effects,
-                            );
-                            behavior.on_interrupt(&mut ctx, verb)
-                        },
-                    );
-                    let nid = entry.naplet.id().clone();
-                    self.apply_effects(&nid, &mut entry, effects, now, out);
-                    if let Err(e) = res {
-                        self.logf(now, format!("on_interrupt failed for {id}: {e}"));
-                    }
+                let ran = self.run_agent(
+                    &mut entry.naplet,
+                    &mut entry.mailbox,
+                    &mut entry.meter,
+                    What::Interrupt(verb),
+                    now,
+                    out,
+                );
+                if let Err(e) = ran {
+                    self.logf(now, format!("on_interrupt failed for {id}: {e}"));
                 }
                 self.monitor.restore(entry);
             }
@@ -2483,27 +2273,17 @@ impl NapletServer {
         let Some(mut entry) = self.monitor.evict(id) else {
             return;
         };
+        // its last word, said while its channels are still open; a
+        // failing hook leaves nothing to undo
+        let _ = self.run_agent(
+            &mut entry.naplet,
+            &mut entry.mailbox,
+            &mut entry.meter,
+            What::Destroy,
+            now,
+            out,
+        );
         self.resources.release(id);
-        // on_destroy hook for native agents
-        if let AgentKind::Native = entry.naplet.kind() {
-            if let Ok(mut behavior) = self.codebase.instantiate(entry.naplet.codebase()) {
-                let mut effects = Effects::default();
-                {
-                    let mut ctx = RunCtx::new(
-                        &self.host,
-                        now,
-                        &mut entry.naplet,
-                        &mut entry.mailbox,
-                        &mut self.resources,
-                        &self.security,
-                        &mut effects,
-                    );
-                    let _ = behavior.on_destroy(&mut ctx);
-                }
-                let nid = entry.naplet.id().clone();
-                self.dispatch_effects(&nid.clone(), &entry.naplet, effects, now, out);
-            }
-        }
         self.logf(now, format!("DESTROY {id}: {reason}"));
         self.journal_retire(id, now);
         self.obs.metrics.incr("journeys.destroyed", 1);
@@ -2913,156 +2693,5 @@ fn phase_label(phase: &JournalPhase) -> &'static str {
         JournalPhase::InFlight { .. } => "in-flight",
         JournalPhase::Resident { .. } => "resident",
         JournalPhase::Parked => "parked",
-    }
-}
-
-/// Which way execution left the visit.
-enum ExecOutcome {
-    /// Business logic for this visit finished; itinerary continues.
-    Continue,
-    /// A VM program ran to completion: the agent is done regardless of
-    /// remaining itinerary.
-    ProgramDone,
-}
-
-/// Effects collected from behaviour execution, applied by the server
-/// afterwards (keeps the context borrow-free of server internals).
-#[derive(Default)]
-struct Effects {
-    /// (target, location hint, body)
-    posts: Vec<(NapletId, String, Value)>,
-    reports: Vec<Value>,
-    logs: Vec<String>,
-}
-
-/// The transient run context handed to behaviours (paper §2.1: set by
-/// the resource manager on arrival; never serialized).
-struct RunCtx<'a> {
-    host: &'a str,
-    now: Millis,
-    naplet: &'a mut Naplet,
-    mailbox: &'a mut Mailbox,
-    resources: &'a mut ResourceManager,
-    security: &'a SecurityManager,
-    effects: &'a mut Effects,
-}
-
-impl<'a> RunCtx<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        host: &'a str,
-        now: Millis,
-        naplet: &'a mut Naplet,
-        mailbox: &'a mut Mailbox,
-        resources: &'a mut ResourceManager,
-        security: &'a SecurityManager,
-        effects: &'a mut Effects,
-    ) -> RunCtx<'a> {
-        RunCtx {
-            host,
-            now,
-            naplet,
-            mailbox,
-            resources,
-            security,
-            effects,
-        }
-    }
-}
-
-impl NapletContext for RunCtx<'_> {
-    fn host_name(&self) -> &str {
-        self.host
-    }
-    fn naplet_id(&self) -> &NapletId {
-        self.naplet.id()
-    }
-    fn state(&mut self) -> &mut naplet_core::state::NapletState {
-        &mut self.naplet.state
-    }
-    fn address_book(&mut self) -> &mut naplet_core::address_book::AddressBook {
-        &mut self.naplet.address_book
-    }
-    fn post_message(&mut self, to: &NapletId, body: Value) -> Result<()> {
-        self.security
-            .check(self.naplet.credential(), Permission::Messaging)?;
-        let entry =
-            self.naplet.address_book.lookup(to).ok_or_else(|| {
-                NapletError::Communication(format!("peer {to} not in address book"))
-            })?;
-        self.effects
-            .posts
-            .push((to.clone(), entry.server.clone(), body));
-        Ok(())
-    }
-    fn get_message(&mut self) -> Result<Option<Message>> {
-        Ok(self.mailbox.take())
-    }
-    fn call_service(&mut self, name: &str, args: Value) -> Result<Value> {
-        self.resources
-            .call_open(self.security, self.naplet.credential(), name, args)
-    }
-    fn channel_exchange(&mut self, service: &str, request: Value) -> Result<Value> {
-        let id = self.naplet.id().clone();
-        let cred = self.naplet.credential().clone();
-        self.resources
-            .channel_exchange(self.security, &cred, &id, service, request)
-    }
-    fn report_home(&mut self, body: Value) -> Result<()> {
-        self.effects.reports.push(body);
-        Ok(())
-    }
-    fn now(&self) -> Millis {
-        self.now
-    }
-    fn log(&mut self, line: &str) {
-        self.effects.logs.push(line.to_string());
-    }
-}
-
-/// Execute one itinerary post-action.
-fn run_action(
-    registry: &ActionRegistry,
-    action: &ActionSpec,
-    ctx: &mut dyn NapletContext,
-) -> Result<()> {
-    match action {
-        ActionSpec::ReportHome => {
-            // report the naplet's whole public+private view of state:
-            // the conventional ResultReport sends gathered data home
-            let mut snapshot = std::collections::BTreeMap::new();
-            let keys: Vec<String> = ctx.state().keys().map(str::to_string).collect();
-            for k in keys {
-                snapshot.insert(k.clone(), ctx.state().get(&k));
-            }
-            ctx.report_home(Value::Map(snapshot))
-        }
-        ActionSpec::DataComm => {
-            // the paper's collective operator: post own latest data to
-            // every peer in the address book, then drain whatever has
-            // already arrived into state["datacomm.received"]
-            let payload = ctx.state().get("datacomm");
-            let peers: Vec<NapletId> = ctx
-                .address_book()
-                .iter()
-                .map(|e| e.naplet_id.clone())
-                .collect();
-            for peer in peers {
-                // ignore transient failures, as the paper's example does
-                let _ = ctx.post_message(&peer, payload.clone());
-            }
-            let mut received = match ctx.state().get("datacomm.received") {
-                Value::List(l) => l,
-                _ => Vec::new(),
-            };
-            while let Some(m) = ctx.get_message()? {
-                if let Payload::User(v) = m.payload {
-                    received.push(v);
-                }
-            }
-            ctx.state().set("datacomm.received", Value::List(received));
-            Ok(())
-        }
-        ActionSpec::Named(name) => registry.get(name)?.operate(ctx),
     }
 }

@@ -715,6 +715,67 @@ fn privileged_service_access_via_channels() {
     assert_eq!(rt.server("s0").unwrap().resources.live_channels(), 0);
 }
 
+#[test]
+fn on_destroy_speaks_over_the_live_channel_and_leaves_none_behind() {
+    /// Opens a session with the service on arrival and closes it in
+    /// its last word.
+    struct Session;
+    impl NapletBehavior for Session {
+        fn on_start(&mut self, ctx: &mut dyn NapletContext) -> Result<()> {
+            ctx.channel_exchange("sysinfo", Value::from("open"))
+                .map(drop)
+        }
+        fn on_destroy(&mut self, ctx: &mut dyn NapletContext) -> Result<()> {
+            ctx.channel_exchange("sysinfo", Value::from("close"))
+                .map(drop)
+        }
+    }
+    let mut reg = CodebaseRegistry::new();
+    reg.register("session", 1000, || Session);
+    let fabric = Fabric::new(LatencyModel::Constant(1), Bandwidth(None), 7);
+    let mut rt = SimRuntime::new(fabric);
+    for host in ["home", "s0"] {
+        let mut cfg = ServerConfig::open(host, LocationMode::ForwardingTrace);
+        cfg.codebase = reg.clone();
+        cfg.monitor_policy.native_dwell_ms = 500;
+        rt.add_server(cfg);
+    }
+    rt.server_mut("s0").unwrap().resources.register_privileged(
+        "sysinfo",
+        |io: &mut naplet_server::ChannelIo<'_>| {
+            while let Some(req) = io.read_line() {
+                io.write_line(req);
+            }
+            Ok(())
+        },
+    );
+    let it = Itinerary::new(Pattern::seq_of_hosts(&["s0"], None)).unwrap();
+    let naplet = Naplet::create(
+        &key(),
+        "czxu",
+        "home",
+        Millis(1),
+        "session",
+        AgentKind::Native,
+        it,
+        vec![],
+    )
+    .unwrap();
+    let id = naplet.id().clone();
+    rt.launch(naplet).unwrap();
+    rt.run_until(Millis(100)); // resident at s0, dwelling, channel open
+    assert_eq!(rt.server("s0").unwrap().resources.live_channels(), 1);
+    rt.owner_post("home", id.clone(), Payload::System(ControlVerb::Terminate))
+        .unwrap();
+    rt.run_to_quiescence(100_000);
+
+    let entry = rt.server("home").unwrap().manager.table_entry(&id).unwrap();
+    assert_eq!(entry.status, NapletStatus::Destroyed);
+    let resources = &rt.server("s0").unwrap().resources;
+    assert_eq!(resources.channels_created, 1, "the hook reused its channel");
+    assert_eq!(resources.live_channels(), 0, "and released it afterwards");
+}
+
 /// One visit to `s0` by an agent that posts each of `payloads` to an
 /// (absent) peer and then reports, under a per-visit post budget.
 /// Returns the `Message`-class frames the fabric carried — the posts

@@ -80,8 +80,13 @@ pub fn run(img: &mut VmImage, host: &mut dyn VmHost, gas_budget: u64) -> Result<
             .ok_or_else(|| trap(format!("pc {} out of range in `{}`", frame.pc, func.name)))?
             .clone();
 
+        // a slice always runs its first instruction, whatever it costs:
+        // one dearer than the whole slice would otherwise yield
+        // `OutOfGas` forever, and whether a program makes progress must
+        // not depend on the scheduling quantum (`gas_used` takes the
+        // full charge, so the caller's budget still sees it)
         let cost = ins.gas_cost();
-        if spent + cost > gas_budget {
+        if spent > 0 && spent + cost > gas_budget {
             return Ok(VmYield::OutOfGas);
         }
         spent += cost;
@@ -842,6 +847,27 @@ mod tests {
         }
         assert!(slices > 10, "gas limit should have split execution");
         assert!(img.gas_used >= 1000);
+    }
+
+    #[test]
+    fn a_slice_smaller_than_an_instruction_still_makes_progress() {
+        // MakeList(8) costs 10: under a 3-gas slice it runs alone, and
+        // the image charges all of it
+        let code = vec![
+            Instr::MakeList(0),
+            Instr::Pop,
+            Instr::MakeList(8),
+            Instr::Halt,
+        ];
+        let code = [vec![Instr::Nil; 8], code].concat();
+        let mut img = VmImage::new(prog(vec![], code)).unwrap();
+        let mut host = MockHost::new("t");
+        let mut slices = 0;
+        while run(&mut img, &mut host, 3).unwrap() == VmYield::OutOfGas {
+            slices += 1;
+            assert!(slices < 100, "not making progress");
+        }
+        assert_eq!(img.gas_used, 8 + 2 + 1 + 10 + 1);
     }
 
     #[test]
