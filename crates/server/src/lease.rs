@@ -47,6 +47,10 @@ pub struct Lease {
     pub last_renewed: Millis,
     /// Re-dispatches already consumed for this agent.
     pub redispatches: u32,
+    /// Directory probes sent since the lease last came into question
+    /// (a home outside a replicated directory asks the replicas before
+    /// acting on an expiry). Gone with the lease when it is released.
+    pub probes: u32,
 }
 
 /// The home server's table of leases for its dispatched naplets.
@@ -77,6 +81,7 @@ impl LeaseTable {
             Lease {
                 last_renewed: now,
                 redispatches,
+                probes: 0,
             },
         );
     }
@@ -111,6 +116,11 @@ impl LeaseTable {
             lease.redispatches += 1;
             lease.last_renewed = now;
         }
+    }
+
+    /// The probe counter of `id`'s lease, while it is held.
+    pub fn probes(&mut self, id: &NapletId) -> Option<&mut u32> {
+        self.leases.get_mut(id).map(|lease| &mut lease.probes)
     }
 
     /// Number of leases currently held.
@@ -159,6 +169,22 @@ mod tests {
         // re-granting (e.g. on re-dispatch launch) keeps the count
         t.grant(&a, Millis(120));
         assert_eq!(t.get(&a).unwrap().redispatches, 1);
+    }
+
+    #[test]
+    fn the_probe_count_goes_with_the_lease() {
+        let mut t = LeaseTable::new();
+        let a = id(1);
+        assert!(t.probes(&a).is_none(), "no lease, nothing to probe");
+        t.grant(&a, Millis(0));
+        *t.probes(&a).unwrap() += 2;
+        t.renew(&a, Millis(5));
+        assert_eq!(t.get(&a).unwrap().probes, 2, "a renewal settles nothing");
+        // the journey reached a terminal status mid-probe: no row stays
+        t.release(&a);
+        assert!(t.probes(&a).is_none());
+        t.grant(&a, Millis(9));
+        assert_eq!(t.get(&a).unwrap().probes, 0);
     }
 
     #[test]

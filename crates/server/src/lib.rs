@@ -55,7 +55,7 @@ pub use journal::{
 };
 pub use lease::{Lease, LeasePolicy, LeaseTable};
 pub use live::LiveRuntime;
-pub use locator::Locator;
+pub use locator::{Filed, Holder, Locator};
 pub use manager::{Footprint, NapletManager, NapletStatus, TableEntry};
 pub use messenger::Messenger;
 pub use monitor::{

@@ -44,6 +44,7 @@ use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
 
 use crate::directory::{DirEntry, DirEvent};
+use crate::events::Wire;
 
 /// One replicated directory operation — the unit of the log.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -71,6 +72,32 @@ pub enum DirOp {
 }
 
 impl DirOp {
+    /// The operation a directory frame asks for, stamped `at` the
+    /// accepting leader's clock; a frame that asks for none is a no-op.
+    pub fn of(wire: &Wire, at: Millis) -> DirOp {
+        match wire {
+            Wire::DirRegister {
+                id, host, event, ..
+            } => DirOp::Register {
+                id: id.clone(),
+                host: host.clone(),
+                event: *event,
+                at,
+            },
+            Wire::DirRemove { id } => DirOp::Remove { id: id.clone() },
+            _ => DirOp::Noop,
+        }
+    }
+
+    /// Stable short label for traces.
+    pub fn label(&self) -> &'static str {
+        match self {
+            DirOp::Register { .. } => "register",
+            DirOp::Remove { .. } => "remove",
+            DirOp::Noop => "noop",
+        }
+    }
+
     /// The naplet this operation concerns, if any.
     pub fn subject(&self) -> Option<&NapletId> {
         match self {

@@ -12,7 +12,6 @@
 //! feeds it [`Input`]s and enacts the [`Output`]s, so the same server
 //! runs under the discrete-event runtime and under threaded drivers.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use naplet_core::behavior::ActionRegistry;
@@ -27,40 +26,24 @@ use naplet_core::value::Value;
 
 use naplet_obs::{ObsSink, TraceKind, COUNT_BOUNDS, LATENCY_BOUNDS_MS};
 
-use crate::directory::{DirEntry, DirEvent, NapletDirectory};
+use crate::directory::DirEvent;
 use crate::events::{
     EventLog, Input, LocalEvent, LogEntry, OpsPage, OpsRead, Output, TransferEnvelope, Wire,
 };
 use crate::journal::{Journal, JournalPhase, RecoveryStats};
 use crate::lease::{LeasePolicy, LeaseTable};
-use crate::locator::Locator;
+pub use crate::locator::LocationMode;
+use crate::locator::{Filed, Holder, Locator};
 use crate::manager::{NapletManager, NapletStatus};
 use crate::messenger::Messenger;
 use crate::monitor::{Meter, MonitorPolicy, NapletMonitor, RunState};
 use crate::navigator::{Attempt, Due, Failed, Navigator, Verdict};
-use crate::repl::{DirOp, ReplConfig, ReplNote, ReplicaCore};
+use crate::repl::{ReplConfig, ReplNote, ReplOut, ReplicaCore};
 use crate::resources::ResourceManager;
 use crate::retry::RetryPolicy;
 use crate::sandbox::{Effects, ExecOutcome, Sandbox, What};
 use crate::security::{Permission, SecurityManager};
 use crate::status::{ResidentStatus, StatusReport};
-
-/// How naplets are traced and located (paper §4.1).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LocationMode {
-    /// A centralized NapletDirectory at the named host.
-    CentralDirectory(String),
-    /// Distributed directory: each naplet's home manager tracks it
-    /// (the home is derived from the naplet id).
-    HomeManagers,
-    /// No directory: footprint traces + message forwarding.
-    ForwardingTrace,
-    /// The directory replicated over the named hosts with the
-    /// leader-lease consensus core ([`crate::repl`]): registrations
-    /// commit on a majority, lookups are served from any replica's
-    /// committed state, and the name space survives replica crashes.
-    ReplicatedDirectory(Vec<String>),
-}
 
 /// Retention window for dedup/bookkeeping tables (receiver-side
 /// transfer dedup, messenger confirmations): entries older than this
@@ -95,8 +78,8 @@ pub struct ServerConfig {
     /// default) disables leasing entirely — no lease timers, no extra
     /// wire traffic, byte totals identical to a lease-free server.
     pub lease: Option<LeasePolicy>,
-    /// Consensus timing override for [`LocationMode::ReplicatedDirectory`]
-    /// members. `None` (the default) derives [`ReplConfig::new`] from
+    /// Consensus timing override for the members of a replicated
+    /// directory. `None` (the default) derives [`ReplConfig::new`] from
     /// the mode's replica list; irrelevant in every other mode.
     pub repl: Option<ReplConfig>,
 }
@@ -125,7 +108,6 @@ type StateHook = Box<dyn FnMut(&mut naplet_core::state::ServerStateView<'_>) + S
 /// One naplet server (a dock of naplets within a host).
 pub struct NapletServer {
     host: String,
-    mode: LocationMode,
     security: SecurityManager,
     /// Open + privileged services and live channels.
     pub resources: ResourceManager,
@@ -135,11 +117,9 @@ pub struct NapletServer {
     pub manager: NapletManager,
     /// Post-office state.
     pub messenger: Messenger,
-    /// Location cache.
+    /// Location cache and the door to the directory: this host's
+    /// shard, the queries in flight, the consensus core it may host.
     pub locator: Locator,
-    /// Directory shard: the registry itself when this host is (or
-    /// serves as home for) a directory holder.
-    pub directory: NapletDirectory,
     codebase: CodebaseRegistry,
     code_cache: CodeCache,
     actions: ActionRegistry,
@@ -149,8 +129,6 @@ pub struct NapletServer {
     /// The migration protocol: outbound custody, expected landings,
     /// transfer dedup and the parked set.
     pub navigator: Navigator,
-    /// Messages waiting on a directory lookup, by query token.
-    pending_queries: HashMap<u64, Message>,
     app_handler: Option<AppHandler>,
     state_hook: Option<StateHook>,
     /// Write-ahead journal: durable naplet snapshots at protocol
@@ -178,54 +156,22 @@ pub struct NapletServer {
     pub log: EventLog,
     /// Structured observation endpoint (shared with the driver).
     obs: ObsSink,
-    /// Consensus core — present only when this host is a member of a
-    /// [`LocationMode::ReplicatedDirectory`] replica set.
-    repl: Option<ReplicaCore>,
-    /// Rotating index into the replica set for non-member hosts;
-    /// bumped on registration retries and stale lookups so a dead
-    /// replica is routed around.
-    replica_hint: usize,
-    /// Leader-side registrations awaiting commit: log index →
-    /// (ack destination, naplet). The `DirAck` is released only once
-    /// the entry is majority-replicated — a committed registration is
-    /// never lost to a leader crash.
-    repl_pending_acks: HashMap<u64, (String, NapletId)>,
-    /// Home-side lease probes in flight (token → naplet): in
-    /// replicated mode an expired lease is verified against the
-    /// replicated directory before the orphan is re-dispatched.
-    pending_lease_probes: HashMap<u64, NapletId>,
-    /// Probe attempts per naplet whose lease is in question.
-    lease_probe_attempts: HashMap<NapletId, u32>,
-    /// True while a `ReplTick` is scheduled; keeps exactly one tick
-    /// chain alive so an idle replica schedules nothing.
-    repl_tick_armed: bool,
 }
 
 impl NapletServer {
     /// Build a server from its configuration.
     pub fn new(config: ServerConfig) -> NapletServer {
         let journal = Journal::in_memory();
-        let repl = match &config.mode {
-            LocationMode::ReplicatedDirectory(replicas) if replicas.contains(&config.host) => {
-                let cfg = config
-                    .repl
-                    .clone()
-                    .unwrap_or_else(|| ReplConfig::new(replicas.clone()));
-                Some(ReplicaCore::recover(&config.host, cfg, &journal))
-            }
-            _ => None,
-        };
+        let locator = Locator::new(&config.host, config.mode, config.repl, &journal);
         let navigator = Navigator::new(&config.host, config.retry.clone());
         NapletServer {
             host: config.host,
-            mode: config.mode,
             security: config.security,
             resources: ResourceManager::new(),
             monitor: NapletMonitor::new(config.monitor_policy),
             manager: NapletManager::new(),
             messenger: Messenger::default(),
-            locator: Locator::default(),
-            directory: NapletDirectory::new(),
+            locator,
             codebase: config.codebase,
             code_cache: CodeCache::new(),
             actions: config.actions,
@@ -233,7 +179,6 @@ impl NapletServer {
             navigator,
             retry: config.retry,
             next_token: 0,
-            pending_queries: HashMap::new(),
             app_handler: None,
             state_hook: None,
             journal,
@@ -247,12 +192,6 @@ impl NapletServer {
             ops_replies: Vec::new(),
             log: EventLog::with_capacity(LOG_CAPACITY),
             obs: ObsSink::default(),
-            repl,
-            replica_hint: 0,
-            repl_pending_acks: HashMap::new(),
-            pending_lease_probes: HashMap::new(),
-            lease_probe_attempts: HashMap::new(),
-            repl_tick_armed: false,
         }
     }
 
@@ -430,57 +369,19 @@ impl NapletServer {
         // the durable copies of the same entries age out in lock-step
         let _ = self.journal.compact_seen(now, RETENTION_MS);
         self.messenger.compact(now, RETENTION_MS);
-    }
-
-    /// The host that holds directory state for `id` under the current
-    /// mode, or `None` in pure forwarding mode.
-    fn directory_holder(&self, id: &NapletId) -> Option<String> {
-        match &self.mode {
-            LocationMode::CentralDirectory(host) => Some(host.clone()),
-            LocationMode::HomeManagers => Some(id.home().to_string()),
-            LocationMode::ForwardingTrace => None,
-            LocationMode::ReplicatedDirectory(replicas) => {
-                if let Some(repl) = &self.repl {
-                    // a member handles (or forwards) locally; prefer
-                    // the leader when known so one hop suffices
-                    Some(repl.leader_hint().unwrap_or(&self.host).to_string())
-                } else if replicas.is_empty() {
-                    None
-                } else {
-                    Some(replicas[self.replica_hint % replicas.len()].clone())
-                }
-            }
-        }
-    }
-
-    /// The committed location of `id` in the directory state this host
-    /// holds: a replica answers from the committed replicated state
-    /// (any member may serve reads — stale hits are healed by the
-    /// locator's forwarding chain), a plain holder from its table.
-    fn located(&self, id: &NapletId) -> Option<&DirEntry> {
-        match &self.repl {
-            Some(repl) => repl.state.lookup(id),
-            None => self.directory.lookup(id),
-        }
+        self.locator.lapse(now, RETENTION_MS);
     }
 
     // =====================================================================
-    // Replicated directory (consensus core hosting)
+    // Directory: the locator's front doors, enacted
     // =====================================================================
 
     /// Keep exactly one `ReplTick` chain alive for the consensus core.
     fn arm_repl_tick(&mut self, out: &mut Vec<Output>) {
-        if self.repl_tick_armed {
-            return;
-        }
-        let Some(repl) = &self.repl else {
-            return;
-        };
-        self.repl_tick_armed = true;
-        out.push(Output::Schedule {
-            delay_ms: repl.config().tick_ms,
+        out.extend(self.locator.arm_tick().map(|delay_ms| Output::Schedule {
+            delay_ms,
             event: LocalEvent::ReplTick,
-        });
+        }));
     }
 
     /// Mark the initial consensus tick as armed (the driver schedules
@@ -488,70 +389,78 @@ impl NapletServer {
     /// Returns the tick interval, or `None` when this host is not a
     /// directory replica.
     pub fn arm_initial_repl_tick(&mut self) -> Option<u64> {
-        let Some(repl) = &self.repl else {
-            return None;
-        };
-        if self.repl_tick_armed {
-            return None;
-        }
-        self.repl_tick_armed = true;
-        Some(repl.config().tick_ms)
+        self.locator.arm_tick()
     }
 
     /// Whether this host is a directory replica (diagnostics/tests).
     pub fn repl_core(&self) -> Option<&ReplicaCore> {
-        self.repl.as_ref()
+        self.locator.core()
     }
 
-    /// Route a replicated directory operation: the leader proposes it,
-    /// a follower forwards the original wire to its leader, and a
-    /// leaderless replica drops it for the sender's retry machinery.
-    fn repl_submit(&mut self, op: DirOp, forward: Wire, now: Millis, out: &mut Vec<Output>) {
-        let Some(repl) = self.repl.as_mut() else {
-            return;
-        };
-        let woke = repl.client_activity(now);
-        if repl.is_leader() {
-            let appending = self.obs.profiling_enabled().then(std::time::Instant::now);
-            let (index, rout) = repl.propose(op, now, &mut self.journal);
-            if let Some(started) = appending {
-                self.obs.metrics.observe(
-                    "repl_append_us",
-                    naplet_obs::HANDLER_BOUNDS_US,
-                    started.elapsed().as_micros() as u64,
-                );
-            }
-            if let Some(index) = index {
-                if let Wire::DirRegister {
-                    id,
-                    ack_to: Some(ack_to),
-                    ..
-                } = forward
-                {
-                    self.repl_pending_acks.insert(index, (ack_to, id));
+    /// File a registration or a removal at this host's shard — a frame
+    /// off the wire or this host's own — and enact what became of it.
+    /// `true` when it has landed already, leaving nothing to wait for.
+    fn file(&mut self, wire: Wire, now: Millis, out: &mut Vec<Output>) -> bool {
+        let appending = self.obs.profiling_enabled().then(std::time::Instant::now);
+        let (filed, woke) = self.locator.file(&wire, now, &mut self.journal);
+        let landed = matches!(filed, Filed::Landed);
+        match filed {
+            Filed::Landed => self.registered(wire, now, out),
+            Filed::Proposed(rout) => {
+                if let Some(started) = appending {
+                    self.obs.metrics.observe(
+                        "repl_append_us",
+                        naplet_obs::HANDLER_BOUNDS_US,
+                        started.elapsed().as_micros() as u64,
+                    );
                 }
+                self.enact_repl(now, rout, out);
             }
-            self.enact_repl(now, rout, out);
-        } else if let Some(leader) = repl.leader_hint().map(|l| l.to_string()) {
-            self.obs.metrics.incr("repl.forwarded", 1);
-            out.push(Output::Send {
-                to: leader,
-                wire: forward,
-            });
-        } else {
-            // no leader yet (election in progress): drop — the
-            // registrar's RegisterTimeout machinery re-sends, and the
-            // wake above makes sure an election is actually running
-            self.obs.metrics.incr("repl.no_leader_drops", 1);
+            Filed::Forward(to) => {
+                self.obs.metrics.incr("repl.forwarded", 1);
+                out.push(Output::Send { to, wire });
+            }
+            // the registrar's RegisterTimeout machinery re-sends, and
+            // the wake below makes sure an election is actually running
+            Filed::NoLeader => self.obs.metrics.incr("repl.no_leader_drops", 1),
         }
         if woke {
             self.arm_repl_tick(out);
         }
+        landed
     }
 
-    /// Turn a [`crate::repl::ReplOut`] into wire traffic, committed-op
-    /// side effects, metrics and trace events.
-    fn enact_repl(&mut self, now: Millis, rout: crate::repl::ReplOut, out: &mut Vec<Output>) {
+    /// What a registration that landed in this host's shard does — at
+    /// once on a table, at commit on a replica: any movement is a sign
+    /// of life for the home's lease and status views, and the registrar
+    /// waiting on it gets its `DirAck`, inline when that is this host.
+    /// A landed removal leaves nothing to do.
+    fn registered(&mut self, wire: Wire, now: Millis, out: &mut Vec<Output>) {
+        let Wire::DirRegister {
+            id,
+            host,
+            event,
+            ack_to,
+            ..
+        } = wire
+        else {
+            return;
+        };
+        self.leases.renew(&id, now);
+        self.manager.note_movement(&id, event, &host, now);
+        match ack_to {
+            Some(to) if to != self.host => out.push(Output::Send {
+                to,
+                wire: Wire::DirAck { id },
+            }),
+            Some(_) => self.proceed_after_registration(&id, false, now, out),
+            None => {}
+        }
+    }
+
+    /// Turn a [`ReplOut`] into wire traffic, committed-op side effects,
+    /// metrics and trace events.
+    fn enact_repl(&mut self, now: Millis, rout: ReplOut, out: &mut Vec<Output>) {
         for (to, msg) in rout.msgs {
             out.push(Output::Send {
                 to,
@@ -602,66 +511,17 @@ impl NapletServer {
                     .metrics
                     .observe("repl_commit_lag_ms", LATENCY_BOUNDS_MS, lag);
             }
-            let label = match &op {
-                DirOp::Register { .. } => "register",
-                DirOp::Remove { .. } => "remove",
-                DirOp::Noop => "noop",
-            };
             self.obs
                 .emit(now, &self.host, op.subject(), || TraceKind::ReplCommit {
                     index,
-                    op: label.to_string(),
+                    op: op.label().to_string(),
                 });
-            if let DirOp::Register {
-                id, host, event, ..
-            } = op
-            {
-                // every replica keeps its liveness/status views fresh
-                // from the committed stream
-                if id.home() == self.host {
-                    self.leases.renew(&id, now);
-                }
-                self.manager.note_movement(&id, event, &host, now);
-                if self.repl.as_ref().is_some_and(|r| r.is_leader()) {
-                    if let Some((ack_to, ack_id)) = self.repl_pending_acks.remove(&index) {
-                        if ack_to == self.host {
-                            // registrar and leader are the same host:
-                            // release the execution gate inline
-                            let waiting = self
-                                .monitor
-                                .get_mut(&ack_id)
-                                .is_some_and(|e| e.state == RunState::AwaitingArrivalAck);
-                            if waiting {
-                                self.proceed_after_registration(&ack_id, false, now, out);
-                            }
-                        } else {
-                            out.push(Output::Send {
-                                to: ack_to,
-                                wire: Wire::DirAck { id: ack_id },
-                            });
-                        }
-                    }
-                    // echo committed movement to a non-replica home so
-                    // its lease table still sees signs of life
-                    let home = id.home().to_string();
-                    let home_is_replica = matches!(
-                        &self.mode,
-                        LocationMode::ReplicatedDirectory(replicas)
-                            if replicas.contains(&home)
-                    );
-                    if home != self.host && !home_is_replica {
-                        out.push(Output::Send {
-                            to: home,
-                            wire: Wire::DirRegister {
-                                id,
-                                host,
-                                event,
-                                ack_to: None,
-                                attempt: 1,
-                            },
-                        });
-                    }
-                }
+            // every replica keeps its liveness/status views fresh from
+            // the committed stream; the leader also owes the ack it
+            // held and the echo to a home outside the replica set
+            if let Some((landed, echo)) = self.locator.committed(index, op) {
+                self.registered(landed, now, out);
+                out.extend(echo.map(|(to, wire)| Output::Send { to, wire }));
             }
         }
         if let Some(started) = committing {
@@ -901,100 +761,31 @@ impl NapletServer {
                         attempts: commit.attempts,
                     });
             }
-            Wire::DirRegister {
-                id,
-                host,
-                event,
-                ack_to,
-                attempt,
-            } => {
-                if self.repl.is_some() {
-                    let op = DirOp::Register {
-                        id: id.clone(),
-                        host: host.clone(),
-                        event,
-                        at: now,
-                    };
-                    let forward = Wire::DirRegister {
-                        id,
-                        host,
-                        event,
-                        ack_to,
-                        attempt,
-                    };
-                    self.repl_submit(op, forward, now, out);
-                    return;
-                }
-                self.directory.register(&id, &host, event, now);
-                // any movement registration is a sign of life
-                self.leases.renew(&id, now);
-                self.manager.note_movement(&id, event, &host, now);
-                if let Some(ack_to) = ack_to {
-                    out.push(Output::Send {
-                        to: ack_to,
-                        wire: Wire::DirAck { id },
-                    });
-                }
+            wire @ (Wire::DirRegister { .. } | Wire::DirRemove { .. }) => {
+                self.file(wire, now, out);
             }
-            Wire::DirAck { id } => {
-                if let Some(e) = self.monitor.get_mut(&id) {
-                    if e.state == RunState::AwaitingArrivalAck {
-                        self.proceed_after_registration(&id, false, now, out);
-                    }
-                }
-            }
-            Wire::DirRemove { id } => {
-                if self.repl.is_some() {
-                    let op = DirOp::Remove { id: id.clone() };
-                    self.repl_submit(op, Wire::DirRemove { id }, now, out);
-                    return;
-                }
-                self.directory.remove(&id);
-            }
+            Wire::DirAck { id } => self.proceed_after_registration(&id, false, now, out),
             Wire::DirQuery {
                 token,
                 id,
                 reply_to,
             } => {
-                let entry = self.located(&id).map(|e| (e.host.clone(), e.event, e.at));
+                let entry = self.locator.directory().lookup(&id);
+                let entry = entry.map(|e| (e.host.clone(), e.event, e.at));
                 out.push(Output::Send {
                     to: reply_to,
                     wire: Wire::DirReply { token, id, entry },
                 });
             }
-            Wire::DirReply { token, id, entry } => {
-                if let Some(probe_id) = self.pending_lease_probes.remove(&token) {
-                    self.resolve_lease_probe(probe_id, entry, now);
-                    return;
+            Wire::DirReply { token, id, entry } => match self.locator.answered(token) {
+                Some(Some(msg)) => {
+                    self.post_located(msg, entry.map(|(host, ..)| host), now, out);
                 }
-                let Some(msg) = self.pending_queries.remove(&token) else {
-                    return;
-                };
-                match entry {
-                    Some((host, _event, _at)) => {
-                        self.cache_location(id.clone(), &host, now);
-                        self.send_post(msg, &host, now, out);
-                    }
-                    None => {
-                        // unknown to the directory: the naplet may not
-                        // have landed anywhere yet — park the message at
-                        // its home server's special mailbox (case 3)
-                        let home = id.home().to_string();
-                        if home == self.host {
-                            self.messenger.stash_early(msg, &self.host);
-                        } else {
-                            self.send_post(msg, &home, now, out);
-                        }
-                    }
-                }
-            }
+                Some(None) => self.resolve_lease_probe(id, entry, now),
+                None => {}
+            },
             Wire::Repl { msg } => {
-                let Some(repl) = self.repl.as_mut() else {
-                    // not a replica: a stale peer list sent us consensus
-                    // traffic — drop it
-                    return;
-                };
-                let rout = repl.receive(now, from, msg, &mut self.journal);
+                let rout = self.locator.receive(now, from, msg, &mut self.journal);
                 self.enact_repl(now, rout, out);
             }
             Wire::Post { msg, origin_host } => {
@@ -1219,11 +1010,9 @@ impl NapletServer {
                     self.proceed_after_registration(&id, true, now, out);
                     return;
                 }
-                if matches!(self.mode, LocationMode::ReplicatedDirectory(_)) {
-                    // rotate the contact replica: the one we tried may
-                    // be the dead node that forced this retry
-                    self.replica_hint = self.replica_hint.wrapping_add(1);
-                }
+                // the replica we tried may be the dead node that
+                // forced this retry
+                self.locator.rotate();
                 let next = attempt + 1;
                 self.logf(now, format!("RETRY register {id} (attempt {next})"));
                 self.register_movement(&id, DirEvent::Arrival, Some(next), now, out);
@@ -1232,11 +1021,7 @@ impl NapletServer {
                 self.check_lease(&id, now, out);
             }
             LocalEvent::ReplTick => {
-                self.repl_tick_armed = false;
-                let Some(repl) = self.repl.as_mut() else {
-                    return;
-                };
-                let rout = repl.tick(now, &mut self.journal);
+                let rout = self.locator.tick(now, &mut self.journal);
                 self.enact_repl(now, rout, out);
             }
             LocalEvent::PostTimeout {
@@ -1252,6 +1037,7 @@ impl NapletServer {
                 }
                 if attempt >= self.retry.max_retries {
                     self.messenger.give_up(&sender, seq);
+                    self.locator.unpark(&sender, seq);
                     self.logf(
                         now,
                         format!("REDELIVERY exhausted for message {seq} from {sender:?}"),
@@ -1625,7 +1411,7 @@ impl NapletServer {
             locator_evictions: self.locator.evictions,
             locator_oldest_age_ms: self.locator.oldest_hint_age(now),
             outstanding_posts: self.messenger.outstanding_count() as u64,
-            repl: self.repl.as_ref().map(|r| crate::status::ReplStatus {
+            repl: self.locator.core().map(|r| crate::status::ReplStatus {
                 role: r.role().name().to_string(),
                 term: r.term(),
                 commit: r.commit_index(),
@@ -1735,20 +1521,18 @@ impl NapletServer {
         }
     }
 
-    /// Register a movement of `id` at this host with whoever holds the
-    /// directory under the current mode: a remote holder gets a
-    /// `DirRegister`, a directory replica submits to its own consensus
-    /// core (the registration must commit like anyone else's), a plain
-    /// holder writes its local table.
+    /// Register a movement of `id` at this host with whoever holds its
+    /// directory entry: another host gets a `DirRegister`, this host's
+    /// own shard takes the same frame through [`file`](Self::file).
     ///
     /// `gate: Some(attempt)` is an arrival whose execution waits in
     /// `AwaitingArrivalAck` for the acknowledgement: the registration
     /// asks for a `DirAck` and is retried like any other acked frame —
     /// a lost `DirRegister`/`DirAck`, or a replica set with no leader
-    /// yet, must not strand the agent. Where nothing can be lost (local
-    /// table, no directory at all) the gate opens at once. `None` is
-    /// fire-and-forget: departures, parking, and recovery of visits
-    /// that already ran, where only the directory entry needs
+    /// yet, must not strand the agent. Where nothing can be lost (this
+    /// host's table, no directory at all) the gate opens at once.
+    /// `None` is fire-and-forget: departures, parking, and recovery of
+    /// visits that already ran, where only the directory entry needs
     /// restoring.
     fn register_movement(
         &mut self,
@@ -1758,17 +1542,15 @@ impl NapletServer {
         now: Millis,
         out: &mut Vec<Output>,
     ) {
-        let holder = match self.directory_holder(id) {
-            Some(holder) if holder != self.host || self.repl.is_some() => holder,
-            holder => {
-                if holder.is_some() {
-                    self.directory.register(id, &self.host, event, now);
-                }
+        let to = match self.locator.holder(id) {
+            Holder::Nowhere => {
                 if gate.is_some() {
                     self.proceed_after_registration(id, false, now, out);
                 }
                 return;
             }
+            Holder::Here => None,
+            Holder::At(host) => Some(host.to_string()),
         };
         let wire = Wire::DirRegister {
             id: id.clone(),
@@ -1777,34 +1559,33 @@ impl NapletServer {
             ack_to: gate.map(|_| self.host.clone()),
             attempt: gate.unwrap_or(1),
         };
-        if holder == self.host {
-            let op = DirOp::Register {
-                id: id.clone(),
-                host: self.host.clone(),
-                event,
-                at: now,
-            };
-            self.repl_submit(op, wire, now, out);
-        } else {
-            out.push(Output::Send {
-                to: holder.clone(),
-                wire,
-            });
-        }
-        if let Some(attempt) = gate {
+        let landed = match to {
+            Some(to) => {
+                out.push(Output::Send { to, wire });
+                false
+            }
+            None => self.file(wire, now, out),
+        };
+        if let Some(attempt) = gate.filter(|_| !landed) {
             if attempt == 1 {
+                // nothing above moved the answer to "who holds `id`"
                 self.obs
                     .emit(now, &self.host, Some(id), || TraceKind::RegisterGated {
-                        holder,
+                        holder: match self.locator.holder(id) {
+                            Holder::At(host) => host.to_string(),
+                            _ => self.host.clone(),
+                        },
                     });
             }
             self.arm_register_timer(id, attempt, out);
         }
     }
 
-    /// After arrival registration is acknowledged (or `forced` open
-    /// because the directory holder stayed silent past the retry
-    /// budget): fetch code if cold, then execute.
+    /// The arrival registration of `id` is acknowledged (or `forced`
+    /// open because the directory holder stayed silent past the retry
+    /// budget): the naplet waiting behind the gate fetches code if
+    /// cold, then executes. One that no longer waits — acked already,
+    /// or gone — is left alone.
     fn proceed_after_registration(
         &mut self,
         id: &NapletId,
@@ -1812,20 +1593,16 @@ impl NapletServer {
         now: Millis,
         out: &mut Vec<Output>,
     ) {
-        let Some(entry) = self.monitor.get_mut(id) else {
+        let waiting = self.monitor.get_mut(id);
+        let Some(entry) = waiting.filter(|e| e.state == RunState::AwaitingArrivalAck) else {
             return;
         };
-        if entry.state == RunState::AwaitingArrivalAck {
-            let started = entry.arrived_at;
-            self.obs
-                .emit(now, &self.host, Some(id), || TraceKind::RegisterAcked {
-                    started,
-                    forced,
-                });
-        }
-        let Some(entry) = self.monitor.get_mut(id) else {
-            return;
-        };
+        let started = entry.arrived_at;
+        self.obs
+            .emit(now, &self.host, Some(id), || TraceKind::RegisterAcked {
+                started,
+                forced,
+            });
         let naplet = &entry.naplet;
         match naplet.kind() {
             AgentKind::Native => {
@@ -2052,30 +1829,17 @@ impl NapletServer {
             return;
         }
         // directory query, or trace/hint
-        match self.directory_holder(&target) {
-            Some(holder) if holder != self.host => {
-                let token = self.token();
-                self.pending_queries.insert(token, msg);
-                out.push(Output::Send {
-                    to: holder,
-                    wire: Wire::DirQuery {
-                        token,
-                        id: target,
-                        reply_to: self.host.clone(),
-                    },
-                });
+        match self.locator.holder(&target) {
+            Holder::At(holder) => {
+                let holder = holder.to_string();
+                self.query_directory(holder, target, Some(msg), now, out);
             }
-            Some(_) => {
-                // we hold the directory shard
-                match self.located(&target).map(|e| e.host.clone()) {
-                    Some(host) => {
-                        self.cache_location(target, &host, now);
-                        self.send_post(msg, &host, now, out);
-                    }
-                    None => self.messenger.stash_early(msg, &self.host),
-                }
+            Holder::Here => {
+                let found = self.locator.directory().lookup(&target);
+                let host = found.map(|e| e.host.clone());
+                self.post_located(msg, host, now, out);
             }
-            None => {
+            Holder::Nowhere => {
                 // forwarding mode: local trace, then the address-book hint
                 match self.manager.trace(&target) {
                     Some(Some(next)) => {
@@ -2091,6 +1855,47 @@ impl NapletServer {
                         _ => self.messenger.stash_early(msg, &self.host),
                     },
                 }
+            }
+        }
+    }
+
+    /// Ask `holder` where `id` is under a fresh token (returned),
+    /// parking what waits on the answer: a message to post, or `None`
+    /// for a lease probe.
+    fn query_directory(
+        &mut self,
+        holder: String,
+        id: NapletId,
+        waiting: Option<Message>,
+        now: Millis,
+        out: &mut Vec<Output>,
+    ) -> u64 {
+        let token = self.token();
+        let wire = self.locator.ask(token, id, waiting, now);
+        out.push(Output::Send { to: holder, wire });
+        token
+    }
+
+    /// The directory — this host's shard or a `DirReply` — answered
+    /// for a message's target: cache the entry and post there. A naplet
+    /// unknown to the directory may not have landed anywhere yet; the
+    /// message waits in its home server's special mailbox (case 3).
+    fn post_located(
+        &mut self,
+        msg: Message,
+        host: Option<String>,
+        now: Millis,
+        out: &mut Vec<Output>,
+    ) {
+        match host {
+            Some(host) => {
+                self.cache_location(msg.to.clone(), &host, now);
+                self.send_post(msg, &host, now, out);
+            }
+            None if msg.to.home() == self.host => self.messenger.stash_early(msg, &self.host),
+            None => {
+                let home = msg.to.home().to_string();
+                self.send_post(msg, &home, now, out);
             }
         }
     }
@@ -2407,30 +2212,20 @@ impl NapletServer {
             });
             return;
         }
-        if matches!(self.mode, LocationMode::ReplicatedDirectory(_)) && self.repl.is_none() {
-            // a non-replica home sees little direct registration
-            // traffic in replicated mode (the leader's commit echo can
-            // lag or drop): before declaring the agent orphaned, ask
-            // the replica set whether it has seen recent movement
-            let attempts = self.lease_probe_attempts.entry(id.clone()).or_insert(0);
-            if *attempts < self.retry.max_retries {
-                *attempts += 1;
-                let attempt = *attempts;
-                if let Some(holder) = self.directory_holder(id) {
-                    let token = self.token();
-                    self.pending_lease_probes.insert(token, id.clone());
+        let asks = self.locator.asks_replicas();
+        if let Some(probes) = self.leases.probes(id).filter(|_| asks) {
+            // before declaring the agent orphaned, ask the replica set
+            // whether it has seen recent movement
+            if *probes < self.retry.max_retries {
+                *probes += 1;
+                let attempt = *probes;
+                if let Holder::At(holder) = self.locator.holder(id) {
+                    let holder = holder.to_string();
                     self.obs.metrics.incr("lease.probes", 1);
                     self.logf(now, format!("LEASE probe {attempt} for {id} via {holder}"));
-                    out.push(Output::Send {
-                        to: holder,
-                        wire: Wire::DirQuery {
-                            token,
-                            id: id.clone(),
-                            reply_to: self.host.clone(),
-                        },
-                    });
-                    // rotate in case this replica is the dead one
-                    self.replica_hint = self.replica_hint.wrapping_add(1);
+                    let token = self.query_directory(holder, id.clone(), None, now, out);
+                    // in case this replica is the dead one
+                    self.locator.rotate();
                     let key = token ^ 0x4c50_524f_4245u64;
                     out.push(Output::Schedule {
                         delay_ms: self.retry.jittered_backoff_ms(key, attempt),
@@ -2439,7 +2234,7 @@ impl NapletServer {
                     return;
                 }
             } else {
-                self.lease_probe_attempts.remove(id);
+                *probes = 0;
             }
         }
         self.leases.expired += 1;
@@ -2492,25 +2287,20 @@ impl NapletServer {
         entry: Option<(String, DirEvent, Millis)>,
         now: Millis,
     ) {
-        let Some(policy) = self.lease_policy.clone() else {
-            return;
-        };
-        if self.leases.get(&id).is_none() {
-            self.lease_probe_attempts.remove(&id);
+        let (Some(policy), Some(probes)) = (&self.lease_policy, self.leases.probes(&id)) else {
             return; // released in the meantime
-        }
+        };
         let fresh = entry
             .as_ref()
             .is_some_and(|(_, _, at)| now.since(*at) <= policy.duration_ms);
         if fresh {
-            self.lease_probe_attempts.remove(&id);
+            *probes = 0;
             self.leases.renew(&id, now);
             self.obs.metrics.incr("lease.probe_confirmed", 1);
             self.logf(now, format!("LEASE probe confirmed {id} alive"));
         } else {
+            *probes = self.retry.max_retries;
             self.obs.metrics.incr("lease.probe_stale", 1);
-            self.lease_probe_attempts
-                .insert(id.clone(), self.retry.max_retries);
             self.logf(
                 now,
                 format!("LEASE probe found no recent movement for {id}"),
@@ -2539,12 +2329,8 @@ impl NapletServer {
         let mut out = Vec::new();
         // consensus state first: term, vote and the replicated log are
         // durable — a rejoining replica must not regress its promises
-        if let Some(old) = self.repl.take() {
-            let cfg = old.config().clone();
-            self.repl = Some(ReplicaCore::recover(&self.host, cfg, &self.journal));
-            self.repl_tick_armed = false;
-            self.arm_repl_tick(&mut out);
-        }
+        self.locator.recover(&self.journal);
+        self.arm_repl_tick(&mut out);
         // dedup + token state first: nothing replayed below may admit
         // a duplicate or reuse a pre-crash transfer id
         for ((origin, transfer_id), at) in self.journal.seen() {
@@ -2666,23 +2452,17 @@ impl NapletServer {
         out
     }
 
+    /// The journey of `id` ended: remove its directory entry, wherever
+    /// that is held.
     fn dir_remove(&mut self, id: &NapletId, now: Millis, out: &mut Vec<Output>) {
-        match self.directory_holder(id) {
-            Some(holder) if holder == self.host => {
-                if self.repl.is_some() {
-                    let op = DirOp::Remove { id: id.clone() };
-                    self.repl_submit(op, Wire::DirRemove { id: id.clone() }, now, out);
-                } else {
-                    self.directory.remove(id);
-                }
-            }
-            Some(holder) => {
-                out.push(Output::Send {
-                    to: holder,
-                    wire: Wire::DirRemove { id: id.clone() },
-                });
-            }
-            None => {}
+        let wire = Wire::DirRemove { id: id.clone() };
+        match self.locator.holder(id) {
+            Holder::Nowhere => {}
+            Holder::Here => drop(self.file(wire, now, out)),
+            Holder::At(host) => out.push(Output::Send {
+                to: host.to_string(),
+                wire,
+            }),
         }
     }
 }

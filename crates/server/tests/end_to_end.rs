@@ -505,7 +505,7 @@ fn migration_traffic_is_metered() {
     // control traffic: landing handshakes + directory registrations
     assert!(snap.messages(TrafficClass::Control) >= 6);
     // directory at home saw registrations
-    assert!(rt.server("home").unwrap().directory.registrations >= 3);
+    assert!(rt.server("home").unwrap().locator.directory().registrations >= 3);
 }
 
 #[test]

@@ -102,12 +102,12 @@ fn dedicated_directory_host_tracks_all_movement() {
     let dir = rt.server("dir").unwrap();
     // departures: home, s0, s1(end: removed); arrivals: s0, s1
     assert!(
-        dir.directory.registrations >= 4,
+        dir.locator.directory().registrations >= 4,
         "got {}",
-        dir.directory.registrations
+        dir.locator.directory().registrations
     );
     // journey over: the directory forgot the naplet (DirRemove)
-    assert_eq!(dir.directory.len(), 0);
+    assert_eq!(dir.locator.directory().len(), 0);
 }
 
 #[test]
@@ -129,7 +129,13 @@ fn directory_invariant_departure_means_in_transit() {
     // sample the directory at many instants and check the invariant
     for t in (0..600).step_by(7) {
         rt.run_until(Millis(t));
-        let entry = rt.server("dir").unwrap().directory.lookup(&id).cloned();
+        let entry = rt
+            .server("dir")
+            .unwrap()
+            .locator
+            .directory()
+            .lookup(&id)
+            .cloned();
         let Some(entry) = entry else { continue };
         let resident_at_entry_host = rt
             .server(&entry.host)

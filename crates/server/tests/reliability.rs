@@ -160,6 +160,34 @@ fn redelivery_gives_up_after_max_retries() {
 }
 
 #[test]
+fn a_lost_directory_answer_strands_no_query_and_a_late_one_posts_nothing() {
+    let mut rt = world(LocationMode::CentralDirectory("s0".into()), 1, 4);
+    // the directory host is down: every `DirQuery` is lost
+    rt.crash_server("s0", None);
+    let ghost = NapletId::new("czxu", "home", Millis(99)).unwrap();
+    rt.owner_post("home", ghost.clone(), Payload::User(Value::Int(1)))
+        .unwrap();
+    rt.run_to_quiescence(1_000_000);
+    let now = rt.now();
+    let home = rt.server_mut("home").unwrap();
+    assert_eq!(home.messenger.redeliveries, 5, "re-routed five times");
+    assert_eq!(home.messenger.redelivery_given_up, 1);
+    assert_eq!(home.locator.asking(), 0, "each re-route replaces its query");
+    // the directory comes back and answers every query it was ever
+    // sent: the message was given up, none of them may post it now
+    for token in 1..=8 {
+        let stale = Wire::DirReply {
+            token,
+            id: ghost.clone(),
+            entry: Some(("s0".to_string(), DirEvent::Arrival, now)),
+        };
+        let from = "s0".to_string();
+        let out = home.handle(now, Input::Wire { from, wire: stale });
+        assert!(out.is_empty(), "stale answer {token} enacted {out:?}");
+    }
+}
+
+#[test]
 fn permanent_outage_parks_with_failure_record_and_status() {
     let mut rt = world(LocationMode::HomeManagers, 2, 5);
     rt.fabric().schedule_down("s1", 0, u64::MAX);

@@ -11,8 +11,15 @@
 //! The journey itself must also converge to the crash-free outcome
 //! (same report, same visit list): directory failover is invisible to
 //! the agents riding on it.
+//!
+//! A second property runs three locators over in-memory journals, no
+//! server or runtime, through a family of depose-and-regain schedules:
+//!
+//! 3. every `DirAck` a replica releases names a registration committed
+//!    at that index — the one the ack was held for, never another
+//!    leader's entry that took its place in the log.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -23,12 +30,16 @@ use naplet_core::codebase::CodebaseRegistry;
 use naplet_core::context::NapletContext;
 use naplet_core::credential::SigningKey;
 use naplet_core::error::Result;
+use naplet_core::id::NapletId;
 use naplet_core::itinerary::{ActionSpec, Itinerary, Pattern};
 use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
-use naplet_server::repl::Role;
-use naplet_server::{LocationMode, MonitorPolicy, ReplConfig, ServerConfig, SimRuntime};
+use naplet_server::repl::{ReplOut, Role};
+use naplet_server::{
+    DirEvent, Filed, Journal, LocationMode, Locator, MonitorPolicy, ReplConfig, ReplMsg,
+    ServerConfig, SimRuntime, Wire,
+};
 
 const CODEBASE: &str = "naplet://code/collector.jar";
 const REPLICAS: [&str; 3] = ["d0", "d1", "d2"];
@@ -260,5 +271,182 @@ proptest! {
                 &outcome.directory
             );
         }
+    }
+}
+
+/// Three directory replicas as bare locators: consensus traffic moves
+/// through an in-order queue the schedule filters, a `cut` replica
+/// neither sends nor receives, and every commit is run through
+/// [`Locator::committed`] the way the server's enactment does.
+struct Replicas {
+    nodes: BTreeMap<&'static str, (Locator, Journal)>,
+    queue: VecDeque<(&'static str, String, ReplMsg)>,
+    cut: BTreeSet<&'static str>,
+    now: u64,
+    /// Registrations filed so far; each names a registrar of its own.
+    filed: u64,
+}
+
+impl Replicas {
+    fn new() -> Replicas {
+        let set: Vec<String> = REPLICAS.iter().map(|r| r.to_string()).collect();
+        let nodes = REPLICAS.iter().map(|host| {
+            let journal = Journal::in_memory();
+            let mode = LocationMode::ReplicatedDirectory(set.clone());
+            (*host, (Locator::new(host, mode, None, &journal), journal))
+        });
+        Replicas {
+            nodes: nodes.collect(),
+            queue: VecDeque::new(),
+            cut: BTreeSet::new(),
+            now: 0,
+            filed: 0,
+        }
+    }
+
+    fn leads(&self, host: &str) -> bool {
+        self.nodes[host].0.core().unwrap().is_leader()
+    }
+
+    /// Enact consensus output at `at`: queue its traffic and check the
+    /// law on every ack its commits release.
+    fn enact(&mut self, at: &'static str, rout: ReplOut) -> std::result::Result<(), String> {
+        for (to, msg) in rout.msgs {
+            if !self.cut.contains(at) {
+                self.queue.push_back((at, to, msg));
+            }
+        }
+        for (index, op, _) in rout.committed {
+            let landed = self.nodes.get_mut(at).unwrap().0.committed(index, op);
+            if let Some((
+                Wire::DirRegister {
+                    id,
+                    host,
+                    ack_to: Some(to),
+                    ..
+                },
+                _,
+            )) = landed
+            {
+                // a registrar registers its own arrival: an ack bound
+                // for anyone else answers an entry it was not held for
+                if to != host {
+                    return Err(format!(
+                        "{at} acked {to} for {id} at {host}, committed at index {index}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `ms` later, `at`'s tick fires.
+    fn tick(&mut self, at: &'static str, ms: u64) -> std::result::Result<(), String> {
+        self.now += ms;
+        let (locator, journal) = self.nodes.get_mut(at).unwrap();
+        let rout = locator.tick(Millis(self.now), journal);
+        self.enact(at, rout)
+    }
+
+    /// Deliver queued traffic (and what it provokes) until none is
+    /// left; frames to a cut replica, or that `keep` rejects, are lost.
+    fn deliver(
+        &mut self,
+        keep: impl Fn(&str, &ReplMsg) -> bool,
+    ) -> std::result::Result<(), String> {
+        while let Some((from, to, msg)) = self.queue.pop_front() {
+            let Some(to) = REPLICAS.iter().find(|r| **r == to).copied() else {
+                continue;
+            };
+            if self.cut.contains(to) || !keep(to, &msg) {
+                continue;
+            }
+            let (locator, journal) = self.nodes.get_mut(to).unwrap();
+            let rout = locator.receive(Millis(self.now), from, msg, journal);
+            self.enact(to, rout)?;
+        }
+        Ok(())
+    }
+
+    /// A fresh naplet's arrival, registered (acked) at `at`; anything
+    /// but a leader's proposal is the registrar's to retry, not ours.
+    fn register(&mut self, at: &'static str) -> std::result::Result<(), String> {
+        self.filed += 1;
+        let registrar = format!("s{}", self.filed);
+        let wire = Wire::DirRegister {
+            id: NapletId::new("czxu", "home", Millis(self.filed)).unwrap(),
+            host: registrar.clone(),
+            event: DirEvent::Arrival,
+            ack_to: Some(registrar),
+            attempt: 1,
+        };
+        let (locator, journal) = self.nodes.get_mut(at).unwrap();
+        match locator.file(&wire, Millis(self.now), journal).0 {
+            Filed::Proposed(rout) => self.enact(at, rout),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// `a` leads and holds acks for proposals nobody else saw; `b` takes
+/// over and fills the same indices with its own registrations, which
+/// reach `a` (deposing it) before `b` can commit them; `b` dies and `a`
+/// leads again, committing `b`'s entries at the indices it still
+/// remembers proposing. `hears` lets `b` learn its commits first.
+fn depose_and_regain(
+    [a, b]: [&'static str; 2],
+    (held, elsewhere, later): (usize, usize, usize),
+    hears: bool,
+) -> std::result::Result<(), String> {
+    let all = |_: &str, _: &ReplMsg| true;
+    let mut set = Replicas::new();
+    set.tick(a, 1_300)?;
+    set.deliver(all)?;
+    if !set.leads(a) {
+        return Err(format!("{a} did not win the first election"));
+    }
+    set.cut.insert(a);
+    for _ in 0..held {
+        set.register(a)?;
+    }
+    set.tick(b, 1_300)?;
+    set.deliver(all)?;
+    if !set.leads(b) {
+        return Err(format!("{b} did not take over"));
+    }
+    for _ in 0..elsewhere {
+        set.register(b)?;
+    }
+    // without its followers' replies `b` replicates but never commits
+    let deaf = |to: &str, msg: &ReplMsg| hears || !(to == b && msg.label() == "AppendReply");
+    set.deliver(deaf)?;
+    set.cut.remove(a);
+    set.tick(b, 100)?;
+    set.deliver(deaf)?;
+    if set.leads(a) {
+        return Err(format!("{a} never heard of {b}'s term"));
+    }
+    set.cut.insert(b);
+    set.tick(a, 1_300)?;
+    set.deliver(all)?;
+    if !set.leads(a) {
+        return Err(format!("{a} did not regain the lead"));
+    }
+    for _ in 0..later {
+        set.register(a)?;
+    }
+    set.deliver(all)
+}
+
+proptest! {
+    #[test]
+    fn a_released_ack_names_a_registration_committed_at_that_index(
+        first in 0..3usize,
+        second in 1..3usize,
+        counts in (1..4usize, 1..4usize, 0..3usize),
+        hears in any::<bool>(),
+    ) {
+        let pair = [REPLICAS[first], REPLICAS[(first + second) % 3]];
+        depose_and_regain(pair, counts, hears).map_err(TestCaseError::fail)?;
     }
 }
