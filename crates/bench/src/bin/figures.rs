@@ -555,30 +555,9 @@ fn cluster_status(rest: &[String]) -> i32 {
             }
         }
     }
-    let Some(path) = positional.first() else {
-        eprintln!("{USAGE}");
-        return 2;
-    };
-    let station = positional.get(1).map(|s| s.as_str()).unwrap_or("ctl");
-    let config = match naplet_server::BootstrapConfig::load(std::path::Path::new(path)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cluster-status: cannot load `{path}`: {e}");
-            return 2;
-        }
-    };
-    let targets: Vec<String> = config
-        .nodes
-        .iter()
-        .map(|n| n.name.clone())
-        .filter(|n| n != station)
-        .collect();
-    let mut poller = match naplet_man::ClusterStatusPoller::connect(&config, station) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cluster-status: cannot bind station `{station}`: {e}");
-            return 2;
-        }
+    let (mut poller, targets) = match reach_cluster("cluster-status", &positional, "ctl", USAGE) {
+        Ok(reached) => reached,
+        Err(code) => return code,
     };
     let mut previous: Option<Vec<naplet_server::StatusReport>> = None;
     let mut any_missing = false;
@@ -785,31 +764,7 @@ fn collect_segments(
         }
         segments
     } else {
-        let Some(path) = positional.first() else {
-            eprintln!("{usage}");
-            return Err(2);
-        };
-        let station = positional.get(1).map(|s| s.as_str()).unwrap_or("mon");
-        let config = match naplet_server::BootstrapConfig::load(std::path::Path::new(path)) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("{cmd}: cannot load `{path}`: {e}");
-                return Err(2);
-            }
-        };
-        let targets: Vec<String> = config
-            .nodes
-            .iter()
-            .map(|n| n.name.clone())
-            .filter(|n| n != station)
-            .collect();
-        let mut poller = match naplet_man::ClusterStatusPoller::connect(&config, station) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{cmd}: cannot bind station `{station}`: {e}");
-                return Err(2);
-            }
-        };
+        let (mut poller, targets) = reach_cluster(cmd, positional, "mon", usage)?;
         match poller.fetch_traces(&targets, std::time::Duration::from_secs(10)) {
             Ok(s) => s,
             Err(e) => {
@@ -823,6 +778,38 @@ fn collect_segments(
         return Err(2);
     }
     Ok(segments)
+}
+
+/// Reach the running cluster named by the bootstrap file in
+/// `positional[0]` for subcommand `cmd`: bind the station
+/// (`positional[1]`, else `default_station`) and take every other node
+/// as a target. `Err` carries the exit code to return.
+fn reach_cluster(
+    cmd: &str,
+    positional: &[&String],
+    default_station: &str,
+    usage: &str,
+) -> Result<(naplet_man::ClusterStatusPoller, Vec<String>), i32> {
+    let Some(path) = positional.first() else {
+        eprintln!("{usage}");
+        return Err(2);
+    };
+    let station = positional.get(1).map_or(default_station, |s| s.as_str());
+    let config = naplet_server::BootstrapConfig::load(std::path::Path::new(path)).map_err(|e| {
+        eprintln!("{cmd}: cannot load `{path}`: {e}");
+        2
+    })?;
+    let targets = config
+        .nodes
+        .iter()
+        .map(|n| n.name.clone())
+        .filter(|n| n != station)
+        .collect();
+    let poller = naplet_man::ClusterStatusPoller::connect(&config, station).map_err(|e| {
+        eprintln!("{cmd}: cannot bind station `{station}`: {e}");
+        2
+    })?;
+    Ok((poller, targets))
 }
 
 /// Split the deterministic chaos run's shared event stream into
@@ -1094,30 +1081,9 @@ fn cluster_watch(rest: &[String]) -> i32 {
             }
         }
     }
-    let Some(path) = positional.first() else {
-        eprintln!("{USAGE}");
-        return 2;
-    };
-    let station = positional.get(1).map(|s| s.as_str()).unwrap_or("mon");
-    let config = match naplet_server::BootstrapConfig::load(std::path::Path::new(path)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cluster-watch: cannot load `{path}`: {e}");
-            return 2;
-        }
-    };
-    let targets: Vec<String> = config
-        .nodes
-        .iter()
-        .map(|n| n.name.clone())
-        .filter(|n| n != station)
-        .collect();
-    let mut poller = match naplet_man::ClusterStatusPoller::connect(&config, station) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cluster-watch: cannot bind station `{station}`: {e}");
-            return 2;
-        }
+    let (mut poller, targets) = match reach_cluster("cluster-watch", &positional, "mon", USAGE) {
+        Ok(reached) => reached,
+        Err(code) => return code,
     };
     let mut any_missing = false;
     let mut round: u64 = 0;

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
-use naplet_core::message::{Message, Sender};
+use naplet_core::message::Sender;
 
 use crate::directory::NapletDirectory;
 use crate::events::Wire;
@@ -123,9 +123,11 @@ pub struct Locator {
     /// True while a `ReplTick` is scheduled; keeps exactly one tick
     /// chain alive so an idle replica schedules nothing.
     tick_armed: bool,
-    /// Directory queries in flight, by token: the message waiting on
-    /// the answer (`None` for a lease probe) and when it was asked.
-    queries: HashMap<u64, (Option<Message>, Millis)>,
+    /// Directory queries in flight, by token: the identity `(sender,
+    /// seq)` of the post waiting on the answer — the message itself
+    /// stays in its poster's custody, the messenger — or `None` for a
+    /// lease probe, and when it was asked.
+    queries: HashMap<u64, (Option<(Sender, u64)>, Millis)>,
 }
 
 impl Locator {
@@ -236,16 +238,6 @@ impl Locator {
     /// True when the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.cache.is_empty()
-    }
-
-    /// Fraction of lookups served from cache (0 when none yet).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 
     // ----------------- the directory: who holds what -----------------
@@ -441,13 +433,19 @@ impl Locator {
 
     // ----------------- queries in flight -----------------
 
-    /// The `DirQuery` for `id` under `token`, parking what waits on the
-    /// answer: the message to post once located (a redelivery replaces
-    /// the query its lost attempt left behind), or `None` for a lease
-    /// probe.
-    pub fn ask(&mut self, token: u64, id: NapletId, waiting: Option<Message>, now: Millis) -> Wire {
-        if let Some(msg) = &waiting {
-            self.unpark(&msg.from, msg.seq);
+    /// The `DirQuery` for `id` under `token`, noting what waits on the
+    /// answer: the identity of the post to send once located (a
+    /// redelivery replaces the query its lost attempt left behind), or
+    /// `None` for a lease probe.
+    pub fn ask(
+        &mut self,
+        token: u64,
+        id: NapletId,
+        waiting: Option<(Sender, u64)>,
+        now: Millis,
+    ) -> Wire {
+        if let Some(post) = &waiting {
+            self.withdraw(post);
         }
         self.queries.insert(token, (waiting, now));
         Wire::DirQuery {
@@ -457,18 +455,18 @@ impl Locator {
         }
     }
 
-    /// The `DirReply` for `token` arrived: what was parked under it,
-    /// exactly once. The outer `None` is an answer nothing waits for.
-    pub fn answered(&mut self, token: u64) -> Option<Option<Message>> {
-        self.queries.remove(&token).map(|(waiting, _)| waiting)
+    /// The post `(sender, seq)` is re-routed or given up: drop the query
+    /// it waited on, so no query is stranded and a late answer finds
+    /// nothing.
+    pub fn withdraw(&mut self, post: &(Sender, u64)) {
+        self.queries
+            .retain(|_, (waiting, _)| waiting.as_ref() != Some(post));
     }
 
-    /// Message `seq` from `sender` is re-routed or given up: a late
-    /// answer to the query it waited on must not post it again.
-    pub fn unpark(&mut self, sender: &Sender, seq: u64) {
-        self.queries.retain(|_, (waiting, _)| {
-            !matches!(waiting, Some(msg) if msg.seq == seq && msg.from == *sender)
-        });
+    /// The `DirReply` for `token` arrived: what waited on it, exactly
+    /// once. The outer `None` is an answer nothing waits for.
+    pub fn answered(&mut self, token: u64) -> Option<Option<(Sender, u64)>> {
+        self.queries.remove(&token).map(|(waiting, _)| waiting)
     }
 
     /// Lapse queries asked more than `ttl_ms` ago: the answer was lost
@@ -552,20 +550,11 @@ mod tests {
         assert_eq!(empty.oldest_hint_age(Millis(10)), 0);
     }
 
-    #[test]
-    fn hit_rate() {
-        let mut l = cache(4);
-        assert_eq!(l.hit_rate(), 0.0);
-        l.put(nid(1), "a", Millis(1));
-        let _ = l.get(&nid(1));
-        let _ = l.get(&nid(2));
-        assert!((l.hit_rate() - 0.5).abs() < 1e-9);
-    }
-
     // ----------------- the directory -----------------
 
     use crate::directory::DirEvent;
     use naplet_core::message::Payload;
+    use naplet_core::value::Value;
 
     const REPLICAS: [&str; 3] = ["d0", "d1", "d2"];
 
@@ -796,32 +785,46 @@ mod tests {
     fn a_parked_query_is_taken_once_replaced_by_its_redelivery_and_lapses() {
         let (mut l, _) = locator("s1", LocationMode::CentralDirectory("dir".into()));
         let target = nid(1);
-        let msg = |seq| Message {
-            seq,
-            from: Sender::Owner("s1".into()),
-            to: target.clone(),
-            sent_at: Millis(0),
-            payload: Payload::User(naplet_core::value::Value::Nil),
-            forward_hops: 0,
-        };
-        let query = l.ask(1, target.clone(), Some(msg(7)), Millis(10));
+        let post = |seq| Some((Sender::Owner("s1".into()), seq));
+        let query = l.ask(1, target.clone(), post(7), Millis(10));
         assert!(matches!(query, Wire::DirQuery { token: 1, reply_to, .. } if reply_to == "s1"));
-        assert_eq!(l.answered(1).unwrap().unwrap().seq, 7);
+        assert_eq!(l.answered(1), Some(post(7)));
         assert!(l.answered(1).is_none(), "taken exactly once");
         // message 7 is re-routed under token 3: the query its lost
         // attempt left under token 2 must not post it a second time
-        l.ask(2, target.clone(), Some(msg(7)), Millis(20));
-        l.ask(3, target.clone(), Some(msg(7)), Millis(30));
-        l.ask(4, target.clone(), Some(msg(8)), Millis(30));
+        l.ask(2, target.clone(), post(7), Millis(20));
+        l.ask(3, target.clone(), post(7), Millis(30));
+        l.ask(4, target.clone(), post(8), Millis(30));
         l.ask(5, target.clone(), None, Millis(30));
+        l.ask(6, target.clone(), None, Millis(30));
         assert!(l.answered(2).is_none());
-        assert_eq!(l.asking(), 3);
-        l.unpark(&Sender::Owner("s1".into()), 7);
-        assert!(l.answered(3).is_none(), "given up");
+        assert_eq!(l.asking(), 4, "lease probes replace nothing");
         assert!(matches!(l.answered(5), Some(None)), "a lease probe");
         l.lapse(Millis(129), 100);
-        assert_eq!(l.asking(), 1);
+        assert_eq!(l.asking(), 3);
         l.lapse(Millis(130), 100);
-        assert_eq!(l.asking(), 0, "message 8's answer was lost");
+        assert_eq!(l.asking(), 0, "every other answer was lost");
+    }
+
+    #[test]
+    fn a_given_up_messages_late_answer_posts_nothing() {
+        use crate::messenger::Messenger;
+        let (mut l, _) = locator("s1", LocationMode::CentralDirectory("dir".into()));
+        let mut messenger = Messenger::default();
+        let from = Sender::Owner("s1".into());
+        let msg = messenger.post(from, nid(1), Payload::User(Value::Nil), Millis(0));
+        l.ask(1, nid(1), Some(msg.identity()), Millis(10));
+        // the post waits on the answer as its identity; the one copy
+        // stays with its poster, until the budget of one attempt is spent
+        assert_eq!(messenger.due(&msg.from, msg.seq, 1, 1), Some(None));
+        assert!(
+            messenger.unconfirmed(&msg.from, msg.seq).is_none(),
+            "nothing left to post"
+        );
+        // giving up withdraws the query: none is stranded, and a late
+        // answer finds nothing to enact
+        l.withdraw(&msg.identity());
+        assert_eq!(l.asking(), 0);
+        assert!(l.answered(1).is_none(), "a late answer posts nothing");
     }
 }

@@ -1,21 +1,30 @@
-//! Messenger state: the post office (paper §2.2, §4.2).
+//! Messenger: the post office (paper §2.2, §4.2).
 //!
-//! The routing *protocol* (locate → send → forward-chase → confirm)
-//! is driven by the server's wire handling; this module owns the
-//! messenger's bookkeeping:
+//! The one holder of every message this host has custody of:
 //!
-//! * per-sender sequence numbers (message identity);
-//! * the **special mailbox** for messages that arrive *before* their
-//!   target naplet does (§4.2 case 3);
+//! * a message this host posted: [`post`](Messenger::post) numbers it and
+//!   retains it until its delivery is confirmed or given up, and
+//!   [`due`](Messenger::due) hands the copy back when its redelivery
+//!   timer fires. A post waiting on a directory answer is this record,
+//!   named by its identity in the locator's query map;
+//! * the **special mailbox**: messages that arrived *before* their
+//!   target naplet did (§4.2 case 3);
+//! * the copies already delivered here, so a retransmission is
+//!   confirmed again but deposited once;
 //! * delivery confirmations kept "only for further possible inquiry
 //!   from naplet A" — and used to refresh the location cache;
-//! * forwarding-hop accounting and the cycle-breaking cap.
+//! * per-server sequence numbers, forwarding-hop accounting and the
+//!   cycle-breaking cap.
+//!
+//! The server routes (locate → send → forward-chase → confirm) through
+//! one door per verb and enacts the frames; a message in a naplet's
+//! mailbox or on the wire is not in this module's custody.
 
 use std::collections::{HashMap, HashSet};
 
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
-use naplet_core::message::{Message, Sender};
+use naplet_core::message::{Message, Payload, Sender};
 
 /// Record of a confirmed delivery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,8 +43,6 @@ pub struct OutstandingPost {
     pub msg: Message,
     /// 1-based send attempts so far.
     pub attempts: u32,
-    /// When the first attempt was routed.
-    pub first_sent: Millis,
 }
 
 /// Per-server post office state.
@@ -49,11 +56,8 @@ pub struct Messenger {
     /// Messages this server originated that have no delivery
     /// confirmation yet, keyed by message identity.
     outstanding: HashMap<(Sender, u64), OutstandingPost>,
-    /// Message identities already delivered *here* — retransmitted
-    /// copies are confirmed again but not deposited twice. Keyed on
-    /// (sender, seq, sent_at-ms): seq counters are per-origin-server,
-    /// so the timestamp disambiguates posts made by one naplet from
-    /// different servers.
+    /// Messages already delivered *here*, by (sender, seq, sent_at-ms)
+    /// ([`record_delivery`](Self::record_delivery)).
     delivered: HashSet<(Sender, u64, u64)>,
     /// Maximum forwarding hops before a message is dropped as
     /// undeliverable (breaks pathological chase cycles).
@@ -115,21 +119,18 @@ impl Messenger {
         self.deliveries_evicted += (before - self.delivered.len()) as u64;
     }
 
-    /// Next per-server message sequence number.
-    pub fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
     /// Stash an early message for a naplet that has not arrived yet
     /// (§4.2 case 3: "insert the message into a special mailbox,
     /// waiting for the arrival of the naplet"). `origin_host` receives
     /// the delivery confirmation when the message is finally drained.
-    pub fn stash_early(&mut self, msg: Message, origin_host: &str) {
-        self.special
-            .entry(msg.to.clone())
-            .or_default()
-            .push((msg, origin_host.to_string()));
+    /// One copy per message: a redelivered copy of one already waiting
+    /// (same sender, seq and send time) is dropped.
+    pub fn stash_early(&mut self, msg: Message, origin_host: String) {
+        let waiting = self.special.entry(msg.to.clone()).or_default();
+        let same = |m: &Message| (&m.from, m.seq, m.sent_at) == (&msg.from, msg.seq, msg.sent_at);
+        if !waiting.iter().any(|(m, _)| same(m)) {
+            waiting.push((msg, origin_host));
+        }
     }
 
     /// On naplet arrival: take everything waiting in the special
@@ -163,24 +164,25 @@ impl Messenger {
         );
     }
 
-    /// Start tracking an origin-posted message for redelivery. Returns
-    /// `true` when this is a new registration (the caller should arm a
-    /// redelivery timer), `false` when the message is already tracked
-    /// or already confirmed.
-    pub fn track_outstanding(&mut self, msg: &Message, now: Millis) -> bool {
-        let key = (msg.from.clone(), msg.seq);
-        if self.confirmations.contains_key(&key) || self.outstanding.contains_key(&key) {
-            return false;
-        }
-        self.outstanding.insert(
-            key,
-            OutstandingPost {
-                msg: msg.clone(),
-                attempts: 1,
-                first_sent: now,
-            },
-        );
-        true
+    /// A new post from `from`: numbered in this server's sequence, and
+    /// retained until its delivery is confirmed or given up. Returns the
+    /// copy to route as attempt 1.
+    pub fn post(&mut self, from: Sender, to: NapletId, payload: Payload, now: Millis) -> Message {
+        self.seq += 1;
+        let msg = Message {
+            seq: self.seq,
+            from,
+            to,
+            sent_at: now,
+            payload,
+            forward_hops: 0,
+        };
+        let retained = OutstandingPost {
+            msg: msg.clone(),
+            attempts: 1,
+        };
+        self.outstanding.insert(msg.identity(), retained);
+        msg
     }
 
     /// The unconfirmed record for a message identity, if any.
@@ -193,42 +195,51 @@ impl Messenger {
         self.outstanding.len()
     }
 
-    /// Bump the attempt counter and return a fresh copy of the message
-    /// for retransmission. `None` when the message is no longer tracked
-    /// (confirmed or abandoned in the meantime).
-    pub fn begin_redelivery(&mut self, sender: &Sender, seq: u64) -> Option<Message> {
-        let rec = self.outstanding.get_mut(&(sender.clone(), seq))?;
+    /// The redelivery timer armed for attempt `attempt` of message `seq`
+    /// from `sender` fired. `None` when the timer is stale: the message
+    /// was confirmed or given up meanwhile, or a later attempt is armed.
+    /// `Some(None)` when `budget` attempts are spent: the message is
+    /// given up and nothing of it is left to post. Otherwise a copy to
+    /// re-route as attempt `attempt + 1`.
+    pub fn due(
+        &mut self,
+        sender: &Sender,
+        seq: u64,
+        attempt: u32,
+        budget: u32,
+    ) -> Option<Option<Message>> {
+        let key = (sender.clone(), seq);
+        let rec = self.outstanding.get_mut(&key);
+        let rec = rec.filter(|rec| rec.attempts == attempt)?;
+        if attempt >= budget {
+            self.outstanding.remove(&key);
+            self.redelivery_given_up += 1;
+            return Some(None);
+        }
         rec.attempts += 1;
         self.redeliveries += 1;
-        Some(rec.msg.clone())
-    }
-
-    /// Abandon redelivery of a message. Returns `true` when it was
-    /// still tracked.
-    pub fn give_up(&mut self, sender: &Sender, seq: u64) -> bool {
-        let removed = self.outstanding.remove(&(sender.clone(), seq)).is_some();
-        if removed {
-            self.redelivery_given_up += 1;
-        }
-        removed
+        Some(Some(rec.msg.clone()))
     }
 
     /// Idempotent delivery check: returns `true` the first time a
-    /// message identity is delivered at this server, `false` for a
-    /// retransmitted duplicate (which must still be re-confirmed but
-    /// not deposited again). Entries age out under the server's
+    /// message is delivered at this server, `false` for a retransmitted
+    /// duplicate (which must still be re-confirmed but not deposited
+    /// again). Keyed on (sender, seq, sent_at): seq counters are
+    /// per-origin-server, so the timestamp tells apart posts one naplet
+    /// made from different servers. Entries age out under the server's
     /// retention window via [`compact`](Self::compact).
-    pub fn record_delivery(&mut self, sender: Sender, seq: u64, sent_at: Millis) -> bool {
-        self.delivered.insert((sender, seq, sent_at.0))
+    pub fn record_delivery(&mut self, msg: &Message) -> bool {
+        self.delivered
+            .insert((msg.from.clone(), msg.seq, msg.sent_at.0))
     }
 
     /// A delivered-but-unread message left this server's custody (it
-    /// was re-posted toward the naplet's next host at departure):
-    /// forget the delivery so the chase can deliver it again here if
-    /// the naplet's travels bring it back. Returns `true` when a
-    /// record was removed.
-    pub fn forget_delivery(&mut self, sender: &Sender, seq: u64, sent_at: Millis) -> bool {
-        self.delivered.remove(&(sender.clone(), seq, sent_at.0))
+    /// was re-posted toward the naplet's next host at departure, or
+    /// returned to the special mailbox when the naplet parked): forget
+    /// the delivery so it can be delivered here again.
+    pub fn forget_delivery(&mut self, msg: &Message) {
+        self.delivered
+            .remove(&(msg.from.clone(), msg.seq, msg.sent_at.0));
     }
 
     /// Inquiry: has the message been confirmed, and where?
@@ -264,20 +275,28 @@ mod tests {
         m
     }
 
+    fn post(m: &mut Messenger, to: NapletId) -> Message {
+        let from = Sender::Owner("home".into());
+        m.post(from, to, Payload::User(Value::Nil), Millis(10))
+    }
+
     #[test]
-    fn seq_is_monotone() {
+    fn posts_are_numbered_in_one_sequence() {
         let mut m = Messenger::default();
-        let a = m.next_seq();
-        let b = m.next_seq();
-        assert!(b > a);
+        let a = post(&mut m, nid(1));
+        let b = post(&mut m, nid(2));
+        assert_eq!((a.seq, b.seq), (1, 2));
+        assert_eq!((b.sent_at, b.forward_hops), (Millis(10), 0));
     }
 
     #[test]
     fn special_mailbox_stashes_and_drains_in_order() {
         let mut m = Messenger::default();
-        m.stash_early(msg(1, nid(5), 0), "s1");
-        m.stash_early(msg(2, nid(5), 0), "s2");
-        m.stash_early(msg(3, nid(6), 0), "s1");
+        m.stash_early(msg(1, nid(5), 0), "s1".into());
+        m.stash_early(msg(2, nid(5), 0), "s2".into());
+        m.stash_early(msg(3, nid(6), 0), "s1".into());
+        // a redelivered copy (one more hop behind) is the message waiting
+        m.stash_early(msg(1, nid(5), 1), "s1".into());
         assert_eq!(m.early_waiting(), 3);
         let drained = m.drain_early(&nid(5));
         assert_eq!(
@@ -314,33 +333,35 @@ mod tests {
     }
 
     #[test]
-    fn outstanding_tracked_until_confirmed() {
+    fn a_post_is_retained_until_confirmed() {
         let mut m = Messenger::default();
-        let message = msg(7, nid(1), 0);
-        assert!(m.track_outstanding(&message, Millis(10)));
-        assert!(!m.track_outstanding(&message, Millis(11)), "no double-arm");
+        let message = post(&mut m, nid(1));
+        let from = &message.from;
         assert_eq!(m.outstanding_count(), 1);
-        assert_eq!(m.unconfirmed(&message.from, 7).unwrap().attempts, 1);
+        assert_eq!(m.unconfirmed(from, 1).unwrap().attempts, 1);
 
-        let copy = m.begin_redelivery(&message.from, 7).unwrap();
-        assert_eq!(copy.seq, 7);
-        assert_eq!(m.unconfirmed(&message.from, 7).unwrap().attempts, 2);
+        assert!(m.due(from, 1, 2, 6).is_none(), "no attempt 2 armed yet");
+        let copy = m.due(from, 1, 1, 6).unwrap().unwrap();
+        assert_eq!(copy, message);
+        assert_eq!(m.unconfirmed(from, 1).unwrap().attempts, 2);
         assert_eq!(m.redeliveries, 1);
+        assert!(m.due(from, 1, 1, 6).is_none(), "attempt 1's timer is stale");
 
-        m.record_confirmation(message.from.clone(), 7, "s2", Millis(50));
+        m.record_confirmation(from.clone(), 1, "s2", Millis(50));
         assert_eq!(m.outstanding_count(), 0);
-        assert!(m.begin_redelivery(&message.from, 7).is_none());
-        // a confirmed message is never re-tracked
-        assert!(!m.track_outstanding(&message, Millis(60)));
+        assert!(
+            m.due(from, 1, 2, 6).is_none(),
+            "confirmed: nothing to re-route"
+        );
     }
 
     #[test]
-    fn give_up_counts_abandonment() {
+    fn a_spent_budget_gives_the_post_up() {
         let mut m = Messenger::default();
-        let message = msg(3, nid(2), 0);
-        m.track_outstanding(&message, Millis(0));
-        assert!(m.give_up(&message.from, 3));
-        assert!(!m.give_up(&message.from, 3));
+        let message = post(&mut m, nid(2));
+        assert!(m.due(&message.from, 1, 1, 2).unwrap().is_some());
+        assert_eq!(m.due(&message.from, 1, 2, 2), Some(None));
+        assert!(m.due(&message.from, 1, 2, 2).is_none());
         assert_eq!(m.redelivery_given_up, 1);
         assert_eq!(m.outstanding_count(), 0);
     }
@@ -349,10 +370,12 @@ mod tests {
     fn compact_evicts_by_ttl_and_counts() {
         let mut m = Messenger::default();
         let sender = Sender::Naplet(nid(1));
+        let delivered =
+            |seq, at| Message::user(seq, sender.clone(), nid(2), Millis(at), Value::Nil);
         m.record_confirmation(sender.clone(), 1, "s1", Millis(100));
         m.record_confirmation(sender.clone(), 2, "s1", Millis(900));
-        m.record_delivery(sender.clone(), 1, Millis(100));
-        m.record_delivery(sender.clone(), 2, Millis(900));
+        m.record_delivery(&delivered(1, 100));
+        m.record_delivery(&delivered(2, 900));
         m.compact(Millis(1000), 500);
         assert_eq!(m.confirmations_evicted, 1);
         assert_eq!(m.deliveries_evicted, 1);
@@ -361,19 +384,24 @@ mod tests {
         // the evicted delivery entry is forgotten: a (very) late
         // duplicate would be deposited again — the retention window is
         // chosen far beyond any retransmission horizon
-        assert!(m.record_delivery(sender.clone(), 1, Millis(100)));
-        assert!(!m.record_delivery(sender, 2, Millis(900)));
+        assert!(m.record_delivery(&delivered(1, 100)));
+        assert!(!m.record_delivery(&delivered(2, 900)));
     }
 
     #[test]
     fn duplicate_deliveries_detected() {
         let mut m = Messenger::default();
         let sender = Sender::Naplet(nid(9));
-        assert!(m.record_delivery(sender.clone(), 1, Millis(5)));
-        assert!(!m.record_delivery(sender.clone(), 1, Millis(5)), "dup");
+        let delivered =
+            |seq, at| Message::user(seq, sender.clone(), nid(2), Millis(at), Value::Nil);
+        assert!(m.record_delivery(&delivered(1, 5)));
+        assert!(!m.record_delivery(&delivered(1, 5)), "dup");
         // same seq from a different origin server (later timestamp) is
         // a distinct message, not a duplicate
-        assert!(m.record_delivery(sender.clone(), 1, Millis(80)));
-        assert!(m.record_delivery(sender, 2, Millis(5)));
+        assert!(m.record_delivery(&delivered(1, 80)));
+        assert!(m.record_delivery(&delivered(2, 5)));
+        // a copy that left this host's custody may be delivered again
+        m.forget_delivery(&delivered(1, 5));
+        assert!(m.record_delivery(&delivered(1, 5)));
     }
 }

@@ -274,14 +274,6 @@ impl NapletServer {
         self.log.push(LogEntry { at: now, line });
     }
 
-    /// High-water mark of the special (early-arrival) mailbox.
-    fn note_special_mailbox_depth(&self) {
-        self.obs.metrics.gauge_max(
-            "special_mailbox_depth",
-            self.messenger.early_waiting() as u64,
-        );
-    }
-
     fn token(&mut self) -> u64 {
         self.next_token += 1;
         // durably advance the watermark so a recovered server never
@@ -566,16 +558,9 @@ impl NapletServer {
     /// post-office protocol.
     pub fn owner_post(&mut self, to: NapletId, payload: Payload, now: Millis) -> Vec<Output> {
         let mut out = Vec::new();
-        let seq = self.messenger.next_seq();
-        let msg = Message {
-            seq,
-            from: Sender::Owner(self.host.clone()),
-            to,
-            sent_at: now,
-            payload,
-            forward_hops: 0,
-        };
-        self.route_message(msg, None, now, &mut out);
+        let from = Sender::Owner(self.host.clone());
+        let msg = self.messenger.post(from, to, payload, now);
+        self.route_message(msg, 1, None, now, &mut out);
         out
     }
 
@@ -778,8 +763,13 @@ impl NapletServer {
                 });
             }
             Wire::DirReply { token, id, entry } => match self.locator.answered(token) {
-                Some(Some(msg)) => {
-                    self.post_located(msg, entry.map(|(host, ..)| host), now, out);
+                // the post waited as its identity: the one copy is its
+                // poster's, and a confirmed or given-up one has none left
+                Some(Some((sender, seq))) => {
+                    if let Some(rec) = self.messenger.unconfirmed(&sender, seq) {
+                        let msg = rec.msg.clone();
+                        self.post_located(msg, entry.map(|(host, ..)| host), now, out);
+                    }
                 }
                 Some(None) => self.resolve_lease_probe(id, entry, now),
                 None => {}
@@ -1029,22 +1019,18 @@ impl NapletServer {
                 seq,
                 attempt,
             } => {
-                let Some(rec) = self.messenger.unconfirmed(&sender, seq) else {
-                    return; // confirmed or abandoned in the meantime
+                let budget = self.retry.max_retries;
+                let Some(due) = self.messenger.due(&sender, seq, attempt, budget) else {
+                    return; // confirmed, given up or re-armed in the meantime
                 };
-                if rec.attempts != attempt {
-                    return; // stale timer from an earlier attempt
-                }
-                if attempt >= self.retry.max_retries {
-                    self.messenger.give_up(&sender, seq);
-                    self.locator.unpark(&sender, seq);
+                let Some(msg) = due else {
                     self.logf(
                         now,
                         format!("REDELIVERY exhausted for message {seq} from {sender:?}"),
                     );
-                    return;
-                }
-                let Some(msg) = self.messenger.begin_redelivery(&sender, seq) else {
+                    // a late answer to the query it waited on has
+                    // nothing to post: drop the query now
+                    self.locator.withdraw(&(sender, seq));
                     return;
                 };
                 // whatever hint routed the lost attempt is suspect —
@@ -1059,15 +1045,7 @@ impl NapletServer {
                 self.obs.emit(now, &self.host, Some(&msg.to), || {
                     TraceKind::PostRedeliver { seq, attempt: next }
                 });
-                out.push(Output::Schedule {
-                    delay_ms: self.retry.jittered_backoff_ms(seq ^ 0x504f_5354, next),
-                    event: LocalEvent::PostTimeout {
-                        sender,
-                        seq,
-                        attempt: next,
-                    },
-                });
-                self.route_message(msg, None, now, out);
+                self.route_message(msg, next, None, now, out);
             }
         }
     }
@@ -1233,7 +1211,7 @@ impl NapletServer {
         &mut self,
         transfer_id: u64,
         id: &NapletId,
-        mut mailbox: Mailbox,
+        mailbox: Mailbox,
         transfer: Attempt,
         now: Millis,
         out: &mut Vec<Output>,
@@ -1244,21 +1222,7 @@ impl NapletServer {
         // DEPART registration (no ack needed, paper §4.1)
         self.register_movement(id, DirEvent::Departure, None, now, out);
         self.logf(now, format!("DEPART {id} -> {dest}"));
-        // forward any early-stashed messages for it towards the
-        // destination so the chase can catch up, and likewise any
-        // unread mailbox messages — the post office keeps custody of
-        // undelivered mail rather than dropping it with the mailbox
-        for (mut m, origin) in self.messenger.drain_early(id) {
-            m.forward_hops += 1;
-            self.send_post_from(m, dest, origin, now, out);
-        }
-        for mut m in mailbox.drain() {
-            // unread mail leaves local custody: forget its delivery so
-            // the chase can deliver it here again on a future revisit
-            self.messenger.forget_delivery(&m.from, m.seq, m.sent_at);
-            m.forward_hops += 1;
-            self.send_post(m, dest, now, out);
-        }
+        self.hand_on(id, mailbox, dest, now, out);
         self.obs
             .emit(now, &self.host, Some(id), || TraceKind::TransferSent {
                 dest: dest.to_string(),
@@ -1333,10 +1297,9 @@ impl NapletServer {
                 attempts,
             });
         for m in mailbox.drain() {
-            self.messenger.forget_delivery(&m.from, m.seq, m.sent_at);
-            self.messenger.stash_early(m, &self.host);
+            self.messenger.forget_delivery(&m);
+            self.stash(m, self.host.clone());
         }
-        self.note_special_mailbox_depth();
         // make the parked naplet locatable here again
         self.register_movement(&id, DirEvent::Arrival, None, now, out);
         self.notify_home(
@@ -1468,10 +1431,9 @@ impl NapletServer {
 
         // the new entry's mail: what the naplet already held in custody
         // rides straight back in, then any messages that arrived before
-        // the naplet (§4.2 case 3), each confirmed to its origin
-        // (duplicates too — the earlier confirmation may be the frame
-        // that was lost). User messages go to the mailbox, system
-        // messages interrupt after the arrival bookkeeping below.
+        // the naplet (§4.2 case 3) pass the delivery door. User messages
+        // go to the mailbox, system messages interrupt after the arrival
+        // bookkeeping below.
         let (mut mail, mut pending_controls) = (Vec::new(), Vec::new());
         let mut sort = |m: Message| match &m.payload {
             Payload::System(verb) => pending_controls.push(verb.clone()),
@@ -1479,15 +1441,7 @@ impl NapletServer {
         };
         carry.drain().into_iter().for_each(&mut sort);
         for (m, origin) in self.messenger.drain_early(&id) {
-            let (sender, seq) = (m.from.clone(), m.seq);
-            // redelivered copies may have been stashed more than once
-            if self
-                .messenger
-                .record_delivery(sender.clone(), seq, m.sent_at)
-            {
-                sort(m);
-            }
-            self.confirm_delivery(origin, sender, seq, id.clone(), now, out);
+            self.deliver(m, origin, now, out, |_, m, _| sort(m));
         }
         let state = RunState::AwaitingArrivalAck;
         let entry = self.monitor.admit(naplet, action, state, now);
@@ -1743,9 +1697,9 @@ impl NapletServer {
             }
         }
         for (to, hint, body) in effects.posts {
-            let seq = self.messenger.next_seq();
-            let msg = Message::user(seq, Sender::Naplet(id.clone()), to, now, body);
-            self.route_message(msg, Some(&hint), now, out);
+            let from = Sender::Naplet(id.clone());
+            let msg = self.messenger.post(from, to, Payload::User(body), now);
+            self.route_message(msg, 1, Some(&hint), now, out);
         }
     }
 
@@ -1753,30 +1707,23 @@ impl NapletServer {
     // Post office routing (paper §4.2)
     // =====================================================================
 
-    fn send_post(&mut self, msg: Message, to_host: &str, now: Millis, out: &mut Vec<Output>) {
-        let origin = self.host.clone();
-        self.send_post_from(msg, to_host, origin, now, out);
-    }
-
-    /// Like [`send_post`](Self::send_post), but preserving a message's
-    /// original confirmation destination when this server is merely
-    /// relaying (e.g. forwarding early-stashed mail after a departure).
-    fn send_post_from(
+    /// Send a post on to `to_host`, whose delivery is to be confirmed
+    /// to `origin` — the host that posted it, which a relay (a chase
+    /// forward, mail following its naplet) preserves. A post for this
+    /// host is delivered here without the wire.
+    fn send_post(
         &mut self,
         msg: Message,
-        to_host: &str,
+        to_host: String,
         origin: String,
         now: Millis,
         out: &mut Vec<Output>,
     ) {
         if to_host == self.host {
-            // route internally without the wire
-            let mut tmp = Vec::new();
-            self.deliver_or_chase(msg, origin, now, &mut tmp);
-            out.extend(tmp);
+            self.deliver_or_chase(msg, origin, now, out);
         } else {
             out.push(Output::Send {
-                to: to_host.to_string(),
+                to: to_host,
                 wire: Wire::Post {
                     msg,
                     origin_host: origin,
@@ -1793,28 +1740,28 @@ impl NapletServer {
         }
     }
 
-    /// First-hop routing for a locally posted message. Also the
-    /// redelivery entry point: the origin retains a copy and arms a
-    /// timer, so a message lost in flight is re-routed until its
-    /// delivery confirmation arrives (or retries run out).
+    /// First-hop routing of attempt `attempt` of a message this host
+    /// posted, redeliveries included: the messenger retains the message
+    /// and each attempt arms its timer, so a message lost in flight is
+    /// re-routed until its delivery confirmation arrives (or retries run
+    /// out).
     fn route_message(
         &mut self,
         msg: Message,
+        attempt: u32,
         hint: Option<&str>,
         now: Millis,
         out: &mut Vec<Output>,
     ) {
-        let target = msg.to.clone();
-        if self.messenger.track_outstanding(&msg, now) {
-            out.push(Output::Schedule {
-                delay_ms: self.retry.jittered_backoff_ms(msg.seq ^ 0x504f_5354, 1),
-                event: LocalEvent::PostTimeout {
-                    sender: msg.from.clone(),
-                    seq: msg.seq,
-                    attempt: 1,
-                },
-            });
-        }
+        let (target, sender, seq) = (msg.to.clone(), msg.from.clone(), msg.seq);
+        out.push(Output::Schedule {
+            delay_ms: self.retry.jittered_backoff_ms(seq ^ 0x504f_5354, attempt),
+            event: LocalEvent::PostTimeout {
+                sender,
+                seq,
+                attempt,
+            },
+        });
         // resident here?
         if self.monitor.get(&target).is_some() {
             let origin = self.host.clone();
@@ -1825,14 +1772,16 @@ impl NapletServer {
         if let Some(loc) = self.locator.get(&target) {
             let host = loc.host.clone();
             self.obs.metrics.incr("locator_cache_hits", 1);
-            self.send_post(msg, &host, now, out);
+            self.send_post(msg, host, self.host.clone(), now, out);
             return;
         }
         // directory query, or trace/hint
         match self.locator.holder(&target) {
             Holder::At(holder) => {
-                let holder = holder.to_string();
-                self.query_directory(holder, target, Some(msg), now, out);
+                // the message waits as the copy its poster retains,
+                // named by its identity
+                let (holder, waiting) = (holder.to_string(), (msg.from, msg.seq));
+                self.query_directory(holder, target, Some(waiting), now, out);
             }
             Holder::Here => {
                 let found = self.locator.directory().lookup(&target);
@@ -1841,32 +1790,26 @@ impl NapletServer {
             }
             Holder::Nowhere => {
                 // forwarding mode: local trace, then the address-book hint
-                match self.manager.trace(&target) {
-                    Some(Some(next)) => {
-                        let next = next.to_string();
-                        self.send_post(msg, &next, now, out);
-                    }
-                    Some(None) => self.messenger.stash_early(msg, &self.host),
-                    None => match hint {
-                        Some(h) if h != self.host => {
-                            let h = h.to_string();
-                            self.send_post(msg, &h, now, out);
-                        }
-                        _ => self.messenger.stash_early(msg, &self.host),
-                    },
+                let next = match self.manager.trace(&target) {
+                    Some(next) => next,
+                    None => hint.filter(|hint| *hint != self.host),
+                };
+                match next.map(str::to_string) {
+                    Some(next) => self.send_post(msg, next, self.host.clone(), now, out),
+                    None => self.stash(msg, self.host.clone()),
                 }
             }
         }
     }
 
-    /// Ask `holder` where `id` is under a fresh token (returned),
-    /// parking what waits on the answer: a message to post, or `None`
-    /// for a lease probe.
+    /// Ask `holder` where `id` is under a fresh token (returned), noting
+    /// what waits on the answer: the identity of a post, or `None` for a
+    /// lease probe.
     fn query_directory(
         &mut self,
         holder: String,
         id: NapletId,
-        waiting: Option<Message>,
+        waiting: Option<(Sender, u64)>,
         now: Millis,
         out: &mut Vec<Output>,
     ) -> u64 {
@@ -1890,28 +1833,46 @@ impl NapletServer {
         match host {
             Some(host) => {
                 self.cache_location(msg.to.clone(), &host, now);
-                self.send_post(msg, &host, now, out);
+                self.send_post(msg, host, self.host.clone(), now, out);
             }
-            None if msg.to.home() == self.host => self.messenger.stash_early(msg, &self.host),
+            None if msg.to.home() == self.host => self.stash(msg, self.host.clone()),
             None => {
                 let home = msg.to.home().to_string();
-                self.send_post(msg, &home, now, out);
+                self.send_post(msg, home, self.host.clone(), now, out);
             }
         }
     }
 
-    /// Message `seq` from `sender` reached `target` here: confirm it to
-    /// the host that posted it, or record the confirmation if that is
-    /// this host.
-    fn confirm_delivery(
+    /// The special mailbox's one door (§4.2 case 3): `msg` waits here
+    /// for its naplet to arrive, then is confirmed to `origin`. One copy
+    /// per message — a redelivered copy adds none — and every stash
+    /// feeds the `special_mailbox_depth` gauge.
+    fn stash(&mut self, msg: Message, origin: String) {
+        self.messenger.stash_early(msg, origin);
+        let depth = self.messenger.early_waiting() as u64;
+        self.obs.metrics.gauge_max("special_mailbox_depth", depth);
+    }
+
+    /// The one door a post passes to reach its naplet here: §4.2 case 1,
+    /// and the special mailbox drained when the naplet arrives. The
+    /// first copy goes to `deposit`; a retransmitted duplicate does not,
+    /// but is confirmed all the same — the earlier confirmation may be
+    /// the frame that was lost. `origin` gets the confirmation, or it is
+    /// recorded when that is this host.
+    fn deliver(
         &mut self,
+        msg: Message,
         origin: String,
-        sender: Sender,
-        seq: u64,
-        target: NapletId,
         now: Millis,
         out: &mut Vec<Output>,
+        deposit: impl FnOnce(&mut Self, Message, &mut Vec<Output>),
     ) {
+        let (sender, seq, target) = (msg.from.clone(), msg.seq, msg.to.clone());
+        if self.messenger.record_delivery(&msg) {
+            deposit(self, msg, out);
+        } else {
+            self.logf(now, format!("duplicate message {seq} for {target}"));
+        }
         if origin == self.host {
             self.messenger
                 .record_confirmation(sender, seq, &self.host, now);
@@ -1928,6 +1889,32 @@ impl NapletServer {
         }
     }
 
+    /// Mail for `id` leaves this host's custody at its departure for
+    /// `dest`. The post office keeps custody of undelivered mail rather
+    /// than dropping it with the mailbox: what waited in the special
+    /// mailbox and what the naplet left unread chase it to `dest`, each
+    /// confirmed to its own origin (this host for unread mail). Unread
+    /// mail's delivery is forgotten so the chase can deliver it here
+    /// again on a future revisit.
+    fn hand_on(
+        &mut self,
+        id: &NapletId,
+        mut mailbox: Mailbox,
+        dest: &str,
+        now: Millis,
+        out: &mut Vec<Output>,
+    ) {
+        let mut mail = self.messenger.drain_early(id);
+        for m in mailbox.drain() {
+            self.messenger.forget_delivery(&m);
+            mail.push((m, self.host.clone()));
+        }
+        for (mut m, origin) in mail {
+            m.forward_hops += 1;
+            self.send_post(m, dest.to_string(), origin, now, out);
+        }
+    }
+
     /// §4.2 delivery cases at a receiving messenger.
     fn deliver_or_chase(
         &mut self,
@@ -1938,50 +1925,36 @@ impl NapletServer {
     ) {
         let target = msg.to.clone();
         if self.monitor.get(&target).is_some() {
-            // case 1: resident — deliver and confirm; a retransmitted
-            // duplicate is re-confirmed (the earlier confirmation may
-            // be what was lost) but never deposited twice
-            let sender = msg.from.clone();
-            let seq = msg.seq;
-            let fresh = self
-                .messenger
-                .record_delivery(sender.clone(), seq, msg.sent_at);
-            if fresh {
+            // case 1: resident — deposit or interrupt, and confirm
+            self.deliver(msg, origin_host, now, out, |server, msg, out| {
                 match &msg.payload {
-                    Payload::System(verb) => {
-                        let verb = verb.clone();
-                        self.apply_control(&target, &verb, now, out);
-                    }
+                    Payload::System(verb) => server.apply_control(&target, verb, now, out),
                     Payload::User(_) => {
-                        if let Some(e) = self.monitor.get_mut(&target) {
+                        if let Some(e) = server.monitor.get_mut(&target) {
                             e.mailbox.deposit(msg);
                             let depth = e.mailbox.len() as u64;
-                            self.obs.metrics.gauge_max("mailbox_depth", depth);
+                            server.obs.metrics.gauge_max("mailbox_depth", depth);
                         }
                     }
                 }
-            } else {
-                self.logf(now, format!("duplicate message {seq} for {target}"));
-            }
-            self.confirm_delivery(origin_host, sender, seq, target, now, out);
+            });
             return;
         }
         // not resident — but if its landing was granted here and the
         // transfer is still in flight, wait for it (case 3) rather
         // than chasing a stale trail
         if self.navigator.expecting(&target, now) {
-            self.messenger.stash_early(msg, &origin_host);
-            self.note_special_mailbox_depth();
+            self.stash(msg, origin_host);
             return;
         }
+        // whatever hint routed the chase here was stale
+        self.locator.note_stale();
+        self.obs.metrics.incr("locator_cache_stale_hits", 1);
         match self.manager.trace(&target) {
             Some(Some(next)) => {
                 // case 2: it moved on — forward the chase, and refresh
-                // our own cache with the footprint's fresher pointer.
-                // Whatever hint routed the chase here was stale.
+                // our own cache with the footprint's fresher pointer
                 let next = next.to_string();
-                self.locator.note_stale();
-                self.obs.metrics.incr("locator_cache_stale_hits", 1);
                 self.cache_location(target.clone(), &next, now);
                 if self.messenger.may_forward(&msg) {
                     msg.forward_hops += 1;
@@ -1993,23 +1966,17 @@ impl NapletServer {
                             seq,
                             hops,
                         });
-                    out.push(Output::Send {
-                        to: next,
-                        wire: Wire::Post { msg, origin_host },
-                    });
+                    self.send_post(msg, next, origin_host, now, out);
                 } else {
                     self.logf(now, format!("undeliverable message to {target} (cap)"));
                 }
             }
             _ => {
                 // case 3: no record — it may not have arrived yet.
-                // Whatever cached location pointed this chase here is
-                // stale; forget it so the next resolution starts fresh.
-                self.locator.note_stale();
-                self.obs.metrics.incr("locator_cache_stale_hits", 1);
+                // Forget the stale location so the next resolution
+                // starts fresh.
                 self.locator.invalidate(&target);
-                self.messenger.stash_early(msg, &origin_host);
-                self.note_special_mailbox_depth();
+                self.stash(msg, origin_host);
             }
         }
     }

@@ -160,6 +160,50 @@ fn redelivery_gives_up_after_max_retries() {
 }
 
 #[test]
+fn a_redelivered_early_message_waits_once_and_leaves_once() {
+    let mut rt = world(LocationMode::HomeManagers, 1, 4);
+    let naplet = agent(Pattern::seq_of_hosts(&["s0"], None), 1);
+    // posted before launch: every attempt finds no directory entry and
+    // waits in home's special mailbox — as the one copy it is
+    rt.owner_post("home", naplet.id().clone(), Payload::User(Value::Int(7)))
+        .unwrap();
+    rt.run_to_quiescence(1_000_000);
+    let now = rt.now();
+    let home = rt.server_mut("home").unwrap();
+    assert_eq!(home.messenger.redeliveries, 5, "the budget is spent");
+    assert_eq!(home.messenger.early_waiting(), 1);
+    assert_eq!(home.status_report(now).special_mailbox_depth, 1);
+    let gauges = home.obs().metrics.snapshot().gauges;
+    assert_eq!(gauges.get("special_mailbox_depth"), Some(&1));
+
+    // the naplet leaves for s0: the message follows it exactly once
+    let request = home.launch(naplet, now);
+    let token = request
+        .iter()
+        .find_map(|o| match o {
+            Output::Send {
+                wire: Wire::LandingRequest { token, .. },
+                ..
+            } => Some(*token),
+            _ => None,
+        })
+        .expect("home asks s0 for a landing");
+    let (granted, reason) = (true, String::new());
+    let wire = Wire::LandingReply {
+        token,
+        granted,
+        reason,
+    };
+    let from = "s0".to_string();
+    let departure = home.handle(now, Input::Wire { from, wire });
+    let posts = departure
+        .iter()
+        .filter(|o| matches!(o, Output::Send { to, wire: Wire::Post { .. } } if to == "s0"));
+    assert_eq!(posts.count(), 1);
+    assert_eq!(home.messenger.early_waiting(), 0);
+}
+
+#[test]
 fn a_lost_directory_answer_strands_no_query_and_a_late_one_posts_nothing() {
     let mut rt = world(LocationMode::CentralDirectory("s0".into()), 1, 4);
     // the directory host is down: every `DirQuery` is lost
