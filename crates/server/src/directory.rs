@@ -84,16 +84,21 @@ impl NapletDirectory {
         self.entries.remove(id)
     }
 
-    /// All records, sorted by naplet id — the deterministic snapshot
-    /// image the replicated directory ships to rejoining replicas.
-    pub fn entries(&self) -> Vec<(NapletId, DirEntry)> {
-        let mut out: Vec<(NapletId, DirEntry)> = self
-            .entries
-            .iter()
-            .map(|(id, e)| (id.clone(), e.clone()))
-            .collect();
-        out.sort_by_key(|(id, _)| id.to_string());
+    /// All records by reference, sorted by naplet id — the deterministic
+    /// snapshot image the replicated directory journals and ships to
+    /// rejoining replicas. One walk and one vector: ids compare by their
+    /// fields, and an image encodes from the borrowed records exactly as
+    /// from owned ones.
+    pub fn sorted(&self) -> Vec<(&NapletId, &DirEntry)> {
+        let mut out: Vec<(&NapletId, &DirEntry)> = self.entries.iter().collect();
+        out.sort_unstable_by_key(|(id, _)| *id);
         out
+    }
+
+    /// [`Self::sorted`], owned.
+    pub fn entries(&self) -> Vec<(NapletId, DirEntry)> {
+        let sorted = self.sorted().into_iter();
+        sorted.map(|(id, e)| (id.clone(), e.clone())).collect()
     }
 
     /// Replace the whole map with a snapshot image (replica catch-up).

@@ -33,7 +33,7 @@
 //! (one file per record, atomic tmp-and-rename writes).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
@@ -322,11 +322,12 @@ impl RecoveryStats {
 /// * `s/<transfer-id>/<origin>` — receiver-side transfer dedup entry
 /// * `t/watermark` — high-water mark of issued transfer tokens
 /// * `r/<suffix>` — replicated-directory consensus records (term/vote
-///   meta, log entries, compaction snapshot); opaque to the journal
+///   meta, log runs, compaction snapshot); opaque to the journal
 #[derive(Debug)]
 pub struct Journal {
     store: Box<dyn JournalStore>,
-    /// Scratch the per-hop `n/<naplet-id>` keys are written into.
+    /// Scratch the per-hop `n/<naplet-id>` and per-entry `r/…` keys are
+    /// written into.
     key: String,
 }
 
@@ -344,11 +345,11 @@ impl Journal {
         }
     }
 
-    /// `n/<id>`, written over the scratch: these keys are built five
-    /// times per stay.
-    fn naplet_key_in<'k>(scratch: &'k mut String, id: &NapletId) -> &'k str {
+    /// `key`, written over the scratch: `n/<id>` is built five times per
+    /// stay, and a replica journals `r/…` records per log append.
+    fn key_in<'k>(scratch: &'k mut String, key: fmt::Arguments) -> &'k str {
         scratch.clear();
-        let _ = write!(scratch, "n/{id}");
+        let _ = scratch.write_fmt(key);
         scratch
     }
 
@@ -380,13 +381,15 @@ impl Journal {
         let record = (image, phase, now);
         let mut buf = Vec::with_capacity(codec::encoded_size(&record)? as usize);
         codec::to_bytes_into(&record, &mut buf)?;
-        self.store.put(Self::naplet_key_in(&mut self.key, id), &buf)
+        let key = Self::key_in(&mut self.key, format_args!("n/{id}"));
+        self.store.put(key, &buf)
     }
 
     /// Retire a naplet record: the agent is durably someone else's
     /// responsibility (acked away) or its journey ended here.
     pub fn retire(&mut self, id: &NapletId) -> Result<()> {
-        self.store.remove(Self::naplet_key_in(&mut self.key, id))
+        let key = Self::key_in(&mut self.key, format_args!("n/{id}"));
+        self.store.remove(key)
     }
 
     /// The keys under `prefix`, sorted (none when the store cannot be
@@ -491,10 +494,12 @@ impl Journal {
 
     /// Durably write a consensus record under `r/<suffix>`. The
     /// replicated directory ([`crate::repl`]) persists its term/vote
-    /// meta, log entries and snapshots here; the journal treats the
-    /// bytes as opaque.
-    pub fn put_repl(&mut self, suffix: &str, bytes: &[u8]) -> Result<()> {
-        self.store.put(&format!("r/{suffix}"), bytes)
+    /// meta, log runs and snapshots here; the journal treats the bytes
+    /// as opaque. The suffix is formatted straight into the key scratch
+    /// (`format_args!("e/{first:016x}")` allocates nothing).
+    pub fn put_repl(&mut self, suffix: impl fmt::Display, bytes: &[u8]) -> Result<()> {
+        let key = Self::key_in(&mut self.key, format_args!("r/{suffix}"));
+        self.store.put(key, bytes)
     }
 
     /// Read the consensus record under `r/<suffix>`, if any.
@@ -503,8 +508,9 @@ impl Journal {
     }
 
     /// Remove the consensus record under `r/<suffix>`.
-    pub fn remove_repl(&mut self, suffix: &str) -> Result<()> {
-        self.store.remove(&format!("r/{suffix}"))
+    pub fn remove_repl(&mut self, suffix: impl fmt::Display) -> Result<()> {
+        let key = Self::key_in(&mut self.key, format_args!("r/{suffix}"));
+        self.store.remove(key)
     }
 
     /// All consensus-record suffixes, sorted (recovery scan).

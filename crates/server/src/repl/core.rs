@@ -1,12 +1,13 @@
 //! The deterministic consensus state machine (see module docs in
 //! [`crate::repl`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use naplet_core::clock::Millis;
 use naplet_core::codec;
+use naplet_core::id::NapletId;
 
-use crate::directory::NapletDirectory;
+use crate::directory::{DirEntry, NapletDirectory};
 use crate::journal::Journal;
 
 use super::{host_hash, DirOp, ReplConfig, ReplEntry, ReplMsg, ReplNote};
@@ -70,6 +71,13 @@ pub struct ReplicaCore {
     log: Vec<ReplEntry>,
     snap_base: u64,
     snap_term: u64,
+    /// First index of every `r/e/{first:016x}` record in the journal,
+    /// ascending. A record is one run of the log: a leader's proposal,
+    /// or the entries one accepted `Append` added. It answers for its
+    /// indices up to the next record's first (see [`recover_log`]).
+    runs: Vec<u64>,
+    /// Encode scratch for journal records.
+    buf: Vec<u8>,
     // volatile
     role: Role,
     leader: Option<String>,
@@ -91,13 +99,11 @@ pub struct ReplicaCore {
     next_heartbeat: Millis,
     idle_streak: u32,
     suspended: bool,
+    /// When this leadership proposed each entry not yet applied, for
+    /// the commit lag. Dropped on stepping down: another leader's entry
+    /// may take the index.
     propose_at: BTreeMap<u64, Millis>,
-    /// Tombstones: id → log index of its committed `Remove`. A
-    /// `Register` that commits after the agent was deregistered (a
-    /// straggling retry that outlived its journey) applies as a no-op,
-    /// so a finished agent can never resurrect in the directory. Pure
-    /// function of the applied log — identical on every replica.
-    removed: BTreeMap<String, u64>,
+    removed: Tombstones,
     /// The committed directory: every applied `DirOp`'s outcome.
     pub state: NapletDirectory,
 }
@@ -105,55 +111,136 @@ pub struct ReplicaCore {
 /// How many deregistration tombstones to retain (oldest pruned first).
 const TOMBSTONE_KEEP: usize = 512;
 
+/// The compaction record `r/snap`: base index, its term, the directory
+/// state sorted by id, and the tombstones oldest first as `(id text,
+/// index)`. [`ReplicaCore::persist_snapshot`] encodes the same tuple
+/// from borrowed parts.
+type SnapshotRecord = (u64, u64, Vec<(NapletId, DirEntry)>, Vec<(String, u64)>);
+
+/// Deregistration tombstones: the newest [`TOMBSTONE_KEEP`] committed
+/// `Remove`s, each with its log index. A `Register` that commits after
+/// the agent was deregistered (a straggling retry that outlived its
+/// journey) applies as a no-op, so a finished agent can never resurrect
+/// in the directory. Pure function of the applied log — identical on
+/// every replica.
+#[derive(Debug, Default)]
+struct Tombstones {
+    /// Membership, asked by every applied `Register`.
+    by_id: HashMap<NapletId, u64>,
+    /// The same window oldest first, for pruning, with each id's text
+    /// (its key in a snapshot) written once, when it is tombstoned.
+    by_index: BTreeMap<u64, (NapletId, String)>,
+}
+
+impl Tombstones {
+    /// The window a snapshot carries.
+    fn install(image: Vec<(String, u64)>) -> Tombstones {
+        let mut window = Tombstones::default();
+        for (text, index) in image {
+            if let Ok(id) = text.parse::<NapletId>() {
+                window.by_id.insert(id.clone(), index);
+                window.by_index.insert(index, (id, text));
+            }
+        }
+        window
+    }
+
+    fn contains(&self, id: &NapletId) -> bool {
+        self.by_id.contains_key(id)
+    }
+
+    /// Tombstone `id` by its `Remove` at `index`: an id removed again
+    /// moves to the newest slot, and the oldest beyond the window go.
+    fn insert(&mut self, id: &NapletId, index: u64) {
+        let moved = match self.by_id.insert(id.clone(), index) {
+            Some(old) => self.by_index.remove(&old).map(|(_, text)| text),
+            None => None,
+        };
+        let text = moved.unwrap_or_else(|| id.to_string());
+        self.by_index.insert(index, (id.clone(), text));
+        while self.by_index.len() > TOMBSTONE_KEEP {
+            if let Some((_, (gone, _))) = self.by_index.pop_first() {
+                self.by_id.remove(&gone);
+            }
+        }
+    }
+
+    /// The window oldest first, borrowed for a snapshot.
+    fn image(&self) -> Vec<(&str, u64)> {
+        let window = self.by_index.iter();
+        window
+            .map(|(index, (_, text))| (text.as_str(), *index))
+            .collect()
+    }
+}
+
+/// `peer`'s slot in a per-peer table, created on its first touch: the
+/// key is allocated once per peer, not once per reply.
+fn slot<'t, V>(table: &'t mut BTreeMap<String, V>, peer: &str, new: V) -> &'t mut V {
+    if !table.contains_key(peer) {
+        table.insert(peer.to_string(), new);
+    }
+    table.get_mut(peer).expect("inserted above")
+}
+
+/// The log a journal holds above `snap_base`, and the first index of
+/// every `e/` record in it. Records are read in index order; each one
+/// answers from its first index on, over whatever an earlier record
+/// held there, so a crash between writing a run and dropping what it
+/// replaced reads as one side or the other. Stragglers wholly at or
+/// below the base add nothing. A record that starts past the end of
+/// the log so far, or does not decode, is a gap: the torn tail beyond
+/// it is unreachable, and is listed only so the next run written below
+/// it removes it.
+fn recover_log(journal: &Journal, snap_base: u64) -> (Vec<ReplEntry>, Vec<u64>) {
+    let mut log: Vec<ReplEntry> = Vec::new();
+    let mut runs = Vec::new();
+    let mut torn = false;
+    for key in journal.repl_keys() {
+        let first = key
+            .strip_prefix("e/")
+            .map(|hex| u64::from_str_radix(hex, 16));
+        let Some(Ok(first)) = first else { continue };
+        runs.push(first);
+        let next = snap_base + 1 + log.len() as u64;
+        let run = journal.get_repl(&key);
+        match run.and_then(|b| codec::from_bytes::<Vec<ReplEntry>>(&b).ok()) {
+            Some(run) if !torn && first <= next => {
+                let from = first.max(snap_base + 1);
+                let skip = (from - first) as usize;
+                if skip < run.len() {
+                    log.truncate((from - snap_base - 1) as usize);
+                    log.extend(run.into_iter().skip(skip));
+                }
+            }
+            _ => torn = true,
+        }
+    }
+    (log, runs)
+}
+
 impl ReplicaCore {
     /// Build (or recover) the replica for `host`, replaying any
     /// journaled consensus records: term/vote meta, the compaction
-    /// snapshot, and log entries above it.
+    /// snapshot, and the log runs above it.
     pub fn recover(host: &str, cfg: ReplConfig, journal: &Journal) -> ReplicaCore {
         let (term, voted_for) = journal
             .get_repl("meta")
             .and_then(|b| codec::from_bytes::<(u64, Option<String>)>(&b).ok())
             .unwrap_or((0, None));
         let mut state = NapletDirectory::new();
-        let mut removed = BTreeMap::new();
-        let (snap_base, snap_term) = match journal.get_repl("snap").and_then(|b| {
-            codec::from_bytes::<(
-                u64,
-                u64,
-                Vec<(naplet_core::id::NapletId, crate::directory::DirEntry)>,
-                Vec<(String, u64)>,
-            )>(&b)
-            .ok()
-        }) {
-            Some((base, t, entries, tombs)) => {
-                state.install(entries);
-                removed = tombs.into_iter().collect();
-                (base, t)
-            }
-            None => (0, 0),
-        };
-        let mut numbered: Vec<(u64, ReplEntry)> = journal
-            .repl_keys()
-            .iter()
-            .filter_map(|k| {
-                let idx = u64::from_str_radix(k.strip_prefix("e/")?, 16).ok()?;
-                let entry = codec::from_bytes::<ReplEntry>(&journal.get_repl(k)?).ok()?;
-                Some((idx, entry))
-            })
-            .collect();
-        numbered.sort_by_key(|(i, _)| *i);
-        let mut log = Vec::with_capacity(numbered.len());
-        let mut expect = snap_base + 1;
-        for (idx, entry) in numbered {
-            if idx < expect {
-                continue; // compacted stragglers below the snapshot
-            }
-            if idx != expect {
-                break; // gap: a torn tail is unreachable, drop it
-            }
-            log.push(entry);
-            expect += 1;
-        }
+        let mut removed = Tombstones::default();
+        let snapshot = journal.get_repl("snap");
+        let (snap_base, snap_term) =
+            match snapshot.and_then(|b| codec::from_bytes::<SnapshotRecord>(&b).ok()) {
+                Some((base, t, entries, tombs)) => {
+                    state.install(entries);
+                    removed = Tombstones::install(tombs);
+                    (base, t)
+                }
+                None => (0, 0),
+            };
+        let (log, runs) = recover_log(journal, snap_base);
         let offset = host_hash(host) % cfg.election_ms.max(1);
         ReplicaCore {
             host: host.to_string(),
@@ -164,6 +251,8 @@ impl ReplicaCore {
             log,
             snap_base,
             snap_term,
+            runs,
+            buf: Vec::new(),
             role: Role::Follower,
             leader: None,
             lease_until: Millis(0),
@@ -247,16 +336,43 @@ impl ReplicaCore {
         self.cfg.election_ms + host_hash(&self.host) % self.cfg.election_ms.max(1)
     }
 
-    fn persist_meta(&self, journal: &mut Journal) {
-        if let Ok(bytes) = codec::to_bytes(&(self.term, self.voted_for.clone())) {
-            let _ = journal.put_repl("meta", &bytes);
+    fn persist_meta(&mut self, journal: &mut Journal) {
+        let meta = (self.term, self.voted_for.as_deref());
+        if codec::to_bytes_into(&meta, &mut self.buf).is_ok() {
+            let _ = journal.put_repl("meta", &self.buf);
         }
     }
 
-    fn persist_entry(&self, journal: &mut Journal, index: u64) {
-        let entry = &self.log[(index - self.snap_base - 1) as usize];
-        if let Ok(bytes) = codec::to_bytes(entry) {
-            let _ = journal.put_repl(&format!("e/{index:016x}"), &bytes);
+    /// Journal the log from `first` to its end as one record,
+    /// `r/e/{first:016x}`: a proposal, the entries an `Append` added, or
+    /// a run cut back to where the log now ends. Records listed past
+    /// `first` go first — a conflicting tail, or debris beyond a gap
+    /// recovery stopped at — so no stale run outlives the log it
+    /// contradicts.
+    fn journal_run(&mut self, first: u64, journal: &mut Journal) {
+        while let Some(stale) = self.runs.pop_if(|run| *run > first) {
+            let _ = journal.remove_repl(format_args!("e/{stale:016x}"));
+        }
+        if self.runs.last() != Some(&first) {
+            self.runs.push(first);
+        }
+        let run = &self.log[(first - self.snap_base - 1) as usize..];
+        if codec::to_bytes_into(run, &mut self.buf).is_ok() {
+            let _ = journal.put_repl(format_args!("e/{first:016x}"), &self.buf);
+        }
+    }
+
+    /// The log was cut back to end before `cut`, a conflicting tail.
+    /// The record holding `cut` is rewritten to end there too (from the
+    /// snapshot base, when it started below it); one starting at `cut`
+    /// is left for the new run to overwrite.
+    fn cut_journal(&mut self, cut: u64, journal: &mut Journal) {
+        let holders = &self.runs[..self.runs.partition_point(|run| *run <= cut)];
+        if let Some(&held) = holders.last() {
+            let from = held.max(self.snap_base + 1);
+            if from < cut {
+                self.journal_run(from, journal);
+            }
         }
     }
 
@@ -269,6 +385,9 @@ impl ReplicaCore {
         }
         self.leader = None;
         self.votes.clear();
+        // what this leadership proposed may be overwritten by another
+        // leader's entry at the same index: no lag is ours to report
+        self.propose_at.clear();
         self.persist_meta(journal);
     }
 
@@ -314,7 +433,7 @@ impl ReplicaCore {
             op,
         });
         let index = self.last_index();
-        self.persist_entry(journal, index);
+        self.journal_run(index, journal);
         self.propose_at.insert(index, now);
         if self.cfg.replicas.len() == 1 {
             self.advance_commit(now, journal, &mut out);
@@ -325,9 +444,11 @@ impl ReplicaCore {
             // cadence is deliberately NOT pushed out here: it is the
             // loss-recovery path, and a steady proposal stream must not
             // be able to defer it forever.
-            for peer in self.cfg.replicas.clone() {
-                if peer != self.host && self.inflight.get(&peer).copied().unwrap_or(0) == 0 {
-                    self.send_append(&peer, false, &mut out);
+            for peer in self.cfg.replicas.iter().filter(|p| **p != self.host) {
+                if self.inflight.get(peer).is_none_or(|n| *n == 0) {
+                    let msg = self.append_for(peer, false);
+                    *slot(&mut self.inflight, peer, 0) += 1;
+                    out.msgs.push((peer.clone(), msg));
                 }
             }
         }
@@ -414,7 +535,7 @@ impl ReplicaCore {
             term: self.term,
             op: DirOp::Noop,
         });
-        self.persist_entry(journal, self.last_index());
+        self.journal_run(self.last_index(), journal);
         if self.cfg.replicas.len() == 1 {
             self.advance_commit(now, journal, out);
         } else {
@@ -426,13 +547,14 @@ impl ReplicaCore {
     fn append_for(&self, peer: &str, idle: bool) -> ReplMsg {
         let ni = self.next_index.get(peer).copied().unwrap_or(1).max(1);
         if ni <= self.snap_base {
+            let removed = self.removed.image().into_iter();
             return ReplMsg::Snapshot {
                 term: self.term,
                 leader: self.host.clone(),
                 last_index: self.snap_base,
                 last_term: self.snap_term,
                 state: self.state.entries(),
-                removed: self.removed.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+                removed: removed.map(|(id, index)| (id.to_string(), index)).collect(),
             };
         }
         let prev_index = ni - 1;
@@ -452,19 +574,17 @@ impl ReplicaCore {
     /// Emit one append (or snapshot) to `peer` and count it in flight.
     fn send_append(&mut self, peer: &str, idle: bool, out: &mut ReplOut) {
         let msg = self.append_for(peer, idle);
-        *self.inflight.entry(peer.to_string()).or_insert(0) += 1;
+        *slot(&mut self.inflight, peer, 0) += 1;
         out.msgs.push((peer.to_string(), msg));
     }
 
     fn broadcast_appends(&mut self, idle: bool, out: &mut ReplOut) {
-        for peer in self.cfg.replicas.clone() {
-            if peer != self.host {
-                // a heartbeat supersedes whatever was in flight: if a
-                // reply was lost, this is what un-wedges the window
-                let msg = self.append_for(&peer, idle);
-                self.inflight.insert(peer.clone(), 1);
-                out.msgs.push((peer, msg));
-            }
+        for peer in self.cfg.replicas.iter().filter(|p| **p != self.host) {
+            // a heartbeat supersedes whatever was in flight: if a reply
+            // was lost, this is what un-wedges the window
+            let msg = self.append_for(peer, idle);
+            *slot(&mut self.inflight, peer, 0) = 1;
+            out.msgs.push((peer.clone(), msg));
         }
     }
 
@@ -593,6 +713,7 @@ impl ReplicaCore {
                     }
                 } else {
                     let mut idx = prev_index;
+                    let mut added = None;
                     for entry in entries {
                         idx += 1;
                         if idx <= self.last_index() {
@@ -600,13 +721,15 @@ impl ReplicaCore {
                                 continue; // already have it
                             }
                             // conflict: truncate our tail, journal too
-                            for gone in idx..=self.last_index() {
-                                let _ = journal.remove_repl(&format!("e/{gone:016x}"));
-                            }
                             self.log.truncate((idx - self.snap_base - 1) as usize);
+                            self.cut_journal(idx, journal);
                         }
+                        added.get_or_insert(idx);
                         self.log.push(entry);
-                        self.persist_entry(journal, idx);
+                    }
+                    // what this append added is one journal record
+                    if let Some(first) = added {
+                        self.journal_run(first, journal);
                     }
                     let new_commit = commit.min(self.last_index());
                     if new_commit > self.commit {
@@ -644,10 +767,10 @@ impl ReplicaCore {
                     return out;
                 }
                 if ok {
-                    let m = self.match_index.entry(from.to_string()).or_insert(0);
+                    let m = slot(&mut self.match_index, from, 0);
                     let advanced = match_index > *m;
                     *m = (*m).max(match_index);
-                    self.next_index.insert(from.to_string(), match_index + 1);
+                    *slot(&mut self.next_index, from, 0) = match_index + 1;
                     if advanced {
                         self.advance_commit(now, journal, &mut out);
                     }
@@ -659,7 +782,7 @@ impl ReplicaCore {
                     }
                 } else {
                     self.wake(now, &mut out);
-                    let ni = self.next_index.entry(from.to_string()).or_insert(1);
+                    let ni = slot(&mut self.next_index, from, 1);
                     *ni = (*ni - 1).clamp(1, match_index + 1);
                     self.send_append(from, false, &mut out);
                 }
@@ -690,12 +813,13 @@ impl ReplicaCore {
                 self.lease_until = Millis(now.0 + self.cfg.lease_ms);
                 self.election_due = Millis(now.0 + self.election_timeout());
                 if last_index > self.commit {
-                    for gone in (self.snap_base + 1)..=self.last_index() {
-                        let _ = journal.remove_repl(&format!("e/{gone:016x}"));
+                    for run in self.runs.drain(..) {
+                        let _ = journal.remove_repl(format_args!("e/{run:016x}"));
                     }
                     self.log.clear();
                     self.state.install(state);
-                    self.removed = removed.into_iter().collect();
+                    self.removed = Tombstones::install(removed);
+                    self.propose_at = self.propose_at.split_off(&(last_index + 1));
                     self.snap_base = last_index;
                     self.snap_term = last_term;
                     self.commit = last_index;
@@ -721,8 +845,8 @@ impl ReplicaCore {
                     return out;
                 }
                 if self.role == Role::Leader && term == self.term {
-                    self.match_index.insert(from.to_string(), last_index);
-                    self.next_index.insert(from.to_string(), last_index + 1);
+                    *slot(&mut self.match_index, from, 0) = last_index;
+                    *slot(&mut self.next_index, from, 0) = last_index + 1;
                     self.wake(now, &mut out);
                     if last_index < self.last_index() {
                         self.send_append(from, false, &mut out);
@@ -775,7 +899,7 @@ impl ReplicaCore {
                     event,
                     at,
                 } => {
-                    if self.removed.contains_key(&id.to_string()) {
+                    if self.removed.contains(id) {
                         // straggling retry of a deregistered agent:
                         // apply (and surface) nothing — resurrection
                         // would leave permanent garbage in the state
@@ -785,16 +909,7 @@ impl ReplicaCore {
                 }
                 DirOp::Remove { id } => {
                     self.state.remove(id);
-                    self.removed.insert(id.to_string(), idx);
-                    if self.removed.len() > TOMBSTONE_KEEP {
-                        // prune the oldest removals (smallest index)
-                        let mut aged: Vec<(u64, String)> =
-                            self.removed.iter().map(|(k, v)| (*v, k.clone())).collect();
-                        aged.sort();
-                        for (_, k) in aged.iter().take(aged.len() - TOMBSTONE_KEEP) {
-                            self.removed.remove(k);
-                        }
-                    }
+                    self.removed.insert(id, idx);
                 }
                 DirOp::Noop => {}
             }
@@ -829,25 +944,35 @@ impl ReplicaCore {
         if new_base <= self.snap_base || new_base - self.snap_base <= self.cfg.snapshot_keep {
             return;
         }
-        for gone in (self.snap_base + 1)..=new_base {
-            let _ = journal.remove_repl(&format!("e/{gone:016x}"));
-        }
+        // the runs wholly at or below the new base go; one that runs on
+        // past it stays, recovery skipping its compacted head
+        let last = self.last_index();
+        let end = |i: usize| self.runs.get(i + 1).map_or(last, |next| next - 1);
+        let below = (0..self.runs.len())
+            .take_while(|i| end(*i) <= new_base)
+            .count();
         self.snap_term = self.term_at(new_base);
         self.log.drain(..(new_base - self.snap_base) as usize);
         self.snap_base = new_base;
+        // the snapshot first: a crash before the runs under it are gone
+        // leaves stragglers recovery skips, never a hole in the log
         self.persist_snapshot(journal);
+        for run in self.runs.drain(..below) {
+            let _ = journal.remove_repl(format_args!("e/{run:016x}"));
+        }
     }
 
-    fn persist_snapshot(&self, journal: &mut Journal) {
-        let removed: Vec<(String, u64)> =
-            self.removed.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        if let Ok(bytes) = codec::to_bytes(&(
+    /// Journal the compaction record: one walk over the state and the
+    /// tombstones, encoded from borrowed parts (a [`SnapshotRecord`]).
+    fn persist_snapshot(&mut self, journal: &mut Journal) {
+        let image = (
             self.snap_base,
             self.snap_term,
-            self.state.entries(),
-            removed,
-        )) {
-            let _ = journal.put_repl("snap", &bytes);
+            self.state.sorted(),
+            self.removed.image(),
+        );
+        if codec::to_bytes_into(&image, &mut self.buf).is_ok() {
+            let _ = journal.put_repl("snap", &self.buf);
         }
     }
 }
@@ -1266,5 +1391,212 @@ mod tests {
             .iter()
             .any(|(_, op, _)| matches!(op, DirOp::Register { .. })));
         assert!(core.state.lookup(&nid(1)).is_some());
+    }
+
+    /// Registration of `nid(k)` at `s{k}`, appended in `term`.
+    fn reg(k: u64, term: u64) -> ReplEntry {
+        let id = nid(k);
+        let (host, event, at) = (format!("s{k}"), DirEvent::Arrival, Millis(k));
+        let op = DirOp::Register {
+            id,
+            host,
+            event,
+            at,
+        };
+        ReplEntry { term, op }
+    }
+
+    /// A replica of the three-host set over a fresh journal.
+    fn replica(host: &str, snapshot_keep: u64) -> (ReplicaCore, Journal) {
+        let replicas = HOSTS.iter().map(|h| h.to_string()).collect();
+        let cfg = ReplConfig {
+            snapshot_keep,
+            ..ReplConfig::new(replicas)
+        };
+        let journal = Journal::in_memory();
+        (ReplicaCore::recover(host, cfg, &journal), journal)
+    }
+
+    /// `leader`'s `Append` in `term` of `entries` after `prev_index`
+    /// (of `prev_term`), committing through `commit`.
+    fn append(
+        (core, journal): (&mut ReplicaCore, &mut Journal),
+        (term, leader): (u64, &str),
+        (prev_index, prev_term): (u64, u64),
+        entries: Vec<ReplEntry>,
+        commit: u64,
+    ) -> ReplOut {
+        let msg = ReplMsg::Append {
+            term,
+            leader: leader.to_string(),
+            prev_index,
+            prev_term,
+            entries,
+            commit,
+            idle: false,
+        };
+        core.receive(Millis(3_000), leader, msg, journal)
+    }
+
+    /// The `r/e/` records: first index and how many entries each holds.
+    fn runs(journal: &Journal) -> Vec<(u64, usize)> {
+        let keys = journal.repl_keys().into_iter();
+        let runs = keys.filter_map(|key| {
+            let first = u64::from_str_radix(key.strip_prefix("e/")?, 16).ok()?;
+            let run = codec::from_bytes::<Vec<ReplEntry>>(&journal.get_repl(&key)?).ok()?;
+            Some((first, run.len()))
+        });
+        runs.collect()
+    }
+
+    /// What a restart rebuilds from the journal alone.
+    fn restart(core: &ReplicaCore, journal: &Journal) -> ReplicaCore {
+        ReplicaCore::recover(core.host(), core.config().clone(), journal)
+    }
+
+    #[test]
+    fn an_accepted_append_is_one_record_and_a_conflict_cuts_the_one_holding_it() {
+        let (mut d1, mut journal) = replica("d1", 64);
+        let batch = (1..=4).map(|k| reg(k, 1)).collect();
+        append((&mut d1, &mut journal), (1, "d0"), (0, 0), batch, 1);
+        assert_eq!(runs(&journal), [(1, 4)], "four entries, one record");
+        // d2 leads term 2 with another entry at 3: the cut falls inside
+        // record 1, which is rewritten to end at 2
+        append(
+            (&mut d1, &mut journal),
+            (2, "d2"),
+            (2, 1),
+            vec![reg(5, 2)],
+            2,
+        );
+        assert_eq!(runs(&journal), [(1, 2), (3, 1)]);
+        assert_eq!(d1.last_index(), 3);
+        let back = restart(&d1, &journal);
+        assert_eq!((back.log, back.runs), (d1.log.clone(), d1.runs.clone()));
+    }
+
+    #[test]
+    fn a_compaction_keeps_a_run_it_cuts_through_and_its_record_decodes_as_recover_reads_it() {
+        let (mut d1, mut journal) = replica("d1", 2);
+        let mut batch: Vec<ReplEntry> = (1..=5).map(|k| reg(k, 1)).collect();
+        batch[2].op = DirOp::Remove { id: nid(1) };
+        append((&mut d1, &mut journal), (1, "d0"), (0, 0), batch, 3);
+        // applied through 3, so compacted there: the run 1..=5 goes on
+        // past the base and stays
+        assert_eq!(d1.snap_base, 3);
+        assert_eq!(runs(&journal), [(1, 5)]);
+        let snap = journal.get_repl("snap").expect("a compaction record");
+        let (base, term, state, tombs) = codec::from_bytes::<SnapshotRecord>(&snap).unwrap();
+        assert_eq!((base, term), (3, 1));
+        assert_eq!(state, d1.state.entries());
+        assert_eq!(tombs, [(nid(1).to_string(), 3)]);
+        let back = restart(&d1, &journal);
+        assert_eq!((back.snap_base, back.last_index()), (3, 5));
+        assert_eq!(back.log, d1.log, "the run's head below the base is skipped");
+        assert_eq!(back.state.entries(), d1.state.entries());
+        // the next compaction, through 7, takes both runs whole
+        let more = vec![reg(6, 1), reg(7, 1)];
+        append((&mut d1, &mut journal), (1, "d0"), (5, 1), more, 7);
+        assert_eq!(d1.snap_base, 7);
+        assert!(runs(&journal).is_empty());
+        let back = restart(&d1, &journal);
+        assert_eq!((back.snap_base, back.last_index()), (7, 7));
+    }
+
+    #[test]
+    fn recovery_stops_at_a_missing_record_and_the_next_run_clears_the_tail_beyond() {
+        let (mut d1, mut journal) = replica("d1", 64);
+        let mut prev = 0;
+        for run in [
+            vec![reg(1, 1), reg(2, 1)],
+            vec![reg(3, 1), reg(4, 1)],
+            vec![reg(5, 1)],
+        ] {
+            let added = run.len() as u64;
+            append((&mut d1, &mut journal), (1, "d0"), (prev, 1), run, 0);
+            prev += added;
+        }
+        assert_eq!(runs(&journal), [(1, 2), (3, 2), (5, 1)]);
+        journal.remove_repl("e/0000000000000003").unwrap();
+        let mut back = restart(&d1, &journal);
+        assert_eq!(back.last_index(), 2, "the run stops at the gap");
+        assert_eq!(back.log, d1.log[..2]);
+        // the leader fills the gap anew: record 5 beyond it is debris
+        let refill = vec![reg(13, 1), reg(14, 1)];
+        append((&mut back, &mut journal), (1, "d0"), (2, 1), refill, 0);
+        assert_eq!(runs(&journal), [(1, 2), (3, 2)]);
+        assert_eq!(restart(&back, &journal).log, back.log);
+    }
+
+    #[test]
+    fn a_deposed_leader_reports_no_lag_for_another_leaders_entry() {
+        let (mut d0, mut journal) = replica("d0", 64);
+        d0.tick(Millis(2_000), &mut journal);
+        let vote = ReplMsg::VoteReply {
+            term: 1,
+            granted: true,
+        };
+        d0.receive(Millis(2_001), "d1", vote, &mut journal);
+        assert!(d0.is_leader(), "d0 leads term 1, its no-op at 1");
+        let (index, _) = d0.propose(reg(1, 1).op, Millis(2_002), &mut journal);
+        assert_eq!(index, Some(2));
+        // deposed before index 2 commits: d2's term-2 log takes indices
+        // 1 and 2 and commits them
+        let noop = ReplEntry {
+            term: 2,
+            op: DirOp::Noop,
+        };
+        let theirs = vec![noop, reg(9, 2)];
+        let out = append((&mut d0, &mut journal), (2, "d2"), (0, 0), theirs, 2);
+        assert!(!d0.is_leader());
+        let committed: Vec<(u64, Option<u64>)> =
+            out.committed.iter().map(|(i, _, lag)| (*i, *lag)).collect();
+        assert_eq!(committed, [(1, None), (2, None)], "d0 proposed neither");
+        assert_eq!(
+            d0.state.lookup(&nid(9)).map(|e| e.host.as_str()),
+            Some("s9")
+        );
+    }
+
+    #[test]
+    fn the_tombstone_window_is_the_newest_removals_and_survives_recovery() {
+        let journal = Journal::in_memory();
+        let cfg = ReplConfig {
+            snapshot_keep: 0, // a snapshot at every commit
+            ..ReplConfig::new(vec!["solo".into()])
+        };
+        let mut core = ReplicaCore::recover("solo", cfg, &journal);
+        let mut journal = journal;
+        core.tick(Millis(2_000), &mut journal);
+        assert!(core.is_leader());
+        let mut remove = |core: &mut ReplicaCore, k: u64| {
+            let op = DirOp::Remove { id: nid(k) };
+            core.propose(op, Millis(2_001), &mut journal).1
+        };
+        let keep = TOMBSTONE_KEEP as u64;
+        for k in 0..keep + 100 {
+            remove(&mut core, k);
+        }
+        let window = |core: &ReplicaCore| -> Vec<String> {
+            let image = core.removed.image().into_iter();
+            image.map(|(id, _)| id.to_string()).collect()
+        };
+        let newest: Vec<String> = (100..keep + 100).map(|k| nid(k).to_string()).collect();
+        assert_eq!(window(&core), newest, "exactly the newest, oldest first");
+        // removed again: the id moves to the newest slot, once
+        remove(&mut core, 200);
+        let mut refreshed = newest.clone();
+        refreshed.retain(|id| *id != nid(200).to_string());
+        refreshed.push(nid(200).to_string());
+        assert_eq!(window(&core), refreshed);
+        assert_eq!(core.removed.by_id.len(), TOMBSTONE_KEEP);
+        // a straggling registration of a tombstoned id applies as nothing
+        let (index, out) = core.propose(reg(300, 1).op, Millis(2_002), &mut journal);
+        assert!(index.is_some() && out.committed.is_empty());
+        assert!(core.state.lookup(&nid(300)).is_none());
+        // the persisted snapshot restores the same window in its order
+        let back = ReplicaCore::recover("solo", core.config().clone(), &journal);
+        assert_eq!(back.removed.image(), core.removed.image());
+        assert!(back.removed.contains(&nid(300)) && !back.removed.contains(&nid(99)));
     }
 }

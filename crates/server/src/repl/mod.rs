@@ -7,8 +7,9 @@
 //!
 //! * **Roles & terms** — each replica is a follower, candidate or
 //!   leader in a monotonically increasing *term*. `(term, voted_for)`
-//!   and every log entry are journaled (`r/…` keys) before they are
-//!   acted on, so a crashed replica rejoins with its promises intact.
+//!   and every log entry — one record per proposal or accepted append —
+//!   are journaled (`r/…` keys) before they are acted on, so a crashed
+//!   replica rejoins with its promises intact.
 //! * **Leader lease** — heartbeats renew a follower-side lease on the
 //!   current leader; while the lease is fresh a follower refuses vote
 //!   requests from third parties, so a partitioned replica cannot
@@ -179,8 +180,8 @@ pub enum ReplMsg {
         last_term: u64,
         /// The directory state at `last_index`, sorted by id.
         state: Vec<(NapletId, DirEntry)>,
-        /// Deregistration tombstones live at `last_index`, sorted by
-        /// id: late re-registrations of a finished agent stay dead
+        /// Deregistration tombstones live at `last_index`, oldest
+        /// first: late re-registrations of a finished agent stay dead
         /// even on a replica that catches up via snapshot.
         removed: Vec<(String, u64)>,
     },
