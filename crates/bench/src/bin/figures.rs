@@ -170,7 +170,7 @@ fn fig_f2() {
     rt.run_to_quiescence(1_000_000);
     for host in rt.server_hosts() {
         let server = rt.server(&host).unwrap();
-        for entry in &server.log {
+        for entry in server.log() {
             println!("  [{:>5}] {:<5} {}", entry.at.0, host, entry.line);
         }
     }

@@ -4,9 +4,13 @@
 //! `handle(now, Input) -> Vec<Output>`. A driver (the discrete-event
 //! [`crate::runtime::SimRuntime`], or the wall-clock
 //! [`crate::node::Node`]) turns `Output`s into fabric transfers and
-//! scheduled local events. Everything that
-//! crosses a link is a [`Wire`] value, codec-encoded into a
-//! `naplet_net::Frame` so byte counts are exact.
+//! scheduled local events. Inside a server, every component emits into
+//! one [`Outbox`] — the only place, outside the two drivers, that an
+//! `Output` is built. Everything that crosses a link is a [`Wire`]
+//! value, codec-encoded into a `naplet_net::Frame` so byte counts are
+//! exact.
+
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -17,6 +21,7 @@ use naplet_core::message::Message;
 use naplet_core::naplet::SharedNaplet;
 use naplet_core::value::Value;
 use naplet_net::TrafficClass;
+use naplet_obs::{ObsSink, TraceKind};
 
 use crate::directory::DirEvent;
 use crate::manager::NapletStatus;
@@ -551,6 +556,132 @@ impl<'a> IntoIterator for &'a EventLog {
 
     fn into_iter(self) -> Self::IntoIter {
         self.ring.iter()
+    }
+}
+
+/// Ring capacity of a server's event log; the oldest lines are evicted
+/// (and counted) beyond this.
+const LOG_CAPACITY: usize = 4096;
+
+/// Everything one call into a server emits, in the order it happens:
+/// frames and timers for the driver, log lines, metrics and trace
+/// events, stamped with the clock reading and the host the call runs
+/// at. The server owns one and hands it `&mut` to every component
+/// transition it runs, so a component sends its own frames with their
+/// timers and records its own observations; the server's entry points
+/// set the clock and [`take`](Outbox::take) the frames. Components are
+/// tested with an outbox and no server.
+#[derive(Debug)]
+pub struct Outbox {
+    now: Millis,
+    host: String,
+    out: Vec<Output>,
+    obs: ObsSink,
+    log: EventLog,
+}
+
+impl Outbox {
+    /// An empty outbox for `host`, recording into a private sink.
+    pub fn new(host: &str) -> Outbox {
+        Outbox {
+            now: Millis(0),
+            host: host.to_string(),
+            out: Vec::new(),
+            obs: ObsSink::default(),
+            log: EventLog::with_capacity(LOG_CAPACITY),
+        }
+    }
+
+    /// Set the clock: what follows happens at `now`.
+    pub fn at(&mut self, now: Millis) {
+        self.now = now;
+    }
+
+    /// The clock reading of the call.
+    pub fn now(&self) -> Millis {
+        self.now
+    }
+
+    /// The host the call runs at.
+    pub fn host(&self) -> &str {
+        &self.host
+    }
+
+    /// The frames, timers and fetches emitted so far, for the driver.
+    pub fn take(&mut self) -> Vec<Output> {
+        std::mem::take(&mut self.out)
+    }
+
+    /// Send `wire` to `to`.
+    pub fn send(&mut self, to: String, wire: Wire) {
+        self.out.push(Output::Send { to, wire });
+    }
+
+    /// Arm a timer: `event` comes due `delay_ms` from now.
+    pub fn after(&mut self, delay_ms: u64, event: LocalEvent) {
+        self.out.push(Output::Schedule { delay_ms, event });
+    }
+
+    /// Fetch `bytes` of code for `id` from `from`.
+    pub fn fetch_code(&mut self, from: String, bytes: u64, id: NapletId) {
+        self.out.push(Output::FetchCode { from, bytes, id });
+    }
+
+    /// Append a line to the event log.
+    pub fn log(&mut self, line: String) {
+        self.log.push(LogEntry { at: self.now, line });
+    }
+
+    /// Add `by` to counter `name`.
+    pub fn count(&self, name: &str, by: u64) {
+        self.obs.metrics.incr(name, by);
+    }
+
+    /// Record `value` into histogram `name` (bucketed by `bounds`).
+    pub fn observe(&self, name: &str, bounds: &[u64], value: u64) {
+        self.obs.metrics.observe(name, bounds, value);
+    }
+
+    /// Raise the high-water gauge `name` to `value`.
+    pub fn gauge(&self, name: &str, value: u64) {
+        self.obs.metrics.gauge_max(name, value);
+    }
+
+    /// A wall-clock reading to time a stretch of work by, taken only
+    /// while profiling is on (live daemons): the simulation's
+    /// deterministic exports never see one.
+    pub fn stopwatch(&self) -> Option<Instant> {
+        self.obs.profiling_enabled().then(Instant::now)
+    }
+
+    /// Record the microseconds since `started`, if a reading was taken,
+    /// into histogram `name`.
+    pub fn lap(&self, name: &str, started: Option<Instant>) {
+        if let Some(started) = started {
+            let us = started.elapsed().as_micros() as u64;
+            self.observe(name, naplet_obs::HANDLER_BOUNDS_US, us);
+        }
+    }
+
+    /// Record a trace event about `naplet`; `kind` runs only when some
+    /// consumer wants the event.
+    pub fn trace(&self, naplet: Option<&NapletId>, kind: impl FnOnce() -> TraceKind) {
+        self.obs.emit(self.now, &self.host, naplet, kind);
+    }
+
+    /// The observation sink the metrics and trace events go to.
+    pub fn obs(&self) -> &ObsSink {
+        &self.obs
+    }
+
+    /// Record into `obs` from now on.
+    pub fn set_obs(&mut self, obs: ObsSink) {
+        self.obs = obs;
+    }
+
+    /// The event log.
+    pub fn lines(&self) -> &EventLog {
+        &self.log
     }
 }
 

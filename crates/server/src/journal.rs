@@ -35,6 +35,7 @@
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -42,6 +43,9 @@ use naplet_core::clock::Millis;
 use naplet_core::itinerary::{ActionSpec, Cursor};
 use naplet_core::naplet::Naplet;
 use naplet_core::{codec, NapletError, NapletId, Result};
+use naplet_obs::{TraceKind, COUNT_BOUNDS};
+
+use crate::events::Outbox;
 
 /// Pluggable durable key/value backing for a [`Journal`].
 ///
@@ -262,6 +266,17 @@ pub enum JournalPhase {
     Parked,
 }
 
+impl JournalPhase {
+    /// Stable label of the phase for traces and logs.
+    pub fn label(&self) -> &'static str {
+        match self {
+            JournalPhase::InFlight { .. } => "in-flight",
+            JournalPhase::Resident { .. } => "resident",
+            JournalPhase::Parked => "parked",
+        }
+    }
+}
+
 /// One durable naplet record: the serialized agent plus its phase. On
 /// disk that is the length-prefixed raw image, then the phase, then the
 /// timestamp; [`Journal::record_naplet_bytes`] emits exactly this layout
@@ -390,6 +405,42 @@ impl Journal {
     pub fn retire(&mut self, id: &NapletId) -> Result<()> {
         let key = Self::key_in(&mut self.key, format_args!("n/{id}"));
         self.store.remove(key)
+    }
+
+    /// Record `id` from the `image` a caller holds (a handle's
+    /// `wire_bytes()`, or one walk of a resident) in `phase`, and
+    /// account for it in `out`. Every record the protocol writes comes
+    /// through here. A missing image or a refusing store is logged,
+    /// never raised: a degraded journal weakens durability, not the
+    /// live run.
+    pub fn put_naplet(
+        &mut self,
+        id: &NapletId,
+        image: Result<Arc<Vec<u8>>>,
+        phase: &JournalPhase,
+        out: &mut Outbox,
+    ) {
+        let now = out.now();
+        let written = image.and_then(|image| self.record_naplet_bytes(id, &image, phase, now));
+        if let Err(e) = written {
+            out.log(format!("JOURNAL write failed for {id}: {e}"));
+        }
+        let records = self.len() as u64;
+        out.observe("journal_records", COUNT_BOUNDS, records);
+        out.trace(Some(id), || TraceKind::JournalAppend {
+            phase: phase.label().to_string(),
+            records,
+        });
+    }
+
+    /// [`retire`](Self::retire) `id`'s record and trace the shrink in
+    /// `out` (a refusing store is logged).
+    pub fn retire_naplet(&mut self, id: &NapletId, out: &mut Outbox) {
+        if let Err(e) = self.retire(id) {
+            out.log(format!("JOURNAL retire failed for {id}: {e}"));
+        }
+        let records = self.len() as u64;
+        out.trace(Some(id), || TraceKind::JournalRetire { records });
     }
 
     /// The keys under `prefix`, sorted (none when the store cannot be

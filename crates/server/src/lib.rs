@@ -10,7 +10,9 @@
 //! ServiceChannels ([`service_channel`]), NapletManager ([`manager`]),
 //! Messenger ([`messenger`]), Navigator ([`navigator`]) and Locator
 //! ([`locator`]); plus the optional NapletDirectory ([`directory`]).
-//! [`server`] routes events between them and keeps the journal.
+//! [`server`] routes events between them and keeps the journal; the
+//! components send their own frames and timers and record their own
+//! observations through the server's one [`events::Outbox`].
 //!
 //! Servers are deterministic event handlers; [`runtime::SimRuntime`]
 //! drives them over a metered fabric in virtual time (measurements),
@@ -48,14 +50,14 @@ pub use bootstrap::{BootstrapConfig, NodeConfig};
 pub use daemon::{register_probe, Daemon, DaemonSummary, TraceDumper, PROBE_CODEBASE};
 pub use directory::{DirEntry, DirEvent, NapletDirectory};
 pub use events::{
-    EventLog, Input, LocalEvent, LogEntry, OpsPage, OpsRead, Output, TransferEnvelope, Wire,
+    EventLog, Input, LocalEvent, LogEntry, OpsPage, OpsRead, Outbox, Output, TransferEnvelope, Wire,
 };
 pub use journal::{
     FileStore, Journal, JournalPhase, JournalRecord, JournalStore, MemoryStore, RecoveryStats,
 };
 pub use lease::{Lease, LeasePolicy, LeaseTable};
 pub use live::LiveRuntime;
-pub use locator::{Filed, Holder, Locator};
+pub use locator::{Commits, Holder, Locator};
 pub use manager::{Footprint, NapletManager, NapletStatus, TableEntry};
 pub use messenger::Messenger;
 pub use monitor::{

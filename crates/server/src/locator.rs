@@ -14,19 +14,23 @@
 //! enters through one method whether it came off the wire or from this
 //! host: [`Locator::file`] for a registration or a removal,
 //! [`Locator::directory`] for a lookup. Table-versus-consensus is decided
-//! inside them. The server enacts what they return (frames, the arrival
-//! gate, log, metrics, trace) and retries what stays unanswered.
+//! inside them, which send their own frames, timers, log lines, metrics
+//! and trace events through the [`Outbox`]. What comes back is only what
+//! the server must act on — each registration as it lands, through
+//! [`Locator::land`] — and the server retries what stays unanswered.
 
 use std::collections::{BTreeMap, HashMap};
+use std::time::Instant;
 
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
 use naplet_core::message::Sender;
+use naplet_obs::{TraceKind, LATENCY_BOUNDS_MS};
 
 use crate::directory::NapletDirectory;
-use crate::events::Wire;
+use crate::events::{LocalEvent, Outbox, Wire};
 use crate::journal::Journal;
-use crate::repl::{DirOp, ReplConfig, ReplMsg, ReplOut, ReplicaCore};
+use crate::repl::{DirOp, ReplConfig, ReplMsg, ReplNote, ReplOut, ReplicaCore};
 
 /// How naplets are traced and located (paper §4.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,20 +60,76 @@ pub enum Holder<'a> {
     At(&'a str),
 }
 
-/// What became of a registration or removal [filed](Locator::file) at
-/// this host's shard.
-#[derive(Debug)]
-pub enum Filed {
-    /// Written to the plain table: it has landed (`registered()`).
-    Landed,
-    /// Appended to the log by this replica as leader: it lands when it
-    /// commits ([`Locator::committed`]); enact the consensus output.
-    Proposed(ReplOut),
-    /// This replica follows: the frame goes on to its leader, named.
-    Forward(String),
-    /// No leader is known (election in progress): dropped for the
-    /// sender's retry.
-    NoLeader,
+/// What a shard operation leaves to land — the frame a table took at
+/// once, or what a consensus step committed — surfaced by
+/// [`Locator::land`] one registration at a time, so each lands where it
+/// committed: after its commit's trace, before its echo and the next.
+#[must_use]
+#[derive(Debug, Default)]
+pub struct Commits {
+    /// The frame a table took at once.
+    taken: Option<Wire>,
+    /// Committed entries not yet landed, with their propose→commit lag.
+    entries: std::vec::IntoIter<(u64, DirOp, Option<u64>)>,
+    /// The echo owed for the registration landed last.
+    echo: Option<(String, Wire)>,
+    /// When the commits started landing, while profiling.
+    timing: Option<Instant>,
+    /// Whether the tick chain is to be kept alive.
+    rearm: bool,
+}
+
+impl Commits {
+    /// Whether a table took the frame at once (ask before landing).
+    pub fn at_once(&self) -> bool {
+        self.taken.is_some()
+    }
+}
+
+/// Send a consensus step's traffic and record its notes; what it
+/// committed is left to [`Locator::land`], and the tick chain is kept
+/// alive if the core asks for it or an operation `woke` it.
+fn enact(rout: ReplOut, woke: bool, out: &mut Outbox) -> Commits {
+    for (to, msg) in rout.msgs {
+        out.send(to, Wire::Repl { msg });
+    }
+    for note in rout.notes {
+        let (counter, line, kind) = match note {
+            ReplNote::ElectionStarted { term } => (
+                "repl.elections",
+                format!("REPL campaigning for term {term}"),
+                TraceKind::ReplElection { term },
+            ),
+            ReplNote::LeaderElected { term } => (
+                "repl.leader_changes",
+                format!("REPL won leadership of term {term}"),
+                TraceKind::ReplLeader {
+                    term,
+                    leader: out.host().to_string(),
+                },
+            ),
+            ReplNote::LeaderChanged { term, leader } => (
+                "repl.leader_changes",
+                format!("REPL leader of term {term} is {leader}"),
+                TraceKind::ReplLeader { term, leader },
+            ),
+            ReplNote::SnapshotInstalled { index } => (
+                "repl.snapshots_installed",
+                format!("REPL snapshot installed through {index}"),
+                TraceKind::ReplSnapshot { index },
+            ),
+        };
+        out.count(counter, 1);
+        out.log(line);
+        out.trace(None, || kind);
+    }
+    let timing = out.stopwatch().filter(|_| !rout.committed.is_empty());
+    Commits {
+        entries: rout.committed.into_iter(),
+        timing,
+        rearm: rout.rearm || woke,
+        ..Commits::default()
+    }
 }
 
 /// This host's piece of the directory: one or the other, so nothing
@@ -180,31 +240,20 @@ impl Locator {
     }
 
     /// Install or refresh a hint (on directory replies, confirmations,
-    /// and migration notifications). Returns true when an older entry
-    /// was evicted to make room.
-    pub fn put(&mut self, id: NapletId, host: &str, now: Millis) -> bool {
-        let mut evicted = false;
+    /// and migration notifications), evicting the oldest entry to make
+    /// room at capacity (`locator_cache_evictions`).
+    pub fn put(&mut self, id: NapletId, host: &str, out: &mut Outbox) {
         if self.cache.len() >= self.capacity && !self.cache.contains_key(&id) {
-            // evict the oldest entry
-            if let Some(oldest) = self
-                .cache
-                .iter()
-                .min_by_key(|(_, loc)| loc.cached_at)
-                .map(|(k, _)| k.clone())
-            {
+            let oldest = self.cache.iter().min_by_key(|(_, loc)| loc.cached_at);
+            if let Some(oldest) = oldest.map(|(k, _)| k.clone()) {
                 self.cache.remove(&oldest);
                 self.evictions += 1;
-                evicted = true;
+                out.count("locator_cache_evictions", 1);
             }
         }
-        self.cache.insert(
-            id,
-            CachedLocation {
-                host: host.to_string(),
-                cached_at: now,
-            },
-        );
-        evicted
+        let cached_at = out.now();
+        let host = host.to_string();
+        self.cache.insert(id, CachedLocation { host, cached_at });
     }
 
     /// Drop a hint that proved wrong (forwarded message bounced).
@@ -214,10 +263,12 @@ impl Locator {
 
     /// A hit served earlier proved stale: the hinted host no longer
     /// held the agent and the message had to forward or bounce.
-    /// Counted separately from `hits` so the ops plane can report the
+    /// Counted separately from `hits` (and as
+    /// `locator_cache_stale_hits`) so the ops plane can report the
     /// cache's *useful* hit rate.
-    pub fn note_stale(&mut self) {
+    pub fn note_stale(&mut self, out: &mut Outbox) {
         self.stale_hits += 1;
+        out.count("locator_cache_stale_hits", 1);
     }
 
     /// Age in ms of the oldest surviving hint (0 when empty): the
@@ -287,48 +338,93 @@ impl Locator {
 
     // ----------------- this host's shard: the front doors -----------------
 
-    /// File a registration or a removal (`DirRegister`, `DirRemove`) at
-    /// this host's shard — off the wire or from this host alike. A
-    /// table takes it at once; a replica proposes it as leader (holding
-    /// the registrar's ack until it commits), names the leader it
-    /// follows, or drops it while there is none. The flag asks for the
-    /// tick timer: the operation woke a suspended core.
-    pub fn file(&mut self, wire: &Wire, now: Millis, journal: &mut Journal) -> (Filed, bool) {
+    /// File a registration or a removal at this host's shard — off the
+    /// wire or from this host alike. A table takes it at once; a replica
+    /// proposes it as leader (holding the registrar's ack until it
+    /// commits), forwards it to its leader, or drops it while there is
+    /// none (the registrar re-sends; the tick it wakes runs an election).
+    pub fn file(&mut self, wire: Wire, journal: &mut Journal, out: &mut Outbox) -> Commits {
+        let now = out.now();
         let core = match &mut self.shard {
             Shard::Table(directory) => {
-                match wire {
+                match &wire {
                     Wire::DirRegister {
                         id, host, event, ..
                     } => directory.register(id, host, *event, now),
                     Wire::DirRemove { id } => drop(directory.remove(id)),
                     _ => {}
                 }
-                return (Filed::Landed, false);
+                let taken = Some(wire);
+                return Commits {
+                    taken,
+                    ..Commits::default()
+                };
             }
             Shard::Core(core) => core,
         };
+        let appending = out.stopwatch();
         let woke = core.client_activity(now);
-        let filed = if core.is_leader() {
-            let (index, rout) = core.propose(DirOp::of(wire, now), now, journal);
+        if core.is_leader() {
+            let (index, rout) = core.propose(DirOp::of(&wire, now), now, journal);
             if let (Some(index), Wire::DirRegister { ack_to, .. }) = (index, wire) {
-                self.held_acks
-                    .extend(ack_to.clone().map(|ack_to| (index, ack_to)));
+                self.held_acks.extend(ack_to.map(|ack_to| (index, ack_to)));
             }
-            Filed::Proposed(rout)
-        } else if let Some(leader) = core.leader_hint() {
-            Filed::Forward(leader.to_string())
+            out.lap("repl_append_us", appending);
+            return enact(rout, woke, out);
+        }
+        if let Some(leader) = core.leader_hint() {
+            out.count("repl.forwarded", 1);
+            out.send(leader.to_string(), wire);
         } else {
-            Filed::NoLeader
-        };
-        (filed, woke)
+            out.count("repl.no_leader_drops", 1);
+        }
+        Commits {
+            rearm: woke,
+            ..Commits::default()
+        }
     }
 
-    /// `op` committed at `index` on this replica. A registration has
-    /// landed: it comes back as the frame it was filed in — `ack_to`
-    /// naming the registrar whose ack this leader held for it — with
-    /// the echo a leader owes a home outside the replica set, so its
-    /// lease table still sees signs of life.
-    pub fn committed(&mut self, index: u64, op: DirOp) -> Option<(Wire, Option<(String, Wire)>)> {
+    /// The next registration of `commits` to land, or `None` once all
+    /// have (and the tick is re-armed if asked for). Each commit is
+    /// counted and traced; the echo a leader owes a home outside the
+    /// replica set goes out after its registration has landed.
+    pub fn land(&mut self, commits: &mut Commits, out: &mut Outbox) -> Option<Wire> {
+        if let Some((to, wire)) = commits.echo.take() {
+            out.send(to, wire);
+        }
+        if let Some(wire) = commits.taken.take() {
+            return Some(wire);
+        }
+        for (index, op, lag) in commits.entries.by_ref() {
+            out.count("repl.commits", 1);
+            if let Some(lag) = lag {
+                out.observe("repl_commit_lag_ms", LATENCY_BOUNDS_MS, lag);
+            }
+            out.trace(op.subject(), || TraceKind::ReplCommit {
+                index,
+                op: op.label().to_string(),
+            });
+            // every replica keeps its liveness/status views fresh from
+            // the committed stream; the leader also owes the ack it held
+            if let Some((landed, echo)) = self.committed(index, op) {
+                commits.echo = echo;
+                return Some(landed);
+            }
+        }
+        out.lap("repl_commit_us", commits.timing.take());
+        if std::mem::take(&mut commits.rearm) {
+            if let Some(tick_ms) = self.arm_tick() {
+                out.after(tick_ms, LocalEvent::ReplTick);
+            }
+        }
+        None
+    }
+
+    /// `op` committed at `index` on this replica. A registration comes
+    /// back as the frame it was filed in — `ack_to` naming the registrar
+    /// whose ack this leader held — with the echo owed to a home outside
+    /// the replica set, so its lease table still sees signs of life.
+    fn committed(&mut self, index: u64, op: DirOp) -> Option<(Wire, Option<(String, Wire)>)> {
         // commits surface in log order: an ack still held below `index`
         // was for a tombstoned straggler the core applied as nothing
         while self
@@ -391,11 +487,11 @@ impl Locator {
     }
 
     /// The scheduled `ReplTick` fired: drive elections or heartbeats.
-    pub fn tick(&mut self, now: Millis, journal: &mut Journal) -> ReplOut {
+    pub fn tick(&mut self, journal: &mut Journal, out: &mut Outbox) -> Commits {
         self.tick_armed = false;
         match &mut self.shard {
-            Shard::Table(_) => ReplOut::default(),
-            Shard::Core(core) => core.tick(now, journal),
+            Shard::Table(_) => Commits::default(),
+            Shard::Core(core) => enact(core.tick(out.now(), journal), false, out),
         }
     }
 
@@ -403,31 +499,34 @@ impl Locator {
     /// it: a stale peer list sent it here.
     pub fn receive(
         &mut self,
-        now: Millis,
         from: &str,
         msg: ReplMsg,
         journal: &mut Journal,
-    ) -> ReplOut {
+        out: &mut Outbox,
+    ) -> Commits {
         let Shard::Core(core) = &mut self.shard else {
-            return ReplOut::default();
+            return Commits::default();
         };
-        let rout = core.receive(now, from, msg, journal);
+        let rout = core.receive(out.now(), from, msg, journal);
         if !core.is_leader() {
             // deposed (or never leading): its proposals may be
             // overwritten, and an ack held for one must not answer
             // another leader's entry at the same index
             self.held_acks.clear();
         }
-        rout
+        enact(rout, false, out)
     }
 
-    /// A crash wiped volatile state: rebuild the core from `journal`.
-    /// Term, vote and the replicated log are durable — a rejoining
-    /// replica must not regress its promises; the tick chain is not.
-    pub fn recover(&mut self, journal: &Journal) {
+    /// A crash wiped volatile state: rebuild the core from `journal`
+    /// and restart its tick chain. Term, vote and the replicated log are
+    /// durable — a rejoining replica must not regress its promises.
+    pub fn recover(&mut self, journal: &Journal, out: &mut Outbox) {
         if let Shard::Core(core) = &mut self.shard {
             **core = ReplicaCore::recover(&self.host, core.config().clone(), journal);
             self.tick_armed = false;
+        }
+        if let Some(tick_ms) = self.arm_tick() {
+            out.after(tick_ms, LocalEvent::ReplTick);
         }
     }
 
@@ -490,6 +589,14 @@ mod tests {
         NapletId::new("u", "home", Millis(n)).unwrap()
     }
 
+    /// Cache `id` at `host` at `at` ms: whether that evicted a hint.
+    fn put(l: &mut Locator, id: NapletId, host: &str, at: u64) -> bool {
+        let mut out = Outbox::new("h");
+        out.at(Millis(at));
+        l.put(id, host, &mut out);
+        out.obs().metrics.counter("locator_cache_evictions") == 1
+    }
+
     /// A directory-less locator whose cache holds `capacity` hints.
     fn cache(capacity: usize) -> Locator {
         let journal = Journal::in_memory();
@@ -502,9 +609,9 @@ mod tests {
     fn put_get_invalidate() {
         let mut l = cache(10);
         assert!(l.get(&nid(1)).is_none());
-        l.put(nid(1), "s1", Millis(5));
+        put(&mut l, nid(1), "s1", 5);
         assert_eq!(l.get(&nid(1)).unwrap().host, "s1");
-        l.put(nid(1), "s2", Millis(9));
+        put(&mut l, nid(1), "s2", 9);
         assert_eq!(l.get(&nid(1)).unwrap().host, "s2");
         l.invalidate(&nid(1));
         assert!(l.get(&nid(1)).is_none());
@@ -515,9 +622,9 @@ mod tests {
     #[test]
     fn capacity_evicts_oldest() {
         let mut l = cache(2);
-        l.put(nid(1), "a", Millis(1));
-        l.put(nid(2), "b", Millis(2));
-        l.put(nid(3), "c", Millis(3)); // evicts nid(1)
+        put(&mut l, nid(1), "a", 1);
+        put(&mut l, nid(2), "b", 2);
+        put(&mut l, nid(3), "c", 3); // evicts nid(1)
         assert_eq!(l.len(), 2);
         assert!(l.get(&nid(1)).is_none());
         assert!(l.get(&nid(2)).is_some());
@@ -527,9 +634,9 @@ mod tests {
     #[test]
     fn refreshing_existing_does_not_evict() {
         let mut l = cache(2);
-        l.put(nid(1), "a", Millis(1));
-        l.put(nid(2), "b", Millis(2));
-        l.put(nid(1), "a2", Millis(3)); // refresh, no eviction
+        put(&mut l, nid(1), "a", 1);
+        put(&mut l, nid(2), "b", 2);
+        put(&mut l, nid(1), "a2", 3); // refresh, no eviction
         assert_eq!(l.len(), 2);
         assert!(l.get(&nid(2)).is_some());
     }
@@ -537,13 +644,13 @@ mod tests {
     #[test]
     fn staleness_accounting() {
         let mut l = cache(2);
-        l.put(nid(1), "a", Millis(1));
-        l.put(nid(2), "b", Millis(4));
+        put(&mut l, nid(1), "a", 1);
+        put(&mut l, nid(2), "b", 4);
         assert_eq!(l.oldest_hint_age(Millis(10)), 9);
         let _ = l.get(&nid(1));
-        l.note_stale(); // the hint at "a" bounced
+        l.note_stale(&mut Outbox::new("h")); // the hint at "a" bounced
         assert_eq!(l.stale_hits, 1);
-        assert!(l.put(nid(3), "c", Millis(5)), "evicts nid(1)");
+        assert!(put(&mut l, nid(3), "c", 5), "evicts nid(1)");
         assert_eq!(l.evictions, 1);
         assert_eq!(l.oldest_hint_age(Millis(10)), 6);
         let empty = cache(2);
@@ -553,6 +660,7 @@ mod tests {
     // ----------------- the directory -----------------
 
     use crate::directory::DirEvent;
+    use crate::events::Output;
     use naplet_core::message::Payload;
     use naplet_core::value::Value;
 
@@ -591,31 +699,69 @@ mod tests {
         }
     }
 
+    /// The outbox of `host` at `at` ms.
+    fn outbox(host: &str, at: u64) -> Outbox {
+        let mut out = Outbox::new(host);
+        out.at(Millis(at));
+        out
+    }
+
+    /// Land all of `commits`: the registrations, in order.
+    fn landed(l: &mut Locator, mut commits: Commits, out: &mut Outbox) -> Vec<Wire> {
+        std::iter::from_fn(|| l.land(&mut commits, out)).collect()
+    }
+
+    /// The `ReplTick`s armed in `out`.
+    fn ticks(out: &mut Outbox) -> Vec<u64> {
+        let armed = out.take().into_iter();
+        let ticks = armed.filter_map(|o| match o {
+            Output::Schedule {
+                delay_ms,
+                event: LocalEvent::ReplTick,
+            } => Some(delay_ms),
+            _ => None,
+        });
+        ticks.collect()
+    }
+
     /// `d0` of the three-replica set, elected leader of term 1 (its
     /// no-op sits at index 1, uncommitted: nobody has acked it).
     fn leading() -> (Locator, Journal) {
         let (mut l, mut journal) = locator("d0", replicated());
-        let campaign = l.tick(Millis(2_000), &mut journal);
-        assert!(!campaign.msgs.is_empty(), "d0 campaigns");
+        let mut out = outbox("d0", 2_000);
+        let campaign = l.tick(&mut journal, &mut out);
+        assert!(landed(&mut l, campaign, &mut out).is_empty());
+        let campaign = out.take().into_iter();
+        let votes = campaign.filter(|o| {
+            matches!(
+                o,
+                Output::Send {
+                    wire: Wire::Repl { .. },
+                    ..
+                }
+            )
+        });
+        assert_eq!(votes.count(), 2, "d0 campaigns");
         let vote = ReplMsg::VoteReply {
             term: 1,
             granted: true,
         };
-        l.receive(Millis(2_001), "d1", vote, &mut journal);
+        out.at(Millis(2_001));
+        let won = l.receive("d1", vote, &mut journal, &mut out);
+        assert!(landed(&mut l, won, &mut out).is_empty());
         assert!(l.core().unwrap().is_leader());
         (l, journal)
     }
 
-    /// File `wire` at a single-member shard and run its commits: the
+    /// File `wire` at a single-member shard and land its commits: the
     /// acks released, in order.
     fn file_and_commit(l: &mut Locator, journal: &mut Journal, wire: &Wire) -> Vec<String> {
-        let (Filed::Proposed(rout), _) = l.file(wire, Millis(3_000), journal) else {
-            panic!("a leader proposes");
-        };
-        let landed = rout.committed.into_iter();
-        let landed = landed.filter_map(|(index, op, _)| l.committed(index, op));
+        let mut out = outbox("d0", 3_000);
+        let commits = l.file(wire.clone(), journal, &mut out);
+        assert!(!commits.at_once(), "a leader proposes");
+        let landed = landed(l, commits, &mut out).into_iter();
         landed
-            .filter_map(|(wire, _)| match wire {
+            .filter_map(|wire| match wire {
                 Wire::DirRegister { ack_to, .. } => ack_to,
                 _ => None,
             })
@@ -652,7 +798,9 @@ mod tests {
         let (mut l, mut journal) = locator("d2", replicated());
         assert_eq!(l.holder(&id), Holder::Here);
         assert!(!l.asks_replicas());
-        l.receive(Millis(1), "d1", heartbeat(1, "d1", false), &mut journal);
+        let mut out = outbox("d2", 1);
+        let heard = l.receive("d1", heartbeat(1, "d1", false), &mut journal, &mut out);
+        assert!(landed(&mut l, heard, &mut out).is_empty());
         assert_eq!(l.holder(&id), Holder::At("d1"));
         let (l, _) = locator("home", LocationMode::ReplicatedDirectory(Vec::new()));
         assert_eq!(l.holder(&id), Holder::Nowhere, "nobody to ask");
@@ -685,13 +833,23 @@ mod tests {
     fn a_table_takes_a_frame_at_once() {
         let (mut l, mut journal) = locator("dir", LocationMode::CentralDirectory("dir".into()));
         let id = nid(1);
-        let (filed, woke) = l.file(&arrival(&id, "s1", true), Millis(7), &mut journal);
-        assert!(matches!(filed, Filed::Landed) && !woke);
+        let mut out = outbox("dir", 7);
+        let wire = arrival(&id, "s1", true);
+        let commits = l.file(wire.clone(), &mut journal, &mut out);
+        assert!(commits.at_once());
+        assert_eq!(
+            landed(&mut l, commits, &mut out),
+            [wire],
+            "it lands as filed"
+        );
         let entry = l.directory().lookup(&id).unwrap();
         assert_eq!((entry.host.as_str(), entry.at), ("s1", Millis(7)));
-        let (filed, _) = l.file(&Wire::DirRemove { id: id.clone() }, Millis(8), &mut journal);
-        assert!(matches!(filed, Filed::Landed));
+        let removal = Wire::DirRemove { id: id.clone() };
+        let commits = l.file(removal, &mut journal, &mut out);
+        assert!(commits.at_once());
+        assert_eq!(landed(&mut l, commits, &mut out).len(), 1);
         assert!(l.directory().is_empty());
+        assert!(out.take().is_empty(), "a table sends and arms nothing");
         assert_eq!(l.arm_tick(), None, "no core, no tick");
     }
 
@@ -699,23 +857,40 @@ mod tests {
     fn a_follower_forwards_and_a_leaderless_replica_drops() {
         let (mut l, mut journal) = locator("d2", replicated());
         let wire = arrival(&nid(1), "s1", true);
-        let (filed, woke) = l.file(&wire, Millis(1), &mut journal);
-        assert!(matches!(filed, Filed::NoLeader), "no leader yet: {filed:?}");
-        assert!(!woke, "a fresh core is awake");
-        // the cluster goes idle under d1: the next client frame names
-        // d1 and asks for the tick the suspended core had let lapse
+        let mut out = outbox("d2", 1);
+        let dropped = l.file(wire.clone(), &mut journal, &mut out);
+        assert!(
+            landed(&mut l, dropped, &mut out).is_empty(),
+            "no leader yet"
+        );
+        assert!(out.take().is_empty(), "a fresh core is awake: no tick");
+        assert_eq!(out.obs().metrics.counter("repl.no_leader_drops"), 1);
+        // the cluster goes idle under d1: the next client frame goes to
+        // d1 and re-arms the tick the suspended core had let lapse
         let tick_ms = l.arm_tick().expect("a replica ticks");
         assert_eq!(l.arm_tick(), None, "one chain only");
-        l.tick(Millis(2), &mut journal);
-        l.receive(Millis(3), "d1", heartbeat(1, "d1", true), &mut journal);
+        let tick = l.tick(&mut journal, &mut out);
+        assert!(landed(&mut l, tick, &mut out).is_empty());
+        assert_eq!(ticks(&mut out), [tick_ms], "an awake core keeps ticking");
+        out.at(Millis(3));
+        let idle = l.receive("d1", heartbeat(1, "d1", true), &mut journal, &mut out);
+        assert!(landed(&mut l, idle, &mut out).is_empty());
         assert!(l.core().unwrap().is_suspended());
-        let (filed, woke) = l.file(&wire, Millis(4), &mut journal);
+        // the tick armed before it went idle fires and is not renewed
+        let tick = l.tick(&mut journal, &mut out);
+        assert!(landed(&mut l, tick, &mut out).is_empty());
+        assert!(ticks(&mut out).is_empty(), "a suspended core asks for none");
+        out.at(Millis(4));
+        let forwarded = l.file(wire.clone(), &mut journal, &mut out);
+        assert!(landed(&mut l, forwarded, &mut out).is_empty());
+        let sent = out.take();
         assert!(
-            matches!(&filed, Filed::Forward(to) if to == "d1"),
-            "{filed:?}"
+            matches!(&sent[..], [Output::Send { to, wire: sent }, Output::Schedule {
+                delay_ms, event: LocalEvent::ReplTick }] if to == "d1" && *sent == wire
+                && *delay_ms == tick_ms),
+            "{sent:?}"
         );
-        assert!(woke);
-        assert_eq!(l.arm_tick(), Some(tick_ms));
+        assert_eq!(out.obs().metrics.counter("repl.forwarded"), 1);
         assert!(l.directory().is_empty(), "nothing lands on a follower");
     }
 
@@ -723,7 +898,10 @@ mod tests {
     fn a_single_member_shard_commits_and_acks_inline() {
         let mode = LocationMode::ReplicatedDirectory(vec!["d0".into()]);
         let (mut l, mut journal) = locator("d0", mode);
-        l.tick(Millis(2_000), &mut journal);
+        let mut out = outbox("d0", 2_000);
+        let elected = l.tick(&mut journal, &mut out);
+        assert!(landed(&mut l, elected, &mut out).is_empty());
+        assert_eq!(ticks(&mut out).len(), 1, "a leader keeps ticking");
         assert_eq!(l.holder(&nid(1)), Holder::Here);
         let acks = file_and_commit(&mut l, &mut journal, &arrival(&nid(1), "s1", true));
         assert_eq!(acks, ["s1"]);
@@ -737,7 +915,9 @@ mod tests {
     fn a_leader_echoes_commits_to_a_home_outside_the_replica_set() {
         let mode = LocationMode::ReplicatedDirectory(vec!["d0".into()]);
         let (mut l, mut journal) = locator("d0", mode);
-        l.tick(Millis(2_000), &mut journal);
+        let mut out = outbox("d0", 2_000);
+        let elected = l.tick(&mut journal, &mut out);
+        assert!(landed(&mut l, elected, &mut out).is_empty());
         let at = Millis(3_000);
         let committed = |l: &mut Locator, id: &NapletId| {
             let op = DirOp::of(&arrival(id, "s1", false), at);
@@ -754,12 +934,18 @@ mod tests {
     #[test]
     fn an_ack_held_for_an_overwritten_proposal_is_forgotten() {
         let (mut l, mut journal) = leading();
-        let (filed, _) = l.file(&arrival(&nid(1), "s1", true), Millis(2_002), &mut journal);
-        assert!(matches!(filed, Filed::Proposed(_)));
+        let mut out = outbox("d0", 2_002);
+        let proposed = l.file(arrival(&nid(1), "s1", true), &mut journal, &mut out);
+        assert!(
+            landed(&mut l, proposed, &mut out).is_empty(),
+            "not yet committed"
+        );
         assert_eq!(l.held_acks.len(), 1, "held until index 2 commits");
         // d2 won term 2 meanwhile: its first heartbeat deposes d0, whose
         // uncommitted proposal d2's log will overwrite
-        l.receive(Millis(2_003), "d2", heartbeat(2, "d2", false), &mut journal);
+        out.at(Millis(2_003));
+        let deposed = l.receive("d2", heartbeat(2, "d2", false), &mut journal, &mut out);
+        assert!(landed(&mut l, deposed, &mut out).is_empty());
         assert!(!l.core().unwrap().is_leader());
         assert!(l.held_acks.is_empty(), "no ack may answer d2's entry 2");
     }
@@ -768,7 +954,9 @@ mod tests {
     fn an_ack_held_for_a_tombstoned_straggler_is_dropped_at_the_next_commit() {
         let mode = LocationMode::ReplicatedDirectory(vec!["d0".into()]);
         let (mut l, mut journal) = locator("d0", mode);
-        l.tick(Millis(2_000), &mut journal);
+        let mut out = outbox("d0", 2_000);
+        let elected = l.tick(&mut journal, &mut out);
+        assert!(landed(&mut l, elected, &mut out).is_empty());
         let gone = nid(1);
         file_and_commit(&mut l, &mut journal, &Wire::DirRemove { id: gone.clone() });
         // a retry that outlived its journey: the core commits it as
@@ -816,7 +1004,10 @@ mod tests {
         l.ask(1, nid(1), Some(msg.identity()), Millis(10));
         // the post waits on the answer as its identity; the one copy
         // stays with its poster, until the budget of one attempt is spent
-        assert_eq!(messenger.due(&msg.from, msg.seq, 1, 1), Some(None));
+        assert_eq!(
+            messenger.due(&msg.from, msg.seq, 1, 1, &mut Outbox::new("s1")),
+            Some(None)
+        );
         assert!(
             messenger.unconfirmed(&msg.from, msg.seq).is_none(),
             "nothing left to post"

@@ -17,14 +17,19 @@
 //!   cycle-breaking cap.
 //!
 //! The server routes (locate → send → forward-chase → confirm) through
-//! one door per verb and enacts the frames; a message in a naplet's
-//! mailbox or on the wire is not in this module's custody.
+//! one door per verb; what the messenger decides on its own — a
+//! redelivery, a forwarding hop — it logs, counts and traces through the
+//! [`Outbox`]. A message in a naplet's mailbox or on the wire is not in
+//! this module's custody.
 
 use std::collections::{HashMap, HashSet};
 
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
 use naplet_core::message::{Message, Payload, Sender};
+use naplet_obs::TraceKind;
+
+use crate::events::Outbox;
 
 /// Record of a confirmed delivery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,12 +108,18 @@ impl Messenger {
 
     /// Compact bookkeeping older than `ttl_ms`: confirmation records
     /// (kept "for further possible inquiry" — the window bounds how far
-    /// back an inquiry can reach) and delivery-dedup entries (safe to
-    /// drop once every retransmission of the message has surely died;
-    /// their key embeds the send timestamp). Eviction counts are kept
-    /// in [`confirmations_evicted`](Self::confirmations_evicted) and
+    /// back an inquiry can reach), delivery-dedup entries (safe to drop
+    /// once every retransmission of the message has surely died; their
+    /// key embeds the send timestamp) and, by the same send time, copies
+    /// in the special mailbox whose naplet never came — their poster gave
+    /// up long before. Eviction counts are kept in
+    /// [`confirmations_evicted`](Self::confirmations_evicted) and
     /// [`deliveries_evicted`](Self::deliveries_evicted).
     pub fn compact(&mut self, now: Millis, ttl_ms: u64) {
+        for waiting in self.special.values_mut() {
+            waiting.retain(|(m, _)| now.since(m.sent_at) < ttl_ms);
+        }
+        self.special.retain(|_, waiting| !waiting.is_empty());
         let before = self.confirmations.len();
         self.confirmations
             .retain(|_, rec| now.since(rec.at) < ttl_ms);
@@ -207,6 +218,7 @@ impl Messenger {
         seq: u64,
         attempt: u32,
         budget: u32,
+        out: &mut Outbox,
     ) -> Option<Option<Message>> {
         let key = (sender.clone(), seq);
         let rec = self.outstanding.get_mut(&key);
@@ -214,11 +226,24 @@ impl Messenger {
         if attempt >= budget {
             self.outstanding.remove(&key);
             self.redelivery_given_up += 1;
+            out.log(format!(
+                "REDELIVERY exhausted for message {seq} from {sender:?}"
+            ));
             return Some(None);
         }
         rec.attempts += 1;
         self.redeliveries += 1;
-        Some(Some(rec.msg.clone()))
+        let (msg, next) = (rec.msg.clone(), rec.attempts);
+        out.log(format!(
+            "REDELIVER message {seq} to {} (attempt {next})",
+            msg.to
+        ));
+        out.count("post.redeliveries", 1);
+        out.trace(Some(&msg.to), || TraceKind::PostRedeliver {
+            seq,
+            attempt: next,
+        });
+        Some(Some(msg))
     }
 
     /// Idempotent delivery check: returns `true` the first time a
@@ -247,16 +272,25 @@ impl Messenger {
         self.confirmations.get(&(sender.clone(), seq))
     }
 
-    /// Decide whether a non-resident target's message may be forwarded
-    /// once more; counts the hop or the drop.
-    pub fn may_forward(&mut self, msg: &Message) -> bool {
+    /// Whether `msg`, whose target has moved on, may chase it one hop
+    /// further, to `to`: the hop is counted and traced, a drop at the cap
+    /// (which breaks a chase cycle) counted and logged.
+    pub fn forward(&mut self, msg: &mut Message, to: &str, out: &mut Outbox) -> bool {
         if msg.forward_hops >= self.forward_cap {
             self.undeliverable += 1;
-            false
-        } else {
-            self.forwards_performed += 1;
-            true
+            out.log(format!("undeliverable message to {} (cap)", msg.to));
+            return false;
         }
+        self.forwards_performed += 1;
+        msg.forward_hops += 1;
+        out.count("post.forward_hops", 1);
+        let (seq, hops) = (msg.seq, msg.forward_hops);
+        out.trace(Some(&msg.to), || TraceKind::ForwardHop {
+            to: to.to_string(),
+            seq,
+            hops,
+        });
+        true
     }
 }
 
@@ -264,6 +298,10 @@ impl Messenger {
 mod tests {
     use super::*;
     use naplet_core::value::Value;
+
+    fn out() -> Outbox {
+        Outbox::new("home")
+    }
 
     fn nid(n: u64) -> NapletId {
         NapletId::new("u", "home", Millis(n)).unwrap()
@@ -325,11 +363,16 @@ mod tests {
     #[test]
     fn forward_cap_enforced() {
         let mut m = Messenger::new(2);
-        assert!(m.may_forward(&msg(1, nid(1), 0)));
-        assert!(m.may_forward(&msg(1, nid(1), 1)));
-        assert!(!m.may_forward(&msg(1, nid(1), 2)));
+        let mut out = out();
+        let mut chased = msg(1, nid(1), 0);
+        assert!(m.forward(&mut chased, "s1", &mut out));
+        assert!(m.forward(&mut chased, "s2", &mut out));
+        assert_eq!(chased.forward_hops, 2, "each hop counted on the message");
+        assert!(!m.forward(&mut chased, "s3", &mut out));
         assert_eq!(m.forwards_performed, 2);
         assert_eq!(m.undeliverable, 1);
+        assert_eq!(out.obs().metrics.counter("post.forward_hops"), 2);
+        assert_eq!(out.lines().len(), 1, "the drop is logged");
     }
 
     #[test]
@@ -340,17 +383,23 @@ mod tests {
         assert_eq!(m.outstanding_count(), 1);
         assert_eq!(m.unconfirmed(from, 1).unwrap().attempts, 1);
 
-        assert!(m.due(from, 1, 2, 6).is_none(), "no attempt 2 armed yet");
-        let copy = m.due(from, 1, 1, 6).unwrap().unwrap();
+        assert!(
+            m.due(from, 1, 2, 6, &mut out()).is_none(),
+            "no attempt 2 armed yet"
+        );
+        let copy = m.due(from, 1, 1, 6, &mut out()).unwrap().unwrap();
         assert_eq!(copy, message);
         assert_eq!(m.unconfirmed(from, 1).unwrap().attempts, 2);
         assert_eq!(m.redeliveries, 1);
-        assert!(m.due(from, 1, 1, 6).is_none(), "attempt 1's timer is stale");
+        assert!(
+            m.due(from, 1, 1, 6, &mut out()).is_none(),
+            "attempt 1's timer is stale"
+        );
 
         m.record_confirmation(from.clone(), 1, "s2", Millis(50));
         assert_eq!(m.outstanding_count(), 0);
         assert!(
-            m.due(from, 1, 2, 6).is_none(),
+            m.due(from, 1, 2, 6, &mut out()).is_none(),
             "confirmed: nothing to re-route"
         );
     }
@@ -359,9 +408,9 @@ mod tests {
     fn a_spent_budget_gives_the_post_up() {
         let mut m = Messenger::default();
         let message = post(&mut m, nid(2));
-        assert!(m.due(&message.from, 1, 1, 2).unwrap().is_some());
-        assert_eq!(m.due(&message.from, 1, 2, 2), Some(None));
-        assert!(m.due(&message.from, 1, 2, 2).is_none());
+        assert!(m.due(&message.from, 1, 1, 2, &mut out()).unwrap().is_some());
+        assert_eq!(m.due(&message.from, 1, 2, 2, &mut out()), Some(None));
+        assert!(m.due(&message.from, 1, 2, 2, &mut out()).is_none());
         assert_eq!(m.redelivery_given_up, 1);
         assert_eq!(m.outstanding_count(), 0);
     }
@@ -386,6 +435,30 @@ mod tests {
         // chosen far beyond any retransmission horizon
         assert!(m.record_delivery(&delivered(1, 100)));
         assert!(!m.record_delivery(&delivered(2, 900)));
+    }
+
+    #[test]
+    fn a_stashed_copy_lapses_with_the_retention_window() {
+        let mut m = Messenger::default();
+        let stashed = |seq, at| {
+            Message::user(
+                seq,
+                Sender::Owner("home".into()),
+                nid(5),
+                Millis(at),
+                Value::Nil,
+            )
+        };
+        m.stash_early(stashed(1, 100), "home".into());
+        m.stash_early(stashed(2, 900), "home".into());
+        m.compact(Millis(1000), 500);
+        assert_eq!(m.early_waiting(), 1, "the copy sent at 100 lapsed");
+        let left = m.drain_early(&nid(5));
+        assert_eq!(left.iter().map(|(m, _)| m.seq).collect::<Vec<_>>(), [2]);
+        m.stash_early(stashed(3, 900), "home".into());
+        m.compact(Millis(1400), 500);
+        assert_eq!(m.early_waiting(), 0);
+        assert!(m.special.is_empty(), "no empty mailbox is left behind");
     }
 
     #[test]

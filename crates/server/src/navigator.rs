@@ -5,9 +5,12 @@
 //! One module owns every table the handoff needs: outbound custody by
 //! transfer id, the landings this host granted and still expects, the
 //! `(origin, transfer id)` pairs it already admitted, and the agents
-//! parked here. Transitions take plain values and return what to do
-//! next — frames, timer delays, the agent handed back; the server
-//! enacts them (journal, bookkeeping, log, metrics, trace).
+//! parked here. Its transitions are handed the [`Outbox`] and the
+//! journal: each sends its own frames with their timers, journals the
+//! handoff where it stands, and records its own log lines, metrics and
+//! trace events. What comes back is only what the server continues
+//! with — an agent to admit, the mail to hand on at departure, the
+//! agent after a refusal or a failure.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -20,9 +23,10 @@ use naplet_core::id::NapletId;
 use naplet_core::itinerary::{ActionSpec, Cursor};
 use naplet_core::message::Mailbox;
 use naplet_core::naplet::{Naplet, SharedNaplet};
+use naplet_obs::{TraceKind, COUNT_BOUNDS, LATENCY_BOUNDS_MS};
 
-use crate::events::{TransferEnvelope, Wire};
-use crate::journal::JournalPhase;
+use crate::events::{LocalEvent, Outbox, TransferEnvelope, Wire};
+use crate::journal::{Journal, JournalPhase};
 use crate::retry::RetryPolicy;
 use crate::status::StatusReport;
 
@@ -98,7 +102,7 @@ impl Handoff {
         }
     }
 
-    /// The frame the current phase sends and re-sends.
+    /// The frame the current phase sends and re-sends from `host`.
     fn frame(&self, transfer_id: u64, host: &str) -> Wire {
         match &self.custody {
             Custody::AwaitingPermit { agent, .. } => Wire::LandingRequest {
@@ -118,85 +122,79 @@ impl Handoff {
         }
     }
 
-    /// `wire` as the current attempt: where to, and how long to wait.
-    fn send(&self, transfer_id: u64, wire: Wire, retry: &RetryPolicy) -> Attempt {
-        Attempt {
-            to: self.dest.clone(),
-            wire,
+    /// Put `wire`, the current attempt, on the link to `dest` and arm
+    /// the timer after which it counts as unanswered (backoff with
+    /// jitter).
+    fn send(&self, transfer_id: u64, wire: Wire, retry: &RetryPolicy, out: &mut Outbox) {
+        out.send(self.dest.clone(), wire);
+        let attempt = self.attempt;
+        let timeout_ms = retry.jittered_backoff_ms(transfer_id, attempt);
+        let timeout = LocalEvent::TransferTimeout {
+            transfer_id,
+            attempt,
+        };
+        out.after(timeout_ms, timeout);
+    }
+
+    /// Show `write` what the journal records for the handoff as it
+    /// stands: whose agent, its image, the in-flight phase. The phase
+    /// owns the checkpoint for the call and hands it back, so a hop
+    /// clones the cursor once, not once per record.
+    fn view<R>(
+        &mut self,
+        transfer_id: u64,
+        write: impl FnOnce(&NapletId, Result<Arc<Vec<u8>>>, &JournalPhase) -> R,
+    ) -> R {
+        let phase = JournalPhase::InFlight {
+            transfer_id,
+            dest: self.dest.clone(),
+            checkpoint: std::mem::take(&mut self.checkpoint),
+            awaiting_ack: self.awaiting_ack(),
             attempt: self.attempt,
-            timeout_ms: retry.jittered_backoff_ms(transfer_id, self.attempt),
+            action: self.action.clone(),
+        };
+        let written = write(&self.id, self.image(), &phase);
+        if let JournalPhase::InFlight { checkpoint, .. } = phase {
+            self.checkpoint = checkpoint;
         }
+        written
+    }
+
+    /// Journal where the handoff stands: every in-flight record is
+    /// written here.
+    fn journal(&mut self, transfer_id: u64, journal: &mut Journal, out: &mut Outbox) {
+        self.view(transfer_id, |id, image, phase| {
+            journal.put_naplet(id, image, phase, out)
+        });
     }
 }
 
-/// One send of a handoff frame: the server puts `wire` on the link to
-/// `to` and arms a `TransferTimeout` for `attempt` in `timeout_ms`.
+/// A granted landing: the agent has left in all but the frame. The
+/// server runs the departure bookkeeping for `id` going to `dest` —
+/// handing on the unread `mailbox` — then gives this back to
+/// [`Navigator::depart`], which sends the `Transfer`.
+#[must_use]
 #[derive(Debug)]
-pub struct Attempt {
-    /// The handoff's destination.
-    pub to: String,
-    /// `LandingRequest` or `Transfer`, numbered `attempt`.
-    pub wire: Wire,
-    /// 1-based attempt within the current phase's budget.
-    pub attempt: u32,
-    /// Backoff (with jitter) until the attempt counts as unanswered.
-    pub timeout_ms: u64,
-}
-
-/// A `LandingReply` that answered an open request.
-#[derive(Debug)]
-pub struct Permit {
-    /// The agent the permit was asked for.
+pub struct Departure {
+    /// The departing agent.
     pub id: NapletId,
-    /// Where it was asked.
+    /// Where it goes.
     pub dest: String,
-    /// When the request first left.
-    pub started: Millis,
-    /// Its unread mail: forwarded on a grant, kept on a refusal.
+    /// The mail it has not read, to follow it.
     pub mailbox: Mailbox,
-    /// What the reply decided.
-    pub verdict: Verdict,
+    transfer_id: u64,
+    agent: SharedNaplet,
 }
 
-/// How a permit ends the first phase.
+/// How a `LandingReply` ends the first phase.
+#[allow(clippy::large_enum_variant)] // handed straight back, never stored
 #[derive(Debug)]
 pub enum Verdict {
-    /// The `Transfer` to send: the agent has left (departure
-    /// bookkeeping is due) but stays retained until the ack.
-    Granted(Attempt),
-    /// The agent, back in sole custody: the visit is skipped.
-    Denied(Naplet),
-}
-
-/// A handoff the destination acknowledged: custody is released.
-#[derive(Debug)]
-pub struct Committed {
-    /// The agent custody held — whose journal record retires.
-    pub id: NapletId,
-    /// Where it went.
-    pub dest: String,
-    /// When the handoff opened.
-    pub started: Millis,
-    /// `Transfer` attempts it took.
-    pub attempts: u32,
-}
-
-/// What an acknowledgement timer coming due means.
-#[derive(Debug)]
-pub enum Due {
-    /// Answered or failed meanwhile, or a newer attempt owns the timer.
-    Stale,
-    /// Retries remain: the current phase's frame again, one attempt on.
-    Retry {
-        /// The agent being handed off.
-        id: NapletId,
-        /// The phase's name in the `Retransmit` trace event.
-        phase: &'static str,
-        /// What to send and arm.
-        frame: Attempt,
-    },
-    /// The budget is spent.
-    Failed(Failed),
+    /// Granted: the agent leaves.
+    Granted(Departure),
+    /// Refused (or the agent would not encode): the agent and its
+    /// unread mail, back in sole custody; the visit is skipped.
+    Denied(Naplet, Mailbox),
 }
 
 /// A handoff given up: the agent is back in sole custody, rewound to
@@ -209,10 +207,6 @@ pub struct Failed {
     pub mailbox: Mailbox,
     /// The destination that never answered.
     pub dest: String,
-    /// Attempts made in the phase that failed.
-    pub attempts: u32,
-    /// Which answer never came.
-    pub reason: &'static str,
     /// The `Transfer` had left: departure bookkeeping is rolled back.
     pub departed: bool,
     /// The itinerary still demands `dest` (a `Seq` step; an `Alt`
@@ -222,7 +216,6 @@ pub struct Failed {
 
 /// The migration protocol of one server, both ends of it.
 pub struct Navigator {
-    host: String,
     retry: RetryPolicy,
     /// Outbound handoffs not yet acknowledged, by transfer id.
     handoffs: HashMap<u64, Handoff>,
@@ -240,10 +233,9 @@ pub struct Navigator {
 }
 
 impl Navigator {
-    /// The navigator of `host`, retrying under `retry`.
-    pub fn new(host: &str, retry: RetryPolicy) -> Navigator {
+    /// A navigator retrying under `retry`.
+    pub fn new(retry: RetryPolicy) -> Navigator {
         Navigator {
-            host: host.to_string(),
             retry,
             handoffs: HashMap::new(),
             expected: HashMap::new(),
@@ -253,9 +245,100 @@ impl Navigator {
         }
     }
 
+    // ----------------- the destination's end -----------------
+
+    /// A `LandingRequest` for `id` under `token` came from `from_host`,
+    /// and this host's `decision` on it: the reply goes back, and a
+    /// granted landing is expected — mail for the naplet waits here
+    /// until it arrives.
+    pub fn request(
+        &mut self,
+        from_host: String,
+        token: u64,
+        id: NapletId,
+        attempt: u32,
+        decision: Result<()>,
+        out: &mut Outbox,
+    ) {
+        let (granted, reason) = match decision {
+            Ok(()) => (true, String::new()),
+            Err(e) => (false, e.to_string()),
+        };
+        let (verdict, counter) = if granted {
+            ("grant", "landing.granted")
+        } else {
+            ("deny", "landing.denied")
+        };
+        // a request retransmitted after its `Transfer` was admitted here
+        // is answered again but expects nothing: the naplet has landed,
+        // may have left since, and its mail must chase it
+        let admission = (from_host, token);
+        if granted && !self.seen.contains_key(&admission) {
+            self.expected.insert(id.clone(), out.now());
+        }
+        let (from_host, _) = admission;
+        out.log(format!(
+            "LANDING {id} from {from_host} (attempt {attempt}): {verdict}"
+        ));
+        out.count(counter, 1);
+        out.trace(Some(&id), || TraceKind::LandingDecision {
+            origin: from_host.clone(),
+            granted,
+            reason: reason.clone(),
+        });
+        let reply = Wire::LandingReply {
+            token,
+            granted,
+            reason,
+        };
+        out.send(from_host, reply);
+    }
+
+    /// A `Transfer` came from `from`. Every attempt is acknowledged —
+    /// the previous ack may have been the frame that was lost — but the
+    /// envelope comes back, to be admitted, only the first time; its
+    /// admission note is journaled so a recovered receiver still re-acks
+    /// rather than re-admits a late retransmission.
+    pub fn receive(
+        &mut self,
+        from: &str,
+        envelope: TransferEnvelope,
+        journal: &mut Journal,
+        out: &mut Outbox,
+    ) -> Option<TransferEnvelope> {
+        let (transfer_id, now) = (envelope.transfer_id, out.now());
+        let id = envelope.naplet.id().clone();
+        let fresh = self.admit_once(from, transfer_id, now);
+        out.trace(Some(&id), || TraceKind::TransferReceived {
+            origin: from.to_string(),
+            transfer_id,
+            duplicate: !fresh,
+        });
+        let ack = Wire::TransferAck {
+            transfer_id,
+            id: id.clone(),
+        };
+        out.send(from.to_string(), ack);
+        if !fresh {
+            out.log(format!(
+                "duplicate TRANSFER {id} (attempt {}): already admitted",
+                envelope.attempt
+            ));
+            return None;
+        }
+        if let Err(e) = journal.note_seen(from, transfer_id, now) {
+            out.log(format!("JOURNAL seen failed for {id}: {e}"));
+        }
+        Some(envelope)
+    }
+
+    // ----------------- the origin's end -----------------
+
     /// Open a handoff of `agent` to `dest` under a fresh `transfer_id`:
-    /// the `LandingRequest` to send. The agent is encoded here, once —
-    /// the request's size estimate, both in-flight journal records, the
+    /// journaled before the first frame leaves — a crash here resumes
+    /// the handoff instead of losing the departing agent — then the
+    /// `LandingRequest` goes out. The agent is encoded here, once: the
+    /// request's size estimate, both in-flight journal records, the
     /// `Transfer` frame and the destination's admission copy that image.
     #[allow(clippy::too_many_arguments)]
     pub fn open(
@@ -266,8 +349,9 @@ impl Navigator {
         action: Option<ActionSpec>,
         dest: String,
         checkpoint: Cursor,
-        now: Millis,
-    ) -> Attempt {
+        journal: &mut Journal,
+        out: &mut Outbox,
+    ) {
         let handoff = Handoff {
             id: agent.id().clone(),
             custody: Custody::AwaitingPermit { agent, mailbox },
@@ -275,12 +359,17 @@ impl Navigator {
             action,
             checkpoint,
             attempt: 1,
-            started: now,
+            started: out.now(),
         };
-        let request = handoff.frame(transfer_id, &self.host);
-        let first = handoff.send(transfer_id, request, &self.retry);
-        self.handoffs.insert(transfer_id, handoff);
-        first
+        let request = handoff.frame(transfer_id, out.host());
+        let handoff = self.handoffs.entry(transfer_id).insert_entry(handoff);
+        let handoff = handoff.into_mut();
+        handoff.journal(transfer_id, journal, out);
+        out.trace(Some(&handoff.id), || TraceKind::LandingRequested {
+            dest: handoff.dest.clone(),
+            transfer_id,
+        });
+        handoff.send(transfer_id, request, &self.retry, out);
     }
 
     /// Take `transfer_id` out of custody if it is what this answer is
@@ -297,92 +386,184 @@ impl Navigator {
         }
     }
 
-    /// A `LandingReply` for `token` arrived from `from`. `None` when no
-    /// handoff awaits that host's permit under that token: a duplicate,
-    /// a late reply, or not the destination's.
-    pub fn permit(&mut self, token: u64, from: &str, granted: bool) -> Option<Permit> {
-        let handoff = self.take_if(token, |h| h.dest == from && !h.awaiting_ack())?;
+    /// A `LandingReply` for `token` came from `from`, `granted` or
+    /// refused for `reason`. `None` when no handoff awaits that host's
+    /// permit under that token — a duplicate, a late reply, or not the
+    /// destination's — which is logged and changes nothing.
+    pub fn permit(
+        &mut self,
+        token: u64,
+        from: &str,
+        granted: bool,
+        reason: &str,
+        out: &mut Outbox,
+    ) -> Option<Verdict> {
+        let awaited = |h: &Handoff| h.dest == from && !h.awaiting_ack();
+        let Some(handoff) = self.take_if(token, awaited) else {
+            out.log(format!("stray LandingReply token {token}"));
+            return None;
+        };
         // an agent that will not encode cannot be sent either: its
         // grant ends like a refusal
         let image = handoff.image().ok().filter(|_| granted);
         let (agent, mailbox) = handoff.custody.release();
         let (id, dest, started) = (handoff.id, handoff.dest, handoff.started);
-        let verdict = match image {
-            Some(image) => {
-                let sent = Handoff {
-                    id: id.clone(),
-                    custody: Custody::AwaitingAck { image },
-                    dest: dest.clone(),
-                    attempt: 1,
-                    ..handoff
-                };
-                let transfer = Wire::Transfer(TransferEnvelope {
-                    naplet: agent,
-                    action: sent.action.clone(),
-                    transfer_id: token,
-                    attempt: 1,
-                });
-                let first = sent.send(token, transfer, &self.retry);
-                self.handoffs.insert(token, sent);
-                Verdict::Granted(first)
-            }
-            None => Verdict::Denied(agent.into_owned()),
+        let latency = out.now().since(started);
+        out.observe("landing_latency_ms", LATENCY_BOUNDS_MS, latency);
+        out.trace(Some(&id), || TraceKind::PermitReceived {
+            dest: dest.clone(),
+            transfer_id: token,
+            granted,
+            started,
+        });
+        let Some(image) = image else {
+            out.log(format!("LANDING denied for {id} at {dest}: {reason}"));
+            return Some(Verdict::Denied(agent.into_owned(), mailbox));
         };
-        Some(Permit {
+        let sent = Handoff {
+            id: id.clone(),
+            custody: Custody::AwaitingAck { image },
+            dest: dest.clone(),
+            attempt: 1,
+            ..handoff
+        };
+        self.handoffs.insert(token, sent);
+        Some(Verdict::Granted(Departure {
             id,
             dest,
-            started,
             mailbox,
-            verdict,
-        })
+            transfer_id: token,
+            agent,
+        }))
     }
 
-    /// A `TransferAck` for `transfer_id` naming `id` arrived from
-    /// `from`: commits only the handoff it acknowledges — awaiting an
-    /// ack, from that host, of that agent. Else `None`, nothing changed.
-    pub fn ack(&mut self, transfer_id: u64, from: &str, id: &NapletId) -> Option<Committed> {
-        let awaited = |h: &Handoff| h.dest == from && h.awaiting_ack() && h.id == *id;
-        let handoff = self.take_if(transfer_id, awaited)?;
-        Some(Committed {
-            id: handoff.id,
-            dest: handoff.dest,
-            started: handoff.started,
-            attempts: handoff.attempt,
-        })
-    }
-
-    /// The timer armed for `attempt` of `transfer_id` came due.
-    pub fn due(&mut self, transfer_id: u64, attempt: u32, now: Millis) -> Due {
-        let current = self.handoffs.get_mut(&transfer_id);
-        let Some(handoff) = current.filter(|h| h.attempt == attempt) else {
-            return Due::Stale;
+    /// Send the `Transfer` of a granted landing once the server has
+    /// run the departure bookkeeping: journaled past the permit, then
+    /// the frame — the live handle rides in it — and its timer.
+    pub fn depart(&mut self, departure: Departure, journal: &mut Journal, out: &mut Outbox) {
+        let Departure {
+            transfer_id, agent, ..
+        } = departure;
+        let Some(handoff) = self.handoffs.get_mut(&transfer_id) else {
+            return;
         };
+        out.trace(Some(&handoff.id), || TraceKind::TransferSent {
+            dest: handoff.dest.clone(),
+            transfer_id,
+        });
+        handoff.journal(transfer_id, journal, out);
+        let transfer = Wire::Transfer(TransferEnvelope {
+            naplet: agent,
+            action: handoff.action.clone(),
+            transfer_id,
+            attempt: 1,
+        });
+        handoff.send(transfer_id, transfer, &self.retry, out);
+    }
+
+    /// A `TransferAck` for `transfer_id` naming `id` came from `from`:
+    /// commits only the handoff it acknowledges — awaiting an ack, from
+    /// that host, of that agent — releasing custody and retiring its
+    /// journal record (the destination journaled the agent before
+    /// acking). Anything else is logged as stray and changes nothing.
+    pub fn ack(
+        &mut self,
+        transfer_id: u64,
+        from: &str,
+        id: &NapletId,
+        journal: &mut Journal,
+        out: &mut Outbox,
+    ) {
+        let awaited = |h: &Handoff| h.dest == from && h.awaiting_ack() && h.id == *id;
+        let Some(handoff) = self.take_if(transfer_id, awaited) else {
+            out.log(format!(
+                "stray TransferAck transfer {transfer_id} for {id} from {from}"
+            ));
+            return;
+        };
+        let (id, started, attempts) = (&handoff.id, handoff.started, handoff.attempt);
+        journal.retire_naplet(id, out);
+        out.log(format!("HANDOFF commit {id} (transfer {transfer_id})"));
+        out.count("handoff.commits", 1);
+        let rtt = out.now().since(started);
+        out.observe("handoff_rtt_ms", LATENCY_BOUNDS_MS, rtt);
+        out.observe("transfer_attempts", COUNT_BOUNDS, u64::from(attempts));
+        out.trace(Some(id), || TraceKind::HandoffCommit {
+            dest: handoff.dest.clone(),
+            transfer_id,
+            started,
+            attempts,
+        });
+    }
+
+    /// The timer armed for `attempt` of `transfer_id` came due. A stale
+    /// one (answered or failed meanwhile, or a newer attempt armed)
+    /// does nothing. While retries remain the current phase's frame goes
+    /// again, one attempt on, journaled first so a recovered origin
+    /// resumes the budget where it stood. A spent budget gives the agent
+    /// back.
+    pub fn due(
+        &mut self,
+        transfer_id: u64,
+        attempt: u32,
+        journal: &mut Journal,
+        out: &mut Outbox,
+    ) -> Option<Failed> {
+        let current = self.handoffs.get_mut(&transfer_id);
+        let handoff = current.filter(|h| h.attempt == attempt)?;
         if attempt < self.retry.max_retries {
             handoff.attempt += 1;
-            let again = handoff.frame(transfer_id, &self.host);
-            return Due::Retry {
-                id: handoff.id.clone(),
-                phase: handoff.names().0,
-                frame: handoff.send(transfer_id, again, &self.retry),
-            };
+            let again = handoff.frame(transfer_id, out.host());
+            handoff.journal(transfer_id, journal, out);
+            let (id, dest, next) = (&handoff.id, &handoff.dest, handoff.attempt);
+            out.log(format!("RETRY {id} -> {dest} (attempt {next})"));
+            out.count("handoff.retransmits", 1);
+            out.trace(Some(id), || TraceKind::Retransmit {
+                dest: dest.clone(),
+                transfer_id,
+                attempt: next,
+                phase: handoff.names().0.to_string(),
+            });
+            handoff.send(transfer_id, again, &self.retry, out);
+            return None;
         }
-        let Some(handoff) = self.handoffs.remove(&transfer_id) else {
-            return Due::Stale;
-        };
+        let handoff = self.handoffs.remove(&transfer_id)?;
         let (departed, reason) = (handoff.awaiting_ack(), handoff.names().1);
         let (agent, mailbox) = handoff.custody.release();
         let mut agent = agent.into_owned();
         agent.set_cursor(handoff.checkpoint);
         let dest = handoff.dest;
-        agent.nav_log.record_failure(&dest, now, attempt, reason);
+        agent
+            .nav_log
+            .record_failure(&dest, out.now(), attempt, reason);
         // `dest` now counts as unreachable, so an `Alt` decides again
         let park = agent.peek_next_host().as_deref() == Some(&dest);
-        Due::Failed(Failed {
+        let id = agent.id();
+        out.log(format!(
+            "HANDOFF failed {id} -> {dest} after {attempt} attempts \
+             ({reason}; transfer {transfer_id})"
+        ));
+        out.count("handoff.failures", 1);
+        out.trace(Some(id), || TraceKind::HandoffFailed {
+            dest: dest.clone(),
+            transfer_id,
+            attempts: attempt,
+            reason: reason.to_string(),
+        });
+        if park {
+            out.log(format!(
+                "PARK {id}: {dest} unreachable after {attempt} attempts"
+            ));
+            out.count("handoff.parked", 1);
+            out.trace(Some(id), || TraceKind::Parked {
+                dest: dest.clone(),
+                attempts: attempt,
+            });
+        }
+        Some(Failed {
             agent,
             mailbox,
             dest,
-            attempts: attempt,
-            reason,
             departed,
             park,
         })
@@ -392,15 +573,10 @@ impl Navigator {
     /// `agent` is the record's bytes decoded into a handle that keeps
     /// them as its image (held as the handle before the permit, as the
     /// image after), so resending and re-journaling copy the record.
-    /// Returns the `(transfer id, attempt)` whose timer fires at once —
-    /// the ordinary [`due`](Self::due) re-drives it; `None` for a phase
-    /// that is not in flight.
-    pub fn restore(
-        &mut self,
-        agent: SharedNaplet,
-        phase: JournalPhase,
-        now: Millis,
-    ) -> Option<(u64, u32)> {
+    /// Its timer is armed to fire at once: the ordinary
+    /// [`due`](Self::due) re-drives it. A phase that is not in flight
+    /// restores nothing.
+    pub fn restore(&mut self, agent: SharedNaplet, phase: JournalPhase, out: &mut Outbox) {
         let JournalPhase::InFlight {
             transfer_id,
             dest,
@@ -410,7 +586,7 @@ impl Navigator {
             action,
         } = phase
         else {
-            return None;
+            return;
         };
         let id = agent.id().clone();
         let custody = match agent.wire_bytes() {
@@ -429,41 +605,26 @@ impl Navigator {
             action,
             checkpoint,
             attempt,
-            started: now,
+            started: out.now(),
         };
         self.handoffs.insert(transfer_id, handoff);
-        Some((transfer_id, attempt))
+        let timeout = LocalEvent::TransferTimeout {
+            transfer_id,
+            attempt,
+        };
+        out.after(0, timeout);
     }
 
     /// Show `write` what the journal records for `transfer_id` as it
     /// stands: whose agent, its image, the in-flight phase — what
-    /// [`restore`](Self::restore) inverts. The phase owns the checkpoint
-    /// for the call and hands it back, so a hop clones the cursor once,
-    /// not once per record.
+    /// [`restore`](Self::restore) inverts.
     pub fn journal_view<R>(
         &mut self,
         transfer_id: u64,
         write: impl FnOnce(&NapletId, Result<Arc<Vec<u8>>>, &JournalPhase) -> R,
     ) -> Option<R> {
         let handoff = self.handoffs.get_mut(&transfer_id)?;
-        let phase = JournalPhase::InFlight {
-            transfer_id,
-            dest: handoff.dest.clone(),
-            checkpoint: std::mem::take(&mut handoff.checkpoint),
-            awaiting_ack: handoff.awaiting_ack(),
-            attempt: handoff.attempt,
-            action: handoff.action.clone(),
-        };
-        let written = write(&handoff.id, handoff.image(), &phase);
-        if let JournalPhase::InFlight { checkpoint, .. } = phase {
-            handoff.checkpoint = checkpoint;
-        }
-        Some(written)
-    }
-
-    /// A landing for `id` was granted here at `now`.
-    pub fn expect(&mut self, id: NapletId, now: Millis) {
-        self.expected.insert(id, now);
+        Some(handoff.view(transfer_id, write))
     }
 
     /// `id` was admitted: nothing is expected any more.
@@ -515,7 +676,9 @@ impl Navigator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::Output;
     use naplet_core::credential::SigningKey;
+    use naplet_core::error::NapletError;
     use naplet_core::itinerary::{Itinerary, Pattern, Step};
     use naplet_core::message::Message;
     use naplet_core::naplet::AgentKind;
@@ -528,7 +691,35 @@ mod tests {
             max_retries: RETRIES,
             ..RetryPolicy::default()
         };
-        Navigator::new("a", retry)
+        Navigator::new(retry)
+    }
+
+    /// The outbox of host `a`, with tracing on so tests read the events.
+    fn outbox(now: u64) -> Outbox {
+        let mut out = Outbox::new("a");
+        out.obs().enable_tracing();
+        out.at(Millis(now));
+        out
+    }
+
+    /// The one attempt in `out`: the frame, where it went, and the
+    /// attempt and delay of the `TransferTimeout` armed right behind it.
+    fn one_attempt(out: &mut Outbox) -> (String, Wire, u32, u64) {
+        let mut sent = out.take().into_iter();
+        let (Some(Output::Send { to, wire }), Some(Output::Schedule { delay_ms, event })) =
+            (sent.next(), sent.next())
+        else {
+            panic!("an attempt is a frame and its timer");
+        };
+        let LocalEvent::TransferTimeout { attempt, .. } = event else {
+            panic!("a handoff frame arms a TransferTimeout");
+        };
+        assert!(sent.next().is_none(), "one attempt at a time");
+        (to, wire, attempt, delay_ms)
+    }
+
+    fn logged(out: &Outbox, prefix: &str) -> bool {
+        out.lines().iter().any(|e| e.line.starts_with(prefix))
     }
 
     /// An agent about to leave `a` for the first stop of `route`: the
@@ -554,21 +745,23 @@ mod tests {
     }
 
     /// Open transfer 9 of a fresh agent along `route`, carrying one
-    /// unread message.
-    fn open(nav: &mut Navigator, route: Pattern) -> (SharedNaplet, Cursor, Attempt) {
+    /// unread message, at 10 ms.
+    fn open(nav: &mut Navigator, journal: &mut Journal, route: Pattern) -> (SharedNaplet, Cursor) {
         let (agent, action, dest, checkpoint) = departing(route);
         let mailbox = mail(agent.id());
-        let at = Millis(10);
-        let first = nav.open(
+        let mut out = outbox(10);
+        let cp = checkpoint.clone();
+        nav.open(
             9,
             agent.clone(),
             mailbox,
             action,
             dest,
-            checkpoint.clone(),
-            at,
+            cp,
+            journal,
+            &mut out,
         );
-        (agent, checkpoint, first)
+        (agent, checkpoint)
     }
 
     fn ring() -> Pattern {
@@ -582,24 +775,42 @@ mod tests {
         })
     }
 
-    fn granted(nav: &mut Navigator) -> Attempt {
-        match nav
-            .permit(9, "b", true)
-            .expect("the permit is awaited")
-            .verdict
-        {
-            Verdict::Granted(transfer) => transfer,
-            Verdict::Denied(_) => panic!("a grant sends the agent"),
-        }
+    /// Grant transfer 9 and send its `Transfer`: the frame's attempt.
+    fn granted(nav: &mut Navigator, journal: &mut Journal) -> (String, Wire, u32, u64) {
+        let mut out = outbox(20);
+        let Some(Verdict::Granted(departure)) = nav.permit(9, "b", true, "", &mut out) else {
+            panic!("a grant sends the agent");
+        };
+        nav.depart(departure, journal, &mut out);
+        one_attempt(&mut out)
+    }
+
+    fn due(nav: &mut Navigator, attempt: u32, now: u64) -> (Option<Failed>, Outbox) {
+        let (mut journal, mut out) = (Journal::in_memory(), outbox(now));
+        let failed = nav.due(9, attempt, &mut journal, &mut out);
+        (failed, out)
     }
 
     #[test]
-    fn open_asks_for_the_permit_and_holds_the_agent_with_its_image() {
-        let mut nav = navigator();
-        let (agent, checkpoint, first) = open(&mut nav, ring());
+    fn open_journals_then_asks_for_the_permit_and_holds_the_agent_with_its_image() {
+        let (mut nav, mut journal) = (navigator(), Journal::in_memory());
+        let (agent, action, dest, checkpoint) = departing(ring());
+        let mut out = outbox(10);
+        let cp = checkpoint.clone();
+        nav.open(
+            9,
+            agent.clone(),
+            mail(agent.id()),
+            action,
+            dest,
+            cp,
+            &mut journal,
+            &mut out,
+        );
         let image = agent.wire_bytes().unwrap();
-        assert_eq!((first.to.as_str(), first.attempt), ("b", 1));
-        assert_eq!(first.timeout_ms, nav.retry.jittered_backoff_ms(9, 1));
+        let (to, wire, attempt, delay) = one_attempt(&mut out);
+        assert_eq!((to.as_str(), attempt), ("b", 1));
+        assert_eq!(delay, nav.retry.jittered_backoff_ms(9, 1));
         let Wire::LandingRequest {
             token,
             from_host,
@@ -607,13 +818,14 @@ mod tests {
             est_bytes,
             attempt,
             ..
-        } = first.wire
+        } = wire
         else {
             panic!("a handoff opens with a LandingRequest");
         };
         assert_eq!((token, from_host.as_str(), attempt), (9, "a", 1));
         assert_eq!((&naplet_id, est_bytes), (agent.id(), image.len() as u64));
         assert_eq!(nav.pending_count(), 1);
+        assert_eq!(journal.naplet_records().len(), 1, "journaled as it opened");
         let (recorded, phase) = view(&mut nav, 9).unwrap();
         assert_eq!(recorded, *image);
         let expected = JournalPhase::InFlight {
@@ -625,6 +837,7 @@ mod tests {
             action: Some(ActionSpec::ReportHome),
         };
         assert_eq!(phase, expected);
+        assert_eq!(journal.naplet_records()[0].1.phase, expected);
         // the view hands the checkpoint back: a second look is the same
         assert_eq!(view(&mut nav, 9).unwrap().1, expected);
         assert!(view(&mut nav, 8).is_none());
@@ -632,17 +845,20 @@ mod tests {
 
     #[test]
     fn a_grant_sends_the_live_handle_and_keeps_only_its_image() {
-        let mut nav = navigator();
-        let (agent, _, _) = open(&mut nav, ring());
+        let (mut nav, mut journal) = (navigator(), Journal::in_memory());
+        let (agent, _) = open(&mut nav, &mut journal, ring());
         let image = agent.wire_bytes().unwrap();
-        let permit = nav.permit(9, "b", true).unwrap();
-        assert_eq!((&permit.id, permit.dest.as_str()), (agent.id(), "b"));
-        assert_eq!((permit.started, permit.mailbox.len()), (Millis(10), 1));
-        let Verdict::Granted(transfer) = permit.verdict else {
+        let mut out = outbox(20);
+        let Some(Verdict::Granted(mut departure)) = nav.permit(9, "b", true, "", &mut out) else {
             panic!("a grant sends the agent");
         };
-        assert_eq!((transfer.to.as_str(), transfer.attempt), ("b", 1));
-        let Wire::Transfer(envelope) = transfer.wire else {
+        assert_eq!((&departure.id, departure.dest.as_str()), (agent.id(), "b"));
+        assert_eq!(std::mem::take(&mut departure.mailbox).len(), 1);
+        assert!(out.take().is_empty(), "nothing leaves before the departure");
+        nav.depart(departure, &mut journal, &mut out);
+        let (to, wire, attempt, _) = one_attempt(&mut out);
+        assert_eq!((to.as_str(), attempt), ("b", 1));
+        let Wire::Transfer(envelope) = wire else {
             panic!("a grant sends a Transfer");
         };
         assert_eq!((envelope.transfer_id, envelope.attempt), (9, 1));
@@ -651,41 +867,53 @@ mod tests {
         // custody moved on: same image, second phase, budget restarted
         let (recorded, phase) = view(&mut nav, 9).unwrap();
         assert_eq!(recorded, *image);
-        assert!(matches!(
-            phase,
-            JournalPhase::InFlight {
-                awaiting_ack: true,
-                attempt: 1,
-                ..
-            }
-        ));
+        let sent = |phase: &JournalPhase| {
+            let stands = matches!(phase, JournalPhase::InFlight { awaiting_ack, attempt, .. }
+                if *awaiting_ack && *attempt == 1);
+            assert!(stands, "{phase:?}");
+        };
+        sent(&phase);
+        sent(&journal.naplet_records()[0].1.phase);
         assert_eq!(nav.pending_count(), 1);
         assert!(
-            nav.permit(9, "b", true).is_none(),
+            nav.permit(9, "b", true, "", &mut out).is_none(),
             "a second reply is stray"
         );
+        assert!(logged(&out, "stray LandingReply token 9"));
     }
 
     #[test]
     fn a_refusal_hands_the_agent_and_its_mail_back() {
-        let mut nav = navigator();
-        let (agent, _, _) = open(&mut nav, ring());
-        let permit = nav.permit(9, "b", false).unwrap();
-        assert_eq!(permit.mailbox.len(), 1);
-        let Verdict::Denied(back) = permit.verdict else {
+        let (mut nav, mut journal) = (navigator(), Journal::in_memory());
+        let (agent, _) = open(&mut nav, &mut journal, ring());
+        let mut out = outbox(20);
+        let verdict = nav.permit(9, "b", false, "full", &mut out);
+        let Some(Verdict::Denied(back, mailbox)) = verdict else {
             panic!("a refusal sends nothing");
         };
+        assert_eq!(mailbox.len(), 1);
         assert_eq!(&back, agent.get());
         assert_eq!(nav.pending_count(), 0);
+        assert!(out.take().is_empty());
+        assert!(logged(&out, "LANDING denied for"));
     }
 
     #[test]
     fn a_permit_nobody_awaits_changes_nothing() {
-        let mut nav = navigator();
-        open(&mut nav, ring());
-        assert!(nav.permit(8, "b", true).is_none(), "unknown token");
-        assert!(nav.permit(9, "c", true).is_none(), "not the destination");
-        assert!(nav.permit(9, "c", false).is_none());
+        let (mut nav, mut journal) = (navigator(), Journal::in_memory());
+        open(&mut nav, &mut journal, ring());
+        let mut out = outbox(20);
+        assert!(
+            nav.permit(8, "b", true, "", &mut out).is_none(),
+            "unknown token"
+        );
+        assert!(
+            nav.permit(9, "c", true, "", &mut out).is_none(),
+            "not the destination"
+        );
+        assert!(nav.permit(9, "c", false, "", &mut out).is_none());
+        assert!(out.take().is_empty());
+        assert_eq!(out.lines().len(), 3, "each stray logged");
         assert!(matches!(
             view(&mut nav, 9).unwrap().1,
             JournalPhase::InFlight {
@@ -693,56 +921,80 @@ mod tests {
                 ..
             }
         ));
-        granted(&mut nav);
+        granted(&mut nav, &mut journal);
     }
 
     #[test]
     fn an_ack_commits_only_the_handoff_it_acknowledges() {
-        let mut nav = navigator();
-        let (agent, _, _) = open(&mut nav, ring());
+        let (mut nav, mut journal) = (navigator(), Journal::in_memory());
+        let (agent, _) = open(&mut nav, &mut journal, ring());
         let id = agent.id().clone();
-        assert!(nav.ack(9, "b", &id).is_none(), "no Transfer has left yet");
-        granted(&mut nav);
+        let mut out = outbox(25);
+        nav.ack(9, "b", &id, &mut journal, &mut out);
+        assert_eq!(nav.pending_count(), 1, "no Transfer has left yet");
+        granted(&mut nav, &mut journal);
         let other = NapletId::new("czxu", "a", Millis(2)).unwrap();
-        assert!(nav.ack(9, "c", &id).is_none(), "not the destination");
-        assert!(nav.ack(9, "b", &other).is_none(), "another agent");
-        assert!(nav.ack(8, "b", &id).is_none(), "another transfer");
+        nav.ack(9, "c", &id, &mut journal, &mut out); // not the destination
+        nav.ack(9, "b", &other, &mut journal, &mut out); // another agent
+        nav.ack(8, "b", &id, &mut journal, &mut out); // another transfer
         assert_eq!(nav.pending_count(), 1);
-        assert!(matches!(nav.due(9, 1, Millis(20)), Due::Retry { .. }));
-        let commit = nav.ack(9, "b", &id).expect("the destination's ack commits");
-        assert_eq!((commit.id, commit.dest.as_str()), (id.clone(), "b"));
-        assert_eq!((commit.started, commit.attempts), (Millis(10), 2));
-        assert_eq!(nav.pending_count(), 0);
-        assert!(nav.ack(9, "b", &id).is_none(), "a second ack is stray");
-        assert!(matches!(nav.due(9, 2, Millis(30)), Due::Stale));
+        assert_eq!(out.lines().len(), 4, "each stray ack logged");
+        assert!(due(&mut nav, 1, 20).0.is_none());
+        nav.ack(9, "b", &id, &mut journal, &mut out);
+        assert_eq!(nav.pending_count(), 0, "the destination's ack commits");
+        assert!(journal.naplet_records().is_empty(), "the record retired");
+        assert!(logged(&out, &format!("HANDOFF commit {id} (transfer 9)")));
+        let commits: Vec<_> = (out.obs().tracer.events().into_iter())
+            .filter_map(|e| match e.kind {
+                TraceKind::HandoffCommit {
+                    dest,
+                    started,
+                    attempts,
+                    ..
+                } => Some((dest, started, attempts)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(commits, [("b".to_string(), Millis(10), 2)]);
+        nav.ack(9, "b", &id, &mut journal, &mut out);
+        assert_eq!(out.lines().len(), 6, "a second ack is stray");
+        assert!(due(&mut nav, 2, 30).1.take().is_empty());
     }
 
     #[test]
     fn a_due_timer_resends_the_current_phase_until_the_budget_is_spent() {
-        let mut nav = navigator();
-        let (agent, _, _) = open(&mut nav, ring());
+        let (mut nav, mut journal) = (navigator(), Journal::in_memory());
+        let (agent, _) = open(&mut nav, &mut journal, ring());
         let image = agent.wire_bytes().unwrap();
-        assert!(matches!(nav.due(9, 2, Millis(20)), Due::Stale), "not armed");
-        let Due::Retry { id, phase, frame } = nav.due(9, 1, Millis(20)) else {
-            panic!("one attempt of three is not the budget");
-        };
-        assert_eq!((&id, phase, frame.attempt), (agent.id(), "permit", 2));
-        assert_eq!(frame.timeout_ms, nav.retry.jittered_backoff_ms(9, 2));
-        assert!(matches!(
-            frame.wire,
-            Wire::LandingRequest { attempt: 2, .. }
+        let (failed, mut out) = due(&mut nav, 2, 20);
+        assert!(failed.is_none() && out.take().is_empty(), "not armed");
+        let (failed, mut out) = due(&mut nav, 1, 20);
+        assert!(failed.is_none(), "one attempt of three is not the budget");
+        assert!(logged(
+            &out,
+            &format!("RETRY {} -> b (attempt 2)", agent.id())
         ));
-        assert!(
-            matches!(nav.due(9, 1, Millis(21)), Due::Stale),
-            "superseded"
-        );
+        let (to, wire, attempt, delay) = one_attempt(&mut out);
+        assert_eq!((to.as_str(), attempt), ("b", 2));
+        assert_eq!(delay, nav.retry.jittered_backoff_ms(9, 2));
+        assert!(matches!(wire, Wire::LandingRequest { attempt: 2, .. }));
+        assert!(due(&mut nav, 1, 21).1.take().is_empty(), "superseded");
 
-        granted(&mut nav);
-        let Due::Retry { phase, frame, .. } = nav.due(9, 1, Millis(30)) else {
-            panic!("the second phase has its own budget");
-        };
-        assert_eq!((phase, frame.attempt), ("transfer", 2));
-        let Wire::Transfer(envelope) = frame.wire else {
+        granted(&mut nav, &mut journal);
+        let (_, mut out) = due(&mut nav, 1, 30);
+        let phase = out
+            .obs()
+            .tracer
+            .events()
+            .into_iter()
+            .find_map(|e| match e.kind {
+                TraceKind::Retransmit { phase, .. } => Some(phase),
+                _ => None,
+            });
+        assert_eq!(phase.as_deref(), Some("transfer"), "its own budget");
+        let (_, wire, attempt, _) = one_attempt(&mut out);
+        assert_eq!(attempt, 2);
+        let Wire::Transfer(envelope) = wire else {
             panic!("the second phase resends the Transfer");
         };
         assert_eq!((envelope.transfer_id, envelope.attempt), (9, 2));
@@ -764,21 +1016,22 @@ mod tests {
                 false,
             ),
         ] {
-            let mut nav = navigator();
-            let (_, checkpoint, _) = open(&mut nav, route);
+            let (mut nav, mut journal) = (navigator(), Journal::in_memory());
+            let (_, checkpoint) = open(&mut nav, &mut journal, route);
             if sent {
-                granted(&mut nav);
+                granted(&mut nav, &mut journal);
             }
             for attempt in 1..RETRIES {
-                assert!(matches!(nav.due(9, attempt, Millis(20)), Due::Retry { .. }));
+                assert!(due(&mut nav, attempt, 20).0.is_none());
             }
-            let Due::Failed(failed) = nav.due(9, RETRIES, Millis(50)) else {
-                panic!("attempt {RETRIES} of {RETRIES} spends the budget");
-            };
-            assert_eq!((failed.dest.as_str(), failed.attempts), ("b", RETRIES));
+            let (failed, mut out) = due(&mut nav, RETRIES, 50);
+            let failed = failed.expect("the last attempt spends the budget");
+            assert!(out.take().is_empty(), "nothing more is sent");
+            assert_eq!(failed.dest, "b");
             assert_eq!((failed.departed, failed.park), (sent, park));
+            assert!(logged(&out, "HANDOFF failed"));
+            assert_eq!(logged(&out, "PARK"), park);
             let reason = ["no landing reply", "transfer unacknowledged"][sent as usize];
-            assert_eq!(failed.reason, reason);
             assert_eq!(failed.mailbox.len(), usize::from(!sent), "unread mail");
             let failures = failed.agent.nav_log.failures();
             assert_eq!(failures.len(), 1);
@@ -796,31 +1049,36 @@ mod tests {
             assert_eq!(failed.agent.peek_next_host(), rewound.peek_next_host());
             assert_eq!(failed.agent.cursor(), rewound.cursor());
             assert_eq!(nav.pending_count(), 0);
-            assert!(matches!(nav.due(9, RETRIES, Millis(60)), Due::Stale));
+            assert!(due(&mut nav, RETRIES, 60).0.is_none());
         }
     }
 
     #[test]
     fn restore_inverts_the_journal_view_in_both_phases() {
         for sent in [false, true] {
-            let mut nav = navigator();
-            open(&mut nav, ring());
+            let (mut nav, mut journal) = (navigator(), Journal::in_memory());
+            open(&mut nav, &mut journal, ring());
             if sent {
-                granted(&mut nav);
+                granted(&mut nav, &mut journal);
             }
-            assert!(matches!(nav.due(9, 1, Millis(20)), Due::Retry { .. }));
+            assert!(due(&mut nav, 1, 20).0.is_none());
             let (image, phase) = view(&mut nav, 9).unwrap();
 
             let mut recovered = navigator();
             let agent: SharedNaplet = codec::from_bytes(&image).unwrap();
-            let timer = recovered.restore(agent, phase.clone(), Millis(99));
-            assert_eq!(timer, Some((9, 2)));
+            let mut out = outbox(99);
+            recovered.restore(agent, phase.clone(), &mut out);
+            let timer = LocalEvent::TransferTimeout {
+                transfer_id: 9,
+                attempt: 2,
+            };
+            assert!(matches!(&out.take()[..],
+                [Output::Schedule { delay_ms: 0, event }] if *event == timer));
             assert_eq!(view(&mut recovered, 9).unwrap(), (image.clone(), phase));
             // the immediate timer re-drives the phase with the record's bytes
-            let Due::Retry { frame, .. } = recovered.due(9, 2, Millis(99)) else {
-                panic!("attempt 2 of {RETRIES} leaves one");
-            };
-            match frame.wire {
+            let (failed, mut out) = due(&mut recovered, 2, 99);
+            assert!(failed.is_none(), "attempt 2 of {RETRIES} leaves one");
+            match one_attempt(&mut out).1 {
                 Wire::Transfer(envelope) if sent => {
                     assert_eq!(*envelope.naplet.wire_bytes().unwrap(), image);
                 }
@@ -831,8 +1089,8 @@ mod tests {
             }
             assert_eq!(view(&mut recovered, 9).unwrap().0, image);
             let agent: SharedNaplet = codec::from_bytes(&image).unwrap();
-            let resident = JournalPhase::Parked;
-            assert_eq!(recovered.restore(agent, resident, Millis(99)), None);
+            recovered.restore(agent, JournalPhase::Parked, &mut out);
+            assert!(out.take().is_empty(), "a resident record restores nothing");
             assert_eq!(recovered.pending_count(), 1);
         }
     }
@@ -852,24 +1110,76 @@ mod tests {
     }
 
     #[test]
+    fn every_transfer_attempt_is_acked_and_the_first_is_admitted() {
+        let (mut nav, mut journal) = (navigator(), Journal::in_memory());
+        let (agent, action, _, _) = departing(ring());
+        let envelope = |attempt| TransferEnvelope {
+            naplet: agent.clone(),
+            action: action.clone(),
+            transfer_id: 4,
+            attempt,
+        };
+        let mut out = outbox(100);
+        assert!(nav
+            .receive("o", envelope(1), &mut journal, &mut out)
+            .is_some());
+        assert!(nav
+            .receive("o", envelope(2), &mut journal, &mut out)
+            .is_none());
+        let acks = out.take().into_iter().filter(|o| {
+            matches!(o, Output::Send { to, wire: Wire::TransferAck { transfer_id: 4, id } }
+                if to == "o" && id == agent.id())
+        });
+        assert_eq!(acks.count(), 2);
+        assert!(logged(&out, "duplicate TRANSFER"));
+        assert_eq!(journal.seen(), [(("o".to_string(), 4), Millis(100))]);
+    }
+
+    #[test]
     fn a_granted_landing_is_expected_until_it_arrives_or_lapses() {
         let mut nav = navigator();
-        let id = NapletId::new("czxu", "a", Millis(1)).unwrap();
+        let (agent, _, _, _) = departing(ring());
+        let id = agent.id().clone();
+        let request = |nav: &mut Navigator, at: u64, decision: Result<()>| {
+            let mut out = outbox(at);
+            nav.request("o".into(), 4, id.clone(), 1, decision, &mut out);
+            let reply = out.take();
+            let [Output::Send {
+                to,
+                wire:
+                    Wire::LandingReply {
+                        token: 4, granted, ..
+                    },
+            }] = &reply[..]
+            else {
+                panic!("one reply to the requester");
+            };
+            assert_eq!(to, "o");
+            *granted
+        };
         assert!(!nav.expecting(&id, Millis(0)));
-        nav.expect(id.clone(), Millis(100));
+        let full = NapletError::Service("full".into());
+        assert!(!request(&mut nav, 100, Err(full)), "a refusal");
+        assert!(!nav.expecting(&id, Millis(100)), "expects nothing");
+        assert!(request(&mut nav, 100, Ok(())));
         assert!(nav.expecting(&id, Millis(100 + EXPECTED_ARRIVAL_TTL_MS - 1)));
         assert!(!nav.expecting(&id, Millis(100 + EXPECTED_ARRIVAL_TTL_MS)));
         nav.sweep(Millis(100 + EXPECTED_ARRIVAL_TTL_MS), u64::MAX);
         assert!(nav.expected.is_empty(), "a lapsed grant is forgotten");
-        nav.expect(id.clone(), Millis(200));
+        request(&mut nav, 200, Ok(()));
         nav.arrived(&id);
         assert!(!nav.expecting(&id, Millis(201)));
+        // its transfer was admitted: a late retransmission of the
+        // request is granted again but expects nothing
+        assert!(nav.admit_once("o", 4, Millis(210)));
+        assert!(request(&mut nav, 220, Ok(())));
+        assert!(!nav.expecting(&id, Millis(221)));
     }
 
     #[test]
     fn the_status_rows_count_open_handoffs_and_parked_agents() {
-        let mut nav = navigator();
-        let (agent, _, _) = open(&mut nav, ring());
+        let (mut nav, mut journal) = (navigator(), Journal::in_memory());
+        let (agent, _) = open(&mut nav, &mut journal, ring());
         nav.parked.insert(agent.id().clone(), agent.get().clone());
         let mut report = StatusReport::default();
         nav.fill_status(&mut report);

@@ -372,7 +372,7 @@ mod tests {
             assert_eq!(counters.get(granted), Some(&1), "{what}");
             assert_eq!(counters.get(refused), Some(&1), "{what}");
             let refusal = format!("{what} from b refused");
-            assert!(a.server.log.iter().any(|e| e.line.starts_with(&refusal)));
+            assert!(a.server.log().iter().any(|e| e.line.starts_with(&refusal)));
             let lines: Vec<String> = obs
                 .tracer
                 .events()

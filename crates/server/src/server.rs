@@ -4,13 +4,16 @@
 //! NapletMonitor, NapletSecurityManager, ResourceManager,
 //! NapletManager, Messenger, Navigator and Locator — plus dynamically
 //! created ServiceChannels. This file is the router between them and
-//! the keeper of the journal: it feeds each component's transitions
-//! and enacts their outcomes (records, bookkeeping, log, metrics,
-//! trace). No agent code runs here: the monitor's
-//! [`sandbox`](crate::sandbox) runs it and hands back what it asked
-//! for. It is written as a deterministic event handler: a driver
-//! feeds it [`Input`]s and enacts the [`Output`]s, so the same server
-//! runs under the discrete-event runtime and under threaded drivers.
+//! the keeper of the journal: it feeds each component's transitions the
+//! server's one [`Outbox`], through which the component sends its own
+//! frames and timers and records its own log lines, metrics and trace
+//! events, and carries on with what the transition hands back. No
+//! agent code runs here: the monitor's [`sandbox`](crate::sandbox) runs
+//! it and hands back what it asked for. It is written as a
+//! deterministic event handler: a driver feeds it [`Input`]s and enacts
+//! the [`Output`]s its entry points take from the outbox, so the same
+//! server runs under the discrete-event runtime and under threaded
+//! drivers.
 
 use std::sync::Arc;
 
@@ -24,21 +27,21 @@ use naplet_core::message::{ControlVerb, Mailbox, Message, Payload, Sender};
 use naplet_core::naplet::{AgentKind, Naplet, SharedNaplet};
 use naplet_core::value::Value;
 
-use naplet_obs::{ObsSink, TraceKind, COUNT_BOUNDS, LATENCY_BOUNDS_MS};
+use naplet_obs::{ObsSink, TraceKind, LATENCY_BOUNDS_MS};
 
 use crate::directory::DirEvent;
 use crate::events::{
-    EventLog, Input, LocalEvent, LogEntry, OpsPage, OpsRead, Output, TransferEnvelope, Wire,
+    EventLog, Input, LocalEvent, OpsPage, OpsRead, Outbox, Output, TransferEnvelope, Wire,
 };
 use crate::journal::{Journal, JournalPhase, RecoveryStats};
 use crate::lease::{LeasePolicy, LeaseTable};
 pub use crate::locator::LocationMode;
-use crate::locator::{Filed, Holder, Locator};
+use crate::locator::{Commits, Holder, Locator};
 use crate::manager::{NapletManager, NapletStatus};
 use crate::messenger::Messenger;
 use crate::monitor::{Meter, MonitorPolicy, NapletMonitor, RunState};
-use crate::navigator::{Attempt, Due, Failed, Navigator, Verdict};
-use crate::repl::{ReplConfig, ReplNote, ReplOut, ReplicaCore};
+use crate::navigator::{Departure, Failed, Navigator, Verdict};
+use crate::repl::{ReplConfig, ReplicaCore};
 use crate::resources::ResourceManager;
 use crate::retry::RetryPolicy;
 use crate::sandbox::{Effects, ExecOutcome, Sandbox, What};
@@ -49,10 +52,6 @@ use crate::status::{ResidentStatus, StatusReport};
 /// transfer dedup, messenger confirmations): entries older than this
 /// are compacted away.
 const RETENTION_MS: u64 = 600_000;
-
-/// Ring capacity of the human-readable event log; the oldest lines are
-/// evicted (and counted) beyond this.
-const LOG_CAPACITY: usize = 4096;
 
 /// Static server configuration. `Clone` so a crash driver can rebuild
 /// a server from the same configuration it was born with.
@@ -107,7 +106,6 @@ type StateHook = Box<dyn FnMut(&mut naplet_core::state::ServerStateView<'_>) + S
 
 /// One naplet server (a dock of naplets within a host).
 pub struct NapletServer {
-    host: String,
     security: SecurityManager,
     /// Open + privileged services and live channels.
     pub resources: ResourceManager,
@@ -152,10 +150,9 @@ pub struct NapletServer {
     /// Ops-plane replies received at this host (token, page); `None`
     /// pages mark reads the peer's security policy refused.
     pub ops_replies: Vec<(u64, Option<OpsPage>)>,
-    /// Human-readable event log (bounded ring).
-    pub log: EventLog,
-    /// Structured observation endpoint (shared with the driver).
-    obs: ObsSink,
+    /// What the call in progress emits: frames, timers, log lines,
+    /// metrics and trace events, at this host and the call's time.
+    out: Outbox,
 }
 
 impl NapletServer {
@@ -163,9 +160,8 @@ impl NapletServer {
     pub fn new(config: ServerConfig) -> NapletServer {
         let journal = Journal::in_memory();
         let locator = Locator::new(&config.host, config.mode, config.repl, &journal);
-        let navigator = Navigator::new(&config.host, config.retry.clone());
+        let navigator = Navigator::new(config.retry.clone());
         NapletServer {
-            host: config.host,
             security: config.security,
             resources: ResourceManager::new(),
             monitor: NapletMonitor::new(config.monitor_policy),
@@ -190,25 +186,29 @@ impl NapletServer {
             reports: Vec::new(),
             app_replies: Vec::new(),
             ops_replies: Vec::new(),
-            log: EventLog::with_capacity(LOG_CAPACITY),
-            obs: ObsSink::default(),
+            out: Outbox::new(&config.host),
         }
     }
 
     /// Attach the shared observation sink (drivers call this so every
     /// server in a space records into one trace/metrics endpoint).
     pub fn set_obs(&mut self, obs: ObsSink) {
-        self.obs = obs;
+        self.out.set_obs(obs);
     }
 
     /// The observation sink this server records into.
     pub fn obs(&self) -> &ObsSink {
-        &self.obs
+        self.out.obs()
+    }
+
+    /// Human-readable event log (bounded ring).
+    pub fn log(&self) -> &EventLog {
+        self.out.lines()
     }
 
     /// This server's host name.
     pub fn host(&self) -> &str {
-        &self.host
+        self.out.host()
     }
 
     /// Install the application-level request handler (client/server
@@ -270,10 +270,6 @@ impl NapletServer {
         stats
     }
 
-    fn logf(&mut self, now: Millis, line: String) {
-        self.log.push(LogEntry { at: now, line });
-    }
-
     fn token(&mut self) -> u64 {
         self.next_token += 1;
         // durably advance the watermark so a recovered server never
@@ -284,75 +280,17 @@ impl NapletServer {
 
     /// Journal a snapshot of a resident: the one walk of the agent the
     /// record costs.
-    fn journal_naplet(&mut self, naplet: &Naplet, phase: &JournalPhase, now: Millis) {
+    fn journal_naplet(&mut self, naplet: &Naplet, phase: &JournalPhase) {
         let image = naplet.to_wire().map(Arc::new);
-        self.journal_image(naplet.id(), image, phase, now);
-    }
-
-    /// Journal an agent image the caller holds — a handle's
-    /// `wire_bytes()`; every resident record is written here.
-    fn journal_image(
-        &mut self,
-        id: &NapletId,
-        image: Result<Arc<Vec<u8>>>,
-        phase: &JournalPhase,
-        now: Millis,
-    ) {
-        let written =
-            image.and_then(|image| self.journal.record_naplet_bytes(id, &image, phase, now));
-        self.journal_written(id, written, phase_label(phase), now);
-    }
-
-    /// Journal where the handoff `transfer_id` stands, as the navigator
-    /// shows it: every in-flight record is written here.
-    fn journal_pending(&mut self, transfer_id: u64, now: Millis) {
-        let journal = &mut self.journal;
-        let view = self
-            .navigator
-            .journal_view(transfer_id, |id, image, phase| {
-                let written =
-                    image.and_then(|image| journal.record_naplet_bytes(id, &image, phase, now));
-                (id.clone(), written, phase_label(phase))
-            });
-        if let Some((id, written, phase)) = view {
-            self.journal_written(&id, written, phase, now);
-        }
-    }
-
-    /// Account for a naplet record just written. Logs (never fails)
-    /// when there was no image or the store refused it: a degraded
-    /// journal weakens durability, never the live run.
-    fn journal_written(&mut self, id: &NapletId, written: Result<()>, phase: &str, now: Millis) {
-        if let Err(e) = written {
-            self.logf(now, format!("JOURNAL write failed for {id}: {e}"));
-        }
-        let records = self.journal.len() as u64;
-        self.obs
-            .metrics
-            .observe("journal_records", COUNT_BOUNDS, records);
-        self.obs
-            .emit(now, &self.host, Some(id), || TraceKind::JournalAppend {
-                phase: phase.to_string(),
-                records,
-            });
-    }
-
-    /// Retire a naplet's journal record and trace the shrink.
-    fn journal_retire(&mut self, id: &NapletId, now: Millis) {
-        if let Err(e) = self.journal.retire(id) {
-            self.logf(now, format!("JOURNAL retire failed for {id}: {e}"));
-        }
-        let records = self.journal.len() as u64;
-        self.obs
-            .emit(now, &self.host, Some(id), || TraceKind::JournalRetire {
-                records,
-            });
+        self.journal
+            .put_naplet(naplet.id(), image, phase, &mut self.out);
     }
 
     /// Periodic compaction of dedup/bookkeeping tables under the
     /// retention window (satellite: these tables previously grew for
     /// the life of the server).
-    fn sweep_retention(&mut self, now: Millis) {
+    fn sweep_retention(&mut self) {
+        let now = self.out.now();
         if now.since(self.last_sweep) < RETENTION_MS / 4 {
             return;
         }
@@ -365,16 +303,8 @@ impl NapletServer {
     }
 
     // =====================================================================
-    // Directory: the locator's front doors, enacted
+    // Directory: what lands in this host's shard
     // =====================================================================
-
-    /// Keep exactly one `ReplTick` chain alive for the consensus core.
-    fn arm_repl_tick(&mut self, out: &mut Vec<Output>) {
-        out.extend(self.locator.arm_tick().map(|delay_ms| Output::Schedule {
-            delay_ms,
-            event: LocalEvent::ReplTick,
-        }));
-    }
 
     /// Mark the initial consensus tick as armed (the driver schedules
     /// the matching `ReplTick` itself when installing the server).
@@ -390,36 +320,21 @@ impl NapletServer {
     }
 
     /// File a registration or a removal at this host's shard — a frame
-    /// off the wire or this host's own — and enact what became of it.
-    /// `true` when it has landed already, leaving nothing to wait for.
-    fn file(&mut self, wire: Wire, now: Millis, out: &mut Vec<Output>) -> bool {
-        let appending = self.obs.profiling_enabled().then(std::time::Instant::now);
-        let (filed, woke) = self.locator.file(&wire, now, &mut self.journal);
-        let landed = matches!(filed, Filed::Landed);
-        match filed {
-            Filed::Landed => self.registered(wire, now, out),
-            Filed::Proposed(rout) => {
-                if let Some(started) = appending {
-                    self.obs.metrics.observe(
-                        "repl_append_us",
-                        naplet_obs::HANDLER_BOUNDS_US,
-                        started.elapsed().as_micros() as u64,
-                    );
-                }
-                self.enact_repl(now, rout, out);
-            }
-            Filed::Forward(to) => {
-                self.obs.metrics.incr("repl.forwarded", 1);
-                out.push(Output::Send { to, wire });
-            }
-            // the registrar's RegisterTimeout machinery re-sends, and
-            // the wake below makes sure an election is actually running
-            Filed::NoLeader => self.obs.metrics.incr("repl.no_leader_drops", 1),
+    /// off the wire or this host's own — and land what it commits.
+    /// `true` when a table took it at once, leaving nothing to wait for.
+    fn file(&mut self, wire: Wire) -> bool {
+        let commits = self.locator.file(wire, &mut self.journal, &mut self.out);
+        self.land(commits)
+    }
+
+    /// Land what a shard operation committed, one registration at a
+    /// time, each where it committed; `true` when a table took it at once.
+    fn land(&mut self, mut commits: Commits) -> bool {
+        let at_once = commits.at_once();
+        while let Some(landed) = self.locator.land(&mut commits, &mut self.out) {
+            self.registered(landed);
         }
-        if woke {
-            self.arm_repl_tick(out);
-        }
-        landed
+        at_once
     }
 
     /// What a registration that landed in this host's shard does — at
@@ -427,7 +342,7 @@ impl NapletServer {
     /// of life for the home's lease and status views, and the registrar
     /// waiting on it gets its `DirAck`, inline when that is this host.
     /// A landed removal leaves nothing to do.
-    fn registered(&mut self, wire: Wire, now: Millis, out: &mut Vec<Output>) {
+    fn registered(&mut self, wire: Wire) {
         let Wire::DirRegister {
             id,
             host,
@@ -438,93 +353,13 @@ impl NapletServer {
         else {
             return;
         };
+        let now = self.out.now();
         self.leases.renew(&id, now);
         self.manager.note_movement(&id, event, &host, now);
         match ack_to {
-            Some(to) if to != self.host => out.push(Output::Send {
-                to,
-                wire: Wire::DirAck { id },
-            }),
-            Some(_) => self.proceed_after_registration(&id, false, now, out),
+            Some(to) if to != self.out.host() => self.out.send(to, Wire::DirAck { id }),
+            Some(_) => self.proceed_after_registration(&id, false),
             None => {}
-        }
-    }
-
-    /// Turn a [`ReplOut`] into wire traffic, committed-op side effects,
-    /// metrics and trace events.
-    fn enact_repl(&mut self, now: Millis, rout: ReplOut, out: &mut Vec<Output>) {
-        for (to, msg) in rout.msgs {
-            out.push(Output::Send {
-                to,
-                wire: Wire::Repl { msg },
-            });
-        }
-        for note in rout.notes {
-            match note {
-                ReplNote::ElectionStarted { term } => {
-                    self.obs.metrics.incr("repl.elections", 1);
-                    self.logf(now, format!("REPL campaigning for term {term}"));
-                    self.obs
-                        .emit(now, &self.host, None, || TraceKind::ReplElection { term });
-                }
-                ReplNote::LeaderElected { term } => {
-                    self.obs.metrics.incr("repl.leader_changes", 1);
-                    self.logf(now, format!("REPL won leadership of term {term}"));
-                    let leader = self.host.clone();
-                    self.obs
-                        .emit(now, &self.host, None, || TraceKind::ReplLeader {
-                            term,
-                            leader,
-                        });
-                }
-                ReplNote::LeaderChanged { term, leader } => {
-                    self.obs.metrics.incr("repl.leader_changes", 1);
-                    self.logf(now, format!("REPL leader of term {term} is {leader}"));
-                    self.obs
-                        .emit(now, &self.host, None, || TraceKind::ReplLeader {
-                            term,
-                            leader,
-                        });
-                }
-                ReplNote::SnapshotInstalled { index } => {
-                    self.obs.metrics.incr("repl.snapshots_installed", 1);
-                    self.logf(now, format!("REPL snapshot installed through {index}"));
-                    self.obs
-                        .emit(now, &self.host, None, || TraceKind::ReplSnapshot { index });
-                }
-            }
-        }
-        let committing = (!rout.committed.is_empty() && self.obs.profiling_enabled())
-            .then(std::time::Instant::now);
-        for (index, op, lag) in rout.committed {
-            self.obs.metrics.incr("repl.commits", 1);
-            if let Some(lag) = lag {
-                self.obs
-                    .metrics
-                    .observe("repl_commit_lag_ms", LATENCY_BOUNDS_MS, lag);
-            }
-            self.obs
-                .emit(now, &self.host, op.subject(), || TraceKind::ReplCommit {
-                    index,
-                    op: op.label().to_string(),
-                });
-            // every replica keeps its liveness/status views fresh from
-            // the committed stream; the leader also owes the ack it
-            // held and the echo to a home outside the replica set
-            if let Some((landed, echo)) = self.locator.committed(index, op) {
-                self.registered(landed, now, out);
-                out.extend(echo.map(|(to, wire)| Output::Send { to, wire }));
-            }
-        }
-        if let Some(started) = committing {
-            self.obs.metrics.observe(
-                "repl_commit_us",
-                naplet_obs::HANDLER_BOUNDS_US,
-                started.elapsed().as_micros() as u64,
-            );
-        }
-        if rout.rearm {
-            self.arm_repl_tick(out);
         }
     }
 
@@ -535,72 +370,59 @@ impl NapletServer {
     /// Launch a locally created naplet on its journey. Must be called
     /// on the naplet's home server.
     pub fn launch(&mut self, naplet: Naplet, now: Millis) -> Vec<Output> {
-        let mut out = Vec::new();
+        self.out.at(now);
         let id = naplet.id().clone();
-        self.manager.record_launch(id.clone(), &self.host, now);
+        self.manager.record_launch(id.clone(), self.out.host(), now);
         self.manager.record_arrival(&id, None, now);
-        self.logf(now, format!("LAUNCH {id}"));
+        self.out.log(format!("LAUNCH {id}"));
         if self.lease_policy.is_some() {
             // durable creation record first, so an orphan can be
             // re-dispatched even after this server itself crashes
             if let Err(e) = self.journal.record_creation(&id, &naplet) {
-                self.logf(now, format!("JOURNAL creation failed for {id}: {e}"));
+                self.out
+                    .log(format!("JOURNAL creation failed for {id}: {e}"));
             }
             self.leases.grant(&id, now);
-            self.arm_lease_timer(&id, &mut out);
+            self.arm_lease_timer(&id);
         }
-        self.continue_journey(naplet, Mailbox::new(), now, &mut out);
-        out
+        self.continue_journey(naplet, Mailbox::new());
+        self.out.take()
     }
 
     /// Post a message on behalf of the owner/console at this host
     /// (remote control and owner→agent data). Routed through the full
     /// post-office protocol.
     pub fn owner_post(&mut self, to: NapletId, payload: Payload, now: Millis) -> Vec<Output> {
-        let mut out = Vec::new();
-        let from = Sender::Owner(self.host.clone());
+        self.out.at(now);
+        let from = Sender::Owner(self.out.host().to_string());
         let msg = self.messenger.post(from, to, payload, now);
-        self.route_message(msg, 1, None, now, &mut out);
-        out
+        self.route_message(msg, 1, None);
+        self.out.take()
     }
 
     /// Handle one input, producing effects for the driver.
     pub fn handle(&mut self, now: Millis, input: Input) -> Vec<Output> {
-        // wall-clock profiling is opt-in (live daemons only): label
-        // resolution and the clock read cost nothing when off, and the
-        // simulation's deterministic exports never see these readings
-        let profile = if self.obs.profiling_enabled() {
-            Some((
-                match &input {
-                    Input::Wire { wire, .. } => wire.handler_key(),
-                    Input::Local(ev) => ev.handler_key(),
-                },
-                std::time::Instant::now(),
-            ))
-        } else {
-            None
+        let key = match &input {
+            Input::Wire { wire, .. } => wire.handler_key(),
+            Input::Local(ev) => ev.handler_key(),
         };
-        self.sweep_retention(now);
-        let mut out = Vec::new();
+        let started = self.out.stopwatch();
+        self.out.at(now);
+        self.sweep_retention();
         match input {
-            Input::Wire { from, wire } => self.handle_wire(now, &from, wire, &mut out),
-            Input::Local(ev) => self.handle_local(now, ev, &mut out),
+            Input::Wire { from, wire } => self.handle_wire(&from, wire),
+            Input::Local(ev) => self.handle_local(ev),
         }
-        if let Some((key, started)) = profile {
-            self.obs.metrics.observe(
-                key,
-                naplet_obs::HANDLER_BOUNDS_US,
-                started.elapsed().as_micros() as u64,
-            );
-        }
-        out
+        self.out.lap(key, started);
+        self.out.take()
     }
 
     // =====================================================================
     // Wire handling
     // =====================================================================
 
-    fn handle_wire(&mut self, now: Millis, from: &str, wire: Wire, out: &mut Vec<Output>) {
+    fn handle_wire(&mut self, from: &str, wire: Wire) {
+        let now = self.out.now();
         match wire {
             Wire::LandingRequest {
                 token,
@@ -610,146 +432,36 @@ impl NapletServer {
                 attempt,
                 ..
             } => {
-                let (granted, reason) = match self.landing_decision(&credential) {
-                    Ok(()) => (true, String::new()),
-                    Err(e) => (false, e.to_string()),
-                };
-                let (verdict, counter) = if granted {
-                    self.navigator.expect(naplet_id.clone(), now);
-                    ("grant", "landing.granted")
-                } else {
-                    ("deny", "landing.denied")
-                };
-                self.logf(
-                    now,
-                    format!("LANDING {naplet_id} from {from_host} (attempt {attempt}): {verdict}"),
-                );
-                self.obs.metrics.incr(counter, 1);
-                self.obs.emit(now, &self.host, Some(&naplet_id), || {
-                    TraceKind::LandingDecision {
-                        origin: from_host.clone(),
-                        granted,
-                        reason: reason.clone(),
-                    }
-                });
-                out.push(Output::Send {
-                    to: from_host,
-                    wire: Wire::LandingReply {
-                        token,
-                        granted,
-                        reason,
-                    },
-                });
+                let decision = self.landing_decision(&credential);
+                let out = &mut self.out;
+                self.navigator
+                    .request(from_host, token, naplet_id, attempt, decision, out);
             }
             Wire::LandingReply {
                 token,
                 granted,
                 reason,
-            } => {
-                // stray: the transfer was already committed or failed, a
-                // retried request was answered twice, or the reply is not
-                // the destination's
-                let Some(permit) = self.navigator.permit(token, from, granted) else {
-                    self.logf(now, format!("stray LandingReply token {token}"));
-                    return;
-                };
-                let (id, dest, started) = (&permit.id, &permit.dest, permit.started);
-                self.obs.metrics.observe(
-                    "landing_latency_ms",
-                    LATENCY_BOUNDS_MS,
-                    now.since(started),
-                );
-                self.obs
-                    .emit(now, &self.host, Some(id), || TraceKind::PermitReceived {
-                        dest: dest.clone(),
-                        transfer_id: token,
-                        granted,
-                        started,
-                    });
-                match permit.verdict {
-                    Verdict::Granted(transfer) => {
-                        self.complete_departure(token, id, permit.mailbox, transfer, now, out);
-                    }
-                    Verdict::Denied(naplet) => {
-                        self.logf(now, format!("LANDING denied for {id} at {dest}: {reason}"));
-                        // itinerary exception: skip the refused visit
-                        self.continue_journey(naplet, permit.mailbox, now, out);
-                    }
-                }
-            }
+            } => match self
+                .navigator
+                .permit(token, from, granted, &reason, &mut self.out)
+            {
+                Some(Verdict::Granted(departure)) => self.complete_departure(departure),
+                // itinerary exception: skip the refused visit
+                Some(Verdict::Denied(naplet, mailbox)) => self.continue_journey(naplet, mailbox),
+                None => {}
+            },
             Wire::Transfer(envelope) => {
-                let transfer_id = envelope.transfer_id;
-                let id = envelope.naplet.id().clone();
-                let fresh = self.navigator.admit_once(from, transfer_id, now);
-                self.obs
-                    .emit(now, &self.host, Some(&id), || TraceKind::TransferReceived {
-                        origin: from.to_string(),
-                        transfer_id,
-                        duplicate: !fresh,
-                    });
-                // acknowledge every attempt — the previous ack may have
-                // been the frame that was lost
-                out.push(Output::Send {
-                    to: from.to_string(),
-                    wire: Wire::TransferAck {
-                        transfer_id,
-                        id: id.clone(),
-                    },
-                });
-                if !fresh {
-                    self.logf(
-                        now,
-                        format!(
-                            "duplicate TRANSFER {id} (attempt {}): already admitted",
-                            envelope.attempt
-                        ),
-                    );
-                    return;
+                let (journal, out) = (&mut self.journal, &mut self.out);
+                if let Some(envelope) = self.navigator.receive(from, envelope, journal, out) {
+                    self.admit_arrival(envelope, Some(from), Mailbox::new());
                 }
-                // durable dedup note: a crashed-and-recovered receiver
-                // must still re-ack (not re-admit) a late retransmission
-                if let Err(e) = self.journal.note_seen(from, transfer_id, now) {
-                    self.logf(now, format!("JOURNAL seen failed for {id}: {e}"));
-                }
-                self.admit_arrival(envelope, Some(from), Mailbox::new(), now, out);
             }
             Wire::TransferAck { transfer_id, id } => {
-                let Some(commit) = self.navigator.ack(transfer_id, from, &id) else {
-                    self.logf(
-                        now,
-                        format!("stray TransferAck transfer {transfer_id} for {id} from {from}"),
-                    );
-                    return;
-                };
-                // commit: the destination has the agent — custody is
-                // released and its journal record retires (the
-                // destination journaled it before acking)
-                let id = &commit.id;
-                self.journal_retire(id, now);
-                self.logf(now, format!("HANDOFF commit {id} (transfer {transfer_id})"));
-                self.obs.metrics.incr("handoff.commits", 1);
-                self.obs.metrics.observe(
-                    "handoff_rtt_ms",
-                    LATENCY_BOUNDS_MS,
-                    now.since(commit.started),
-                );
-                self.obs.metrics.observe(
-                    "transfer_attempts",
-                    COUNT_BOUNDS,
-                    u64::from(commit.attempts),
-                );
-                self.obs
-                    .emit(now, &self.host, Some(id), || TraceKind::HandoffCommit {
-                        dest: commit.dest.clone(),
-                        transfer_id,
-                        started: commit.started,
-                        attempts: commit.attempts,
-                    });
+                let (journal, out) = (&mut self.journal, &mut self.out);
+                self.navigator.ack(transfer_id, from, &id, journal, out);
             }
-            wire @ (Wire::DirRegister { .. } | Wire::DirRemove { .. }) => {
-                self.file(wire, now, out);
-            }
-            Wire::DirAck { id } => self.proceed_after_registration(&id, false, now, out),
+            wire @ (Wire::DirRegister { .. } | Wire::DirRemove { .. }) => drop(self.file(wire)),
+            Wire::DirAck { id } => self.proceed_after_registration(&id, false),
             Wire::DirQuery {
                 token,
                 id,
@@ -757,10 +469,7 @@ impl NapletServer {
             } => {
                 let entry = self.locator.directory().lookup(&id);
                 let entry = entry.map(|e| (e.host.clone(), e.event, e.at));
-                out.push(Output::Send {
-                    to: reply_to,
-                    wire: Wire::DirReply { token, id, entry },
-                });
+                self.out.send(reply_to, Wire::DirReply { token, id, entry });
             }
             Wire::DirReply { token, id, entry } => match self.locator.answered(token) {
                 // the post waited as its identity: the one copy is its
@@ -768,18 +477,20 @@ impl NapletServer {
                 Some(Some((sender, seq))) => {
                     if let Some(rec) = self.messenger.unconfirmed(&sender, seq) {
                         let msg = rec.msg.clone();
-                        self.post_located(msg, entry.map(|(host, ..)| host), now, out);
+                        self.post_located(msg, entry.map(|(host, ..)| host));
                     }
                 }
-                Some(None) => self.resolve_lease_probe(id, entry, now),
+                Some(None) => self.resolve_lease_probe(id, entry),
                 None => {}
             },
             Wire::Repl { msg } => {
-                let rout = self.locator.receive(now, from, msg, &mut self.journal);
-                self.enact_repl(now, rout, out);
+                let commits = self
+                    .locator
+                    .receive(from, msg, &mut self.journal, &mut self.out);
+                self.land(commits);
             }
             Wire::Post { msg, origin_host } => {
-                self.deliver_or_chase(msg, origin_host, now, out);
+                self.deliver_or_chase(msg, origin_host);
             }
             Wire::PostConfirm {
                 sender,
@@ -790,10 +501,10 @@ impl NapletServer {
                 self.messenger
                     .record_confirmation(sender, seq, &delivered_at, now);
                 // the confirmation doubles as a fresh location hint
-                self.cache_location(target, &delivered_at, now);
+                self.locator.put(target, &delivered_at, &mut self.out);
             }
             Wire::Report { id, body } => {
-                self.logf(now, format!("REPORT from {id}"));
+                self.out.log(format!("REPORT from {id}"));
                 self.leases.renew(&id, now);
                 self.reports.push((id, body));
             }
@@ -804,9 +515,10 @@ impl NapletServer {
                 detail,
             } => {
                 if !detail.is_empty() {
-                    self.logf(now, format!("NOTIFY {id}: {status:?} at {host}: {detail}"));
+                    self.out
+                        .log(format!("NOTIFY {id}: {status:?} at {host}: {detail}"));
                 }
-                self.note_status_at_home(&id, status, now);
+                self.note_status_at_home(&id, status);
                 self.manager.update_status(&id, status, &host, now);
             }
             Wire::AppRequest {
@@ -819,16 +531,13 @@ impl NapletServer {
                     Some(h) => h(&tag, &body),
                     None => Err(NapletError::Service(format!(
                         "no app handler at `{}`",
-                        self.host
+                        self.out.host()
                     ))),
                 };
                 let encoded: std::result::Result<Vec<u8>, String> =
                     result.map_err(|e| e.to_string());
                 let body = naplet_core::codec::to_bytes(&encoded).unwrap_or_default();
-                out.push(Output::Send {
-                    to: reply_to,
-                    wire: Wire::AppReply { token, tag, body },
-                });
+                self.out.send(reply_to, Wire::AppReply { token, tag, body });
             }
             Wire::AppReply { token, tag, body } => {
                 // collected for local application code (e.g. the
@@ -852,26 +561,19 @@ impl NapletServer {
                     }
                 };
                 let page = self
-                    .privileged_read(&credential, from, what, counters, now)
+                    .privileged_read(&credential, from, what, counters)
                     .then(|| match read {
                         OpsRead::Status => OpsPage::Status(self.status_report(now)),
                         OpsRead::Trace { from_seq, max } => {
-                            let recorder = &self.obs.recorder;
-                            OpsPage::Trace(recorder.segment(&self.host, from_seq, max as usize))
+                            let (recorder, host) = (&self.out.obs().recorder, self.out.host());
+                            OpsPage::Trace(recorder.segment(host, from_seq, max as usize))
                         }
                         OpsRead::MetricsHistory { from_seq, max } => {
-                            let history = &self.obs.history;
-                            OpsPage::MetricsHistory(history.page(
-                                &self.host,
-                                from_seq,
-                                max as usize,
-                            ))
+                            let (history, host) = (&self.out.obs().history, self.out.host());
+                            OpsPage::MetricsHistory(history.page(host, from_seq, max as usize))
                         }
                     });
-                out.push(Output::Send {
-                    to: reply_to,
-                    wire: Wire::OpsReply { token, page },
-                });
+                self.out.send(reply_to, Wire::OpsReply { token, page });
             }
             Wire::OpsReply { token, page } => {
                 // collected for the polling side (peer server, the
@@ -892,17 +594,16 @@ impl NapletServer {
         from: &str,
         what: &str,
         (granted, refused): (&str, &str),
-        now: Millis,
     ) -> bool {
         let permission = Permission::PrivilegedService("status".into());
         match self.security.check(credential, permission) {
             Ok(()) => {
-                self.obs.metrics.incr(granted, 1);
+                self.out.count(granted, 1);
                 true
             }
             Err(e) => {
-                self.obs.metrics.incr(refused, 1);
-                self.logf(now, format!("{what} from {from} refused: {e}"));
+                self.out.count(refused, 1);
+                self.out.log(format!("{what} from {from} refused: {e}"));
                 false
             }
         }
@@ -912,7 +613,8 @@ impl NapletServer {
     // Local events
     // =====================================================================
 
-    fn handle_local(&mut self, now: Millis, ev: LocalEvent, out: &mut Vec<Output>) {
+    fn handle_local(&mut self, ev: LocalEvent) {
+        let now = self.out.now();
         match ev {
             LocalEvent::VisitDone { id } => {
                 let Some(entry) = self.monitor.take(&id) else {
@@ -934,18 +636,15 @@ impl NapletServer {
                         self.monitor.account_visit(&id, gas, msg_bytes, state_bytes);
                         let arrived_at = entry.arrived_at;
                         let dwell = now.since(arrived_at);
-                        self.obs
-                            .metrics
-                            .observe("visit_dwell_ms", LATENCY_BOUNDS_MS, dwell);
+                        self.out.observe("visit_dwell_ms", LATENCY_BOUNDS_MS, dwell);
                         let epoch = naplet.nav_log.visit_epoch();
-                        self.obs
-                            .emit(now, &self.host, Some(&id), || TraceKind::VisitEnd {
-                                started: arrived_at,
-                                epoch,
-                                gas,
-                                msg_bytes,
-                            });
-                        self.continue_journey(naplet, mailbox, now, out);
+                        self.out.trace(Some(&id), || TraceKind::VisitEnd {
+                            started: arrived_at,
+                            epoch,
+                            gas,
+                            msg_bytes,
+                        });
+                        self.continue_journey(naplet, mailbox);
                     }
                 }
             }
@@ -953,33 +652,19 @@ impl NapletServer {
                 if let Some(e) = self.monitor.get_mut(&id) {
                     if e.state == RunState::AwaitingCode {
                         e.state = RunState::Runnable;
-                        self.execute_visit(&id, now, out);
+                        self.execute_visit(&id);
                     }
                 }
             }
             LocalEvent::TransferTimeout {
                 transfer_id,
                 attempt,
-            } => match self.navigator.due(transfer_id, attempt, now) {
-                Due::Stale => {}
-                Due::Retry { id, phase, frame } => {
-                    // keep the journaled attempt in step so a recovered
-                    // origin picks up the retry budget where it left off
-                    self.journal_pending(transfer_id, now);
-                    let (dest, attempt) = (&frame.to, frame.attempt);
-                    self.logf(now, format!("RETRY {id} -> {dest} (attempt {attempt})"));
-                    self.obs.metrics.incr("handoff.retransmits", 1);
-                    self.obs
-                        .emit(now, &self.host, Some(&id), || TraceKind::Retransmit {
-                            dest: dest.clone(),
-                            transfer_id,
-                            attempt,
-                            phase: phase.to_string(),
-                        });
-                    self.send_attempt(transfer_id, frame, out);
+            } => {
+                let (journal, out) = (&mut self.journal, &mut self.out);
+                if let Some(failed) = self.navigator.due(transfer_id, attempt, journal, out) {
+                    self.fail_migration(failed);
                 }
-                Due::Failed(failed) => self.fail_migration(transfer_id, failed, now, out),
-            },
+            }
             LocalEvent::RegisterTimeout { id, attempt } => {
                 let waiting = self
                     .monitor
@@ -993,26 +678,26 @@ impl NapletServer {
                     // with a possibly stale directory entry beats
                     // stranding the agent — the forwarding chase and
                     // delivery confirmations repair stale locations
-                    self.logf(
-                        now,
-                        format!("REGISTER unacked for {id} after {attempt} attempts: proceeding"),
-                    );
-                    self.proceed_after_registration(&id, true, now, out);
+                    self.out.log(format!(
+                        "REGISTER unacked for {id} after {attempt} attempts: proceeding"
+                    ));
+                    self.proceed_after_registration(&id, true);
                     return;
                 }
                 // the replica we tried may be the dead node that
                 // forced this retry
                 self.locator.rotate();
                 let next = attempt + 1;
-                self.logf(now, format!("RETRY register {id} (attempt {next})"));
-                self.register_movement(&id, DirEvent::Arrival, Some(next), now, out);
+                self.out
+                    .log(format!("RETRY register {id} (attempt {next})"));
+                self.register_movement(&id, DirEvent::Arrival, Some(next));
             }
             LocalEvent::LeaseCheck { id } => {
-                self.check_lease(&id, now, out);
+                self.check_lease(&id);
             }
             LocalEvent::ReplTick => {
-                let rout = self.locator.tick(now, &mut self.journal);
-                self.enact_repl(now, rout, out);
+                let commits = self.locator.tick(&mut self.journal, &mut self.out);
+                self.land(commits);
             }
             LocalEvent::PostTimeout {
                 sender,
@@ -1020,32 +705,22 @@ impl NapletServer {
                 attempt,
             } => {
                 let budget = self.retry.max_retries;
-                let Some(due) = self.messenger.due(&sender, seq, attempt, budget) else {
-                    return; // confirmed, given up or re-armed in the meantime
-                };
-                let Some(msg) = due else {
-                    self.logf(
-                        now,
-                        format!("REDELIVERY exhausted for message {seq} from {sender:?}"),
-                    );
-                    // a late answer to the query it waited on has
-                    // nothing to post: drop the query now
-                    self.locator.withdraw(&(sender, seq));
-                    return;
-                };
-                // whatever hint routed the lost attempt is suspect —
-                // drop the cached location and re-resolve from scratch
-                self.locator.invalidate(&msg.to);
-                let next = attempt + 1;
-                self.logf(
-                    now,
-                    format!("REDELIVER message {seq} to {} (attempt {next})", msg.to),
-                );
-                self.obs.metrics.incr("post.redeliveries", 1);
-                self.obs.emit(now, &self.host, Some(&msg.to), || {
-                    TraceKind::PostRedeliver { seq, attempt: next }
-                });
-                self.route_message(msg, next, None, now, out);
+                match self
+                    .messenger
+                    .due(&sender, seq, attempt, budget, &mut self.out)
+                {
+                    // given up: a late answer to the query it waited on
+                    // has nothing to post, so the query goes now
+                    Some(None) => self.locator.withdraw(&(sender, seq)),
+                    Some(Some(msg)) => {
+                        // whatever hint routed the lost attempt is
+                        // suspect: re-resolve from scratch
+                        self.locator.invalidate(&msg.to);
+                        self.route_message(msg, attempt + 1, None);
+                    }
+                    // confirmed, given up or re-armed in the meantime
+                    None => {}
+                }
             }
         }
     }
@@ -1070,13 +745,7 @@ impl NapletServer {
 
     /// Drive the itinerary forward from the current host until the
     /// naplet migrates, parks, or finishes.
-    fn continue_journey(
-        &mut self,
-        mut naplet: Naplet,
-        mut mailbox: Mailbox,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
+    fn continue_journey(&mut self, mut naplet: Naplet, mut mailbox: Mailbox) {
         loop {
             // snapshot the traversal state before deciding the next
             // step, so a permanently failed migration can rewind and
@@ -1084,7 +753,7 @@ impl NapletServer {
             let checkpoint = naplet.cursor().clone();
             match naplet.advance() {
                 Step::Visit { host, action } => {
-                    if host == self.host {
+                    if host == self.out.host() {
                         // a visit to the current host needs no
                         // migration; unread mail stays in the naplet's
                         // custody and rides straight into the new entry
@@ -1094,34 +763,38 @@ impl NapletServer {
                             transfer_id: 0, // same-host: no handoff protocol
                             attempt: 1,
                         };
-                        self.admit_arrival(envelope, None, mailbox, now, out);
+                        self.admit_arrival(envelope, None, mailbox);
                     } else {
-                        self.begin_migration(naplet, mailbox, action, host, checkpoint, now, out);
+                        self.begin_migration(naplet, mailbox, action, host, checkpoint);
                     }
                     return;
                 }
                 Step::Fork { clones } => {
                     if let Err(e) = self.security.check(naplet.credential(), Permission::Clone) {
-                        self.logf(now, format!("CLONE denied for {}: {e}", naplet.id()));
+                        self.out
+                            .log(format!("CLONE denied for {}: {e}", naplet.id()));
                         continue; // parent continues; branches abandoned
                     }
+                    let now = self.out.now();
                     for branch in clones {
-                        let clone = naplet.clone_for_branch(branch, &self.host);
+                        let clone = naplet.clone_for_branch(branch, self.out.host());
                         let cid = clone.id().clone();
-                        self.manager.record_launch(cid.clone(), &self.host, now);
+                        self.manager
+                            .record_launch(cid.clone(), self.out.host(), now);
                         self.manager.record_arrival(&cid, None, now);
-                        self.logf(now, format!("CLONE {cid}"));
-                        self.continue_journey(clone, Mailbox::new(), now, out);
+                        self.out.log(format!("CLONE {cid}"));
+                        self.continue_journey(clone, Mailbox::new());
                     }
                     // parent keeps advancing in this loop
                 }
                 Step::Action(action) => {
                     // between visits: no monitor entry, so a fresh meter
                     let (what, mut meter) = (What::Action(&action), Meter::default());
-                    let ran = self.run_agent(&mut naplet, &mut mailbox, &mut meter, what, now, out);
+                    let ran = self.run_agent(&mut naplet, &mut mailbox, &mut meter, what);
                     if let Err(e) = ran {
                         let id = naplet.id();
-                        self.logf(now, format!("action {action:?} failed for {id}: {e}"));
+                        self.out
+                            .log(format!("action {action:?} failed for {id}: {e}"));
                     }
                 }
                 Step::Done => {
@@ -1129,19 +802,18 @@ impl NapletServer {
                     // journey is over (nil) and gets a final slice to
                     // report/clean up before destruction
                     let (what, mut meter) = (What::FinalSlice, Meter::default());
-                    let ran = self.run_agent(&mut naplet, &mut mailbox, &mut meter, what, now, out);
+                    let ran = self.run_agent(&mut naplet, &mut mailbox, &mut meter, what);
                     if let Err(e) = ran {
                         let id = naplet.id();
-                        self.logf(now, format!("final VM slice failed for {id}: {e}"));
+                        self.out.log(format!("final VM slice failed for {id}: {e}"));
                     }
-                    self.finish_journey(naplet, now, "completed", true, out);
+                    self.finish_journey(naplet, "completed", true);
                     return;
                 }
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn begin_migration(
         &mut self,
         naplet: Naplet,
@@ -1149,126 +821,69 @@ impl NapletServer {
         action: Option<ActionSpec>,
         dest: String,
         checkpoint: Cursor,
-        now: Millis,
-        out: &mut Vec<Output>,
     ) {
         if let Err(e) = self.security.check(naplet.credential(), Permission::Launch) {
-            self.logf(now, format!("LAUNCH denied for {}: {e}", naplet.id()));
+            self.out
+                .log(format!("LAUNCH denied for {}: {e}", naplet.id()));
             // skip this visit entirely
-            self.continue_journey(naplet, mailbox, now, out);
+            self.continue_journey(naplet, mailbox);
             return;
         }
         let transfer_id = self.token();
-        let id = naplet.id().clone();
         let naplet = SharedNaplet::new(naplet);
-        let request =
-            self.navigator
-                .open(transfer_id, naplet, mailbox, action, dest, checkpoint, now);
-        // journal before the first frame leaves: a crash here resumes
-        // the handoff instead of losing the departing agent
-        self.journal_pending(transfer_id, now);
-        self.obs
-            .emit(now, &self.host, Some(&id), || TraceKind::LandingRequested {
-                dest: request.to.clone(),
-                transfer_id,
-            });
-        self.send_attempt(transfer_id, request, out);
-    }
-
-    /// Put one attempt of a handoff frame on the wire and arm the
-    /// acknowledgement timer behind it (shared by both phases).
-    fn send_attempt(&self, transfer_id: u64, frame: Attempt, out: &mut Vec<Output>) {
-        out.push(Output::Send {
-            to: frame.to,
-            wire: frame.wire,
-        });
-        out.push(Output::Schedule {
-            delay_ms: frame.timeout_ms,
-            event: LocalEvent::TransferTimeout {
-                transfer_id,
-                attempt: frame.attempt,
-            },
-        });
+        let (journal, out) = (&mut self.journal, &mut self.out);
+        self.navigator.open(
+            transfer_id,
+            naplet,
+            mailbox,
+            action,
+            dest,
+            checkpoint,
+            journal,
+            out,
+        );
     }
 
     /// Arm the acknowledgement timer for an arrival registration; keyed
     /// on the naplet id so concurrent arrivals jitter apart.
-    fn arm_register_timer(&self, id: &NapletId, attempt: u32, out: &mut Vec<Output>) {
+    fn arm_register_timer(&mut self, id: &NapletId, attempt: u32) {
         let key = crate::retry::naplet_jitter_key(id);
-        out.push(Output::Schedule {
-            delay_ms: self.retry.jittered_backoff_ms(key, attempt),
-            event: LocalEvent::RegisterTimeout {
-                id: id.clone(),
-                attempt,
-            },
-        });
+        let delay_ms = self.retry.jittered_backoff_ms(key, attempt);
+        let id = id.clone();
+        self.out
+            .after(delay_ms, LocalEvent::RegisterTimeout { id, attempt });
     }
 
     /// The landing permit arrived: perform the one-time departure side
-    /// effects and send the agent. The navigator retains it until the
-    /// destination acknowledges; `fail_migration` rolls these back.
-    fn complete_departure(
-        &mut self,
-        transfer_id: u64,
-        id: &NapletId,
-        mailbox: Mailbox,
-        transfer: Attempt,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
-        let dest = &transfer.to;
-        self.manager.record_departure(id, dest, now);
+    /// effects, then the navigator sends the agent and retains it until
+    /// the destination acknowledges; `fail_migration` rolls these back.
+    fn complete_departure(&mut self, mut departure: Departure) {
+        let mailbox = std::mem::take(&mut departure.mailbox);
+        let (id, dest) = (&departure.id, &departure.dest);
+        self.manager.record_departure(id, dest, self.out.now());
         self.resources.release(id);
         // DEPART registration (no ack needed, paper §4.1)
-        self.register_movement(id, DirEvent::Departure, None, now, out);
-        self.logf(now, format!("DEPART {id} -> {dest}"));
-        self.hand_on(id, mailbox, dest, now, out);
-        self.obs
-            .emit(now, &self.host, Some(id), || TraceKind::TransferSent {
-                dest: dest.to_string(),
-                transfer_id,
-            });
-        // advance the journaled phase: past the permit, transfer sent
-        self.journal_pending(transfer_id, now);
-        self.send_attempt(transfer_id, transfer, out);
+        self.register_movement(id, DirEvent::Departure, None);
+        self.out.log(format!("DEPART {id} -> {dest}"));
+        self.hand_on(id, mailbox, dest);
+        let (journal, out) = (&mut self.journal, &mut self.out);
+        self.navigator.depart(departure, journal, out);
     }
 
     /// All retries exhausted: the navigator rewound the itinerary to
     /// the pre-departure checkpoint and recorded the failure; either
     /// fall back to another branch (`Alt`) or park the naplet here.
-    fn fail_migration(
-        &mut self,
-        transfer_id: u64,
-        failed: Failed,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
-        let (id, dest, attempts) = (failed.agent.id().clone(), &failed.dest, failed.attempts);
-        let reason = failed.reason;
-        self.logf(
-            now,
-            format!(
-                "HANDOFF failed {id} -> {dest} after {attempts} attempts \
-                 ({reason}; transfer {transfer_id})"
-            ),
-        );
-        self.obs.metrics.incr("handoff.failures", 1);
-        self.obs
-            .emit(now, &self.host, Some(&id), || TraceKind::HandoffFailed {
-                dest: dest.clone(),
-                transfer_id,
-                attempts,
-                reason: reason.to_string(),
-            });
+    fn fail_migration(&mut self, failed: Failed) {
         if failed.departed {
             // departure bookkeeping already ran optimistically when the
             // permit arrived; the agent is back in our custody now
-            self.manager.record_arrival(&id, None, now);
+            let id = failed.agent.id();
+            self.manager.record_arrival(id, None, self.out.now());
         }
         if failed.park {
-            self.park(failed.agent, failed.mailbox, dest, attempts, now, out);
+            self.park(failed.agent, failed.mailbox, &failed.dest);
         } else {
-            self.continue_journey(failed.agent, failed.mailbox, now, out);
+            self.continue_journey(failed.agent, failed.mailbox);
         }
     }
 
@@ -1276,42 +891,19 @@ impl NapletServer {
     /// migration failure: re-register it here, notify its home with
     /// [`NapletStatus::Parked`] and keep it for owner recovery. Unread
     /// mail returns to the special mailbox rather than being dropped.
-    fn park(
-        &mut self,
-        naplet: Naplet,
-        mut mailbox: Mailbox,
-        dest: &str,
-        attempts: u32,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
+    fn park(&mut self, naplet: Naplet, mut mailbox: Mailbox, dest: &str) {
         let id = naplet.id().clone();
-        self.logf(
-            now,
-            format!("PARK {id}: {dest} unreachable after {attempts} attempts"),
-        );
-        self.obs.metrics.incr("handoff.parked", 1);
-        self.obs
-            .emit(now, &self.host, Some(&id), || TraceKind::Parked {
-                dest: dest.to_string(),
-                attempts,
-            });
         for m in mailbox.drain() {
             self.messenger.forget_delivery(&m);
-            self.stash(m, self.host.clone());
+            self.stash(m, self.out.host().to_string());
         }
         // make the parked naplet locatable here again
-        self.register_movement(&id, DirEvent::Arrival, None, now, out);
-        self.notify_home(
-            &id,
-            NapletStatus::Parked,
-            &format!("destination {dest} unreachable"),
-            now,
-            out,
-        );
+        self.register_movement(&id, DirEvent::Arrival, None);
+        let detail = format!("destination {dest} unreachable");
+        self.notify_home(&id, NapletStatus::Parked, &detail);
         // a parked agent held for owner recovery must survive a crash
         // of the server holding it
-        self.journal_naplet(&naplet, &JournalPhase::Parked, now);
+        self.journal_naplet(&naplet, &JournalPhase::Parked);
         self.navigator.parked.insert(id, naplet);
     }
 
@@ -1356,7 +948,7 @@ impl NapletServer {
         }
         let (journal_entries, journal_bytes) = self.journal.lag();
         let mut report = StatusReport {
-            host: self.host.clone(),
+            host: self.out.host().to_string(),
             at: now,
             residents,
             mailbox_depth,
@@ -1397,21 +989,20 @@ impl NapletServer {
         envelope: TransferEnvelope,
         from: Option<&str>,
         mut carry: Mailbox,
-        now: Millis,
-        out: &mut Vec<Output>,
     ) {
         let TransferEnvelope { naplet, action, .. } = envelope;
         let id = naplet.id().clone();
         if let Err(e) = self.security.verify_naplet(&naplet) {
-            self.logf(now, format!("ARRIVAL rejected for {id}: {e}"));
-            self.notify_home(&id, NapletStatus::Destroyed, &e.to_string(), now, out);
+            self.out.log(format!("ARRIVAL rejected for {id}: {e}"));
+            self.notify_home(&id, NapletStatus::Destroyed, &e.to_string());
             return;
         }
+        let now = self.out.now();
         self.navigator.arrived(&id);
         if from.is_some() {
             self.manager.record_arrival(&id, from, now);
         }
-        self.logf(now, format!("ARRIVAL {id}"));
+        self.out.log(format!("ARRIVAL {id}"));
         // durable before the TransferAck (already queued) can commit
         // the origin's release: from here this server owns the agent.
         // The record is the image as received — the handle's own bytes
@@ -1423,7 +1014,8 @@ impl NapletServer {
             applied_epoch: naplet.nav_log.visit_epoch(),
             action: action.clone(),
         };
-        self.journal_image(&id, naplet.wire_bytes(), &phase, now);
+        self.journal
+            .put_naplet(&id, naplet.wire_bytes(), &phase, &mut self.out);
         // sole owner on the receiving side (the origin's retained copy
         // lives in another process/server), so this is move-or-clone
         let mut naplet = naplet.into_owned();
@@ -1441,23 +1033,21 @@ impl NapletServer {
         };
         carry.drain().into_iter().for_each(&mut sort);
         for (m, origin) in self.messenger.drain_early(&id) {
-            self.deliver(m, origin, now, out, |_, m, _| sort(m));
+            self.deliver(m, origin, |_, m| sort(m));
         }
         let state = RunState::AwaitingArrivalAck;
         let entry = self.monitor.admit(naplet, action, state, now);
         for m in mail {
             entry.mailbox.deposit(m);
         }
-        self.obs
-            .metrics
-            .gauge_max("mailbox_depth", entry.mailbox.len() as u64);
+        self.out.gauge("mailbox_depth", entry.mailbox.len() as u64);
 
         // ARRIVAL registration: execution postponed until acknowledged
-        self.register_movement(&id, DirEvent::Arrival, Some(1), now, out);
+        self.register_movement(&id, DirEvent::Arrival, Some(1));
 
         // early control messages now interrupt the just-arrived naplet
         for verb in pending_controls {
-            self.apply_control(&id, &verb, now, out);
+            self.apply_control(&id, &verb);
         }
     }
 
@@ -1468,9 +1058,9 @@ impl NapletServer {
     /// that record (at the record's time), so the hook may see one
     /// arrival twice and must be deterministic.
     fn stamp_arrival(&mut self, naplet: &mut Naplet, at: Millis) {
-        naplet.nav_log.record_arrival(&self.host, at);
+        naplet.nav_log.record_arrival(self.out.host(), at);
         if let Some(hook) = &mut self.state_hook {
-            let mut view = naplet.state.server_view(&self.host);
+            let mut view = naplet.state.server_view(self.out.host());
             hook(&mut view);
         }
     }
@@ -1488,50 +1078,43 @@ impl NapletServer {
     /// `None` is fire-and-forget: departures, parking, and recovery of
     /// visits that already ran, where only the directory entry needs
     /// restoring.
-    fn register_movement(
-        &mut self,
-        id: &NapletId,
-        event: DirEvent,
-        gate: Option<u32>,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
+    fn register_movement(&mut self, id: &NapletId, event: DirEvent, gate: Option<u32>) {
         let to = match self.locator.holder(id) {
             Holder::Nowhere => {
                 if gate.is_some() {
-                    self.proceed_after_registration(id, false, now, out);
+                    self.proceed_after_registration(id, false);
                 }
                 return;
             }
             Holder::Here => None,
             Holder::At(host) => Some(host.to_string()),
         };
+        let host = self.out.host();
         let wire = Wire::DirRegister {
             id: id.clone(),
-            host: self.host.clone(),
+            host: host.to_string(),
             event,
-            ack_to: gate.map(|_| self.host.clone()),
+            ack_to: gate.map(|_| host.to_string()),
             attempt: gate.unwrap_or(1),
         };
         let landed = match to {
             Some(to) => {
-                out.push(Output::Send { to, wire });
+                self.out.send(to, wire);
                 false
             }
-            None => self.file(wire, now, out),
+            None => self.file(wire),
         };
         if let Some(attempt) = gate.filter(|_| !landed) {
             if attempt == 1 {
                 // nothing above moved the answer to "who holds `id`"
-                self.obs
-                    .emit(now, &self.host, Some(id), || TraceKind::RegisterGated {
-                        holder: match self.locator.holder(id) {
-                            Holder::At(host) => host.to_string(),
-                            _ => self.host.clone(),
-                        },
-                    });
+                self.out.trace(Some(id), || TraceKind::RegisterGated {
+                    holder: match self.locator.holder(id) {
+                        Holder::At(host) => host.to_string(),
+                        _ => self.out.host().to_string(),
+                    },
+                });
             }
-            self.arm_register_timer(id, attempt, out);
+            self.arm_register_timer(id, attempt);
         }
     }
 
@@ -1540,23 +1123,14 @@ impl NapletServer {
     /// budget): the naplet waiting behind the gate fetches code if
     /// cold, then executes. One that no longer waits — acked already,
     /// or gone — is left alone.
-    fn proceed_after_registration(
-        &mut self,
-        id: &NapletId,
-        forced: bool,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
+    fn proceed_after_registration(&mut self, id: &NapletId, forced: bool) {
         let waiting = self.monitor.get_mut(id);
         let Some(entry) = waiting.filter(|e| e.state == RunState::AwaitingArrivalAck) else {
             return;
         };
         let started = entry.arrived_at;
-        self.obs
-            .emit(now, &self.host, Some(id), || TraceKind::RegisterAcked {
-                started,
-                forced,
-            });
+        self.out
+            .trace(Some(id), || TraceKind::RegisterAcked { started, forced });
         let naplet = &entry.naplet;
         match naplet.kind() {
             AgentKind::Native => {
@@ -1564,26 +1138,22 @@ impl NapletServer {
                 let home = naplet.home().to_string();
                 if self.code_cache.is_cached(&codebase) {
                     entry.state = RunState::Runnable;
-                    self.execute_visit(id, now, out);
+                    self.execute_visit(id);
                 } else {
                     match self.code_cache.load(&self.codebase, &codebase) {
                         Ok(bytes) => {
                             entry.state = RunState::AwaitingCode;
-                            out.push(Output::FetchCode {
-                                from: home,
-                                bytes,
-                                id: id.clone(),
-                            });
+                            self.out.fetch_code(home, bytes, id.clone());
                         }
                         Err(e) => {
-                            self.destroy_resident(id, &format!("code load failed: {e}"), now, out);
+                            self.destroy_resident(id, &format!("code load failed: {e}"));
                         }
                     }
                 }
             }
             AgentKind::Vm(_) => {
                 entry.state = RunState::Runnable;
-                self.execute_visit(id, now, out);
+                self.execute_visit(id);
             }
         }
     }
@@ -1600,12 +1170,10 @@ impl NapletServer {
         mailbox: &mut Mailbox,
         meter: &mut Meter,
         what: What<'_>,
-        now: Millis,
-        out: &mut Vec<Output>,
     ) -> Result<ExecOutcome> {
         let sandbox = Sandbox {
-            host: &self.host,
-            now,
+            host: self.out.host(),
+            now: self.out.now(),
             co_residents: self.monitor.len(),
             resources: &mut self.resources,
             security: &self.security,
@@ -1614,11 +1182,11 @@ impl NapletServer {
             policy: self.monitor.policy(),
         };
         let (result, effects) = sandbox.run(naplet, mailbox, meter, what);
-        self.route_effects(naplet, effects, now, out);
+        self.route_effects(naplet, effects);
         result
     }
 
-    fn execute_visit(&mut self, id: &NapletId, now: Millis, out: &mut Vec<Output>) {
+    fn execute_visit(&mut self, id: &NapletId) {
         let Some(mut entry) = self.monitor.take(id) else {
             return;
         };
@@ -1628,14 +1196,15 @@ impl NapletServer {
             &mut entry.mailbox,
             &mut entry.meter,
             What::Visit(action.as_ref()),
-            now,
-            out,
         );
         match result {
             Ok(outcome) if outcome.program_done => {
-                // VM program finished: journey ends here
-                let done_at = now.plus(outcome.dwell_ms);
-                self.finish_journey(entry.naplet, done_at, "completed", true, out);
+                // VM program finished: the journey ends here, when the
+                // program did
+                let now = self.out.now();
+                self.out.at(now.plus(outcome.dwell_ms));
+                self.finish_journey(entry.naplet, "completed", true);
+                self.out.at(now);
             }
             Ok(outcome) => {
                 entry.state = RunState::VisitDone;
@@ -1650,18 +1219,15 @@ impl NapletServer {
                         applied_epoch: epoch,
                         action: None,
                     },
-                    now,
                 );
                 self.monitor.restore(entry);
-                out.push(Output::Schedule {
-                    delay_ms: outcome.dwell_ms,
-                    event: LocalEvent::VisitDone { id: id.clone() },
-                });
+                let done = LocalEvent::VisitDone { id: id.clone() };
+                self.out.after(outcome.dwell_ms, done);
             }
             Err(e) => {
                 self.monitor.kills.push((id.clone(), e.kind().to_string()));
                 self.monitor.restore(entry);
-                self.destroy_resident(id, &e.to_string(), now, out);
+                self.destroy_resident(id, &e.to_string());
             }
         }
     }
@@ -1670,36 +1236,27 @@ impl NapletServer {
     // Effects: messages, reports, logs
     // =====================================================================
 
-    fn route_effects(
-        &mut self,
-        naplet: &Naplet,
-        effects: Effects,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
+    fn route_effects(&mut self, naplet: &Naplet, effects: Effects) {
         let (id, home) = (naplet.id(), naplet.home());
         for line in effects.logs {
-            self.logf(now, line);
+            self.out.log(line);
         }
         for body in effects.reports {
-            if home == self.host {
+            if home == self.out.host() {
                 // a naplet reporting at its own home is a sign of life
-                self.leases.renew(id, now);
+                self.leases.renew(id, self.out.now());
                 self.reports.push((id.clone(), body));
             } else {
-                out.push(Output::Send {
-                    to: home.to_string(),
-                    wire: Wire::Report {
-                        id: id.clone(),
-                        body,
-                    },
-                });
+                let id = id.clone();
+                self.out.send(home.to_string(), Wire::Report { id, body });
             }
         }
         for (to, hint, body) in effects.posts {
             let from = Sender::Naplet(id.clone());
-            let msg = self.messenger.post(from, to, Payload::User(body), now);
-            self.route_message(msg, 1, Some(&hint), now, out);
+            let msg = self
+                .messenger
+                .post(from, to, Payload::User(body), self.out.now());
+            self.route_message(msg, 1, Some(&hint));
         }
     }
 
@@ -1711,32 +1268,12 @@ impl NapletServer {
     /// to `origin` — the host that posted it, which a relay (a chase
     /// forward, mail following its naplet) preserves. A post for this
     /// host is delivered here without the wire.
-    fn send_post(
-        &mut self,
-        msg: Message,
-        to_host: String,
-        origin: String,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
-        if to_host == self.host {
-            self.deliver_or_chase(msg, origin, now, out);
+    fn send_post(&mut self, msg: Message, to_host: String, origin: String) {
+        if to_host == self.out.host() {
+            self.deliver_or_chase(msg, origin);
         } else {
-            out.push(Output::Send {
-                to: to_host,
-                wire: Wire::Post {
-                    msg,
-                    origin_host: origin,
-                },
-            });
-        }
-    }
-
-    /// Install a location hint, surfacing capacity evictions to the
-    /// space-wide metrics registry (`locator_cache_evictions`).
-    fn cache_location(&mut self, id: NapletId, host: &str, now: Millis) {
-        if self.locator.put(id, host, now) {
-            self.obs.metrics.incr("locator_cache_evictions", 1);
+            let origin_host = origin;
+            self.out.send(to_host, Wire::Post { msg, origin_host });
         }
     }
 
@@ -1745,34 +1282,27 @@ impl NapletServer {
     /// and each attempt arms its timer, so a message lost in flight is
     /// re-routed until its delivery confirmation arrives (or retries run
     /// out).
-    fn route_message(
-        &mut self,
-        msg: Message,
-        attempt: u32,
-        hint: Option<&str>,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
+    fn route_message(&mut self, msg: Message, attempt: u32, hint: Option<&str>) {
         let (target, sender, seq) = (msg.to.clone(), msg.from.clone(), msg.seq);
-        out.push(Output::Schedule {
-            delay_ms: self.retry.jittered_backoff_ms(seq ^ 0x504f_5354, attempt),
-            event: LocalEvent::PostTimeout {
-                sender,
-                seq,
-                attempt,
-            },
-        });
+        let delay_ms = self.retry.jittered_backoff_ms(seq ^ 0x504f_5354, attempt);
+        let timeout = LocalEvent::PostTimeout {
+            sender,
+            seq,
+            attempt,
+        };
+        self.out.after(delay_ms, timeout);
         // resident here?
         if self.monitor.get(&target).is_some() {
-            let origin = self.host.clone();
-            self.deliver_or_chase(msg, origin, now, out);
+            let here = self.out.host().to_string();
+            self.deliver_or_chase(msg, here);
             return;
         }
         // locator cache
         if let Some(loc) = self.locator.get(&target) {
             let host = loc.host.clone();
-            self.obs.metrics.incr("locator_cache_hits", 1);
-            self.send_post(msg, host, self.host.clone(), now, out);
+            self.out.count("locator_cache_hits", 1);
+            let here = self.out.host().to_string();
+            self.send_post(msg, host, here);
             return;
         }
         // directory query, or trace/hint
@@ -1781,22 +1311,26 @@ impl NapletServer {
                 // the message waits as the copy its poster retains,
                 // named by its identity
                 let (holder, waiting) = (holder.to_string(), (msg.from, msg.seq));
-                self.query_directory(holder, target, Some(waiting), now, out);
+                self.query_directory(holder, target, Some(waiting));
             }
             Holder::Here => {
-                let found = self.locator.directory().lookup(&target);
-                let host = found.map(|e| e.host.clone());
-                self.post_located(msg, host, now, out);
+                let host = self
+                    .locator
+                    .directory()
+                    .lookup(&target)
+                    .map(|e| e.host.clone());
+                self.post_located(msg, host);
             }
             Holder::Nowhere => {
                 // forwarding mode: local trace, then the address-book hint
                 let next = match self.manager.trace(&target) {
                     Some(next) => next,
-                    None => hint.filter(|hint| *hint != self.host),
+                    None => hint.filter(|hint| *hint != self.out.host()),
                 };
+                let here = self.out.host().to_string();
                 match next.map(str::to_string) {
-                    Some(next) => self.send_post(msg, next, self.host.clone(), now, out),
-                    None => self.stash(msg, self.host.clone()),
+                    Some(next) => self.send_post(msg, next, here),
+                    None => self.stash(msg, here),
                 }
             }
         }
@@ -1810,12 +1344,10 @@ impl NapletServer {
         holder: String,
         id: NapletId,
         waiting: Option<(Sender, u64)>,
-        now: Millis,
-        out: &mut Vec<Output>,
     ) -> u64 {
         let token = self.token();
-        let wire = self.locator.ask(token, id, waiting, now);
-        out.push(Output::Send { to: holder, wire });
+        let wire = self.locator.ask(token, id, waiting, self.out.now());
+        self.out.send(holder, wire);
         token
     }
 
@@ -1823,22 +1355,17 @@ impl NapletServer {
     /// for a message's target: cache the entry and post there. A naplet
     /// unknown to the directory may not have landed anywhere yet; the
     /// message waits in its home server's special mailbox (case 3).
-    fn post_located(
-        &mut self,
-        msg: Message,
-        host: Option<String>,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
+    fn post_located(&mut self, msg: Message, host: Option<String>) {
+        let here = self.out.host().to_string();
         match host {
             Some(host) => {
-                self.cache_location(msg.to.clone(), &host, now);
-                self.send_post(msg, host, self.host.clone(), now, out);
+                self.locator.put(msg.to.clone(), &host, &mut self.out);
+                self.send_post(msg, host, here);
             }
-            None if msg.to.home() == self.host => self.stash(msg, self.host.clone()),
+            None if msg.to.home() == here => self.stash(msg, here),
             None => {
                 let home = msg.to.home().to_string();
-                self.send_post(msg, home, self.host.clone(), now, out);
+                self.send_post(msg, home, here);
             }
         }
     }
@@ -1850,7 +1377,7 @@ impl NapletServer {
     fn stash(&mut self, msg: Message, origin: String) {
         self.messenger.stash_early(msg, origin);
         let depth = self.messenger.early_waiting() as u64;
-        self.obs.metrics.gauge_max("special_mailbox_depth", depth);
+        self.out.gauge("special_mailbox_depth", depth);
     }
 
     /// The one door a post passes to reach its naplet here: §4.2 case 1,
@@ -1859,33 +1386,26 @@ impl NapletServer {
     /// but is confirmed all the same — the earlier confirmation may be
     /// the frame that was lost. `origin` gets the confirmation, or it is
     /// recorded when that is this host.
-    fn deliver(
-        &mut self,
-        msg: Message,
-        origin: String,
-        now: Millis,
-        out: &mut Vec<Output>,
-        deposit: impl FnOnce(&mut Self, Message, &mut Vec<Output>),
-    ) {
+    fn deliver(&mut self, msg: Message, origin: String, deposit: impl FnOnce(&mut Self, Message)) {
         let (sender, seq, target) = (msg.from.clone(), msg.seq, msg.to.clone());
         if self.messenger.record_delivery(&msg) {
-            deposit(self, msg, out);
+            deposit(self, msg);
         } else {
-            self.logf(now, format!("duplicate message {seq} for {target}"));
+            self.out
+                .log(format!("duplicate message {seq} for {target}"));
         }
-        if origin == self.host {
-            self.messenger
-                .record_confirmation(sender, seq, &self.host, now);
+        let (host, now) = (self.out.host(), self.out.now());
+        if origin == host {
+            self.messenger.record_confirmation(sender, seq, host, now);
         } else {
-            out.push(Output::Send {
-                to: origin,
-                wire: Wire::PostConfirm {
-                    sender,
-                    seq,
-                    target,
-                    delivered_at: self.host.clone(),
-                },
-            });
+            let delivered_at = host.to_string();
+            let confirm = Wire::PostConfirm {
+                sender,
+                seq,
+                target,
+                delivered_at,
+            };
+            self.out.send(origin, confirm);
         }
     }
 
@@ -1896,45 +1416,30 @@ impl NapletServer {
     /// confirmed to its own origin (this host for unread mail). Unread
     /// mail's delivery is forgotten so the chase can deliver it here
     /// again on a future revisit.
-    fn hand_on(
-        &mut self,
-        id: &NapletId,
-        mut mailbox: Mailbox,
-        dest: &str,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
+    fn hand_on(&mut self, id: &NapletId, mut mailbox: Mailbox, dest: &str) {
         let mut mail = self.messenger.drain_early(id);
         for m in mailbox.drain() {
             self.messenger.forget_delivery(&m);
-            mail.push((m, self.host.clone()));
+            mail.push((m, self.out.host().to_string()));
         }
         for (mut m, origin) in mail {
             m.forward_hops += 1;
-            self.send_post(m, dest.to_string(), origin, now, out);
+            self.send_post(m, dest.to_string(), origin);
         }
     }
 
     /// §4.2 delivery cases at a receiving messenger.
-    fn deliver_or_chase(
-        &mut self,
-        mut msg: Message,
-        origin_host: String,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
+    fn deliver_or_chase(&mut self, mut msg: Message, origin_host: String) {
         let target = msg.to.clone();
         if self.monitor.get(&target).is_some() {
             // case 1: resident — deposit or interrupt, and confirm
-            self.deliver(msg, origin_host, now, out, |server, msg, out| {
-                match &msg.payload {
-                    Payload::System(verb) => server.apply_control(&target, verb, now, out),
-                    Payload::User(_) => {
-                        if let Some(e) = server.monitor.get_mut(&target) {
-                            e.mailbox.deposit(msg);
-                            let depth = e.mailbox.len() as u64;
-                            server.obs.metrics.gauge_max("mailbox_depth", depth);
-                        }
+            self.deliver(msg, origin_host, |server, msg| match &msg.payload {
+                Payload::System(verb) => server.apply_control(&target, verb),
+                Payload::User(_) => {
+                    if let Some(e) = server.monitor.get_mut(&target) {
+                        e.mailbox.deposit(msg);
+                        let depth = e.mailbox.len() as u64;
+                        server.out.gauge("mailbox_depth", depth);
                     }
                 }
             });
@@ -1943,32 +1448,20 @@ impl NapletServer {
         // not resident — but if its landing was granted here and the
         // transfer is still in flight, wait for it (case 3) rather
         // than chasing a stale trail
-        if self.navigator.expecting(&target, now) {
+        if self.navigator.expecting(&target, self.out.now()) {
             self.stash(msg, origin_host);
             return;
         }
         // whatever hint routed the chase here was stale
-        self.locator.note_stale();
-        self.obs.metrics.incr("locator_cache_stale_hits", 1);
+        self.locator.note_stale(&mut self.out);
         match self.manager.trace(&target) {
             Some(Some(next)) => {
                 // case 2: it moved on — forward the chase, and refresh
                 // our own cache with the footprint's fresher pointer
                 let next = next.to_string();
-                self.cache_location(target.clone(), &next, now);
-                if self.messenger.may_forward(&msg) {
-                    msg.forward_hops += 1;
-                    self.obs.metrics.incr("post.forward_hops", 1);
-                    let (seq, hops) = (msg.seq, msg.forward_hops);
-                    self.obs
-                        .emit(now, &self.host, Some(&target), || TraceKind::ForwardHop {
-                            to: next.clone(),
-                            seq,
-                            hops,
-                        });
-                    self.send_post(msg, next, origin_host, now, out);
-                } else {
-                    self.logf(now, format!("undeliverable message to {target} (cap)"));
+                self.locator.put(target.clone(), &next, &mut self.out);
+                if self.messenger.forward(&mut msg, &next, &mut self.out) {
+                    self.send_post(msg, next, origin_host);
                 }
             }
             _ => {
@@ -1985,29 +1478,20 @@ impl NapletServer {
     // Control (system messages)
     // =====================================================================
 
-    fn apply_control(
-        &mut self,
-        id: &NapletId,
-        verb: &ControlVerb,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
+    fn apply_control(&mut self, id: &NapletId, verb: &ControlVerb) {
         match verb {
             ControlVerb::Terminate => {
-                self.destroy_resident(id, "terminated by control message", now, out);
+                self.destroy_resident(id, "terminated by control message");
             }
             ControlVerb::Suspend => {
                 if self.monitor.suspend(id) {
-                    self.logf(now, format!("SUSPEND {id}"));
+                    self.out.log(format!("SUSPEND {id}"));
                 }
             }
             ControlVerb::Resume => {
                 if self.monitor.resume(id) {
-                    self.logf(now, format!("RESUME {id}"));
-                    out.push(Output::Schedule {
-                        delay_ms: 0,
-                        event: LocalEvent::VisitDone { id: id.clone() },
-                    });
+                    self.out.log(format!("RESUME {id}"));
+                    self.out.after(0, LocalEvent::VisitDone { id: id.clone() });
                 }
             }
             ControlVerb::Callback | ControlVerb::Custom(_) => {
@@ -2020,11 +1504,9 @@ impl NapletServer {
                     &mut entry.mailbox,
                     &mut entry.meter,
                     What::Interrupt(verb),
-                    now,
-                    out,
                 );
                 if let Err(e) = ran {
-                    self.logf(now, format!("on_interrupt failed for {id}: {e}"));
+                    self.out.log(format!("on_interrupt failed for {id}: {e}"));
                 }
                 self.monitor.restore(entry);
             }
@@ -2035,13 +1517,7 @@ impl NapletServer {
     // Destruction / completion
     // =====================================================================
 
-    fn destroy_resident(
-        &mut self,
-        id: &NapletId,
-        reason: &str,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
+    fn destroy_resident(&mut self, id: &NapletId, reason: &str) {
         let Some(mut entry) = self.monitor.evict(id) else {
             return;
         };
@@ -2052,43 +1528,33 @@ impl NapletServer {
             &mut entry.mailbox,
             &mut entry.meter,
             What::Destroy,
-            now,
-            out,
         );
         self.resources.release(id);
-        self.logf(now, format!("DESTROY {id}: {reason}"));
-        self.journal_retire(id, now);
-        self.obs.metrics.incr("journeys.destroyed", 1);
-        self.obs
-            .emit(now, &self.host, Some(id), || TraceKind::JourneyDone {
-                status: "destroyed".to_string(),
-            });
-        self.notify_home(id, NapletStatus::Destroyed, reason, now, out);
-        self.dir_remove(id, now, out);
+        self.out.log(format!("DESTROY {id}: {reason}"));
+        self.journal.retire_naplet(id, &mut self.out);
+        self.out.count("journeys.destroyed", 1);
+        self.out.trace(Some(id), || TraceKind::JourneyDone {
+            status: "destroyed".to_string(),
+        });
+        self.notify_home(id, NapletStatus::Destroyed, reason);
+        self.dir_remove(id);
     }
 
-    fn finish_journey(
-        &mut self,
-        naplet: Naplet,
-        now: Millis,
-        detail: &str,
-        normal: bool,
-        out: &mut Vec<Output>,
-    ) {
+    fn finish_journey(&mut self, naplet: Naplet, detail: &str, normal: bool) {
         let id = naplet.id().clone();
-        self.logf(now, format!("COMPLETE {id}"));
+        self.out.log(format!("COMPLETE {id}"));
         let status = if normal {
             NapletStatus::Completed
         } else {
             NapletStatus::Destroyed
         };
-        self.notify_home(&id, status, detail, now, out);
-        self.dir_remove(&id, now, out);
+        self.notify_home(&id, status, detail);
+        self.dir_remove(&id);
         self.monitor.evict(&id);
         self.resources.release(&id);
-        self.journal_retire(&id, now);
+        self.journal.retire_naplet(&id, &mut self.out);
         let label = if normal { "completed" } else { "destroyed" };
-        self.obs.metrics.incr(
+        self.out.count(
             if normal {
                 "journeys.completed"
             } else {
@@ -2096,34 +1562,26 @@ impl NapletServer {
             },
             1,
         );
-        self.obs
-            .emit(now, &self.host, Some(&id), || TraceKind::JourneyDone {
-                status: label.to_string(),
-            });
+        self.out.trace(Some(&id), || TraceKind::JourneyDone {
+            status: label.to_string(),
+        });
         self.completed.push((id, naplet.nav_log.clone()));
     }
 
-    fn notify_home(
-        &mut self,
-        id: &NapletId,
-        status: NapletStatus,
-        detail: &str,
-        now: Millis,
-        out: &mut Vec<Output>,
-    ) {
-        if id.home() == self.host {
-            self.note_status_at_home(id, status, now);
-            self.manager.update_status(id, status, &self.host, now);
+    fn notify_home(&mut self, id: &NapletId, status: NapletStatus, detail: &str) {
+        let host = self.out.host();
+        if id.home() == host {
+            self.note_status_at_home(id, status);
+            self.manager
+                .update_status(id, status, self.out.host(), self.out.now());
         } else {
-            out.push(Output::Send {
-                to: id.home().to_string(),
-                wire: Wire::Notify {
-                    id: id.clone(),
-                    status,
-                    host: self.host.clone(),
-                    detail: detail.to_string(),
-                },
-            });
+            let notice = Wire::Notify {
+                id: id.clone(),
+                status,
+                host: host.to_string(),
+                detail: detail.to_string(),
+            };
+            self.out.send(id.home().to_string(), notice);
         }
     }
 
@@ -2134,7 +1592,7 @@ impl NapletServer {
     /// A life-cycle status reached this (home) server: terminal states
     /// end the lease and drop the creation record; anything else is a
     /// sign of life.
-    fn note_status_at_home(&mut self, id: &NapletId, status: NapletStatus, now: Millis) {
+    fn note_status_at_home(&mut self, id: &NapletId, status: NapletStatus) {
         match status {
             NapletStatus::Completed
             | NapletStatus::Destroyed
@@ -2143,40 +1601,37 @@ impl NapletServer {
                 self.leases.release(id);
                 let _ = self.journal.remove_creation(id);
             }
-            _ => self.leases.renew(id, now),
+            _ => self.leases.renew(id, self.out.now()),
         }
     }
 
     /// Arm the next lease-expiry check for `id`.
-    fn arm_lease_timer(&self, id: &NapletId, out: &mut Vec<Output>) {
+    fn arm_lease_timer(&mut self, id: &NapletId) {
         let Some(policy) = &self.lease_policy else {
             return;
         };
-        out.push(Output::Schedule {
-            delay_ms: policy.duration_ms + 1,
-            event: LocalEvent::LeaseCheck { id: id.clone() },
-        });
+        let check = LocalEvent::LeaseCheck { id: id.clone() };
+        self.out.after(policy.duration_ms + 1, check);
     }
 
     /// A lease timer came due: either the lease was renewed in the
     /// meantime (re-arm for the remaining window) or the agent is
     /// orphaned — re-dispatch it from the creation record if the
     /// policy's budget allows, else declare it [`NapletStatus::Lost`].
-    fn check_lease(&mut self, id: &NapletId, now: Millis, out: &mut Vec<Output>) {
+    fn check_lease(&mut self, id: &NapletId) {
         let Some(policy) = self.lease_policy.clone() else {
             return;
         };
         let Some(lease) = self.leases.get(id) else {
             return; // released (terminal status) — nothing to watch
         };
+        let now = self.out.now();
         let age = now.since(lease.last_renewed);
         if age <= policy.duration_ms {
             // renewed since the timer was armed: watch the rest of the
             // current window
-            out.push(Output::Schedule {
-                delay_ms: policy.duration_ms - age + 1,
-                event: LocalEvent::LeaseCheck { id: id.clone() },
-            });
+            let check = LocalEvent::LeaseCheck { id: id.clone() };
+            self.out.after(policy.duration_ms - age + 1, check);
             return;
         }
         let asks = self.locator.asks_replicas();
@@ -2188,16 +1643,16 @@ impl NapletServer {
                 let attempt = *probes;
                 if let Holder::At(holder) = self.locator.holder(id) {
                     let holder = holder.to_string();
-                    self.obs.metrics.incr("lease.probes", 1);
-                    self.logf(now, format!("LEASE probe {attempt} for {id} via {holder}"));
-                    let token = self.query_directory(holder, id.clone(), None, now, out);
+                    self.out.count("lease.probes", 1);
+                    self.out
+                        .log(format!("LEASE probe {attempt} for {id} via {holder}"));
+                    let token = self.query_directory(holder, id.clone(), None);
                     // in case this replica is the dead one
                     self.locator.rotate();
                     let key = token ^ 0x4c50_524f_4245u64;
-                    out.push(Output::Schedule {
-                        delay_ms: self.retry.jittered_backoff_ms(key, attempt),
-                        event: LocalEvent::LeaseCheck { id: id.clone() },
-                    });
+                    let delay_ms = self.retry.jittered_backoff_ms(key, attempt);
+                    let check = LocalEvent::LeaseCheck { id: id.clone() };
+                    self.out.after(delay_ms, check);
                     return;
                 }
             } else {
@@ -2205,41 +1660,37 @@ impl NapletServer {
             }
         }
         self.leases.expired += 1;
-        self.logf(
-            now,
-            format!("LEASE expired for {id} ({age}ms without sign of life)"),
-        );
+        self.out.log(format!(
+            "LEASE expired for {id} ({age}ms without sign of life)"
+        ));
         let creation = self.journal.creation(id);
         let can_redispatch =
             policy.redispatch && lease.redispatches < policy.max_redispatches && creation.is_some();
-        self.obs.metrics.incr("lease.expired", 1);
-        self.obs
-            .emit(now, &self.host, Some(id), || TraceKind::LeaseExpired {
-                redispatched: can_redispatch,
-            });
+        self.out.count("lease.expired", 1);
+        self.out.trace(Some(id), || TraceKind::LeaseExpired {
+            redispatched: can_redispatch,
+        });
         if can_redispatch {
             let naplet = creation.unwrap();
             self.leases.note_redispatch(id, now);
             self.leases.redispatched += 1;
-            self.obs.metrics.incr("lease.redispatched", 1);
-            self.logf(
-                now,
-                format!(
-                    "REDISPATCH {id} from creation record (attempt {})",
-                    lease.redispatches + 1
-                ),
-            );
-            self.manager.record_launch(id.clone(), &self.host, now);
+            self.out.count("lease.redispatched", 1);
+            self.out.log(format!(
+                "REDISPATCH {id} from creation record (attempt {})",
+                lease.redispatches + 1
+            ));
+            self.manager.record_launch(id.clone(), self.out.host(), now);
             self.manager.record_arrival(id, None, now);
-            self.arm_lease_timer(id, out);
-            self.continue_journey(naplet, Mailbox::new(), now, out);
+            self.arm_lease_timer(id);
+            self.continue_journey(naplet, Mailbox::new());
         } else {
             self.leases.lost += 1;
             self.leases.release(id);
             let _ = self.journal.remove_creation(id);
             self.manager
-                .update_status(id, NapletStatus::Lost, &self.host, now);
-            self.logf(now, format!("LOST {id}: lease expired, no re-dispatch"));
+                .update_status(id, NapletStatus::Lost, self.out.host(), now);
+            self.out
+                .log(format!("LOST {id}: lease expired, no re-dispatch"));
         }
     }
 
@@ -2248,12 +1699,8 @@ impl NapletServer {
     /// commit echo to this home was merely lost); a stale or missing
     /// entry is an authoritative verdict — stop probing so the pending
     /// [`LocalEvent::LeaseCheck`] runs the ordinary expiry path.
-    fn resolve_lease_probe(
-        &mut self,
-        id: NapletId,
-        entry: Option<(String, DirEvent, Millis)>,
-        now: Millis,
-    ) {
+    fn resolve_lease_probe(&mut self, id: NapletId, entry: Option<(String, DirEvent, Millis)>) {
+        let now = self.out.now();
         let (Some(policy), Some(probes)) = (&self.lease_policy, self.leases.probes(&id)) else {
             return; // released in the meantime
         };
@@ -2263,15 +1710,13 @@ impl NapletServer {
         if fresh {
             *probes = 0;
             self.leases.renew(&id, now);
-            self.obs.metrics.incr("lease.probe_confirmed", 1);
-            self.logf(now, format!("LEASE probe confirmed {id} alive"));
+            self.out.count("lease.probe_confirmed", 1);
+            self.out.log(format!("LEASE probe confirmed {id} alive"));
         } else {
             *probes = self.retry.max_retries;
-            self.obs.metrics.incr("lease.probe_stale", 1);
-            self.logf(
-                now,
-                format!("LEASE probe found no recent movement for {id}"),
-            );
+            self.out.count("lease.probe_stale", 1);
+            self.out
+                .log(format!("LEASE probe found no recent movement for {id}"));
         }
     }
 
@@ -2293,11 +1738,10 @@ impl NapletServer {
     /// are restored so idempotence, id-uniqueness and liveness
     /// tracking survive the crash.
     pub fn recover(&mut self, now: Millis) -> Vec<Output> {
-        let mut out = Vec::new();
+        self.out.at(now);
         // consensus state first: term, vote and the replicated log are
         // durable — a rejoining replica must not regress its promises
-        self.locator.recover(&self.journal);
-        self.arm_repl_tick(&mut out);
+        self.locator.recover(&self.journal, &mut self.out);
         // dedup + token state first: nothing replayed below may admit
         // a duplicate or reuse a pre-crash transfer id
         for ((origin, transfer_id), at) in self.journal.seen() {
@@ -2316,13 +1760,13 @@ impl NapletServer {
             let id = agent.id().clone();
             self.recovery.rehydrated += 1;
             local += 1;
+            let replayed = |phase: &str| TraceKind::RecoveryReplayed {
+                phase: phase.to_string(),
+            };
             match record.phase {
                 JournalPhase::Parked => {
-                    self.logf(now, format!("RECOVER parked {id}"));
-                    self.obs
-                        .emit(now, &self.host, Some(&id), || TraceKind::RecoveryReplayed {
-                            phase: "parked".to_string(),
-                        });
+                    self.out.log(format!("RECOVER parked {id}"));
+                    self.out.trace(Some(&id), || replayed("parked"));
                     self.navigator.parked.insert(id, agent.into_owned());
                 }
                 JournalPhase::Resident {
@@ -2341,28 +1785,21 @@ impl NapletServer {
                         // effects already escaped: resume at visit end
                         self.recovery.replays_suppressed += 1;
                         suppressed += 1;
-                        self.obs
-                            .emit(now, &self.host, Some(&id), || TraceKind::RecoveryReplayed {
-                                phase: "resident-applied".to_string(),
-                            });
-                        self.logf(now, format!("RECOVER resident {id} (visit applied)"));
+                        self.out.trace(Some(&id), || replayed("resident-applied"));
+                        self.out
+                            .log(format!("RECOVER resident {id} (visit applied)"));
                         self.monitor.admit(naplet, None, RunState::VisitDone, now);
-                        self.register_movement(&id, DirEvent::Arrival, None, now, &mut out);
-                        out.push(Output::Schedule {
-                            delay_ms: 0,
-                            event: LocalEvent::VisitDone { id: id.clone() },
-                        });
+                        self.register_movement(&id, DirEvent::Arrival, None);
+                        self.out.after(0, LocalEvent::VisitDone { id: id.clone() });
                     } else {
                         // admitted but never run: re-run through the
                         // normal registration gate
-                        self.obs
-                            .emit(now, &self.host, Some(&id), || TraceKind::RecoveryReplayed {
-                                phase: "resident-rerun".to_string(),
-                            });
-                        self.logf(now, format!("RECOVER resident {id} (re-running visit)"));
+                        self.out.trace(Some(&id), || replayed("resident-rerun"));
+                        self.out
+                            .log(format!("RECOVER resident {id} (re-running visit)"));
                         self.monitor
                             .admit(naplet, action, RunState::AwaitingArrivalAck, now);
-                        self.register_movement(&id, DirEvent::Arrival, Some(1), now, &mut out);
+                        self.register_movement(&id, DirEvent::Arrival, Some(1));
                     }
                 }
                 JournalPhase::InFlight {
@@ -2372,25 +1809,14 @@ impl NapletServer {
                 } => {
                     self.recovery.handoffs_resumed += 1;
                     resumed += 1;
-                    self.obs
-                        .emit(now, &self.host, Some(&id), || TraceKind::RecoveryReplayed {
-                            phase: "in-flight".to_string(),
-                        });
-                    self.logf(
-                        now,
-                        format!("RECOVER in-flight {id} -> {dest} (transfer {transfer_id})"),
-                    );
+                    self.out.trace(Some(&id), || replayed("in-flight"));
+                    self.out.log(format!(
+                        "RECOVER in-flight {id} -> {dest} (transfer {transfer_id})"
+                    ));
                     // an immediate timeout re-drives the handoff: the
                     // ordinary handler retransmits the current phase's
                     // frame or fails over — no recovery-special paths
-                    let timer = self.navigator.restore(agent, record.phase, now);
-                    out.extend(timer.map(|(transfer_id, attempt)| Output::Schedule {
-                        delay_ms: 0,
-                        event: LocalEvent::TransferTimeout {
-                            transfer_id,
-                            attempt,
-                        },
-                    }));
+                    self.navigator.restore(agent, record.phase, &mut self.out);
                 }
             }
         }
@@ -2402,43 +1828,33 @@ impl NapletServer {
                 let Ok(id) = id_str.parse::<NapletId>() else {
                     continue;
                 };
-                self.manager.record_launch(id.clone(), &self.host, now);
+                self.manager.record_launch(id.clone(), self.out.host(), now);
                 self.leases.grant(&id, now);
-                self.arm_lease_timer(&id, &mut out);
+                self.arm_lease_timer(&id);
             }
         }
-        self.logf(now, format!("RECOVER complete: {local} naplet(s)"));
-        self.obs.metrics.incr("recovery.replays", 1);
-        self.obs.metrics.incr("recovery.rehydrated", local);
-        self.obs
-            .emit(now, &self.host, None, || TraceKind::RecoveryDone {
-                rehydrated: local,
-                suppressed,
-                resumed,
-            });
-        out
+        self.out.log(format!("RECOVER complete: {local} naplet(s)"));
+        self.out.count("recovery.replays", 1);
+        self.out.count("recovery.rehydrated", local);
+        self.out.trace(None, || TraceKind::RecoveryDone {
+            rehydrated: local,
+            suppressed,
+            resumed,
+        });
+        self.out.take()
     }
 
     /// The journey of `id` ended: remove its directory entry, wherever
     /// that is held.
-    fn dir_remove(&mut self, id: &NapletId, now: Millis, out: &mut Vec<Output>) {
+    fn dir_remove(&mut self, id: &NapletId) {
         let wire = Wire::DirRemove { id: id.clone() };
         match self.locator.holder(id) {
             Holder::Nowhere => {}
-            Holder::Here => drop(self.file(wire, now, out)),
-            Holder::At(host) => out.push(Output::Send {
-                to: host.to_string(),
-                wire,
-            }),
+            Holder::Here => drop(self.file(wire)),
+            Holder::At(host) => {
+                let host = host.to_string();
+                self.out.send(host, wire);
+            }
         }
-    }
-}
-
-/// Stable label of a journal phase for traces/logs.
-fn phase_label(phase: &JournalPhase) -> &'static str {
-    match phase {
-        JournalPhase::InFlight { .. } => "in-flight",
-        JournalPhase::Resident { .. } => "resident",
-        JournalPhase::Parked => "parked",
     }
 }

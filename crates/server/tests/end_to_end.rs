@@ -408,7 +408,7 @@ fn landing_denied_skips_visit() {
     // s1 was skipped (landing denied); journey continued
     assert_eq!(visits_from_report(&reports[0].1), ["s0", "s2"]);
     // the denial shows up in s1's log
-    let s1_log = &rt.server("s1").unwrap().log;
+    let s1_log = &rt.server("s1").unwrap().log();
     assert!(s1_log.iter().any(|l| l.line.contains("deny")));
 }
 
@@ -827,7 +827,7 @@ fn chatter_visit(payloads: Vec<Vec<u8>>, budget: u64) -> (u64, bool) {
     assert!(!reports.is_empty(), "reports flow whatever the budget did");
     let s0 = rt.server("s0").unwrap();
     let hit = s0
-        .log
+        .log()
         .iter()
         .any(|l| l.line.contains("bandwidth budget hit"));
     let frames = rt.fabric().stats().snapshot();

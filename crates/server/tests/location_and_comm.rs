@@ -451,11 +451,13 @@ fn directory_outage_does_not_stall_arrivals() {
     assert!(rt.dropped > 0, "registration traffic must be dropped");
     let s0 = rt.server("s0").unwrap();
     assert!(
-        s0.log.iter().any(|e| e.line.starts_with("RETRY register")),
+        s0.log()
+            .iter()
+            .any(|e| e.line.starts_with("RETRY register")),
         "registration retransmissions must be logged"
     );
     assert!(
-        s0.log.iter().any(|e| e.line.contains("REGISTER unacked")),
+        s0.log().iter().any(|e| e.line.contains("REGISTER unacked")),
         "the give-up must be visible in the log"
     );
     assert!(s0.monitor.get(&id).is_none(), "the visit must have run");

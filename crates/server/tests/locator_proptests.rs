@@ -26,7 +26,7 @@ use proptest::prelude::*;
 
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
-use naplet_server::{DirEvent, Filed, Holder, Journal, LocationMode, Locator, Wire};
+use naplet_server::{Commits, DirEvent, Holder, Journal, LocationMode, Locator, Outbox, Wire};
 
 const SHARD: &str = "dir";
 
@@ -64,8 +64,9 @@ fn nid(naplet: u64) -> NapletId {
 }
 
 /// The locator of the host holding the whole directory, as a plain
-/// table or as the elected only member of a replica set.
-fn shard(consensus: bool) -> (Locator, Journal) {
+/// table or as the elected only member of a replica set, with its
+/// journal and outbox.
+fn shard(consensus: bool) -> (Locator, Journal, Outbox) {
     let mut journal = Journal::in_memory();
     let mode = if consensus {
         LocationMode::ReplicatedDirectory(vec![SHARD.to_string()])
@@ -73,12 +74,17 @@ fn shard(consensus: bool) -> (Locator, Journal) {
         LocationMode::CentralDirectory(SHARD.to_string())
     };
     let mut locator = Locator::new(SHARD, mode, None, &journal);
+    let mut out = Outbox::new(SHARD);
+    out.at(Millis(2_000));
     // a set of one elects itself at its first due tick (no-op on a table)
-    let elected = locator.tick(Millis(2_000), &mut journal);
-    for (index, op, _) in elected.committed {
-        locator.committed(index, op);
-    }
-    (locator, journal)
+    let elected = locator.tick(&mut journal, &mut out);
+    landed(&mut locator, elected, &mut out);
+    (locator, journal, out)
+}
+
+/// The server's enactment: land every registration, in order.
+fn landed(locator: &mut Locator, mut commits: Commits, out: &mut Outbox) -> Vec<Wire> {
+    std::iter::from_fn(|| locator.land(&mut commits, out)).collect()
 }
 
 /// What a run shows from outside: every lookup's answer, the naplets
@@ -91,7 +97,7 @@ struct Seen {
 }
 
 fn run(ops: &[Op], consensus: bool, local: bool) -> Result<Seen, TestCaseError> {
-    let (mut locator, mut journal) = shard(consensus);
+    let (mut locator, mut journal, mut out) = shard(consensus);
     let mut seen = Seen {
         lookups: Vec::new(),
         acks: Vec::new(),
@@ -134,17 +140,11 @@ fn run(ops: &[Op], consensus: bool, local: bool) -> Result<Seen, TestCaseError> 
             let id = wire.subject().unwrap();
             prop_assert_eq!(locator.holder(id), Holder::Here);
         }
-        // the server's enactment: a landed frame is `registered()` at
-        // once, a proposal when its commit surfaces
-        let landed = match locator.file(&wire, now, &mut journal).0 {
-            Filed::Landed => vec![wire],
-            Filed::Proposed(rout) => {
-                let committed = rout.committed.into_iter();
-                let landed = committed.filter_map(|(index, op, _)| locator.committed(index, op));
-                landed.map(|(wire, _echo)| wire).collect()
-            }
-            other => return Err(TestCaseError::fail(format!("the shard's holder {other:?}"))),
-        };
+        // the server's enactment: each frame is `registered()` as it
+        // lands, at once on a table, at its commit on a replica
+        out.at(now);
+        let commits = locator.file(wire, &mut journal, &mut out);
+        let landed = landed(&mut locator, commits, &mut out);
         for wire in landed {
             if let Wire::DirRegister {
                 id,
@@ -156,6 +156,10 @@ fn run(ops: &[Op], consensus: bool, local: bool) -> Result<Seen, TestCaseError> 
             }
         }
     }
+    // the shard's holder neither forwards nor drops a frame
+    let metrics = out.obs().metrics.snapshot();
+    let passed_on = metrics.counter("repl.forwarded") + metrics.counter("repl.no_leader_drops");
+    prop_assert_eq!(passed_on, 0, "the shard's holder passed a frame on");
     let left = locator.directory().entries().into_iter();
     seen.left = left.map(|(id, entry)| (id, entry.event)).collect();
     Ok(seen)

@@ -1,5 +1,5 @@
-//! Model test of the messenger's custody alone — no server, locator or
-//! runtime: random interleavings of new posts, stashes (re-stashes of a
+//! Model test of the messenger's custody alone — an outbox, no server,
+//! locator or runtime: random interleavings of new posts, stashes (re-stashes of a
 //! redelivered copy included), drains, deliveries, confirmations, timers
 //! at the current or a stale attempt and give-ups, against a reference
 //! model of what each message identity is owed.
@@ -20,7 +20,7 @@ use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
 use naplet_core::message::{Message, Payload, Sender};
 use naplet_core::value::Value;
-use naplet_server::Messenger;
+use naplet_server::{Messenger, Outbox};
 
 const BUDGET: u32 = 4;
 const TARGETS: u64 = 3;
@@ -114,6 +114,7 @@ proptest! {
     #[test]
     fn the_messenger_holds_each_message_once(ops in vec(op(), 1..120)) {
         let mut m = Messenger::default();
+        let mut out = Outbox::new("home");
         let sender = Sender::Naplet(nid(99));
         // every message seen so far (posts and foreign ones), and ours
         let mut known: Vec<Message> = Vec::new();
@@ -172,7 +173,7 @@ proptest! {
                         _ => 1,
                     };
                     let armed = current.saturating_add_signed(skew).max(1);
-                    let due = m.due(&msg.from, msg.seq, armed, BUDGET);
+                    let due = m.due(&msg.from, msg.seq, armed, BUDGET, &mut out);
                     match (stand, due) {
                         (Stand::Retained { attempt }, Some(Some(copy))) => {
                             prop_assert_eq!(armed, attempt, "a stale timer re-routed");
@@ -193,7 +194,7 @@ proptest! {
                 Op::GiveUp { slot } => {
                     let Some(msg) = posts.get(slot % posts.len().max(1)) else { continue };
                     while let Stand::Retained { attempt } = stands[&msg.seq] {
-                        match m.due(&msg.from, msg.seq, attempt, BUDGET) {
+                        match m.due(&msg.from, msg.seq, attempt, BUDGET, &mut out) {
                             Some(Some(_)) => {
                                 stands.insert(msg.seq, Stand::Retained { attempt: attempt + 1 });
                             }

@@ -143,9 +143,11 @@ fn origin_crash_between_transfer_and_ack() {
     // the destination saw the re-driven Transfer as a duplicate
     let s1 = rt.server("s1").unwrap();
     assert!(
-        s1.log.iter().any(|e| e.line.contains("duplicate TRANSFER")),
+        s1.log()
+            .iter()
+            .any(|e| e.line.contains("duplicate TRANSFER")),
         "s1 must dedup, not re-admit: {:?}",
-        s1.log
+        s1.log()
     );
     // and s0 retired the transfer after the duplicate ack
     assert!(

@@ -16,8 +16,8 @@ use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
 use naplet_server::{
-    DirEvent, Input, JournalPhase, LocationMode, MonitorPolicy, NapletServer, NapletStatus, Output,
-    ServerConfig, SimRuntime, TransferEnvelope, Wire,
+    DirEvent, Input, JournalPhase, LocalEvent, LocationMode, MonitorPolicy, NapletServer,
+    NapletStatus, Output, ServerConfig, SimRuntime, TransferEnvelope, Wire,
 };
 
 const CODEBASE: &str = "naplet://code/collector.jar";
@@ -231,6 +231,121 @@ fn a_lost_directory_answer_strands_no_query_and_a_late_one_posts_nothing() {
     }
 }
 
+/// A copy stashed at a home for a naplet that never comes — its poster
+/// gave up — lapses with the retention window instead of waiting in the
+/// special mailbox for the life of the server.
+#[test]
+fn a_stashed_copy_nobody_collects_lapses() {
+    let mut rt = world(LocationMode::HomeManagers, 1, 4);
+    let ghost = NapletId::new("czxu", "home", Millis(99)).unwrap();
+    rt.owner_post("home", ghost, Payload::User(Value::Int(1)))
+        .unwrap();
+    rt.run_to_quiescence(1_000_000);
+    let now = rt.now();
+    let home = rt.server_mut("home").unwrap();
+    assert_eq!(home.messenger.redelivery_given_up, 1);
+    assert_eq!(home.status_report(now).special_mailbox_depth, 1);
+    // a retention window and a sweep interval later, any event sweeps
+    let later = Millis(now.0 + 600_000 + 150_000);
+    let tick = Input::Local(LocalEvent::ReplTick);
+    assert!(home.handle(later, tick).is_empty());
+    assert_eq!(home.status_report(later).special_mailbox_depth, 0);
+    assert_eq!(home.messenger.early_waiting(), 0);
+}
+
+/// A `LandingRequest` retransmitted late — after the `Transfer` it asked
+/// for was admitted — is answered, but must not make the host expect the
+/// naplet again: once it has left, a post for it is forwarded after it,
+/// not held here for a landing that already happened.
+#[test]
+fn a_late_landing_request_holds_no_mail_after_the_naplet_left() {
+    let mut cfg = ServerConfig::open("b", LocationMode::ForwardingTrace);
+    cfg.codebase = registry();
+    let mut b = NapletServer::new(cfg);
+    let mut naplet = agent(Pattern::seq_of_hosts(&["b", "c"], None), 1);
+    naplet.advance(); // the origin chose `b`
+    let id = naplet.id().clone();
+    let request = |attempt| Wire::LandingRequest {
+        token: 7,
+        from_host: "a".into(),
+        credential: naplet.credential().clone(),
+        naplet_id: id.clone(),
+        est_bytes: 0,
+        attempt,
+    };
+    let envelope = TransferEnvelope {
+        naplet: naplet.clone().into(),
+        action: None,
+        transfer_id: 7,
+        attempt: 1,
+    };
+    let from_a = |wire| Input::Wire {
+        from: "a".into(),
+        wire,
+    };
+    let steps = [
+        from_a(request(1)),
+        from_a(Wire::Transfer(envelope)),
+        // the first reply was slow: the retransmission lands after the agent
+        from_a(request(2)),
+        Input::Local(LocalEvent::CodeReady { id: id.clone() }),
+    ];
+    for (at, input) in steps.into_iter().enumerate() {
+        b.handle(Millis(10 * at as u64), input);
+    }
+    // the visit ends and the naplet leaves for `c`
+    let asked = b.handle(
+        Millis(50),
+        Input::Local(LocalEvent::VisitDone { id: id.clone() }),
+    );
+    let token = asked.iter().find_map(|o| match o {
+        Output::Send {
+            to,
+            wire: Wire::LandingRequest { token, .. },
+        } if to == "c" => Some(*token),
+        _ => None,
+    });
+    let token = token.expect("b asks c for a landing");
+    let (granted, reason) = (true, String::new());
+    let reply = Wire::LandingReply {
+        token,
+        granted,
+        reason,
+    };
+    b.handle(
+        Millis(60),
+        Input::Wire {
+            from: "c".into(),
+            wire: reply,
+        },
+    );
+    assert_eq!(b.pending_transfer_count(), 1, "the Transfer to c is out");
+
+    let msg = Message::user(
+        1,
+        Sender::Owner("a".into()),
+        id.clone(),
+        Millis(70),
+        Value::Int(1),
+    );
+    let wire = Wire::Post {
+        msg,
+        origin_host: "a".into(),
+    };
+    let chase = b.handle(
+        Millis(70),
+        Input::Wire {
+            from: "a".into(),
+            wire,
+        },
+    );
+    let forwarded = chase
+        .iter()
+        .any(|o| matches!(o, Output::Send { to, wire: Wire::Post { .. } } if to == "c"));
+    assert!(forwarded, "the post chases the naplet to c: {chase:?}");
+    assert_eq!(b.messenger.early_waiting(), 0, "nothing is held at b");
+}
+
 #[test]
 fn permanent_outage_parks_with_failure_record_and_status() {
     let mut rt = world(LocationMode::HomeManagers, 2, 5);
@@ -248,7 +363,7 @@ fn permanent_outage_parks_with_failure_record_and_status() {
     assert_eq!(failures[0].host, "s1");
     assert!(failures[0].attempts >= 2, "retries precede parking");
     assert!(
-        s0.log.iter().any(|e| e.line.starts_with("RETRY")),
+        s0.log().iter().any(|e| e.line.starts_with("RETRY")),
         "retransmissions must be logged"
     );
     let home = rt.server("home").unwrap();
@@ -279,7 +394,7 @@ fn alt_falls_back_to_reachable_branch() {
         NapletStatus::Completed
     );
     assert!(
-        home.log
+        home.log()
             .iter()
             .any(|e| e.line.starts_with("HANDOFF failed")),
         "the failed branch must be visible in the log"
@@ -334,13 +449,13 @@ fn duplicate_transfer_is_reacked_but_not_readmitted() {
     );
     assert_eq!(acks(&second), 1, "every attempt is re-acknowledged");
     let arrivals = server
-        .log
+        .log()
         .iter()
         .filter(|e| e.line == format!("ARRIVAL {id}"))
         .count();
     assert_eq!(arrivals, 1, "idempotent: admitted exactly once");
     assert!(server
-        .log
+        .log()
         .iter()
         .any(|e| e.line.contains("duplicate TRANSFER")));
 }
@@ -396,7 +511,7 @@ fn a_stray_answer_releases_no_custody() {
         rt.station_send(sender, "home", wire).unwrap();
         // one hop away, so it lands before the real answer can
         let logged = |rt: &SimRuntime| {
-            let mut log = rt.server("home").unwrap().log.iter();
+            let mut log = rt.server("home").unwrap().log().iter();
             log.any(|e| e.line.starts_with("stray "))
         };
         while !logged(&rt) && rt.step().is_some() {}

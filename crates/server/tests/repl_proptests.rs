@@ -35,10 +35,10 @@ use naplet_core::itinerary::{ActionSpec, Itinerary, Pattern};
 use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
-use naplet_server::repl::{ReplOut, Role};
+use naplet_server::repl::Role;
 use naplet_server::{
-    DirEvent, Filed, Journal, LocationMode, Locator, MonitorPolicy, ReplConfig, ReplMsg,
-    ServerConfig, SimRuntime, Wire,
+    Commits, DirEvent, Journal, LocationMode, Locator, MonitorPolicy, Outbox, Output, ReplConfig,
+    ReplMsg, ServerConfig, SimRuntime, Wire,
 };
 
 const CODEBASE: &str = "naplet://code/collector.jar";
@@ -276,10 +276,10 @@ proptest! {
 
 /// Three directory replicas as bare locators: consensus traffic moves
 /// through an in-order queue the schedule filters, a `cut` replica
-/// neither sends nor receives, and every commit is run through
-/// [`Locator::committed`] the way the server's enactment does.
+/// neither sends nor receives, and every registration is landed through
+/// [`Locator::land`] the way the server does.
 struct Replicas {
-    nodes: BTreeMap<&'static str, (Locator, Journal)>,
+    nodes: BTreeMap<&'static str, (Locator, Journal, Outbox)>,
     queue: VecDeque<(&'static str, String, ReplMsg)>,
     cut: BTreeSet<&'static str>,
     now: u64,
@@ -293,7 +293,8 @@ impl Replicas {
         let nodes = REPLICAS.iter().map(|host| {
             let journal = Journal::in_memory();
             let mode = LocationMode::ReplicatedDirectory(set.clone());
-            (*host, (Locator::new(host, mode, None, &journal), journal))
+            let locator = Locator::new(host, mode, None, &journal);
+            (*host, (locator, journal, Outbox::new(host)))
         });
         Replicas {
             nodes: nodes.collect(),
@@ -308,32 +309,41 @@ impl Replicas {
         self.nodes[host].0.core().unwrap().is_leader()
     }
 
-    /// Enact consensus output at `at`: queue its traffic and check the
-    /// law on every ack its commits release.
-    fn enact(&mut self, at: &'static str, rout: ReplOut) -> std::result::Result<(), String> {
-        for (to, msg) in rout.msgs {
-            if !self.cut.contains(at) {
-                self.queue.push_back((at, to, msg));
+    /// The replica at `at`, its clock set to now.
+    fn node(&mut self, at: &str) -> (&mut Locator, &mut Journal, &mut Outbox) {
+        let (locator, journal, out) = self.nodes.get_mut(at).unwrap();
+        out.at(Millis(self.now));
+        (locator, journal, out)
+    }
+
+    /// Enact consensus output at `at`: land its commits, checking the
+    /// law on every ack they release, and queue its traffic.
+    fn enact(&mut self, at: &'static str, mut commits: Commits) -> std::result::Result<(), String> {
+        let (locator, _, out) = self.node(at);
+        let landed: Vec<Wire> = std::iter::from_fn(|| locator.land(&mut commits, out)).collect();
+        for output in out.take() {
+            if let Output::Send {
+                to,
+                wire: Wire::Repl { msg },
+            } = output
+            {
+                if !self.cut.contains(at) {
+                    self.queue.push_back((at, to, msg));
+                }
             }
         }
-        for (index, op, _) in rout.committed {
-            let landed = self.nodes.get_mut(at).unwrap().0.committed(index, op);
-            if let Some((
-                Wire::DirRegister {
-                    id,
-                    host,
-                    ack_to: Some(to),
-                    ..
-                },
-                _,
-            )) = landed
+        for wire in landed {
+            if let Wire::DirRegister {
+                id,
+                host,
+                ack_to: Some(to),
+                ..
+            } = wire
             {
                 // a registrar registers its own arrival: an ack bound
                 // for anyone else answers an entry it was not held for
                 if to != host {
-                    return Err(format!(
-                        "{at} acked {to} for {id} at {host}, committed at index {index}"
-                    ));
+                    return Err(format!("{at} acked {to} for {id} at {host}"));
                 }
             }
         }
@@ -343,9 +353,9 @@ impl Replicas {
     /// `ms` later, `at`'s tick fires.
     fn tick(&mut self, at: &'static str, ms: u64) -> std::result::Result<(), String> {
         self.now += ms;
-        let (locator, journal) = self.nodes.get_mut(at).unwrap();
-        let rout = locator.tick(Millis(self.now), journal);
-        self.enact(at, rout)
+        let (locator, journal, out) = self.node(at);
+        let commits = locator.tick(journal, out);
+        self.enact(at, commits)
     }
 
     /// Deliver queued traffic (and what it provokes) until none is
@@ -361,9 +371,9 @@ impl Replicas {
             if self.cut.contains(to) || !keep(to, &msg) {
                 continue;
             }
-            let (locator, journal) = self.nodes.get_mut(to).unwrap();
-            let rout = locator.receive(Millis(self.now), from, msg, journal);
-            self.enact(to, rout)?;
+            let (locator, journal, out) = self.node(to);
+            let commits = locator.receive(from, msg, journal, out);
+            self.enact(to, commits)?;
         }
         Ok(())
     }
@@ -380,11 +390,9 @@ impl Replicas {
             ack_to: Some(registrar),
             attempt: 1,
         };
-        let (locator, journal) = self.nodes.get_mut(at).unwrap();
-        match locator.file(&wire, Millis(self.now), journal).0 {
-            Filed::Proposed(rout) => self.enact(at, rout),
-            _ => Ok(()),
-        }
+        let (locator, journal, out) = self.node(at);
+        let commits = locator.file(wire, journal, out);
+        self.enact(at, commits)
     }
 }
 
