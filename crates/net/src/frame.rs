@@ -57,6 +57,14 @@ fn tag_class(t: u8) -> Result<TrafficClass> {
     })
 }
 
+/// Encoded length of a frame from `from` to `to` with `payload_len`
+/// payload bytes and no trace context: what a driver that moves wire
+/// values without encoding them meters.
+pub fn bare_len(from: &str, to: &str, payload_len: usize) -> u64 {
+    // 4 (frame len) + 1 (class) + 2×(2 + name) + payload
+    (4 + 1 + 2 + from.len() + 2 + to.len() + payload_len) as u64
+}
+
 impl Frame {
     /// Build a frame (no trace context).
     pub fn new(from: &str, to: &str, class: TrafficClass, payload: impl Into<Bytes>) -> Frame {
@@ -77,12 +85,11 @@ impl Frame {
 
     /// Total encoded length in bytes (what the fabric meters).
     pub fn wire_len(&self) -> u64 {
-        // 4 (frame len) + 1 (class) [+ ctx block] + 2×(2 + name) + payload
         let ctx_len = match &self.ctx {
             Some(ctx) => 2 + ctx.journey.len() + 2 + ctx.origin.len() + 4 + 8,
             None => 0,
         };
-        (4 + 1 + ctx_len + 2 + self.from.len() + 2 + self.to.len() + self.payload.len()) as u64
+        bare_len(&self.from, &self.to, self.payload.len()) + ctx_len as u64
     }
 
     /// Encode to a self-delimiting byte string.

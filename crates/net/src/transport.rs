@@ -5,10 +5,10 @@
 //! of a concrete network, so the very same event-handler servers run
 //! over the in-process fabric ([`crate::threaded::ThreadedNet`]) and
 //! over real sockets ([`crate::tcp::TcpTransport`]) without a line of
-//! server code changing. The deterministic discrete-event runtime does
-//! *not* go through this trait — it drives the fabric directly in
-//! virtual time, which is what keeps simulation outputs byte-identical
-//! regardless of how the live transports evolve.
+//! server code changing. The sim's hosts take the same driver step on
+//! a virtual link instead, which drives the fabric directly in virtual
+//! time and moves wire values unencoded: simulation outputs stay
+//! byte-identical however the live transports evolve.
 
 use crossbeam::channel::Receiver;
 

@@ -1,14 +1,14 @@
 //! Wire protocol and server I/O types.
 //!
 //! Servers are written as deterministic event handlers:
-//! `handle(now, Input) -> Vec<Output>`. A driver (the discrete-event
-//! [`crate::runtime::SimRuntime`], or the wall-clock
-//! [`crate::node::Node`]) turns `Output`s into fabric transfers and
-//! scheduled local events. Inside a server, every component emits into
-//! one [`Outbox`] — the only place, outside the two drivers, that an
-//! `Output` is built. Everything that crosses a link is a [`Wire`]
-//! value, codec-encoded into a `naplet_net::Frame` so byte counts are
-//! exact.
+//! `handle(now, Input) -> Vec<Output>`. One driver step
+//! ([`crate::node::Host`]) turns `Output`s into wires on a link and
+//! armed timers, in virtual time and on the wall clock alike. Inside a
+//! server, every component emits into one [`Outbox`] — the only place,
+//! outside that step, that an `Output` is built. Everything that
+//! crosses a link is a [`Wire`] value, codec-encoded into a
+//! `naplet_net::Frame` (or, in the sim, metered at that size), so byte
+//! counts are exact.
 
 use std::time::Instant;
 

@@ -14,9 +14,9 @@
 //! components send their own frames and timers and record their own
 //! observations through the server's one [`events::Outbox`].
 //!
-//! Servers are deterministic event handlers; [`runtime::SimRuntime`]
-//! drives them over a metered fabric in virtual time (measurements),
-//! and [`node::Node`] drives the same handlers on a wall clock over any
+//! Servers are deterministic event handlers run by one driver step
+//! ([`node::Host`]) over a link: [`runtime::SimRuntime`]'s in virtual
+//! time (measurements), [`node::Node`]'s on a wall clock over any
 //! `naplet_net::Transport` — on [`live::LiveRuntime`]'s threads or on
 //! the caller's own.
 
@@ -45,6 +45,7 @@ pub mod server;
 pub mod service_channel;
 pub mod status;
 mod timers;
+mod world;
 
 pub use bootstrap::{BootstrapConfig, NodeConfig};
 pub use daemon::{register_probe, Daemon, DaemonSummary, TraceDumper, PROBE_CODEBASE};

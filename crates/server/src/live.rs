@@ -12,8 +12,8 @@
 //!
 //! # Threads
 //!
-//! Every server lives in a [`Node`], which owns its inbox, timers and
-//! trace contexts and holds the one receive → handle → enact loop.
+//! Every server lives in a [`Node`] — the one receive → handle → enact
+//! step, on a wall-clock link that owns its inbox and timers.
 //! Before [`LiveRuntime::start`] the nodes sit in a staging list and
 //! the caller's thread drives them: launches and recovery send their
 //! handshakes at once and leave their timers in the node's heap.

@@ -1,20 +1,24 @@
-//! The one wall-clock driver: a [`NapletServer`] and everything it
-//! needs to live on a [`Transport`].
+//! The one driver step: a [`NapletServer`] on a [`Link`].
 //!
-//! A server is a pure event handler — `handle(now, input) -> outputs`.
-//! Something has to receive frames, decode them, read the clock, fire
-//! timers, and turn outputs back into frames and armed timers. In
-//! virtual time that is [`crate::runtime::SimRuntime`]; on a wall
-//! clock it is [`Node`], for every caller: `LiveRuntime`'s server
-//! threads ([`Node::run`]), its pre-start launch window, the cluster
-//! harness's hand-pumped home node and the ops-plane station
-//! ([`Node::pump`] / [`Node::wait`] on the caller's thread).
+//! A server is a pure event handler. [`Host`] runs one, written once for
+//! virtual time and the wall clock alike:
 //!
-//! A node is the only code that touches its server, its timer heap and
-//! its trace-context table. It blocks on exactly one thing, its
-//! transport inbox, for no longer than the earliest armed deadline:
-//! a frame or a due timer wakes it, nothing else does. Sends happen on
-//! the node's thread — [`Transport::send`] never waits on a peer.
+//! * **receive** — adopt the trace context, trace `WireRecv`, `handle`;
+//! * **enact** — `Send`, `Schedule`, `FetchCode`;
+//! * **transmit** — stamp the context, count `wire.sent`, trace
+//!   `WireSend`; on a loss count `wire.dropped` and trace `WireDrop`.
+//!
+//! Only the [`Link`] differs: its clock, its timers, how a wire travels
+//! and how a code fetch is metered. [`Wall`] is the wall-clock link over
+//! any [`Transport`], and a [`Node`] is a host on one: `LiveRuntime`'s
+//! server threads ([`Node::run`]), its pre-start launch window, the
+//! cluster harness's home node and the ops-plane station ([`Node::pump`]
+//! / [`Node::wait`]). [`crate::runtime::SimRuntime`]'s hosts run on a
+//! virtual link into one event queue.
+//!
+//! A node blocks on exactly one thing, its transport inbox, for no
+//! longer than the earliest armed deadline. Sends happen on the node's
+//! thread — [`Transport::send`] never waits on a peer.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,7 +31,7 @@ use naplet_core::codec;
 use naplet_core::id::NapletId;
 use naplet_core::message::Payload;
 use naplet_core::naplet::Naplet;
-use naplet_core::tracectx::CtxTable;
+use naplet_core::tracectx::{CtxTable, TraceCtx};
 use naplet_net::{Frame, TrafficClass, Transport};
 use naplet_obs::{ObsSink, TraceKind};
 
@@ -47,74 +51,79 @@ pub fn unix_ms_at(epoch: Instant) -> u64 {
     unix_now.saturating_sub(epoch.elapsed().as_millis() as u64)
 }
 
-/// One server on a transport, driven in wall-clock time.
-pub struct Node<T: Transport> {
-    /// The server itself; its tables stay inspectable (and its journal
-    /// and policies settable) between pumps.
-    pub server: NapletServer,
-    net: Arc<T>,
-    inbox: Receiver<Frame>,
-    timers: Timers<LocalEvent>,
-    ctxs: CtxTable,
-    epoch: Instant,
+/// What a link did with a wire: `Ok(bytes)` once it travels,
+/// `Err(bytes)` when it was lost.
+pub type Sent = Result<u64, u64>;
+
+/// What a host's step needs from the world it runs in.
+pub trait Link {
+    /// The host's clock.
+    fn now(&self) -> Millis;
+
+    /// Hand `event` back to this host `delay_ms` from now.
+    fn arm(&mut self, delay_ms: u64, event: LocalEvent);
+
+    /// Put `wire` from `from` on its way to `to`, carrying `ctx`, and
+    /// meter it (a retransmission too).
+    fn send(&mut self, from: &str, to: &str, wire: Wire, ctx: Option<TraceCtx>) -> Sent;
+
+    /// Meter a code fetch of `bytes` from `from` to `to`: the modelled
+    /// delay, or `None` when the fetch was lost (a counted drop).
+    fn fetch(&mut self, from: &str, to: &str, bytes: u64) -> Option<u64>;
 }
 
-impl<T: Transport> Node<T> {
-    /// Register `config.host` on `net` and build its server, recording
-    /// into `obs` and reading time as ms since `epoch`.
-    pub fn new(net: Arc<T>, config: ServerConfig, obs: ObsSink, epoch: Instant) -> Node<T> {
-        let inbox = net.register(&config.host);
+/// A server on a link: the one receive → handle → enact step.
+pub struct Host<L> {
+    /// The server itself; its tables stay inspectable (and its journal
+    /// and policies settable) between steps.
+    pub server: NapletServer,
+    pub(crate) link: L,
+    ctxs: CtxTable,
+}
+
+/// A host on the wall clock, over a transport.
+pub type Node<T> = Host<Wall<T>>;
+
+impl<L: Link> Host<L> {
+    /// `server` on `link` as it stands, with nothing armed for it.
+    pub(crate) fn on(link: L, server: NapletServer) -> Host<L> {
+        let ctxs = CtxTable::new();
+        Host { server, link, ctxs }
+    }
+
+    /// Build `config.host`'s server on `link`, recording into `obs`.
+    /// A directory replica's consensus clock starts here: its first
+    /// tick is armed now, the rest by the server's own outputs.
+    pub(crate) fn boot(mut link: L, config: ServerConfig, obs: ObsSink) -> Host<L> {
         let mut server = NapletServer::new(config);
         server.set_obs(obs);
-        // directory replicas drive their consensus clock off a
-        // self-rearming tick; the first one is armed here, the rest by
-        // the server's own outputs
-        let mut timers = Timers::default();
         if let Some(tick_ms) = server.arm_initial_repl_tick() {
-            timers.arm_in(tick_ms, LocalEvent::ReplTick);
+            link.arm(tick_ms, LocalEvent::ReplTick);
         }
-        Node {
-            server,
-            net,
-            inbox,
-            timers,
-            ctxs: CtxTable::new(),
-            epoch,
-        }
+        Host::on(link, server)
     }
 
-    /// Wall-clock time since the node's epoch, in ms.
+    /// The host's clock, in ms.
     pub fn now(&self) -> Millis {
-        Millis(self.epoch.elapsed().as_millis() as u64)
+        self.link.now()
     }
 
-    /// The transport this node sends on (stats, peer control).
-    pub fn transport(&self) -> &T {
-        &self.net
-    }
-
-    /// Launch a naplet homed at this node: handshakes go out at once,
-    /// acknowledgement timers wait in the node's heap.
+    /// Launch a naplet homed at this host: handshakes go out at once,
+    /// acknowledgement timers are armed on the link.
     pub fn launch(&mut self, naplet: Naplet) {
-        let now = self.now();
-        let outputs = self.server.launch(naplet, now);
-        self.enact(outputs, now);
+        self.step(|server, now| server.launch(naplet, now));
     }
 
-    /// Post an owner/console message from this node to a naplet.
+    /// Post an owner/console message from this host to a naplet.
     pub fn owner_post(&mut self, to: NapletId, payload: Payload) {
-        let now = self.now();
-        let outputs = self.server.owner_post(to, payload, now);
-        self.enact(outputs, now);
+        self.step(|server, now| server.owner_post(to, payload, now));
     }
 
     /// Replay the server's write-ahead journal: retransmitted
-    /// handshakes go out over the transport, acknowledgement and lease
-    /// timers are re-armed.
+    /// handshakes go out on the link, acknowledgement and lease timers
+    /// are re-armed.
     pub fn recover(&mut self) -> RecoveryStats {
-        let now = self.now();
-        let outputs = self.server.recover(now);
-        self.enact(outputs, now);
+        self.step(|server, now| server.recover(now));
         self.server.recovery_stats()
     }
 
@@ -125,13 +134,182 @@ impl<T: Transport> Node<T> {
         self.transmit(to, wire, now);
     }
 
+    /// Handle a local event that came due.
+    pub(crate) fn fire(&mut self, event: LocalEvent) {
+        self.step(|server, now| server.handle(now, Input::Local(event)));
+    }
+
+    /// Receive a wire value that arrived from `from` carrying `ctx`.
+    pub(crate) fn deliver(&mut self, from: String, wire: Wire, ctx: Option<&TraceCtx>) {
+        self.arrive(&from, &wire, ctx);
+        self.step(|server, now| server.handle(now, Input::Wire { from, wire }));
+    }
+
+    /// Adopt the context `wire` carried and trace its arrival.
+    pub(crate) fn arrive(&mut self, from: &str, wire: &Wire, ctx: Option<&TraceCtx>) {
+        let obs = self.server.obs();
+        if let (true, Some(ctx)) = (obs.ctx_enabled(), ctx) {
+            self.ctxs.adopt(ctx);
+        }
+        let (now, host) = (self.now(), self.server.host());
+        obs.emit_ctx(now, host, wire.subject(), ctx, || TraceKind::WireRecv {
+            from: from.to_string(),
+            label: wire.label().to_string(),
+        });
+    }
+
+    /// Count a wire lost on its way to `to` and trace the loss here.
+    pub(crate) fn lost(
+        &self,
+        to: &str,
+        label: &str,
+        id: Option<&NapletId>,
+        ctx: Option<&TraceCtx>,
+    ) {
+        let obs = self.server.obs();
+        obs.metrics.incr("wire.dropped", 1);
+        obs.emit_ctx(self.now(), self.server.host(), id, ctx, || {
+            TraceKind::WireDrop {
+                to: to.to_string(),
+                label: label.to_string(),
+            }
+        });
+    }
+
+    /// Run one server call at the current time and enact its outputs.
+    fn step(&mut self, call: impl FnOnce(&mut NapletServer, Millis) -> Vec<Output>) {
+        let now = self.now();
+        let outputs = call(&mut self.server, now);
+        for output in outputs {
+            match output {
+                Output::Send { to, wire } => self.transmit(&to, wire, now),
+                Output::Schedule { delay_ms, event } => self.link.arm(delay_ms, event),
+                Output::FetchCode { from, bytes, id } => {
+                    let host = self.server.host();
+                    let delay = if bytes == 0 || from == host {
+                        Some(0)
+                    } else {
+                        self.link.fetch(&from, host, bytes)
+                    };
+                    // a lost fetch is retried as an optimistic delivery
+                    // a moment later, so the agent is not stranded
+                    let event = LocalEvent::CodeReady { id };
+                    self.link.arm(delay.unwrap_or(1), event);
+                }
+            }
+        }
+    }
+
+    /// Stamp the trace context, put `wire` on the link, count and trace
+    /// the send and, when the link lost it, the loss.
+    fn transmit(&mut self, to: &str, wire: Wire, now: Millis) {
+        let (host, obs) = (self.server.host(), self.server.obs());
+        let (label, class, attempt) = (wire.label(), wire.traffic_class(), wire.retry_attempt());
+        let id = wire.subject().cloned();
+        // the context table is consulted only while a causal consumer
+        // (tracer or flight recorder) is on, so the tracing-off hot
+        // path allocates nothing extra
+        let ctx = match &id {
+            Some(id) if obs.ctx_enabled() => {
+                Some(self.ctxs.on_send(&id.to_string(), host, wire.opens_hop()))
+            }
+            _ => None,
+        };
+        let sent = self.link.send(host, to, wire, ctx.clone());
+        obs.metrics.incr("wire.sent", 1);
+        let bytes = sent.unwrap_or_else(|bytes| bytes);
+        obs.emit_ctx(now, host, id.as_ref(), ctx.as_ref(), || {
+            let (to, label, class) = (to.to_string(), label.to_string(), class.label().to_string());
+            TraceKind::WireSend {
+                to,
+                label,
+                class,
+                bytes,
+                attempt,
+            }
+        });
+        if sent.is_err() {
+            self.lost(to, label, id.as_ref(), ctx.as_ref());
+        }
+    }
+}
+
+/// The wall-clock link: a transport, this host's inbox on it, its timer
+/// heap and the epoch its clock counts from.
+pub struct Wall<T: Transport> {
+    net: Arc<T>,
+    inbox: Receiver<Frame>,
+    timers: Timers<LocalEvent>,
+    epoch: Instant,
+}
+
+impl<T: Transport> Link for Wall<T> {
+    fn now(&self) -> Millis {
+        Millis(self.epoch.elapsed().as_millis() as u64)
+    }
+
+    fn arm(&mut self, delay_ms: u64, event: LocalEvent) {
+        self.timers.arm_in(delay_ms, event);
+    }
+
+    fn send(&mut self, from: &str, to: &str, wire: Wire, ctx: Option<TraceCtx>) -> Sent {
+        let stats = self.net.stats();
+        if wire.retry_attempt() > 1 {
+            stats.record_retransmit();
+        }
+        // sizing is a counting walk (O(1) over a Transfer's cached
+        // image), so the frame's own buffer is allocated once, exactly,
+        // and encoded into
+        let mut payload = Vec::new();
+        let encoded = codec::encoded_size(&wire).and_then(|size| {
+            payload.reserve_exact(size as usize);
+            codec::to_bytes_into(&wire, &mut payload)
+        });
+        if encoded.is_err() {
+            stats.record_drop();
+            return Err(0);
+        }
+        let frame = Frame::new(from, to, wire.traffic_class(), payload).with_ctx(ctx);
+        let bytes = frame.wire_len();
+        match self.net.send(frame) {
+            Ok(true) => Ok(bytes),
+            _ => Err(bytes),
+        }
+    }
+
+    fn fetch(&mut self, from: &str, to: &str, bytes: u64) -> Option<u64> {
+        self.net
+            .fetch(from, to, TrafficClass::Code, bytes)
+            .unwrap_or(Some(0))
+    }
+}
+
+impl<T: Transport> Node<T> {
+    /// Register `config.host` on `net` and build its server, recording
+    /// into `obs` and reading time as ms since `epoch`.
+    pub fn new(net: Arc<T>, config: ServerConfig, obs: ObsSink, epoch: Instant) -> Node<T> {
+        let inbox = net.register(&config.host);
+        let link = Wall {
+            net,
+            inbox,
+            timers: Timers::default(),
+            epoch,
+        };
+        Host::boot(link, config, obs)
+    }
+
+    /// The transport this node sends on (stats, peer control).
+    pub fn transport(&self) -> &T {
+        &self.link.net
+    }
+
     /// Handle everything that is ready — due timers and delivered
     /// frames — without blocking. Due timers are re-checked before
     /// every frame, so a backlog cannot hold a deadline up.
     pub fn pump(&mut self) {
         loop {
             self.fire_due();
-            let Ok(frame) = self.inbox.try_recv() else {
+            let Ok(frame) = self.link.inbox.try_recv() else {
                 return;
             };
             self.receive(frame);
@@ -149,16 +327,14 @@ impl<T: Transport> Node<T> {
         self.fire_due();
         let now = Instant::now();
         let until = until.map(|at| at.saturating_duration_since(now));
-        let sleep = match (self.timers.until_next(now), until) {
+        let sleep = match (self.link.timers.until_next(now), until) {
             (Some(timer), Some(until)) => Some(timer.min(until)),
             (timer, until) => timer.or(until),
         };
+        let inbox = &self.link.inbox;
         let received = match sleep {
-            Some(sleep) => self.inbox.recv_timeout(sleep),
-            None => self
-                .inbox
-                .recv()
-                .map_err(|_| RecvTimeoutError::Disconnected),
+            Some(sleep) => inbox.recv_timeout(sleep),
+            None => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
         match received {
             Ok(frame) => self.receive(frame),
@@ -180,95 +356,27 @@ impl<T: Transport> Node<T> {
     /// self-rearming event cannot starve the inbox.
     fn fire_due(&mut self) {
         let due_by = Instant::now();
-        while let Some(event) = self.timers.pop_due(due_by) {
-            let now = self.now();
-            // keep fault schedules in step with wall-clock-since-epoch time
-            self.net.set_now(now.0);
-            let outputs = self.server.handle(now, Input::Local(event));
-            self.enact(outputs, now);
+        while let Some(event) = self.link.timers.pop_due(due_by) {
+            self.sync();
+            self.fire(event);
         }
     }
 
+    /// Decode a frame and deliver it. A frame that does not decode is
+    /// lost like any other fault: a counted drop, not a silent one.
     fn receive(&mut self, frame: Frame) {
         let Ok(wire) = codec::from_bytes::<Wire>(&frame.payload) else {
-            return; // corrupt frame: drop
-        };
-        let now = self.now();
-        self.net.set_now(now.0);
-        let from = frame.from;
-        let obs = self.server.obs();
-        if obs.ctx_enabled() {
-            if let Some(ctx) = &frame.ctx {
-                self.ctxs.adopt(ctx);
-            }
-            obs.emit_ctx(
-                now,
-                self.server.host(),
-                wire.subject(),
-                frame.ctx.as_ref(),
-                || TraceKind::WireRecv {
-                    from: from.clone(),
-                    label: wire.label().to_string(),
-                },
-            );
-        }
-        let outputs = self.server.handle(now, Input::Wire { from, wire });
-        self.enact(outputs, now);
-    }
-
-    fn enact(&mut self, outputs: Vec<Output>, now: Millis) {
-        for output in outputs {
-            match output {
-                Output::Send { to, wire } => self.transmit(&to, wire, now),
-                Output::Schedule { delay_ms, event } => self.timers.arm_in(delay_ms, event),
-                Output::FetchCode { from, bytes, id } => {
-                    let delay = self
-                        .net
-                        .fetch(&from, self.server.host(), TrafficClass::Code, bytes)
-                        .ok()
-                        .flatten()
-                        .unwrap_or(0);
-                    self.timers.arm_in(delay, LocalEvent::CodeReady { id });
-                }
-            }
-        }
-    }
-
-    fn transmit(&mut self, to: &str, wire: Wire, now: Millis) {
-        let attempt = wire.retry_attempt();
-        if attempt > 1 {
-            self.net.stats().record_retransmit();
-        }
-        // sizing is a counting walk (O(1) over a Transfer's cached
-        // image), so the frame's own buffer is allocated once, exactly,
-        // and encoded into
-        let Ok(size) = codec::encoded_size(&wire) else {
+            self.link.net.stats().record_drop();
+            self.server.obs().metrics.incr("wire.dropped", 1);
             return;
         };
-        let mut payload = Vec::with_capacity(size as usize);
-        if codec::to_bytes_into(&wire, &mut payload).is_err() {
-            return;
-        }
-        let host = self.server.host();
-        let mut frame = Frame::new(host, to, wire.traffic_class(), payload);
-        let obs = self.server.obs();
-        if obs.ctx_enabled() {
-            let ctx = wire
-                .subject()
-                .map(|id| self.ctxs.on_send(&id.to_string(), host, wire.opens_hop()));
-            frame = frame.with_ctx(ctx.clone());
-            let bytes = frame.wire_len();
-            obs.emit_ctx(now, host, wire.subject(), ctx.as_ref(), || {
-                TraceKind::WireSend {
-                    to: to.to_string(),
-                    label: wire.label().to_string(),
-                    class: wire.traffic_class().label().to_string(),
-                    bytes,
-                    attempt,
-                }
-            });
-        }
-        let _ = self.net.send(frame);
+        self.sync();
+        self.deliver(frame.from, wire, frame.ctx.as_ref());
+    }
+
+    /// Keep the transport's fault schedules in step with the clock.
+    fn sync(&self) {
+        self.link.net.set_now(self.now().0);
     }
 }
 
@@ -405,7 +513,7 @@ mod tests {
         }
         // three frames wait in a's inbox when this comes due (a tick on
         // a host that is no replica does nothing but get counted)
-        a.timers.arm(Instant::now(), LocalEvent::ReplTick);
+        a.link.timers.arm(Instant::now(), LocalEvent::ReplTick);
         a.pump();
         assert_eq!(ticks_handled(&obs), 1, "the due timer fired");
         b.pump();
@@ -483,5 +591,61 @@ mod tests {
         };
         drop(net.register("b"));
         assert_eq!(served.join().unwrap().host(), "b");
+    }
+
+    fn counter(obs: &ObsSink, name: &str) -> u64 {
+        let counters = obs.metrics.snapshot().counters;
+        counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// A frame whose payload is no wire value is lost like any other
+    /// fault: a drop in the transport's stats and in `wire.dropped`.
+    #[test]
+    fn an_undecodable_frame_is_a_counted_drop() {
+        let net = net();
+        let obs = ObsSink::default();
+        let mut a = node(&net, "a", &obs);
+        let _b = net.register("b");
+        let garbage = Frame::new("b", "a", TrafficClass::Message, vec![0xff; 8]);
+        assert!(net.send(garbage).unwrap());
+        a.pump();
+        assert_eq!(net.fabric().stats().snapshot().dropped, 1);
+        assert_eq!(counter(&obs, "wire.dropped"), 1);
+    }
+
+    /// A code fetch the fabric loses still wakes the waiting naplet: the
+    /// loss is counted and `CodeReady` fires a moment later.
+    #[test]
+    fn a_lost_code_fetch_still_delivers_code_ready() {
+        let net = net();
+        let obs = ObsSink::default();
+        obs.enable_profiling();
+        let mut a = node(&net, "a", &obs);
+        let _b = net.register("b");
+        net.fabric().cut_link("a", "b");
+        let id = NapletId::new("czxu", "b", Millis(1)).unwrap();
+        a.step(|_, _| {
+            vec![Output::FetchCode {
+                from: "b".into(),
+                bytes: 64,
+                id,
+            }]
+        });
+        assert_eq!(
+            net.fabric().stats().snapshot().dropped,
+            1,
+            "the loss is counted"
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let code_ready = |obs: &ObsSink| {
+            let snapshot = obs.metrics.snapshot();
+            snapshot
+                .histogram("handler_us.CodeReady")
+                .map_or(0, |h| h.total)
+        };
+        while code_ready(&obs) == 0 {
+            assert!(Instant::now() < deadline, "CodeReady never fired");
+            a.wait(Some(deadline));
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! The wall-clock driver's timer queue.
+//! The wall-clock link's timer queue.
 //!
 //! A server arms a timer for nearly every frame it handles (handoff
 //! and registration acknowledgement timeouts, lease checks, dwell) and
@@ -6,8 +6,8 @@
 //! looks. [`Timers`] keeps them in a binary heap ordered by deadline,
 //! then by arm order, so a driver pays `O(log n)` to arm, looks at
 //! nothing but the head to learn how long it may sleep, and pops only
-//! what is due. [`crate::node::Node`] is its one user, which is every
-//! wall-clock driver there is.
+//! what is due. The wall-clock link under every [`crate::node::Node`]
+//! is its one user (the sim's timers are events in its one queue).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

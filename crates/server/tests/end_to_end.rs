@@ -518,7 +518,10 @@ fn lost_migration_strands_agent_and_counts_drop() {
     rt.launch(make_naplet(it, 1)).unwrap();
     rt.run_to_quiescence(100_000);
 
-    assert!(rt.dropped > 0, "the s0→s1 handshake or transfer must drop");
+    assert!(
+        rt.fabric().stats().snapshot().dropped > 0,
+        "the s0→s1 handshake or transfer must drop"
+    );
     assert!(rt.drain_reports("home").is_empty());
 }
 

@@ -448,7 +448,10 @@ fn directory_outage_does_not_stall_arrivals() {
     rt.launch(naplet).unwrap();
     rt.run_to_quiescence(100_000);
 
-    assert!(rt.dropped > 0, "registration traffic must be dropped");
+    assert!(
+        rt.fabric().stats().snapshot().dropped > 0,
+        "registration traffic must be dropped"
+    );
     let s0 = rt.server("s0").unwrap();
     assert!(
         s0.log()

@@ -188,7 +188,10 @@ fn network_loss_strands_agents_but_is_accounted() {
     let result = w.agent_poll(&vars, true, None);
     w.rt.fabric().set_loss(0.0);
     if result.is_err() {
-        assert!(w.rt.dropped > 0, "drops must be accounted");
+        assert!(
+            w.rt.fabric().stats().snapshot().dropped > 0,
+            "drops must be accounted"
+        );
     }
     // the fabric heals: a later round succeeds
     let ok = w.agent_poll(&vars, true, None).unwrap();
