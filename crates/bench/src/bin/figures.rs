@@ -820,27 +820,7 @@ fn reach_cluster(
 /// (`crates/obs/tests/fixtures/analyze-sim-baseline.json`).
 fn sim_segments() -> Vec<naplet_obs::FlatSegment> {
     let out = traced_chaos_experiment(0.05, &[("s1", 10, 700)], 42);
-    let mut hosts: std::collections::BTreeMap<String, Vec<naplet_obs::FlatEvent>> =
-        Default::default();
-    for event in &out.obs.events {
-        hosts
-            .entry(event.host.clone())
-            .or_default()
-            .push(naplet_obs::FlatEvent::from_event(event));
-    }
-    hosts
-        .into_iter()
-        .map(|(host, events)| naplet_obs::FlatSegment {
-            host,
-            start_seq: 0,
-            next_seq: events.len() as u64,
-            total: events.len() as u64,
-            dropped: 0,
-            epoch_unix_ms: 0,
-            metrics: None,
-            events,
-        })
-        .collect()
+    naplet_obs::FlatSegment::per_host(&out.obs.events)
 }
 
 /// `figures analyze` — the journey critical-path analyzer: partition

@@ -7,8 +7,8 @@
 
 use naplet_bench::{traced_chaos_experiment, traced_crash_chaos_experiment};
 use naplet_obs::{
-    analyze_segments, merge_cluster_trace, validate_chrome_trace, FlatEvent, FlatSegment,
-    TraceEvent, TraceKind,
+    analyze_segments, merge_cluster_trace, validate_chrome_trace, FlatSegment, TraceEvent,
+    TraceKind,
 };
 use proptest::prelude::*;
 
@@ -127,33 +127,6 @@ fn check_causality(events: &[TraceEvent], require_commits: bool) -> Result<(), S
     Ok(())
 }
 
-/// Split one sim run's shared event stream into per-host flight
-/// segments, the shape the cluster merger consumes. The sim shares one
-/// sink across every host, so a synthetic segment per host (complete,
-/// epoch 0) is exactly what a per-daemon recorder would have captured.
-fn per_host_segments(events: &[TraceEvent]) -> Vec<FlatSegment> {
-    let mut hosts: std::collections::BTreeMap<String, Vec<FlatEvent>> = Default::default();
-    for event in events {
-        hosts
-            .entry(event.host.clone())
-            .or_default()
-            .push(FlatEvent::from_event(event));
-    }
-    hosts
-        .into_iter()
-        .map(|(host, events)| FlatSegment {
-            host,
-            start_seq: 0,
-            next_seq: events.len() as u64,
-            total: events.len() as u64,
-            dropped: 0,
-            epoch_unix_ms: 0,
-            metrics: None,
-            events,
-        })
-        .collect()
-}
-
 proptest! {
     // each case is a full chaos simulation; PROPTEST_CASES scales the
     // count (default 64)
@@ -239,8 +212,8 @@ proptest! {
     fn merged_sim_traces_are_byte_identical_across_seeded_runs(seed in 0u64..1024) {
         let a = traced_chaos_experiment(0.05, &WINDOWS, seed);
         let b = traced_chaos_experiment(0.05, &WINDOWS, seed);
-        let merged_a = merge_cluster_trace(&per_host_segments(&a.obs.events), 0);
-        let merged_b = merge_cluster_trace(&per_host_segments(&b.obs.events), 0);
+        let merged_a = merge_cluster_trace(&FlatSegment::per_host(&a.obs.events), 0);
+        let merged_b = merge_cluster_trace(&FlatSegment::per_host(&b.obs.events), 0);
         prop_assert!(
             merged_a.violations.is_empty(),
             "seed {}: merged trace not causally clean: {:?}",
@@ -261,8 +234,8 @@ proptest! {
     fn analyze_output_is_byte_identical_across_seeded_runs(seed in 0u64..1024) {
         let a = traced_chaos_experiment(0.05, &WINDOWS, seed);
         let b = traced_chaos_experiment(0.05, &WINDOWS, seed);
-        let report_a = analyze_segments(&per_host_segments(&a.obs.events)).to_json();
-        let report_b = analyze_segments(&per_host_segments(&b.obs.events)).to_json();
+        let report_a = analyze_segments(&FlatSegment::per_host(&a.obs.events)).to_json();
+        let report_b = analyze_segments(&FlatSegment::per_host(&b.obs.events)).to_json();
         prop_assert!(!report_a.is_empty());
         prop_assert_eq!(
             report_a, report_b,
@@ -277,7 +250,7 @@ proptest! {
     #[test]
     fn segment_model_is_a_lossless_partition(seed in 0u64..1024) {
         let out = traced_chaos_experiment(0.05, &WINDOWS, seed);
-        let analysis = analyze_segments(&per_host_segments(&out.obs.events));
+        let analysis = analyze_segments(&FlatSegment::per_host(&out.obs.events));
         prop_assert!(!analysis.journeys.is_empty(), "seed {}: no journeys", seed);
         for j in &analysis.journeys {
             let total: u64 = j.segments.iter().sum();

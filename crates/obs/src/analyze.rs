@@ -28,7 +28,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::export::{merge_flat_events, parse_json, FlatEvent, FlatSegment, Json};
+use crate::export::{merge_flat_events, FlatEvent, FlatSegment};
+use crate::json::{self, parse_json, Json};
 use crate::trace::ArgValue;
 
 /// Schema tag stamped on every analysis JSON document.
@@ -434,79 +435,49 @@ fn pct_tenths(t: u64) -> String {
 impl TraceAnalysis {
     /// Deterministic fixed-field-order JSON (schema
     /// [`ANALYZE_SCHEMA`]), one line, newline-terminated. Byte-stable
-    /// across identically-seeded runs.
+    /// across identically-seeded runs; read back by [`parse_analysis`].
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"schema\":\"");
-        out.push_str(ANALYZE_SCHEMA);
-        out.push_str("\",\"event_count\":");
-        out.push_str(&self.event_count.to_string());
-        out.push_str(",\"journey_count\":");
-        out.push_str(&self.journeys.len().to_string());
-        out.push_str(",\"total_wall_ms\":");
-        out.push_str(&self.total_wall_ms.to_string());
-        out.push_str(",\"wall_p50_ms\":");
-        out.push_str(&self.wall_p50_ms.to_string());
-        out.push_str(",\"wall_p95_ms\":");
-        out.push_str(&self.wall_p95_ms.to_string());
-        out.push_str(",\"wall_p99_ms\":");
-        out.push_str(&self.wall_p99_ms.to_string());
-        out.push_str(",\"stall_pct_tenths\":");
-        out.push_str(&self.stall_pct_tenths.to_string());
-        out.push_str(",\"min_attributed_pct_tenths\":");
-        out.push_str(&self.min_attributed_pct_tenths.to_string());
-        out.push_str(",\"segments\":[");
-        for (i, seg) in self.segments.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            out.push_str(&seg.name);
-            out.push_str("\",\"total_ms\":");
-            out.push_str(&seg.total_ms.to_string());
-            out.push_str(",\"p50_ms\":");
-            out.push_str(&seg.p50_ms.to_string());
-            out.push_str(",\"p95_ms\":");
-            out.push_str(&seg.p95_ms.to_string());
-            out.push_str(",\"p99_ms\":");
-            out.push_str(&seg.p99_ms.to_string());
-            out.push_str(",\"max_ms\":");
-            out.push_str(&seg.max_ms.to_string());
-            out.push('}');
-        }
-        out.push_str("],\"journeys\":[");
-        for (i, j) in self.journeys.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"journey\":\"");
-            crate::export::escape_into(&mut out, &j.journey);
-            out.push_str("\",\"origin\":\"");
-            crate::export::escape_into(&mut out, &j.origin);
-            out.push_str("\",\"start_ms\":");
-            out.push_str(&j.start_ms.to_string());
-            out.push_str(",\"wall_ms\":");
-            out.push_str(&j.wall_ms.to_string());
-            out.push_str(",\"hops\":");
-            out.push_str(&j.hops.to_string());
-            out.push_str(",\"attributed_pct_tenths\":");
-            out.push_str(&j.attributed_pct_tenths.to_string());
-            out.push_str(",\"critical\":\"");
-            out.push_str(&j.critical);
-            out.push_str("\",\"segments\":{");
-            for (k, name) in SEGMENT_NAMES.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(name);
-                out.push_str("\":");
-                out.push_str(&j.segments[k].to_string());
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}\n");
-        out
+        json::object(|o| {
+            o.str("schema", ANALYZE_SCHEMA)
+                .u64("event_count", self.event_count)
+                .u64("journey_count", self.journeys.len() as u64)
+                .u64("total_wall_ms", self.total_wall_ms)
+                .u64("wall_p50_ms", self.wall_p50_ms)
+                .u64("wall_p95_ms", self.wall_p95_ms)
+                .u64("wall_p99_ms", self.wall_p99_ms)
+                .u64("stall_pct_tenths", self.stall_pct_tenths)
+                .u64("min_attributed_pct_tenths", self.min_attributed_pct_tenths)
+                .arr("segments", |list| {
+                    for seg in &self.segments {
+                        list.obj(|o| {
+                            o.str("name", &seg.name)
+                                .u64("total_ms", seg.total_ms)
+                                .u64("p50_ms", seg.p50_ms)
+                                .u64("p95_ms", seg.p95_ms)
+                                .u64("p99_ms", seg.p99_ms)
+                                .u64("max_ms", seg.max_ms);
+                        });
+                    }
+                })
+                .arr("journeys", |list| {
+                    for j in &self.journeys {
+                        list.obj(|o| {
+                            o.str("journey", &j.journey)
+                                .str("origin", &j.origin)
+                                .u64("start_ms", j.start_ms)
+                                .u64("wall_ms", j.wall_ms)
+                                .u64("hops", j.hops.into())
+                                .u64("attributed_pct_tenths", j.attributed_pct_tenths)
+                                .str("critical", &j.critical)
+                                .obj("segments", |segs| {
+                                    for (name, ms) in SEGMENT_NAMES.iter().zip(j.segments) {
+                                        segs.u64(name, ms);
+                                    }
+                                });
+                        });
+                    }
+                });
+        }) + "\n"
     }
 
     /// Human tables: the per-segment distribution, then the `top_k`
@@ -571,75 +542,51 @@ impl TraceAnalysis {
     }
 }
 
-fn json_field_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(|v| v.as_num())
-        .map(|n| n as u64)
-        .ok_or_else(|| format!("analysis JSON missing numeric `{key}`"))
-}
-
-fn json_field_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
-    doc.get(key)
-        .and_then(|v| v.as_str())
-        .ok_or_else(|| format!("analysis JSON missing string `{key}`"))
-}
-
 /// Parse a [`TraceAnalysis::to_json`] document back (for `--diff`).
 pub fn parse_analysis(text: &str) -> Result<TraceAnalysis, String> {
     let doc = parse_json(text.trim_end())?;
-    let schema = json_field_str(&doc, "schema")?;
+    let schema = doc.str("schema")?;
     if schema != ANALYZE_SCHEMA {
         return Err(format!(
             "unsupported analysis schema `{schema}` (want `{ANALYZE_SCHEMA}`)"
         ));
     }
-    let Some(Json::Arr(seg_docs)) = doc.get("segments") else {
-        return Err("analysis JSON missing `segments` array".into());
+    let segment = |s: &Json| -> Result<SegmentStats, String> {
+        Ok(SegmentStats {
+            name: s.str("name")?.to_string(),
+            total_ms: s.u64("total_ms")?,
+            p50_ms: s.u64("p50_ms")?,
+            p95_ms: s.u64("p95_ms")?,
+            p99_ms: s.u64("p99_ms")?,
+            max_ms: s.u64("max_ms")?,
+        })
     };
-    let mut segments = Vec::with_capacity(seg_docs.len());
-    for seg in seg_docs {
-        segments.push(SegmentStats {
-            name: json_field_str(seg, "name")?.to_string(),
-            total_ms: json_field_u64(seg, "total_ms")?,
-            p50_ms: json_field_u64(seg, "p50_ms")?,
-            p95_ms: json_field_u64(seg, "p95_ms")?,
-            p99_ms: json_field_u64(seg, "p99_ms")?,
-            max_ms: json_field_u64(seg, "max_ms")?,
-        });
-    }
-    let Some(Json::Arr(journey_docs)) = doc.get("journeys") else {
-        return Err("analysis JSON missing `journeys` array".into());
-    };
-    let mut journeys = Vec::with_capacity(journey_docs.len());
-    for j in journey_docs {
-        let seg_obj = j
-            .get("segments")
-            .ok_or_else(|| "journey missing `segments`".to_string())?;
-        let mut segs = [0u64; 6];
-        for (i, name) in SEGMENT_NAMES.iter().enumerate() {
-            segs[i] = json_field_u64(seg_obj, name)?;
+    let journey = |j: &Json| -> Result<JourneyBreakdown, String> {
+        let mut segments = [0u64; 6];
+        for (ms, name) in segments.iter_mut().zip(SEGMENT_NAMES) {
+            *ms = j.field("segments", |segs| segs.u64(name))?;
         }
-        journeys.push(JourneyBreakdown {
-            journey: json_field_str(j, "journey")?.to_string(),
-            origin: json_field_str(j, "origin")?.to_string(),
-            start_ms: json_field_u64(j, "start_ms")?,
-            wall_ms: json_field_u64(j, "wall_ms")?,
-            hops: json_field_u64(j, "hops")? as u32,
-            segments: segs,
-            attributed_pct_tenths: json_field_u64(j, "attributed_pct_tenths")?,
-            critical: json_field_str(j, "critical")?.to_string(),
-        });
-    }
+        Ok(JourneyBreakdown {
+            journey: j.str("journey")?.to_string(),
+            origin: j.str("origin")?.to_string(),
+            start_ms: j.u64("start_ms")?,
+            wall_ms: j.u64("wall_ms")?,
+            hops: j.u64("hops")? as u32,
+            segments,
+            attributed_pct_tenths: j.u64("attributed_pct_tenths")?,
+            critical: j.str("critical")?.to_string(),
+        })
+    };
     Ok(TraceAnalysis {
-        event_count: json_field_u64(&doc, "event_count")?,
-        journeys,
-        segments,
-        wall_p50_ms: json_field_u64(&doc, "wall_p50_ms")?,
-        wall_p95_ms: json_field_u64(&doc, "wall_p95_ms")?,
-        wall_p99_ms: json_field_u64(&doc, "wall_p99_ms")?,
-        total_wall_ms: json_field_u64(&doc, "total_wall_ms")?,
-        stall_pct_tenths: json_field_u64(&doc, "stall_pct_tenths")?,
-        min_attributed_pct_tenths: json_field_u64(&doc, "min_attributed_pct_tenths")?,
+        event_count: doc.u64("event_count")?,
+        journeys: doc.arr("journeys", journey)?,
+        segments: doc.arr("segments", segment)?,
+        wall_p50_ms: doc.u64("wall_p50_ms")?,
+        wall_p95_ms: doc.u64("wall_p95_ms")?,
+        wall_p99_ms: doc.u64("wall_p99_ms")?,
+        total_wall_ms: doc.u64("total_wall_ms")?,
+        stall_pct_tenths: doc.u64("stall_pct_tenths")?,
+        min_attributed_pct_tenths: doc.u64("min_attributed_pct_tenths")?,
     })
 }
 

@@ -1,22 +1,17 @@
-//! Deterministic exporters for the recorded trace.
+//! The trace and dump formats, each writer next to its reader, and the
+//! cluster merger that stitches dumps into one trace:
 //!
-//! Three formats:
-//! - **Chrome trace-event JSON** (`chrome_trace_json`): loadable in
-//!   `chrome://tracing` and Perfetto. Hosts become processes, naplets
-//!   become threads; span-like kinds render as complete (`"X"`)
-//!   events with durations, everything else as thread-scoped
-//!   instants.
-//! - **Serde snapshot** (`ObsSnapshot`): events + metrics through the
-//!   workspace codec, for programmatic consumers.
-//! - **Text** (`render_event_log`): a one-line-per-event table for
-//!   terminals and EXPERIMENTS.md.
+//! - **Chrome trace-event JSON** ([`chrome_trace_json`] /
+//!   [`validate_chrome_trace`]) for `chrome://tracing` and Perfetto:
+//!   hosts are processes, naplets threads, spans complete (`"X"`) events;
+//! - **flight dumps** ([`FlatSegment::to_json`] / [`parse_flight_dump`])
+//!   and **metrics-history dumps** ([`metrics_history_json`] /
+//!   [`parse_metrics_history`]), the files `napletd` leaves behind;
+//! - a serde [`ObsSnapshot`] and a text log ([`render_event_log`]).
 //!
-//! Determinism: the JSON is hand-assembled with a fixed field order,
-//! pids/tids come from sorted name tables, and no wall-clock or
-//! random value is ever consulted — identical event vectors yield
-//! byte-identical strings. (Hand-assembled because the workspace
-//! vendors no JSON serializer; the flip side is full control over
-//! byte layout.)
+//! All JSON goes through [`crate::json`]. Output is deterministic: field
+//! order is call order, pids/tids come from sorted name tables, and no
+//! clock or random value is read.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -25,7 +20,9 @@ use serde::{Deserialize, Serialize};
 
 use naplet_core::tracectx::TraceCtx;
 
-use crate::metrics::MetricsSnapshot;
+use crate::history::{MetricsHistoryPage, MetricsSample};
+use crate::json::{self, parse_json, Json, Obj};
+use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::recorder::TraceSegment;
 use crate::trace::{ArgValue, TraceEvent};
 
@@ -36,46 +33,6 @@ pub struct ObsSnapshot {
     pub events: Vec<TraceEvent>,
     /// Frozen metrics.
     pub metrics: MetricsSnapshot,
-}
-
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn push_args<'a>(out: &mut String, args: impl Iterator<Item = (&'a str, &'a ArgValue)>) {
-    out.push('{');
-    for (i, (key, value)) in args.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{key}\":");
-        match value {
-            ArgValue::Str(s) => {
-                out.push('"');
-                escape_into(out, s);
-                out.push('"');
-            }
-            ArgValue::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            ArgValue::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-        }
-    }
-    out.push('}');
 }
 
 /// One trace event lowered to its export form: the kind replaced by
@@ -130,6 +87,56 @@ impl FlatEvent {
             }
         })
     }
+
+    fn write_json(&self, o: &mut Obj) {
+        o.u64("at", self.at).str("host", &self.host);
+        if let Some(naplet) = &self.naplet {
+            o.str("naplet", naplet);
+        }
+        o.str("name", &self.name);
+        if let Some(started) = self.started {
+            o.u64("started", started);
+        }
+        if let Some(ctx) = &self.ctx {
+            o.obj("ctx", |c| {
+                c.str("journey", &ctx.journey)
+                    .str("origin", &ctx.origin)
+                    .u64("hop", ctx.hop.into())
+                    .u64("seq", ctx.seq);
+            });
+        }
+        o.obj("args", |a| {
+            for (key, value) in &self.args {
+                a.arg(key, value);
+            }
+        });
+    }
+
+    fn read_json(doc: &Json) -> Result<FlatEvent, String> {
+        let arg = |value: &Json| match value {
+            Json::Str(s) => Ok(ArgValue::Str(s.clone())),
+            Json::Num(n) => Ok(ArgValue::Int(*n as u64)),
+            Json::Bool(b) => Ok(ArgValue::Bool(*b)),
+            _ => Err("expected a string, number or bool".to_string()),
+        };
+        let ctx = |ctx: &Json| -> Result<TraceCtx, String> {
+            Ok(TraceCtx {
+                journey: ctx.str("journey")?.to_string(),
+                origin: ctx.str("origin")?.to_string(),
+                hop: ctx.u64("hop")? as u32,
+                seq: ctx.u64("seq")?,
+            })
+        };
+        Ok(FlatEvent {
+            at: doc.u64("at")?,
+            host: doc.str("host")?.to_string(),
+            naplet: doc.get("naplet").and_then(Json::as_str).map(str::to_string),
+            name: doc.str("name")?.to_string(),
+            started: doc.get("started").and_then(Json::as_num).map(|n| n as u64),
+            args: doc.obj("args", arg)?,
+            ctx: doc.get("ctx").map(ctx).transpose()?,
+        })
+    }
 }
 
 /// Lower a typed event slice for export or merging.
@@ -153,94 +160,87 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 /// the kind's own, so cross-node handoffs are visibly linked.
 pub fn chrome_trace_json_flat(events: &[FlatEvent]) -> String {
     let hosts: BTreeSet<&str> = events.iter().map(|e| e.host.as_str()).collect();
-    let host_pid = |host: &str| hosts.iter().position(|h| *h == host).unwrap_or(0) + 1;
+    let host_pid = |host: &str| hosts.iter().position(|h| *h == host).unwrap_or(0) as u64 + 1;
     let naplets: BTreeSet<&str> = events.iter().filter_map(|e| e.naplet.as_deref()).collect();
     let naplet_tid = |naplet: Option<&str>| match naplet {
-        Some(id) => naplets.iter().position(|n| *n == id).unwrap_or(0) + 1,
+        Some(id) => naplets.iter().position(|n| *n == id).unwrap_or(0) as u64 + 1,
         None => 0,
     };
-
-    let mut out = String::with_capacity(events.len() * 160 + 1024);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let mut emit = |out: &mut String| {
-        if first {
-            first = false;
-        } else {
-            out.push(',');
-        }
+    // process and thread names are metadata records
+    let meta = |list: &mut json::Arr, kind: &str, pid: u64, tid: u64, name: &str| {
+        list.obj(|o| {
+            o.str("name", kind)
+                .str("ph", "M")
+                .u64("pid", pid)
+                .u64("tid", tid)
+                .obj("args", |a| {
+                    a.str("name", name);
+                });
+        });
     };
 
-    for host in &hosts {
-        emit(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":\"",
-            host_pid(host)
-        );
-        escape_into(&mut out, host);
-        out.push_str("\"}}");
-    }
-    for naplet in &naplets {
-        for host in &hosts {
-            emit(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\"args\":{{\"name\":\"",
-                host_pid(host),
-                naplet_tid(Some(naplet))
-            );
-            escape_into(&mut out, naplet);
-            out.push_str("\"}}");
-        }
-    }
-
-    for event in events {
-        emit(&mut out);
-        let pid = host_pid(&event.host);
-        let tid = naplet_tid(event.naplet.as_deref());
-        let name = &event.name;
-        match event.started {
-            Some(started) => {
-                let ts = started * 1_000;
-                let dur = event.at.saturating_sub(started) * 1_000;
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{pid},\"tid\":{tid},\"args\":"
-                );
+    json::object(|doc| {
+        doc.arr("traceEvents", |list| {
+            for host in &hosts {
+                meta(list, "process_name", host_pid(host), 0, host);
             }
-            None => {
-                let ts = event.at * 1_000;
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":"
-                );
+            for naplet in &naplets {
+                for host in &hosts {
+                    let tid = naplet_tid(Some(naplet));
+                    meta(list, "thread_name", host_pid(host), tid, naplet);
+                }
             }
-        }
-        // ctx keys are prefixed: several kinds already have their own
-        // `seq`/`origin` arguments
-        let ctx_args: Vec<(&'static str, ArgValue)> = match &event.ctx {
-            Some(ctx) => vec![
-                ("ctx_journey", ArgValue::Str(ctx.journey.clone())),
-                ("ctx_origin", ArgValue::Str(ctx.origin.clone())),
-                ("ctx_hop", ArgValue::Int(u64::from(ctx.hop))),
-                ("ctx_seq", ArgValue::Int(ctx.seq)),
-            ],
-            None => Vec::new(),
-        };
-        push_args(
-            &mut out,
-            event
-                .args
-                .iter()
-                .map(|(k, v)| (k.as_str(), v))
-                .chain(ctx_args.iter().map(|(k, v)| (*k, v))),
-        );
-        out.push('}');
-    }
+            for event in events {
+                list.obj(|o| {
+                    o.str("name", &event.name);
+                    match event.started {
+                        Some(started) => o
+                            .str("ph", "X")
+                            .u64("ts", started * 1_000)
+                            .u64("dur", event.at.saturating_sub(started) * 1_000),
+                        None => o.str("ph", "i").str("s", "t").u64("ts", event.at * 1_000),
+                    };
+                    o.u64("pid", host_pid(&event.host))
+                        .u64("tid", naplet_tid(event.naplet.as_deref()))
+                        .obj("args", |a| {
+                            for (key, value) in &event.args {
+                                a.arg(key, value);
+                            }
+                            // ctx keys are prefixed: several kinds already
+                            // have their own `seq`/`origin` arguments
+                            if let Some(ctx) = &event.ctx {
+                                a.str("ctx_journey", &ctx.journey)
+                                    .str("ctx_origin", &ctx.origin)
+                                    .u64("ctx_hop", ctx.hop.into())
+                                    .u64("ctx_seq", ctx.seq);
+                            }
+                        });
+                });
+            }
+        })
+        .str("displayTimeUnit", "ms");
+    })
+}
 
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+/// Check that `text` is valid Chrome trace-event JSON: a JSON object
+/// whose `traceEvents` member is an array of objects each carrying
+/// `name`/`ph`/`pid`/`tid`, with `ts` (and `dur` for `"X"`) on
+/// non-metadata events. Returns the event count.
+pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
+    let events = parse_json(text)?.arr("traceEvents", |event| {
+        let ph = event.str("ph")?;
+        for key in ["name", "pid", "tid"] {
+            event.field(key, Ok)?;
+        }
+        if ph != "M" {
+            event.u64("ts")?;
+        }
+        if ph == "X" {
+            event.u64("dur")?;
+        }
+        Ok(())
+    })?;
+    Ok(events.len())
 }
 
 /// One-line-per-event text rendering of the trace.
@@ -273,277 +273,8 @@ pub fn render_event_log(events: &[TraceEvent]) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Chrome-format validation: a minimal JSON parser (the workspace
-// vendors none) plus the structural checks `chrome://tracing` cares
-// about. Used by tests and the CI determinism step.
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value, just enough to validate exports.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (parsed as f64).
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object, preserving textual key order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// String payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Number payload, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u at byte {}", self.pos))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Multi-byte UTF-8 sequences pass through intact.
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| format!("bad utf-8 at byte {}", self.pos))?;
-                    out.push_str(chunk);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']' got {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            members.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                other => return Err(format!("expected ',' or '}}' got {other:?}")),
-            }
-        }
-    }
-}
-
-/// Parse a JSON document (rejecting trailing garbage).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(value)
-}
-
-/// Check that `text` is valid Chrome trace-event JSON: a JSON object
-/// whose `traceEvents` member is an array of objects each carrying
-/// `name`/`ph`/`pid`/`tid`, with `ts` (and `dur` for `"X"`) on
-/// non-metadata events. Returns the event count.
-pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
-    let doc = parse_json(text)?;
-    let events = match doc.get("traceEvents") {
-        Some(Json::Arr(events)) => events,
-        _ => return Err("missing traceEvents array".into()),
-    };
-    for (i, event) in events.iter().enumerate() {
-        let ph = event
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("event {i}: missing ph"))?;
-        for key in ["name", "pid", "tid"] {
-            if event.get(key).is_none() {
-                return Err(format!("event {i}: missing {key}"));
-            }
-        }
-        match ph {
-            "M" => {}
-            "X" => {
-                if event.get("ts").and_then(Json::as_num).is_none()
-                    || event.get("dur").and_then(Json::as_num).is_none()
-                {
-                    return Err(format!("event {i}: X without ts/dur"));
-                }
-            }
-            _ => {
-                if event.get("ts").and_then(Json::as_num).is_none() {
-                    return Err(format!("event {i}: missing ts"));
-                }
-            }
-        }
-    }
-    Ok(events.len())
-}
-
-// ---------------------------------------------------------------------
-// Flight-recorder dumps and the merged cluster trace.
+// Flight-recorder dumps, metrics-history dumps and the merged cluster
+// trace.
 // ---------------------------------------------------------------------
 
 /// A flight-recorder segment in export form: the same accounting as
@@ -585,340 +316,166 @@ impl FlatSegment {
             events: flatten_events(&segment.events),
         }
     }
-}
 
-fn push_flat_event(out: &mut String, event: &FlatEvent) {
-    let _ = write!(out, "{{\"at\":{},\"host\":\"", event.at);
-    escape_into(out, &event.host);
-    out.push('"');
-    if let Some(naplet) = &event.naplet {
-        out.push_str(",\"naplet\":\"");
-        escape_into(out, naplet);
-        out.push('"');
-    }
-    out.push_str(",\"name\":\"");
-    escape_into(out, &event.name);
-    out.push('"');
-    if let Some(started) = event.started {
-        let _ = write!(out, ",\"started\":{started}");
-    }
-    if let Some(ctx) = &event.ctx {
-        out.push_str(",\"ctx\":{\"journey\":\"");
-        escape_into(out, &ctx.journey);
-        out.push_str("\",\"origin\":\"");
-        escape_into(out, &ctx.origin);
-        let _ = write!(out, "\",\"hop\":{},\"seq\":{}}}", ctx.hop, ctx.seq);
-    }
-    out.push_str(",\"args\":");
-    push_args(out, event.args.iter().map(|(k, v)| (k.as_str(), v)));
-    out.push('}');
-}
-
-/// Render a flight-recorder segment as a self-describing JSON dump —
-/// human-readable, and parseable back by [`parse_flight_dump`]. Field
-/// order is fixed, so identical segments dump byte-identically.
-pub fn flight_dump_json(segment: &TraceSegment) -> String {
-    flight_dump_json_with(segment, None)
-}
-
-/// [`flight_dump_json`] with the node's [`MetricsSnapshot`] at dump
-/// time embedded, keeping trace and metrics evidence in one artifact.
-pub fn flight_dump_json_with(segment: &TraceSegment, metrics: Option<&MetricsSnapshot>) -> String {
-    let flat = FlatSegment::from_segment(segment);
-    let mut out = String::with_capacity(flat.events.len() * 160 + 256);
-    out.push_str("{\"host\":\"");
-    escape_into(&mut out, &flat.host);
-    let _ = write!(
-        out,
-        "\",\"start_seq\":{},\"next_seq\":{},\"total\":{},\"dropped\":{},\"epoch_unix_ms\":{}",
-        flat.start_seq, flat.next_seq, flat.total, flat.dropped, flat.epoch_unix_ms
-    );
-    if let Some(metrics) = metrics {
-        out.push_str(",\"metrics\":");
-        push_metrics_snapshot(&mut out, metrics);
-    }
-    out.push_str(",\"events\":[");
-    for (i, event) in flat.events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    /// Split one shared event stream (the sim's hosts share one sink)
+    /// into one complete, epoch-0 segment per host, sorted by host:
+    /// exactly what each host's own recorder would have captured.
+    pub fn per_host(events: &[TraceEvent]) -> Vec<FlatSegment> {
+        let mut hosts: BTreeMap<&str, Vec<FlatEvent>> = BTreeMap::new();
+        for event in events {
+            hosts
+                .entry(&event.host)
+                .or_default()
+                .push(FlatEvent::from_event(event));
         }
-        push_flat_event(&mut out, event);
-    }
-    out.push_str("]}\n");
-    out
-}
-
-fn push_u64_map(out: &mut String, map: &BTreeMap<String, u64>) {
-    out.push('{');
-    for (i, (key, value)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_into(out, key);
-        let _ = write!(out, "\":{value}");
-    }
-    out.push('}');
-}
-
-fn push_u64_array(out: &mut String, values: &[u64]) {
-    out.push('[');
-    for (i, value) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{value}");
-    }
-    out.push(']');
-}
-
-fn push_metrics_snapshot(out: &mut String, snap: &MetricsSnapshot) {
-    out.push_str("{\"counters\":");
-    push_u64_map(out, &snap.counters);
-    out.push_str(",\"gauges\":");
-    push_u64_map(out, &snap.gauges);
-    out.push_str(",\"histograms\":{");
-    for (i, (name, h)) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_into(out, name);
-        out.push_str("\":{\"bounds\":");
-        push_u64_array(out, &h.bounds);
-        out.push_str(",\"counts\":");
-        push_u64_array(out, &h.counts);
-        let _ = write!(
-            out,
-            ",\"total\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
-            h.total, h.sum, h.min, h.max
-        );
-    }
-    out.push_str("}}");
-}
-
-fn parse_u64_map(doc: &Json, what: &str) -> Result<BTreeMap<String, u64>, String> {
-    let Json::Obj(members) = doc else {
-        return Err(format!("{what} is not an object"));
-    };
-    let mut map = BTreeMap::new();
-    for (key, value) in members {
-        let n = value
-            .as_num()
-            .ok_or_else(|| format!("{what} `{key}` is not a number"))?;
-        map.insert(key.clone(), n as u64);
-    }
-    Ok(map)
-}
-
-fn parse_u64_array(doc: &Json, what: &str) -> Result<Vec<u64>, String> {
-    let Json::Arr(items) = doc else {
-        return Err(format!("{what} is not an array"));
-    };
-    items
-        .iter()
-        .map(|v| {
-            v.as_num()
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("{what} holds a non-number"))
-        })
-        .collect()
-}
-
-/// Parse an embedded [`MetricsSnapshot`] JSON object back.
-fn parse_metrics_snapshot(doc: &Json) -> Result<MetricsSnapshot, String> {
-    let counters = parse_u64_map(doc.get("counters").unwrap_or(&Json::Null), "counters")?;
-    let gauges = parse_u64_map(doc.get("gauges").unwrap_or(&Json::Null), "gauges")?;
-    let mut histograms = BTreeMap::new();
-    match doc.get("histograms") {
-        Some(Json::Obj(members)) => {
-            for (name, h) in members {
-                histograms.insert(
-                    name.clone(),
-                    crate::metrics::HistogramSnapshot {
-                        bounds: parse_u64_array(
-                            h.get("bounds").unwrap_or(&Json::Null),
-                            "histogram bounds",
-                        )?,
-                        counts: parse_u64_array(
-                            h.get("counts").unwrap_or(&Json::Null),
-                            "histogram counts",
-                        )?,
-                        total: json_u64(h, "total")?,
-                        sum: json_u64(h, "sum")?,
-                        min: json_u64(h, "min")?,
-                        max: json_u64(h, "max")?,
-                    },
-                );
-            }
-        }
-        _ => return Err("histograms is not an object".into()),
-    }
-    Ok(MetricsSnapshot {
-        counters,
-        gauges,
-        histograms,
-    })
-}
-
-fn json_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_num)
-        .map(|n| n as u64)
-        .ok_or_else(|| format!("missing numeric `{key}`"))
-}
-
-fn parse_flat_event(doc: &Json, index: usize) -> Result<FlatEvent, String> {
-    let err = |what: &str| format!("event {index}: {what}");
-    let host = doc
-        .get("host")
-        .and_then(Json::as_str)
-        .ok_or_else(|| err("missing host"))?
-        .to_string();
-    let name = doc
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or_else(|| err("missing name"))?
-        .to_string();
-    let at = json_u64(doc, "at").map_err(|e| err(&e))?;
-    let naplet = doc
-        .get("naplet")
-        .and_then(Json::as_str)
-        .map(|s| s.to_string());
-    let started = doc.get("started").and_then(Json::as_num).map(|n| n as u64);
-    let ctx = match doc.get("ctx") {
-        Some(ctx) => Some(TraceCtx {
-            journey: ctx
-                .get("journey")
-                .and_then(Json::as_str)
-                .ok_or_else(|| err("ctx missing journey"))?
-                .to_string(),
-            origin: ctx
-                .get("origin")
-                .and_then(Json::as_str)
-                .ok_or_else(|| err("ctx missing origin"))?
-                .to_string(),
-            hop: json_u64(ctx, "hop").map_err(|e| err(&e))? as u32,
-            seq: json_u64(ctx, "seq").map_err(|e| err(&e))?,
-        }),
-        None => None,
-    };
-    let args = match doc.get("args") {
-        Some(Json::Obj(members)) => members
-            .iter()
-            .map(|(k, v)| {
-                let value = match v {
-                    Json::Str(s) => ArgValue::Str(s.clone()),
-                    Json::Num(n) => ArgValue::Int(*n as u64),
-                    Json::Bool(b) => ArgValue::Bool(*b),
-                    other => return Err(err(&format!("bad arg `{k}`: {other:?}"))),
-                };
-                Ok((k.clone(), value))
+        hosts
+            .into_iter()
+            .map(|(host, events)| FlatSegment {
+                host: host.to_string(),
+                next_seq: events.len() as u64,
+                total: events.len() as u64,
+                events,
+                ..FlatSegment::default()
             })
-            .collect::<Result<Vec<_>, String>>()?,
-        _ => return Err(err("missing args object")),
-    };
-    Ok(FlatEvent {
-        at,
-        host,
-        naplet,
-        name,
-        started,
-        args,
-        ctx,
-    })
+            .collect()
+    }
+
+    /// The segment as a self-describing, newline-terminated JSON dump,
+    /// read back by [`parse_flight_dump`]. Field order is fixed, so
+    /// identical segments dump byte-identically.
+    pub fn to_json(&self) -> String {
+        json::object(|o| {
+            let counts = [
+                self.start_seq,
+                self.next_seq,
+                self.total,
+                self.dropped,
+                self.epoch_unix_ms,
+            ];
+            json::write_page(o, &self.host, counts);
+            if let Some(metrics) = &self.metrics {
+                o.obj("metrics", |m| metrics.write_json(m));
+            }
+            o.arr("events", |list| {
+                for event in &self.events {
+                    list.obj(|e| event.write_json(e));
+                }
+            });
+        }) + "\n"
+    }
 }
 
-/// Parse a [`flight_dump_json`] document back into a [`FlatSegment`].
+/// Render a flight-recorder segment as a JSON dump
+/// ([`FlatSegment::to_json`]), with the node's [`MetricsSnapshot`] at
+/// dump time embedded when given, keeping trace and metrics evidence in
+/// one artifact.
+pub fn flight_dump_json_with(segment: &TraceSegment, metrics: Option<&MetricsSnapshot>) -> String {
+    FlatSegment {
+        metrics: metrics.cloned(),
+        ..FlatSegment::from_segment(segment)
+    }
+    .to_json()
+}
+
+/// Parse a [`FlatSegment::to_json`] dump back.
 pub fn parse_flight_dump(text: &str) -> Result<FlatSegment, String> {
     let doc = parse_json(text.trim_end())?;
-    let host = doc
-        .get("host")
-        .and_then(Json::as_str)
-        .ok_or("missing host")?
-        .to_string();
-    let events = match doc.get("events") {
-        Some(Json::Arr(events)) => events
-            .iter()
-            .enumerate()
-            .map(|(i, e)| parse_flat_event(e, i))
-            .collect::<Result<Vec<_>, String>>()?,
-        _ => return Err("missing events array".into()),
-    };
-    let metrics = match doc.get("metrics") {
-        Some(metrics) => Some(parse_metrics_snapshot(metrics)?),
-        None => None,
-    };
+    let (host, [start_seq, next_seq, total, dropped, epoch_unix_ms]) = json::read_page(&doc)?;
     Ok(FlatSegment {
         host,
-        start_seq: json_u64(&doc, "start_seq")?,
-        next_seq: json_u64(&doc, "next_seq")?,
-        total: json_u64(&doc, "total")?,
-        dropped: json_u64(&doc, "dropped")?,
-        epoch_unix_ms: json_u64(&doc, "epoch_unix_ms")?,
-        metrics,
-        events,
+        start_seq,
+        next_seq,
+        total,
+        dropped,
+        epoch_unix_ms,
+        metrics: doc
+            .get("metrics")
+            .map(MetricsSnapshot::read_json)
+            .transpose()?,
+        events: doc.arr("events", FlatEvent::read_json)?,
     })
+}
+
+impl MetricsSnapshot {
+    fn write_json(&self, o: &mut Obj) {
+        o.u64_map("counters", &self.counters)
+            .u64_map("gauges", &self.gauges)
+            .obj("histograms", |m| {
+                for (name, h) in &self.histograms {
+                    m.obj(name, |o| {
+                        o.u64s("bounds", &h.bounds)
+                            .u64s("counts", &h.counts)
+                            .u64("total", h.total)
+                            .u64("sum", h.sum)
+                            .u64("min", h.min)
+                            .u64("max", h.max);
+                    });
+                }
+            });
+    }
+
+    fn read_json(doc: &Json) -> Result<MetricsSnapshot, String> {
+        let histogram = |h: &Json| {
+            Ok(HistogramSnapshot {
+                bounds: h.u64s("bounds")?,
+                counts: h.u64s("counts")?,
+                total: h.u64("total")?,
+                sum: h.u64("sum")?,
+                min: h.u64("min")?,
+                max: h.u64("max")?,
+            })
+        };
+        Ok(MetricsSnapshot {
+            counters: doc.u64_map("counters")?,
+            gauges: doc.u64_map("gauges")?,
+            histograms: doc.obj("histograms", histogram)?.into_iter().collect(),
+        })
+    }
 }
 
 /// Render a node's paged-out metrics history as a self-describing
 /// JSON dump (the `{node}.metrics.json` artifact `napletd` writes next
 /// to the flight recorder), parseable back by
 /// [`parse_metrics_history`]. Field order is fixed.
-pub fn metrics_history_json(page: &crate::history::MetricsHistoryPage) -> String {
-    let mut out = String::with_capacity(page.samples.len() * 128 + 256);
-    out.push_str("{\"host\":\"");
-    escape_into(&mut out, &page.host);
-    let _ = write!(
-        out,
-        "\",\"start_seq\":{},\"next_seq\":{},\"total\":{},\"dropped\":{},\"epoch_unix_ms\":{},\"samples\":[",
-        page.start_seq, page.next_seq, page.total, page.dropped, page.epoch_unix_ms
-    );
-    for (i, sample) in page.samples.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"at\":{},\"delta\":", sample.at);
-        push_metrics_snapshot(&mut out, &sample.delta);
-        out.push('}');
-    }
-    out.push_str("]}\n");
-    out
+pub fn metrics_history_json(page: &MetricsHistoryPage) -> String {
+    json::object(|o| {
+        let counts = [
+            page.start_seq,
+            page.next_seq,
+            page.total,
+            page.dropped,
+            page.epoch_unix_ms,
+        ];
+        json::write_page(o, &page.host, counts);
+        o.arr("samples", |list| {
+            for sample in &page.samples {
+                list.obj(|s| {
+                    s.u64("at", sample.at)
+                        .obj("delta", |d| sample.delta.write_json(d));
+                });
+            }
+        });
+    }) + "\n"
 }
 
 /// Parse a [`metrics_history_json`] document back.
-pub fn parse_metrics_history(text: &str) -> Result<crate::history::MetricsHistoryPage, String> {
+pub fn parse_metrics_history(text: &str) -> Result<MetricsHistoryPage, String> {
     let doc = parse_json(text.trim_end())?;
-    let host = doc
-        .get("host")
-        .and_then(Json::as_str)
-        .ok_or("missing host")?
-        .to_string();
-    let samples = match doc.get("samples") {
-        Some(Json::Arr(samples)) => samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                Ok(crate::history::MetricsSample {
-                    at: json_u64(s, "at").map_err(|e| format!("sample {i}: {e}"))?,
-                    delta: parse_metrics_snapshot(
-                        s.get("delta")
-                            .ok_or_else(|| format!("sample {i}: missing delta"))?,
-                    )
-                    .map_err(|e| format!("sample {i}: {e}"))?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-        _ => return Err("missing samples array".into()),
+    let (host, [start_seq, next_seq, total, dropped, epoch_unix_ms]) = json::read_page(&doc)?;
+    let sample = |s: &Json| -> Result<MetricsSample, String> {
+        Ok(MetricsSample {
+            at: s.u64("at")?,
+            delta: s.field("delta", MetricsSnapshot::read_json)?,
+        })
     };
-    Ok(crate::history::MetricsHistoryPage {
+    Ok(MetricsHistoryPage {
         host,
-        start_seq: json_u64(&doc, "start_seq")?,
-        next_seq: json_u64(&doc, "next_seq")?,
-        total: json_u64(&doc, "total")?,
-        dropped: json_u64(&doc, "dropped")?,
-        epoch_unix_ms: json_u64(&doc, "epoch_unix_ms")?,
-        samples,
+        start_seq,
+        next_seq,
+        total,
+        dropped,
+        epoch_unix_ms,
+        samples: doc.arr("samples", sample)?,
     })
 }
 
@@ -1271,8 +828,8 @@ mod tests {
         let mut events = sample_events();
         events.push(wire_event(20, "home", true, "s0", ctx(j, 1, 1)));
         let seg = segment("home", 1_700_000_000_000, events);
-        let a = flight_dump_json(&seg);
-        let b = flight_dump_json(&seg);
+        let a = flight_dump_json_with(&seg, None);
+        let b = flight_dump_json_with(&seg, None);
         assert_eq!(a, b, "dumps must be byte-stable");
         let back = parse_flight_dump(&a).expect("dump must parse");
         assert_eq!(back, FlatSegment::from_segment(&seg));
@@ -1296,8 +853,27 @@ mod tests {
         assert_eq!(back.metrics.as_ref(), Some(&snap));
         assert_eq!(back.events, FlatSegment::from_segment(&seg).events);
         // a metrics-less dump parses to None, keeping old dumps valid
-        let plain = parse_flight_dump(&flight_dump_json(&seg)).unwrap();
+        let plain = parse_flight_dump(&flight_dump_json_with(&seg, None)).unwrap();
         assert_eq!(plain.metrics, None);
+    }
+
+    #[test]
+    fn names_and_keys_read_from_a_dump_are_escaped_on_the_way_out() {
+        // a dump is outside input: its kind names and argument keys may
+        // hold anything a JSON string can
+        let dump = concat!(
+            r#"{"host":"n1","start_seq":0,"next_seq":1,"total":1,"dropped":0,"epoch_unix_ms":0,"#,
+            r#""events":[{"at":4,"host":"n1","naplet":"a\"b","name":"we\"ird\\kind","started":1,"#,
+            r#""args":{"k\"e\\y":"v\\","n":2}}]}"#
+        );
+        let seg = parse_flight_dump(dump).expect("the dump parses");
+        assert_eq!(seg.events[0].name, "we\"ird\\kind");
+        assert_eq!(seg.events[0].args[0].0, "k\"e\\y");
+        let merged = merge_cluster_trace(std::slice::from_ref(&seg), 0);
+        // process name + thread name + the event
+        assert_eq!(validate_chrome_trace(&merged.json), Ok(3));
+        let redump = parse_flight_dump(&seg.to_json()).expect("the re-dump parses");
+        assert_eq!(redump, seg);
     }
 
     #[test]

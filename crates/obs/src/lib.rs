@@ -11,8 +11,10 @@
 //! - a [`MetricsRegistry`] of counters and fixed-bucket histograms
 //!   (handoff RTT, landing latency, visit dwell, retries, journal
 //!   size, mailbox depth, per-naplet resource usage);
-//! - deterministic exporters: Chrome trace-event JSON for
-//!   `chrome://tracing`/Perfetto, a serde snapshot, and text tables.
+//! - deterministic exporters ([`export`]): Chrome traces, flight and
+//!   metrics-history dumps, a serde snapshot and text tables, read back
+//!   by the cluster merger and the critical-path analyzer ([`analyze`]).
+//!   Every JSON artifact has one writer and one typed reader: [`json`].
 //!
 //! Both halves hang off one cloneable [`ObsSink`] that the drivers
 //! thread through every server. Metrics are always on (a handful of
@@ -24,6 +26,7 @@
 pub mod analyze;
 pub mod export;
 pub mod history;
+pub mod json;
 pub mod metrics;
 pub mod prometheus;
 pub mod recorder;
@@ -37,12 +40,13 @@ pub use analyze::{
     SEGMENT_NAMES,
 };
 pub use export::{
-    chrome_trace_json, chrome_trace_json_flat, flatten_events, flight_dump_json,
-    flight_dump_json_with, merge_cluster_trace, merge_flat_events, metrics_history_json,
-    parse_flight_dump, parse_json, parse_metrics_history, render_event_log, validate_chrome_trace,
-    FlatEvent, FlatSegment, Json, MergedTrace, ObsSnapshot,
+    chrome_trace_json, chrome_trace_json_flat, flatten_events, flight_dump_json_with,
+    merge_cluster_trace, merge_flat_events, metrics_history_json, parse_flight_dump,
+    parse_metrics_history, render_event_log, validate_chrome_trace, FlatEvent, FlatSegment,
+    MergedTrace, ObsSnapshot,
 };
 pub use history::{MetricsHistory, MetricsHistoryPage, MetricsSample, DEFAULT_HISTORY_CAPACITY};
+pub use json::{parse_json, Json};
 pub use metrics::{
     HistogramSnapshot, MetricsRegistry, MetricsSnapshot, COUNT_BOUNDS, HANDLER_BOUNDS_US,
     LATENCY_BOUNDS_MS,

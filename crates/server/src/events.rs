@@ -501,63 +501,10 @@ pub struct LogEntry {
 /// Bounded ring of [`LogEntry`]s: when the configured capacity is
 /// reached, the oldest line is evicted and counted — the same
 /// retention philosophy that bounds the dedup table and the
-/// messenger's confirmation maps. Retention itself is
-/// [`naplet_obs::Ring`], the same ring the flight recorder uses, so
-/// "complete record or counted truncation" has exactly one
+/// messenger's confirmation maps. It is the ring the flight recorder
+/// uses, so "complete record or counted truncation" has exactly one
 /// implementation in the workspace.
-#[derive(Debug, Clone, Default)]
-pub struct EventLog {
-    ring: naplet_obs::Ring<LogEntry>,
-}
-
-impl EventLog {
-    /// A ring holding at most `capacity` lines (0 disables logging
-    /// entirely — every push is counted dropped).
-    pub fn with_capacity(capacity: usize) -> EventLog {
-        EventLog {
-            ring: naplet_obs::Ring::with_capacity(capacity),
-        }
-    }
-
-    /// Append a line, evicting the oldest if the ring is full.
-    pub fn push(&mut self, entry: LogEntry) {
-        self.ring.push(entry);
-    }
-
-    /// Retained lines, oldest first.
-    pub fn iter(&self) -> std::collections::vec_deque::Iter<'_, LogEntry> {
-        self.ring.iter()
-    }
-
-    /// Retained line count.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
-    /// Lines evicted to stay within capacity.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-}
-
-impl<'a> IntoIterator for &'a EventLog {
-    type Item = &'a LogEntry;
-    type IntoIter = std::collections::vec_deque::Iter<'a, LogEntry>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.ring.iter()
-    }
-}
+pub type EventLog = naplet_obs::Ring<LogEntry>;
 
 /// Ring capacity of a server's event log; the oldest lines are evicted
 /// (and counted) beyond this.
@@ -795,39 +742,6 @@ mod tests {
         let bytes = naplet_core::codec::to_bytes(&w).unwrap();
         let back: Wire = naplet_core::codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, w);
-    }
-
-    #[test]
-    fn event_log_ring_evicts_oldest_and_counts_drops() {
-        let mut log = EventLog::with_capacity(3);
-        for i in 0..5u64 {
-            log.push(LogEntry {
-                at: Millis(i),
-                line: format!("line {i}"),
-            });
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.dropped(), 2);
-        let lines: Vec<&str> = log.iter().map(|e| e.line.as_str()).collect();
-        assert_eq!(lines, ["line 2", "line 3", "line 4"]);
-        // for-loop sugar via IntoIterator
-        let mut n = 0;
-        for entry in &log {
-            assert!(entry.at >= Millis(2));
-            n += 1;
-        }
-        assert_eq!(n, 3);
-    }
-
-    #[test]
-    fn zero_capacity_event_log_drops_everything() {
-        let mut log = EventLog::with_capacity(0);
-        log.push(LogEntry {
-            at: Millis(1),
-            line: "x".into(),
-        });
-        assert!(log.is_empty());
-        assert_eq!(log.dropped(), 1);
     }
 
     #[test]
