@@ -827,6 +827,105 @@ mod tests {
         }
     }
 
+    /// The exact codec bytes of an `OpsReply` carrying each kind of ring
+    /// page: a remote reader of a mixed-build cluster decodes a trace
+    /// segment and a metrics-history page only while these hold.
+    #[test]
+    fn ops_reply_ring_pages_keep_their_codec_bytes() {
+        use naplet_core::tracectx::TraceCtx;
+        use naplet_obs::{
+            MetricsHistoryPage, MetricsSample, MetricsSnapshot, TraceEvent, TraceSegment,
+        };
+        let hex = |page: OpsPage| -> String {
+            let wire = Wire::OpsReply {
+                token: 7,
+                page: Some(page),
+            };
+            let bytes = naplet_core::codec::to_bytes(&wire).unwrap();
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        };
+        let events = vec![
+            TraceEvent {
+                at: Millis(9),
+                host: "home".into(),
+                naplet: Some("naplet://czxu@home/1".into()),
+                ctx: None,
+                kind: TraceKind::HandoffCommit {
+                    dest: "s0".into(),
+                    transfer_id: 1,
+                    started: Millis(3),
+                    attempts: 2,
+                },
+            },
+            TraceEvent {
+                at: Millis(12),
+                host: "home".into(),
+                naplet: None,
+                ctx: Some(TraceCtx {
+                    journey: "naplet://czxu@home/1".into(),
+                    origin: "home".into(),
+                    hop: 1,
+                    seq: 4,
+                }),
+                kind: TraceKind::TransferReceived {
+                    origin: "s0".into(),
+                    transfer_id: 1,
+                    duplicate: false,
+                },
+            },
+        ];
+        let segment = TraceSegment {
+            host: "home".into(),
+            start_seq: 5,
+            next_seq: 7,
+            total: 7,
+            dropped: 5,
+            epoch_unix_ms: 1_700_000_000_000,
+            events,
+        };
+        let delta = |sent: u64, depth: u64| MetricsSnapshot {
+            counters: [("wire.sent".to_string(), sent)].into(),
+            gauges: [("mailbox_depth".to_string(), depth)].into(),
+            ..MetricsSnapshot::default()
+        };
+        let history = MetricsHistoryPage {
+            host: "n1".into(),
+            start_seq: 0,
+            next_seq: 2,
+            total: 2,
+            dropped: 0,
+            epoch_unix_ms: 1_700_000_000_000,
+            samples: vec![
+                MetricsSample {
+                    at: 100,
+                    delta: delta(5, 1),
+                },
+                MetricsSample {
+                    at: 200,
+                    delta: delta(2, 3),
+                },
+            ],
+        };
+        assert_eq!(
+            hex(OpsPage::Trace(segment)),
+            concat!(
+                "1007010104686f6d650507070580d095ffbc3102",
+                "0904686f6d6501146e61706c65743a2f2f637a787540686f6d652f3100",
+                "090273300103020c04686f6d650001146e61706c65743a2f2f637a7875",
+                "40686f6d652f3104686f6d650104080273300100",
+            )
+        );
+        assert_eq!(
+            hex(OpsPage::MetricsHistory(history)),
+            concat!(
+                "10070102026e310002020080d095ffbc3102",
+                "640109776972652e73656e7405010d6d61696c626f785f6465707468",
+                "0100c8010109776972652e73656e7402010d6d61696c626f785f6465",
+                "7074680300",
+            )
+        );
+    }
+
     /// The hop, directory and post frames keep the variant indices they
     /// had before the ops plane collapsed: only what follows
     /// `TransferAck` (14) moved.
