@@ -34,7 +34,7 @@ use naplet_core::itinerary::{Itinerary, Pattern};
 use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::tcp::TcpTransport;
-use naplet_obs::{ObsSink, DEFAULT_RECORDER_CAPACITY};
+use naplet_obs::ObsSink;
 use naplet_server::bootstrap::BootstrapConfig;
 use naplet_server::daemon::{register_probe, PROBE_CODEBASE};
 use naplet_server::node::unix_ms_at;
@@ -46,8 +46,8 @@ use naplet_server::{LeasePolicy, LocationMode, NapletServer, Node, RetryPolicy, 
 pub const CTL: &str = "ctl";
 
 /// A spare station entry in every generated bootstrap file that no
-/// daemon occupies — [`naplet_man::ClusterStatusPoller`] (or `figures
-/// cluster-status <config> mon`) binds it to poll the live cluster.
+/// daemon occupies — [`crate::ops::ClusterStatusPoller`] (or `naplet-ops
+/// status <config> mon`) binds it to poll the live cluster.
 pub const MON: &str = "mon";
 
 /// Locate the compiled `napletd` binary: `NAPLET_BIN`/`NAPLETD_BIN`
@@ -380,8 +380,7 @@ impl CtlNode {
         };
         let epoch = Instant::now();
         let obs = ObsSink::default();
-        obs.enable_recorder(DEFAULT_RECORDER_CAPACITY);
-        obs.recorder.set_epoch_unix_ms(unix_ms_at(epoch));
+        obs.recorder.enable(unix_ms_at(epoch));
         Ok(CtlNode {
             node: Node::new(Arc::new(net), cfg, obs, epoch),
             key: SigningKey::new("ops", b"cluster-harness"),

@@ -1,14 +1,17 @@
 //! # naplet-bench
 //!
-//! Experiment drivers and the multi-process cluster harness: every
-//! table/figure row in EXPERIMENTS.md regenerates through the
-//! `figures` binary (`cargo run -p naplet-bench --bin figures`).
-//! Performance is measured by the standalone `benchmark/` package.
+//! Experiment drivers, the multi-process cluster harness and the ops
+//! client: every table/figure row in EXPERIMENTS.md regenerates through
+//! the `figures` binary (`cargo run -p naplet-bench --bin figures`), and
+//! the `naplet-ops` binary reads a cluster's status, metrics, traces
+//! and critical paths ([`ops`]). Performance is measured by the
+//! standalone `benchmark/` package.
 
 #![warn(missing_docs)]
 
 pub mod cluster;
 pub mod experiments;
+pub mod ops;
 pub mod scenarios;
 
 pub use experiments::{

@@ -1,14 +1,15 @@
-//! Live ops plane over real sockets: poll a running `napletd` cluster.
+//! The ops client behind `naplet-ops`: read a running `napletd` cluster
+//! over real sockets, or the dump files its daemons left behind.
 //!
-//! [`crate::centralized::CentralizedManager::status_poll`] drives the
-//! wire-level ops protocol inside the deterministic sim; this is the
-//! same protocol pointed at real daemons. A [`ClusterStatusPoller`] is
-//! a station node from the cluster's bootstrap file (an entry no daemon
-//! was started for — conventionally `ctl` or `mon`): a [`Node`] bound
-//! to the station's listen address that sends privileged `OpsRequest`s
-//! to named peers over TCP and sleeps on its inbox until the replies
-//! have landed or the deadline passes. One station reads all three
-//! kinds: status reports, flight-recorder segments (for
+//! `naplet_man::CentralizedManager::status_poll` drives the wire-level
+//! ops protocol inside the deterministic sim; this is the same protocol
+//! pointed at real daemons. A [`ClusterStatusPoller`] is a station node
+//! from the cluster's bootstrap file (an entry no daemon was started
+//! for — conventionally `ctl` or `mon`): a [`Node`] bound to the
+//! station's listen address that sends privileged `OpsRequest`s to
+//! named peers over TCP and sleeps on its inbox until the replies have
+//! landed or the deadline passes. One station reads all three kinds:
+//! status reports, flight-recorder segments (for
 //! [`naplet_obs::merge_cluster_trace`] to join into one cluster-wide
 //! Chrome trace) and metrics histories.
 //!
@@ -17,7 +18,7 @@
 //! poller returns what it heard, sorted by host, and the caller
 //! compares against the set it asked for.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,6 +32,67 @@ use naplet_server::bootstrap::BootstrapConfig;
 use naplet_server::events::{OpsPage, OpsRead, Wire};
 use naplet_server::status::StatusReport;
 use naplet_server::{LocationMode, Node, ServerConfig};
+
+/// Where an ops command reads a cluster's flight segments from.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Source {
+    /// The seeded chaos run in the simulator.
+    Sim,
+    /// Flight dumps `napletd` wrote on SIGUSR1, clean shutdown or panic.
+    Dumps(Vec<String>),
+    /// A running cluster: its bootstrap file and, when given, the spare
+    /// station to bind.
+    Cluster(String, Option<String>),
+}
+
+/// Reach the running cluster named by bootstrap file `config`: bind
+/// `station` and take every other node as a target.
+pub fn reach_cluster(
+    config: &str,
+    station: &str,
+) -> std::result::Result<(ClusterStatusPoller, Vec<String>), String> {
+    let config = BootstrapConfig::load(std::path::Path::new(config))
+        .map_err(|e| format!("cannot load `{config}`: {e}"))?;
+    let targets = config.nodes.iter().map(|n| n.name.clone());
+    let targets = targets.filter(|n| n != station).collect();
+    let poller = ClusterStatusPoller::connect(&config, station)
+        .map_err(|e| format!("cannot bind station `{station}`: {e}"))?;
+    Ok((poller, targets))
+}
+
+/// Every node's flight segment from `source`: the seeded chaos run
+/// split per host, the dump files, or a live fetch through a station
+/// (default `mon`).
+pub fn collect_segments(source: &Source) -> std::result::Result<Vec<FlatSegment>, String> {
+    let segments = match source {
+        Source::Sim => {
+            let out = crate::traced_chaos_experiment(0.05, &[("s1", 10, 700)], 42);
+            FlatSegment::per_host(&out.obs.events)
+        }
+        Source::Dumps(paths) => {
+            let read = |path: &String| {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read `{path}`: {e}"))?;
+                naplet_obs::parse_flight_dump(&text)
+                    .map_err(|e| format!("`{path}` is not a flight dump: {e}"))
+            };
+            paths
+                .iter()
+                .map(read)
+                .collect::<std::result::Result<_, _>>()?
+        }
+        Source::Cluster(config, station) => {
+            let (mut poller, targets) = reach_cluster(config, station.as_deref().unwrap_or("mon"))?;
+            poller
+                .fetch_traces(&targets, Duration::from_secs(10))
+                .map_err(|e| format!("fetch failed: {e}"))?
+        }
+    };
+    if segments.is_empty() {
+        return Err("no segments to merge".into());
+    }
+    Ok(segments)
+}
 
 /// An ops station attached to a live cluster.
 pub struct ClusterStatusPoller {
@@ -100,14 +162,15 @@ impl ClusterStatusPoller {
         let asked = targets.iter().map(|t| self.ask(t, OpsRead::Status));
         let waiting = asked.collect();
         let pages = self.collect(waiting, Instant::now() + timeout);
-        Ok(sorted_reports(pages))
+        Ok(naplet_man::sorted_reports(pages))
     }
 
     /// Page a ring out of every target: ask with `read(from_seq, max)`
     /// from sequence 0 until a page comes back short, joining the pages
     /// of one host into one. Returns one merged page per answering
-    /// host, sorted by host. A daemon that is down, refuses the
-    /// privileged read, or never enabled the ring contributes nothing.
+    /// host, sorted by host. A daemon that is down or refuses the
+    /// privileged read contributes nothing; one whose black box is off
+    /// answers an empty page.
     fn page_out(
         &mut self,
         targets: &[String],
@@ -126,8 +189,8 @@ impl ClusterStatusPoller {
             let mut from_seq = 0;
             loop {
                 let token = self.ask(target, read(from_seq, max));
-                // refused, ring off, or timed out: keep what we have
-                // (possibly nothing) and move on
+                // refused or timed out: keep what we have (possibly
+                // nothing) and move on
                 let Some(page) = self.collect([token].into(), deadline).pop() else {
                     break;
                 };
@@ -180,7 +243,7 @@ impl ClusterStatusPoller {
     /// Render fetched metrics histories as per-host rate tables: the
     /// last `rows` interval deltas, newest last, one line per sample
     /// with a few load-bearing counters pulled out. Drives
-    /// `figures cluster-watch`.
+    /// `naplet-ops watch` on a live cluster.
     pub fn render_rate_table(pages: &[MetricsHistoryPage], rows: usize) -> String {
         let mut out = String::new();
         for page in pages {
@@ -212,15 +275,14 @@ impl ClusterStatusPoller {
     /// Field-level diff between two polls of the same cluster: one
     /// line per host that changed, naming each field as `old -> new`,
     /// plus `lost`/`appeared` lines for hosts present in only one
-    /// poll. Drives `figures cluster-status --watch`.
+    /// poll. Drives `naplet-ops status --watch` on a live cluster.
     pub fn diff_reports(prev: &[StatusReport], next: &[StatusReport]) -> Vec<String> {
-        let by_host =
-            |reports: &[StatusReport]| -> std::collections::BTreeMap<String, StatusReport> {
-                reports
-                    .iter()
-                    .map(|r| (r.host.clone(), r.clone()))
-                    .collect()
-            };
+        let by_host = |reports: &[StatusReport]| -> BTreeMap<String, StatusReport> {
+            reports
+                .iter()
+                .map(|r| (r.host.clone(), r.clone()))
+                .collect()
+        };
         let prev = by_host(prev);
         let next = by_host(next);
         let mut lines = Vec::new();
@@ -313,7 +375,7 @@ impl ClusterStatusPoller {
     }
 
     /// Render reports as a fixed-width health table, the live
-    /// counterpart of the `figures status` sim view.
+    /// counterpart of the `naplet-ops status --sim` view.
     pub fn render_table(reports: &[StatusReport]) -> String {
         let mut out = String::new();
         out.push_str(
@@ -336,18 +398,6 @@ impl ClusterStatusPoller {
         }
         out
     }
-}
-
-/// The status reports among `pages`, sorted by host (so the same
-/// cluster polled twice encodes byte-identically).
-pub(crate) fn sorted_reports(pages: impl IntoIterator<Item = OpsPage>) -> Vec<StatusReport> {
-    let reports = pages.into_iter().filter_map(|page| match page {
-        OpsPage::Status(report) => Some(report),
-        _ => None,
-    });
-    let mut reports: Vec<StatusReport> = reports.collect();
-    reports.sort_by(|a, b| a.host.cmp(&b.host));
-    reports
 }
 
 /// Append `page` to what `merged` holds of the same ring. Returns the

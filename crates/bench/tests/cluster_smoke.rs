@@ -51,9 +51,11 @@ fn ring_journey_crosses_three_live_daemons() {
     // the ops plane sees the live cluster: bind the spare `mon`
     // station from the same bootstrap file and poll every daemon's
     // status endpoint over TCP
-    let mut poller =
-        naplet_man::ClusterStatusPoller::connect(harness.config(), naplet_bench::cluster::MON)
-            .unwrap();
+    let mut poller = naplet_bench::ops::ClusterStatusPoller::connect(
+        harness.config(),
+        naplet_bench::cluster::MON,
+    )
+    .unwrap();
     let targets: Vec<String> = ["n1", "n2", "n3"].iter().map(|s| s.to_string()).collect();
     let status = poller.poll(&targets, Duration::from_secs(10)).unwrap();
     let hosts: Vec<&str> = status.iter().map(|r| r.host.as_str()).collect();
@@ -82,7 +84,7 @@ fn ring_journey_crosses_three_live_daemons() {
 fn cluster_trace_merges_a_ring_journey_across_live_daemons() {
     // a private trace_dir so dump files from other tests (or runs)
     // can't leak into the merge; CI overrides it to keep the dumps as
-    // artifacts and feed them to `figures cluster-trace --dumps`
+    // artifacts and feed them to `naplet-ops trace --dumps`
     let keep = std::env::var("NAPLET_CLUSTER_TRACE_DIR").ok();
     let trace_dir = keep
         .clone()
@@ -111,9 +113,11 @@ fn cluster_trace_merges_a_ring_journey_across_live_daemons() {
     assert!(done, "ring journey stalled; reports: {:?}", ctl.reports());
 
     // --- live fetch: page every daemon's recorder over the wire ----
-    let mut poller =
-        naplet_man::ClusterStatusPoller::connect(harness.config(), naplet_bench::cluster::MON)
-            .unwrap();
+    let mut poller = naplet_bench::ops::ClusterStatusPoller::connect(
+        harness.config(),
+        naplet_bench::cluster::MON,
+    )
+    .unwrap();
     let targets: Vec<String> = ["n1", "n2", "n3"].iter().map(|s| s.to_string()).collect();
     let mut segments = poller
         .fetch_traces(&targets, Duration::from_secs(10))
@@ -348,9 +352,11 @@ fn directory_leader_kill9_mid_churn_loses_no_registrations() {
     )
     .unwrap();
     let mut ctl = harness.ctl().unwrap();
-    let mut poller =
-        naplet_man::ClusterStatusPoller::connect(harness.config(), naplet_bench::cluster::MON)
-            .unwrap();
+    let mut poller = naplet_bench::ops::ClusterStatusPoller::connect(
+        harness.config(),
+        naplet_bench::cluster::MON,
+    )
+    .unwrap();
     let replica_targets: Vec<String> = replicas.iter().map(|s| s.to_string()).collect();
 
     // wait for the replica set to elect, and learn who leads

@@ -17,7 +17,7 @@ use naplet_core::credential::{Credential, SigningKey};
 use naplet_core::error::{NapletError, Result};
 use naplet_core::id::NapletId;
 use naplet_core::value::Value;
-use naplet_server::{OpsRead, SimRuntime, StatusReport, Wire};
+use naplet_server::{OpsPage, OpsRead, SimRuntime, StatusReport, Wire};
 use naplet_snmp::{Oid, SnmpOp, SnmpRequest, SnmpResponse};
 
 use crate::service::SharedDevice;
@@ -36,6 +36,18 @@ pub fn install_snmp_endpoint(server: &mut naplet_server::NapletServer, device: S
         let response = device.lock().agent_mut().handle(&request);
         naplet_core::codec::to_bytes(&response)
     });
+}
+
+/// The status reports among `pages`, sorted by host (so the same
+/// cluster polled twice encodes byte-identically).
+pub fn sorted_reports(pages: impl IntoIterator<Item = OpsPage>) -> Vec<StatusReport> {
+    let reports = pages.into_iter().filter_map(|page| match page {
+        OpsPage::Status(report) => Some(report),
+        _ => None,
+    });
+    let mut reports: Vec<StatusReport> = reports.collect();
+    reports.sort_by(|a, b| a.host.cmp(&b.host));
+    reports
 }
 
 /// Per-device polling results: OID → value bindings in request order.
@@ -178,7 +190,7 @@ impl CentralizedManager {
             .ok_or_else(|| NapletError::NotFound(format!("no server at `{}`", self.station)))?;
         let replies = std::mem::take(&mut server.ops_replies);
         let pages = replies.into_iter().filter_map(|(_, page)| page);
-        Ok(crate::live_ops::sorted_reports(pages))
+        Ok(sorted_reports(pages))
     }
 
     /// Walk a subtree on every device with per-variable get-next

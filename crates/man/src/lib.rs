@@ -9,9 +9,8 @@
 //! * [`nm_naplet`](mod@nm_naplet) — the `NMNaplet` behaviour (sequential, broadcast,
 //!   threshold-filtering and VM-bytecode variants);
 //! * [`centralized`] — the SNMP micro-management baseline running from
-//!   a management station over the same metered fabric;
-//! * [`live_ops`] — the same ops protocol pointed at a real
-//!   `napletd` cluster over TCP;
+//!   a management station over the same metered fabric, and its status
+//!   poll over the ops protocol;
 //! * [`workload`] — MIB variable sets for health polls, table walks
 //!   and error diagnosis;
 //! * [`world`] — the NOC + n-device experiment world with per-round
@@ -20,14 +19,12 @@
 #![warn(missing_docs)]
 
 pub mod centralized;
-pub mod live_ops;
 pub mod nm_naplet;
 pub mod service;
 pub mod workload;
 pub mod world;
 
-pub use centralized::{install_snmp_endpoint, CentralizedManager, SNMP_TAG};
-pub use live_ops::ClusterStatusPoller;
+pub use centralized::{install_snmp_endpoint, sorted_reports, CentralizedManager, SNMP_TAG};
 pub use nm_naplet::{
     nm_naplet, nm_vm_naplet, nm_vm_program, register_nm_codebase, with_threshold, NmBehavior,
     NM_CODEBASE, NM_CODE_SIZE,

@@ -20,10 +20,9 @@ use serde::{Deserialize, Serialize};
 
 use naplet_core::tracectx::TraceCtx;
 
-use crate::history::{MetricsHistoryPage, MetricsSample};
+use crate::blackbox::{MetricsHistoryPage, MetricsSample, Page, TraceSegment};
 use crate::json::{self, parse_json, Json, Obj};
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
-use crate::recorder::TraceSegment;
 use crate::trace::{ArgValue, TraceEvent};
 
 /// Everything one run observed, as one serde-codable value.
@@ -461,22 +460,15 @@ pub fn metrics_history_json(page: &MetricsHistoryPage) -> String {
 /// Parse a [`metrics_history_json`] document back.
 pub fn parse_metrics_history(text: &str) -> Result<MetricsHistoryPage, String> {
     let doc = parse_json(text.trim_end())?;
-    let (host, [start_seq, next_seq, total, dropped, epoch_unix_ms]) = json::read_page(&doc)?;
+    let (host, counts) = json::read_page(&doc)?;
     let sample = |s: &Json| -> Result<MetricsSample, String> {
         Ok(MetricsSample {
             at: s.u64("at")?,
             delta: s.field("delta", MetricsSnapshot::read_json)?,
         })
     };
-    Ok(MetricsHistoryPage {
-        host,
-        start_seq,
-        next_seq,
-        total,
-        dropped,
-        epoch_unix_ms,
-        samples: doc.arr("samples", sample)?,
-    })
+    let samples = doc.arr("samples", sample)?;
+    Ok(MetricsHistoryPage::from_parts(host, counts, samples))
 }
 
 /// The stitched cluster-wide trace plus everything the stitching
@@ -878,15 +870,21 @@ mod tests {
 
     #[test]
     fn metrics_history_dump_round_trips() {
-        let history = crate::history::MetricsHistory::new();
-        history.enable(8);
-        history.set_epoch_unix_ms(1_700_000_000_000);
+        let history = crate::MetricsHistory::default();
+        history.enable(1_700_000_000_000);
         let registry = crate::metrics::MetricsRegistry::default();
         registry.incr("wire.sent", 5);
-        history.sample(naplet_core::clock::Millis(100), &registry);
+        let first = registry.snapshot();
+        history.record(MetricsSample {
+            at: 100,
+            delta: first.clone(),
+        });
         registry.incr("wire.sent", 2);
         registry.observe("sweep_ms", crate::metrics::LATENCY_BOUNDS_MS, 3);
-        history.sample(naplet_core::clock::Millis(200), &registry);
+        history.record(MetricsSample {
+            at: 200,
+            delta: registry.snapshot().diff(&first),
+        });
         let page = history.dump("n1");
         let a = metrics_history_json(&page);
         assert_eq!(a, metrics_history_json(&page), "dump must be byte-stable");

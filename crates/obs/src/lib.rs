@@ -24,12 +24,11 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
+pub mod blackbox;
 pub mod export;
-pub mod history;
 pub mod json;
 pub mod metrics;
 pub mod prometheus;
-pub mod recorder;
 pub mod ring;
 pub mod trace;
 pub mod watchdog;
@@ -39,20 +38,21 @@ pub use analyze::{
     DiffRow, JourneyBreakdown, SegmentStats, SloConfig, TraceAnalysis, ANALYZE_SCHEMA,
     SEGMENT_NAMES,
 };
+pub use blackbox::{
+    BlackBox, FlightRecorder, MetricsHistory, MetricsHistoryPage, MetricsSample, Page, TraceSegment,
+};
 pub use export::{
     chrome_trace_json, chrome_trace_json_flat, flatten_events, flight_dump_json_with,
     merge_cluster_trace, merge_flat_events, metrics_history_json, parse_flight_dump,
     parse_metrics_history, render_event_log, validate_chrome_trace, FlatEvent, FlatSegment,
     MergedTrace, ObsSnapshot,
 };
-pub use history::{MetricsHistory, MetricsHistoryPage, MetricsSample, DEFAULT_HISTORY_CAPACITY};
 pub use json::{parse_json, Json};
 pub use metrics::{
     HistogramSnapshot, MetricsRegistry, MetricsSnapshot, COUNT_BOUNDS, HANDLER_BOUNDS_US,
     LATENCY_BOUNDS_MS,
 };
 pub use prometheus::{prometheus_text, prometheus_text_full, BuildInfo};
-pub use recorder::{FlightRecorder, TraceSegment, DEFAULT_RECORDER_CAPACITY};
 pub use ring::Ring;
 pub use trace::{ArgValue, TraceEvent, TraceKind, Tracer};
 pub use watchdog::{StallAlert, Watchdog, WatchdogConfig};
@@ -76,10 +76,11 @@ pub struct ObsSink {
     /// [`ObsSink::enable_watchdog`]).
     pub watchdog: Watchdog,
     /// The bounded flight recorder (disabled until
-    /// [`ObsSink::enable_recorder`]).
+    /// [`BlackBox::enable`]).
     pub recorder: FlightRecorder,
     /// The metrics time-series ring (disabled until
-    /// [`ObsSink::enable_metrics_history`]).
+    /// [`BlackBox::enable`]); the live sweep thread records one delta
+    /// per tick.
     pub history: MetricsHistory,
     /// Wall-clock profiling switch (see [`ObsSink::enable_profiling`]).
     profiling: Arc<AtomicBool>,
@@ -100,19 +101,6 @@ impl ObsSink {
     /// sink then feeds its progress tracker.
     pub fn enable_watchdog(&self, config: WatchdogConfig) {
         self.watchdog.enable(config);
-    }
-
-    /// Start the bounded flight recorder with a ring of `capacity`
-    /// recent events.
-    pub fn enable_recorder(&self, capacity: usize) {
-        self.recorder.enable(capacity);
-    }
-
-    /// Start sampling metrics deltas into a ring of `capacity` recent
-    /// samples (the daemon sweep thread calls
-    /// [`MetricsHistory::sample`] on every tick).
-    pub fn enable_metrics_history(&self, capacity: usize) {
-        self.history.enable(capacity);
     }
 
     /// Turn on wall-clock hot-path profiling (handler-latency

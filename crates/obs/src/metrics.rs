@@ -277,7 +277,7 @@ impl MetricsSnapshot {
     /// are not recoverable per-interval from cumulative buckets, so a
     /// delta with surviving observations keeps the later snapshot's
     /// values and an empty delta reports 0/0 — which makes
-    /// `snap.diff(&snap)` all-zero everywhere. `figures watch` and the
+    /// `snap.diff(&snap)` all-zero everywhere. `naplet-ops watch` and the
     /// CI perf job render rates from this instead of cumulative
     /// totals.
     pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {

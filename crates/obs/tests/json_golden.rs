@@ -7,7 +7,7 @@ use naplet_core::clock::Millis;
 use naplet_core::tracectx::TraceCtx;
 use naplet_obs::{
     flight_dump_json_with, metrics_history_json, parse_analysis, MetricsHistory, MetricsRegistry,
-    TraceEvent, TraceKind, TraceSegment, COUNT_BOUNDS,
+    MetricsSample, MetricsSnapshot, TraceEvent, TraceKind, TraceSegment, COUNT_BOUNDS,
 };
 
 #[test]
@@ -72,16 +72,22 @@ fn flight_dump_bytes_are_pinned() {
 
 #[test]
 fn metrics_history_bytes_are_pinned() {
-    let history = MetricsHistory::new();
-    history.enable(8);
-    history.set_epoch_unix_ms(1_700_000_000_000);
+    let history = MetricsHistory::default();
+    history.enable(1_700_000_000_000);
     let registry = MetricsRegistry::default();
+    let mut last = MetricsSnapshot::default();
+    let mut sample = |at: u64| {
+        let snap = registry.snapshot();
+        let delta = snap.diff(&last);
+        history.record(MetricsSample { at, delta });
+        last = snap;
+    };
     registry.incr("wire.sent", 5);
     registry.incr("q\"uote", 1);
-    history.sample(Millis(100), &registry);
+    sample(100);
     registry.incr("wire.sent", 2);
     registry.observe("retries", COUNT_BOUNDS, 70);
-    history.sample(Millis(200), &registry);
+    sample(200);
     let dump = metrics_history_json(&history.dump("n1"));
     let want = concat!(
         r#"{"host":"n1","start_seq":0,"next_seq":2,"total":2,"dropped":0,"epoch_unix_ms":1700000000000,"samples":["#,

@@ -107,7 +107,7 @@ pub struct BootstrapConfig {
     /// the default home-manager location mode.
     pub directory: Option<DirectoryConfig>,
     /// Service-level objectives from the `[slo]` section, evaluated by
-    /// `figures analyze --slo`; `None` means no budgets are declared.
+    /// `naplet-ops analyze --slo`; `None` means no budgets are declared.
     pub slo: Option<naplet_obs::SloConfig>,
 }
 

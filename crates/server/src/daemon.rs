@@ -27,10 +27,7 @@ use std::path::PathBuf;
 use naplet_core::error::{NapletError, Result};
 use naplet_core::value::Value;
 use naplet_net::tcp::TcpTransport;
-use naplet_obs::{
-    flight_dump_json_with, metrics_history_json, ObsSink, WatchdogConfig, DEFAULT_HISTORY_CAPACITY,
-    DEFAULT_RECORDER_CAPACITY,
-};
+use naplet_obs::{flight_dump_json_with, metrics_history_json, ObsSink, WatchdogConfig};
 
 use crate::bootstrap::BootstrapConfig;
 use crate::journal::{FileStore, Journal, RecoveryStats};
@@ -152,14 +149,11 @@ impl Daemon {
         let transport = TcpTransport::start(config.tcp_config(node)?)?;
         let mut live = LiveRuntime::over(transport);
         live.enable_watchdog(WatchdogConfig::default());
-        // every daemon keeps a bounded flight recorder (dumped on
-        // SIGUSR1 / shutdown / panic, fetched remotely by the trace
-        // protocol) and exports hot-path handler latencies
-        live.enable_recorder(DEFAULT_RECORDER_CAPACITY);
+        // every daemon keeps both black boxes (dumped on SIGUSR1 /
+        // shutdown / panic, paged out remotely by the ops protocol) and
+        // exports hot-path handler latencies
+        live.enable_black_boxes();
         live.enable_profiling();
-        // and a metrics time-series the sweep thread samples, paged
-        // out by the history protocol and dumped beside the trace
-        live.enable_metrics_history(DEFAULT_HISTORY_CAPACITY);
         let trace_path = config
             .trace_dir
             .clone()

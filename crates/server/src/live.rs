@@ -37,7 +37,7 @@ use naplet_core::clock::Millis;
 use naplet_core::error::{NapletError, Result};
 use naplet_core::naplet::Naplet;
 use naplet_net::{Fabric, ThreadedNet, Transport};
-use naplet_obs::{ObsSink, WatchdogConfig};
+use naplet_obs::{MetricsSample, MetricsSnapshot, ObsSink, WatchdogConfig};
 
 use crate::node::{unix_ms_at, Node};
 use crate::server::{NapletServer, ServerConfig};
@@ -107,26 +107,19 @@ impl<T: Transport> LiveRuntime<T> {
         self.obs.enable_tracing();
     }
 
-    /// Turn on the bounded flight recorder and anchor its event clock
-    /// to the UNIX timeline, so segments from different daemons can be
-    /// merged on one shared axis.
-    pub fn enable_recorder(&mut self, capacity: usize) {
-        self.obs.enable_recorder(capacity);
-        self.obs.recorder.set_epoch_unix_ms(unix_ms_at(self.epoch));
+    /// Turn on both black boxes, the flight recorder and the metrics
+    /// history, anchored to the UNIX timeline so pages from different
+    /// daemons merge on one shared axis. The sweep thread started by
+    /// [`LiveRuntime::start`] records one metrics delta per tick.
+    pub fn enable_black_boxes(&mut self) {
+        self.obs.recorder.enable(unix_ms_at(self.epoch));
+        self.obs.history.enable(unix_ms_at(self.epoch));
     }
 
     /// Turn on wall-clock hot-path profiling (handler-latency
     /// histograms) for every server in the space.
     pub fn enable_profiling(&mut self) {
         self.obs.enable_profiling();
-    }
-
-    /// Turn on the per-daemon metrics time-series and anchor its
-    /// sample clock to the UNIX timeline. The sweep thread started by
-    /// [`LiveRuntime::start`] takes one delta sample per tick.
-    pub fn enable_metrics_history(&mut self, capacity: usize) {
-        self.obs.enable_metrics_history(capacity);
-        self.obs.history.set_epoch_unix_ms(unix_ms_at(self.epoch));
     }
 
     /// Arm the journey watchdog for the whole space. The sweep thread
@@ -204,6 +197,7 @@ impl<T: Transport> LiveRuntime<T> {
             let handle = std::thread::Builder::new()
                 .name("naplet-watchdog".to_string())
                 .spawn(move || {
+                    let mut last = MetricsSnapshot::default();
                     while !stop.load(Ordering::Relaxed) {
                         std::thread::sleep(tick);
                         let now = Millis(epoch.elapsed().as_millis() as u64);
@@ -212,9 +206,13 @@ impl<T: Transport> LiveRuntime<T> {
                                 obs.record_stall_alert(&alert);
                             }
                         }
-                        // one metrics delta per sweep tick (no-op
-                        // while the history ring is disabled)
-                        obs.history.sample(now, &obs.metrics);
+                        // one metrics delta per sweep tick
+                        if obs.history.enabled() {
+                            let snap = obs.metrics.snapshot();
+                            let delta = snap.diff(&last);
+                            obs.history.record(MetricsSample { at: now.0, delta });
+                            last = snap;
+                        }
                     }
                 })
                 .expect("spawn watchdog thread");

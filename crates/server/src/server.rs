@@ -566,7 +566,7 @@ impl NapletServer {
                         OpsRead::Status => OpsPage::Status(self.status_report(now)),
                         OpsRead::Trace { from_seq, max } => {
                             let (recorder, host) = (&self.out.obs().recorder, self.out.host());
-                            OpsPage::Trace(recorder.segment(host, from_seq, max as usize))
+                            OpsPage::Trace(recorder.page(host, from_seq, max as usize))
                         }
                         OpsRead::MetricsHistory { from_seq, max } => {
                             let (history, host) = (&self.out.obs().history, self.out.host());

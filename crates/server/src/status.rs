@@ -109,7 +109,7 @@ pub struct StatusReport {
 }
 
 impl StatusReport {
-    /// One-line operator summary (`figures status` table row body).
+    /// One-line operator summary (`naplet-ops status --sim` table row body).
     pub fn summary(&self) -> String {
         let mut line = format!(
             "{}: {} resident, {} parked, mailbox {}+{}, journal {} ({} B), \
