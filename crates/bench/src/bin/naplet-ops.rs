@@ -47,7 +47,9 @@ enum Cmd {
 }
 
 impl Cmd {
-    /// The prefix of everything the command writes to stderr.
+    /// The prefix of everything the command writes to stderr: the name
+    /// the live view had as a `figures` subcommand, so logs and the
+    /// scripts that read them see the same lines.
     fn tag(self) -> &'static str {
         match self {
             Cmd::Status => "cluster-status",
@@ -179,10 +181,7 @@ fn main() {
 /// Run one checked command; `Err` is an IO or setup failure (exit 2).
 fn run(a: &Args) -> Result<i32, String> {
     let Some(source) = &a.source else {
-        let (before, after) = a
-            .diff
-            .as_ref()
-            .expect("parse admits no source only with --diff");
+        let (before, after) = a.diff.as_ref().expect("no source means --diff");
         return diff(before, after);
     };
     match (a.cmd, source) {

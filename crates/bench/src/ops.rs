@@ -34,7 +34,7 @@ use naplet_server::status::StatusReport;
 use naplet_server::{LocationMode, Node, ServerConfig};
 
 /// Where an ops command reads a cluster's flight segments from.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub enum Source {
     /// The seeded chaos run in the simulator.
     Sim,
