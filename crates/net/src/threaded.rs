@@ -72,6 +72,12 @@ impl ThreadedNet {
         rx
     }
 
+    /// A modelled delay of `delay_ms` on this net's clock: scaled as
+    /// [`ThreadedNet::send`] scales a frame's, rounded up to whole ms.
+    pub(crate) fn scaled_ms(&self, delay_ms: u64) -> u64 {
+        (delay_ms * self.us_per_ms).div_ceil(1000)
+    }
+
     /// Send a frame. Returns `Ok(true)` when delivery was scheduled,
     /// `Ok(false)` when the fabric dropped it (loss/partition), and an
     /// error for unknown hosts.

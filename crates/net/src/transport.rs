@@ -59,9 +59,11 @@ pub trait Transport: Send + Sync + 'static {
     fn set_now(&self, _ms: u64) {}
 
     /// Meter a bulk side-channel fetch (lazy code loading) of `bytes`
-    /// from `from` to `to` and return the modelled one-way delay, or
-    /// `Ok(None)` when the fetch was lost. Socket transports return
-    /// `Ok(Some(0))`: a real fetch has no modelled delay to wait out.
+    /// from `from` to `to` and return the one-way delay to wait out, in
+    /// real ms, or `Ok(None)` when the fetch was lost. The threaded net
+    /// scales the modelled delay as it scales a frame's, rounded up to
+    /// whole ms (0 when it delivers immediately). Socket transports
+    /// return `Ok(Some(0))`: a real fetch has no modelled delay.
     fn fetch(&self, from: &str, to: &str, class: TrafficClass, bytes: u64) -> Result<Option<u64>>;
 }
 
@@ -83,7 +85,8 @@ impl Transport for ThreadedNet {
     }
 
     fn fetch(&self, from: &str, to: &str, class: TrafficClass, bytes: u64) -> Result<Option<u64>> {
-        self.fabric().transfer(from, to, class, bytes)
+        let delay = self.fabric().transfer(from, to, class, bytes)?;
+        Ok(delay.map(|ms| self.scaled_ms(ms)))
     }
 }
 
@@ -94,8 +97,12 @@ mod tests {
     use crate::latency::{Bandwidth, LatencyModel};
 
     fn threaded() -> ThreadedNet {
-        let fabric = Fabric::new(LatencyModel::Constant(1), Bandwidth(None), 3);
-        ThreadedNet::start(fabric, 0)
+        scaled(0)
+    }
+
+    fn scaled(us_per_ms: u64) -> ThreadedNet {
+        let fabric = Fabric::new(LatencyModel::Constant(3), Bandwidth(None), 3);
+        ThreadedNet::start(fabric, us_per_ms)
     }
 
     #[test]
@@ -148,5 +155,19 @@ mod tests {
         let delay = t.fetch("a", "b", TrafficClass::Code, 100).unwrap();
         assert!(delay.is_some());
         assert_eq!(t.stats().snapshot().bytes(TrafficClass::Code), 100);
+    }
+
+    #[test]
+    fn a_fetch_waits_out_the_delay_scaled_as_a_frame_is() {
+        for (us_per_ms, want) in [(0, 0), (1000, 3)] {
+            let net = scaled(us_per_ms);
+            let t: &dyn Transport = &net;
+            t.register("a");
+            t.register("b");
+            let modelled = net.fabric().transfer("a", "b", TrafficClass::Code, 100);
+            assert_eq!(modelled.unwrap(), Some(3));
+            let delay = t.fetch("a", "b", TrafficClass::Code, 100).unwrap();
+            assert_eq!(delay, Some(want), "us_per_ms = {us_per_ms}");
+        }
     }
 }
