@@ -12,20 +12,21 @@ const ROUTE: [&str; 6] = ["s0", "s1", "s2", "s3", "s4", "home"];
 
 /// Crash schedule hitting each commit-point window of the handoff, at
 /// instants read off a loss-free pilot timeline (latency 2 ms, dwell
-/// 5 ms, seed 42):
-/// * `s1@27` — destination crash between its LandingReply (t=26) and
-///   the Transfer's arrival (t≈31): the grant evaporates with the
-///   process, the origin must retry into a cold server;
-/// * `s1@274` — origin crash between sending Transfer (t=272) and
-///   receiving TransferAck (t=278): recovery must re-drive the
+/// 5 ms, seed 42), each with the crashes before it applied:
+/// * `s1@18` — destination crash while the Transfer to it is in flight
+///   (sent t=17, due t=20): the frame dies with the process, the origin
+///   must retry into a cold server;
+/// * `s1@262` — origin crash between sending Transfer (t=260) and
+///   receiving TransferAck (t=266): recovery must re-drive the
 ///   in-flight handoff from the journal and the destination must
 ///   re-ack the duplicate without re-admitting;
-/// * `s3@308` — mid-visit crash after the visit effect applied: the
-///   journal must rehydrate the naplet and suppress the replay.
+/// * `s3@290` — mid-visit crash after the visit effect applied (t=289,
+///   visit ends t=294): the journal must rehydrate the naplet and
+///   suppress the replay.
 const BOUNDARY_CRASHES: [(&str, u64, Option<u64>); 3] = [
-    ("s1", 27, Some(40)),
-    ("s1", 274, Some(40)),
-    ("s3", 308, Some(40)),
+    ("s1", 18, Some(40)),
+    ("s1", 262, Some(40)),
+    ("s3", 290, Some(40)),
 ];
 
 #[test]
@@ -175,7 +176,7 @@ fn dead_host_agents_recovered_by_lease() {
         redispatch: true,
         max_redispatches: 1,
     };
-    let out = crash_chaos_experiment(0.0, &[("s1", 40, None)], Some(lease), Some(route), 42);
+    let out = crash_chaos_experiment(0.0, &[("s1", 28, None)], Some(lease), Some(route), 42);
     assert_eq!(out.chaos.completed, 1, "orphan not recovered: {out:?}");
     assert_eq!(
         out.chaos.visits,

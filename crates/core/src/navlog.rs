@@ -39,7 +39,7 @@ pub struct FailureRecord {
     pub at: Millis,
     /// Send attempts made before giving up.
     pub attempts: u32,
-    /// Short human-readable cause ("no landing reply", ...).
+    /// Short human-readable cause ("transfer unacknowledged", ...).
     pub reason: String,
 }
 

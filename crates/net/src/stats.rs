@@ -2,8 +2,8 @@
 //!
 //! The fabric meters every transfer by [`TrafficClass`]: agent
 //! migrations, code (lazy class loading), inter-agent messages,
-//! control-plane traffic (launch/landing handshakes, directory
-//! registrations) and SNMP client/server requests (the centralized
+//! control-plane traffic (transfer acks, directory registrations)
+//! and SNMP client/server requests (the centralized
 //! baseline). EXPERIMENTS.md reports these counters; the §6 claim —
 //! centralized SNMP micro-management "tends to generate heavy traffic"
 //! — is tested directly against them.
@@ -23,7 +23,7 @@ pub enum TrafficClass {
     Code,
     /// Inter-naplet user/system messages (post office).
     Message,
-    /// Control plane: launch/landing permits, directory registration,
+    /// Control plane: transfer acknowledgements, directory registration,
     /// location queries, confirmations.
     Control,
     /// Conventional client/server management traffic (SNMP baseline).

@@ -656,7 +656,7 @@ mod tests {
                 host: "home".into(),
                 naplet: Some("naplet://czxu@home/1".into()),
                 ctx: None,
-                kind: TraceKind::LandingRequested {
+                kind: TraceKind::TransferSent {
                     dest: "s0".into(),
                     transfer_id: 1,
                 },
@@ -754,7 +754,7 @@ mod tests {
     fn text_rendering_lists_every_event() {
         let text = render_event_log(&sample_events());
         assert_eq!(text.lines().count(), 3);
-        assert!(text.contains("landing.request"));
+        assert!(text.contains("transfer.sent"));
         assert!(text.contains("transfer_id=1"));
         assert!(text.contains("crash"));
     }

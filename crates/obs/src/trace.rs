@@ -56,35 +56,16 @@ pub enum TraceKind {
     },
     /// Process crash injected at this host (volatile state wiped).
     Crash,
-    /// Navigator sent the LandingRequest opening a handoff.
-    LandingRequested {
-        /// Destination host.
-        dest: String,
-        /// Origin-scoped transfer id.
-        transfer_id: u64,
-    },
-    /// Destination navigator decided a LANDING request.
+    /// Destination navigator decided the LANDING of a Transfer.
     LandingDecision {
-        /// Requesting host.
+        /// Sending host.
         origin: String,
-        /// Permit granted?
+        /// Admitted?
         granted: bool,
         /// Denial reason (empty on grant).
         reason: String,
     },
-    /// The LandingReply reached the origin. Span: opened by the
-    /// LandingRequest that this permit answers.
-    PermitReceived {
-        /// Destination host.
-        dest: String,
-        /// Transfer id.
-        transfer_id: u64,
-        /// Permit granted?
-        granted: bool,
-        /// When the request was first sent.
-        started: Millis,
-    },
-    /// The agent transfer left the origin.
+    /// The agent transfer left the origin, opening a handoff.
     TransferSent {
         /// Destination host.
         dest: String,
@@ -101,19 +82,19 @@ pub enum TraceKind {
         duplicate: bool,
     },
     /// The TransferAck committed the handoff at the origin. Span:
-    /// covers the whole acknowledged handoff from its LandingRequest.
+    /// covers the whole acknowledged handoff from its first Transfer.
     HandoffCommit {
         /// Destination host.
         dest: String,
         /// Transfer id.
         transfer_id: u64,
-        /// When the handoff opened (LandingRequest sent).
+        /// When the handoff opened (first Transfer sent).
         started: Millis,
         /// Attempts the current phase took.
         attempts: u32,
     },
-    /// An acknowledgement timer expired with retries left: the current
-    /// phase's frame was re-sent. `attempt` is the new (≥ 2) attempt.
+    /// An acknowledgement timer expired with retries left: the Transfer
+    /// was re-sent. `attempt` is the new (≥ 2) attempt.
     Retransmit {
         /// Destination host.
         dest: String,
@@ -121,7 +102,7 @@ pub enum TraceKind {
         transfer_id: u64,
         /// New 1-based attempt number (always ≥ 2).
         attempt: u32,
-        /// Which phase retried (`permit` or `transfer`).
+        /// Which phase retried (`transfer`).
         phase: String,
     },
     /// Retry budget exhausted; the itinerary rewinds and re-decides.
@@ -231,7 +212,7 @@ pub enum TraceKind {
         deadline_ms: u64,
     },
     /// Watchdog alert: a journey stalled while its last progress event
-    /// was departure-side (landing requested / transfer in flight), so
+    /// was departure-side (transfer in flight), so
     /// the agent may be orphaned between hosts.
     OrphanSuspected {
         /// Host the agent was last seen departing from.
@@ -291,9 +272,7 @@ impl TraceKind {
             TraceKind::WireRecv { .. } => "wire.recv",
             TraceKind::WireDrop { .. } => "wire.drop",
             TraceKind::Crash => "crash",
-            TraceKind::LandingRequested { .. } => "landing.request",
             TraceKind::LandingDecision { .. } => "landing.decision",
-            TraceKind::PermitReceived { .. } => "landing.permit",
             TraceKind::TransferSent { .. } => "transfer.sent",
             TraceKind::TransferReceived { .. } => "transfer.recv",
             TraceKind::HandoffCommit { .. } => "handoff.commit",
@@ -339,8 +318,7 @@ impl TraceKind {
     /// render these as complete (`"X"`) events with a duration.
     pub fn span_start(&self) -> Option<Millis> {
         match self {
-            TraceKind::PermitReceived { started, .. }
-            | TraceKind::HandoffCommit { started, .. }
+            TraceKind::HandoffCommit { started, .. }
             | TraceKind::RegisterAcked { started, .. }
             | TraceKind::VisitEnd { started, .. } => Some(*started),
             _ => None,
@@ -372,10 +350,6 @@ impl TraceKind {
                 vec![("to", Str(to.clone())), ("label", Str(label.clone()))]
             }
             TraceKind::Crash => Vec::new(),
-            TraceKind::LandingRequested { dest, transfer_id } => vec![
-                ("dest", Str(dest.clone())),
-                ("transfer_id", Int(*transfer_id)),
-            ],
             TraceKind::LandingDecision {
                 origin,
                 granted,
@@ -384,16 +358,6 @@ impl TraceKind {
                 ("origin", Str(origin.clone())),
                 ("granted", Bool(*granted)),
                 ("reason", Str(reason.clone())),
-            ],
-            TraceKind::PermitReceived {
-                dest,
-                transfer_id,
-                granted,
-                ..
-            } => vec![
-                ("dest", Str(dest.clone())),
-                ("transfer_id", Int(*transfer_id)),
-                ("granted", Bool(*granted)),
             ],
             TraceKind::TransferSent { dest, transfer_id } => vec![
                 ("dest", Str(dest.clone())),

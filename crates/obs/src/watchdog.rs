@@ -4,7 +4,7 @@
 //! watchdog watches the same event stream *as it happens* and raises
 //! typed alerts while a stranded agent can still be recovered. It is
 //! fed by [`crate::ObsSink::emit`] — every progress-class event
-//! (landing request, permit, transfer, registration, visit end)
+//! (transfer, landing decision, registration, visit end)
 //! refreshes the journey's `last_progress` mark; a configurable
 //! deadline without progress raises exactly one
 //! [`TraceKind::StalledJourney`] (or [`TraceKind::OrphanSuspected`]
@@ -87,8 +87,7 @@ struct JourneyProgress {
     home: String,
     last_host: String,
     last_at: Millis,
-    /// Last progress event was departure-side (landing request sent,
-    /// permit received, transfer in flight).
+    /// Last progress event was departure-side (transfer in flight).
     departing: bool,
     /// Alerted for the current stall; progress re-arms.
     alerted: bool,
@@ -142,9 +141,7 @@ impl Watchdog {
     pub fn observe(&self, at: Millis, host: &str, naplet: Option<&str>, kind: &TraceKind) {
         let Some(id) = naplet else { return };
         let (progress, departing) = match kind {
-            TraceKind::LandingRequested { .. }
-            | TraceKind::PermitReceived { .. }
-            | TraceKind::TransferSent { .. } => (true, true),
+            TraceKind::TransferSent { .. } => (true, true),
             TraceKind::LandingDecision { .. }
             | TraceKind::TransferReceived { .. }
             | TraceKind::HandoffCommit { .. }
@@ -378,7 +375,7 @@ mod tests {
             Millis(5),
             "s0",
             Some("n1"),
-            &TraceKind::LandingRequested {
+            &TraceKind::TransferSent {
                 dest: "s1".into(),
                 transfer_id: 1,
             },
@@ -393,7 +390,7 @@ mod tests {
                     dest: "s1".into(),
                     transfer_id: 1,
                     attempt: 2,
-                    phase: "permit".into(),
+                    phase: "transfer".into(),
                 },
             );
         }
@@ -434,7 +431,7 @@ mod tests {
             Millis(1),
             "home",
             Some("n1"),
-            &TraceKind::LandingRequested {
+            &TraceKind::TransferSent {
                 dest: "s1".into(),
                 transfer_id: 1,
             },

@@ -1,9 +1,8 @@
 //! Retry/backoff policy for the reliable-transfer layer.
 //!
-//! Both navigator handoffs (landing permits and naplet transfers) and
-//! post-office redelivery share one policy: a per-transfer
-//! acknowledgement timer with capped exponential backoff and
-//! deterministic jitter. After [`RetryPolicy::max_retries`] attempts the
+//! Navigator handoffs (naplet transfers) and post-office redelivery
+//! share one policy: a per-transfer acknowledgement timer with capped
+//! exponential backoff and deterministic jitter. After [`RetryPolicy::max_retries`] attempts the
 //! navigator gives up — an `Alt` itinerary falls back to its next
 //! branch, otherwise the naplet is parked with a navigation-log failure
 //! entry; a message is counted as undeliverable.

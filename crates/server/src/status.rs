@@ -100,7 +100,7 @@ pub struct StatusReport {
     pub locator_evictions: u64,
     /// Age of the oldest surviving cache hint, ms.
     pub locator_oldest_age_ms: u64,
-    /// Outbound migrations awaiting permit or ack (retry-queue depth).
+    /// Outbound migrations awaiting their ack (retry-queue depth).
     pub pending_transfers: u64,
     /// Posted messages awaiting delivery confirmation.
     pub outstanding_posts: u64,

@@ -15,8 +15,8 @@ use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel, TrafficClass};
 use naplet_server::{
-    LocationMode, Matcher, MonitorPolicy, NapletServer, NapletStatus, Output, Permission, Policy,
-    RunState, SecurityManager, ServerConfig, SimRuntime, Wire,
+    LocationMode, Matcher, MonitorPolicy, NapletStatus, Permission, Policy, RunState,
+    SecurityManager, ServerConfig, SimRuntime,
 };
 
 const CODEBASE: &str = "naplet://code/collector.jar";
@@ -859,44 +859,4 @@ fn bandwidth_budget_charges_a_post_its_length_whatever_its_bytes() {
             "fill {fill:#x}"
         );
     }
-}
-
-#[test]
-fn landing_request_announces_the_size_the_agent_has() {
-    const BALLAST: usize = 64 * 1024;
-    let mut home = NapletServer::new(ServerConfig::open("home", LocationMode::ForwardingTrace));
-    let it = Itinerary::new(Pattern::seq_of_hosts(&["s0"], None)).unwrap();
-    let mut naplet = Naplet::create(
-        &key(),
-        "czxu",
-        "home",
-        Millis(1),
-        CODEBASE,
-        AgentKind::Native,
-        it,
-        vec![],
-    )
-    .unwrap();
-    // high bytes: a byte's value must not change what it costs
-    naplet
-        .state
-        .set("ballast", Value::Bytes(vec![0xff; BALLAST]));
-    let announced: Vec<u64> = home
-        .launch(naplet, Millis(2))
-        .into_iter()
-        .filter_map(|o| match o {
-            Output::Send {
-                wire: Wire::LandingRequest { est_bytes, .. },
-                ..
-            } => Some(est_bytes),
-            _ => None,
-        })
-        .collect();
-    let [est_bytes] = announced[..] else {
-        panic!("one landing request per launch, got {announced:?}");
-    };
-    assert!(
-        (BALLAST as u64..=BALLAST as u64 + 1024).contains(&est_bytes),
-        "a {BALLAST} B ballast announced as {est_bytes} B"
-    );
 }

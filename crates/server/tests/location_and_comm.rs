@@ -10,14 +10,11 @@ use naplet_core::context::NapletContext;
 use naplet_core::credential::SigningKey;
 use naplet_core::error::Result;
 use naplet_core::itinerary::{ActionSpec, Guard, Itinerary, Pattern, Visit};
-use naplet_core::message::{Message, Payload, Sender};
+use naplet_core::message::Payload;
 use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
-use naplet_server::{
-    DirEvent, Input, LocationMode, MonitorPolicy, NapletServer, Output, ServerConfig, SimRuntime,
-    Wire,
-};
+use naplet_server::{DirEvent, LocationMode, MonitorPolicy, ServerConfig, SimRuntime};
 
 const CODEBASE: &str = "probe";
 
@@ -476,64 +473,4 @@ fn directory_outage_does_not_stall_arrivals() {
     rt.launch(probe(&["s0"], 2)).unwrap();
     rt.run_to_quiescence(100_000);
     assert_eq!(rt.drain_reports("home").len(), 1);
-}
-
-/// A granted landing whose Transfer is lost stops holding mail for its
-/// naplet 60 s after the grant — also on a server that never grants
-/// another landing, which used to be the only thing that aged it.
-#[test]
-fn a_lapsed_landing_expectation_no_longer_stashes_mail() {
-    let mut s1 = NapletServer::new(ServerConfig::open("s1", LocationMode::ForwardingTrace));
-    let naplet = probe(&["s1", "s2", "s1"], 1);
-    let id = naplet.id().clone();
-    // the naplet was here once and left for s2: a footprint to chase
-    s1.manager.record_arrival(&id, Some("home"), Millis(10));
-    s1.manager.record_departure(&id, "s2", Millis(20));
-    // it asks to come back; the grant is the last s1 hears of it
-    let granted = s1.handle(
-        Millis(100),
-        Input::Wire {
-            from: "s2".into(),
-            wire: Wire::LandingRequest {
-                token: 7,
-                from_host: "s2".into(),
-                credential: naplet.credential().clone(),
-                naplet_id: id.clone(),
-                est_bytes: 0,
-                attempt: 1,
-            },
-        },
-    );
-    assert!(matches!(
-        granted[..],
-        [Output::Send {
-            wire: Wire::LandingReply { granted: true, .. },
-            ..
-        }]
-    ));
-    let mut post = |seq: u64, at: u64| {
-        let owner = Sender::Owner("home".into());
-        let msg = Message::user(seq, owner, id.clone(), Millis(at), Value::Int(1));
-        let wire = Wire::Post {
-            msg,
-            origin_host: "home".into(),
-        };
-        let from = "home".to_string();
-        let out = s1.handle(Millis(at), Input::Wire { from, wire });
-        (out, s1.messenger.early_waiting())
-    };
-    // inside the window the message waits for the arrival
-    let (out, waiting) = post(1, 100 + 59_000);
-    assert!(out.is_empty(), "held, not forwarded: {out:?}");
-    assert_eq!(waiting, 1);
-    // 61 s after the grant, with no landing since: chased down the trail
-    let (out, waiting) = post(2, 100 + 61_000);
-    assert!(
-        matches!(
-            &out[..],
-            [Output::Send { to, wire: Wire::Post { msg, .. } }] if to == "s2" && msg.seq == 2
-        ),
-        "chased to s2: {out:?}"
-    );
-    assert_eq!(waiting, 1, "the second message was not stashed");
 }

@@ -93,28 +93,44 @@ fn visits(report: &Value) -> Vec<String> {
     }
 }
 
-/// Destination crash after it granted the landing but before the
-/// Transfer arrived: the grant evaporates with the process, the origin
-/// retries into the cold server, and the visit still runs exactly once.
+/// Destination crash after it admitted the Transfer but before its ack
+/// reached the origin: the ack is lost, the origin retransmits into the
+/// restarted server, which answers from the verdict its journal noted
+/// instead of admitting again, and the visit still runs exactly once.
 #[test]
-fn dest_crash_between_landing_reply_and_transfer() {
+fn dest_crash_between_transfer_receipt_and_ack() {
     let mut rt = world(1, None, 3);
     rt.launch(agent(&["s0", "home"], 1)).unwrap();
-    // s0 grants the landing at t=3; the Transfer lands at t≈7
-    rt.run_until(Millis(4));
+    // everything s0 sends while it takes the Transfer in is lost
+    let admitted = |rt: &SimRuntime| {
+        let mut log = rt.server("s0").unwrap().log().iter();
+        log.any(|e| e.line.starts_with("ARRIVAL"))
+    };
+    while !admitted(&rt) {
+        let to_s0 = rt.peek_target().expect("the Transfer reaches s0").as_str() == "s0";
+        rt.fabric().set_loss(if to_s0 { 1.0 } else { 0.0 });
+        rt.step();
+    }
+    rt.fabric().set_loss(0.0);
     rt.crash_server("s0", Some(40));
     rt.run_to_quiescence(1_000_000);
 
     let reports = rt.drain_reports("home");
     assert_eq!(reports.len(), 1, "journey must complete");
     assert_eq!(visits(&reports[0].1), ["s0", "home"]);
-    // the pre-crash journal held nothing: the retry re-admits cold
+    // the admission record came back, and the retransmission was
+    // answered, not admitted
     let s0 = rt.server("s0").unwrap();
-    assert_eq!(s0.recovery_stats().rehydrated, 0);
+    assert_eq!(s0.recovery_stats().rehydrated, 1);
     assert!(
         rt.fabric().stats().snapshot().retransmits >= 1,
         "origin must retransmit into the restarted server"
     );
+    let answered = s0
+        .log()
+        .iter()
+        .any(|e| e.line.starts_with("duplicate TRANSFER") && e.line.ends_with("already admitted"));
+    assert!(answered, "s0 answers from its note: {:?}", s0.log());
 }
 
 /// Origin crash after sending Transfer but before the TransferAck
@@ -124,9 +140,9 @@ fn dest_crash_between_landing_reply_and_transfer() {
 fn origin_crash_between_transfer_and_ack() {
     let mut rt = world(2, None, 3);
     rt.launch(agent(&["s0", "s1", "home"], 1)).unwrap();
-    // s0 sends the Transfer to s1 at t≈28 and commits on the ack at
-    // t=35: crash s0 inside that window
-    rt.run_until(Millis(30));
+    // s0 sends the Transfer to s1 at t=17 and commits on the ack at
+    // t=23: crash s0 inside that window
+    rt.run_until(Millis(18));
     rt.crash_server("s0", Some(40));
     rt.run_to_quiescence(1_000_000);
 
@@ -163,10 +179,10 @@ fn origin_crash_between_transfer_and_ack() {
 fn dest_crash_mid_visit_suppresses_replay() {
     let mut rt = world(1, None, 3);
     rt.launch(agent(&["s0", "home"], 1)).unwrap();
-    // s0 admits at t=9, applies the visit at VisitDone (t≈18) and only
-    // starts the next handoff a couple of events later: crash in the
+    // s0 admits at t=3, applies the visit once its code is in (t≈12)
+    // and starts the next handoff at VisitDone (t=17): crash in the
     // window where the journal shows the visit applied
-    rt.run_until(Millis(19));
+    rt.run_until(Millis(13));
     rt.crash_server("s0", Some(40));
     rt.run_to_quiescence(1_000_000);
 
@@ -354,30 +370,18 @@ fn recovery_from_an_admission_record_reopens_the_visit_as_admitted() {
 /// re-encoding anywhere on the way would show.
 #[test]
 fn a_recovered_handoff_resends_and_rejournals_the_journaled_image_itself() {
-    for awaiting_ack in [false, true] {
+    {
         let mut cfg = ServerConfig::open("home", LocationMode::HomeManagers);
         cfg.codebase = registry();
         let mut origin = NapletServer::new(cfg.clone());
         let naplet = agent(&["s0"], 1);
         let id = naplet.id().clone();
         origin.launch(naplet, Millis(0));
-        let permit = |token| Input::Wire {
-            from: "s0".into(),
-            wire: Wire::LandingReply {
-                token,
-                granted: true,
-                reason: String::new(),
-            },
-        };
-        if awaiting_ack {
-            origin.handle(Millis(4), permit(1));
-        }
         // crash: only the journal survives, with the record swapped
         // for its padded twin
         let mut journal = origin.take_journal();
         let (_, record) = journal.naplet_records().remove(0);
-        let sent = matches!(record.phase, JournalPhase::InFlight { awaiting_ack: a, .. } if a);
-        assert_eq!(sent, awaiting_ack);
+        assert!(matches!(record.phase, JournalPhase::InFlight { .. }));
         let mut image = vec![record.naplet[0] | 0x80, 0x00];
         image.extend_from_slice(&record.naplet[1..]);
         let twin: Naplet = naplet_core::codec::from_bytes(&image).unwrap();
@@ -400,15 +404,7 @@ fn a_recovered_handoff_resends_and_rejournals_the_journaled_image_itself() {
         let [Output::Schedule { delay_ms: 0, event }] = &timers[..] else {
             panic!("recovery arms one immediate timer, got {timers:?}");
         };
-        let mut resent = sends(recovered.handle(Millis(100), Input::Local(event.clone())));
-        if !awaiting_ack {
-            // the permit is asked for again, sized by the record's bytes
-            let [Wire::LandingRequest { est_bytes, .. }] = &resent[..] else {
-                panic!("the permit phase resends its request, got {resent:?}");
-            };
-            assert_eq!(*est_bytes, image.len() as u64);
-            resent = sends(recovered.handle(Millis(104), permit(1)));
-        }
+        let resent = sends(recovered.handle(Millis(100), Input::Local(event.clone())));
         let [Wire::Transfer(envelope)] = &resent[..] else {
             panic!("the agent leaves in one Transfer, got {resent:?}");
         };
@@ -419,7 +415,7 @@ fn a_recovered_handoff_resends_and_rejournals_the_journaled_image_itself() {
             &image[..],
             "the frame splices it"
         );
-        // retransmit and departure both journaled again: same bytes
+        // the retransmission journaled again: same bytes
         let (_, rejournaled) = recovered.journal().naplet_records().remove(0);
         assert_eq!(rejournaled.naplet, image);
         assert_ne!(rejournaled.phase, record.phase, "the record did move on");

@@ -176,27 +176,30 @@ fn a_redelivered_early_message_waits_once_and_leaves_once() {
     let gauges = home.obs().metrics.snapshot().gauges;
     assert_eq!(gauges.get("special_mailbox_depth"), Some(&1));
 
-    // the naplet leaves for s0: the message follows it exactly once
-    let request = home.launch(naplet, now);
-    let token = request
+    // the naplet leaves for s0: once s0 admits it, the message follows
+    // it exactly once
+    let id = naplet.id().clone();
+    let departure = home.launch(naplet, now);
+    let transfer_id = departure
         .iter()
         .find_map(|o| match o {
             Output::Send {
-                wire: Wire::LandingRequest { token, .. },
+                wire: Wire::Transfer(envelope),
                 ..
-            } => Some(*token),
+            } => Some(envelope.transfer_id),
             _ => None,
         })
-        .expect("home asks s0 for a landing");
-    let (granted, reason) = (true, String::new());
-    let wire = Wire::LandingReply {
-        token,
-        granted,
-        reason,
+        .expect("home sends the naplet to s0");
+    assert_eq!(home.messenger.early_waiting(), 1, "held until admitted");
+    let refused = None;
+    let wire = Wire::TransferAck {
+        transfer_id,
+        id,
+        refused,
     };
     let from = "s0".to_string();
-    let departure = home.handle(now, Input::Wire { from, wire });
-    let posts = departure
+    let admitted = home.handle(now, Input::Wire { from, wire });
+    let posts = admitted
         .iter()
         .filter(|o| matches!(o, Output::Send { to, wire: Wire::Post { .. } } if to == "s0"));
     assert_eq!(posts.count(), 1);
@@ -251,99 +254,6 @@ fn a_stashed_copy_nobody_collects_lapses() {
     assert!(home.handle(later, tick).is_empty());
     assert_eq!(home.status_report(later).special_mailbox_depth, 0);
     assert_eq!(home.messenger.early_waiting(), 0);
-}
-
-/// A `LandingRequest` retransmitted late — after the `Transfer` it asked
-/// for was admitted — is answered, but must not make the host expect the
-/// naplet again: once it has left, a post for it is forwarded after it,
-/// not held here for a landing that already happened.
-#[test]
-fn a_late_landing_request_holds_no_mail_after_the_naplet_left() {
-    let mut cfg = ServerConfig::open("b", LocationMode::ForwardingTrace);
-    cfg.codebase = registry();
-    let mut b = NapletServer::new(cfg);
-    let mut naplet = agent(Pattern::seq_of_hosts(&["b", "c"], None), 1);
-    naplet.advance(); // the origin chose `b`
-    let id = naplet.id().clone();
-    let request = |attempt| Wire::LandingRequest {
-        token: 7,
-        from_host: "a".into(),
-        credential: naplet.credential().clone(),
-        naplet_id: id.clone(),
-        est_bytes: 0,
-        attempt,
-    };
-    let envelope = TransferEnvelope {
-        naplet: naplet.clone().into(),
-        action: None,
-        transfer_id: 7,
-        attempt: 1,
-    };
-    let from_a = |wire| Input::Wire {
-        from: "a".into(),
-        wire,
-    };
-    let steps = [
-        from_a(request(1)),
-        from_a(Wire::Transfer(envelope)),
-        // the first reply was slow: the retransmission lands after the agent
-        from_a(request(2)),
-        Input::Local(LocalEvent::CodeReady { id: id.clone() }),
-    ];
-    for (at, input) in steps.into_iter().enumerate() {
-        b.handle(Millis(10 * at as u64), input);
-    }
-    // the visit ends and the naplet leaves for `c`
-    let asked = b.handle(
-        Millis(50),
-        Input::Local(LocalEvent::VisitDone { id: id.clone() }),
-    );
-    let token = asked.iter().find_map(|o| match o {
-        Output::Send {
-            to,
-            wire: Wire::LandingRequest { token, .. },
-        } if to == "c" => Some(*token),
-        _ => None,
-    });
-    let token = token.expect("b asks c for a landing");
-    let (granted, reason) = (true, String::new());
-    let reply = Wire::LandingReply {
-        token,
-        granted,
-        reason,
-    };
-    b.handle(
-        Millis(60),
-        Input::Wire {
-            from: "c".into(),
-            wire: reply,
-        },
-    );
-    assert_eq!(b.pending_transfer_count(), 1, "the Transfer to c is out");
-
-    let msg = Message::user(
-        1,
-        Sender::Owner("a".into()),
-        id.clone(),
-        Millis(70),
-        Value::Int(1),
-    );
-    let wire = Wire::Post {
-        msg,
-        origin_host: "a".into(),
-    };
-    let chase = b.handle(
-        Millis(70),
-        Input::Wire {
-            from: "a".into(),
-            wire,
-        },
-    );
-    let forwarded = chase
-        .iter()
-        .any(|o| matches!(o, Output::Send { to, wire: Wire::Post { .. } } if to == "c"));
-    assert!(forwarded, "the post chases the naplet to c: {chase:?}");
-    assert_eq!(b.messenger.early_waiting(), 0, "nothing is held at b");
 }
 
 #[test]
@@ -461,43 +371,45 @@ fn duplicate_transfer_is_reacked_but_not_readmitted() {
 }
 
 /// An answer commits or refuses only the handoff it answers. A
-/// `TransferAck` that arrives before the permit, comes from a host that
-/// is not the destination, or names another naplet — and a refusal from
-/// a host the permit was never asked of — is logged as stray and
-/// releases nothing: custody and the journal record survive it, and the
-/// journey completes as if it had never been sent.
+/// `TransferAck` that comes from a host that is not the destination or
+/// names another naplet — admitting or refusing — is logged as stray
+/// and releases nothing: custody and the journal record survive it, and
+/// the journey completes as if it had never been sent.
 #[test]
 fn a_stray_answer_releases_no_custody() {
     let other = NapletId::new("czxu", "home", Millis(77)).unwrap();
     type Stray = fn(u64, NapletId, NapletId) -> Wire;
-    let ack_of_mine: Stray = |transfer_id, id, _| Wire::TransferAck { transfer_id, id };
-    let ack_of_other: Stray = |transfer_id, _, id| Wire::TransferAck { transfer_id, id };
-    let refusal: Stray = |token, _, _| Wire::LandingReply {
-        token,
-        granted: false,
-        reason: "not yours to refuse".into(),
+    let ack_of_mine: Stray = |transfer_id, id, _| Wire::TransferAck {
+        transfer_id,
+        id,
+        refused: None,
     };
-    // (what, the phase it arrives in, who sends it, the frame)
+    let ack_of_other: Stray = |transfer_id, _, id| Wire::TransferAck {
+        transfer_id,
+        id,
+        refused: None,
+    };
+    let refusal: Stray = |transfer_id, id, _| Wire::TransferAck {
+        transfer_id,
+        id,
+        refused: Some("not yours to refuse".into()),
+    };
+    // (what, who sends it, the frame)
     let cases = [
-        ("an ack before the permit", false, "s0", ack_of_mine),
-        ("an ack from another host", true, "s1", ack_of_mine),
-        ("an ack naming another naplet", true, "s0", ack_of_other),
-        ("a refusal from another host", false, "s1", refusal),
+        ("an ack from another host", "s1", ack_of_mine),
+        ("an ack naming another naplet", "s0", ack_of_other),
+        ("a refusal from another host", "s1", refusal),
     ];
-    for (what, awaiting_ack, sender, stray) in cases {
+    for (what, sender, stray) in cases {
         let mut rt = world(LocationMode::HomeManagers, 2, 8);
         let naplet = agent(Pattern::seq_of_hosts(&["s0"], None), 1);
         let id = naplet.id().clone();
         rt.launch(naplet).unwrap();
-        // home's in-flight record says which phase its handoff is in
+        // home's in-flight record names its handoff
         let in_phase = |rt: &SimRuntime| {
             let records = rt.server("home").unwrap().journal().naplet_records();
             records.iter().find_map(|(_, record)| match record.phase {
-                JournalPhase::InFlight {
-                    transfer_id,
-                    awaiting_ack: sent,
-                    ..
-                } if sent == awaiting_ack => Some(transfer_id),
+                JournalPhase::InFlight { transfer_id, .. } => Some(transfer_id),
                 _ => None,
             })
         };
