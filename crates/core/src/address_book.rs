@@ -9,12 +9,12 @@
 //! restricts communication to naplets whose identifiers appear in the
 //! sender's book.
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode};
 
 use crate::id::NapletId;
 
 /// One address book entry: a peer naplet and a location hint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct AddressEntry {
     /// The peer's identifier.
     pub naplet_id: NapletId,
@@ -23,7 +23,7 @@ pub struct AddressEntry {
 }
 
 /// The communication directory a naplet carries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode, Default)]
 pub struct AddressBook {
     entries: Vec<AddressEntry>,
 }

@@ -10,15 +10,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode};
 
 /// A timestamp in milliseconds. For the real clock this is milliseconds
 /// since the Unix epoch; for virtual clocks it is milliseconds since an
 /// arbitrary origin. Only differences and ordering are meaningful to
 /// the framework itself.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Encode, Decode)]
 pub struct Millis(pub u64);
 
 impl Millis {

@@ -1,45 +1,59 @@
 //! `napcode`: the Naplet wire format.
 //!
 //! The paper relies on Java object serialization to move agents, state and
-//! messages between servers. The approved offline dependency set contains
-//! `serde` but no serialization *format* crate, so Naplet-RS ships its own
-//! compact, non-self-describing binary format (in the spirit of bincode):
+//! messages between servers. Naplet-RS ships its own compact,
+//! non-self-describing binary format (in the spirit of bincode), written
+//! by one pair of traits: [`Encode`] writes a value into a [`Sink`] and
+//! [`Decode`] reads it back off a [`Reader`]. `#[derive(Encode, Decode)]`
+//! generates both, field by field, for non-generic structs and enums.
 //!
 //! * unsigned integers: LEB128 varint
 //! * signed integers: zigzag + varint
 //! * floats: little-endian IEEE-754
 //! * strings / byte strings: varint length prefix + raw bytes. `Vec<u8>`
-//!   and `[u8]` are byte strings (the vendored serde shim routes them to
-//!   `serialize_bytes`); a fixed-size `[u8; N]` is a tuple of `N` `u8`s
+//!   and `[u8]` are byte strings (`u8` overrides the slice hooks of both
+//!   traits); a fixed-size `[u8; N]` is a tuple of `N` `u8`s
 //! * options: 1-byte tag
 //! * enums: varint variant index + payload
 //! * sequences / maps: varint element count + elements
 //! * tuples / structs: fields in declaration order, no framing
 //!
+//! Nesting is bounded: every enum, option, sequence and map level counts,
+//! and a value nested deeper than [`MAX_DEPTH`] levels neither encodes,
+//! sizes nor decodes. A hostile frame therefore cannot recurse the decoding
+//! thread off its stack, and no value that encodes fails to decode.
+//!
 //! A value that already holds its own napcode encoding
 //! ([`SharedNaplet`](crate::naplet::SharedNaplet)) is spliced, not walked:
-//! the encoder appends the held bytes, the size counter adds their length
-//! and the decoder hands back the span a value was read from (the vendored
-//! shim's `serialize_encoded` / `deserialize_spanned` hooks). The bytes are
-//! the ones the walk would write.
+//! its `Encode` appends the held bytes and its `Decode` keeps the span it
+//! was read from. The bytes are the ones the walk would write, and the
+//! image nests from zero wherever it sits, spliced or walked.
 //!
 //! Because the format is not self-describing, both ends must agree on the
 //! type — exactly the contract Java serialization gives the paper (both
 //! sides load the same class). Every byte written is accounted by the
 //! network fabric, which makes traffic measurements byte-accurate.
+//!
+//! Only the types the workspace carries have impls: a `VecDeque<u8>`, for
+//! one, is neither a byte string nor a sequence.
+//!
+//! ```compile_fail
+//! naplet_core::codec::to_bytes(&std::collections::VecDeque::<u8>::new());
+//! ```
 
-use std::fmt::Display;
-
-use serde::de::{self, DeserializeSeed, IntoDeserializer, Visitor};
-use serde::ser::{self, Serialize};
-use serde::Deserialize;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::{NapletError, Result};
 
+pub use napcode_derive::{Decode, Encode};
+
+/// How deeply enums, options, sequences and maps may nest in one value.
+pub const MAX_DEPTH: u32 = 128;
+
 /// Serialize a value into a fresh byte vector.
-pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
+pub fn to_bytes<T: Encode + ?Sized>(value: &T) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(64);
-    value.serialize(&mut Encoder { out: &mut out })?;
+    value.encode(&mut Writer::new(&mut out))?;
     Ok(out)
 }
 
@@ -49,23 +63,23 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
 /// the hot-path alternative to [`to_bytes`] when the same thread encodes
 /// many values in a row. The bytes produced are identical to
 /// [`to_bytes`].
-pub fn to_bytes_into<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) -> Result<()> {
+pub fn to_bytes_into<T: Encode + ?Sized>(value: &T, out: &mut Vec<u8>) -> Result<()> {
     out.clear();
-    value.serialize(&mut Encoder { out })?;
-    Ok(())
+    value.encode(&mut Writer::new(out))
 }
 
 /// Deserialize a value from a byte slice, requiring full consumption.
-pub fn from_bytes<'de, T: Deserialize<'de>>(bytes: &'de [u8]) -> Result<T> {
-    let mut de = Decoder { input: bytes };
-    let value = T::deserialize(&mut de)?;
-    if de.input.is_empty() {
-        Ok(value)
-    } else {
-        Err(NapletError::Codec(format!(
-            "{} trailing bytes after value",
-            de.input.len()
-        )))
+pub fn from_bytes<T: Decode>(bytes: &[u8]) -> Result<T> {
+    let mut reader = Reader {
+        input: bytes,
+        depth: 0,
+    };
+    let value = T::decode(&mut reader)?;
+    match reader.input.len() {
+        0 => Ok(value),
+        n => Err(NapletError::Codec(format!(
+            "{n} trailing bytes after value"
+        ))),
     }
 }
 
@@ -73,24 +87,191 @@ pub fn from_bytes<'de, T: Deserialize<'de>>(bytes: &'de [u8]) -> Result<T> {
 /// of "how much would this cost on the wire", used for traffic metering
 /// and memory budgeting.
 ///
-/// Computed by a counting serializer that never materialises the bytes,
-/// so sizing a large agent costs no allocation. The result is always
-/// exactly `to_bytes(value)?.len()`.
-pub fn encoded_size<T: Serialize + ?Sized>(value: &T) -> Result<u64> {
-    let mut counter = SizeCounter { len: 0 };
-    value.serialize(&mut counter)?;
-    Ok(counter.len)
+/// The encoder's own walk over a sink that only adds lengths, so sizing a
+/// large agent costs no allocation. The result is always exactly
+/// `to_bytes(value)?.len()`.
+pub fn encoded_size<T: Encode + ?Sized>(value: &T) -> Result<u64> {
+    let mut count = Count(0);
+    value.encode(&mut Writer::new(&mut count))?;
+    Ok(count.0)
 }
 
-impl ser::Error for NapletError {
-    fn custom<T: Display>(msg: T) -> Self {
-        NapletError::Codec(msg.to_string())
+/// A value napcode can write.
+pub trait Encode {
+    /// Write `self` in declaration order.
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()>;
+
+    /// Write a slice of `Self`: the element count, then each element,
+    /// one level deeper. `u8` writes one byte string instead.
+    #[doc(hidden)]
+    fn encode_slice<S: Sink>(items: &[Self], w: &mut Writer<'_, S>) -> Result<()>
+    where
+        Self: Sized,
+    {
+        w.enter()?;
+        w.uvarint(items.len() as u64);
+        for item in items {
+            item.encode(w)?;
+        }
+        w.leave();
+        Ok(())
     }
 }
 
-impl de::Error for NapletError {
-    fn custom<T: Display>(msg: T) -> Self {
-        NapletError::Codec(msg.to_string())
+/// A value napcode can read.
+pub trait Decode: Sized {
+    /// Read a `Self` in declaration order.
+    fn decode(r: &mut Reader<'_>) -> Result<Self>;
+
+    /// Read a vector of `Self`, the mirror of
+    /// [`Encode::encode_slice`]. `u8` reads one byte string instead.
+    #[doc(hidden)]
+    fn decode_vec(r: &mut Reader<'_>) -> Result<Vec<Self>> {
+        let len = r.len()?;
+        r.enter()?;
+        let mut items = Vec::with_capacity(len.min(r.input.len()));
+        for _ in 0..len {
+            items.push(Self::decode(r)?);
+        }
+        r.leave();
+        Ok(items)
+    }
+}
+
+/// Where [`Encode`] writes: a `Vec<u8>` appends the bytes, the size
+/// counter behind [`encoded_size`] adds up their lengths.
+pub trait Sink {
+    /// Take `bytes` as they are.
+    fn put(&mut self, bytes: &[u8]);
+    /// Take `v` as a LEB128 varint.
+    fn put_uvarint(&mut self, v: u64);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+    fn put_uvarint(&mut self, v: u64) {
+        write_uvarint(self, v);
+    }
+}
+
+struct Count(u64);
+
+impl Sink for Count {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
+    }
+    fn put_uvarint(&mut self, v: u64) {
+        self.0 += uvarint_len(v);
+    }
+}
+
+fn deeper(depth: &mut u32) -> Result<()> {
+    if *depth == MAX_DEPTH {
+        return Err(NapletError::Codec(format!(
+            "nested deeper than {MAX_DEPTH} levels"
+        )));
+    }
+    *depth += 1;
+    Ok(())
+}
+
+/// An encoding in progress: its sink and the nesting level it is at.
+pub struct Writer<'a, S> {
+    sink: &'a mut S,
+    depth: u32,
+}
+
+impl<'a, S: Sink> Writer<'a, S> {
+    fn new(sink: &'a mut S) -> Writer<'a, S> {
+        Writer { sink, depth: 0 }
+    }
+    /// Write `bytes` as they are: a held encoding (see
+    /// [`Reader::spanned_root`]).
+    pub(crate) fn put(&mut self, bytes: &[u8]) {
+        self.sink.put(bytes);
+    }
+    fn uvarint(&mut self, v: u64) {
+        self.sink.put_uvarint(v);
+    }
+    fn enter(&mut self) -> Result<()> {
+        deeper(&mut self.depth)
+    }
+    /// Open enum variant `index`, one level deeper.
+    pub fn variant(&mut self, index: u32) -> Result<()> {
+        self.enter()?;
+        self.uvarint(index.into());
+        Ok(())
+    }
+    /// Close the level a [`variant`](Self::variant) opened.
+    pub fn leave(&mut self) {
+        self.depth -= 1;
+    }
+    /// Walk `value` as its own root, nesting from zero.
+    pub(crate) fn root<T: Encode>(&mut self, value: &T) -> Result<()> {
+        let depth = std::mem::take(&mut self.depth);
+        let walked = value.encode(self);
+        self.depth = depth;
+        walked
+    }
+}
+
+/// A decoding in progress: the bytes left and the nesting level.
+pub struct Reader<'de> {
+    input: &'de [u8],
+    depth: u32,
+}
+
+impl<'de> Reader<'de> {
+    fn take(&mut self, n: usize) -> Result<&'de [u8]> {
+        if self.input.len() < n {
+            return Err(NapletError::Codec(format!(
+                "eof: wanted {n} bytes, have {}",
+                self.input.len()
+            )));
+        }
+        let (head, rest) = self.input.split_at(n);
+        self.input = rest;
+        Ok(head)
+    }
+    fn byte(&mut self) -> Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+    fn uvarint(&mut self) -> Result<u64> {
+        read_uvarint(&mut self.input)
+    }
+    fn len(&mut self) -> Result<usize> {
+        Ok(self.uvarint()? as usize)
+    }
+    fn byte_string(&mut self) -> Result<&'de [u8]> {
+        let len = self.len()?;
+        self.take(len)
+    }
+    fn enter(&mut self) -> Result<()> {
+        deeper(&mut self.depth)
+    }
+    /// Read an enum's variant index, one level deeper.
+    pub fn variant(&mut self) -> Result<u32> {
+        self.enter()?;
+        u32::try_from(self.uvarint()?)
+            .map_err(|_| NapletError::Codec("variant index overflow".into()))
+    }
+    /// Close the level a [`variant`](Self::variant) opened.
+    pub fn leave(&mut self) {
+        self.depth -= 1;
+    }
+    /// The error for a variant index `name` does not have.
+    pub fn bad_variant(&self, index: u32, name: &str) -> NapletError {
+        NapletError::Codec(format!("invalid variant index {index} for enum {name}"))
+    }
+    /// Read a `T` as its own root, nesting from zero, with the span of
+    /// input it was read from.
+    pub(crate) fn spanned_root<T: Decode>(&mut self) -> Result<(T, &'de [u8])> {
+        let (input, depth) = (self.input, std::mem::take(&mut self.depth));
+        let value = T::decode(self);
+        self.depth = depth;
+        Ok((value?, &input[..input.len() - self.input.len()]))
     }
 }
 
@@ -137,891 +318,311 @@ pub(crate) fn read_uvarint(input: &mut &[u8]) -> Result<u64> {
     }
 }
 
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 // ---------------------------------------------------------------------------
-// Encoder
+// impls for the std types the workspace carries
 // ---------------------------------------------------------------------------
 
-struct Encoder<'a> {
-    out: &'a mut Vec<u8>,
+fn narrow<T: TryFrom<u64>>(v: u64, ty: &str) -> Result<T> {
+    T::try_from(v).map_err(|_| NapletError::Codec(format!("{v} out of range for {ty}")))
 }
 
-impl<'a> Encoder<'a> {
-    fn put_u64(&mut self, v: u64) {
-        write_uvarint(self.out, v);
-    }
-    fn put_i64(&mut self, v: i64) {
-        write_uvarint(self.out, zigzag(v));
-    }
-    fn put_bytes(&mut self, b: &[u8]) {
-        self.put_u64(b.len() as u64);
-        self.out.extend_from_slice(b);
-    }
-}
-
-/// Sequence/map serializer that knows the count up-front.
-struct SizedCompound<'a, 'b> {
-    enc: &'b mut Encoder<'a>,
-}
-
-/// Sequence/map serializer for iterators of unknown length: elements are
-/// buffered, counted, then emitted with a varint count prefix.
-struct BufferedCompound<'a, 'b> {
-    enc: &'b mut Encoder<'a>,
-    buf: Vec<u8>,
-    count: u64,
-}
-
-impl<'a, 'b> ser::Serializer for &'b mut Encoder<'a> {
-    type Ok = ();
-    type Error = NapletError;
-    type SerializeSeq = CompoundEncoder<'a, 'b>;
-    type SerializeTuple = SizedCompound<'a, 'b>;
-    type SerializeTupleStruct = SizedCompound<'a, 'b>;
-    type SerializeTupleVariant = SizedCompound<'a, 'b>;
-    type SerializeMap = CompoundEncoder<'a, 'b>;
-    type SerializeStruct = SizedCompound<'a, 'b>;
-    type SerializeStructVariant = SizedCompound<'a, 'b>;
-
-    fn serialize_bool(self, v: bool) -> Result<()> {
-        self.out.push(v as u8);
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<()> {
-        self.put_i64(v.into());
-        Ok(())
-    }
-    fn serialize_i16(self, v: i16) -> Result<()> {
-        self.put_i64(v.into());
-        Ok(())
-    }
-    fn serialize_i32(self, v: i32) -> Result<()> {
-        self.put_i64(v.into());
-        Ok(())
-    }
-    fn serialize_i64(self, v: i64) -> Result<()> {
-        self.put_i64(v);
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<()> {
-        self.put_u64(v.into());
-        Ok(())
-    }
-    fn serialize_u16(self, v: u16) -> Result<()> {
-        self.put_u64(v.into());
-        Ok(())
-    }
-    fn serialize_u32(self, v: u32) -> Result<()> {
-        self.put_u64(v.into());
-        Ok(())
-    }
-    fn serialize_u64(self, v: u64) -> Result<()> {
-        self.put_u64(v);
-        Ok(())
-    }
-    fn serialize_f32(self, v: f32) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_f64(self, v: f64) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<()> {
-        self.put_u64(v as u64);
-        Ok(())
-    }
-    fn serialize_str(self, v: &str) -> Result<()> {
-        self.put_bytes(v.as_bytes());
-        Ok(())
-    }
-    fn serialize_bytes(self, v: &[u8]) -> Result<()> {
-        self.put_bytes(v);
-        Ok(())
-    }
-    fn serialize_none(self) -> Result<()> {
-        self.out.push(0);
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<()> {
-        self.out.push(1);
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<()> {
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<()> {
-        Ok(())
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-    ) -> Result<()> {
-        self.put_u64(variant_index.into());
-        Ok(())
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        value.serialize(self)
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        self.put_u64(variant_index.into());
-        value.serialize(self)
-    }
-    fn serialize_seq(self, len: Option<usize>) -> Result<Self::SerializeSeq> {
-        match len {
-            Some(n) => {
-                self.put_u64(n as u64);
-                Ok(CompoundEncoder::Sized(SizedCompound { enc: self }))
-            }
-            None => Ok(CompoundEncoder::Buffered(BufferedCompound {
-                enc: self,
-                buf: Vec::new(),
-                count: 0,
-            })),
-        }
-    }
-    fn serialize_tuple(self, _len: usize) -> Result<Self::SerializeTuple> {
-        Ok(SizedCompound { enc: self })
-    }
-    fn serialize_tuple_struct(
-        self,
-        _name: &'static str,
-        _len: usize,
-    ) -> Result<Self::SerializeTupleStruct> {
-        Ok(SizedCompound { enc: self })
-    }
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self::SerializeTupleVariant> {
-        self.put_u64(variant_index.into());
-        Ok(SizedCompound { enc: self })
-    }
-    fn serialize_map(self, len: Option<usize>) -> Result<Self::SerializeMap> {
-        match len {
-            Some(n) => {
-                self.put_u64(n as u64);
-                Ok(CompoundEncoder::Sized(SizedCompound { enc: self }))
-            }
-            None => Ok(CompoundEncoder::Buffered(BufferedCompound {
-                enc: self,
-                buf: Vec::new(),
-                count: 0,
-            })),
-        }
-    }
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self::SerializeStruct> {
-        Ok(SizedCompound { enc: self })
-    }
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self::SerializeStructVariant> {
-        self.put_u64(variant_index.into());
-        Ok(SizedCompound { enc: self })
-    }
-
-    fn is_human_readable(&self) -> bool {
-        false
-    }
-
-    fn serialize_encoded<T: Serialize + ?Sized>(self, _value: &T, image: &[u8]) -> Result<()> {
-        self.out.extend_from_slice(image);
-        Ok(())
-    }
-}
-
-/// Either-sized compound encoder used for seqs and maps.
-enum CompoundEncoder<'a, 'b> {
-    Sized(SizedCompound<'a, 'b>),
-    Buffered(BufferedCompound<'a, 'b>),
-}
-
-impl<'a, 'b> ser::SerializeSeq for CompoundEncoder<'a, 'b> {
-    type Ok = ();
-    type Error = NapletError;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-        match self {
-            CompoundEncoder::Sized(s) => value.serialize(&mut *s.enc),
-            CompoundEncoder::Buffered(b) => {
-                b.count += 1;
-                value.serialize(&mut Encoder { out: &mut b.buf })
-            }
-        }
-    }
-    fn end(self) -> Result<()> {
-        match self {
-            CompoundEncoder::Sized(_) => Ok(()),
-            CompoundEncoder::Buffered(b) => {
-                b.enc.put_u64(b.count);
-                b.enc.out.extend_from_slice(&b.buf);
+macro_rules! unsigned {
+    ($($ty:ty),*) => {$(
+        impl Encode for $ty {
+            fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+                w.uvarint(*self as u64);
                 Ok(())
             }
         }
-    }
-}
-
-impl<'a, 'b> ser::SerializeMap for CompoundEncoder<'a, 'b> {
-    type Ok = ();
-    type Error = NapletError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<()> {
-        ser::SerializeSeq::serialize_element(self, key)
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-        ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<()> {
-        ser::SerializeSeq::end(self)
-    }
-}
-
-macro_rules! impl_sized_compound {
-    ($trait:ident, $method:ident) => {
-        impl<'a, 'b> ser::$trait for SizedCompound<'a, 'b> {
-            type Ok = ();
-            type Error = NapletError;
-            fn $method<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-                value.serialize(&mut *self.enc)
-            }
-            fn end(self) -> Result<()> {
-                Ok(())
+        impl Decode for $ty {
+            fn decode(r: &mut Reader<'_>) -> Result<Self> {
+                narrow(r.uvarint()?, stringify!($ty))
             }
         }
-    };
-    ($trait:ident, $method:ident, named) => {
-        impl<'a, 'b> ser::$trait for SizedCompound<'a, 'b> {
-            type Ok = ();
-            type Error = NapletError;
-            fn $method<T: Serialize + ?Sized>(
-                &mut self,
-                _key: &'static str,
-                value: &T,
-            ) -> Result<()> {
-                value.serialize(&mut *self.enc)
-            }
-            fn end(self) -> Result<()> {
-                Ok(())
-            }
-        }
-    };
+    )*};
 }
 
-impl_sized_compound!(SerializeTuple, serialize_element);
-impl_sized_compound!(SerializeTupleStruct, serialize_field);
-impl_sized_compound!(SerializeTupleVariant, serialize_field);
-impl_sized_compound!(SerializeStruct, serialize_field, named);
-impl_sized_compound!(SerializeStructVariant, serialize_field, named);
+unsigned!(u16, u32, u64, usize);
 
-// ---------------------------------------------------------------------------
-// Size counter
-// ---------------------------------------------------------------------------
-
-/// Serializer twin of [`Encoder`] that adds up byte lengths instead of
-/// writing them. Every arm must mirror the encoder exactly — the
-/// `encoded_size_matches_bytes` tests (unit + proptest) hold the two in
-/// lock-step.
-struct SizeCounter {
-    len: u64,
-}
-
-impl SizeCounter {
-    fn put_u64(&mut self, v: u64) {
-        self.len += uvarint_len(v);
-    }
-    fn put_i64(&mut self, v: i64) {
-        self.put_u64(zigzag(v));
-    }
-    fn put_bytes(&mut self, b: &[u8]) {
-        self.put_u64(b.len() as u64);
-        self.len += b.len() as u64;
-    }
-}
-
-/// Compound counter: sized compounds already counted their prefix;
-/// unknown-length seqs/maps count elements as they stream by and charge
-/// the count prefix at `end` (position is irrelevant for a sum).
-enum CountCompound<'a> {
-    Sized(&'a mut SizeCounter),
-    Counted {
-        counter: &'a mut SizeCounter,
-        count: u64,
-    },
-}
-
-impl<'a> ser::Serializer for &'a mut SizeCounter {
-    type Ok = ();
-    type Error = NapletError;
-    type SerializeSeq = CountCompound<'a>;
-    type SerializeTuple = CountCompound<'a>;
-    type SerializeTupleStruct = CountCompound<'a>;
-    type SerializeTupleVariant = CountCompound<'a>;
-    type SerializeMap = CountCompound<'a>;
-    type SerializeStruct = CountCompound<'a>;
-    type SerializeStructVariant = CountCompound<'a>;
-
-    fn serialize_bool(self, _v: bool) -> Result<()> {
-        self.len += 1;
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<()> {
-        self.put_i64(v.into());
-        Ok(())
-    }
-    fn serialize_i16(self, v: i16) -> Result<()> {
-        self.put_i64(v.into());
-        Ok(())
-    }
-    fn serialize_i32(self, v: i32) -> Result<()> {
-        self.put_i64(v.into());
-        Ok(())
-    }
-    fn serialize_i64(self, v: i64) -> Result<()> {
-        self.put_i64(v);
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<()> {
-        self.put_u64(v.into());
-        Ok(())
-    }
-    fn serialize_u16(self, v: u16) -> Result<()> {
-        self.put_u64(v.into());
-        Ok(())
-    }
-    fn serialize_u32(self, v: u32) -> Result<()> {
-        self.put_u64(v.into());
-        Ok(())
-    }
-    fn serialize_u64(self, v: u64) -> Result<()> {
-        self.put_u64(v);
-        Ok(())
-    }
-    fn serialize_f32(self, _v: f32) -> Result<()> {
-        self.len += 4;
-        Ok(())
-    }
-    fn serialize_f64(self, _v: f64) -> Result<()> {
-        self.len += 8;
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<()> {
-        self.put_u64(v as u64);
-        Ok(())
-    }
-    fn serialize_str(self, v: &str) -> Result<()> {
-        self.put_bytes(v.as_bytes());
-        Ok(())
-    }
-    fn serialize_bytes(self, v: &[u8]) -> Result<()> {
-        self.put_bytes(v);
-        Ok(())
-    }
-    fn serialize_none(self) -> Result<()> {
-        self.len += 1;
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<()> {
-        self.len += 1;
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<()> {
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<()> {
-        Ok(())
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-    ) -> Result<()> {
-        self.put_u64(variant_index.into());
-        Ok(())
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        value.serialize(self)
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        self.put_u64(variant_index.into());
-        value.serialize(self)
-    }
-    fn serialize_seq(self, len: Option<usize>) -> Result<Self::SerializeSeq> {
-        match len {
-            Some(n) => {
-                self.put_u64(n as u64);
-                Ok(CountCompound::Sized(self))
-            }
-            None => Ok(CountCompound::Counted {
-                counter: self,
-                count: 0,
-            }),
-        }
-    }
-    fn serialize_tuple(self, _len: usize) -> Result<Self::SerializeTuple> {
-        Ok(CountCompound::Sized(self))
-    }
-    fn serialize_tuple_struct(
-        self,
-        _name: &'static str,
-        _len: usize,
-    ) -> Result<Self::SerializeTupleStruct> {
-        Ok(CountCompound::Sized(self))
-    }
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self::SerializeTupleVariant> {
-        self.put_u64(variant_index.into());
-        Ok(CountCompound::Sized(self))
-    }
-    fn serialize_map(self, len: Option<usize>) -> Result<Self::SerializeMap> {
-        match len {
-            Some(n) => {
-                self.put_u64(n as u64);
-                Ok(CountCompound::Sized(self))
-            }
-            None => Ok(CountCompound::Counted {
-                counter: self,
-                count: 0,
-            }),
-        }
-    }
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self::SerializeStruct> {
-        Ok(CountCompound::Sized(self))
-    }
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self::SerializeStructVariant> {
-        self.put_u64(variant_index.into());
-        Ok(CountCompound::Sized(self))
-    }
-
-    fn is_human_readable(&self) -> bool {
-        false
-    }
-
-    fn serialize_encoded<T: Serialize + ?Sized>(self, _value: &T, image: &[u8]) -> Result<()> {
-        self.len += image.len() as u64;
+/// Zigzag: small magnitudes of either sign take few bytes.
+impl Encode for i64 {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        w.uvarint(((self << 1) ^ (self >> 63)) as u64);
         Ok(())
     }
 }
 
-impl CountCompound<'_> {
-    fn count_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-        match self {
-            CountCompound::Sized(c) => value.serialize(&mut **c),
-            CountCompound::Counted { counter, count } => {
-                *count += 1;
-                value.serialize(&mut **counter)
-            }
-        }
+impl Decode for i64 {
+    fn decode(r: &mut Reader<'_>) -> Result<i64> {
+        let v = r.uvarint()?;
+        Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
     }
-    fn finish(self) -> Result<()> {
-        if let CountCompound::Counted { counter, count } = self {
-            counter.put_u64(count);
-        }
+}
+
+impl Encode for u8 {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        w.uvarint((*self).into());
+        Ok(())
+    }
+    fn encode_slice<S: Sink>(items: &[u8], w: &mut Writer<'_, S>) -> Result<()> {
+        w.uvarint(items.len() as u64);
+        w.put(items);
         Ok(())
     }
 }
 
-impl ser::SerializeSeq for CountCompound<'_> {
-    type Ok = ();
-    type Error = NapletError;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-        self.count_element(value)
+impl Decode for u8 {
+    fn decode(r: &mut Reader<'_>) -> Result<u8> {
+        narrow(r.uvarint()?, "u8")
     }
-    fn end(self) -> Result<()> {
-        self.finish()
+    fn decode_vec(r: &mut Reader<'_>) -> Result<Vec<u8>> {
+        Ok(r.byte_string()?.to_vec())
     }
 }
 
-impl ser::SerializeMap for CountCompound<'_> {
-    type Ok = ();
-    type Error = NapletError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<()> {
-        self.count_element(key)
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-        self.count_element(value)
-    }
-    fn end(self) -> Result<()> {
-        self.finish()
+impl Encode for bool {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        w.put(&[u8::from(*self)]);
+        Ok(())
     }
 }
 
-macro_rules! impl_count_compound {
-    ($trait:ident, $method:ident) => {
-        impl ser::$trait for CountCompound<'_> {
-            type Ok = ();
-            type Error = NapletError;
-            fn $method<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-                self.count_element(value)
-            }
-            fn end(self) -> Result<()> {
-                self.finish()
-            }
-        }
-    };
-    ($trait:ident, $method:ident, named) => {
-        impl ser::$trait for CountCompound<'_> {
-            type Ok = ();
-            type Error = NapletError;
-            fn $method<T: Serialize + ?Sized>(
-                &mut self,
-                _key: &'static str,
-                value: &T,
-            ) -> Result<()> {
-                self.count_element(value)
-            }
-            fn end(self) -> Result<()> {
-                self.finish()
-            }
-        }
-    };
-}
-
-impl_count_compound!(SerializeTuple, serialize_element);
-impl_count_compound!(SerializeTupleStruct, serialize_field);
-impl_count_compound!(SerializeTupleVariant, serialize_field);
-impl_count_compound!(SerializeStruct, serialize_field, named);
-impl_count_compound!(SerializeStructVariant, serialize_field, named);
-
-// ---------------------------------------------------------------------------
-// Decoder
-// ---------------------------------------------------------------------------
-
-struct Decoder<'de> {
-    input: &'de [u8],
-}
-
-impl<'de> Decoder<'de> {
-    fn take(&mut self, n: usize) -> Result<&'de [u8]> {
-        if self.input.len() < n {
-            return Err(NapletError::Codec(format!(
-                "eof: wanted {n} bytes, have {}",
-                self.input.len()
-            )));
-        }
-        let (head, rest) = self.input.split_at(n);
-        self.input = rest;
-        Ok(head)
-    }
-    fn get_u64(&mut self) -> Result<u64> {
-        read_uvarint(&mut self.input)
-    }
-    fn get_i64(&mut self) -> Result<i64> {
-        Ok(unzigzag(self.get_u64()?))
-    }
-    fn get_len_bytes(&mut self) -> Result<&'de [u8]> {
-        let len = self.get_u64()? as usize;
-        self.take(len)
-    }
-}
-
-macro_rules! de_int {
-    ($fn:ident, $visit:ident, $ty:ty, signed) => {
-        fn $fn<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-            let v = self.get_i64()?;
-            let narrowed = <$ty>::try_from(v).map_err(|_| {
-                NapletError::Codec(format!("{} out of range for {}", v, stringify!($ty)))
-            })?;
-            visitor.$visit(narrowed)
-        }
-    };
-    ($fn:ident, $visit:ident, $ty:ty, unsigned) => {
-        fn $fn<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-            let v = self.get_u64()?;
-            let narrowed = <$ty>::try_from(v).map_err(|_| {
-                NapletError::Codec(format!("{} out of range for {}", v, stringify!($ty)))
-            })?;
-            visitor.$visit(narrowed)
-        }
-    };
-}
-
-impl<'de> de::Deserializer<'de> for &mut Decoder<'de> {
-    type Error = NapletError;
-
-    fn deserialize_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value> {
-        Err(NapletError::Codec(
-            "napcode is not self-describing; deserialize_any unsupported".into(),
-        ))
-    }
-
-    fn deserialize_bool<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        match self.take(1)?[0] {
-            0 => visitor.visit_bool(false),
-            1 => visitor.visit_bool(true),
+impl Decode for bool {
+    fn decode(r: &mut Reader<'_>) -> Result<bool> {
+        match r.byte()? {
+            0 => Ok(false),
+            1 => Ok(true),
             b => Err(NapletError::Codec(format!("invalid bool byte {b}"))),
         }
     }
+}
 
-    de_int!(deserialize_i8, visit_i8, i8, signed);
-    de_int!(deserialize_i16, visit_i16, i16, signed);
-    de_int!(deserialize_i32, visit_i32, i32, signed);
-    de_int!(deserialize_u8, visit_u8, u8, unsigned);
-    de_int!(deserialize_u16, visit_u16, u16, unsigned);
-    de_int!(deserialize_u32, visit_u32, u32, unsigned);
+impl Encode for f64 {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        w.put(&self.to_le_bytes());
+        Ok(())
+    }
+}
 
-    fn deserialize_i64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let v = self.get_i64()?;
-        visitor.visit_i64(v)
+impl Decode for f64 {
+    fn decode(r: &mut Reader<'_>) -> Result<f64> {
+        let mut le = [0; 8];
+        le.copy_from_slice(r.take(8)?);
+        Ok(f64::from_le_bytes(le))
     }
-    fn deserialize_u64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let v = self.get_u64()?;
-        visitor.visit_u64(v)
+}
+
+impl Encode for str {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        u8::encode_slice(self.as_bytes(), w)
     }
-    fn deserialize_f32<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let b = self.take(4)?;
-        visitor.visit_f32(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+}
+
+impl Encode for String {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        self.as_str().encode(w)
     }
-    fn deserialize_f64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let b = self.take(8)?;
-        visitor.visit_f64(f64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+}
+
+impl Decode for String {
+    fn decode(r: &mut Reader<'_>) -> Result<String> {
+        let bytes = r.byte_string()?;
+        match std::str::from_utf8(bytes) {
+            Ok(s) => Ok(s.to_owned()),
+            Err(e) => Err(NapletError::Codec(format!("invalid utf8: {e}"))),
+        }
     }
-    fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let v = u32::try_from(self.get_u64()?)
-            .ok()
-            .and_then(char::from_u32)
-            .ok_or_else(|| NapletError::Codec("invalid char".into()))?;
-        visitor.visit_char(v)
+}
+
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        (**self).encode(w)
     }
-    fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let bytes = self.get_len_bytes()?;
-        let s = std::str::from_utf8(bytes)
-            .map_err(|e| NapletError::Codec(format!("invalid utf8: {e}")))?;
-        visitor.visit_borrowed_str(s)
+}
+
+impl<T: Encode + ?Sized> Encode for Box<T> {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        (**self).encode(w)
     }
-    fn deserialize_string<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        self.deserialize_str(visitor)
+}
+
+impl<T: Decode> Decode for Box<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Box<T>> {
+        T::decode(r).map(Box::new)
     }
-    fn deserialize_bytes<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let bytes = self.get_len_bytes()?;
-        visitor.visit_borrowed_bytes(bytes)
+}
+
+impl<T: Encode> Encode for Option<T> {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        let Some(value) = self else {
+            w.put(&[0]);
+            return Ok(());
+        };
+        w.put(&[1]);
+        w.enter()?;
+        value.encode(w)?;
+        w.leave();
+        Ok(())
     }
-    fn deserialize_byte_buf<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        self.deserialize_bytes(visitor)
-    }
-    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        match self.take(1)?[0] {
-            0 => visitor.visit_none(),
-            1 => visitor.visit_some(self),
+}
+
+impl<T: Decode> Decode for Option<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Option<T>> {
+        match r.byte()? {
+            0 => Ok(None),
+            1 => {
+                r.enter()?;
+                let value = T::decode(r)?;
+                r.leave();
+                Ok(Some(value))
+            }
             b => Err(NapletError::Codec(format!("invalid option tag {b}"))),
         }
     }
-    fn deserialize_unit<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        visitor.visit_unit()
-    }
-    fn deserialize_unit_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_unit()
-    }
-    fn deserialize_newtype_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_newtype_struct(self)
-    }
-    fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let len = self.get_u64()? as usize;
-        visitor.visit_seq(CountedAccess {
-            de: self,
-            remaining: len,
-        })
-    }
-    fn deserialize_tuple<V: Visitor<'de>>(self, len: usize, visitor: V) -> Result<V::Value> {
-        visitor.visit_seq(CountedAccess {
-            de: self,
-            remaining: len,
-        })
-    }
-    fn deserialize_tuple_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value> {
-        self.deserialize_tuple(len, visitor)
-    }
-    fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let len = self.get_u64()? as usize;
-        visitor.visit_map(CountedAccess {
-            de: self,
-            remaining: len,
-        })
-    }
-    fn deserialize_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value> {
-        self.deserialize_tuple(fields.len(), visitor)
-    }
-    fn deserialize_enum<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        _variants: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_enum(EnumAccess { de: self })
-    }
-    fn deserialize_identifier<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value> {
-        Err(NapletError::Codec("identifiers not encoded".into()))
-    }
-    fn deserialize_ignored_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value> {
-        Err(NapletError::Codec(
-            "cannot skip unknown fields in napcode".into(),
-        ))
-    }
+}
 
-    fn is_human_readable(&self) -> bool {
-        false
-    }
-
-    fn deserialize_spanned<T: Deserialize<'de>>(self) -> Result<(T, Option<&'de [u8]>)> {
-        let input = self.input;
-        let value = T::deserialize(&mut *self)?;
-        Ok((value, Some(&input[..input.len() - self.input.len()])))
+impl<T: Encode> Encode for [T] {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        T::encode_slice(self, w)
     }
 }
 
-struct CountedAccess<'de, 'a> {
-    de: &'a mut Decoder<'de>,
-    remaining: usize,
+impl<T: Encode> Encode for Vec<T> {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        T::encode_slice(self, w)
+    }
 }
 
-impl<'de, 'a> de::SeqAccess<'de> for CountedAccess<'de, 'a> {
-    type Error = NapletError;
-    fn next_element_seed<T: DeserializeSeed<'de>>(&mut self, seed: T) -> Result<Option<T::Value>> {
-        if self.remaining == 0 {
-            return Ok(None);
+impl<T: Decode> Decode for Vec<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Vec<T>> {
+        T::decode_vec(r)
+    }
+}
+
+impl<T: Encode, const N: usize> Encode for [T; N] {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        self.iter().try_for_each(|item| item.encode(w))
+    }
+}
+
+impl<T: Decode, const N: usize> Decode for [T; N] {
+    fn decode(r: &mut Reader<'_>) -> Result<[T; N]> {
+        let items = (0..N).map(|_| T::decode(r)).collect::<Result<Vec<T>>>()?;
+        Ok(items
+            .try_into()
+            .unwrap_or_else(|_| unreachable!("{N} items")))
+    }
+}
+
+impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        w.enter()?;
+        w.uvarint(self.len() as u64);
+        for (key, value) in self {
+            key.encode(w)?;
+            value.encode(w)?;
         }
-        self.remaining -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
-    }
-}
-
-impl<'de, 'a> de::MapAccess<'de> for CountedAccess<'de, 'a> {
-    type Error = NapletError;
-    fn next_key_seed<K: DeserializeSeed<'de>>(&mut self, seed: K) -> Result<Option<K::Value>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        self.remaining -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-    fn next_value_seed<V: DeserializeSeed<'de>>(&mut self, seed: V) -> Result<V::Value> {
-        seed.deserialize(&mut *self.de)
-    }
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
-    }
-}
-
-struct EnumAccess<'de, 'a> {
-    de: &'a mut Decoder<'de>,
-}
-
-impl<'de, 'a> de::EnumAccess<'de> for EnumAccess<'de, 'a> {
-    type Error = NapletError;
-    type Variant = VariantAccess<'de, 'a>;
-    fn variant_seed<V: DeserializeSeed<'de>>(self, seed: V) -> Result<(V::Value, Self::Variant)> {
-        let index = u32::try_from(self.de.get_u64()?)
-            .map_err(|_| NapletError::Codec("variant index overflow".into()))?;
-        let value = seed.deserialize(index.into_deserializer())?;
-        Ok((value, VariantAccess { de: self.de }))
-    }
-}
-
-struct VariantAccess<'de, 'a> {
-    de: &'a mut Decoder<'de>,
-}
-
-impl<'de, 'a> de::VariantAccess<'de> for VariantAccess<'de, 'a> {
-    type Error = NapletError;
-    fn unit_variant(self) -> Result<()> {
+        w.leave();
         Ok(())
     }
-    fn newtype_variant_seed<T: DeserializeSeed<'de>>(self, seed: T) -> Result<T::Value> {
-        seed.deserialize(self.de)
+}
+
+impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
+    fn decode(r: &mut Reader<'_>) -> Result<BTreeMap<K, V>> {
+        let len = r.len()?;
+        r.enter()?;
+        let mut map = BTreeMap::new();
+        for _ in 0..len {
+            let key = K::decode(r)?;
+            map.insert(key, V::decode(r)?);
+        }
+        r.leave();
+        Ok(map)
     }
-    fn tuple_variant<V: Visitor<'de>>(self, len: usize, visitor: V) -> Result<V::Value> {
-        de::Deserializer::deserialize_tuple(self.de, len, visitor)
+}
+
+impl<T: Encode> Encode for BTreeSet<T> {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        w.enter()?;
+        w.uvarint(self.len() as u64);
+        self.iter().try_for_each(|item| item.encode(w))?;
+        w.leave();
+        Ok(())
     }
-    fn struct_variant<V: Visitor<'de>>(
-        self,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value> {
-        de::Deserializer::deserialize_tuple(self.de, fields.len(), visitor)
+}
+
+impl<T: Decode + Ord> Decode for BTreeSet<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<BTreeSet<T>> {
+        let len = r.len()?;
+        r.enter()?;
+        let set = (0..len).map(|_| T::decode(r)).collect::<Result<_>>()?;
+        r.leave();
+        Ok(set)
     }
+}
+
+/// As the enum `enum Result<T, E> { Ok(T), Err(E) }` would derive.
+impl<T: Encode, E: Encode> Encode for std::result::Result<T, E> {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        match self {
+            Ok(value) => {
+                w.variant(0)?;
+                value.encode(w)?;
+            }
+            Err(error) => {
+                w.variant(1)?;
+                error.encode(w)?;
+            }
+        }
+        w.leave();
+        Ok(())
+    }
+}
+
+impl<T: Decode, E: Decode> Decode for std::result::Result<T, E> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        let value = match r.variant()? {
+            0 => Ok(T::decode(r)?),
+            1 => Err(E::decode(r)?),
+            i => return Err(r.bad_variant(i, "Result")),
+        };
+        r.leave();
+        Ok(value)
+    }
+}
+
+macro_rules! tuple {
+    ($(($($t:ident $i:tt),+))*) => {$(
+        impl<$($t: Encode),+> Encode for ($($t,)+) {
+            fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+                $(self.$i.encode(w)?;)+
+                Ok(())
+            }
+        }
+        impl<$($t: Decode),+> Decode for ($($t,)+) {
+            fn decode(r: &mut Reader<'_>) -> Result<Self> {
+                Ok(($($t::decode(r)?,)+))
+            }
+        }
+    )*};
+}
+
+tuple! {
+    (A 0, B 1)
+    (A 0, B 1, C 2)
+    (A 0, B 1, C 2, D 3)
 }
 
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
 
-    use serde::{Deserialize, Serialize};
-
     use super::*;
+    use crate::value::Value;
 
     fn round_trip<T>(value: &T) -> T
     where
-        T: Serialize + for<'de> Deserialize<'de> + PartialEq + std::fmt::Debug,
+        T: Encode + Decode + PartialEq + std::fmt::Debug,
     {
         let bytes = to_bytes(value).expect("encode");
         let back: T = from_bytes(&bytes).expect("decode");
@@ -1035,14 +636,12 @@ mod tests {
         round_trip(&false);
         round_trip(&0u8);
         round_trip(&255u8);
-        round_trip(&-1i32);
+        round_trip(&-1i64);
         round_trip(&i64::MIN);
         round_trip(&i64::MAX);
         round_trip(&u64::MAX);
-        round_trip(&3.5f32);
         round_trip(&-0.25f64);
-        round_trip(&'λ');
-        round_trip(&"hello naplet".to_string());
+        round_trip(&"hello naplet λ".to_string());
     }
 
     #[test]
@@ -1066,15 +665,15 @@ mod tests {
         round_trip(&(1u8, "two".to_string(), 3.0f64));
     }
 
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Encode, Decode)]
     enum Sample {
         Unit,
         New(u32),
-        Tup(i8, String),
+        Tup(i64, String),
         Struct { a: Vec<u8>, b: Option<bool> },
     }
 
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Encode, Decode)]
     struct Nested {
         name: String,
         samples: Vec<Sample>,
@@ -1130,8 +729,8 @@ mod tests {
 
     /// The format, pinned: a byte buffer is its length and then its
     /// bytes untouched, whatever their value and wherever it sits.
-    /// Fails if `vendor/serde` is swapped for upstream serde, which
-    /// encodes `Vec<u8>` as a sequence of `u8` elements.
+    /// Fails if `Vec<u8>` takes the sequence path, one varint per
+    /// element.
     #[test]
     fn byte_strings_golden() {
         use crate::naplet::AgentKind;
@@ -1200,8 +799,11 @@ mod tests {
             let mut bad = Vec::new();
             write_uvarint(&mut bad, claimed);
             bad.extend_from_slice(&[1, 2, 3]);
-            let mut de = Decoder { input: &bad };
-            let Err(NapletError::Codec(why)) = de.get_len_bytes() else {
+            let mut reader = Reader {
+                input: &bad,
+                depth: 0,
+            };
+            let Err(NapletError::Codec(why)) = reader.byte_string() else {
                 panic!("length {claimed} over 3 bytes of input must not decode");
             };
             assert!(why.starts_with("eof"), "refused before any copy: {why}");
@@ -1240,34 +842,6 @@ mod tests {
         }
     }
 
-    /// Serializes through `serialize_seq(None)`, forcing the buffered /
-    /// counted compound path that derived impls never exercise.
-    struct UnsizedSeq(Vec<i64>);
-
-    impl Serialize for UnsizedSeq {
-        fn serialize<S: serde::Serializer>(
-            &self,
-            serializer: S,
-        ) -> std::result::Result<S::Ok, S::Error> {
-            use serde::ser::SerializeSeq;
-            let mut seq = serializer.serialize_seq(None)?;
-            for v in &self.0 {
-                seq.serialize_element(v)?;
-            }
-            seq.end()
-        }
-    }
-
-    #[test]
-    fn counted_size_matches_bytes_for_unsized_seq() {
-        // 200 elements pushes the count prefix to two varint bytes
-        let v = UnsizedSeq((0..200).map(|i| i - 100).collect());
-        assert_eq!(
-            encoded_size(&v).unwrap(),
-            to_bytes(&v).unwrap().len() as u64
-        );
-    }
-
     #[test]
     fn to_bytes_into_reuses_and_matches() {
         let v = Nested {
@@ -1290,5 +864,104 @@ mod tests {
         let bad = [0xffu8; 10];
         let mut slice = &bad[..];
         assert!(read_uvarint(&mut slice).is_err());
+    }
+
+    /// The byte-string rule, seen from every way a workspace type holds
+    /// bytes: an owned vector, a slice, a borrowed slice and an empty one
+    /// are one length and the bytes.
+    #[test]
+    fn byte_vectors_and_slices_encode_as_one_byte_string() {
+        let payload = vec![0x00u8, 0x7f, 0x80, 0xff];
+        let borrowed: &[u8] = &payload[1..3];
+        assert_eq!(to_bytes(&borrowed).unwrap(), [2, 0x7f, 0x80]);
+        assert_eq!(
+            to_bytes(&&payload[..]).unwrap(),
+            to_bytes(&payload).unwrap()
+        );
+        assert_eq!(to_bytes(&Vec::<u8>::new()).unwrap(), [0]);
+        assert_eq!(encoded_size(&borrowed).unwrap(), 3);
+        // one allocation of exactly the payload, not a grown sequence
+        let back = from_bytes::<Vec<u8>>(&to_bytes(&payload).unwrap()).unwrap();
+        assert_eq!((back.len(), back.capacity()), (4, 4));
+    }
+
+    /// Every other element type, and a byte array, stays a sequence of
+    /// elements: `Vec<Vec<u8>>` is a count of byte strings, `[u8; N]` a
+    /// tuple of varints.
+    #[test]
+    fn every_other_element_type_and_byte_arrays_stay_sequences() {
+        assert_eq!(to_bytes(&vec![-1i64, 2]).unwrap(), [2, 0x01, 0x04]);
+        let nested = vec![vec![1u8], vec![2u8]];
+        assert_eq!(to_bytes(&nested).unwrap(), [2, 1, 1, 1, 2]);
+        assert_eq!(to_bytes(&[7u8; 4]).unwrap(), [7; 4]);
+        assert_eq!(from_bytes::<Vec<u16>>(&[0]).unwrap(), Vec::<u16>::new());
+        assert_eq!(
+            from_bytes::<Vec<Vec<u8>>>(&[0]).unwrap(),
+            Vec::<Vec<u8>>::new()
+        );
+    }
+
+    /// `Value::List` nested `levels` deep around a `Nil`: each level is
+    /// an enum and a sequence, the `Nil` one more enum level.
+    fn nested(levels: usize) -> Value {
+        (0..levels).fold(Value::Nil, |inner, _| Value::List(vec![inner]))
+    }
+
+    /// Its frame, written by hand: `[6, 1]` per level, then `Nil`.
+    fn nested_frame(levels: usize) -> Vec<u8> {
+        let mut frame = [6u8, 1].repeat(levels);
+        frame.push(0);
+        frame
+    }
+
+    /// Unnest without recursing: dropping a deep value is as recursive
+    /// as walking it.
+    fn dismantle(mut value: Value) {
+        while let Value::List(mut items) = value {
+            value = items.pop().unwrap_or_default();
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_bound_round_trips_and_one_level_more_does_not() {
+        // 2 * 63 + 1 = 127 levels; 2 * 64 + 1 = 129
+        let levels = MAX_DEPTH as usize / 2;
+        let deepest = nested(levels - 1);
+        assert_eq!(round_trip(&deepest), deepest);
+        let too_deep = nested(levels);
+        for refused in [
+            to_bytes(&too_deep).map(drop),
+            encoded_size(&too_deep).map(drop),
+            from_bytes::<Value>(&nested_frame(levels)).map(drop),
+        ] {
+            let Err(NapletError::Codec(why)) = refused else {
+                panic!("{levels} levels must be refused");
+            };
+            assert_eq!(why, "nested deeper than 128 levels");
+        }
+    }
+
+    /// A 40 KB frame of a list nested 20 000 deep: the decoder stops at
+    /// the bound instead of recursing off the stack, and the encoder and
+    /// the size counter refuse the value it describes.
+    #[test]
+    fn a_frame_nested_20000_deep_is_an_error_not_a_stack_overflow() {
+        let frame = nested_frame(20_000);
+        assert_eq!(frame.len(), 40_001);
+        assert!(matches!(
+            from_bytes::<Value>(&frame),
+            Err(NapletError::Codec(_))
+        ));
+        let value = nested(20_000);
+        assert!(matches!(to_bytes(&value), Err(NapletError::Codec(_))));
+        assert!(matches!(encoded_size(&value), Err(NapletError::Codec(_))));
+        dismantle(value);
+    }
+
+    #[test]
+    fn padded_varints_still_decode() {
+        // 5 as two bytes: a continuation bit over a zero high group
+        assert_eq!(from_bytes::<u32>(&[0x85, 0x00]).unwrap(), 5);
+        assert_eq!(from_bytes::<Vec<u8>>(&[0x81, 0x00, 9]).unwrap(), [9]);
     }
 }

@@ -9,7 +9,7 @@
 //! attributes under a shared secret — but it is **not** cryptographically
 //! strong and must not be used outside simulations (see DESIGN.md §2).
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode};
 
 use crate::error::{NapletError, Result};
 use crate::id::NapletId;
@@ -17,7 +17,7 @@ use crate::id::NapletId;
 /// A signing key shared between a principal and the servers that
 /// verify its naplets. In the paper this is the creator's key pair; in
 /// this simulation it is a symmetric secret distributed out of band.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct SigningKey {
     /// Name of the principal holding this key.
     pub principal: String,
@@ -76,7 +76,7 @@ fn mac128(key: &[u8], msg: &[u8]) -> (u64, u64) {
 
 /// The credential carried by every naplet: its immutable attributes
 /// plus attribute claims and the creator's signature over all of them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct Credential {
     /// Principal that signed this credential (the naplet creator).
     pub principal: String,

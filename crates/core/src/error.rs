@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode};
 
 /// Framework-wide error type.
 ///
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// (launch/landing denial), navigation (itinerary exceptions),
 /// communication (post-office failures), resource control
 /// (monitor/manager enforcement) and generic protocol violations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub enum NapletError {
     /// A malformed identifier, URN, or other parse failure.
     Parse(String),

@@ -22,7 +22,7 @@ use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode, Reader, Sink, Writer};
 
 use crate::clock::Millis;
 use crate::error::{NapletError, Result};
@@ -37,7 +37,7 @@ pub struct NapletId(Arc<Fields>);
 
 /// What an identifier says; its declaration order is the comparison
 /// order and the wire layout.
-#[derive(PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(PartialEq, Eq, Hash, PartialOrd, Ord, Encode, Decode)]
 struct Fields {
     user: String,
     home: String,
@@ -300,20 +300,15 @@ impl fmt::Debug for NapletId {
 
 // napcode frames no struct, so delegating to the fields keeps the bytes
 // a four-field `NapletId` always had
-impl Serialize for NapletId {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        self.0.serialize(serializer)
+impl Encode for NapletId {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
+        self.0.encode(w)
     }
 }
 
-impl<'de> Deserialize<'de> for NapletId {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<NapletId, D::Error> {
-        Fields::deserialize(deserializer).map(|fields| NapletId(Arc::new(fields)))
+impl Decode for NapletId {
+    fn decode(r: &mut Reader<'_>) -> Result<NapletId> {
+        Fields::decode(r).map(|fields| NapletId(Arc::new(fields)))
     }
 }
 

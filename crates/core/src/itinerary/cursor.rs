@@ -23,7 +23,7 @@
 //! their branch completes. This makes the originator (heritage `.0`)
 //! the natural carrier of sequels and final actions.
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode};
 
 use crate::state::NapletState;
 
@@ -45,7 +45,7 @@ pub struct GuardEnv<'a> {
 }
 
 /// One traversal directive for the hosting server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum Step {
     /// Travel to `host`; after the naplet's business logic runs there,
     /// execute `action` (the visit's `T`).
@@ -69,7 +69,7 @@ pub enum Step {
 }
 
 /// A pending unit of traversal work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 enum WorkItem {
     /// The plan node that `path` — child indices from the root — leads
     /// to. Of a `Seq`, the children from `next` on are still to come;
@@ -96,7 +96,7 @@ impl WorkItem {
 /// the naplet's itinerary holds (top = last element). Its size follows
 /// the plan's nesting depth, not the number of visits still to come, so
 /// checkpointing it is a few integers wherever the agent is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode, Default)]
 pub struct Cursor {
     stack: Vec<WorkItem>,
 }

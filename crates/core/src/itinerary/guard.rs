@@ -8,14 +8,14 @@
 //! first is guarded on *search not yet completed*. That guard is
 //! expressed here as `Guard::not(Guard::state_truthy("found"))`.
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode};
 
 use crate::value::Value;
 
 use super::cursor::GuardEnv;
 
 /// Serializable guard expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode, Default)]
 pub enum Guard {
     /// Always visit (the unconditional `<S; T>` case).
     #[default]

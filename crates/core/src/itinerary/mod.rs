@@ -28,14 +28,14 @@ pub use cursor::{Cursor, GuardEnv, Step};
 pub use guard::Guard;
 pub use pattern::{ActionSpec, Pattern, Visit};
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode};
 
 use crate::error::Result;
 
 /// A complete itinerary: a validated pattern plus an optional final
 /// action run when the whole journey completes (the paper's Example 1
 /// reports results home after the last visit).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct Itinerary {
     pattern: Pattern,
     final_action: Option<ActionSpec>,

@@ -6,7 +6,7 @@
 //! binary constructors provided for BNF fidelity; n-ary and nested
 //! binary forms are semantically identical.
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode};
 
 use crate::error::{NapletError, Result};
 
@@ -17,7 +17,7 @@ use super::guard::Guard;
 /// they name is resolved at the executing server (native behaviours
 /// register `Operable` callbacks under these names; VM naplets bind
 /// them to bytecode functions).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub enum ActionSpec {
     /// Report gathered results back to the owner's listener
     /// (the paper's `ResultReport`).
@@ -33,7 +33,7 @@ pub enum ActionSpec {
 /// optional post-action `T`. `S` is the naplet's own business logic
 /// and lives in the behaviour, not here — that separation is the point
 /// of §3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct Visit {
     /// Host to visit.
     pub host: String,
@@ -67,7 +67,7 @@ impl Visit {
 }
 
 /// A recursively composed itinerary pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum Pattern {
     /// A single (possibly conditional) visit.
     Singleton(Visit),

@@ -42,6 +42,9 @@
 
 #![warn(missing_docs)]
 
+// the derived codec impls name `::naplet_core::codec`, here as everywhere
+extern crate self as naplet_core;
+
 pub mod address_book;
 pub mod behavior;
 pub mod clock;

@@ -13,7 +13,7 @@
 //! confirmations are part of the messenger protocol (naplet-server
 //! crate), not of the envelope.
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode};
 
 use crate::clock::Millis;
 use crate::id::NapletId;
@@ -21,7 +21,7 @@ use crate::value::Value;
 
 /// Who originated a message: a peer naplet, or the naplet's owner
 /// (home manager / listener side) exercising remote control.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Encode, Decode)]
 pub enum Sender {
     /// A peer naplet.
     Naplet(NapletId),
@@ -43,7 +43,7 @@ impl Sender {
 /// `Callback` and `Custom` is application-defined via `on_interrupt`;
 /// `Terminate`/`Suspend`/`Resume` are also enforced by the
 /// NapletMonitor itself.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub enum ControlVerb {
     /// Ask the naplet to report home.
     Callback,
@@ -58,7 +58,7 @@ pub enum ControlVerb {
 }
 
 /// Message payload: system control or user data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum Payload {
     /// Control message — interrupts the naplet thread on receipt.
     System(ControlVerb),
@@ -74,7 +74,7 @@ impl Payload {
 }
 
 /// The envelope routed by the post-office messenger.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct Message {
     /// Per-sender unique message number (sender, seq) identifies a
     /// message for confirmation tracking.
@@ -133,7 +133,7 @@ impl Message {
 
 /// A naplet's mailbox: FIFO of user messages awaiting a `recv`.
 /// System messages never enter the mailbox — they interrupt instead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode, Default)]
 pub struct Mailbox {
     queue: Vec<Message>,
 }

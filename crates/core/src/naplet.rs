@@ -20,7 +20,7 @@
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode, Reader, Sink, Writer};
 
 use crate::address_book::AddressBook;
 use crate::clock::Millis;
@@ -33,7 +33,7 @@ use crate::navlog::NavigationLog;
 use crate::state::NapletState;
 
 /// How the naplet's business logic is carried.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum AgentKind {
     /// Logic lives in the codebase registry; only the codebase URL
     /// travels (lazy code loading).
@@ -44,7 +44,7 @@ pub enum AgentKind {
 }
 
 /// The mobile agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct Naplet {
     id: NapletId,
     codebase: String,
@@ -347,27 +347,23 @@ impl PartialEq for SharedNaplet {
     }
 }
 
-impl Serialize for SharedNaplet {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
+impl Encode for SharedNaplet {
+    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
         match self.inner.bytes.get() {
-            Some(image) => serializer.serialize_encoded(&self.inner.naplet, image),
-            None => self.inner.naplet.serialize(serializer),
+            Some(image) => {
+                w.put(image);
+                Ok(())
+            }
+            None => w.root(&self.inner.naplet),
         }
     }
 }
 
-impl<'de> Deserialize<'de> for SharedNaplet {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<SharedNaplet, D::Error> {
-        let (naplet, span) = deserializer.deserialize_spanned::<Naplet>()?;
+impl Decode for SharedNaplet {
+    fn decode(r: &mut Reader<'_>) -> Result<SharedNaplet> {
+        let (naplet, span) = r.spanned_root::<Naplet>()?;
         let shared = SharedNaplet::new(naplet);
-        if let Some(span) = span {
-            let _ = shared.inner.bytes.set(Arc::new(span.to_vec()));
-        }
+        let _ = shared.inner.bytes.set(Arc::new(span.to_vec()));
         Ok(shared)
     }
 }

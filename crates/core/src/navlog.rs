@@ -6,13 +6,13 @@
 //! provides the post-analysis itself: dwell times, transit times, and
 //! per-host aggregation — the numbers several experiments report.
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode};
 
 use crate::clock::Millis;
 
 /// One visit record. `departed` is `None` while the naplet is still
 /// resident (or was terminated on site).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct VisitRecord {
     /// Host visited.
     pub host: String,
@@ -31,7 +31,7 @@ impl VisitRecord {
 
 /// One permanently failed migration: the reliable-transfer layer
 /// exhausted its retries trying to reach `host`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct FailureRecord {
     /// Destination the naplet could not reach.
     pub host: String,
@@ -44,7 +44,7 @@ pub struct FailureRecord {
 }
 
 /// The travel log a naplet carries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode, Default)]
 pub struct NavigationLog {
     records: Vec<VisitRecord>,
     failures: Vec<FailureRecord>,

@@ -16,13 +16,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode};
 
 use crate::error::{NapletError, Result};
 use crate::value::Value;
 
 /// Protection mode of one state entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub enum Access {
     /// Accessible to the owning naplet only.
     Private,
@@ -44,14 +44,14 @@ impl Access {
 }
 
 /// One protected entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 struct Entry {
     value: Value,
     access: Access,
 }
 
 /// The serializable, mode-protected state container of a naplet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode, Default)]
 pub struct NapletState {
     entries: BTreeMap<String, Entry>,
 }

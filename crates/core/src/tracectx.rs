@@ -24,10 +24,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode};
 
 /// Compact causal context propagated with a journey's wire traffic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct TraceCtx {
     /// The journey's trace id (the naplet id string).
     pub journey: String,

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{Decode, Encode};
 
 use crate::error::{NapletError, Result};
 
@@ -18,7 +18,7 @@ use crate::error::{NapletError, Result};
 ///
 /// Maps use `BTreeMap` so serialization (and therefore traffic
 /// accounting and signatures) is deterministic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode, Default)]
 pub enum Value {
     /// Absence of a value.
     #[default]

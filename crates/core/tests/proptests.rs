@@ -5,7 +5,7 @@ use proptest::option;
 use proptest::prelude::*;
 
 use naplet_core::clock::Millis;
-use naplet_core::codec;
+use naplet_core::codec::{self, Decode, Encode};
 use naplet_core::credential::SigningKey;
 use naplet_core::itinerary::{ActionSpec, Guard, GuardEnv, Itinerary, Pattern, Step, Visit};
 use naplet_core::message::{Message, Sender};
@@ -263,7 +263,7 @@ proptest! {
 
 /// The shape of a transfer envelope around a plain naplet: what the
 /// wire carried before handles spliced.
-#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, PartialEq, Encode, Decode)]
 struct PlainEnvelope {
     naplet: Naplet,
     action: Option<ActionSpec>,
@@ -271,189 +271,11 @@ struct PlainEnvelope {
 }
 
 /// The same envelope around a handle.
-#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, PartialEq, Encode, Decode)]
 struct SharedEnvelope {
     naplet: SharedNaplet,
     action: Option<ActionSpec>,
     transfer_id: u64,
-}
-
-/// A serializer that is not napcode: a text dump of the data-model
-/// calls it receives. It does not override `serialize_encoded`.
-struct Dump<'a>(&'a mut String);
-
-#[derive(Debug)]
-struct DumpError(String);
-
-impl std::fmt::Display for DumpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl serde::ser::Error for DumpError {
-    fn custom<T: std::fmt::Display>(msg: T) -> Self {
-        DumpError(msg.to_string())
-    }
-}
-
-macro_rules! dump_leaves {
-    ($($method:ident($ty:ty);)+) => {
-        $(fn $method(self, v: $ty) -> Result<(), DumpError> {
-            self.0.push_str(&format!("{v:?} "));
-            Ok(())
-        })+
-    };
-}
-
-macro_rules! dump_compounds {
-    ($($tr:ident $method:ident($($key:ty)?);)+) => {
-        $(impl serde::ser::$tr for Dump<'_> {
-            type Ok = ();
-            type Error = DumpError;
-            fn $method<T: serde::Serialize + ?Sized>(
-                &mut self,
-                $(_: $key,)?
-                value: &T,
-            ) -> Result<(), DumpError> {
-                value.serialize(Dump(&mut *self.0))
-            }
-            fn end(self) -> Result<(), DumpError> {
-                self.0.push_str("] ");
-                Ok(())
-            }
-        })+
-    };
-}
-
-dump_compounds! {
-    SerializeSeq serialize_element();
-    SerializeTuple serialize_element();
-    SerializeTupleStruct serialize_field();
-    SerializeTupleVariant serialize_field();
-    SerializeStruct serialize_field(&'static str);
-    SerializeStructVariant serialize_field(&'static str);
-}
-
-impl serde::ser::SerializeMap for Dump<'_> {
-    type Ok = ();
-    type Error = DumpError;
-    fn serialize_key<T: serde::Serialize + ?Sized>(&mut self, key: &T) -> Result<(), DumpError> {
-        key.serialize(Dump(&mut *self.0))
-    }
-    fn serialize_value<T: serde::Serialize + ?Sized>(
-        &mut self,
-        value: &T,
-    ) -> Result<(), DumpError> {
-        value.serialize(Dump(&mut *self.0))
-    }
-    fn end(self) -> Result<(), DumpError> {
-        self.0.push_str("] ");
-        Ok(())
-    }
-}
-
-impl<'a> Dump<'a> {
-    fn open(self, what: &str) -> Result<Dump<'a>, DumpError> {
-        self.0.push_str(what);
-        self.0.push_str("[ ");
-        Ok(self)
-    }
-}
-
-impl<'a> serde::Serializer for Dump<'a> {
-    type Ok = ();
-    type Error = DumpError;
-    type SerializeSeq = Dump<'a>;
-    type SerializeTuple = Dump<'a>;
-    type SerializeTupleStruct = Dump<'a>;
-    type SerializeTupleVariant = Dump<'a>;
-    type SerializeMap = Dump<'a>;
-    type SerializeStruct = Dump<'a>;
-    type SerializeStructVariant = Dump<'a>;
-
-    dump_leaves! {
-        serialize_bool(bool); serialize_char(char); serialize_str(&str); serialize_bytes(&[u8]);
-        serialize_i8(i8); serialize_i16(i16); serialize_i32(i32); serialize_i64(i64);
-        serialize_u8(u8); serialize_u16(u16); serialize_u32(u32); serialize_u64(u64);
-        serialize_f32(f32); serialize_f64(f64);
-    }
-    fn serialize_none(self) -> Result<(), DumpError> {
-        self.serialize_str("none")
-    }
-    fn serialize_some<T: serde::Serialize + ?Sized>(self, value: &T) -> Result<(), DumpError> {
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<(), DumpError> {
-        self.serialize_str("unit")
-    }
-    fn serialize_unit_struct(self, name: &'static str) -> Result<(), DumpError> {
-        self.serialize_str(name)
-    }
-    fn serialize_unit_variant(
-        self,
-        _: &'static str,
-        _: u32,
-        variant: &'static str,
-    ) -> Result<(), DumpError> {
-        self.serialize_str(variant)
-    }
-    fn serialize_newtype_struct<T: serde::Serialize + ?Sized>(
-        self,
-        _: &'static str,
-        value: &T,
-    ) -> Result<(), DumpError> {
-        value.serialize(self)
-    }
-    fn serialize_newtype_variant<T: serde::Serialize + ?Sized>(
-        self,
-        _: &'static str,
-        _: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<(), DumpError> {
-        self.0.push_str(variant);
-        value.serialize(self)
-    }
-    fn serialize_seq(self, _: Option<usize>) -> Result<Self, DumpError> {
-        self.open("seq")
-    }
-    fn serialize_tuple(self, _: usize) -> Result<Self, DumpError> {
-        self.open("tuple")
-    }
-    fn serialize_tuple_struct(self, name: &'static str, _: usize) -> Result<Self, DumpError> {
-        self.open(name)
-    }
-    fn serialize_tuple_variant(
-        self,
-        _: &'static str,
-        _: u32,
-        variant: &'static str,
-        _: usize,
-    ) -> Result<Self, DumpError> {
-        self.open(variant)
-    }
-    fn serialize_map(self, _: Option<usize>) -> Result<Self, DumpError> {
-        self.open("map")
-    }
-    fn serialize_struct(self, name: &'static str, _: usize) -> Result<Self, DumpError> {
-        self.open(name)
-    }
-    fn serialize_struct_variant(
-        self,
-        _: &'static str,
-        _: u32,
-        variant: &'static str,
-        _: usize,
-    ) -> Result<Self, DumpError> {
-        self.open(variant)
-    }
-}
-
-fn dump<T: serde::Serialize>(value: &T) -> String {
-    let mut text = String::new();
-    value.serialize(Dump(&mut text)).unwrap();
-    text
 }
 
 proptest! {
@@ -507,18 +329,6 @@ proptest! {
             // forwarding the decoded envelope re-emits the same frame
             prop_assert_eq!(&codec::to_bytes(&got).unwrap(), &frame);
         }
-    }
-
-    /// A serializer other than napcode is handed the naplet itself,
-    /// never the cached napcode image.
-    #[test]
-    fn a_foreign_serializer_sees_a_plain_naplet(nap in naplet()) {
-        let plain = dump(&nap);
-        prop_assert!(plain.starts_with("Naplet[ "));
-        let shared = SharedNaplet::new(nap);
-        prop_assert_eq!(&dump(&shared), &plain);
-        shared.wire_bytes().unwrap();
-        prop_assert_eq!(&dump(&shared), &plain);
     }
 }
 
@@ -807,7 +617,7 @@ fn unfold(it: &Itinerary, state: &NapletState, unreachable: &[String], reencode:
 
 /// A stand-in with `Cursor`'s wire layout (pinned by
 /// `cursor_golden_bytes`), to build cursors no traversal would produce.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, Encode)]
 enum ForgedItem {
     Node { path: Vec<usize>, next: usize },
     Act(ActionSpec),

@@ -8,12 +8,12 @@
 //! place (reasons (a)/(b) of Lange & Oshima's list: reduce network
 //! load, overcome latency).
 
+use naplet_core::codec::{Decode, Encode};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Propagation delay model between two hosts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Encode, Decode)]
 pub enum LatencyModel {
     /// Fixed one-way delay in ms.
     Constant(u64),
@@ -73,7 +73,7 @@ impl Default for LatencyModel {
 }
 
 /// Link bandwidth in bytes per millisecond (`None` = infinite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode, Default)]
 pub struct Bandwidth(pub Option<u64>);
 
 impl Bandwidth {

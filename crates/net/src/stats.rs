@@ -11,11 +11,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use naplet_core::codec::{Decode, Encode};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// What kind of payload crossed the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Encode, Decode)]
 pub enum TrafficClass {
     /// A serialized naplet in flight (migration).
     Migration,
@@ -59,7 +59,7 @@ impl TrafficClass {
 }
 
 /// Counters for one class or link.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Encode, Decode)]
 pub struct Counter {
     /// Number of transfers.
     pub messages: u64,
@@ -96,7 +96,7 @@ pub struct NetStats {
 }
 
 /// An immutable snapshot of the counters.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Encode, Decode)]
 pub struct StatsSnapshot {
     /// Per-class totals.
     pub by_class: BTreeMap<TrafficClass, Counter>,

@@ -14,8 +14,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use naplet_core::codec::{Decode, Encode};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::MetricsSnapshot;
 use crate::ring::Ring;
@@ -38,7 +38,7 @@ pub trait Page {
 /// reader whether the record is complete, and `epoch_unix_ms` anchors
 /// the node's event clock to the shared UNIX timeline (0 for
 /// virtual-time sources, whose clocks already agree).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Encode, Decode)]
 pub struct TraceSegment {
     /// Node the segment came from.
     pub host: String,
@@ -78,7 +78,7 @@ impl Page for TraceSegment {
 
 /// One sampled interval: the metric activity between the previous
 /// sweep tick and `at` (event-clock ms).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct MetricsSample {
     /// Event-clock instant the sample was taken (interval end).
     pub at: u64,
@@ -89,7 +89,7 @@ pub struct MetricsSample {
 
 /// One paged-out slice of a node's metrics history, self-describing
 /// the same way a [`TraceSegment`] is.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Encode, Decode)]
 pub struct MetricsHistoryPage {
     /// Node the page came from.
     pub host: String,

@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 use naplet_core::tracectx::TraceCtx;
 
@@ -26,7 +26,7 @@ use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::trace::{ArgValue, TraceEvent};
 
 /// Everything one run observed, as one serde-codable value.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Encode, Decode)]
 pub struct ObsSnapshot {
     /// Recorded events in processing order.
     pub events: Vec<TraceEvent>,

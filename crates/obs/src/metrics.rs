@@ -10,8 +10,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use naplet_core::codec::{Decode, Encode};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// Millisecond bounds suitable for latencies in the simulated space:
 /// clean handoffs land in the ≤ 10/20 ms buckets, backoff retries in
@@ -30,7 +30,7 @@ pub const HANDLER_BOUNDS_US: &[u64] = &[
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000, 100_000,
 ];
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 struct Histogram {
     bounds: Vec<u64>,
     /// One count per bound, plus a trailing overflow bucket.
@@ -174,7 +174,7 @@ impl std::fmt::Debug for MetricsRegistry {
 }
 
 /// Frozen copy of one histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct HistogramSnapshot {
     /// Bucket upper bounds (inclusive); a final overflow bucket
     /// follows the last bound.
@@ -252,7 +252,7 @@ impl HistogramSnapshot {
 }
 
 /// Frozen copy of every metric, ready for export.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Encode, Decode)]
 pub struct MetricsSnapshot {
     /// Monotonic counters, sorted by name.
     pub counters: BTreeMap<String, u64>,

@@ -17,15 +17,15 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use naplet_core::codec::{Decode, Encode};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use naplet_core::clock::Millis;
 use naplet_core::tracectx::TraceCtx;
 
 /// What happened (the event taxonomy). Span-like kinds carry the
 /// instant the span opened; everything else is instantaneous.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum TraceKind {
     /// Driver put a wire value on a link.
     WireSend {
@@ -495,7 +495,7 @@ pub enum ArgValue {
 }
 
 /// One recorded observation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct TraceEvent {
     /// Virtual time of the event (for spans: the closing instant).
     pub at: Millis,

@@ -14,13 +14,13 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
 
 /// A registered movement event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode)]
 pub enum DirEvent {
     /// The naplet landed at the host.
     Arrival,
@@ -29,7 +29,7 @@ pub enum DirEvent {
 }
 
 /// Latest known record for one naplet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct DirEntry {
     /// Host of the latest event.
     pub host: String,

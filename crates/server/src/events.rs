@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
@@ -28,7 +28,7 @@ use crate::manager::NapletStatus;
 
 /// A naplet in flight plus the post-action of the visit it is heading
 /// into (the `T` of `<S;T>` decided at the previous host).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct TransferEnvelope {
     /// The agent, held as a [`SharedNaplet`]: the origin's journal
     /// records, its retained retransmission copy, the frame on the wire
@@ -57,7 +57,7 @@ pub struct TransferEnvelope {
 /// whole agent. Wires are transient (encoded immediately), so the
 /// size skew is harmless.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum Wire {
     /// The agent transfer itself (traffic class `Migration`), and the
     /// request to land: the destination decides its LANDING on it
@@ -222,7 +222,7 @@ pub enum Wire {
 /// What an [`Wire::OpsRequest`] reads. The two rings page: ask from
 /// absolute sequence `from_seq` for at most `max` entries, then again
 /// from where the page ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode)]
 pub enum OpsRead {
     /// The server's [`crate::status::StatusReport`].
     Status,
@@ -244,7 +244,7 @@ pub enum OpsRead {
 }
 
 /// What an [`Wire::OpsReply`] carries, one variant per [`OpsRead`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum OpsPage {
     /// The probed server's report.
     Status(crate::status::StatusReport),
@@ -340,7 +340,7 @@ impl Wire {
 }
 
 /// Local (same-host) events a server schedules for itself.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum LocalEvent {
     /// The modelled dwell of a visit has elapsed: advance the
     /// itinerary and depart (or finish).
@@ -469,7 +469,7 @@ pub enum Output {
 
 /// Timestamped, human-readable server log entry (observability; tests
 /// assert against these).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct LogEntry {
     /// Server time when logged.
     pub at: Millis,

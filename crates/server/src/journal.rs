@@ -37,7 +37,7 @@ use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 use naplet_core::clock::Millis;
 use naplet_core::itinerary::{ActionSpec, Cursor};
@@ -234,7 +234,7 @@ impl JournalStore for FileStore {
 pub type SeenNote = ((String, u64), Millis, Option<String>);
 
 /// Where a journaled naplet stood when its snapshot was taken.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum JournalPhase {
     /// Resident on this server. `applied_epoch` is the navigation-log
     /// visit epoch up to which visit effects have been applied: equal
@@ -282,7 +282,7 @@ impl JournalPhase {
 /// disk that is the length-prefixed raw image, then the phase, then the
 /// timestamp; [`Journal::record_naplet_bytes`] emits exactly this layout
 /// from a borrowed image, so the field order here is the format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct JournalRecord {
     /// `napcode`-encoded [`Naplet`] snapshot.
     pub naplet: Vec<u8>,

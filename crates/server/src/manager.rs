@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
@@ -20,7 +20,7 @@ use naplet_core::id::NapletId;
 use crate::directory::DirEvent;
 
 /// Lifecycle status tracked in the home naplet table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode)]
 pub enum NapletStatus {
     /// Dispatched from this server; not yet reported anywhere.
     Launched,
@@ -43,7 +43,7 @@ pub enum NapletStatus {
 }
 
 /// One row of the home naplet table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct TableEntry {
     /// The naplet.
     pub id: NapletId,
@@ -56,7 +56,7 @@ pub struct TableEntry {
 }
 
 /// One visit footprint at this server.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct Footprint {
     /// Server the naplet arrived from (None for a local launch).
     pub from: Option<String>,

@@ -22,7 +22,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 use naplet_core::clock::Millis;
 use naplet_core::error::{NapletError, Result};
@@ -35,7 +35,7 @@ use naplet_core::naplet::Naplet;
 /// credential attribute (`high` / `low`; anything else is Normal).
 /// The paper's monitor confines alien threads "to a limited range of
 /// scheduling priorities"; tiers are this framework's rendering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode)]
 pub enum Priority {
     /// Preferred agents: double CPU budget, dwell unaffected by load.
     High,
@@ -60,7 +60,7 @@ impl Priority {
 /// How the monitor schedules co-resident naplets (paper §5.2:
 /// "various scheduling policies will be tested in future releases" —
 /// this is that hook).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode, Default)]
 pub enum SchedulingPolicy {
     /// Every naplet gets the configured dwell and budget regardless of
     /// load or priority (the first release's behaviour).
@@ -75,7 +75,7 @@ pub enum SchedulingPolicy {
 /// Resource-management policy knobs (paper: "various scheduling
 /// policies will be tested in future releases" — these are the
 /// mechanism those policies configure).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct MonitorPolicy {
     /// Gas granted per VM scheduling slice.
     pub gas_slice: u64,
@@ -138,7 +138,7 @@ impl Default for MonitorPolicy {
 }
 
 /// Running state of one hosted naplet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode)]
 pub enum RunState {
     /// Waiting for the directory to acknowledge arrival registration
     /// (execution is postponed until then, paper §4.1).
@@ -219,7 +219,7 @@ impl Meter {
 /// time, memory size, and network bandwidth"). Kept separately from
 /// the run entries so it survives departure — the `figures` binary
 /// reads it after journeys complete.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Encode, Decode)]
 pub struct ResourceUsage {
     /// Completed visits at this server.
     pub visits: u64,

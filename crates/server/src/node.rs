@@ -613,6 +613,45 @@ mod tests {
         assert_eq!(counter(&obs, "wire.dropped"), 1);
     }
 
+    /// A `Post` whose body is a list nested 20 000 deep, 40 KB on the
+    /// wire, is refused at the codec's nesting bound: a counted drop,
+    /// not a stack overflow that aborts the daemon, and the node goes
+    /// on answering.
+    #[test]
+    fn a_post_nested_20000_deep_is_a_counted_drop_and_the_node_keeps_serving() {
+        use naplet_core::message::{Message, Sender};
+        use naplet_core::value::Value;
+
+        let net = net();
+        let obs = ObsSink::default();
+        let mut a = node(&net, "a", &obs);
+        let mut b = node(&net, "b", &obs);
+        let id = NapletId::new("u", "a", Millis(1)).unwrap();
+        let marker = Value::Str("deep".into());
+        let msg = Message::user(1, Sender::Owner("b".into()), id, Millis(1), marker.clone());
+        let origin_host = "b".to_string();
+        let post = codec::to_bytes(&Wire::Post { msg, origin_host }).unwrap();
+        let marker = codec::to_bytes(&marker).unwrap();
+        let at = post
+            .windows(marker.len())
+            .position(|w| w == marker)
+            .unwrap();
+        let mut deep = [6u8, 1].repeat(20_000); // `Value::List` of one
+        deep.push(0); // `Value::Nil`
+        let frame = [&post[..at], &deep, &post[at + marker.len()..]].concat();
+        assert!(frame.len() > 40_000);
+        assert!(net
+            .send(Frame::new("b", "a", TrafficClass::Message, frame))
+            .unwrap());
+        a.pump();
+        assert_eq!(net.fabric().stats().snapshot().dropped, 1);
+        assert_eq!(counter(&obs, "wire.dropped"), 1);
+        b.send("a", status_request(1, "b"));
+        a.pump();
+        b.pump();
+        assert_eq!(b.server.ops_replies.len(), 1, "a still answers");
+    }
+
     /// A code fetch the fabric loses still wakes the waiting naplet: the
     /// loss is counted and `CodeReady` fires a moment later.
     #[test]

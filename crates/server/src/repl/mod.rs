@@ -39,7 +39,7 @@ mod core;
 
 pub use self::core::{ReplOut, ReplicaCore, Role};
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
@@ -48,7 +48,7 @@ use crate::directory::{DirEntry, DirEvent};
 use crate::events::Wire;
 
 /// One replicated directory operation — the unit of the log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum DirOp {
     /// Register a movement event (the replicated `DirRegister`).
     Register {
@@ -109,7 +109,7 @@ impl DirOp {
 }
 
 /// One replicated-log entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct ReplEntry {
     /// Term the entry was appended in.
     pub term: u64,
@@ -119,7 +119,7 @@ pub struct ReplEntry {
 
 /// Consensus traffic between replicas. Carried on the wire inside
 /// [`crate::events::Wire::Repl`] (traffic class `Control`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum ReplMsg {
     /// Candidate → peers: request a vote for `term`.
     VoteRequest {
@@ -210,7 +210,7 @@ impl ReplMsg {
 
 /// Timing and sizing of the consensus core. All values are modelled
 /// milliseconds on the same clock as every other server timer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct ReplConfig {
     /// The replica set (host names), identical on every member.
     pub replicas: Vec<String>,

@@ -7,10 +7,10 @@
 //! branch, otherwise the naplet is parked with a navigation-log failure
 //! entry; a message is counted as undeliverable.
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 /// Timeout/retry parameters for acknowledged transfers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct RetryPolicy {
     /// Acknowledgement timeout for the first attempt (ms).
     pub base_timeout_ms: u64,

@@ -15,13 +15,13 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 use naplet_core::credential::{Credential, SigningKey};
 use naplet_core::error::{NapletError, Result};
 
 /// Permissions a policy can grant.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Encode, Decode)]
 pub enum Permission {
     /// Dispatch a naplet from this server.
     Launch,
@@ -38,7 +38,7 @@ pub enum Permission {
 }
 
 /// Which naplets a rule applies to.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct Matcher {
     /// Match naplets signed by this principal (None = any).
     pub principal: Option<String>,
@@ -82,7 +82,7 @@ impl Matcher {
 }
 
 /// One access-control rule: matcher → grant set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct Rule {
     /// Which naplets this rule covers.
     pub matcher: Matcher,
@@ -91,7 +91,7 @@ pub struct Rule {
 }
 
 /// The access-control matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct Policy {
     rules: Vec<Rule>,
     /// Granted when no rule matches.

@@ -13,12 +13,12 @@
 //! `OpsReply` frame, the privileged ops protocol any server or the
 //! centralized manager can speak over the same fabric the agents use.
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 use naplet_core::clock::Millis;
 
 /// One resident naplet as the health probe sees it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct ResidentStatus {
     /// The naplet's id (rendered).
     pub id: String,
@@ -40,7 +40,7 @@ pub struct ResidentStatus {
 
 /// Replicated-directory consensus status of one replica (present only
 /// on hosts that are members of the directory replica set).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct ReplStatus {
     /// Current role: `follower`, `candidate` or `leader`.
     pub role: String,
@@ -62,7 +62,7 @@ pub struct ReplStatus {
 /// report is a pure function of server state — byte-identical across
 /// identical seeded runs, which the status-plane determinism tests
 /// and the CI golden check rely on.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Encode, Decode)]
 pub struct StatusReport {
     /// Reporting host.
     pub host: String,

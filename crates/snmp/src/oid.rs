@@ -6,12 +6,12 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 use naplet_core::error::NapletError;
 
 /// An SNMP object identifier, e.g. `1.3.6.1.2.1.1.3.0`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Encode, Decode, Default)]
 pub struct Oid(Vec<u32>);
 
 impl Oid {

@@ -2,14 +2,14 @@
 //! and the walk convenience the centralized baseline issues as a
 //! sequence of get-nexts).
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 use naplet_core::value::Value;
 
 use crate::oid::Oid;
 
 /// Request operations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum SnmpOp {
     /// Get the named instances.
     Get(Vec<Oid>),
@@ -25,7 +25,7 @@ pub enum SnmpOp {
 }
 
 /// A request PDU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct SnmpRequest {
     /// Community string (authentication).
     pub community: String,
@@ -34,7 +34,7 @@ pub struct SnmpRequest {
 }
 
 /// Error status in a response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode)]
 pub enum SnmpError {
     /// Success.
     NoError,
@@ -49,7 +49,7 @@ pub enum SnmpError {
 }
 
 /// A response PDU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct SnmpResponse {
     /// Status.
     pub error: SnmpError,

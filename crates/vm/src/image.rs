@@ -7,7 +7,7 @@
 //! which can only restart agents at `onStart()` after each hop
 //! (DESIGN.md §2).
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 use naplet_core::error::{NapletError, Result};
 use naplet_core::value::Value;
@@ -15,7 +15,7 @@ use naplet_core::value::Value;
 use crate::program::Program;
 
 /// One call frame. `base` is the stack index of local slot 0.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct Frame {
     /// Function index into `program.funcs`.
     pub func: u16,
@@ -26,7 +26,7 @@ pub struct Frame {
 }
 
 /// Execution status of an image.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub enum VmStatus {
     /// Runnable: `run` may be called.
     Ready,
@@ -38,7 +38,7 @@ pub enum VmStatus {
 }
 
 /// Complete, serializable execution state of a mobile program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct VmImage {
     /// The carried code.
     pub program: Program,

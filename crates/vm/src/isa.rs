@@ -6,14 +6,14 @@
 //! as part of its VM image, which is what makes the agent's *code*
 //! genuinely mobile on a statically compiled host language.
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 /// Host functions callable from mobile code via [`Instr::HCall`].
 ///
 /// Each host function maps onto a capability of the naplet execution
 /// context (paper §2.1/§5.3): state access, messaging, services,
 /// reporting, and the strong-mobility yield `TravelNext`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Encode, Decode)]
 pub enum HostFn {
     /// `(key) -> value` — read own state (naplet-side, full access).
     StateGet,
@@ -140,7 +140,7 @@ impl HostFn {
 
 /// One VM instruction. Jump targets are absolute instruction indexes
 /// within the current function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum Instr {
     /// Push constant-pool entry `i`.
     Const(u16),

@@ -1,6 +1,6 @@
 //! VM programs: functions, constant pool, validation.
 
-use serde::{Deserialize, Serialize};
+use naplet_core::codec::{Decode, Encode};
 
 use naplet_core::error::{NapletError, Result};
 use naplet_core::value::Value;
@@ -9,7 +9,7 @@ use crate::isa::Instr;
 
 /// One function: named, fixed arity, `locals` total local slots
 /// (including the arguments, which occupy slots `0..arity`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct Function {
     /// Function name (call target for the assembler; diagnostics).
     pub name: String,
@@ -22,7 +22,7 @@ pub struct Function {
 }
 
 /// A complete mobile program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct Program {
     /// Human-readable program name (diagnostics, codebase naming).
     pub name: String,
