@@ -148,9 +148,11 @@ pub trait Sink {
 }
 
 impl Sink for Vec<u8> {
+    #[inline]
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
     }
+    #[inline]
     fn put_uvarint(&mut self, v: u64) {
         write_uvarint(self, v);
     }
@@ -159,14 +161,17 @@ impl Sink for Vec<u8> {
 struct Count(u64);
 
 impl Sink for Count {
+    #[inline]
     fn put(&mut self, bytes: &[u8]) {
         self.0 += bytes.len() as u64;
     }
+    #[inline]
     fn put_uvarint(&mut self, v: u64) {
         self.0 += uvarint_len(v);
     }
 }
 
+#[inline]
 fn deeper(depth: &mut u32) -> Result<()> {
     if *depth == MAX_DEPTH {
         return Err(NapletError::Codec(format!(
@@ -195,6 +200,7 @@ impl<'a, S: Sink> Writer<'a, S> {
     fn uvarint(&mut self, v: u64) {
         self.sink.put_uvarint(v);
     }
+    #[inline]
     fn enter(&mut self) -> Result<()> {
         deeper(&mut self.depth)
     }
@@ -224,6 +230,7 @@ pub struct Reader<'de> {
 }
 
 impl<'de> Reader<'de> {
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'de [u8]> {
         if self.input.len() < n {
             return Err(NapletError::Codec(format!(
@@ -235,29 +242,36 @@ impl<'de> Reader<'de> {
         self.input = rest;
         Ok(head)
     }
+    #[inline]
     fn byte(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
+    #[inline]
     fn uvarint(&mut self) -> Result<u64> {
         read_uvarint(&mut self.input)
     }
+    #[inline]
     fn len(&mut self) -> Result<usize> {
         Ok(self.uvarint()? as usize)
     }
+    #[inline]
     fn byte_string(&mut self) -> Result<&'de [u8]> {
         let len = self.len()?;
         self.take(len)
     }
+    #[inline]
     fn enter(&mut self) -> Result<()> {
         deeper(&mut self.depth)
     }
     /// Read an enum's variant index, one level deeper.
+    #[inline]
     pub fn variant(&mut self) -> Result<u32> {
         self.enter()?;
         u32::try_from(self.uvarint()?)
             .map_err(|_| NapletError::Codec("variant index overflow".into()))
     }
     /// Close the level a [`variant`](Self::variant) opened.
+    #[inline]
     pub fn leave(&mut self) {
         self.depth -= 1;
     }
@@ -279,6 +293,7 @@ impl<'de> Reader<'de> {
 // varint primitives
 // ---------------------------------------------------------------------------
 
+#[inline]
 pub(crate) fn write_uvarint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -292,10 +307,12 @@ pub(crate) fn write_uvarint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Encoded length in bytes of `v` as a LEB128 uvarint (1..=10).
+#[inline]
 pub fn uvarint_len(v: u64) -> u64 {
     u64::from((64 - v.max(1).leading_zeros()).div_ceil(7))
 }
 
+#[inline]
 pub(crate) fn read_uvarint(input: &mut &[u8]) -> Result<u64> {
     let mut result: u64 = 0;
     let mut shift = 0u32;
@@ -326,40 +343,50 @@ fn narrow<T: TryFrom<u64>>(v: u64, ty: &str) -> Result<T> {
     T::try_from(v).map_err(|_| NapletError::Codec(format!("{v} out of range for {ty}")))
 }
 
-macro_rules! unsigned {
-    ($($ty:ty),*) => {$(
+/// Leaf types: `encode` writes `$v`, a copy of `self`, to `$w`, and
+/// `decode` reads one off `$r`. Inlined into the derived code that calls
+/// them, as the generic walk is.
+macro_rules! leaf {
+    ($($ty:ty: |$v:ident, $w:ident| $encode:expr, |$r:ident| $decode:expr;)*) => {$(
         impl Encode for $ty {
-            fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
-                w.uvarint(*self as u64);
+            #[inline]
+            fn encode<S: Sink>(&self, $w: &mut Writer<'_, S>) -> Result<()> {
+                let $v = *self;
+                $encode;
                 Ok(())
             }
         }
         impl Decode for $ty {
-            fn decode(r: &mut Reader<'_>) -> Result<Self> {
-                narrow(r.uvarint()?, stringify!($ty))
+            #[inline]
+            fn decode($r: &mut Reader<'_>) -> Result<$ty> {
+                $decode
             }
         }
     )*};
 }
 
-unsigned!(u16, u32, u64, usize);
-
-/// Zigzag: small magnitudes of either sign take few bytes.
-impl Encode for i64 {
-    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
-        w.uvarint(((self << 1) ^ (self >> 63)) as u64);
-        Ok(())
-    }
-}
-
-impl Decode for i64 {
-    fn decode(r: &mut Reader<'_>) -> Result<i64> {
-        let v = r.uvarint()?;
-        Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
-    }
+leaf! {
+    u16: |v, w| w.uvarint(v.into()), |r| narrow(r.uvarint()?, "u16");
+    u32: |v, w| w.uvarint(v.into()), |r| narrow(r.uvarint()?, "u32");
+    u64: |v, w| w.uvarint(v), |r| r.uvarint();
+    usize: |v, w| w.uvarint(v as u64), |r| narrow(r.uvarint()?, "usize");
+    // zigzag: small magnitudes of either sign take few bytes
+    i64: |v, w| w.uvarint(((v << 1) ^ (v >> 63)) as u64),
+        |r| r.uvarint().map(|v| ((v >> 1) as i64) ^ -((v & 1) as i64));
+    bool: |v, w| w.put(&[u8::from(v)]), |r| match r.byte()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        b => Err(NapletError::Codec(format!("invalid bool byte {b}"))),
+    };
+    f64: |v, w| w.put(&v.to_le_bytes()), |r| {
+        let mut le = [0; 8];
+        le.copy_from_slice(r.take(8)?);
+        Ok(f64::from_le_bytes(le))
+    };
 }
 
 impl Encode for u8 {
+    #[inline]
     fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
         w.uvarint((*self).into());
         Ok(())
@@ -372,43 +399,12 @@ impl Encode for u8 {
 }
 
 impl Decode for u8 {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<u8> {
         narrow(r.uvarint()?, "u8")
     }
     fn decode_vec(r: &mut Reader<'_>) -> Result<Vec<u8>> {
         Ok(r.byte_string()?.to_vec())
-    }
-}
-
-impl Encode for bool {
-    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
-        w.put(&[u8::from(*self)]);
-        Ok(())
-    }
-}
-
-impl Decode for bool {
-    fn decode(r: &mut Reader<'_>) -> Result<bool> {
-        match r.byte()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(NapletError::Codec(format!("invalid bool byte {b}"))),
-        }
-    }
-}
-
-impl Encode for f64 {
-    fn encode<S: Sink>(&self, w: &mut Writer<'_, S>) -> Result<()> {
-        w.put(&self.to_le_bytes());
-        Ok(())
-    }
-}
-
-impl Decode for f64 {
-    fn decode(r: &mut Reader<'_>) -> Result<f64> {
-        let mut le = [0; 8];
-        le.copy_from_slice(r.take(8)?);
-        Ok(f64::from_le_bytes(le))
     }
 }
 
@@ -425,6 +421,7 @@ impl Encode for String {
 }
 
 impl Decode for String {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<String> {
         let bytes = r.byte_string()?;
         match std::str::from_utf8(bytes) {
@@ -507,10 +504,11 @@ impl<T: Encode, const N: usize> Encode for [T; N] {
 
 impl<T: Decode, const N: usize> Decode for [T; N] {
     fn decode(r: &mut Reader<'_>) -> Result<[T; N]> {
-        let items = (0..N).map(|_| T::decode(r)).collect::<Result<Vec<T>>>()?;
-        Ok(items
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("{N} items")))
+        let mut items: [Option<T>; N] = std::array::from_fn(|_| None);
+        for item in &mut items {
+            *item = Some(T::decode(r)?);
+        }
+        Ok(items.map(|item| item.expect("every element decoded")))
     }
 }
 
@@ -555,7 +553,10 @@ impl<T: Decode + Ord> Decode for BTreeSet<T> {
     fn decode(r: &mut Reader<'_>) -> Result<BTreeSet<T>> {
         let len = r.len()?;
         r.enter()?;
-        let set = (0..len).map(|_| T::decode(r)).collect::<Result<_>>()?;
+        let mut set = BTreeSet::new();
+        for _ in 0..len {
+            set.insert(T::decode(r)?);
+        }
         r.leave();
         Ok(set)
     }
