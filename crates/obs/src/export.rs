@@ -7,7 +7,7 @@
 //! - **flight dumps** ([`FlatSegment::to_json`] / [`parse_flight_dump`])
 //!   and **metrics-history dumps** ([`metrics_history_json`] /
 //!   [`parse_metrics_history`]), the files `napletd` leaves behind;
-//! - a serde [`ObsSnapshot`] and a text log ([`render_event_log`]).
+//! - a napcode [`ObsSnapshot`] and a text log ([`render_event_log`]).
 //!
 //! All JSON goes through [`crate::json`]. Output is deterministic: field
 //! order is call order, pids/tids come from sorted name tables, and no
@@ -25,7 +25,7 @@ use crate::json::{self, parse_json, Json, Obj};
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::trace::{ArgValue, TraceEvent};
 
-/// Everything one run observed, as one serde-codable value.
+/// Everything one run observed, as one napcode value.
 #[derive(Debug, Clone, PartialEq, Default, Encode, Decode)]
 pub struct ObsSnapshot {
     /// Recorded events in processing order.

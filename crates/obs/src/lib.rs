@@ -12,7 +12,7 @@
 //!   (handoff RTT, landing latency, visit dwell, retries, journal
 //!   size, mailbox depth, per-naplet resource usage);
 //! - deterministic exporters ([`export`]): Chrome traces, flight and
-//!   metrics-history dumps, a serde snapshot and text tables, read back
+//!   metrics-history dumps, a napcode snapshot and text tables, read back
 //!   by the cluster merger and the critical-path analyzer ([`analyze`]).
 //!   Every JSON artifact has one writer and one typed reader: [`json`].
 //!

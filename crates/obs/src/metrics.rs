@@ -4,7 +4,7 @@
 //! a `u64`, a histogram is a fixed set of upper bounds plus an
 //! overflow bucket. Everything lives behind `BTreeMap`s so snapshots
 //! iterate in one deterministic order regardless of insertion order —
-//! the text tables and serde snapshot are byte-stable across runs.
+//! the text tables and napcode snapshot are byte-stable across runs.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
