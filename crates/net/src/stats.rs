@@ -190,7 +190,12 @@ impl NetStats {
 
     /// Record a dropped transfer (loss / partition).
     pub fn record_drop(&self) {
-        self.inner.lock().dropped += 1;
+        self.record_drops(1);
+    }
+
+    /// Record `n` transfers dropped at once.
+    pub fn record_drops(&self, n: u64) {
+        self.inner.lock().dropped += n;
     }
 
     /// Record a retransmission (a send whose attempt number is ≥ 2).

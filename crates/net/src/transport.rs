@@ -48,6 +48,16 @@ pub trait Transport: Send + Sync + 'static {
     /// `Ok(true)` / `Ok(false)` / `Err` contract.
     fn send(&self, frame: Frame) -> Result<bool>;
 
+    /// [`Transport::send`], except that the frame may wait for the next
+    /// [`Transport::flush`], so that a peer's frames can leave together.
+    /// Same contract; the default sends at once.
+    fn queue(&self, frame: Frame) -> Result<bool> {
+        self.send(frame)
+    }
+
+    /// Put every frame [`Transport::queue`] is holding on its way.
+    fn flush(&self) {}
+
     /// Shared transport statistics (bytes by class, drops,
     /// retransmits, crash/recovery counters).
     fn stats(&self) -> &NetStats;

@@ -15,7 +15,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use naplet_net::tcp::{TcpConfig, TcpTransport};
-use naplet_net::{Bandwidth, Fabric, Frame, LatencyModel, ThreadedNet, TrafficClass};
+use naplet_net::{Bandwidth, Fabric, Frame, LatencyModel, ThreadedNet, TrafficClass, Transport};
 
 fn class_strategy() -> impl Strategy<Value = TrafficClass> {
     prop_oneof![
@@ -29,7 +29,7 @@ fn class_strategy() -> impl Strategy<Value = TrafficClass> {
 }
 
 /// One threaded net and one TCP pair shared by all generated cases —
-/// the parity property is per frame, so reusing the sockets keeps 64
+/// the parity property is per frame, so reusing the sockets keeps the
 /// cases fast.
 struct Harness {
     threaded: ThreadedNet,
@@ -71,32 +71,45 @@ fn harness() -> &'static Harness {
 }
 
 proptest! {
+    /// A generated round of frames, sent one by one or queued and then
+    /// flushed together, arrives over TCP as over the fabric.
     #[test]
     fn tcp_delivers_byte_identical_frames_to_the_fabric(
-        class in class_strategy(),
-        payload in vec(any::<u8>(), 0..2048),
+        round in vec((class_strategy(), vec(any::<u8>(), 0..2048)), 1..8),
+        held in any::<bool>(),
     ) {
         let h = harness();
-        let sent = Frame::new("src", "dst", class, payload);
+        let sent: Vec<Frame> = round
+            .into_iter()
+            .map(|(class, payload)| Frame::new("src", "dst", class, payload))
+            .collect();
 
-        h.threaded.send(sent.clone()).unwrap();
-        let via_fabric = h
-            .threaded_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("fabric delivery");
+        for frame in &sent {
+            h.threaded.send(frame.clone()).unwrap();
+            if held {
+                h.tcp_a.queue(frame.clone()).unwrap();
+            } else {
+                h.tcp_a.send(frame.clone()).unwrap();
+            }
+        }
+        h.tcp_a.flush();
 
-        h.tcp_a.send(sent.clone()).unwrap();
-        let via_tcp = h
-            .tcp_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("tcp delivery");
-
-        // both backends must hand the receiver the identical frame…
-        prop_assert_eq!(&via_tcp, &via_fabric);
-        prop_assert_eq!(&via_tcp, &sent);
-        // …and agree byte for byte on the wire encoding
-        prop_assert_eq!(via_tcp.encode().to_vec(), sent.encode().to_vec());
-        prop_assert_eq!(via_tcp.wire_len(), sent.wire_len());
+        for sent in &sent {
+            let via_fabric = h
+                .threaded_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("fabric delivery");
+            let via_tcp = h
+                .tcp_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("tcp delivery");
+            // both backends must hand the receiver the identical frame…
+            prop_assert_eq!(&via_tcp, &via_fabric);
+            prop_assert_eq!(&via_tcp, sent);
+            // …and agree byte for byte on the wire encoding
+            prop_assert_eq!(via_tcp.encode().to_vec(), sent.encode().to_vec());
+            prop_assert_eq!(via_tcp.wire_len(), sent.wire_len());
+        }
     }
 }
 
