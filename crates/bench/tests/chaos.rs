@@ -13,20 +13,23 @@ const ROUTE: [&str; 6] = ["s0", "s1", "s2", "s3", "s4", "home"];
 /// Crash schedule hitting each commit-point window of the handoff, at
 /// instants read off a loss-free pilot timeline (latency 2 ms, dwell
 /// 5 ms, seed 42), each with the crashes before it applied:
-/// * `s1@18` — destination crash while the Transfer to it is in flight
-///   (sent t=17, due t=20): the frame dies with the process, the origin
+/// * `s1@12` — destination crash while the Transfer to it is in flight
+///   (sent t=11, due t=14): the frame dies with the process, the origin
 ///   must retry into a cold server;
-/// * `s1@262` — origin crash between sending Transfer (t=260) and
-///   receiving TransferAck (t=266): recovery must re-drive the
+/// * `s1@256` — origin crash between sending Transfer (t=254) and
+///   receiving TransferAck (t=260): recovery must re-drive the
 ///   in-flight handoff from the journal and the destination must
 ///   re-ack the duplicate without re-admitting;
-/// * `s3@290` — mid-visit crash after the visit effect applied (t=289,
-///   visit ends t=294): the journal must rehydrate the naplet and
+/// * `s3@278` — mid-visit crash after the visit effect applied (t≈277,
+///   visit ends t=282): the journal must rehydrate the naplet and
 ///   suppress the replay.
+///
+/// (A hop takes 11 ms from arrival to the next departure: the arrival
+/// ack leaves with the Transfer instead of a round trip after it.)
 const BOUNDARY_CRASHES: [(&str, u64, Option<u64>); 3] = [
-    ("s1", 18, Some(40)),
-    ("s1", 262, Some(40)),
-    ("s3", 290, Some(40)),
+    ("s1", 12, Some(40)),
+    ("s1", 256, Some(40)),
+    ("s3", 278, Some(40)),
 ];
 
 #[test]
@@ -159,7 +162,8 @@ fn journaling_and_leases_stay_off_the_wire() {
 
 #[test]
 fn dead_host_agents_recovered_by_lease() {
-    // s1 crashes while the agent is resident and never comes back; the
+    // s1 crashes while the agent is resident (t=14..25 on the pilot
+    // timeline) and never comes back; the
     // journal at s1 is unreachable forever, so only the home-side
     // lease can save the journey. The re-dispatched incarnation walks
     // the route from the start and the Alt fallback steers it around
@@ -176,7 +180,7 @@ fn dead_host_agents_recovered_by_lease() {
         redispatch: true,
         max_redispatches: 1,
     };
-    let out = crash_chaos_experiment(0.0, &[("s1", 28, None)], Some(lease), Some(route), 42);
+    let out = crash_chaos_experiment(0.0, &[("s1", 16, None)], Some(lease), Some(route), 42);
     assert_eq!(out.chaos.completed, 1, "orphan not recovered: {out:?}");
     assert_eq!(
         out.chaos.visits,

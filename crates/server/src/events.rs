@@ -51,6 +51,28 @@ pub struct TransferEnvelope {
     pub attempt: u32,
 }
 
+/// One visit of a naplet to a host, named by the `Transfer` that
+/// carries it there: its origin and that origin's transfer id. A visit
+/// that crosses no wire is named by the host itself under a fresh id.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Encode, Decode)]
+pub struct Visit {
+    /// The host the `Transfer` left.
+    pub origin: String,
+    /// The origin's transfer id.
+    pub transfer_id: u64,
+}
+
+impl Visit {
+    /// The visit `transfer_id` of `origin` names.
+    pub fn new(origin: &str, transfer_id: u64) -> Visit {
+        let origin = origin.to_string();
+        Visit {
+            origin,
+            transfer_id,
+        }
+    }
+}
+
 /// Everything that crosses the wire between naplet servers.
 ///
 /// `Transfer` dwarfs the control variants by design — it carries the
@@ -72,17 +94,21 @@ pub enum Wire {
         host: String,
         /// Arrival or departure.
         event: DirEvent,
-        /// When set, the registrar requests an acknowledgement sent to
-        /// this host — arrivals postpone execution until acked (§4.1).
-        ack_to: Option<String>,
-        /// 1-based send attempt; acked registrations are retransmitted
-        /// on timeout like the rest of the reliable-transfer protocol.
+        /// When set, the visit of `id` waiting at `host` for this
+        /// registration: the holder acknowledges it there — execution
+        /// is postponed until acked (§4.1).
+        visit: Option<Visit>,
+        /// 1-based send attempt: 1 from the origin as the `Transfer`
+        /// leaves, ≥ 2 from `host` itself once its gate timed out.
         attempt: u32,
     },
-    /// Directory acknowledgement of an arrival registration.
+    /// Directory acknowledgement of an arrival registration: it opens
+    /// the named visit and no other.
     DirAck {
         /// The naplet whose arrival is now registered.
         id: NapletId,
+        /// The visit the registration was for.
+        visit: Visit,
     },
     /// Remove a naplet from the directory (journey ended).
     DirRemove {
@@ -322,7 +348,7 @@ impl Wire {
             Wire::Transfer(env) | Wire::TransferWithMail(env, _) => Some(env.naplet.id()),
             Wire::TransferAck { id, .. }
             | Wire::DirRegister { id, .. }
-            | Wire::DirAck { id }
+            | Wire::DirAck { id, .. }
             | Wire::DirRemove { id }
             | Wire::DirQuery { id, .. }
             | Wire::DirReply { id, .. }
@@ -371,6 +397,8 @@ pub enum LocalEvent {
     RegisterTimeout {
         /// The naplet whose arrival registration is unacknowledged.
         id: NapletId,
+        /// The visit waiting on it; a later visit ignores the timer.
+        visit: Visit,
         /// Attempt the timer was armed for.
         attempt: u32,
     },
@@ -630,7 +658,14 @@ mod tests {
     fn traffic_classes() {
         let id = NapletId::new("u", "h", Millis(0)).unwrap();
         assert_eq!(
-            Wire::DirAck { id: id.clone() }.traffic_class(),
+            Wire::DirAck {
+                id: id.clone(),
+                visit: Visit {
+                    origin: "o".into(),
+                    transfer_id: 1,
+                },
+            }
+            .traffic_class(),
             TrafficClass::Control
         );
         assert_eq!(
@@ -931,7 +966,11 @@ mod tests {
             refused: None,
         };
         assert_eq!(tag(&ack), 12);
-        assert_eq!(tag(&Wire::DirAck { id }), 2);
+        let visit = Visit {
+            origin: "o".into(),
+            transfer_id: 1,
+        };
+        assert_eq!(tag(&Wire::DirAck { id, visit }), 2);
         let reply = Wire::OpsReply {
             token: 1,
             page: None,
@@ -990,7 +1029,7 @@ mod tests {
             id,
             host: "a".into(),
             event: DirEvent::Arrival,
-            ack_to: Some("a".into()),
+            visit: None,
             attempt: 3,
         };
         assert_eq!(w.retry_attempt(), 3);

@@ -51,7 +51,8 @@ pub use bootstrap::{BootstrapConfig, NodeConfig};
 pub use daemon::{register_probe, Daemon, DaemonSummary, TraceDumper, PROBE_CODEBASE};
 pub use directory::{DirEntry, DirEvent, NapletDirectory};
 pub use events::{
-    EventLog, Input, LocalEvent, LogEntry, OpsPage, OpsRead, Outbox, Output, TransferEnvelope, Wire,
+    EventLog, Input, LocalEvent, LogEntry, OpsPage, OpsRead, Outbox, Output, TransferEnvelope,
+    Visit, Wire,
 };
 pub use journal::{
     FileStore, Journal, JournalPhase, JournalRecord, JournalStore, MemoryStore, RecoveryStats,

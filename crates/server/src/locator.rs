@@ -28,7 +28,7 @@ use naplet_core::message::Sender;
 use naplet_obs::{TraceKind, LATENCY_BOUNDS_MS};
 
 use crate::directory::NapletDirectory;
-use crate::events::{LocalEvent, Outbox, Wire};
+use crate::events::{LocalEvent, Outbox, Visit, Wire};
 use crate::journal::Journal;
 use crate::repl::{DirOp, ReplConfig, ReplMsg, ReplNote, ReplOut, ReplicaCore};
 
@@ -175,11 +175,11 @@ pub struct Locator {
     /// bumped on registration retries and stale lookups so a dead
     /// replica is routed around.
     replica_hint: usize,
-    /// Leader-side registrations awaiting commit: log index → ack
-    /// destination. The `DirAck` is released only once the entry is
+    /// Leader-side registrations awaiting commit: log index → the visit
+    /// whose ack they owe. The `DirAck` is released only once the entry is
     /// majority-replicated — a committed registration is never lost to
     /// a leader crash — and only by the leadership that proposed it.
-    held_acks: BTreeMap<u64, String>,
+    held_acks: BTreeMap<u64, Visit>,
     /// True while a `ReplTick` is scheduled; keeps exactly one tick
     /// chain alive so an idle replica schedules nothing.
     tick_armed: bool,
@@ -366,8 +366,8 @@ impl Locator {
         let woke = core.client_activity(now);
         if core.is_leader() {
             let (index, rout) = core.propose(DirOp::of(&wire, now), now, journal);
-            if let (Some(index), Wire::DirRegister { ack_to, .. }) = (index, wire) {
-                self.held_acks.extend(ack_to.map(|ack_to| (index, ack_to)));
+            if let (Some(index), Wire::DirRegister { visit, .. }) = (index, wire) {
+                self.held_acks.extend(visit.map(|visit| (index, visit)));
             }
             out.lap("repl_append_us", appending);
             return enact(rout, woke, out);
@@ -421,7 +421,7 @@ impl Locator {
     }
 
     /// `op` committed at `index` on this replica. A registration comes
-    /// back as the frame it was filed in — `ack_to` naming the registrar
+    /// back as the frame it was filed in — `visit` naming the visit
     /// whose ack this leader held — with the echo owed to a home outside
     /// the replica set, so its lease table still sees signs of life.
     fn committed(&mut self, index: u64, op: DirOp) -> Option<(Wire, Option<(String, Wire)>)> {
@@ -434,18 +434,18 @@ impl Locator {
         {
             self.held_acks.pop_first();
         }
-        let ack_to = self.held_acks.remove(&index);
+        let visit = self.held_acks.remove(&index);
         let DirOp::Register {
             id, host, event, ..
         } = op
         else {
             return None;
         };
-        let register = |id, host, ack_to| Wire::DirRegister {
+        let register = |id, host, visit| Wire::DirRegister {
             id,
             host,
             event,
-            ack_to,
+            visit,
             attempt: 1,
         };
         let home = id.home();
@@ -453,7 +453,7 @@ impl Locator {
             if home != self.host && !replicas.iter().any(|r| r == home));
         let echo = (outside && self.core().is_some_and(ReplicaCore::is_leader))
             .then(|| (home.to_string(), register(id.clone(), host.clone(), None)));
-        Some((register(id, host, ack_to), echo))
+        Some((register(id, host, visit), echo))
     }
 
     /// The entries this host's shard holds, for lookups: a replica
@@ -675,13 +675,17 @@ mod tests {
         (Locator::new(host, mode, None, &journal), journal)
     }
 
-    /// An arrival of `id` at `host`; `acked` asks for the `DirAck`.
+    /// An arrival of `id` at `host`; `acked` asks for the `DirAck`
+    /// there.
     fn arrival(id: &NapletId, host: &str, acked: bool) -> Wire {
         Wire::DirRegister {
             id: id.clone(),
             host: host.to_string(),
             event: DirEvent::Arrival,
-            ack_to: acked.then(|| host.to_string()),
+            visit: acked.then(|| Visit {
+                origin: "o".into(),
+                transfer_id: 1,
+            }),
             attempt: 1,
         }
     }
@@ -762,7 +766,11 @@ mod tests {
         let landed = landed(l, commits, &mut out).into_iter();
         landed
             .filter_map(|wire| match wire {
-                Wire::DirRegister { ack_to, .. } => ack_to,
+                Wire::DirRegister {
+                    host,
+                    visit: Some(_),
+                    ..
+                } => Some(host),
                 _ => None,
             })
             .collect()
@@ -925,7 +933,7 @@ mod tests {
         };
         let (to, echo) = committed(&mut l, &nid(1)).expect("home is no replica");
         assert_eq!(to, "home");
-        assert!(matches!(echo, Wire::DirRegister { ack_to: None, .. }));
+        assert!(matches!(echo, Wire::DirRegister { visit: None, .. }));
         let at_replica = NapletId::new("u", "d0", Millis(1)).unwrap();
         assert!(committed(&mut l, &at_replica).is_none());
         assert!(l.committed(10, DirOp::Noop).is_none());

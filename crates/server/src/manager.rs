@@ -8,9 +8,12 @@
 //! Footprints are also the tracing substrate of the directory-less
 //! location mode: "the NapletManager maintains the source and
 //! destination information about each naplet visit", which the Locator
-//! and Messenger follow when chasing a moving naplet.
+//! and Messenger follow when chasing a moving naplet. A chase reads
+//! only where the naplet went last, so the last visit's footprint is
+//! the one kept.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use naplet_core::codec::{Decode, Encode};
 
@@ -55,16 +58,16 @@ pub struct TableEntry {
     pub updated: Millis,
 }
 
-/// One visit footprint at this server.
-#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
+/// A naplet's last visit footprint at this server.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Footprint {
     /// Server the naplet arrived from (None for a local launch).
-    pub from: Option<String>,
+    pub from: Option<Arc<str>>,
     /// Arrival time.
     pub arrived: Millis,
     /// Server the naplet departed to (None while resident or if it
     /// ended here).
-    pub to: Option<String>,
+    pub to: Option<Arc<str>>,
     /// Departure time.
     pub departed: Option<Millis>,
 }
@@ -73,7 +76,9 @@ pub struct Footprint {
 #[derive(Debug, Default)]
 pub struct NapletManager {
     table: HashMap<NapletId, TableEntry>,
-    footprints: HashMap<NapletId, Vec<Footprint>>,
+    footprints: HashMap<NapletId, Footprint>,
+    /// The host names footprints share, one per peer.
+    hosts: HashSet<Arc<str>>,
 }
 
 impl NapletManager {
@@ -141,25 +146,34 @@ impl NapletManager {
 
     // ----------------- footprints (tracing) -----------------
 
-    /// Record an arrival footprint.
+    /// `host`, shared with every footprint that names it.
+    fn host(&mut self, host: &str) -> Arc<str> {
+        if let Some(shared) = self.hosts.get(host) {
+            return Arc::clone(shared);
+        }
+        let shared = Arc::<str>::from(host);
+        self.hosts.insert(Arc::clone(&shared));
+        shared
+    }
+
+    /// Record an arrival footprint, replacing the previous visit's.
     pub fn record_arrival(&mut self, id: &NapletId, from: Option<&str>, now: Millis) {
-        self.footprints
-            .entry(id.clone())
-            .or_default()
-            .push(Footprint {
-                from: from.map(str::to_string),
-                arrived: now,
-                to: None,
-                departed: None,
-            });
+        let footprint = Footprint {
+            from: from.map(|from| self.host(from)),
+            arrived: now,
+            to: None,
+            departed: None,
+        };
+        self.footprints.insert(id.clone(), footprint);
     }
 
     /// Record the departure of the current visit towards `to`.
     /// Returns false when there is no open footprint (protocol bug).
     pub fn record_departure(&mut self, id: &NapletId, to: &str, now: Millis) -> bool {
-        match self.footprints.get_mut(id).and_then(|v| v.last_mut()) {
+        let to = self.host(to);
+        match self.footprints.get_mut(id) {
             Some(fp) if fp.departed.is_none() => {
-                fp.to = Some(to.to_string());
+                fp.to = Some(to);
                 fp.departed = Some(now);
                 true
             }
@@ -172,21 +186,21 @@ impl NapletManager {
     /// * `Some(Some(host))` — it departed towards `host`;
     /// * `None` — never seen here.
     pub fn trace(&self, id: &NapletId) -> Option<Option<&str>> {
-        let fp = self.footprints.get(id)?.last()?;
+        let fp = self.footprints.get(id)?;
         Some(match (&fp.departed, &fp.to) {
-            (Some(_), Some(to)) => Some(to.as_str()),
+            (Some(_), Some(to)) => Some(&**to),
             _ => None,
         })
     }
 
-    /// Full footprint history for a naplet (diagnostics/audit).
-    pub fn footprints(&self, id: &NapletId) -> &[Footprint] {
-        self.footprints.get(id).map(Vec::as_slice).unwrap_or(&[])
+    /// A naplet's last footprint here (diagnostics/audit).
+    pub fn footprint(&self, id: &NapletId) -> Option<&Footprint> {
+        self.footprints.get(id)
     }
 
-    /// Total footprints recorded (all naplets).
+    /// Naplets with a footprint here.
     pub fn footprint_count(&self) -> usize {
-        self.footprints.values().map(Vec::len).sum()
+        self.footprints.len()
     }
 }
 
@@ -225,12 +239,17 @@ mod tests {
         assert_eq!(m.trace(&id), Some(None)); // resident
         assert!(m.record_departure(&id, "s2", Millis(9)));
         assert_eq!(m.trace(&id), Some(Some("s2"))); // forwarded
-                                                    // revisit later
+        let last = m.footprint(&id).unwrap();
+        assert_eq!(last.from.as_deref(), Some("s0"));
+        assert_eq!(last.to.as_deref(), Some("s2"));
+        // a revisit replaces it: only the last visit is kept
         m.record_arrival(&id, Some("s5"), Millis(30));
         assert_eq!(m.trace(&id), Some(None));
-        assert_eq!(m.footprints(&id).len(), 2);
-        assert_eq!(m.footprints(&id)[0].from.as_deref(), Some("s0"));
-        assert_eq!(m.footprints(&id)[0].to.as_deref(), Some("s2"));
+        let last = m.footprint(&id).unwrap();
+        assert_eq!(
+            (last.from.as_deref(), last.to.as_deref()),
+            (Some("s5"), None)
+        );
     }
 
     #[test]
@@ -249,6 +268,6 @@ mod tests {
         m.record_arrival(&nid(1), None, Millis(1));
         m.record_arrival(&nid(2), None, Millis(1));
         m.record_arrival(&nid(1), Some("x"), Millis(2));
-        assert_eq!(m.footprint_count(), 3);
+        assert_eq!(m.footprint_count(), 2, "one, the last, per naplet");
     }
 }

@@ -31,6 +31,8 @@ use naplet_core::itinerary::ActionSpec;
 use naplet_core::message::Mailbox;
 use naplet_core::naplet::Naplet;
 
+use crate::events::Visit;
+
 /// Scheduling priority of a naplet, derived from the `priority`
 /// credential attribute (`high` / `low`; anything else is Normal).
 /// The paper's monitor confines alien threads "to a limited range of
@@ -138,11 +140,12 @@ impl Default for MonitorPolicy {
 }
 
 /// Running state of one hosted naplet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub enum RunState {
-    /// Waiting for the directory to acknowledge arrival registration
-    /// (execution is postponed until then, paper §4.1).
-    AwaitingArrivalAck,
+    /// Waiting for the directory to acknowledge the arrival
+    /// registration of this visit (execution is postponed until then,
+    /// paper §4.1).
+    AwaitingArrivalAck(Visit),
     /// Waiting for a cold codebase to be fetched (lazy code loading).
     AwaitingCode,
     /// Eligible to execute.

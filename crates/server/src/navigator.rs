@@ -4,14 +4,15 @@
 //!
 //! One module owns every table the handoff needs: outbound custody by
 //! transfer id, the verdict this host gave each `(origin, transfer id)`
-//! it was sent, and the agents parked here. Its transitions are handed
+//! it was sent, the arrival acks that came before their `Transfer`, and
+//! the agents parked here. Its transitions are handed
 //! the [`Outbox`] and the journal: each sends its own frames with their
 //! timers, journals the handoff where it stands, and records its own
 //! log lines, metrics and trace events. What comes back is only what
 //! the server continues with — an agent to admit, where an admitted
 //! agent landed, the agent after a refusal or a failure.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use naplet_core::clock::Millis;
@@ -23,7 +24,7 @@ use naplet_core::message::Mailbox;
 use naplet_core::naplet::{Naplet, SharedNaplet};
 use naplet_obs::{TraceKind, COUNT_BOUNDS, LATENCY_BOUNDS_MS};
 
-use crate::events::{LocalEvent, Outbox, TransferEnvelope, Wire};
+use crate::events::{LocalEvent, Outbox, TransferEnvelope, Visit, Wire};
 use crate::journal::{Journal, JournalPhase};
 use crate::retry::RetryPolicy;
 use crate::status::StatusReport;
@@ -152,9 +153,14 @@ pub struct Navigator {
     /// The verdict given each `Transfer`, by (origin, transfer id):
     /// when, and the refusal's reason (`None`: admitted). A retransmit
     /// gets the same answer, never a second decision.
-    seen: HashMap<(String, u64), (Millis, Option<String>)>,
+    seen: HashMap<(Arc<str>, u64), (Millis, Option<String>)>,
     /// Verdict notes evicted by [`sweep`](Self::sweep) so far.
     pub seen_evicted: u64,
+    /// Arrival acks that came before their `Transfer`, by the visit
+    /// they open, with when they came: the admission takes its own.
+    early_acks: HashMap<(Arc<str>, u64), Millis>,
+    /// The origin names the keys above share, one per peer.
+    origins: HashSet<Arc<str>>,
     /// Agents stranded here by a failed required hop, held for owners.
     pub parked: HashMap<NapletId, Naplet>,
 }
@@ -167,18 +173,31 @@ impl Navigator {
             handoffs: HashMap::new(),
             seen: HashMap::new(),
             seen_evicted: 0,
+            early_acks: HashMap::new(),
+            origins: HashSet::new(),
             parked: HashMap::new(),
         }
     }
 
     // ----------------- the destination's end -----------------
 
+    /// The key of a visit's tables, its origin name shared.
+    fn key(&mut self, origin: &str, transfer_id: u64) -> (Arc<str>, u64) {
+        let shared = self.origins.get(origin).cloned().unwrap_or_else(|| {
+            let shared = Arc::<str>::from(origin);
+            self.origins.insert(Arc::clone(&shared));
+            shared
+        });
+        (shared, transfer_id)
+    }
+
     /// A `Transfer` came from `from`, and `decision` is this host's
     /// landing decision on it. The first attempt's decision is the
     /// verdict, journaled before the ack leaves: every attempt — the
     /// previous ack may have been the frame that was lost — is answered
     /// with it, by a recovered receiver too. The envelope comes back, to
-    /// be admitted, only the first time and only when admitted.
+    /// be admitted, only the first time and only when admitted. A
+    /// refusal drops the arrival ack that came before it.
     pub fn receive(
         &mut self,
         from: &str,
@@ -190,7 +209,7 @@ impl Navigator {
         let (transfer_id, now) = (envelope.transfer_id, out.now());
         let id = envelope.naplet.id().clone();
         let attempt = envelope.attempt;
-        let key = (from.to_string(), transfer_id);
+        let key = self.key(from, transfer_id);
         let (fresh, refused) = match self.seen.get(&key) {
             Some((_, refused)) => (false, refused.clone()),
             None => {
@@ -198,7 +217,7 @@ impl Navigator {
                 if let Err(e) = journal.note_seen(from, transfer_id, now, refused.as_deref()) {
                     out.log(format!("JOURNAL seen failed for {id}: {e}"));
                 }
-                self.seen.insert(key, (now, refused.clone()));
+                self.seen.insert(key.clone(), (now, refused.clone()));
                 (true, refused)
             }
         };
@@ -235,7 +254,28 @@ impl Navigator {
             refused,
         };
         out.send(from.to_string(), ack);
+        if !granted {
+            self.early_acks.remove(&key);
+        }
         (fresh && granted).then_some(envelope)
+    }
+
+    /// An arrival ack for `visit` found no admitted agent waiting on
+    /// it. Before the `Transfer` it opens — no verdict on that yet — it
+    /// is held for the admission; after, it answered a visit already
+    /// opened or refused, and is dropped.
+    pub fn hold_ack(&mut self, visit: &Visit, now: Millis) {
+        let key = self.key(&visit.origin, visit.transfer_id);
+        if !self.seen.contains_key(&key) {
+            self.early_acks.insert(key, now);
+        }
+    }
+
+    /// Whether the arrival ack of the visit being admitted came first:
+    /// it opens the visit at once, and only once.
+    pub fn take_ack(&mut self, visit: &Visit) -> bool {
+        let key = self.key(&visit.origin, visit.transfer_id);
+        self.early_acks.remove(&key).is_some()
     }
 
     // ----------------- the origin's end -----------------
@@ -465,15 +505,18 @@ impl Navigator {
         at: Millis,
         refused: Option<String>,
     ) {
-        let key = (origin.to_string(), transfer_id);
+        let key = self.key(origin, transfer_id);
         self.seen.entry(key).or_insert((at, refused));
     }
 
-    /// Forget verdicts older than `retention_ms` (counted).
+    /// Forget verdicts (counted) and early acks whose `Transfer` never
+    /// came, older than `retention_ms`.
     pub fn sweep(&mut self, now: Millis, retention_ms: u64) {
         let before = self.seen.len();
         self.seen.retain(|_, (at, _)| now.since(*at) < retention_ms);
         self.seen_evicted += (before - self.seen.len()) as u64;
+        self.early_acks
+            .retain(|_, at| now.since(*at) < retention_ms);
     }
 
     /// Outbound handoffs awaiting an acknowledgement.

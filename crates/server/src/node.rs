@@ -718,16 +718,18 @@ mod tests {
     /// Nodes `a` and `b`, each on its own TCP transport and recording
     /// into its own sink, that know each other's address.
     fn tcp_pair() -> [(Node<TcpTransport>, ObsSink); 2] {
+        tcp_pair_in(LocationMode::ForwardingTrace)
+    }
+
+    /// [`tcp_pair`] under `mode`.
+    fn tcp_pair_in(mode: LocationMode) -> [(Node<TcpTransport>, ObsSink); 2] {
         let listen = || TcpConfig::new("127.0.0.1:0".parse().unwrap(), Default::default());
         let nets = [(); 2].map(|_| Arc::new(TcpTransport::start(listen()).unwrap()));
         nets[0].add_peer("b", nets[1].local_addr()).unwrap();
         nets[1].add_peer("a", nets[0].local_addr()).unwrap();
         let [a, b] = nets;
         [(a, "a"), (b, "b")].map(|(net, host)| {
-            let (config, obs) = (
-                ServerConfig::open(host, LocationMode::ForwardingTrace),
-                ObsSink::default(),
-            );
+            let (config, obs) = (ServerConfig::open(host, mode.clone()), ObsSink::default());
             (Node::new(net, config, obs.clone(), Instant::now()), obs)
         })
     }
@@ -806,6 +808,47 @@ mod tests {
         a.launch(naplet);
         assert!(sent() > 2, "the launch sent its transfer");
         assert_eq!(metered(&a), sent());
+    }
+
+    /// A launch at a home that holds the directory entry registers the
+    /// arrival as the Transfer leaves: the DirAck goes out right behind
+    /// it, on the same connection, so the destination reads the agent
+    /// first and its ack second, and the visit opens on the ack.
+    #[test]
+    fn a_launch_from_home_delivers_the_transfer_then_the_dir_ack() {
+        use naplet_core::itinerary::{Itinerary, Pattern};
+        use naplet_core::naplet::AgentKind;
+        use naplet_obs::TraceKind;
+
+        let [(mut a, _), (mut b, b_obs)] = tcp_pair_in(LocationMode::HomeManagers);
+        round_trip(&mut a, &mut b, &b_obs, 1);
+        b_obs.enable_tracing();
+        let key = SigningKey::new("t", b"k");
+        let it = Itinerary::new(Pattern::seq_of_hosts(&["b"], None)).unwrap();
+        let kind = AgentKind::Native;
+        let naplet = Naplet::create(&key, "t", "a", Millis(0), "greeter", kind, it, vec![]);
+        a.launch(naplet.unwrap());
+        let deadline = deadline();
+        let acked = |obs: &ObsSink| {
+            let mut events = obs.tracer.events().into_iter();
+            events.any(|e| matches!(e.kind, TraceKind::RegisterAcked { .. }))
+        };
+        while !acked(&b_obs) {
+            assert!(Instant::now() < deadline, "the visit never opened");
+            b.wait(Some(deadline));
+        }
+        let received: Vec<String> = (b_obs.tracer.events().into_iter())
+            .filter_map(|e| match e.kind {
+                TraceKind::WireRecv { from, label } if from == "a" => Some(label),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(received, ["Transfer", "DirAck"]);
+        let opened = b_obs.tracer.events().into_iter().find_map(|e| match e.kind {
+            TraceKind::RegisterAcked { forced, .. } => Some(forced),
+            _ => None,
+        });
+        assert_eq!(opened, Some(false), "opened by the ack, not the timer");
     }
 
     /// A flood of requests larger than a round: each round's replies

@@ -27,11 +27,11 @@ use naplet_core::message::{ControlVerb, Mailbox, Message, Payload, Sender};
 use naplet_core::naplet::{AgentKind, Naplet, SharedNaplet};
 use naplet_core::value::Value;
 
-use naplet_obs::{ObsSink, TraceKind, LATENCY_BOUNDS_MS};
+use naplet_obs::{ring::Ring, ObsSink, TraceKind, LATENCY_BOUNDS_MS};
 
 use crate::directory::DirEvent;
 use crate::events::{
-    EventLog, Input, LocalEvent, OpsPage, OpsRead, Outbox, Output, TransferEnvelope, Wire,
+    EventLog, Input, LocalEvent, OpsPage, OpsRead, Outbox, Output, TransferEnvelope, Visit, Wire,
 };
 use crate::journal::{Journal, JournalPhase, RecoveryStats};
 use crate::lease::{LeasePolicy, LeaseTable};
@@ -52,6 +52,9 @@ use crate::status::{ResidentStatus, StatusReport};
 /// transfer dedup, messenger confirmations): entries older than this
 /// are compacted away.
 const RETENTION_MS: u64 = 600_000;
+
+/// Completed journeys' logs kept; older ones are evicted and counted.
+const COMPLETED_KEPT: usize = 1024;
 
 /// Static server configuration. `Clone` so a crash driver can rebuild
 /// a server from the same configuration it was born with.
@@ -139,9 +142,9 @@ pub struct NapletServer {
     last_sweep: Millis,
     /// Recovery diagnostics accumulated across crash replays.
     recovery: RecoveryStats,
-    /// Navigation logs of journeys that completed at this server
-    /// (diagnostics: duplicate-visit assertions read these).
-    pub completed: Vec<(NapletId, naplet_core::navlog::NavigationLog)>,
+    /// Navigation logs of the last journeys that completed at this
+    /// server (diagnostics: duplicate-visit assertions read these).
+    pub completed: Ring<(NapletId, naplet_core::navlog::NavigationLog)>,
     /// Listener reports received for naplets homed here.
     pub reports: Vec<(NapletId, Value)>,
     /// Application-level replies received at this host
@@ -182,7 +185,7 @@ impl NapletServer {
             leases: LeaseTable::new(),
             last_sweep: Millis(0),
             recovery: RecoveryStats::default(),
-            completed: Vec::new(),
+            completed: Ring::with_capacity(COMPLETED_KEPT),
             reports: Vec::new(),
             app_replies: Vec::new(),
             ops_replies: Vec::new(),
@@ -321,33 +324,30 @@ impl NapletServer {
 
     /// File a registration or a removal at this host's shard — a frame
     /// off the wire or this host's own — and land what it commits.
-    /// `true` when a table took it at once, leaving nothing to wait for.
-    fn file(&mut self, wire: Wire) -> bool {
+    fn file(&mut self, wire: Wire) {
         let commits = self.locator.file(wire, &mut self.journal, &mut self.out);
-        self.land(commits)
+        self.land(commits);
     }
 
     /// Land what a shard operation committed, one registration at a
-    /// time, each where it committed; `true` when a table took it at once.
-    fn land(&mut self, mut commits: Commits) -> bool {
-        let at_once = commits.at_once();
+    /// time, each where it committed.
+    fn land(&mut self, mut commits: Commits) {
         while let Some(landed) = self.locator.land(&mut commits, &mut self.out) {
             self.registered(landed);
         }
-        at_once
     }
 
     /// What a registration that landed in this host's shard does — at
     /// once on a table, at commit on a replica: any movement is a sign
-    /// of life for the home's lease and status views, and the registrar
-    /// waiting on it gets its `DirAck`, inline when that is this host.
+    /// of life for the home's lease and status views, and the visit
+    /// waiting on it gets its `DirAck`, inline when that is here.
     /// A landed removal leaves nothing to do.
     fn registered(&mut self, wire: Wire) {
         let Wire::DirRegister {
             id,
             host,
             event,
-            ack_to,
+            visit,
             ..
         } = wire
         else {
@@ -356,9 +356,9 @@ impl NapletServer {
         let now = self.out.now();
         self.leases.renew(&id, now);
         self.manager.note_movement(&id, event, &host, now);
-        match ack_to {
-            Some(to) if to != self.out.host() => self.out.send(to, Wire::DirAck { id }),
-            Some(_) => self.proceed_after_registration(&id, false),
+        match visit {
+            Some(visit) if host == self.out.host() => self.dir_acked(&id, visit),
+            Some(visit) => self.out.send(host, Wire::DirAck { id, visit }),
             None => {}
         }
     }
@@ -432,21 +432,17 @@ impl NapletServer {
                 refused,
             } => {
                 let (journal, out) = (&mut self.journal, &mut self.out);
-                match self
+                let acked = self
                     .navigator
-                    .ack(transfer_id, from, &id, refused, journal, out)
-                {
-                    Some(Acked::Admitted { id, dest }) => self.hand_on(&id, &dest),
-                    // itinerary exception: skip the refused visit
-                    Some(Acked::Refused(naplet, mailbox)) => {
-                        self.undo_departure(naplet.id());
-                        self.continue_journey(naplet, mailbox);
-                    }
-                    None => {}
+                    .ack(transfer_id, from, &id, refused, journal, out);
+                // itinerary exception: skip the refused visit
+                if let Some(Acked::Refused(naplet, mailbox)) = acked {
+                    self.undo_departure(naplet.id());
+                    self.continue_journey(naplet, mailbox);
                 }
             }
-            wire @ (Wire::DirRegister { .. } | Wire::DirRemove { .. }) => drop(self.file(wire)),
-            Wire::DirAck { id } => self.proceed_after_registration(&id, false),
+            wire @ (Wire::DirRegister { .. } | Wire::DirRemove { .. }) => self.file(wire),
+            Wire::DirAck { id, visit } => self.dir_acked(&id, visit),
             Wire::DirQuery {
                 token,
                 id,
@@ -650,12 +646,8 @@ impl NapletServer {
                     self.fail_migration(failed);
                 }
             }
-            LocalEvent::RegisterTimeout { id, attempt } => {
-                let waiting = self
-                    .monitor
-                    .get_mut(&id)
-                    .is_some_and(|e| e.state == RunState::AwaitingArrivalAck);
-                if !waiting {
+            LocalEvent::RegisterTimeout { id, visit, attempt } => {
+                if !self.waits_on(&id, &visit) {
                     return; // acked (or gone) in the meantime
                 }
                 if attempt >= self.retry.max_retries {
@@ -669,13 +661,14 @@ impl NapletServer {
                     self.proceed_after_registration(&id, true);
                     return;
                 }
-                // the replica we tried may be the dead node that
-                // forced this retry
+                // the replica tried may be the dead node that forced this
+                // retry; from here this host registers for itself
                 self.locator.rotate();
                 let next = attempt + 1;
                 self.out
                     .log(format!("RETRY register {id} (attempt {next})"));
-                self.register_movement(&id, DirEvent::Arrival, Some(next));
+                self.register(&id, None, Some(visit.clone()), next);
+                self.arm_register_timer(&id, visit, next);
             }
             LocalEvent::LeaseCheck { id } => {
                 self.check_lease(&id);
@@ -728,7 +721,8 @@ impl NapletServer {
             for m in mail.drain() {
                 self.stash(m, self.out.host().to_string());
             }
-            self.admit_arrival(envelope, Some(from), Mailbox::new());
+            let visit = Visit::new(from, envelope.transfer_id);
+            self.admit_arrival(envelope, Some(from), Mailbox::new(), visit);
         }
     }
 
@@ -759,14 +753,17 @@ impl NapletServer {
                     if host == self.out.host() {
                         // a visit to the current host needs no
                         // migration; unread mail stays in the naplet's
-                        // custody and rides straight into the new entry
+                        // custody and rides straight into the new entry.
+                        // It is registered as it begins, like any move
+                        let visit = Visit::new(&host, self.token());
+                        self.register(naplet.id(), None, Some(visit.clone()), 1);
                         let envelope = TransferEnvelope {
                             naplet: naplet.into(),
                             action,
                             transfer_id: 0, // same-host: no handoff protocol
                             attempt: 1,
                         };
-                        self.admit_arrival(envelope, None, mailbox);
+                        self.admit_arrival(envelope, None, mailbox, visit);
                     } else {
                         self.begin_migration(naplet, mailbox, action, host, checkpoint);
                     }
@@ -857,36 +854,39 @@ impl NapletServer {
         match back {
             // it cannot leave: skip the visit
             Some((naplet, mailbox)) => self.continue_journey(naplet, mailbox),
-            None => self.record_departure(&id, &to),
+            None => self.record_departure(&id, &to, transfer_id),
         }
     }
 
     /// Arm the acknowledgement timer for an arrival registration; keyed
     /// on the naplet id so concurrent arrivals jitter apart.
-    fn arm_register_timer(&mut self, id: &NapletId, attempt: u32) {
+    fn arm_register_timer(&mut self, id: &NapletId, visit: Visit, attempt: u32) {
         let key = crate::retry::naplet_jitter_key(id);
         let delay_ms = self.retry.jittered_backoff_ms(key, attempt);
         let id = id.clone();
-        self.out
-            .after(delay_ms, LocalEvent::RegisterTimeout { id, attempt });
+        let timeout = LocalEvent::RegisterTimeout { id, visit, attempt };
+        self.out.after(delay_ms, timeout);
     }
 
     /// The `Transfer` left: perform the one-time departure side effects
     /// while the navigator retains the agent until the destination
     /// answers; a refusal or a failure rolls them back
-    /// ([`undo_departure`](Self::undo_departure)).
-    fn record_departure(&mut self, id: &NapletId, dest: &str) {
+    /// ([`undo_departure`](Self::undo_departure)). The destination's
+    /// arrival is registered now, its ack sent there (paper §4.1).
+    fn record_departure(&mut self, id: &NapletId, dest: &str, transfer_id: u64) {
         self.manager.record_departure(id, dest, self.out.now());
         self.resources.release(id);
-        // DEPART registration (no ack needed, paper §4.1)
-        self.register_movement(id, DirEvent::Departure, None);
+        self.hand_on(id, dest);
+        let visit = Visit::new(self.out.host(), transfer_id);
+        self.register(id, Some(dest), Some(visit), 1);
         self.out.log(format!("DEPART {id} -> {dest}"));
     }
 
     /// The agent is back in this host's custody after its `Transfer`
-    /// left: its footprint points here again.
+    /// left: its footprint and its directory entry point here again.
     fn undo_departure(&mut self, id: &NapletId) {
         self.manager.record_arrival(id, None, self.out.now());
+        self.register(id, None, None, 1);
     }
 
     /// All retries exhausted: the navigator rewound the itinerary to
@@ -902,7 +902,8 @@ impl NapletServer {
     }
 
     /// Strand the naplet at this server after an unrecoverable
-    /// migration failure: re-register it here, notify its home with
+    /// migration failure (its departure already undone, so it is
+    /// registered here): notify its home with
     /// [`NapletStatus::Parked`] and keep it for owner recovery. Unread
     /// mail returns to the special mailbox rather than being dropped.
     fn park(&mut self, naplet: Naplet, mut mailbox: Mailbox, dest: &str) {
@@ -911,8 +912,6 @@ impl NapletServer {
             self.messenger.forget_delivery(&m);
             self.stash(m, self.out.host().to_string());
         }
-        // make the parked naplet locatable here again
-        self.register_movement(&id, DirEvent::Arrival, None);
         let detail = format!("destination {dest} unreachable");
         self.notify_home(&id, NapletStatus::Parked, &detail);
         // a parked agent held for owner recovery must survive a crash
@@ -1003,7 +1002,9 @@ impl NapletServer {
         envelope: TransferEnvelope,
         from: Option<&str>,
         mut carry: Mailbox,
+        visit: Visit,
     ) {
+        let attempt = envelope.attempt;
         let TransferEnvelope { naplet, action, .. } = envelope;
         let id = naplet.id().clone();
         if let Err(e) = self.security.verify_naplet(&naplet) {
@@ -1048,15 +1049,15 @@ impl NapletServer {
         for (m, origin) in self.messenger.drain_early(&id) {
             self.deliver(m, origin, |_, m| sort(m));
         }
-        let state = RunState::AwaitingArrivalAck;
+        let state = RunState::AwaitingArrivalAck(visit.clone());
         let entry = self.monitor.admit(naplet, action, state, now);
         for m in mail {
             entry.mailbox.deposit(m);
         }
         self.out.gauge("mailbox_depth", entry.mailbox.len() as u64);
 
-        // ARRIVAL registration: execution postponed until acknowledged
-        self.register_movement(&id, DirEvent::Arrival, Some(1));
+        // execution postponed until the arrival is acknowledged
+        self.gate(&id, visit, attempt.min(2));
 
         // early control messages now interrupt the just-arrived naplet
         for verb in pending_controls {
@@ -1078,56 +1079,58 @@ impl NapletServer {
         }
     }
 
-    /// Register a movement of `id` at this host with whoever holds its
-    /// directory entry: another host gets a `DirRegister`, this host's
-    /// own shard takes the same frame through [`file`](Self::file).
-    ///
-    /// `gate: Some(attempt)` is an arrival whose execution waits in
-    /// `AwaitingArrivalAck` for the acknowledgement: the registration
-    /// asks for a `DirAck` and is retried like any other acked frame —
-    /// a lost `DirRegister`/`DirAck`, or a replica set with no leader
-    /// yet, must not strand the agent. Where nothing can be lost (this
-    /// host's table, no directory at all) the gate opens at once.
-    /// `None` is fire-and-forget: departures, parking, and recovery of
-    /// visits that already ran, where only the directory entry needs
-    /// restoring.
-    fn register_movement(&mut self, id: &NapletId, event: DirEvent, gate: Option<u32>) {
-        let to = match self.locator.holder(id) {
-            Holder::Nowhere => {
-                if gate.is_some() {
-                    self.proceed_after_registration(id, false);
-                }
-                return;
-            }
-            Holder::Here => None,
-            Holder::At(host) => Some(host.to_string()),
-        };
-        let host = self.out.host();
-        let wire = Wire::DirRegister {
-            id: id.clone(),
-            host: host.to_string(),
+    /// Register the arrival of `id` at `dest` (`None`: here) with the
+    /// holder of its directory entry; `visit` asks for the `DirAck` that
+    /// opens that visit there. Without one it only points the directory
+    /// there (an undone departure, a recovered visit that already ran).
+    fn register(&mut self, id: &NapletId, dest: Option<&str>, visit: Option<Visit>, attempt: u32) {
+        let host = dest.unwrap_or(self.out.host()).to_string();
+        let (id, event) = (id.clone(), DirEvent::Arrival);
+        self.to_holder(Wire::DirRegister {
+            id,
+            host,
             event,
-            ack_to: gate.map(|_| host.to_string()),
-            attempt: gate.unwrap_or(1),
+            visit,
+            attempt,
+        });
+    }
+
+    /// Hold the visit of `id` behind its arrival registration: open at
+    /// once where no directory is kept or its ack came first, else arm
+    /// the timer after which this host registers it itself (a lost frame
+    /// must not strand the agent). A retransmitted `Transfer` (`attempt`
+    /// 2) registers at once: the ack sent with the first may be lost too.
+    fn gate(&mut self, id: &NapletId, visit: Visit, attempt: u32) {
+        let holder = match self.locator.holder(id) {
+            Holder::Nowhere => None,
+            Holder::Here => Some(self.out.host()),
+            Holder::At(host) => Some(host),
         };
-        let landed = match to {
-            Some(to) => {
-                self.out.send(to, wire);
-                false
-            }
-            None => self.file(wire),
+        let Some(holder) = holder.filter(|_| !self.navigator.take_ack(&visit)) else {
+            return self.proceed_after_registration(id, false);
         };
-        if let Some(attempt) = gate.filter(|_| !landed) {
-            if attempt == 1 {
-                // nothing above moved the answer to "who holds `id`"
-                self.out.trace(Some(id), || TraceKind::RegisterGated {
-                    holder: match self.locator.holder(id) {
-                        Holder::At(host) => host.to_string(),
-                        _ => self.out.host().to_string(),
-                    },
-                });
-            }
-            self.arm_register_timer(id, attempt);
+        let holder = holder.to_string();
+        self.out
+            .trace(Some(id), || TraceKind::RegisterGated { holder });
+        if attempt > 1 {
+            self.register(id, None, Some(visit.clone()), attempt);
+        }
+        self.arm_register_timer(id, visit, attempt);
+    }
+
+    /// Whether `visit` of `id` waits here for its arrival ack.
+    fn waits_on(&self, id: &NapletId, visit: &Visit) -> bool {
+        let waiting = self.monitor.get(id).map(|e| &e.state);
+        matches!(waiting, Some(RunState::AwaitingArrivalAck(v)) if v == visit)
+    }
+
+    /// The directory acknowledged `visit` of `id`: it opens that visit
+    /// if it waits here, and waits for an admission still to come.
+    fn dir_acked(&mut self, id: &NapletId, visit: Visit) {
+        if self.waits_on(id, &visit) {
+            self.proceed_after_registration(id, false);
+        } else {
+            self.navigator.hold_ack(&visit, self.out.now());
         }
     }
 
@@ -1138,7 +1141,8 @@ impl NapletServer {
     /// or gone — is left alone.
     fn proceed_after_registration(&mut self, id: &NapletId, forced: bool) {
         let waiting = self.monitor.get_mut(id);
-        let Some(entry) = waiting.filter(|e| e.state == RunState::AwaitingArrivalAck) else {
+        let Some(entry) = waiting.filter(|e| matches!(e.state, RunState::AwaitingArrivalAck(_)))
+        else {
             return;
         };
         let started = entry.arrived_at;
@@ -1422,9 +1426,10 @@ impl NapletServer {
         }
     }
 
-    /// `id` was admitted at `dest`: what waited for it in the special
-    /// mailbox here chases it there, each message confirmed to its own
-    /// origin. (The mail it left unread travelled in its `Transfer`.)
+    /// `id` left for `dest`: what waited for it in the special mailbox
+    /// here chases it there right behind its `Transfer`, each message
+    /// confirmed to its own origin. (The mail it left unread travels in
+    /// the `Transfer`.)
     fn hand_on(&mut self, id: &NapletId, dest: &str) {
         for (mut m, origin) in self.messenger.drain_early(id) {
             m.forward_hops += 1;
@@ -1534,31 +1539,23 @@ impl NapletServer {
             status: "destroyed".to_string(),
         });
         self.notify_home(id, NapletStatus::Destroyed, reason);
-        self.dir_remove(id);
+        self.to_holder(Wire::DirRemove { id: id.clone() });
     }
 
     fn finish_journey(&mut self, naplet: Naplet, detail: &str, normal: bool) {
         let id = naplet.id().clone();
         self.out.log(format!("COMPLETE {id}"));
-        let status = if normal {
-            NapletStatus::Completed
+        let (status, label, counter) = if normal {
+            (NapletStatus::Completed, "completed", "journeys.completed")
         } else {
-            NapletStatus::Destroyed
+            (NapletStatus::Destroyed, "destroyed", "journeys.destroyed")
         };
         self.notify_home(&id, status, detail);
-        self.dir_remove(&id);
+        self.to_holder(Wire::DirRemove { id: id.clone() });
         self.monitor.evict(&id);
         self.resources.release(&id);
         self.journal.retire_naplet(&id, &mut self.out);
-        let label = if normal { "completed" } else { "destroyed" };
-        self.out.count(
-            if normal {
-                "journeys.completed"
-            } else {
-                "journeys.destroyed"
-            },
-            1,
-        );
+        self.out.count(counter, 1);
         self.out.trace(Some(&id), || TraceKind::JourneyDone {
             status: label.to_string(),
         });
@@ -1787,17 +1784,20 @@ impl NapletServer {
                         self.out
                             .log(format!("RECOVER resident {id} (visit applied)"));
                         self.monitor.admit(naplet, None, RunState::VisitDone, now);
-                        self.register_movement(&id, DirEvent::Arrival, None);
+                        self.register(&id, None, None, 1);
                         self.out.after(0, LocalEvent::VisitDone { id: id.clone() });
                     } else {
                         // admitted but never run: re-run through the
-                        // normal registration gate
+                        // normal registration gate, registered from here
                         self.out.trace(Some(&id), || replayed("resident-rerun"));
                         self.out
                             .log(format!("RECOVER resident {id} (re-running visit)"));
-                        self.monitor
-                            .admit(naplet, action, RunState::AwaitingArrivalAck, now);
-                        self.register_movement(&id, DirEvent::Arrival, Some(1));
+                        let transfer_id = self.token();
+                        let visit = Visit::new(self.out.host(), transfer_id);
+                        let state = RunState::AwaitingArrivalAck(visit.clone());
+                        self.monitor.admit(naplet, action, state, now);
+                        self.register(&id, None, Some(visit.clone()), 1);
+                        self.gate(&id, visit, 1);
                     }
                 }
                 JournalPhase::InFlight {
@@ -1842,13 +1842,13 @@ impl NapletServer {
         self.out.take()
     }
 
-    /// The journey of `id` ended: remove its directory entry, wherever
-    /// that is held.
-    fn dir_remove(&mut self, id: &NapletId) {
-        let wire = Wire::DirRemove { id: id.clone() };
+    /// Take a registration, or a removal once the journey ended, to
+    /// whoever holds the entry of its naplet, wherever that is held.
+    fn to_holder(&mut self, wire: Wire) {
+        let Some(id) = wire.subject() else { return };
         match self.locator.holder(id) {
             Holder::Nowhere => {}
-            Holder::Here => drop(self.file(wire)),
+            Holder::Here => self.file(wire),
             Holder::At(host) => {
                 let host = host.to_string();
                 self.out.send(host, wire);

@@ -26,7 +26,9 @@ use proptest::prelude::*;
 
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
-use naplet_server::{Commits, DirEvent, Holder, Journal, LocationMode, Locator, Outbox, Wire};
+use naplet_server::{
+    Commits, DirEvent, Holder, Journal, LocationMode, Locator, Outbox, Visit, Wire,
+};
 
 const SHARD: &str = "dir";
 
@@ -127,7 +129,10 @@ fn run(ops: &[Op], consensus: bool, local: bool) -> Result<Seen, TestCaseError> 
                     id: nid(naplet),
                     host: registrar.clone(),
                     event,
-                    ack_to: acked.then_some(registrar),
+                    visit: acked.then(|| Visit {
+                        origin: "o".into(),
+                        transfer_id: naplet,
+                    }),
                     attempt: 1,
                 }
             }
@@ -147,9 +152,7 @@ fn run(ops: &[Op], consensus: bool, local: bool) -> Result<Seen, TestCaseError> 
         let landed = landed(&mut locator, commits, &mut out);
         for wire in landed {
             if let Wire::DirRegister {
-                id,
-                ack_to: Some(_),
-                ..
+                id, visit: Some(_), ..
             } = wire
             {
                 seen.acks.push(id);

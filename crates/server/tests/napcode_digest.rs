@@ -20,7 +20,7 @@ use naplet_core::message::{ControlVerb, Mailbox, Message, Payload, Sender};
 use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
-use naplet_server::events::{OpsPage, OpsRead, TransferEnvelope, Wire};
+use naplet_server::events::{OpsPage, OpsRead, TransferEnvelope, Visit, Wire};
 use naplet_server::repl::ReplEntry;
 use naplet_server::{
     DirEntry, DirEvent, DirOp, LeasePolicy, LocationMode, MonitorPolicy, NapletStatus, ReplMsg,
@@ -120,16 +120,23 @@ fn one_frame_per_variant(status: naplet_server::StatusReport) -> Vec<Wire> {
         at: Millis(12),
     };
     let credential = Credential::issue(&key(), id.clone(), CODEBASE, vec![]);
+    let visit = Visit {
+        origin: "s0".into(),
+        transfer_id: 300,
+    };
     vec![
         Wire::Transfer(envelope.clone()),
         Wire::DirRegister {
             id: id.clone(),
             host: "s1".into(),
             event: DirEvent::Arrival,
-            ack_to: Some("s1".into()),
+            visit: Some(visit.clone()),
             attempt: 1,
         },
-        Wire::DirAck { id: id.clone() },
+        Wire::DirAck {
+            id: id.clone(),
+            visit,
+        },
         Wire::DirRemove { id: child.clone() },
         Wire::DirQuery {
             token: 1 << 40,

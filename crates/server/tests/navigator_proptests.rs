@@ -23,6 +23,12 @@
 //! ends in exactly one custody — admitted at the destination once, or
 //! back at the origin after a refusal, never both — and its unread mail
 //! with it.
+//!
+//! The third is the arrival gate's share: whatever the order of a
+//! visit's `DirAck`s and `Transfer`s, an ack that comes before its
+//! `Transfer` is taken by the admission that follows, once; one that
+//! comes after its verdict, or whose landing is refused, is held for
+//! nothing.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -42,7 +48,7 @@ use naplet_obs::TraceKind;
 use naplet_server::navigator::Acked;
 use naplet_server::{
     Journal, JournalPhase, LocalEvent, Navigator, Outbox, Output, RetryPolicy, TransferEnvelope,
-    Wire,
+    Visit, Wire,
 };
 
 const BUDGET: u32 = 3;
@@ -633,6 +639,53 @@ proptest! {
         prop_assert!(here + there <= 1, "the mail was duplicated: {:?}", custody);
         if !origin_crashed {
             prop_assert_eq!(here + there, 1, "the mail was lost: {:?}", custody);
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn an_early_arrival_ack_opens_its_own_admission_once(
+        steps in vec((0..3u64, any::<bool>(), any::<bool>()), 0..40),
+    ) {
+        let mut nav = navigator(BUDGET);
+        let (mut journal, mut out) = (Journal::in_memory(), Outbox::new(DEST));
+        let (agent, action, _, _) = departing(1);
+        // per transfer id: the verdict given (granted?), the acks held
+        let mut verdicts: BTreeMap<u64, bool> = BTreeMap::new();
+        let mut held: BTreeSet<u64> = BTreeSet::new();
+        for (step, (transfer_id, is_ack, room)) in steps.into_iter().enumerate() {
+            out.at(Millis(step as u64));
+            if is_ack {
+                nav.hold_ack(&Visit::new("c", transfer_id), out.now());
+                if !verdicts.contains_key(&transfer_id) {
+                    held.insert(transfer_id);
+                }
+                continue;
+            }
+            let envelope = TransferEnvelope {
+                naplet: agent.clone(),
+                action: action.clone(),
+                transfer_id,
+                attempt: 1,
+            };
+            let admitted = nav.receive("c", envelope, decision(room), &mut journal, &mut out);
+            let fresh = !verdicts.contains_key(&transfer_id);
+            let granted = *verdicts.entry(transfer_id).or_insert(room);
+            prop_assert_eq!(admitted.is_some(), fresh && granted);
+            if fresh && !granted {
+                held.remove(&transfer_id); // dropped with the refusal
+            }
+            if admitted.is_some() {
+                let acked = nav.take_ack(&Visit::new("c", transfer_id));
+                prop_assert_eq!(acked, held.remove(&transfer_id), "taken once, if it came first");
+            }
+        }
+        // what is still held is exactly the acks whose Transfer never came
+        for transfer_id in 0..3 {
+            let still = nav.take_ack(&Visit::new("c", transfer_id));
+            prop_assert_eq!(still, held.contains(&transfer_id));
+            prop_assert!(!still || !verdicts.contains_key(&transfer_id));
         }
     }
 }

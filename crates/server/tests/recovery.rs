@@ -140,9 +140,9 @@ fn dest_crash_between_transfer_receipt_and_ack() {
 fn origin_crash_between_transfer_and_ack() {
     let mut rt = world(2, None, 3);
     rt.launch(agent(&["s0", "s1", "home"], 1)).unwrap();
-    // s0 sends the Transfer to s1 at t=17 and commits on the ack at
-    // t=23: crash s0 inside that window
-    rt.run_until(Millis(18));
+    // s0 sends the Transfer to s1 at t=11 and commits on the ack at
+    // t=17: crash s0 inside that window
+    rt.run_until(Millis(12));
     rt.crash_server("s0", Some(40));
     rt.run_to_quiescence(1_000_000);
 
@@ -179,10 +179,11 @@ fn origin_crash_between_transfer_and_ack() {
 fn dest_crash_mid_visit_suppresses_replay() {
     let mut rt = world(1, None, 3);
     rt.launch(agent(&["s0", "home"], 1)).unwrap();
-    // s0 admits at t=3, applies the visit once its code is in (t≈12)
-    // and starts the next handoff at VisitDone (t=17): crash in the
-    // window where the journal shows the visit applied
-    rt.run_until(Millis(13));
+    // s0 admits at t=3 with home's DirAck already there (it left right
+    // behind the Transfer), applies the visit once its code is in
+    // (t≈6) and starts the next handoff at VisitDone (t=11): crash in
+    // the window where the journal shows the visit applied
+    rt.run_until(Millis(8));
     rt.crash_server("s0", Some(40));
     rt.run_to_quiescence(1_000_000);
 
@@ -300,7 +301,7 @@ fn a_crash_at_any_event_leaves_arrival_hooks_applied_once_per_visit() {
         assert_eq!(reports.len(), 1, "crash before event {crash_at:?}");
         let completed = &rt.server("home").unwrap().completed;
         assert_eq!(completed.len(), 1, "crash before event {crash_at:?}");
-        let route = completed[0].1.route();
+        let route = completed.iter().next().unwrap().1.route();
         let route = route.into_iter().map(str::to_string).collect();
         Some((reports[0].1.clone(), route, steps))
     };

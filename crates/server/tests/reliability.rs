@@ -17,7 +17,7 @@ use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
 use naplet_server::{
     DirEvent, Input, JournalPhase, LocalEvent, LocationMode, MonitorPolicy, NapletServer,
-    NapletStatus, Output, ServerConfig, SimRuntime, TransferEnvelope, Wire,
+    NapletStatus, Output, RunState, ServerConfig, SimRuntime, TransferEnvelope, Visit, Wire,
 };
 
 const CODEBASE: &str = "naplet://code/collector.jar";
@@ -176,10 +176,17 @@ fn a_redelivered_early_message_waits_once_and_leaves_once() {
     let gauges = home.obs().metrics.snapshot().gauges;
     assert_eq!(gauges.get("special_mailbox_depth"), Some(&1));
 
-    // the naplet leaves for s0: once s0 admits it, the message follows
-    // it exactly once
+    // the naplet leaves for s0: the message follows it exactly once,
+    // right behind its Transfer, and s0's ack sends nothing more
     let id = naplet.id().clone();
     let departure = home.launch(naplet, now);
+    let posts = |out: &[Output]| {
+        let to_s0 =
+            |o: &&Output| matches!(o, Output::Send { to, wire: Wire::Post { .. } } if to == "s0");
+        out.iter().filter(to_s0).count()
+    };
+    assert_eq!(posts(&departure), 1);
+    assert_eq!(home.messenger.early_waiting(), 0);
     let transfer_id = departure
         .iter()
         .find_map(|o| match o {
@@ -190,7 +197,6 @@ fn a_redelivered_early_message_waits_once_and_leaves_once() {
             _ => None,
         })
         .expect("home sends the naplet to s0");
-    assert_eq!(home.messenger.early_waiting(), 1, "held until admitted");
     let refused = None;
     let wire = Wire::TransferAck {
         transfer_id,
@@ -199,11 +205,7 @@ fn a_redelivered_early_message_waits_once_and_leaves_once() {
     };
     let from = "s0".to_string();
     let admitted = home.handle(now, Input::Wire { from, wire });
-    let posts = admitted
-        .iter()
-        .filter(|o| matches!(o, Output::Send { to, wire: Wire::Post { .. } } if to == "s0"));
-    assert_eq!(posts.count(), 1);
-    assert_eq!(home.messenger.early_waiting(), 0);
+    assert_eq!(posts(&admitted), 0);
 }
 
 #[test]
@@ -527,7 +529,7 @@ fn movement_registration_after_the_completion_notice_keeps_completed() {
         id: id.clone(),
         host: host.into(),
         event,
-        ack_to: None,
+        visit: None,
         attempt: 1,
     };
     let deliver = |home: &mut NapletServer, at, from: &str, wire| {
@@ -553,4 +555,239 @@ fn movement_registration_after_the_completion_notice_keeps_completed() {
     deliver(&mut home, 31, "s0", register(DirEvent::Departure, "s0"));
     assert_eq!(status(&home), NapletStatus::Completed);
     assert_eq!(home.manager.table_entry(&id).unwrap().last_known, "s1");
+}
+
+// ----------------- the arrival gate of a hop -----------------
+//
+// The origin registers a visit as its Transfer leaves; the holder acks
+// it to the destination, naming the visit. These tests hold the
+// directory at a station, so each registration and each ack is
+// answered, held back or dropped by hand.
+
+/// `home`, `s0`, `s1` over a directory held at the station `dir`.
+fn gated_world() -> SimRuntime {
+    let mut rt = world(LocationMode::CentralDirectory("dir".into()), 2, 9);
+    rt.add_station("dir");
+    rt
+}
+
+/// Every acked registration the station `dir` has received so far:
+/// who sent it, the host it registers, the visit and the attempt.
+fn registrations(rt: &mut SimRuntime) -> Vec<(String, String, Visit, u32)> {
+    let frames = rt.station_drain("dir").into_iter();
+    let acked = frames.filter_map(|(from, wire)| match wire {
+        Wire::DirRegister {
+            host,
+            visit: Some(visit),
+            attempt,
+            ..
+        } => Some((from, host, visit, attempt)),
+        _ => None,
+    });
+    acked.collect()
+}
+
+/// The station acks `visit` of `id` to `host`.
+fn ack(rt: &mut SimRuntime, id: &NapletId, host: &str, visit: Visit) {
+    let wire = Wire::DirAck {
+        id: id.clone(),
+        visit,
+    };
+    rt.station_send("dir", host, wire).unwrap();
+}
+
+/// Whether `id` waits at `host` for the ack of a visit from `origin`.
+fn waits(rt: &SimRuntime, host: &str, id: &NapletId, origin: &str) -> bool {
+    let entry = rt.server(host).unwrap().monitor.get(id);
+    matches!(entry.map(|e| &e.state), Some(RunState::AwaitingArrivalAck(v)) if v.origin == origin)
+}
+
+/// A late second ack of a visit — the answer to a retried
+/// registration — reaches its host while a later visit of the same
+/// naplet waits there. It names the visit it answers, so it opens
+/// nothing: the later visit runs only on its own ack. (Before the ack
+/// named its visit, any ack for the naplet opened whatever visit of it
+/// was waiting.)
+#[test]
+fn a_stale_dir_ack_does_not_open_a_later_visit() {
+    let mut rt = gated_world();
+    let naplet = agent(Pattern::seq_of_hosts(&["s0", "s1", "s0"], None), 1);
+    let id = naplet.id().clone();
+    rt.launch(naplet).unwrap();
+    let mut stale = None;
+    // answer every registration at once, keeping a second copy of the
+    // first visit's ack, until the second visit of s0 waits
+    while !waits(&rt, "s0", &id, "s1") {
+        for (_, host, visit, _) in registrations(&mut rt) {
+            if host == "s0" && visit.origin == "s1" {
+                continue; // the visit under test: not yet
+            }
+            stale.get_or_insert((host.clone(), visit.clone()));
+            ack(&mut rt, &id, &host, visit);
+        }
+        rt.step().expect("the agent comes back to s0");
+    }
+    let (host, visit) = stale.expect("the first visit was acked");
+    assert_eq!((host.as_str(), visit.origin.as_str()), ("s0", "home"));
+    ack(&mut rt, &id, &host, visit);
+    let soon = Millis(rt.now().0 + 20); // well inside the gate's timer
+    rt.run_until(soon);
+    assert!(
+        waits(&rt, "s0", &id, "s1"),
+        "the stale ack opened the later visit"
+    );
+    // its own ack opens it
+    let mine = registrations(&mut rt).into_iter();
+    let mine = mine.filter(|(_, host, visit, _)| host == "s0" && visit.origin == "s1");
+    let (_, host, visit, _) = mine.last().expect("s1 registered the second visit");
+    ack(&mut rt, &id, &host, visit);
+    rt.run_until(Millis(rt.now().0 + 20));
+    assert!(!waits(&rt, "s0", &id, "s1"));
+    while rt.step().is_some() {
+        for (_, host, visit, _) in registrations(&mut rt) {
+            ack(&mut rt, &id, &host, visit);
+        }
+    }
+    let reports = rt.drain_reports("home");
+    let visits = report_list(&reports[0].1, "visits");
+    let hosts = ["s0", "s1", "s0"].map(|h| Value::Str(h.into()));
+    assert_eq!(visits, hosts, "each visit ran once, in order");
+}
+
+/// The ack reaches the destination before the agent: it is held, and
+/// the admission opens the visit at once — once, with no timer armed.
+/// Without it the admission waits behind a timer.
+#[test]
+fn an_ack_before_its_transfer_opens_the_visit_on_admission() {
+    for early in [true, false] {
+        let mut cfg = ServerConfig::open("s0", LocationMode::CentralDirectory("dir".into()));
+        cfg.codebase = registry();
+        let mut s0 = NapletServer::new(cfg);
+        let naplet = agent(Pattern::seq_of_hosts(&["s0"], None), 1);
+        let id = naplet.id().clone();
+        let visit = Visit {
+            origin: "home".into(),
+            transfer_id: 7,
+        };
+        let deliver = |s0: &mut NapletServer, at, from: &str, wire| {
+            let from = from.to_string();
+            s0.handle(Millis(at), Input::Wire { from, wire })
+        };
+        let dir_ack = Wire::DirAck {
+            id: id.clone(),
+            visit: visit.clone(),
+        };
+        if early {
+            let out = deliver(&mut s0, 1, "dir", dir_ack.clone());
+            assert!(out.is_empty(), "held, nothing sent: {out:?}");
+            assert!(s0.monitor.get(&id).is_none());
+        }
+        let envelope = TransferEnvelope {
+            naplet: naplet.into(),
+            action: None,
+            transfer_id: 7,
+            attempt: 1,
+        };
+        let out = deliver(&mut s0, 2, "home", Wire::Transfer(envelope));
+        let timers = out.iter().filter(|o| {
+            matches!(
+                o,
+                Output::Schedule {
+                    event: LocalEvent::RegisterTimeout { .. },
+                    ..
+                }
+            )
+        });
+        let sent_register = out.iter().any(|o| {
+            matches!(
+                o,
+                Output::Send {
+                    wire: Wire::DirRegister { .. },
+                    ..
+                }
+            )
+        });
+        assert!(!sent_register, "the origin registered the visit");
+        let gated = matches!(
+            s0.monitor.get(&id).map(|e| &e.state),
+            Some(RunState::AwaitingArrivalAck(_))
+        );
+        assert_eq!(timers.count(), usize::from(!early), "early: {early}");
+        assert_eq!(gated, !early, "early: {early}");
+        // a second copy of the ack opens nothing more and is not held
+        let again = deliver(&mut s0, 3, "dir", dir_ack);
+        let opened = again.iter().any(|o| matches!(o, Output::FetchCode { .. }));
+        assert_eq!(opened, !early, "early: {early}");
+    }
+}
+
+/// The origin's registration is lost: the destination's gate times out
+/// and it registers the visit itself, as attempt 2, and runs on that.
+#[test]
+fn a_lost_first_registration_falls_back_to_the_destination() {
+    let mut rt = gated_world();
+    let naplet = agent(Pattern::seq_of_hosts(&["s0"], None), 1);
+    let id = naplet.id().clone();
+    rt.launch(naplet).unwrap();
+    let mut seen = Vec::new();
+    while rt.step().is_some() {
+        for (from, host, visit, attempt) in registrations(&mut rt) {
+            if attempt > 1 {
+                ack(&mut rt, &id, &host, visit.clone());
+            }
+            seen.push((from, host, visit.origin, attempt));
+        }
+    }
+    let expect = |from: &str, attempt| (from.into(), "s0".into(), "home".into(), attempt);
+    assert_eq!(seen, [expect("home", 1), expect("s0", 2)]);
+    assert_eq!(rt.drain_reports("home").len(), 1, "the journey completes");
+    let s0 = rt.server("s0").unwrap();
+    assert!(s0.log().iter().any(|e| e.line.starts_with("RETRY register")));
+}
+
+/// A refused landing rolls the departure back: the origin, which
+/// registered the destination as the Transfer left, points the
+/// directory back at itself before the journey moves on.
+#[test]
+fn a_refused_landing_points_the_directory_back_at_the_origin() {
+    let mut cfg = ServerConfig::open("home", LocationMode::CentralDirectory("dir".into()));
+    cfg.codebase = registry();
+    let mut home = NapletServer::new(cfg);
+    let naplet = agent(Pattern::seq_of_hosts(&["s0", "s1"], None), 1);
+    let id = naplet.id().clone();
+    let registered = |out: &[Output]| {
+        let registrations = out.iter().filter_map(|o| match o {
+            Output::Send {
+                to,
+                wire: Wire::DirRegister { host, visit, .. },
+            } if to == "dir" => Some((host.clone(), visit.as_ref().map(|v| v.origin.clone()))),
+            _ => None,
+        });
+        registrations.collect::<Vec<_>>()
+    };
+    let launched = home.launch(naplet, Millis(0));
+    assert_eq!(registered(&launched), [("s0".into(), Some("home".into()))]);
+    let transfer_id = launched
+        .iter()
+        .find_map(|o| match o {
+            Output::Send {
+                wire: Wire::Transfer(envelope),
+                ..
+            } => Some(envelope.transfer_id),
+            _ => None,
+        })
+        .unwrap();
+    let refusal = Wire::TransferAck {
+        transfer_id,
+        id,
+        refused: Some("server full".into()),
+    };
+    let from = "s0".to_string();
+    let refused = home.handle(Millis(6), Input::Wire { from, wire: refusal });
+    // back here first, then the next hop's arrival at s1
+    let back_then_on = [
+        ("home".into(), None),
+        ("s1".into(), Some("home".into())),
+    ];
+    assert_eq!(registered(&refused), back_then_on);
 }

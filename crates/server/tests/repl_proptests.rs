@@ -38,7 +38,7 @@ use naplet_net::{Bandwidth, Fabric, LatencyModel};
 use naplet_server::repl::Role;
 use naplet_server::{
     Commits, DirEvent, Journal, LocationMode, Locator, MonitorPolicy, Outbox, Output, ReplConfig,
-    ReplMsg, ServerConfig, SimRuntime, Wire,
+    ReplMsg, ServerConfig, SimRuntime, Visit, Wire,
 };
 
 const CODEBASE: &str = "naplet://code/collector.jar";
@@ -335,15 +335,15 @@ impl Replicas {
         for wire in landed {
             if let Wire::DirRegister {
                 id,
-                host,
-                ack_to: Some(to),
+                visit: Some(visit),
                 ..
             } = wire
             {
-                // a registrar registers its own arrival: an ack bound
-                // for anyone else answers an entry it was not held for
-                if to != host {
-                    return Err(format!("{at} acked {to} for {id} at {host}"));
+                // each registration names its own visit: an ack for any
+                // other answers an entry it was not held for
+                let filed = NapletId::new("czxu", "home", Millis(visit.transfer_id)).unwrap();
+                if filed != id {
+                    return Err(format!("{at} acked {visit:?} for {id}"));
                 }
             }
         }
@@ -387,7 +387,10 @@ impl Replicas {
             id: NapletId::new("czxu", "home", Millis(self.filed)).unwrap(),
             host: registrar.clone(),
             event: DirEvent::Arrival,
-            ack_to: Some(registrar),
+            visit: Some(Visit {
+                origin: "o".into(),
+                transfer_id: self.filed,
+            }),
             attempt: 1,
         };
         let (locator, journal, out) = self.node(at);
