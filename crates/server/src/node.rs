@@ -844,10 +844,14 @@ mod tests {
             })
             .collect();
         assert_eq!(received, ["Transfer", "DirAck"]);
-        let opened = b_obs.tracer.events().into_iter().find_map(|e| match e.kind {
-            TraceKind::RegisterAcked { forced, .. } => Some(forced),
-            _ => None,
-        });
+        let opened = b_obs
+            .tracer
+            .events()
+            .into_iter()
+            .find_map(|e| match e.kind {
+                TraceKind::RegisterAcked { forced, .. } => Some(forced),
+                _ => None,
+            });
         assert_eq!(opened, Some(false), "opened by the ack, not the timer");
     }
 

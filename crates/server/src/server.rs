@@ -1086,7 +1086,7 @@ impl NapletServer {
     fn register(&mut self, id: &NapletId, dest: Option<&str>, visit: Option<Visit>, attempt: u32) {
         let host = dest.unwrap_or(self.out.host()).to_string();
         let (id, event) = (id.clone(), DirEvent::Arrival);
-        self.to_holder(Wire::DirRegister {
+        self.send_to_holder(Wire::DirRegister {
             id,
             host,
             event,
@@ -1539,7 +1539,7 @@ impl NapletServer {
             status: "destroyed".to_string(),
         });
         self.notify_home(id, NapletStatus::Destroyed, reason);
-        self.to_holder(Wire::DirRemove { id: id.clone() });
+        self.send_to_holder(Wire::DirRemove { id: id.clone() });
     }
 
     fn finish_journey(&mut self, naplet: Naplet, detail: &str, normal: bool) {
@@ -1551,7 +1551,7 @@ impl NapletServer {
             (NapletStatus::Destroyed, "destroyed", "journeys.destroyed")
         };
         self.notify_home(&id, status, detail);
-        self.to_holder(Wire::DirRemove { id: id.clone() });
+        self.send_to_holder(Wire::DirRemove { id: id.clone() });
         self.monitor.evict(&id);
         self.resources.release(&id);
         self.journal.retire_naplet(&id, &mut self.out);
@@ -1844,7 +1844,7 @@ impl NapletServer {
 
     /// Take a registration, or a removal once the journey ended, to
     /// whoever holds the entry of its naplet, wherever that is held.
-    fn to_holder(&mut self, wire: Wire) {
+    fn send_to_holder(&mut self, wire: Wire) {
         let Some(id) = wire.subject() else { return };
         match self.locator.holder(id) {
             Holder::Nowhere => {}

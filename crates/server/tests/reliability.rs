@@ -638,8 +638,8 @@ fn a_stale_dir_ack_does_not_open_a_later_visit() {
     );
     // its own ack opens it
     let mine = registrations(&mut rt).into_iter();
-    let mine = mine.filter(|(_, host, visit, _)| host == "s0" && visit.origin == "s1");
-    let (_, host, visit, _) = mine.last().expect("s1 registered the second visit");
+    let mut mine = mine.filter(|(_, host, visit, _)| host == "s0" && visit.origin == "s1");
+    let (_, host, visit, _) = mine.next_back().expect("s1 registered the second visit");
     ack(&mut rt, &id, &host, visit);
     rt.run_until(Millis(rt.now().0 + 20));
     assert!(!waits(&rt, "s0", &id, "s1"));
@@ -742,7 +742,10 @@ fn a_lost_first_registration_falls_back_to_the_destination() {
     assert_eq!(seen, [expect("home", 1), expect("s0", 2)]);
     assert_eq!(rt.drain_reports("home").len(), 1, "the journey completes");
     let s0 = rt.server("s0").unwrap();
-    assert!(s0.log().iter().any(|e| e.line.starts_with("RETRY register")));
+    assert!(s0
+        .log()
+        .iter()
+        .any(|e| e.line.starts_with("RETRY register")));
 }
 
 /// A refused landing rolls the departure back: the origin, which
@@ -783,11 +786,14 @@ fn a_refused_landing_points_the_directory_back_at_the_origin() {
         refused: Some("server full".into()),
     };
     let from = "s0".to_string();
-    let refused = home.handle(Millis(6), Input::Wire { from, wire: refusal });
+    let refused = home.handle(
+        Millis(6),
+        Input::Wire {
+            from,
+            wire: refusal,
+        },
+    );
     // back here first, then the next hop's arrival at s1
-    let back_then_on = [
-        ("home".into(), None),
-        ("s1".into(), Some("home".into())),
-    ];
+    let back_then_on = [("home".into(), None), ("s1".into(), Some("home".into()))];
     assert_eq!(registered(&refused), back_then_on);
 }
