@@ -72,6 +72,17 @@ pub struct Footprint {
     pub departed: Option<Millis>,
 }
 
+/// `name` as one allocation shared by every table entry of `names`
+/// that holds it: host names repeat across entries, peers are few.
+pub(crate) fn shared_name(names: &mut HashSet<Arc<str>>, name: &str) -> Arc<str> {
+    if let Some(shared) = names.get(name) {
+        return Arc::clone(shared);
+    }
+    let shared = Arc::<str>::from(name);
+    names.insert(Arc::clone(&shared));
+    shared
+}
+
 /// The per-server naplet manager.
 #[derive(Debug, Default)]
 pub struct NapletManager {
@@ -146,20 +157,10 @@ impl NapletManager {
 
     // ----------------- footprints (tracing) -----------------
 
-    /// `host`, shared with every footprint that names it.
-    fn host(&mut self, host: &str) -> Arc<str> {
-        if let Some(shared) = self.hosts.get(host) {
-            return Arc::clone(shared);
-        }
-        let shared = Arc::<str>::from(host);
-        self.hosts.insert(Arc::clone(&shared));
-        shared
-    }
-
     /// Record an arrival footprint, replacing the previous visit's.
     pub fn record_arrival(&mut self, id: &NapletId, from: Option<&str>, now: Millis) {
         let footprint = Footprint {
-            from: from.map(|from| self.host(from)),
+            from: from.map(|from| shared_name(&mut self.hosts, from)),
             arrived: now,
             to: None,
             departed: None,
@@ -170,7 +171,7 @@ impl NapletManager {
     /// Record the departure of the current visit towards `to`.
     /// Returns false when there is no open footprint (protocol bug).
     pub fn record_departure(&mut self, id: &NapletId, to: &str, now: Millis) -> bool {
-        let to = self.host(to);
+        let to = shared_name(&mut self.hosts, to);
         match self.footprints.get_mut(id) {
             Some(fp) if fp.departed.is_none() => {
                 fp.to = Some(to);

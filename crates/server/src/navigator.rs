@@ -26,6 +26,7 @@ use naplet_obs::{TraceKind, COUNT_BOUNDS, LATENCY_BOUNDS_MS};
 
 use crate::events::{LocalEvent, Outbox, TransferEnvelope, Visit, Wire};
 use crate::journal::{Journal, JournalPhase};
+use crate::manager::shared_name;
 use crate::retry::RetryPolicy;
 use crate::status::StatusReport;
 
@@ -183,12 +184,7 @@ impl Navigator {
 
     /// The key of a visit's tables, its origin name shared.
     fn key(&mut self, origin: &str, transfer_id: u64) -> (Arc<str>, u64) {
-        let shared = self.origins.get(origin).cloned().unwrap_or_else(|| {
-            let shared = Arc::<str>::from(origin);
-            self.origins.insert(Arc::clone(&shared));
-            shared
-        });
-        (shared, transfer_id)
+        (shared_name(&mut self.origins, origin), transfer_id)
     }
 
     /// A `Transfer` came from `from`, and `decision` is this host's
