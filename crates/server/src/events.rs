@@ -390,8 +390,8 @@ pub enum LocalEvent {
         attempt: u32,
     },
     /// An arrival-registration acknowledgement timer came due: if the
-    /// naplet is still waiting in `AwaitingArrivalAck`, re-send the
-    /// `DirRegister` — and after `RetryPolicy::max_retries`, stop
+    /// visit still waits in `AwaitingArrivalAck`, register it from this
+    /// host — and after `RetryPolicy::max_retries`, stop
     /// gating and execute anyway (the directory may be stale; the
     /// forwarding chase recovers from that, a stranded agent does not).
     RegisterTimeout {
