@@ -79,13 +79,6 @@ pub struct Commits {
     rearm: bool,
 }
 
-impl Commits {
-    /// Whether a table took the frame at once (ask before landing).
-    pub fn at_once(&self) -> bool {
-        self.taken.is_some()
-    }
-}
-
 /// Send a consensus step's traffic and record its notes; what it
 /// committed is left to [`Locator::land`], and the tick chain is kept
 /// alive if the core asks for it or an operation `woke` it.
@@ -762,7 +755,7 @@ mod tests {
     fn file_and_commit(l: &mut Locator, journal: &mut Journal, wire: &Wire) -> Vec<String> {
         let mut out = outbox("d0", 3_000);
         let commits = l.file(wire.clone(), journal, &mut out);
-        assert!(!commits.at_once(), "a leader proposes");
+        assert!(commits.taken.is_none(), "a leader proposes");
         let landed = landed(l, commits, &mut out).into_iter();
         landed
             .filter_map(|wire| match wire {
@@ -844,7 +837,7 @@ mod tests {
         let mut out = outbox("dir", 7);
         let wire = arrival(&id, "s1", true);
         let commits = l.file(wire.clone(), &mut journal, &mut out);
-        assert!(commits.at_once());
+        assert!(commits.taken.is_some());
         assert_eq!(
             landed(&mut l, commits, &mut out),
             [wire],
@@ -854,7 +847,7 @@ mod tests {
         assert_eq!((entry.host.as_str(), entry.at), ("s1", Millis(7)));
         let removal = Wire::DirRemove { id: id.clone() };
         let commits = l.file(removal, &mut journal, &mut out);
-        assert!(commits.at_once());
+        assert!(commits.taken.is_some());
         assert_eq!(landed(&mut l, commits, &mut out).len(), 1);
         assert!(l.directory().is_empty());
         assert!(out.take().is_empty(), "a table sends and arms nothing");
