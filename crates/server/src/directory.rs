@@ -1,13 +1,11 @@
 //! NapletDirectory (paper §2.2, §4.1).
 //!
-//! The optional centralized directory tracks naplet locations through
-//! ARRIVAL/DEPARTURE event registration. The invariant the paper
-//! derives from postponing execution until the arrival registration is
-//! acknowledged: "if the latest registration about a naplet in the
-//! directory is a departure from a server, the naplet must be in
-//! transmission out of the server. If its latest registration is an
-//! arrival at a server, the naplet can be either running in or leaving
-//! the server."
+//! The optional centralized directory tracks where each naplet is: an
+//! entry names the host the naplet runs at or is heading to. The origin
+//! registers the destination's arrival as the agent leaves, and the
+//! destination runs the visit only once the registration is
+//! acknowledged, so the paper's separate DEPARTURE registration is not
+//! kept.
 //!
 //! The same structure also backs the *distributed* variant where each
 //! home NapletManager keeps directory entries for its own naplets.
@@ -19,22 +17,11 @@ use naplet_core::codec::{Decode, Encode};
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
 
-/// A registered movement event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode)]
-pub enum DirEvent {
-    /// The naplet landed at the host.
-    Arrival,
-    /// The naplet was dispatched out of the host.
-    Departure,
-}
-
 /// Latest known record for one naplet.
 #[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct DirEntry {
-    /// Host of the latest event.
+    /// Host the naplet runs at or is heading to.
     pub host: String,
-    /// Arrival or departure.
-    pub event: DirEvent,
     /// Registration time (directory clock).
     pub at: Millis,
 }
@@ -53,11 +40,11 @@ impl NapletDirectory {
         NapletDirectory::default()
     }
 
-    /// Register an event. Stale events (older than the current entry)
-    /// are ignored so out-of-order control traffic cannot rewind the
-    /// directory; ties are resolved in favour of the newer registration
-    /// order (arrival after departure at the same instant).
-    pub fn register(&mut self, id: &NapletId, host: &str, event: DirEvent, at: Millis) {
+    /// Register the naplet at `host`. Stale registrations (older than
+    /// the current entry) are ignored so out-of-order control traffic
+    /// cannot rewind the directory; at the same instant the later
+    /// registration wins.
+    pub fn register(&mut self, id: &NapletId, host: &str, at: Millis) {
         self.registrations += 1;
         match self.entries.get(id) {
             Some(e) if e.at > at => {} // stale
@@ -66,7 +53,6 @@ impl NapletDirectory {
                     id.clone(),
                     DirEntry {
                         host: host.to_string(),
-                        event,
                         at,
                     },
                 );
@@ -131,30 +117,28 @@ mod tests {
     fn register_and_lookup() {
         let mut d = NapletDirectory::new();
         assert!(d.lookup(&nid(1)).is_none());
-        d.register(&nid(1), "s1", DirEvent::Arrival, Millis(10));
+        d.register(&nid(1), "s1", Millis(10));
         let e = d.lookup(&nid(1)).unwrap();
-        assert_eq!(e.host, "s1");
-        assert_eq!(e.event, DirEvent::Arrival);
+        assert_eq!((e.host.as_str(), e.at), ("s1", Millis(10)));
         assert_eq!(d.len(), 1);
         assert_eq!(d.registrations, 1);
     }
 
     #[test]
-    fn newer_events_overwrite() {
+    fn newer_registrations_overwrite() {
         let mut d = NapletDirectory::new();
-        d.register(&nid(1), "s1", DirEvent::Arrival, Millis(10));
-        d.register(&nid(1), "s1", DirEvent::Departure, Millis(20));
-        d.register(&nid(1), "s2", DirEvent::Arrival, Millis(30));
+        d.register(&nid(1), "s1", Millis(10));
+        d.register(&nid(1), "s3", Millis(20));
+        d.register(&nid(1), "s2", Millis(30));
         let e = d.lookup(&nid(1)).unwrap();
-        assert_eq!(e.host, "s2");
-        assert_eq!(e.event, DirEvent::Arrival);
+        assert_eq!((e.host.as_str(), e.at), ("s2", Millis(30)));
     }
 
     #[test]
-    fn stale_events_ignored() {
+    fn stale_registrations_ignored() {
         let mut d = NapletDirectory::new();
-        d.register(&nid(1), "s2", DirEvent::Arrival, Millis(30));
-        d.register(&nid(1), "s1", DirEvent::Departure, Millis(10)); // late
+        d.register(&nid(1), "s2", Millis(30));
+        d.register(&nid(1), "s1", Millis(10)); // late
         assert_eq!(d.lookup(&nid(1)).unwrap().host, "s2");
         assert_eq!(d.registrations, 2);
     }
@@ -162,15 +146,15 @@ mod tests {
     #[test]
     fn same_instant_prefers_latest_registration() {
         let mut d = NapletDirectory::new();
-        d.register(&nid(1), "s1", DirEvent::Departure, Millis(10));
-        d.register(&nid(1), "s2", DirEvent::Arrival, Millis(10));
-        assert_eq!(d.lookup(&nid(1)).unwrap().event, DirEvent::Arrival);
+        d.register(&nid(1), "s1", Millis(10));
+        d.register(&nid(1), "s2", Millis(10));
+        assert_eq!(d.lookup(&nid(1)).unwrap().host, "s2");
     }
 
     #[test]
     fn remove() {
         let mut d = NapletDirectory::new();
-        d.register(&nid(1), "s1", DirEvent::Arrival, Millis(1));
+        d.register(&nid(1), "s1", Millis(1));
         assert!(d.remove(&nid(1)).is_some());
         assert!(d.remove(&nid(1)).is_none());
         assert!(d.is_empty());

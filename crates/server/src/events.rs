@@ -23,7 +23,7 @@ use naplet_core::value::Value;
 use naplet_net::TrafficClass;
 use naplet_obs::{ObsSink, TraceKind};
 
-use crate::directory::DirEvent;
+use crate::directory::DirEntry;
 use crate::manager::NapletStatus;
 
 /// A naplet in flight plus the post-action of the visit it is heading
@@ -85,15 +85,13 @@ pub enum Wire {
     /// request to land: the destination decides its LANDING on it
     /// (paper §2.2) and answers with a [`Wire::TransferAck`].
     Transfer(TransferEnvelope),
-    /// Register a movement event with a directory holder (central
-    /// directory host, or the naplet's home manager).
+    /// Register where a naplet runs or is heading with a directory
+    /// holder (central directory host, or the naplet's home manager).
     DirRegister {
         /// Moving naplet.
         id: NapletId,
-        /// Host the event happened at.
+        /// Host the naplet runs at or is heading to.
         host: String,
-        /// Arrival or departure.
-        event: DirEvent,
         /// When set, the visit of `id` waiting at `host` for this
         /// registration: the holder acknowledges it there — execution
         /// is postponed until acked (§4.1).
@@ -130,11 +128,11 @@ pub enum Wire {
         token: u64,
         /// The naplet.
         id: NapletId,
-        /// Latest known (host, event, registered-at), or None when
-        /// unknown. The timestamp lets a home server judge recency —
-        /// lease probes after a directory failover renew instead of
-        /// re-dispatching when the last registration is fresh.
-        entry: Option<(String, DirEvent, Millis)>,
+        /// The naplet's directory entry, or None when unknown. Its
+        /// timestamp lets a home server judge recency — lease probes
+        /// after a directory failover renew instead of re-dispatching
+        /// when the last registration is fresh.
+        entry: Option<DirEntry>,
     },
     /// Post-office delivery attempt: the message heading to the server
     /// believed to host the target (§4.2).
@@ -1028,7 +1026,6 @@ mod tests {
         let w = Wire::DirRegister {
             id,
             host: "a".into(),
-            event: DirEvent::Arrival,
             visit: None,
             attempt: 3,
         };

@@ -49,7 +49,7 @@ mod world;
 
 pub use bootstrap::{BootstrapConfig, NodeConfig};
 pub use daemon::{register_probe, Daemon, DaemonSummary, TraceDumper, PROBE_CODEBASE};
-pub use directory::{DirEntry, DirEvent, NapletDirectory};
+pub use directory::{DirEntry, NapletDirectory};
 pub use events::{
     EventLog, Input, LocalEvent, LogEntry, OpsPage, OpsRead, Outbox, Output, TransferEnvelope,
     Visit, Wire,
@@ -60,7 +60,7 @@ pub use journal::{
 pub use lease::{Lease, LeasePolicy, LeaseTable};
 pub use live::LiveRuntime;
 pub use locator::{Commits, Holder, Locator};
-pub use manager::{Footprint, NapletManager, NapletStatus, TableEntry};
+pub use manager::{NapletManager, NapletStatus, TableEntry};
 pub use messenger::Messenger;
 pub use monitor::{
     Meter, MonitorPolicy, NapletMonitor, Priority, ResourceUsage, RunEntry, RunState,

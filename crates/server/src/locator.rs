@@ -341,9 +341,7 @@ impl Locator {
         let core = match &mut self.shard {
             Shard::Table(directory) => {
                 match &wire {
-                    Wire::DirRegister {
-                        id, host, event, ..
-                    } => directory.register(id, host, *event, now),
+                    Wire::DirRegister { id, host, .. } => directory.register(id, host, now),
                     Wire::DirRemove { id } => drop(directory.remove(id)),
                     _ => {}
                 }
@@ -428,16 +426,12 @@ impl Locator {
             self.held_acks.pop_first();
         }
         let visit = self.held_acks.remove(&index);
-        let DirOp::Register {
-            id, host, event, ..
-        } = op
-        else {
+        let DirOp::Register { id, host, .. } = op else {
             return None;
         };
         let register = |id, host, visit| Wire::DirRegister {
             id,
             host,
-            event,
             visit,
             attempt: 1,
         };
@@ -652,7 +646,6 @@ mod tests {
 
     // ----------------- the directory -----------------
 
-    use crate::directory::DirEvent;
     use crate::events::Output;
     use naplet_core::message::Payload;
     use naplet_core::value::Value;
@@ -674,7 +667,6 @@ mod tests {
         Wire::DirRegister {
             id: id.clone(),
             host: host.to_string(),
-            event: DirEvent::Arrival,
             visit: acked.then(|| Visit {
                 origin: "o".into(),
                 transfer_id: 1,

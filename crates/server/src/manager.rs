@@ -1,16 +1,13 @@
 //! NapletManager (paper §2.2, §4.1).
 //!
 //! The manager gives local users an interface to launch, monitor and
-//! control naplets; it "maintains the information about its locally
-//! launched naplets in a naplet table. Footprints of all past and
-//! current alien naplets are also recorded for management purposes."
+//! control naplets; it keeps the naplet table of its locally launched
+//! naplets and a footprint of every naplet that visited.
 //!
 //! Footprints are also the tracing substrate of the directory-less
-//! location mode: "the NapletManager maintains the source and
-//! destination information about each naplet visit", which the Locator
-//! and Messenger follow when chasing a moving naplet. A chase reads
-//! only where the naplet went last, so the last visit's footprint is
-//! the one kept.
+//! location mode, which the Locator and Messenger follow when chasing a
+//! moving naplet. A chase reads only where the naplet went last, so a
+//! footprint is that host and nothing else.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -20,8 +17,6 @@ use naplet_core::codec::{Decode, Encode};
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
 
-use crate::directory::DirEvent;
-
 /// Lifecycle status tracked in the home naplet table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode)]
 pub enum NapletStatus {
@@ -29,8 +24,6 @@ pub enum NapletStatus {
     Launched,
     /// Known to be running at `last_known`.
     Running,
-    /// Departed `last_known`; in transit.
-    InTransit,
     /// Journey completed (destroyed normally).
     Completed,
     /// Destroyed abnormally (terminated, budget kill, lost).
@@ -58,20 +51,6 @@ pub struct TableEntry {
     pub updated: Millis,
 }
 
-/// A naplet's last visit footprint at this server.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Footprint {
-    /// Server the naplet arrived from (None for a local launch).
-    pub from: Option<Arc<str>>,
-    /// Arrival time.
-    pub arrived: Millis,
-    /// Server the naplet departed to (None while resident or if it
-    /// ended here).
-    pub to: Option<Arc<str>>,
-    /// Departure time.
-    pub departed: Option<Millis>,
-}
-
 /// `name` as one allocation shared by every table entry of `names`
 /// that holds it: host names repeat across entries, peers are few.
 pub(crate) fn shared_name(names: &mut HashSet<Arc<str>>, name: &str) -> Arc<str> {
@@ -87,7 +66,9 @@ pub(crate) fn shared_name(names: &mut HashSet<Arc<str>>, name: &str) -> Arc<str>
 #[derive(Debug, Default)]
 pub struct NapletManager {
     table: HashMap<NapletId, TableEntry>,
-    footprints: HashMap<NapletId, Footprint>,
+    /// Per naplet seen here, the host its last visit left for (None
+    /// while it is resident).
+    footprints: HashMap<NapletId, Option<Arc<str>>>,
     /// The host names footprints share, one per peer.
     hosts: HashSet<Arc<str>>,
 }
@@ -125,19 +106,16 @@ impl NapletManager {
     }
 
     /// A movement registration reached the home: the naplet runs at
-    /// `host` after an arrival and is in transit from it after a
-    /// departure. Each stop talks to the home on its own connection, so
-    /// a registration can be overtaken by the journey's final notice;
-    /// it therefore never reopens a `Completed` or `Destroyed` row.
-    pub fn note_movement(&mut self, id: &NapletId, event: DirEvent, host: &str, now: Millis) {
+    /// `host` or is heading there. Each stop talks to the home on its
+    /// own connection, so a registration can be overtaken by the
+    /// journey's final notice; it therefore never reopens a `Completed`
+    /// or `Destroyed` row.
+    pub fn note_movement(&mut self, id: &NapletId, host: &str, now: Millis) {
         let Some(e) = self.table.get_mut(id) else {
             return;
         };
         if !matches!(e.status, NapletStatus::Completed | NapletStatus::Destroyed) {
-            e.status = match event {
-                DirEvent::Arrival => NapletStatus::Running,
-                DirEvent::Departure => NapletStatus::InTransit,
-            };
+            e.status = NapletStatus::Running;
             e.last_known = host.to_string();
             e.updated = now;
         }
@@ -157,25 +135,18 @@ impl NapletManager {
 
     // ----------------- footprints (tracing) -----------------
 
-    /// Record an arrival footprint, replacing the previous visit's.
-    pub fn record_arrival(&mut self, id: &NapletId, from: Option<&str>, now: Millis) {
-        let footprint = Footprint {
-            from: from.map(|from| shared_name(&mut self.hosts, from)),
-            arrived: now,
-            to: None,
-            departed: None,
-        };
-        self.footprints.insert(id.clone(), footprint);
+    /// Record an arrival: the naplet is resident here, replacing the
+    /// previous visit's footprint.
+    pub fn record_arrival(&mut self, id: &NapletId) {
+        self.footprints.insert(id.clone(), None);
     }
 
     /// Record the departure of the current visit towards `to`.
     /// Returns false when there is no open footprint (protocol bug).
-    pub fn record_departure(&mut self, id: &NapletId, to: &str, now: Millis) -> bool {
-        let to = shared_name(&mut self.hosts, to);
+    pub fn record_departure(&mut self, id: &NapletId, to: &str) -> bool {
         match self.footprints.get_mut(id) {
-            Some(fp) if fp.departed.is_none() => {
-                fp.to = Some(to);
-                fp.departed = Some(now);
+            Some(left @ None) => {
+                *left = Some(shared_name(&mut self.hosts, to));
                 true
             }
             _ => false,
@@ -187,16 +158,7 @@ impl NapletManager {
     /// * `Some(Some(host))` — it departed towards `host`;
     /// * `None` — never seen here.
     pub fn trace(&self, id: &NapletId) -> Option<Option<&str>> {
-        let fp = self.footprints.get(id)?;
-        Some(match (&fp.departed, &fp.to) {
-            (Some(_), Some(to)) => Some(&**to),
-            _ => None,
-        })
-    }
-
-    /// A naplet's last footprint here (diagnostics/audit).
-    pub fn footprint(&self, id: &NapletId) -> Option<&Footprint> {
-        self.footprints.get(id)
+        self.footprints.get(id).map(Option::as_deref)
     }
 
     /// Naplets with a footprint here.
@@ -236,39 +198,34 @@ mod tests {
         let mut m = NapletManager::new();
         let id = nid(1);
         assert_eq!(m.trace(&id), None);
-        m.record_arrival(&id, Some("s0"), Millis(5));
+        m.record_arrival(&id);
         assert_eq!(m.trace(&id), Some(None)); // resident
-        assert!(m.record_departure(&id, "s2", Millis(9)));
+        assert!(m.record_departure(&id, "s2"));
         assert_eq!(m.trace(&id), Some(Some("s2"))); // forwarded
-        let last = m.footprint(&id).unwrap();
-        assert_eq!(last.from.as_deref(), Some("s0"));
-        assert_eq!(last.to.as_deref(), Some("s2"));
-        // a revisit replaces it: only the last visit is kept
-        m.record_arrival(&id, Some("s5"), Millis(30));
+                                                    // a revisit replaces it: only the last visit is kept
+        m.record_arrival(&id);
         assert_eq!(m.trace(&id), Some(None));
-        let last = m.footprint(&id).unwrap();
-        assert_eq!(
-            (last.from.as_deref(), last.to.as_deref()),
-            (Some("s5"), None)
-        );
+        assert!(m.record_departure(&id, "s5"));
+        assert_eq!(m.trace(&id), Some(Some("s5")));
     }
 
     #[test]
     fn departure_without_arrival_rejected() {
         let mut m = NapletManager::new();
-        assert!(!m.record_departure(&nid(1), "s1", Millis(0)));
-        m.record_arrival(&nid(1), None, Millis(1));
-        assert!(m.record_departure(&nid(1), "s1", Millis(2)));
+        assert!(!m.record_departure(&nid(1), "s1"));
+        m.record_arrival(&nid(1));
+        assert!(m.record_departure(&nid(1), "s1"));
         // double departure rejected
-        assert!(!m.record_departure(&nid(1), "s2", Millis(3)));
+        assert!(!m.record_departure(&nid(1), "s2"));
+        assert_eq!(m.trace(&nid(1)), Some(Some("s1")));
     }
 
     #[test]
     fn footprint_count_spans_naplets() {
         let mut m = NapletManager::new();
-        m.record_arrival(&nid(1), None, Millis(1));
-        m.record_arrival(&nid(2), None, Millis(1));
-        m.record_arrival(&nid(1), Some("x"), Millis(2));
+        m.record_arrival(&nid(1));
+        m.record_arrival(&nid(2));
+        m.record_arrival(&nid(1));
         assert_eq!(m.footprint_count(), 2, "one, the last, per naplet");
     }
 }

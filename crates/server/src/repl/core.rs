@@ -893,19 +893,14 @@ impl ReplicaCore {
             let entry = self.log[(idx - self.snap_base - 1) as usize].clone();
             let lag = self.propose_at.remove(&idx).map(|t| now.since(t));
             match &entry.op {
-                DirOp::Register {
-                    id,
-                    host,
-                    event,
-                    at,
-                } => {
+                DirOp::Register { id, host, at } => {
                     if self.removed.contains(id) {
                         // straggling retry of a deregistered agent:
                         // apply (and surface) nothing — resurrection
                         // would leave permanent garbage in the state
                         continue;
                     }
-                    self.state.register(id, host, *event, *at);
+                    self.state.register(id, host, *at);
                 }
                 DirOp::Remove { id } => {
                     self.state.remove(id);
@@ -980,7 +975,6 @@ impl ReplicaCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::DirEvent;
     use naplet_core::id::NapletId;
 
     const HOSTS: [&str; 3] = ["d0", "d1", "d2"];
@@ -1171,7 +1165,6 @@ mod tests {
                 DirOp::Register {
                     id: nid(k),
                     host: format!("s{k}"),
-                    event: DirEvent::Arrival,
                     at: c.now,
                 },
             )
@@ -1235,7 +1228,6 @@ mod tests {
                 DirOp::Register {
                     id: nid(7),
                     host: "s7".into(),
-                    event: DirEvent::Arrival,
                     at: c.now,
                 },
             )
@@ -1283,7 +1275,6 @@ mod tests {
                 DirOp::Register {
                     id: nid(k),
                     host: "sx".into(),
-                    event: DirEvent::Arrival,
                     at: c.now,
                 },
             );
@@ -1326,7 +1317,6 @@ mod tests {
                 DirOp::Register {
                     id: nid(k),
                     host: format!("s{k}"),
-                    event: DirEvent::Arrival,
                     at: c.now,
                 },
             );
@@ -1379,7 +1369,6 @@ mod tests {
             DirOp::Register {
                 id: nid(1),
                 host: "s1".into(),
-                event: DirEvent::Arrival,
                 at: now,
             },
             now,
@@ -1396,13 +1385,8 @@ mod tests {
     /// Registration of `nid(k)` at `s{k}`, appended in `term`.
     fn reg(k: u64, term: u64) -> ReplEntry {
         let id = nid(k);
-        let (host, event, at) = (format!("s{k}"), DirEvent::Arrival, Millis(k));
-        let op = DirOp::Register {
-            id,
-            host,
-            event,
-            at,
-        };
+        let (host, at) = (format!("s{k}"), Millis(k));
+        let op = DirOp::Register { id, host, at };
         ReplEntry { term, op }
     }
 

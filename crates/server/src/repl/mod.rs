@@ -44,20 +44,18 @@ use naplet_core::codec::{Decode, Encode};
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
 
-use crate::directory::{DirEntry, DirEvent};
+use crate::directory::DirEntry;
 use crate::events::Wire;
 
 /// One replicated directory operation — the unit of the log.
 #[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum DirOp {
-    /// Register a movement event (the replicated `DirRegister`).
+    /// Register where a naplet is (the replicated `DirRegister`).
     Register {
         /// Moving naplet.
         id: NapletId,
-        /// Host the event happened at.
+        /// Host the naplet runs at or is heading to.
         host: String,
-        /// Arrival or departure.
-        event: DirEvent,
         /// Registration time at the accepting leader.
         at: Millis,
     },
@@ -77,12 +75,9 @@ impl DirOp {
     /// accepting leader's clock; a frame that asks for none is a no-op.
     pub fn of(wire: &Wire, at: Millis) -> DirOp {
         match wire {
-            Wire::DirRegister {
-                id, host, event, ..
-            } => DirOp::Register {
+            Wire::DirRegister { id, host, .. } => DirOp::Register {
                 id: id.clone(),
                 host: host.clone(),
-                event: *event,
                 at,
             },
             Wire::DirRemove { id } => DirOp::Remove { id: id.clone() },

@@ -29,7 +29,7 @@ use naplet_core::value::Value;
 
 use naplet_obs::{ring::Ring, ObsSink, TraceKind, LATENCY_BOUNDS_MS};
 
-use crate::directory::DirEvent;
+use crate::directory::DirEntry;
 use crate::events::{
     EventLog, Input, LocalEvent, OpsPage, OpsRead, Outbox, Output, TransferEnvelope, Visit, Wire,
 };
@@ -344,18 +344,14 @@ impl NapletServer {
     /// A landed removal leaves nothing to do.
     fn registered(&mut self, wire: Wire) {
         let Wire::DirRegister {
-            id,
-            host,
-            event,
-            visit,
-            ..
+            id, host, visit, ..
         } = wire
         else {
             return;
         };
         let now = self.out.now();
         self.leases.renew(&id, now);
-        self.manager.note_movement(&id, event, &host, now);
+        self.manager.note_movement(&id, &host, now);
         match visit {
             Some(visit) if host == self.out.host() => self.dir_acked(&id, visit),
             Some(visit) => self.out.send(host, Wire::DirAck { id, visit }),
@@ -373,7 +369,7 @@ impl NapletServer {
         self.out.at(now);
         let id = naplet.id().clone();
         self.manager.record_launch(id.clone(), self.out.host(), now);
-        self.manager.record_arrival(&id, None, now);
+        self.manager.record_arrival(&id);
         self.out.log(format!("LAUNCH {id}"));
         if self.lease_policy.is_some() {
             // durable creation record first, so an orphan can be
@@ -448,8 +444,7 @@ impl NapletServer {
                 id,
                 reply_to,
             } => {
-                let entry = self.locator.directory().lookup(&id);
-                let entry = entry.map(|e| (e.host.clone(), e.event, e.at));
+                let entry = self.locator.directory().lookup(&id).cloned();
                 self.out.send(reply_to, Wire::DirReply { token, id, entry });
             }
             Wire::DirReply { token, id, entry } => match self.locator.answered(token) {
@@ -458,7 +453,7 @@ impl NapletServer {
                 Some(Some((sender, seq))) => {
                     if let Some(rec) = self.messenger.unconfirmed(&sender, seq) {
                         let msg = rec.msg.clone();
-                        self.post_located(msg, entry.map(|(host, ..)| host));
+                        self.post_located(msg, entry.map(|e| e.host));
                     }
                 }
                 Some(None) => self.resolve_lease_probe(id, entry),
@@ -781,7 +776,7 @@ impl NapletServer {
                         let cid = clone.id().clone();
                         self.manager
                             .record_launch(cid.clone(), self.out.host(), now);
-                        self.manager.record_arrival(&cid, None, now);
+                        self.manager.record_arrival(&cid);
                         self.out.log(format!("CLONE {cid}"));
                         self.continue_journey(clone, Mailbox::new());
                     }
@@ -874,7 +869,7 @@ impl NapletServer {
     /// ([`undo_departure`](Self::undo_departure)). The destination's
     /// arrival is registered now, its ack sent there (paper §4.1).
     fn record_departure(&mut self, id: &NapletId, dest: &str, transfer_id: u64) {
-        self.manager.record_departure(id, dest, self.out.now());
+        self.manager.record_departure(id, dest);
         self.resources.release(id);
         self.hand_on(id, dest);
         let visit = Visit::new(self.out.host(), transfer_id);
@@ -885,7 +880,7 @@ impl NapletServer {
     /// The agent is back in this host's custody after its `Transfer`
     /// left: its footprint and its directory entry point here again.
     fn undo_departure(&mut self, id: &NapletId) {
-        self.manager.record_arrival(id, None, self.out.now());
+        self.manager.record_arrival(id);
         self.register(id, None, None, 1);
     }
 
@@ -1014,7 +1009,7 @@ impl NapletServer {
         }
         let now = self.out.now();
         if from.is_some() {
-            self.manager.record_arrival(&id, from, now);
+            self.manager.record_arrival(&id);
         }
         self.out.log(format!("ARRIVAL {id}"));
         // durable before the TransferAck (already queued) can commit
@@ -1085,11 +1080,10 @@ impl NapletServer {
     /// there (an undone departure, a recovered visit that already ran).
     fn register(&mut self, id: &NapletId, dest: Option<&str>, visit: Option<Visit>, attempt: u32) {
         let host = dest.unwrap_or(self.out.host()).to_string();
-        let (id, event) = (id.clone(), DirEvent::Arrival);
+        let id = id.clone();
         self.send_to_holder(Wire::DirRegister {
             id,
             host,
-            event,
             visit,
             attempt,
         });
@@ -1674,7 +1668,7 @@ impl NapletServer {
                 lease.redispatches + 1
             ));
             self.manager.record_launch(id.clone(), self.out.host(), now);
-            self.manager.record_arrival(id, None, now);
+            self.manager.record_arrival(id);
             self.arm_lease_timer(id);
             self.continue_journey(naplet, Mailbox::new());
         } else {
@@ -1693,14 +1687,12 @@ impl NapletServer {
     /// commit echo to this home was merely lost); a stale or missing
     /// entry is an authoritative verdict — stop probing so the pending
     /// [`LocalEvent::LeaseCheck`] runs the ordinary expiry path.
-    fn resolve_lease_probe(&mut self, id: NapletId, entry: Option<(String, DirEvent, Millis)>) {
+    fn resolve_lease_probe(&mut self, id: NapletId, entry: Option<DirEntry>) {
         let now = self.out.now();
         let (Some(policy), Some(probes)) = (&self.lease_policy, self.leases.probes(&id)) else {
             return; // released in the meantime
         };
-        let fresh = entry
-            .as_ref()
-            .is_some_and(|(_, _, at)| now.since(*at) <= policy.duration_ms);
+        let fresh = entry.is_some_and(|e| now.since(e.at) <= policy.duration_ms);
         if fresh {
             *probes = 0;
             self.leases.renew(&id, now);
@@ -1770,7 +1762,7 @@ impl NapletServer {
                 } => {
                     let mut naplet = agent.into_owned();
                     // restore the footprint so message chases find us
-                    self.manager.record_arrival(&id, None, now);
+                    self.manager.record_arrival(&id);
                     if naplet.nav_log.current_visit().is_none() {
                         // an admission record is the image as received:
                         // open the visit as admission did, at its time

@@ -14,7 +14,7 @@ use naplet_core::message::Payload;
 use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
-use naplet_server::{DirEvent, LocationMode, MonitorPolicy, ServerConfig, SimRuntime};
+use naplet_server::{LocationMode, MonitorPolicy, ServerConfig, SimRuntime};
 
 const CODEBASE: &str = "probe";
 
@@ -106,12 +106,11 @@ fn dedicated_directory_host_tracks_all_movement() {
 }
 
 #[test]
-fn directory_invariant_departure_means_in_transit() {
-    // paper §4.1: "If the latest registration about a naplet in the
-    // directory is a departure from a server, the naplet must be in
-    // transmission out of the server. If its latest registration is an
-    // arrival at a server, the naplet can be either running in or
-    // leaving the server."
+fn directory_entry_names_the_only_host_the_naplet_may_run_at() {
+    // the origin registers the arrival as the Transfer leaves: the
+    // naplet runs at the entry's host, is leaving it, or is on its way
+    // there — resident at no other host (paper §4.1, whose DEPARTURE
+    // registration the one-registration hop no longer sends)
     let mut rt = world(
         LocationMode::CentralDirectory("dir".into()),
         &["home", "dir", "s0", "s1"],
@@ -132,29 +131,10 @@ fn directory_invariant_departure_means_in_transit() {
             .lookup(&id)
             .cloned();
         let Some(entry) = entry else { continue };
-        let resident_at_entry_host = rt
-            .server(&entry.host)
-            .map(|s| s.monitor.get(&id).is_some())
-            .unwrap_or(false);
-        match entry.event {
-            DirEvent::Departure => {
-                // must NOT be resident at the host it departed
-                assert!(
-                    !resident_at_entry_host,
-                    "t={t}: departed {} yet resident there",
-                    entry.host
-                );
-            }
-            DirEvent::Arrival => {
-                // the origin registers the arrival as the Transfer
-                // leaves: the naplet runs there, is leaving, or is on
-                // its way there — resident at no other host
-                let resident_elsewhere = ["home", "s0", "s1"]
-                    .iter()
-                    .any(|h| *h != entry.host && rt.server(h).unwrap().monitor.get(&id).is_some());
-                assert!(!resident_elsewhere, "t={t}: registered at {}", entry.host);
-            }
-        }
+        let resident_elsewhere = ["home", "s0", "s1"]
+            .iter()
+            .any(|h| *h != entry.host && rt.server(h).unwrap().monitor.get(&id).is_some());
+        assert!(!resident_elsewhere, "t={t}: registered at {}", entry.host);
     }
     rt.run_to_quiescence(100_000);
 }
@@ -334,13 +314,11 @@ fn revisiting_itinerary_keeps_footprint_history() {
         "all four (revisiting) hops happen"
     );
     // each worker keeps the naplet's last footprint: s0's second visit
-    // came from s1 and left for s1
-    let s0 = rt.server("s0").unwrap();
-    let last = s0.manager.footprint(&reports[0].0).unwrap();
-    assert_eq!(
-        (last.from.as_deref(), last.to.as_deref()),
-        (Some("s1"), Some("s1"))
-    );
+    // left for s1, where the journey ended
+    let id = &reports[0].0;
+    let trace = |host| rt.server(host).unwrap().manager.trace(id);
+    assert_eq!(trace("s0"), Some(Some("s1")));
+    assert_eq!(trace("s1"), Some(None));
 }
 
 #[test]

@@ -26,17 +26,17 @@ use proptest::prelude::*;
 
 use naplet_core::clock::Millis;
 use naplet_core::id::NapletId;
-use naplet_server::{
-    Commits, DirEvent, Holder, Journal, LocationMode, Locator, Outbox, Visit, Wire,
-};
+use naplet_server::{Commits, Holder, Journal, LocationMode, Locator, Outbox, Visit, Wire};
 
 const SHARD: &str = "dir";
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
+    /// Register `naplet` at the registrar (`first`) or at a second
+    /// host, so a lookup tells which registration came last.
     Register {
         naplet: u64,
-        event: DirEvent,
+        first: bool,
         acked: bool,
     },
     Remove(u64),
@@ -44,15 +44,11 @@ enum Op {
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (0..8u8, 0..5u64, any::<bool>(), any::<bool>()).prop_map(|(kind, naplet, arrival, acked)| {
+    (0..8u8, 0..5u64, any::<bool>(), any::<bool>()).prop_map(|(kind, naplet, first, acked)| {
         match kind {
             0..=4 => Op::Register {
                 naplet,
-                event: if arrival {
-                    DirEvent::Arrival
-                } else {
-                    DirEvent::Departure
-                },
+                first,
                 acked,
             },
             5 => Op::Remove(naplet),
@@ -89,13 +85,17 @@ fn landed(locator: &mut Locator, mut commits: Commits, out: &mut Outbox) -> Vec<
     std::iter::from_fn(|| locator.land(&mut commits, out)).collect()
 }
 
-/// What a run shows from outside: every lookup's answer, the naplets
-/// whose registrars were acked (in order), the entries left.
+/// A second host registrations may name, other than the registrar.
+const AWAY: &str = "away";
+
+/// What a run shows from outside: every lookup's answer and the entries
+/// left (whether each names the registrar rather than [`AWAY`]), the
+/// naplets whose registrars were acked (in order).
 #[derive(Debug, PartialEq)]
 struct Seen {
-    lookups: Vec<Option<DirEvent>>,
+    lookups: Vec<Option<bool>>,
     acks: Vec<NapletId>,
-    left: Vec<(NapletId, DirEvent)>,
+    left: Vec<(NapletId, bool)>,
 }
 
 fn run(ops: &[Op], consensus: bool, local: bool) -> Result<Seen, TestCaseError> {
@@ -111,13 +111,13 @@ fn run(ops: &[Op], consensus: bool, local: bool) -> Result<Seen, TestCaseError> 
         let wire = match *op {
             Op::Lookup(naplet) => {
                 let found = locator.directory().lookup(&nid(naplet));
-                seen.lookups.push(found.map(|e| e.event));
+                seen.lookups.push(found.map(|e| e.host != AWAY));
                 continue;
             }
             Op::Register { naplet, .. } if ended.contains(&naplet) => continue,
             Op::Register {
                 naplet,
-                event,
+                first,
                 acked,
             } => {
                 let registrar = if local {
@@ -127,8 +127,7 @@ fn run(ops: &[Op], consensus: bool, local: bool) -> Result<Seen, TestCaseError> 
                 };
                 Wire::DirRegister {
                     id: nid(naplet),
-                    host: registrar.clone(),
-                    event,
+                    host: if first { registrar } else { AWAY.to_string() },
                     visit: acked.then(|| Visit {
                         origin: "o".into(),
                         transfer_id: naplet,
@@ -164,7 +163,7 @@ fn run(ops: &[Op], consensus: bool, local: bool) -> Result<Seen, TestCaseError> 
     let passed_on = metrics.counter("repl.forwarded") + metrics.counter("repl.no_leader_drops");
     prop_assert_eq!(passed_on, 0, "the shard's holder passed a frame on");
     let left = locator.directory().entries().into_iter();
-    seen.left = left.map(|(id, entry)| (id, entry.event)).collect();
+    seen.left = left.map(|(id, entry)| (id, entry.host != AWAY)).collect();
     Ok(seen)
 }
 

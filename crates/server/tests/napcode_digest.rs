@@ -23,8 +23,8 @@ use naplet_net::{Bandwidth, Fabric, LatencyModel};
 use naplet_server::events::{OpsPage, OpsRead, TransferEnvelope, Visit, Wire};
 use naplet_server::repl::ReplEntry;
 use naplet_server::{
-    DirEntry, DirEvent, DirOp, LeasePolicy, LocationMode, MonitorPolicy, NapletStatus, ReplMsg,
-    ServerConfig, SimRuntime,
+    DirEntry, DirOp, LeasePolicy, LocationMode, MonitorPolicy, NapletStatus, ReplMsg, ServerConfig,
+    SimRuntime,
 };
 
 const CODEBASE: &str = "probe";
@@ -116,7 +116,6 @@ fn one_frame_per_variant(status: naplet_server::StatusReport) -> Vec<Wire> {
     let register = DirOp::Register {
         id: id.clone(),
         host: "s0".into(),
-        event: DirEvent::Departure,
         at: Millis(12),
     };
     let credential = Credential::issue(&key(), id.clone(), CODEBASE, vec![]);
@@ -129,7 +128,6 @@ fn one_frame_per_variant(status: naplet_server::StatusReport) -> Vec<Wire> {
         Wire::DirRegister {
             id: id.clone(),
             host: "s1".into(),
-            event: DirEvent::Arrival,
             visit: Some(visit.clone()),
             attempt: 1,
         },
@@ -146,7 +144,10 @@ fn one_frame_per_variant(status: naplet_server::StatusReport) -> Vec<Wire> {
         Wire::DirReply {
             token: 5,
             id: id.clone(),
-            entry: Some(("s2".into(), DirEvent::Departure, Millis(99))),
+            entry: Some(DirEntry {
+                host: "s2".into(),
+                at: Millis(99),
+            }),
         },
         Wire::Post {
             msg: message(3, Payload::System(ControlVerb::Custom("x".into()))),
@@ -207,7 +208,6 @@ fn one_frame_per_variant(status: naplet_server::StatusReport) -> Vec<Wire> {
                     id.clone(),
                     DirEntry {
                         host: "s1".into(),
-                        event: DirEvent::Arrival,
                         at: Millis(30),
                     },
                 )],

@@ -16,7 +16,7 @@ use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
 use naplet_server::{
-    DirEvent, Input, JournalPhase, LocalEvent, LocationMode, MonitorPolicy, NapletServer,
+    DirEntry, Input, JournalPhase, LocalEvent, LocationMode, MonitorPolicy, NapletServer,
     NapletStatus, Output, RunState, ServerConfig, SimRuntime, TransferEnvelope, Visit, Wire,
 };
 
@@ -228,7 +228,10 @@ fn a_lost_directory_answer_strands_no_query_and_a_late_one_posts_nothing() {
         let stale = Wire::DirReply {
             token,
             id: ghost.clone(),
-            entry: Some(("s0".to_string(), DirEvent::Arrival, now)),
+            entry: Some(DirEntry {
+                host: "s0".to_string(),
+                at: now,
+            }),
         };
         let from = "s0".to_string();
         let out = home.handle(now, Input::Wire { from, wire: stale });
@@ -462,11 +465,11 @@ fn forward_cap_breaks_chase_cycles() {
     let mut b = build("b");
     let id = NapletId::new("czxu", "home", Millis(50)).unwrap();
     a.manager.record_launch(id.clone(), "a", Millis(0));
-    a.manager.record_arrival(&id, None, Millis(0));
-    a.manager.record_departure(&id, "b", Millis(1));
+    a.manager.record_arrival(&id);
+    a.manager.record_departure(&id, "b");
     b.manager.record_launch(id.clone(), "b", Millis(0));
-    b.manager.record_arrival(&id, None, Millis(0));
-    b.manager.record_departure(&id, "a", Millis(2));
+    b.manager.record_arrival(&id);
+    b.manager.record_departure(&id, "a");
 
     let msg = Message::user(
         1,
@@ -513,7 +516,7 @@ fn forward_cap_breaks_chase_cycles() {
 }
 
 /// Each stop reports to the home on its own connection, so the last
-/// stop's completion notice can overtake an earlier stop's departure
+/// stop's completion notice can overtake an earlier stop's
 /// registration. The late registration must not reopen the row.
 #[test]
 fn movement_registration_after_the_completion_notice_keeps_completed() {
@@ -525,10 +528,9 @@ fn movement_registration_after_the_completion_notice_keeps_completed() {
     home.launch(naplet, Millis(0));
     let status = |home: &NapletServer| home.manager.table_entry(&id).unwrap().status;
 
-    let register = |event, host: &str| Wire::DirRegister {
+    let register = |host: &str| Wire::DirRegister {
         id: id.clone(),
         host: host.into(),
-        event,
         visit: None,
         attempt: 1,
     };
@@ -541,7 +543,7 @@ fn movement_registration_after_the_completion_notice_keeps_completed() {
             },
         );
     };
-    deliver(&mut home, 10, "s0", register(DirEvent::Arrival, "s0"));
+    deliver(&mut home, 10, "s0", register("s0"));
     assert_eq!(status(&home), NapletStatus::Running);
     let notice = Wire::Notify {
         id: id.clone(),
@@ -551,8 +553,8 @@ fn movement_registration_after_the_completion_notice_keeps_completed() {
     };
     deliver(&mut home, 30, "s1", notice);
     assert_eq!(status(&home), NapletStatus::Completed);
-    // s0's departure, sent before the journey finished, lands last
-    deliver(&mut home, 31, "s0", register(DirEvent::Departure, "s0"));
+    // s0's registration, sent before the journey finished, lands last
+    deliver(&mut home, 31, "s0", register("s0"));
     assert_eq!(status(&home), NapletStatus::Completed);
     assert_eq!(home.manager.table_entry(&id).unwrap().last_known, "s1");
 }

@@ -37,8 +37,8 @@ use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
 use naplet_server::repl::Role;
 use naplet_server::{
-    Commits, DirEvent, Journal, LocationMode, Locator, MonitorPolicy, Outbox, Output, ReplConfig,
-    ReplMsg, ServerConfig, SimRuntime, Visit, Wire,
+    Commits, Journal, LocationMode, Locator, MonitorPolicy, Outbox, Output, ReplConfig, ReplMsg,
+    ServerConfig, SimRuntime, Visit, Wire,
 };
 
 const CODEBASE: &str = "naplet://code/collector.jar";
@@ -386,7 +386,6 @@ impl Replicas {
         let wire = Wire::DirRegister {
             id: NapletId::new("czxu", "home", Millis(self.filed)).unwrap(),
             host: registrar.clone(),
-            event: DirEvent::Arrival,
             visit: Some(Visit {
                 origin: "o".into(),
                 transfer_id: self.filed,
