@@ -14,7 +14,7 @@ use naplet_core::itinerary::{ActionSpec, Itinerary, Pattern};
 use naplet_core::message::{Payload, Sender};
 use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
-use naplet_net::{Bandwidth, Fabric, LatencyModel};
+use naplet_net::{Bandwidth, Fabric, LatencyModel, StatsSnapshot};
 use naplet_obs::{ObsSnapshot, StallAlert, WatchdogConfig};
 use naplet_server::{
     LocationMode, MonitorPolicy, ResourceUsage, ServerConfig, SimRuntime, StatusReport,
@@ -607,57 +607,10 @@ fn chaos_experiment_impl(
         rt.fabric().schedule_down(host, *from_ms, *until_ms);
     }
 
-    // the last hop lands at home so completion and the final report
-    // never cross a lossy link — what's under test is the 6 migrations
-    let route = ["s0", "s1", "s2", "s3", "s4", "home"];
-    let it = Itinerary::new(Pattern::seq_of_hosts(&route, None))
-        .unwrap()
-        .with_final_action(ActionSpec::ReportHome);
-    let naplet = Naplet::create(
-        &bench_key(),
-        "czxu",
-        "home",
-        Millis(1),
-        PROBE_CODEBASE,
-        AgentKind::Native,
-        it,
-        vec![],
-    )
-    .unwrap();
-    let id = naplet.id().clone();
-    let before = rt.fabric().stats().snapshot();
-    let t0 = rt.now();
-    rt.launch(naplet).unwrap();
-    rt.run_to_quiescence(50_000_000);
-    let stats = rt.fabric().stats().snapshot().since(&before);
-
-    let reports = rt.drain_reports("home");
-    let mut completed = 0usize;
-    let mut visits = Vec::new();
-    for (rid, report) in &reports {
-        if rid != &id {
-            continue;
-        }
-        completed += 1;
-        if let Value::List(l) = report.get("visits") {
-            for v in &l {
-                if let Value::Str(s) = v {
-                    visits.push(s.clone());
-                }
-            }
-        }
-    }
-    let mut counts: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
-    for v in &visits {
-        *counts.entry(v.as_str()).or_default() += 1;
-    }
-    let duplicate_visits = counts.values().filter(|&&c| c > 1).count();
-    let mut parked = 0usize;
+    let (chaos, _) = run_probe(&mut rt, None);
     let mut usage = Vec::new();
     for host in rt.server_hosts() {
-        let s = rt.server(&host).unwrap();
-        parked += s.navigator.parked.len();
-        for (nid, u) in s.monitor.usage() {
+        for (nid, u) in rt.server(&host).unwrap().monitor.usage() {
             usage.push((host.clone(), nid.clone(), *u));
         }
     }
@@ -674,18 +627,7 @@ fn chaos_experiment_impl(
     };
 
     TracedChaosOutcome {
-        chaos: ChaosOutcome {
-            completed,
-            visits,
-            duplicate_visits,
-            parked,
-            retransmits: stats.retransmits,
-            dropped: stats.dropped,
-            migrations: stats.messages(naplet_net::TrafficClass::Migration),
-            migration_bytes: stats.bytes(naplet_net::TrafficClass::Migration),
-            control_bytes: stats.bytes(naplet_net::TrafficClass::Control),
-            completion_ms: rt.now().since(t0),
-        },
+        chaos,
         obs,
         chrome_json,
         usage,
@@ -778,6 +720,29 @@ fn crash_chaos_impl(
         rt.schedule_crash(host, *at_ms, *restart_after);
     }
 
+    let (chaos, stats) = run_probe(&mut rt, route);
+    let recovery = rt.recovery_totals();
+
+    let outcome = CrashChaosOutcome {
+        chaos,
+        crashes: stats.crashes,
+        recoveries: stats.recoveries,
+        rehydrated: recovery.rehydrated,
+        replays_suppressed: recovery.replays_suppressed,
+        handoffs_resumed: recovery.handoffs_resumed,
+        leases_expired: recovery.leases_expired,
+        orphans_redispatched: recovery.orphans_redispatched,
+        lost: recovery.agents_lost,
+    };
+    (outcome, rt.obs().snapshot())
+}
+
+/// Launch the chaos probe from `home` along `route` (by default the
+/// 6-hop `Seq` ending at home), run the space to quiescence and read
+/// the probe's outcome, with the fabric's counters over the run.
+fn run_probe(rt: &mut SimRuntime, route: Option<Pattern>) -> (ChaosOutcome, StatsSnapshot) {
+    // the last hop lands at home so completion and the final report
+    // never cross a lossy link — what's under test is the 6 migrations
     let pattern = route
         .unwrap_or_else(|| Pattern::seq_of_hosts(&["s0", "s1", "s2", "s3", "s4", "home"], None));
     let it = Itinerary::new(pattern)
@@ -826,31 +791,19 @@ fn crash_chaos_impl(
     for host in rt.server_hosts() {
         parked += rt.server(&host).unwrap().navigator.parked.len();
     }
-    let recovery = rt.recovery_totals();
-
-    let outcome = CrashChaosOutcome {
-        chaos: ChaosOutcome {
-            completed,
-            visits,
-            duplicate_visits,
-            parked,
-            retransmits: stats.retransmits,
-            dropped: stats.dropped,
-            migrations: stats.messages(naplet_net::TrafficClass::Migration),
-            migration_bytes: stats.bytes(naplet_net::TrafficClass::Migration),
-            control_bytes: stats.bytes(naplet_net::TrafficClass::Control),
-            completion_ms: rt.now().since(t0),
-        },
-        crashes: stats.crashes,
-        recoveries: stats.recoveries,
-        rehydrated: recovery.rehydrated,
-        replays_suppressed: recovery.replays_suppressed,
-        handoffs_resumed: recovery.handoffs_resumed,
-        leases_expired: recovery.leases_expired,
-        orphans_redispatched: recovery.orphans_redispatched,
-        lost: recovery.agents_lost,
+    let chaos = ChaosOutcome {
+        completed,
+        visits,
+        duplicate_visits,
+        parked,
+        retransmits: stats.retransmits,
+        dropped: stats.dropped,
+        migrations: stats.messages(naplet_net::TrafficClass::Migration),
+        migration_bytes: stats.bytes(naplet_net::TrafficClass::Migration),
+        control_bytes: stats.bytes(naplet_net::TrafficClass::Control),
+        completion_ms: rt.now().since(t0),
     };
-    (outcome, rt.obs().snapshot())
+    (chaos, stats)
 }
 
 /// Scheduling-policy ablation (E9): journey time of one probe agent
