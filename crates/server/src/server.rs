@@ -1080,9 +1080,8 @@ impl NapletServer {
     /// there (an undone departure, a recovered visit that already ran).
     fn register(&mut self, id: &NapletId, dest: Option<&str>, visit: Option<Visit>, attempt: u32) {
         let host = dest.unwrap_or(self.out.host()).to_string();
-        let id = id.clone();
         self.send_to_holder(Wire::DirRegister {
-            id,
+            id: id.clone(),
             host,
             visit,
             attempt,

@@ -109,8 +109,7 @@ fn dedicated_directory_host_tracks_all_movement() {
 fn directory_entry_names_the_only_host_the_naplet_may_run_at() {
     // the origin registers the arrival as the Transfer leaves: the
     // naplet runs at the entry's host, is leaving it, or is on its way
-    // there — resident at no other host (paper §4.1, whose DEPARTURE
-    // registration the one-registration hop no longer sends)
+    // there — resident at no other host (paper §4.1)
     let mut rt = world(
         LocationMode::CentralDirectory("dir".into()),
         &["home", "dir", "s0", "s1"],
