@@ -202,7 +202,8 @@ mod tests {
         assert_eq!(m.trace(&id), Some(None)); // resident
         assert!(m.record_departure(&id, "s2"));
         assert_eq!(m.trace(&id), Some(Some("s2"))); // forwarded
-                                                    // a revisit replaces it: only the last visit is kept
+
+        // a revisit replaces it: only the last visit is kept
         m.record_arrival(&id);
         assert_eq!(m.trace(&id), Some(None));
         assert!(m.record_departure(&id, "s5"));
