@@ -82,6 +82,7 @@ fn fig_f2() {
         7,
     );
     let mut rt = world.rt;
+    rt.enable_tracing();
     let it = Itinerary::new(Pattern::seq_of_hosts(&["s0", "s1"], None))
         .unwrap()
         .with_final_action(ActionSpec::ReportHome);
@@ -98,13 +99,10 @@ fn fig_f2() {
     .unwrap();
     rt.launch(naplet).unwrap();
     rt.run_to_quiescence(1_000_000);
-    for host in rt.server_hosts() {
-        let server = rt.server(&host).unwrap();
-        for entry in server.log() {
-            println!("  [{:>5}] {:<5} {}", entry.at.0, host, entry.line);
-        }
-    }
-    println!();
+    // the components' events; the frames under them are in `naplet-ops trace`
+    let mut events = rt.obs().tracer.events();
+    events.retain(|e| !e.kind.name().starts_with("wire."));
+    println!("{}", naplet_obs::render_event_log(&events));
 }
 
 /// F3 — MAN vs centralized SNMP over device count (the §6 claim).

@@ -325,9 +325,11 @@ fn partition_journey(events: &[&FlatEvent], jstart: u64, jend: u64) -> [u64; 6] 
 
 /// Analyze pre-merged flat events (already on the shared timeline).
 pub fn analyze_events(events: &[FlatEvent]) -> TraceAnalysis {
+    // what an agent logs is its own narration, not a step of its journey
+    let events: Vec<&FlatEvent> = events.iter().filter(|e| e.name != "agent.log").collect();
     // group by journey, preserving merged order
     let mut journeys: BTreeMap<String, Vec<&FlatEvent>> = BTreeMap::new();
-    for event in events {
+    for &event in &events {
         let key = event
             .ctx
             .as_ref()
@@ -850,6 +852,21 @@ mod tests {
         assert_eq!(journey.segment_ms("queue"), 30);
         assert_eq!(journey.segment_ms("directory"), 50);
         assert_eq!(journey.segments.iter().sum::<u64>(), 80);
+    }
+
+    #[test]
+    fn an_agents_own_lines_claim_no_time() {
+        let j = "czxu@home:1";
+        let bare = vec![
+            with_tid(ev(0, "home", Some(j), "transfer.sent"), 1),
+            ev(30, "home", Some(j), "landing.decision"),
+            span(ev(80, "s1", Some(j), "register.acked"), 50),
+        ];
+        // one line inside an unclaimed slice, one past the journey's end
+        let mut logged = bare.clone();
+        logged.insert(1, ev(20, "s1", Some(j), "agent.log"));
+        logged.push(ev(90, "s1", Some(j), "agent.log"));
+        assert_eq!(analyze_events(&logged), analyze_events(&bare));
     }
 
     #[test]

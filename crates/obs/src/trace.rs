@@ -262,6 +262,12 @@ pub enum TraceKind {
         /// Last log index the snapshot covers.
         index: u64,
     },
+    /// The agent itself logged a line (`NapletContext::log`, the VM's
+    /// `log` op) while running at this host.
+    AgentLog {
+        /// The line, as the agent wrote it.
+        line: String,
+    },
 }
 
 impl TraceKind {
@@ -298,6 +304,7 @@ impl TraceKind {
             TraceKind::ReplLeader { .. } => "repl.leader",
             TraceKind::ReplCommit { .. } => "repl.commit",
             TraceKind::ReplSnapshot { .. } => "repl.snapshot",
+            TraceKind::AgentLog { .. } => "agent.log",
         }
     }
 
@@ -479,6 +486,7 @@ impl TraceKind {
                 vec![("index", Int(*index)), ("op", Str(op.clone()))]
             }
             TraceKind::ReplSnapshot { index } => vec![("index", Int(*index))],
+            TraceKind::AgentLog { line } => vec![("line", Str(line.clone()))],
         }
     }
 }

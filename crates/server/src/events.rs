@@ -493,43 +493,20 @@ pub enum Output {
     },
 }
 
-/// Timestamped, human-readable server log entry (observability; tests
-/// assert against these).
-#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
-pub struct LogEntry {
-    /// Server time when logged.
-    pub at: Millis,
-    /// Message text.
-    pub line: String,
-}
-
-/// Bounded ring of [`LogEntry`]s: when the configured capacity is
-/// reached, the oldest line is evicted and counted — the same
-/// retention philosophy that bounds the dedup table and the
-/// messenger's confirmation maps. It is the ring the flight recorder
-/// uses, so "complete record or counted truncation" has exactly one
-/// implementation in the workspace.
-pub type EventLog = naplet_obs::Ring<LogEntry>;
-
-/// Ring capacity of a server's event log; the oldest lines are evicted
-/// (and counted) beyond this.
-const LOG_CAPACITY: usize = 4096;
-
 /// Everything one call into a server emits, in the order it happens:
-/// frames and timers for the driver, log lines, metrics and trace
-/// events, stamped with the clock reading and the host the call runs
-/// at. The server owns one and hands it `&mut` to every component
-/// transition it runs, so a component sends its own frames with their
-/// timers and records its own observations; the server's entry points
-/// set the clock and [`take`](Outbox::take) the frames. Components are
-/// tested with an outbox and no server.
+/// frames and timers for the driver, metrics and trace events, stamped
+/// with the clock reading and the host the call runs at. The server
+/// owns one and hands it `&mut` to every component transition it runs,
+/// so a component sends its own frames with their timers and records
+/// its own observations; the server's entry points set the clock and
+/// [`take`](Outbox::take) the frames. Components are tested with an
+/// outbox and no server.
 #[derive(Debug)]
 pub struct Outbox {
     now: Millis,
     host: String,
     out: Vec<Output>,
     obs: ObsSink,
-    log: EventLog,
 }
 
 impl Outbox {
@@ -540,7 +517,6 @@ impl Outbox {
             host: host.to_string(),
             out: Vec::new(),
             obs: ObsSink::default(),
-            log: EventLog::with_capacity(LOG_CAPACITY),
         }
     }
 
@@ -577,11 +553,6 @@ impl Outbox {
     /// Fetch `bytes` of code for `id` from `from`.
     pub fn fetch_code(&mut self, from: String, bytes: u64, id: NapletId) {
         self.out.push(Output::FetchCode { from, bytes, id });
-    }
-
-    /// Append a line to the event log.
-    pub fn log(&mut self, line: String) {
-        self.log.push(LogEntry { at: self.now, line });
     }
 
     /// Add `by` to counter `name`.
@@ -629,11 +600,6 @@ impl Outbox {
     /// Record into `obs` from now on.
     pub fn set_obs(&mut self, obs: ObsSink) {
         self.obs = obs;
-    }
-
-    /// The event log.
-    pub fn lines(&self) -> &EventLog {
-        &self.log
     }
 }
 

@@ -411,9 +411,9 @@ impl Journal {
     /// Record `id` from the `image` a caller holds (a handle's
     /// `wire_bytes()`, or one walk of a resident) in `phase`, and
     /// account for it in `out`. Every record the protocol writes comes
-    /// through here. A missing image or a refusing store is logged,
-    /// never raised: a degraded journal weakens durability, not the
-    /// live run.
+    /// through here. A missing image or a refusing store is counted in
+    /// `journal.failures`, never raised: a degraded journal weakens
+    /// durability, not the live run.
     pub fn put_naplet(
         &mut self,
         id: &NapletId,
@@ -423,8 +423,8 @@ impl Journal {
     ) {
         let now = out.now();
         let written = image.and_then(|image| self.record_naplet_bytes(id, &image, phase, now));
-        if let Err(e) = written {
-            out.log(format!("JOURNAL write failed for {id}: {e}"));
+        if written.is_err() {
+            out.count("journal.failures", 1);
         }
         let records = self.len() as u64;
         out.observe("journal_records", COUNT_BOUNDS, records);
@@ -435,10 +435,10 @@ impl Journal {
     }
 
     /// [`retire`](Self::retire) `id`'s record and trace the shrink in
-    /// `out` (a refusing store is logged).
+    /// `out` (a refusing store is counted in `journal.failures`).
     pub fn retire_naplet(&mut self, id: &NapletId, out: &mut Outbox) {
-        if let Err(e) = self.retire(id) {
-            out.log(format!("JOURNAL retire failed for {id}: {e}"));
+        if self.retire(id).is_err() {
+            out.count("journal.failures", 1);
         }
         let records = self.len() as u64;
         out.trace(Some(id), || TraceKind::JournalRetire { records });

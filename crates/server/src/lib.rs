@@ -51,8 +51,7 @@ pub use bootstrap::{BootstrapConfig, NodeConfig};
 pub use daemon::{register_probe, Daemon, DaemonSummary, TraceDumper, PROBE_CODEBASE};
 pub use directory::{DirEntry, NapletDirectory};
 pub use events::{
-    EventLog, Input, LocalEvent, LogEntry, OpsPage, OpsRead, Outbox, Output, TransferEnvelope,
-    Visit, Wire,
+    Input, LocalEvent, OpsPage, OpsRead, Outbox, Output, TransferEnvelope, Visit, Wire,
 };
 pub use journal::{
     FileStore, Journal, JournalPhase, JournalRecord, JournalStore, MemoryStore, RecoveryStats,

@@ -14,8 +14,8 @@
 //! enters through one method whether it came off the wire or from this
 //! host: [`Locator::file`] for a registration or a removal,
 //! [`Locator::directory`] for a lookup. Table-versus-consensus is decided
-//! inside them, which send their own frames, timers, log lines, metrics
-//! and trace events through the [`Outbox`]. What comes back is only what
+//! inside them, which send their own frames, timers, metrics and trace
+//! events through the [`Outbox`]. What comes back is only what
 //! the server must act on — each registration as it lands, through
 //! [`Locator::land`] — and the server retries what stays unanswered.
 
@@ -87,33 +87,27 @@ fn enact(rout: ReplOut, woke: bool, out: &mut Outbox) -> Commits {
         out.send(to, Wire::Repl { msg });
     }
     for note in rout.notes {
-        let (counter, line, kind) = match note {
-            ReplNote::ElectionStarted { term } => (
-                "repl.elections",
-                format!("REPL campaigning for term {term}"),
-                TraceKind::ReplElection { term },
-            ),
-            ReplNote::LeaderElected { term } => (
-                "repl.leader_changes",
-                format!("REPL won leadership of term {term}"),
-                TraceKind::ReplLeader {
-                    term,
-                    leader: out.host().to_string(),
-                },
-            ),
+        let (counter, kind) = match note {
+            ReplNote::ElectionStarted { term } => {
+                ("repl.elections", TraceKind::ReplElection { term })
+            }
+            ReplNote::LeaderElected { term } => {
+                let leader = out.host().to_string();
+                (
+                    "repl.leader_changes",
+                    TraceKind::ReplLeader { term, leader },
+                )
+            }
             ReplNote::LeaderChanged { term, leader } => (
                 "repl.leader_changes",
-                format!("REPL leader of term {term} is {leader}"),
                 TraceKind::ReplLeader { term, leader },
             ),
             ReplNote::SnapshotInstalled { index } => (
                 "repl.snapshots_installed",
-                format!("REPL snapshot installed through {index}"),
                 TraceKind::ReplSnapshot { index },
             ),
         };
         out.count(counter, 1);
-        out.log(line);
         out.trace(None, || kind);
     }
     let timing = out.stopwatch().filter(|_| !rout.committed.is_empty());

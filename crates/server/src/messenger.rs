@@ -18,7 +18,7 @@
 //!
 //! The server routes (locate → send → forward-chase → confirm) through
 //! one door per verb; what the messenger decides on its own — a
-//! redelivery, a forwarding hop — it logs, counts and traces through the
+//! redelivery, a forwarding hop — it counts and traces through the
 //! [`Outbox`]. A message in a naplet's mailbox or on the wire is not in
 //! this module's custody.
 
@@ -226,18 +226,11 @@ impl Messenger {
         if attempt >= budget {
             self.outstanding.remove(&key);
             self.redelivery_given_up += 1;
-            out.log(format!(
-                "REDELIVERY exhausted for message {seq} from {sender:?}"
-            ));
             return Some(None);
         }
         rec.attempts += 1;
         self.redeliveries += 1;
         let (msg, next) = (rec.msg.clone(), rec.attempts);
-        out.log(format!(
-            "REDELIVER message {seq} to {} (attempt {next})",
-            msg.to
-        ));
         out.count("post.redeliveries", 1);
         out.trace(Some(&msg.to), || TraceKind::PostRedeliver {
             seq,
@@ -274,11 +267,10 @@ impl Messenger {
 
     /// Whether `msg`, whose target has moved on, may chase it one hop
     /// further, to `to`: the hop is counted and traced, a drop at the cap
-    /// (which breaks a chase cycle) counted and logged.
+    /// (which breaks a chase cycle) counted.
     pub fn forward(&mut self, msg: &mut Message, to: &str, out: &mut Outbox) -> bool {
         if msg.forward_hops >= self.forward_cap {
             self.undeliverable += 1;
-            out.log(format!("undeliverable message to {} (cap)", msg.to));
             return false;
         }
         self.forwards_performed += 1;
@@ -370,9 +362,8 @@ mod tests {
         assert_eq!(chased.forward_hops, 2, "each hop counted on the message");
         assert!(!m.forward(&mut chased, "s3", &mut out));
         assert_eq!(m.forwards_performed, 2);
-        assert_eq!(m.undeliverable, 1);
+        assert_eq!(m.undeliverable, 1, "the drop is counted");
         assert_eq!(out.obs().metrics.counter("post.forward_hops"), 2);
-        assert_eq!(out.lines().len(), 1, "the drop is logged");
     }
 
     #[test]

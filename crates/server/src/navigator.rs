@@ -8,7 +8,7 @@
 //! the agents parked here. Its transitions are handed
 //! the [`Outbox`] and the journal: each sends its own frames with their
 //! timers, journals the handoff where it stands, and records its own
-//! log lines, metrics and trace events. What comes back is only what
+//! metrics and trace events. What comes back is only what
 //! the server continues with — an agent to admit, where an admitted
 //! agent landed, the agent after a refusal or a failure.
 
@@ -204,14 +204,14 @@ impl Navigator {
     ) -> Option<TransferEnvelope> {
         let (transfer_id, now) = (envelope.transfer_id, out.now());
         let id = envelope.naplet.id().clone();
-        let attempt = envelope.attempt;
         let key = self.key(from, transfer_id);
         let (fresh, refused) = match self.seen.get(&key) {
             Some((_, refused)) => (false, refused.clone()),
             None => {
                 let refused = decision.err().map(|e| e.to_string());
-                if let Err(e) = journal.note_seen(from, transfer_id, now, refused.as_deref()) {
-                    out.log(format!("JOURNAL seen failed for {id}: {e}"));
+                let noted = journal.note_seen(from, transfer_id, now, refused.as_deref());
+                if noted.is_err() {
+                    out.count("journal.failures", 1);
                 }
                 self.seen.insert(key.clone(), (now, refused.clone()));
                 (true, refused)
@@ -219,25 +219,17 @@ impl Navigator {
         };
         let granted = refused.is_none();
         if fresh {
-            let (verdict, counter) = if granted {
-                ("grant", "landing.granted")
+            let counter = if granted {
+                "landing.granted"
             } else {
-                ("deny", "landing.denied")
+                "landing.denied"
             };
-            out.log(format!(
-                "LANDING {id} from {from} (attempt {attempt}): {verdict}"
-            ));
             out.count(counter, 1);
             out.trace(Some(&id), || TraceKind::LandingDecision {
                 origin: from.to_string(),
                 granted,
                 reason: refused.clone().unwrap_or_default(),
             });
-        } else {
-            let verdict = if granted { "admitted" } else { "refused" };
-            out.log(format!(
-                "duplicate TRANSFER {id} (attempt {attempt}): already {verdict}"
-            ));
         }
         out.trace(Some(&id), || TraceKind::TransferReceived {
             origin: from.to_string(),
@@ -300,8 +292,8 @@ impl Navigator {
         let id = agent.id().clone();
         let image = match agent.wire_bytes() {
             Ok(image) => image,
-            Err(e) => {
-                out.log(format!("HANDOFF {id} -> {dest} impossible: {e}"));
+            Err(_) => {
+                out.count("handoff.unencodable", 1);
                 return Some((agent.into_owned(), mailbox));
             }
         };
@@ -331,7 +323,7 @@ impl Navigator {
     /// it answers — to that host, of that agent — ends: its journal
     /// record retires (an admitting destination journaled the agent
     /// before acking) and custody goes to the destination or back to
-    /// the agent. Anything else is logged as stray and changes nothing.
+    /// the agent. Anything else is counted as stray and changes nothing.
     pub fn ack(
         &mut self,
         transfer_id: u64,
@@ -344,22 +336,18 @@ impl Navigator {
         let answered =
             (self.handoffs.get(&transfer_id)).is_some_and(|h| h.dest == from && h.id == *id);
         if !answered {
-            out.log(format!(
-                "stray TransferAck transfer {transfer_id} for {id} from {from}"
-            ));
+            out.count("handoff.stray_acks", 1);
             return None;
         }
         let handoff = self.handoffs.remove(&transfer_id)?;
         let (id, dest, started, attempts) =
             (handoff.id, handoff.dest, handoff.started, handoff.attempt);
-        if let Some(reason) = refused {
+        if refused.is_some() {
             // the image is the agent as it left: past the refused step
-            out.log(format!("LANDING denied for {id} at {dest}: {reason}"));
             let agent = decode(&handoff.image).into_owned();
             return Some(Acked::Refused(agent, handoff.mailbox));
         }
         journal.retire_naplet(&id, out);
-        out.log(format!("HANDOFF commit {id} (transfer {transfer_id})"));
         out.count("handoff.commits", 1);
         let rtt = out.now().since(started);
         out.observe("handoff_rtt_ms", LATENCY_BOUNDS_MS, rtt);
@@ -391,7 +379,6 @@ impl Navigator {
             handoff.attempt += 1;
             handoff.journal(transfer_id, journal, out);
             let (id, dest, next) = (&handoff.id, &handoff.dest, handoff.attempt);
-            out.log(format!("RETRY {id} -> {dest} (attempt {next})"));
             out.count("handoff.retransmits", 1);
             out.trace(Some(id), || TraceKind::Retransmit {
                 dest: dest.clone(),
@@ -413,10 +400,6 @@ impl Navigator {
         // `dest` now counts as unreachable, so an `Alt` decides again
         let park = agent.peek_next_host().as_deref() == Some(&dest);
         let id = agent.id();
-        out.log(format!(
-            "HANDOFF failed {id} -> {dest} after {attempt} attempts \
-             ({reason}; transfer {transfer_id})"
-        ));
         out.count("handoff.failures", 1);
         out.trace(Some(id), || TraceKind::HandoffFailed {
             dest: dest.clone(),
@@ -425,9 +408,6 @@ impl Navigator {
             reason: reason.to_string(),
         });
         if park {
-            out.log(format!(
-                "PARK {id}: {dest} unreachable after {attempt} attempts"
-            ));
             out.count("handoff.parked", 1);
             out.trace(Some(id), || TraceKind::Parked {
                 dest: dest.clone(),
@@ -581,8 +561,10 @@ mod tests {
         (to, envelope, delay_ms)
     }
 
-    fn logged(out: &Outbox, prefix: &str) -> bool {
-        out.lines().iter().any(|e| e.line.starts_with(prefix))
+    /// How many events named `name` the outbox traced.
+    fn traced(out: &Outbox, name: &str) -> usize {
+        let events = out.obs().tracer.events();
+        events.iter().filter(|e| e.kind.name() == name).count()
     }
 
     /// An agent about to leave `a` for the first stop of `route`: the
@@ -704,8 +686,9 @@ mod tests {
         assert_ne!(back.cursor(), &checkpoint, "past the refused step");
         assert_eq!(nav.pending_count(), 0);
         assert!(out.take().is_empty());
-        assert!(logged(&out, "LANDING denied for"));
         assert_eq!(out.obs().metrics.counter("handoff.commits"), 0);
+        let committed = traced(&out, "handoff.commit") + traced(&out, "journal.retire");
+        assert_eq!(committed, 0, "nothing committed, the record kept");
     }
 
     #[test]
@@ -722,7 +705,8 @@ mod tests {
             }
         }
         assert_eq!(nav.pending_count(), 1);
-        assert_eq!(out.lines().len(), 6, "each stray ack logged");
+        let strays = out.obs().metrics.counter("handoff.stray_acks");
+        assert_eq!(strays, 6, "each stray ack counted");
         assert!(due(&mut nav, 1, 20).0.is_none());
         let acked = nav.ack(9, "b", &id, None, &mut journal, &mut out);
         let Some(Acked::Admitted { id: landed, dest }) = acked else {
@@ -731,19 +715,18 @@ mod tests {
         assert_eq!((&landed, dest.as_str()), (&id, "b"));
         assert_eq!(nav.pending_count(), 0);
         assert!(journal.naplet_records().is_empty(), "the record retired");
-        assert!(logged(&out, &format!("HANDOFF commit {id} (transfer 9)")));
         let commits: Vec<_> = (out.obs().tracer.events().into_iter())
             .filter_map(|e| match e.kind {
                 TraceKind::HandoffCommit {
                     dest,
+                    transfer_id,
                     started,
                     attempts,
-                    ..
-                } => Some((dest, started, attempts)),
+                } => Some((dest, transfer_id, started, attempts)),
                 _ => None,
             })
             .collect();
-        assert_eq!(commits, [("b".to_string(), Millis(10), 2)]);
+        assert_eq!(commits, [("b".to_string(), 9, Millis(10), 2)]);
         assert!(
             ack(&mut nav, "b", &id, None).is_none(),
             "a second ack is stray"
@@ -760,15 +743,18 @@ mod tests {
         assert!(failed.is_none() && out.take().is_empty(), "not armed");
         let (failed, mut out) = due(&mut nav, 1, 20);
         assert!(failed.is_none(), "one attempt of three is not the budget");
-        assert!(logged(
-            &out,
-            &format!("RETRY {} -> b (attempt 2)", agent.id())
-        ));
-        let phase = (out.obs().tracer.events().into_iter()).find_map(|e| match e.kind {
-            TraceKind::Retransmit { phase, .. } => Some(phase),
+        let retry = (out.obs().tracer.events().into_iter()).find_map(|e| match e.kind {
+            TraceKind::Retransmit {
+                dest,
+                attempt,
+                phase,
+                ..
+            } => Some((e.naplet, dest, attempt, phase)),
             _ => None,
         });
-        assert_eq!(phase.as_deref(), Some("transfer"));
+        let id = Some(agent.id().to_string());
+        let expected = (id, "b".to_string(), 2, "transfer".to_string());
+        assert_eq!(retry, Some(expected));
         let (to, envelope, delay) = one_attempt(&mut out);
         assert_eq!((to.as_str(), envelope.attempt), ("b", 2));
         assert_eq!(delay, nav.retry.jittered_backoff_ms(9, 2));
@@ -800,8 +786,8 @@ mod tests {
             assert!(out.take().is_empty(), "nothing more is sent");
             assert_eq!(failed.dest, "b");
             assert_eq!(failed.park, park);
-            assert!(logged(&out, "HANDOFF failed"));
-            assert_eq!(logged(&out, "PARK"), park);
+            assert_eq!(traced(&out, "handoff.failed"), 1);
+            assert_eq!(traced(&out, "handoff.parked"), usize::from(park));
             assert_eq!(failed.mailbox.len(), 1, "unread mail");
             let failures = failed.agent.nav_log.failures();
             assert_eq!(failures.len(), 1);
@@ -944,7 +930,12 @@ mod tests {
                 })
                 .collect();
             assert_eq!(verdicts, [admitted_first; 2]);
-            assert!(logged(&out, "duplicate TRANSFER"));
+            let duplicates = out.obs().tracer.events().into_iter();
+            let duplicates = duplicates.filter_map(|e| match e.kind {
+                TraceKind::TransferReceived { duplicate, .. } => Some(duplicate),
+                _ => None,
+            });
+            assert_eq!(duplicates.collect::<Vec<_>>(), [false, true]);
             let reason = (!admitted_first).then(|| "service error: full".to_string());
             let note = (("o".to_string(), 4), Millis(100), reason);
             assert_eq!(journal.seen(), [note], "the verdict is journaled");

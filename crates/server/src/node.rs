@@ -505,9 +505,7 @@ mod tests {
             assert_eq!(ask(8, &mut a), None, "{what} refused");
             let counters = obs.metrics.snapshot().counters;
             assert_eq!(counters.get(granted), Some(&1), "{what}");
-            assert_eq!(counters.get(refused), Some(&1), "{what}");
-            let refusal = format!("{what} from b refused");
-            assert!(a.server.log().iter().any(|e| e.line.starts_with(&refusal)));
+            assert_eq!(counters.get(refused), Some(&1), "{what} refusal counted");
             let lines: Vec<String> = obs
                 .tracer
                 .events()

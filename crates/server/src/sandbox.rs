@@ -14,10 +14,10 @@
 //! Budgets are charged where the code runs: gas per VM slice (or the
 //! modelled dwell of a native `on_start`), memory after a visit, and
 //! every post against the meter's bandwidth total — the first post
-//! over the budget and all after it are dropped, reports and logs
-//! still flow. This module names no output, sink, record store or
-//! other component, so it is tested with a resource manager, a
-//! security manager and two registries and nothing else.
+//! over the budget and all after it are dropped and counted, reports
+//! and log lines still flow. This module names no output, sink, record
+//! store or other component, so it is tested with a resource manager,
+//! a security manager and two registries and nothing else.
 
 use naplet_core::behavior::ActionRegistry;
 use naplet_core::clock::Millis;
@@ -76,9 +76,11 @@ pub struct Effects {
     /// Messages to post: (target, the address book's location hint,
     /// body). Only what the bandwidth budget admitted.
     pub posts: Vec<(NapletId, String, Value)>,
+    /// Posts the bandwidth budget dropped.
+    pub over_budget: u64,
     /// Reports for the owner's listener at home.
     pub reports: Vec<Value>,
-    /// Lines for the host's log, already attributed to the agent.
+    /// Lines the agent logged, as it wrote them.
     pub logs: Vec<String>,
 }
 
@@ -124,16 +126,13 @@ impl Sandbox<'_> {
         };
         let result = ctx.exec(meter, what);
         let mut effects = ctx.effects;
-        let over = effects.posts.iter().enumerate().find_map(|(kept, post)| {
+        let over = effects.posts.iter().position(|post| {
             let bytes = naplet_core::codec::encoded_size(&post.2).unwrap_or(0);
-            let charged = meter.charge_msg_bytes(policy, bytes);
-            charged.err().map(|e| (kept, e))
+            meter.charge_msg_bytes(policy, bytes).is_err()
         });
-        if let Some((kept, e)) = over {
+        if let Some(kept) = over {
+            effects.over_budget = (effects.posts.len() - kept) as u64;
             effects.posts.truncate(kept);
-            // ahead of the agent's own lines, none of which is enacted yet
-            let line = format!("bandwidth budget hit for {}: {e}", ctx.naplet.id());
-            effects.logs.insert(0, line);
         }
         (result, effects)
     }
@@ -287,8 +286,7 @@ impl NapletContext for RunCtx<'_> {
         self.on.now
     }
     fn log(&mut self, line: &str) {
-        let line = format!("[{}] {line}", self.naplet.id().short());
-        self.effects.logs.push(line);
+        self.effects.logs.push(line.to_string());
     }
 }
 
@@ -432,7 +430,7 @@ mod tests {
             dwell_ms,
         };
         assert_eq!(result.unwrap(), outcome);
-        assert_eq!(effects.logs, ["[u@home] line 0", "[u@home] line 1"]);
+        assert_eq!(effects.logs, ["line 0", "line 1"]);
         assert_eq!(effects.reports, [Value::Int(0), Value::Int(1)]);
         let post = |k| (peer(), "s1".to_string(), Value::Int(k));
         assert_eq!(effects.posts, [post(10), post(11)]);
@@ -467,7 +465,7 @@ mod tests {
             matches!(&err, NapletError::ResourceExhausted { resource, .. } if resource == "cpu"),
             "{err}"
         );
-        assert_eq!(effects.logs, ["[u@home] first"]);
+        assert_eq!(effects.logs, ["first"]);
         assert_eq!(
             meter.gas, 120,
             "killed at the first slice boundary past 100"

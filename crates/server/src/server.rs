@@ -6,8 +6,8 @@
 //! created ServiceChannels. This file is the router between them and
 //! the keeper of the journal: it feeds each component's transitions the
 //! server's one [`Outbox`], through which the component sends its own
-//! frames and timers and records its own log lines, metrics and trace
-//! events, and carries on with what the transition hands back. No
+//! frames and timers and records its own metrics and trace events, and
+//! carries on with what the transition hands back. No
 //! agent code runs here: the monitor's [`sandbox`](crate::sandbox) runs
 //! it and hands back what it asked for. It is written as a
 //! deterministic event handler: a driver feeds it [`Input`]s and enacts
@@ -31,7 +31,7 @@ use naplet_obs::{ring::Ring, ObsSink, TraceKind, LATENCY_BOUNDS_MS};
 
 use crate::directory::DirEntry;
 use crate::events::{
-    EventLog, Input, LocalEvent, OpsPage, OpsRead, Outbox, Output, TransferEnvelope, Visit, Wire,
+    Input, LocalEvent, OpsPage, OpsRead, Outbox, Output, TransferEnvelope, Visit, Wire,
 };
 use crate::journal::{Journal, JournalPhase, RecoveryStats};
 use crate::lease::{LeasePolicy, LeaseTable};
@@ -153,8 +153,8 @@ pub struct NapletServer {
     /// Ops-plane replies received at this host (token, page); `None`
     /// pages mark reads the peer's security policy refused.
     pub ops_replies: Vec<(u64, Option<OpsPage>)>,
-    /// What the call in progress emits: frames, timers, log lines,
-    /// metrics and trace events, at this host and the call's time.
+    /// What the call in progress emits: frames, timers, metrics and
+    /// trace events, at this host and the call's time.
     out: Outbox,
 }
 
@@ -202,11 +202,6 @@ impl NapletServer {
     /// The observation sink this server records into.
     pub fn obs(&self) -> &ObsSink {
         self.out.obs()
-    }
-
-    /// Human-readable event log (bounded ring).
-    pub fn log(&self) -> &EventLog {
-        self.out.lines()
     }
 
     /// This server's host name.
@@ -370,13 +365,11 @@ impl NapletServer {
         let id = naplet.id().clone();
         self.manager.record_launch(id.clone(), self.out.host(), now);
         self.manager.record_arrival(&id);
-        self.out.log(format!("LAUNCH {id}"));
         if self.lease_policy.is_some() {
             // durable creation record first, so an orphan can be
             // re-dispatched even after this server itself crashes
-            if let Err(e) = self.journal.record_creation(&id, &naplet) {
-                self.out
-                    .log(format!("JOURNAL creation failed for {id}: {e}"));
+            if self.journal.record_creation(&id, &naplet).is_err() {
+                self.out.count("journal.failures", 1);
             }
             self.leases.grant(&id, now);
             self.arm_lease_timer(&id);
@@ -480,20 +473,12 @@ impl NapletServer {
                 self.locator.put(target, &delivered_at, &mut self.out);
             }
             Wire::Report { id, body } => {
-                self.out.log(format!("REPORT from {id}"));
                 self.leases.renew(&id, now);
                 self.reports.push((id, body));
             }
             Wire::Notify {
-                id,
-                status,
-                host,
-                detail,
+                id, status, host, ..
             } => {
-                if !detail.is_empty() {
-                    self.out
-                        .log(format!("NOTIFY {id}: {status:?} at {host}: {detail}"));
-                }
                 self.note_status_at_home(&id, status);
                 self.manager.update_status(&id, status, &host, now);
             }
@@ -529,15 +514,13 @@ impl NapletServer {
                 // the flight recorder and the history ring hold the same
                 // internals as a status report (hosts, journeys,
                 // failures), so every read rides the one privileged grant
-                let (what, counters) = match read {
-                    OpsRead::Status => ("STATUS probe", ("status.probes", "status.refused")),
-                    OpsRead::Trace { .. } => ("TRACE read", ("trace.reads", "trace.refused")),
-                    OpsRead::MetricsHistory { .. } => {
-                        ("HISTORY read", ("history.reads", "history.refused"))
-                    }
+                let counters = match read {
+                    OpsRead::Status => ("status.probes", "status.refused"),
+                    OpsRead::Trace { .. } => ("trace.reads", "trace.refused"),
+                    OpsRead::MetricsHistory { .. } => ("history.reads", "history.refused"),
                 };
                 let page = self
-                    .privileged_read(&credential, from, what, counters)
+                    .privileged_read(&credential, counters)
                     .then(|| match read {
                         OpsRead::Status => OpsPage::Status(self.status_report(now)),
                         OpsRead::Trace { from_seq, max } => {
@@ -562,27 +545,16 @@ impl NapletServer {
     /// The gate every ops-plane read passes: only credentials the
     /// policy matrix grants `PrivilegedService("status")` may read a
     /// server's internals. Counts the outcome under the matching one
-    /// of `(granted, refused)` and logs a refusal as
-    /// `"{what} from {from} refused"`.
+    /// of `(granted, refused)`.
     fn privileged_read(
         &mut self,
         credential: &naplet_core::credential::Credential,
-        from: &str,
-        what: &str,
         (granted, refused): (&str, &str),
     ) -> bool {
         let permission = Permission::PrivilegedService("status".into());
-        match self.security.check(credential, permission) {
-            Ok(()) => {
-                self.out.count(granted, 1);
-                true
-            }
-            Err(e) => {
-                self.out.count(refused, 1);
-                self.out.log(format!("{what} from {from} refused: {e}"));
-                false
-            }
-        }
+        let allowed = self.security.check(credential, permission).is_ok();
+        self.out.count(if allowed { granted } else { refused }, 1);
+        allowed
     }
 
     // =====================================================================
@@ -650,9 +622,6 @@ impl NapletServer {
                     // with a possibly stale directory entry beats
                     // stranding the agent — the forwarding chase and
                     // delivery confirmations repair stale locations
-                    self.out.log(format!(
-                        "REGISTER unacked for {id} after {attempt} attempts: proceeding"
-                    ));
                     self.proceed_after_registration(&id, true);
                     return;
                 }
@@ -660,8 +629,6 @@ impl NapletServer {
                 // retry; from here this host registers for itself
                 self.locator.rotate();
                 let next = attempt + 1;
-                self.out
-                    .log(format!("RETRY register {id} (attempt {next})"));
                 self.register(&id, None, Some(visit.clone()), next);
                 self.arm_register_timer(&id, visit, next);
             }
@@ -765,9 +732,9 @@ impl NapletServer {
                     return;
                 }
                 Step::Fork { clones } => {
-                    if let Err(e) = self.security.check(naplet.credential(), Permission::Clone) {
-                        self.out
-                            .log(format!("CLONE denied for {}: {e}", naplet.id()));
+                    let credential = naplet.credential();
+                    if self.security.check(credential, Permission::Clone).is_err() {
+                        self.out.count("security.denials", 1);
                         continue; // parent continues; branches abandoned
                     }
                     let now = self.out.now();
@@ -777,7 +744,6 @@ impl NapletServer {
                         self.manager
                             .record_launch(cid.clone(), self.out.host(), now);
                         self.manager.record_arrival(&cid);
-                        self.out.log(format!("CLONE {cid}"));
                         self.continue_journey(clone, Mailbox::new());
                     }
                     // parent keeps advancing in this loop
@@ -786,10 +752,8 @@ impl NapletServer {
                     // between visits: no monitor entry, so a fresh meter
                     let (what, mut meter) = (What::Action(&action), Meter::default());
                     let ran = self.run_agent(&mut naplet, &mut mailbox, &mut meter, what);
-                    if let Err(e) = ran {
-                        let id = naplet.id();
-                        self.out
-                            .log(format!("action {action:?} failed for {id}: {e}"));
+                    if ran.is_err() {
+                        self.out.count("agent.errors", 1);
                     }
                 }
                 Step::Done => {
@@ -798,9 +762,8 @@ impl NapletServer {
                     // report/clean up before destruction
                     let (what, mut meter) = (What::FinalSlice, Meter::default());
                     let ran = self.run_agent(&mut naplet, &mut mailbox, &mut meter, what);
-                    if let Err(e) = ran {
-                        let id = naplet.id();
-                        self.out.log(format!("final VM slice failed for {id}: {e}"));
+                    if ran.is_err() {
+                        self.out.count("agent.errors", 1);
                     }
                     self.finish_journey(naplet, "completed", true);
                     return;
@@ -817,9 +780,9 @@ impl NapletServer {
         dest: String,
         checkpoint: Cursor,
     ) {
-        if let Err(e) = self.security.check(naplet.credential(), Permission::Launch) {
-            self.out
-                .log(format!("LAUNCH denied for {}: {e}", naplet.id()));
+        let credential = naplet.credential();
+        if self.security.check(credential, Permission::Launch).is_err() {
+            self.out.count("security.denials", 1);
             // skip this visit entirely
             self.continue_journey(naplet, mailbox);
             return;
@@ -874,7 +837,6 @@ impl NapletServer {
         self.hand_on(id, dest);
         let visit = Visit::new(self.out.host(), transfer_id);
         self.register(id, Some(dest), Some(visit), 1);
-        self.out.log(format!("DEPART {id} -> {dest}"));
     }
 
     /// The agent is back in this host's custody after its `Transfer`
@@ -1003,7 +965,7 @@ impl NapletServer {
         let TransferEnvelope { naplet, action, .. } = envelope;
         let id = naplet.id().clone();
         if let Err(e) = self.security.verify_naplet(&naplet) {
-            self.out.log(format!("ARRIVAL rejected for {id}: {e}"));
+            self.out.count("security.denials", 1);
             self.notify_home(&id, NapletStatus::Destroyed, &e.to_string());
             return;
         }
@@ -1011,7 +973,6 @@ impl NapletServer {
         if from.is_some() {
             self.manager.record_arrival(&id);
         }
-        self.out.log(format!("ARRIVAL {id}"));
         // durable before the TransferAck (already queued) can commit
         // the origin's release: from here this server owns the agent.
         // The record is the image as received — the handle's own bytes
@@ -1243,13 +1204,16 @@ impl NapletServer {
     }
 
     // =====================================================================
-    // Effects: messages, reports, logs
+    // Effects: messages, reports, the agent's own lines
     // =====================================================================
 
     fn route_effects(&mut self, naplet: &Naplet, effects: Effects) {
         let (id, home) = (naplet.id(), naplet.home());
         for line in effects.logs {
-            self.out.log(line);
+            self.out.trace(Some(id), || TraceKind::AgentLog { line });
+        }
+        if effects.over_budget > 0 {
+            self.out.count("posts.over_budget", effects.over_budget);
         }
         for body in effects.reports {
             if home == self.out.host() {
@@ -1401,8 +1365,7 @@ impl NapletServer {
         if self.messenger.record_delivery(&msg) {
             deposit(self, msg);
         } else {
-            self.out
-                .log(format!("duplicate message {seq} for {target}"));
+            self.out.count("posts.duplicates", 1);
         }
         let (host, now) = (self.out.host(), self.out.now());
         if origin == host {
@@ -1479,13 +1442,10 @@ impl NapletServer {
                 self.destroy_resident(id, "terminated by control message");
             }
             ControlVerb::Suspend => {
-                if self.monitor.suspend(id) {
-                    self.out.log(format!("SUSPEND {id}"));
-                }
+                self.monitor.suspend(id);
             }
             ControlVerb::Resume => {
                 if self.monitor.resume(id) {
-                    self.out.log(format!("RESUME {id}"));
                     self.out.after(0, LocalEvent::VisitDone { id: id.clone() });
                 }
             }
@@ -1500,8 +1460,8 @@ impl NapletServer {
                     &mut entry.meter,
                     What::Interrupt(verb),
                 );
-                if let Err(e) = ran {
-                    self.out.log(format!("on_interrupt failed for {id}: {e}"));
+                if ran.is_err() {
+                    self.out.count("agent.errors", 1);
                 }
                 self.monitor.restore(entry);
             }
@@ -1525,7 +1485,6 @@ impl NapletServer {
             What::Destroy,
         );
         self.resources.release(id);
-        self.out.log(format!("DESTROY {id}: {reason}"));
         self.journal.retire_naplet(id, &mut self.out);
         self.out.count("journeys.destroyed", 1);
         self.out.trace(Some(id), || TraceKind::JourneyDone {
@@ -1537,7 +1496,6 @@ impl NapletServer {
 
     fn finish_journey(&mut self, naplet: Naplet, detail: &str, normal: bool) {
         let id = naplet.id().clone();
-        self.out.log(format!("COMPLETE {id}"));
         let (status, label, counter) = if normal {
             (NapletStatus::Completed, "completed", "journeys.completed")
         } else {
@@ -1631,8 +1589,6 @@ impl NapletServer {
                 if let Holder::At(holder) = self.locator.holder(id) {
                     let holder = holder.to_string();
                     self.out.count("lease.probes", 1);
-                    self.out
-                        .log(format!("LEASE probe {attempt} for {id} via {holder}"));
                     let token = self.query_directory(holder, id.clone(), None);
                     // in case this replica is the dead one
                     self.locator.rotate();
@@ -1647,9 +1603,6 @@ impl NapletServer {
             }
         }
         self.leases.expired += 1;
-        self.out.log(format!(
-            "LEASE expired for {id} ({age}ms without sign of life)"
-        ));
         let creation = self.journal.creation(id);
         let can_redispatch =
             policy.redispatch && lease.redispatches < policy.max_redispatches && creation.is_some();
@@ -1662,10 +1615,6 @@ impl NapletServer {
             self.leases.note_redispatch(id, now);
             self.leases.redispatched += 1;
             self.out.count("lease.redispatched", 1);
-            self.out.log(format!(
-                "REDISPATCH {id} from creation record (attempt {})",
-                lease.redispatches + 1
-            ));
             self.manager.record_launch(id.clone(), self.out.host(), now);
             self.manager.record_arrival(id);
             self.arm_lease_timer(id);
@@ -1676,8 +1625,6 @@ impl NapletServer {
             let _ = self.journal.remove_creation(id);
             self.manager
                 .update_status(id, NapletStatus::Lost, self.out.host(), now);
-            self.out
-                .log(format!("LOST {id}: lease expired, no re-dispatch"));
         }
     }
 
@@ -1696,12 +1643,9 @@ impl NapletServer {
             *probes = 0;
             self.leases.renew(&id, now);
             self.out.count("lease.probe_confirmed", 1);
-            self.out.log(format!("LEASE probe confirmed {id} alive"));
         } else {
             *probes = self.retry.max_retries;
             self.out.count("lease.probe_stale", 1);
-            self.out
-                .log(format!("LEASE probe found no recent movement for {id}"));
         }
     }
 
@@ -1751,7 +1695,6 @@ impl NapletServer {
             };
             match record.phase {
                 JournalPhase::Parked => {
-                    self.out.log(format!("RECOVER parked {id}"));
                     self.out.trace(Some(&id), || replayed("parked"));
                     self.navigator.parked.insert(id, agent.into_owned());
                 }
@@ -1772,8 +1715,6 @@ impl NapletServer {
                         self.recovery.replays_suppressed += 1;
                         suppressed += 1;
                         self.out.trace(Some(&id), || replayed("resident-applied"));
-                        self.out
-                            .log(format!("RECOVER resident {id} (visit applied)"));
                         self.monitor.admit(naplet, None, RunState::VisitDone, now);
                         self.register(&id, None, None, 1);
                         self.out.after(0, LocalEvent::VisitDone { id: id.clone() });
@@ -1781,8 +1722,6 @@ impl NapletServer {
                         // admitted but never run: re-run through the
                         // normal registration gate, registered from here
                         self.out.trace(Some(&id), || replayed("resident-rerun"));
-                        self.out
-                            .log(format!("RECOVER resident {id} (re-running visit)"));
                         let transfer_id = self.token();
                         let visit = Visit::new(self.out.host(), transfer_id);
                         let state = RunState::AwaitingArrivalAck(visit.clone());
@@ -1791,17 +1730,10 @@ impl NapletServer {
                         self.gate(&id, visit, 1);
                     }
                 }
-                JournalPhase::InFlight {
-                    transfer_id,
-                    ref dest,
-                    ..
-                } => {
+                JournalPhase::InFlight { .. } => {
                     self.recovery.handoffs_resumed += 1;
                     resumed += 1;
                     self.out.trace(Some(&id), || replayed("in-flight"));
-                    self.out.log(format!(
-                        "RECOVER in-flight {id} -> {dest} (transfer {transfer_id})"
-                    ));
                     // an immediate timeout re-drives the handoff: the
                     // ordinary handler retransmits the current phase's
                     // frame or fails over — no recovery-special paths
@@ -1822,7 +1754,6 @@ impl NapletServer {
                 self.arm_lease_timer(&id);
             }
         }
-        self.out.log(format!("RECOVER complete: {local} naplet(s)"));
         self.out.count("recovery.replays", 1);
         self.out.count("recovery.rehydrated", local);
         self.out.trace(None, || TraceKind::RecoveryDone {

@@ -14,12 +14,14 @@ use naplet_core::message::{ControlVerb, Payload};
 use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel, TrafficClass};
+use naplet_obs::TraceKind;
 use naplet_server::{
     LocationMode, Matcher, MonitorPolicy, NapletStatus, Permission, Policy, RunState,
     SecurityManager, ServerConfig, SimRuntime,
 };
 
 const CODEBASE: &str = "naplet://code/collector.jar";
+const DIARIST: &str = "naplet://code/diarist.jar";
 const CODE_SIZE: u64 = 4096;
 
 /// Collector behaviour: appends the current host to state["visits"],
@@ -65,9 +67,21 @@ impl NapletBehavior for Collector {
     }
 }
 
+/// Diarist behaviour: logs one line naming the host it runs at.
+struct Diarist;
+
+impl NapletBehavior for Diarist {
+    fn on_start(&mut self, ctx: &mut dyn NapletContext) -> Result<()> {
+        let line = format!("at {}", ctx.host_name());
+        ctx.log(&line);
+        Ok(())
+    }
+}
+
 fn registry() -> CodebaseRegistry {
     let mut r = CodebaseRegistry::new();
     r.register(CODEBASE, CODE_SIZE, || Collector);
+    r.register(DIARIST, CODE_SIZE, || Diarist);
     r
 }
 
@@ -396,6 +410,7 @@ fn landing_denied_skips_visit() {
         [Permission::Launch, Permission::Clone, Permission::Messaging],
     );
     rt.server_mut("s1").unwrap().security_mut().set_policy(deny);
+    rt.enable_tracing();
 
     let it = Itinerary::new(Pattern::seq_of_hosts(&["s0", "s1", "s2"], None))
         .unwrap()
@@ -407,9 +422,36 @@ fn landing_denied_skips_visit() {
     assert_eq!(reports.len(), 1);
     // s1 was skipped (landing denied); journey continued
     assert_eq!(visits_from_report(&reports[0].1), ["s0", "s2"]);
-    // the denial shows up in s1's log
-    let s1_log = &rt.server("s1").unwrap().log();
-    assert!(s1_log.iter().any(|l| l.line.contains("deny")));
+    // the denial shows up in s1's trace
+    let denied = rt.obs().tracer.events().into_iter().any(|e| {
+        let refused = matches!(e.kind, TraceKind::LandingDecision { granted: false, .. });
+        refused && e.host == "s1"
+    });
+    assert!(denied);
+}
+
+/// What an agent logs is traced where it ran: one `agent.log` event
+/// per visit, stamped with the visit's host and the agent's id.
+#[test]
+fn an_agents_own_lines_are_traced_at_the_host_it_ran_at() {
+    let mut rt = world(LocationMode::ForwardingTrace, 2);
+    rt.enable_tracing();
+    let it = Itinerary::new(Pattern::seq_of_hosts(&["s0", "s1"], None)).unwrap();
+    let kind = AgentKind::Native;
+    let naplet = Naplet::create(&key(), "czxu", "home", Millis(1), DIARIST, kind, it, vec![]);
+    let naplet = naplet.unwrap();
+    let id = naplet.id().to_string();
+    rt.launch(naplet).unwrap();
+    rt.run_to_quiescence(100_000);
+
+    let lines: Vec<_> = (rt.obs().tracer.events().into_iter())
+        .filter_map(|e| match e.kind {
+            TraceKind::AgentLog { line } => Some((e.host, e.naplet, line)),
+            _ => None,
+        })
+        .collect();
+    let at = |host: &str| (host.to_string(), Some(id.clone()), format!("at {host}"));
+    assert_eq!(lines, [at("s0"), at("s1")]);
 }
 
 #[test]
@@ -783,8 +825,8 @@ fn on_destroy_speaks_over_the_live_channel_and_leaves_none_behind() {
 /// (absent) peer and then reports, under a per-visit post budget.
 /// Returns the `Message`-class frames the fabric carried — the posts
 /// that were kept plus the explicit and the final-action report —
-/// and whether `s0` logged a budget hit.
-fn chatter_visit(payloads: Vec<Vec<u8>>, budget: u64) -> (u64, bool) {
+/// and the posts the budget dropped.
+fn chatter_visit(payloads: Vec<Vec<u8>>, budget: u64) -> (u64, u64) {
     struct Chatter(Vec<Vec<u8>>);
     impl NapletBehavior for Chatter {
         fn on_start(&mut self, ctx: &mut dyn NapletContext) -> Result<()> {
@@ -828,13 +870,9 @@ fn chatter_visit(payloads: Vec<Vec<u8>>, budget: u64) -> (u64, bool) {
 
     let reports = rt.drain_reports("home");
     assert!(!reports.is_empty(), "reports flow whatever the budget did");
-    let s0 = rt.server("s0").unwrap();
-    let hit = s0
-        .log()
-        .iter()
-        .any(|l| l.line.contains("bandwidth budget hit"));
+    let dropped = rt.obs().metrics.counter("posts.over_budget");
     let frames = rt.fabric().stats().snapshot();
-    (frames.messages(TrafficClass::Message), hit)
+    (frames.messages(TrafficClass::Message), dropped)
 }
 
 #[test]
@@ -842,7 +880,7 @@ fn bandwidth_budget_drops_excess_posts_but_keeps_reports() {
     // three chunky posts; the budget fits exactly one 200-byte payload
     let payloads = (0..3).map(|k| vec![k as u8; 200]).collect();
     // one Post (s0→s1) + the explicit report + the final-action report
-    assert_eq!(chatter_visit(payloads, 250), (3, true));
+    assert_eq!(chatter_visit(payloads, 250), (3, 2));
 }
 
 #[test]
@@ -851,12 +889,8 @@ fn bandwidth_budget_charges_a_post_its_length_whatever_its_bytes() {
     const CHARGE: u64 = 1 + 2 + 1000;
     for fill in [0x01u8, 0xff] {
         let post = || vec![vec![fill; 1000]];
-        assert_eq!(chatter_visit(post(), 1100), (3, false), "fill {fill:#x}");
-        assert_eq!(chatter_visit(post(), CHARGE), (3, false), "fill {fill:#x}");
-        assert_eq!(
-            chatter_visit(post(), CHARGE - 1),
-            (2, true),
-            "fill {fill:#x}"
-        );
+        assert_eq!(chatter_visit(post(), 1100), (3, 0), "fill {fill:#x}");
+        assert_eq!(chatter_visit(post(), CHARGE), (3, 0), "fill {fill:#x}");
+        assert_eq!(chatter_visit(post(), CHARGE - 1), (2, 1), "fill {fill:#x}");
     }
 }

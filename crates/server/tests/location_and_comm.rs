@@ -14,6 +14,7 @@ use naplet_core::message::Payload;
 use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
+use naplet_obs::TraceKind;
 use naplet_server::{LocationMode, MonitorPolicy, ServerConfig, SimRuntime};
 
 const CODEBASE: &str = "probe";
@@ -425,6 +426,7 @@ fn directory_outage_does_not_stall_arrivals() {
         5,
     );
     rt.fabric().take_down("dir");
+    rt.enable_tracing();
     let naplet = probe(&["s0"], 1);
     let id = naplet.id().clone();
     rt.launch(naplet).unwrap();
@@ -434,17 +436,22 @@ fn directory_outage_does_not_stall_arrivals() {
         rt.fabric().stats().snapshot().dropped > 0,
         "registration traffic must be dropped"
     );
-    let s0 = rt.server("s0").unwrap();
+    let at_s0: Vec<TraceKind> = (rt.obs().tracer.events().into_iter())
+        .filter(|e| e.host == "s0")
+        .map(|e| e.kind)
+        .collect();
     assert!(
-        s0.log()
+        at_s0.iter().any(|k| matches!(k,
+            TraceKind::WireSend { label, attempt, .. } if label == "DirRegister" && *attempt > 1)),
+        "registration retransmissions must be traced"
+    );
+    assert!(
+        at_s0
             .iter()
-            .any(|e| e.line.starts_with("RETRY register")),
-        "registration retransmissions must be logged"
+            .any(|k| matches!(k, TraceKind::RegisterAcked { forced: true, .. })),
+        "the give-up must be visible in the trace"
     );
-    assert!(
-        s0.log().iter().any(|e| e.line.contains("REGISTER unacked")),
-        "the give-up must be visible in the log"
-    );
+    let s0 = rt.server("s0").unwrap();
     assert!(s0.monitor.get(&id).is_none(), "the visit must have run");
     assert_eq!(
         rt.drain_reports("home").len(),

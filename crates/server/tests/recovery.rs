@@ -9,17 +9,41 @@ use naplet_core::clock::Millis;
 use naplet_core::codebase::CodebaseRegistry;
 use naplet_core::context::NapletContext;
 use naplet_core::credential::SigningKey;
-use naplet_core::error::Result;
+use naplet_core::error::{NapletError, Result};
 use naplet_core::itinerary::{ActionSpec, Itinerary, Pattern};
 use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
+use naplet_obs::TraceKind;
 use naplet_server::{
-    Input, JournalPhase, LeasePolicy, LocalEvent, LocationMode, MonitorPolicy, NapletServer,
-    Output, ServerConfig, SimRuntime, Wire,
+    Input, Journal, JournalPhase, JournalStore, LeasePolicy, LocalEvent, LocationMode,
+    MonitorPolicy, NapletServer, Output, ServerConfig, SimRuntime, Wire,
 };
 
 const CODEBASE: &str = "naplet://code/collector.jar";
+
+/// How many events traced at `host` `pick` selects.
+fn traced(rt: &SimRuntime, host: &str, pick: impl Fn(&TraceKind) -> bool) -> usize {
+    let events = rt.obs().tracer.events();
+    events
+        .iter()
+        .filter(|e| e.host == host && pick(&e.kind))
+        .count()
+}
+
+fn granted(kind: &TraceKind) -> bool {
+    matches!(kind, TraceKind::LandingDecision { granted: true, .. })
+}
+
+fn duplicate(kind: &TraceKind) -> bool {
+    matches!(
+        kind,
+        TraceKind::TransferReceived {
+            duplicate: true,
+            ..
+        }
+    )
+}
 
 /// Records visits into state.
 struct Collector;
@@ -93,6 +117,43 @@ fn visits(report: &Value) -> Vec<String> {
     }
 }
 
+/// A store that refuses every write, as a full disk does.
+#[derive(Debug)]
+struct FullDisk;
+
+impl JournalStore for FullDisk {
+    fn put(&mut self, _key: &str, _value: &[u8]) -> Result<()> {
+        Err(NapletError::Service("disk full".into()))
+    }
+    fn remove(&mut self, _key: &str) -> Result<()> {
+        Ok(())
+    }
+    fn get(&self, _key: &str) -> Result<Option<Vec<u8>>> {
+        Ok(None)
+    }
+    fn keys(&self) -> Result<Vec<String>> {
+        Ok(Vec::new())
+    }
+}
+
+/// A journal that cannot write weakens durability, not the live run:
+/// the journey passes the host whose store refuses every write and
+/// completes, and the refused writes are counted where an operator
+/// reads them.
+#[test]
+fn a_journal_that_cannot_write_is_counted_and_the_journey_completes() {
+    let mut rt = world(2, None, 3);
+    let full = Journal::with_store(Box::new(FullDisk));
+    rt.server_mut("s0").unwrap().set_journal(full);
+    rt.launch(agent(&["s0", "s1", "home"], 1)).unwrap();
+    rt.run_to_quiescence(1_000_000);
+
+    let reports = rt.drain_reports("home");
+    assert_eq!(reports.len(), 1, "journey must complete");
+    assert_eq!(visits(&reports[0].1), ["s0", "s1", "home"]);
+    assert!(rt.obs().metrics.counter("journal.failures") >= 1);
+}
+
 /// Destination crash after it admitted the Transfer but before its ack
 /// reached the origin: the ack is lost, the origin retransmits into the
 /// restarted server, which answers from the verdict its journal noted
@@ -100,13 +161,10 @@ fn visits(report: &Value) -> Vec<String> {
 #[test]
 fn dest_crash_between_transfer_receipt_and_ack() {
     let mut rt = world(1, None, 3);
+    rt.enable_tracing();
     rt.launch(agent(&["s0", "home"], 1)).unwrap();
     // everything s0 sends while it takes the Transfer in is lost
-    let admitted = |rt: &SimRuntime| {
-        let mut log = rt.server("s0").unwrap().log().iter();
-        log.any(|e| e.line.starts_with("ARRIVAL"))
-    };
-    while !admitted(&rt) {
+    while traced(&rt, "s0", granted) == 0 {
         let to_s0 = rt.peek_target().expect("the Transfer reaches s0").as_str() == "s0";
         rt.fabric().set_loss(if to_s0 { 1.0 } else { 0.0 });
         rt.step();
@@ -119,18 +177,19 @@ fn dest_crash_between_transfer_receipt_and_ack() {
     assert_eq!(reports.len(), 1, "journey must complete");
     assert_eq!(visits(&reports[0].1), ["s0", "home"]);
     // the admission record came back, and the retransmission was
-    // answered, not admitted
+    // answered from the one decision, not admitted
     let s0 = rt.server("s0").unwrap();
     assert_eq!(s0.recovery_stats().rehydrated, 1);
     assert!(
         rt.fabric().stats().snapshot().retransmits >= 1,
         "origin must retransmit into the restarted server"
     );
-    let answered = s0
-        .log()
-        .iter()
-        .any(|e| e.line.starts_with("duplicate TRANSFER") && e.line.ends_with("already admitted"));
-    assert!(answered, "s0 answers from its note: {:?}", s0.log());
+    let decided = traced(&rt, "s0", |k| k.name() == "landing.decision");
+    assert_eq!(decided, 1, "s0 decides once, before the crash");
+    assert!(
+        traced(&rt, "s0", duplicate) >= 1,
+        "s0 answers from its note"
+    );
 }
 
 /// Origin crash after sending Transfer but before the TransferAck
@@ -139,6 +198,7 @@ fn dest_crash_between_transfer_receipt_and_ack() {
 #[test]
 fn origin_crash_between_transfer_and_ack() {
     let mut rt = world(2, None, 3);
+    rt.enable_tracing();
     rt.launch(agent(&["s0", "s1", "home"], 1)).unwrap();
     // s0 sends the Transfer to s1 at t=11 and commits on the ack at
     // t=17: crash s0 inside that window
@@ -157,13 +217,9 @@ fn origin_crash_between_transfer_and_ack() {
         "the un-acked transfer must be re-driven"
     );
     // the destination saw the re-driven Transfer as a duplicate
-    let s1 = rt.server("s1").unwrap();
     assert!(
-        s1.log()
-            .iter()
-            .any(|e| e.line.contains("duplicate TRANSFER")),
-        "s1 must dedup, not re-admit: {:?}",
-        s1.log()
+        traced(&rt, "s1", duplicate) >= 1,
+        "s1 must dedup, not re-admit"
     );
     // and s0 retired the transfer after the duplicate ack
     assert!(

@@ -15,12 +15,24 @@ use naplet_core::message::{Message, Payload, Sender};
 use naplet_core::naplet::{AgentKind, Naplet};
 use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
+use naplet_obs::TraceKind;
 use naplet_server::{
     DirEntry, Input, JournalPhase, LocalEvent, LocationMode, MonitorPolicy, NapletServer,
     NapletStatus, Output, RunState, ServerConfig, SimRuntime, TransferEnvelope, Visit, Wire,
 };
 
 const CODEBASE: &str = "naplet://code/collector.jar";
+
+/// Whether an event `pick` selects was traced at `host`.
+fn traced(rt: &SimRuntime, host: &str, pick: impl Fn(&TraceKind) -> bool) -> bool {
+    let events = rt.obs().tracer.events();
+    events.iter().any(|e| e.host == host && pick(&e.kind))
+}
+
+/// A `DirRegister` sent again, from attempt 2 on.
+fn register_retry(kind: &TraceKind) -> bool {
+    matches!(kind, TraceKind::WireSend { label, attempt, .. } if label == "DirRegister" && *attempt > 1)
+}
 
 /// Records visits and drains the mailbox into state, like the e2e
 /// Collector.
@@ -265,6 +277,7 @@ fn a_stashed_copy_nobody_collects_lapses() {
 fn permanent_outage_parks_with_failure_record_and_status() {
     let mut rt = world(LocationMode::HomeManagers, 2, 5);
     rt.fabric().schedule_down("s1", 0, u64::MAX);
+    rt.enable_tracing();
     let naplet = agent(Pattern::seq_of_hosts(&["s0", "s1"], None), 1);
     let id = naplet.id().clone();
     rt.launch(naplet).unwrap();
@@ -278,8 +291,8 @@ fn permanent_outage_parks_with_failure_record_and_status() {
     assert_eq!(failures[0].host, "s1");
     assert!(failures[0].attempts >= 2, "retries precede parking");
     assert!(
-        s0.log().iter().any(|e| e.line.starts_with("RETRY")),
-        "retransmissions must be logged"
+        traced(&rt, "s0", |k| k.name() == "handoff.retransmit"),
+        "retransmissions must be traced"
     );
     let home = rt.server("home").unwrap();
     let entry = home.manager.table_entry(&id).unwrap();
@@ -291,6 +304,7 @@ fn permanent_outage_parks_with_failure_record_and_status() {
 fn alt_falls_back_to_reachable_branch() {
     let mut rt = world(LocationMode::HomeManagers, 2, 6);
     rt.fabric().schedule_down("s0", 0, u64::MAX);
+    rt.enable_tracing();
     let naplet = agent(
         Pattern::alt(Pattern::singleton("s0"), Pattern::singleton("s1")),
         1,
@@ -309,10 +323,8 @@ fn alt_falls_back_to_reachable_branch() {
         NapletStatus::Completed
     );
     assert!(
-        home.log()
-            .iter()
-            .any(|e| e.line.starts_with("HANDOFF failed")),
-        "the failed branch must be visible in the log"
+        traced(&rt, "home", |k| k.name() == "handoff.failed"),
+        "the failed branch must be visible in the trace"
     );
 }
 
@@ -321,8 +333,8 @@ fn duplicate_transfer_is_reacked_but_not_readmitted() {
     let mut cfg = ServerConfig::open("b", LocationMode::ForwardingTrace);
     cfg.codebase = registry();
     let mut server = NapletServer::new(cfg);
+    server.obs().enable_tracing();
     let naplet = agent(Pattern::singleton("b"), 1);
-    let id = naplet.id().clone();
     let envelope = TransferEnvelope {
         naplet: naplet.into(),
         action: None,
@@ -363,21 +375,23 @@ fn duplicate_transfer_is_reacked_but_not_readmitted() {
         },
     );
     assert_eq!(acks(&second), 1, "every attempt is re-acknowledged");
-    let arrivals = server
-        .log()
-        .iter()
-        .filter(|e| e.line == format!("ARRIVAL {id}"))
+    let events = server.obs().tracer.events();
+    let admissions = (events.iter())
+        .filter(|e| matches!(e.kind, TraceKind::LandingDecision { granted: true, .. }))
         .count();
-    assert_eq!(arrivals, 1, "idempotent: admitted exactly once");
-    assert!(server
-        .log()
-        .iter()
-        .any(|e| e.line.contains("duplicate TRANSFER")));
+    assert_eq!(admissions, 1, "idempotent: admitted exactly once");
+    let received: Vec<bool> = (events.iter())
+        .filter_map(|e| match e.kind {
+            TraceKind::TransferReceived { duplicate, .. } => Some(duplicate),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(received, [false, true], "the retransmission is a duplicate");
 }
 
 /// An answer commits or refuses only the handoff it answers. A
 /// `TransferAck` that comes from a host that is not the destination or
-/// names another naplet — admitting or refusing — is logged as stray
+/// names another naplet — admitting or refusing — is counted as stray
 /// and releases nothing: custody and the journal record survive it, and
 /// the journey completes as if it had never been sent.
 #[test]
@@ -427,11 +441,8 @@ fn a_stray_answer_releases_no_custody() {
         let wire = stray(transfer_id, id.clone(), other.clone());
         rt.station_send(sender, "home", wire).unwrap();
         // one hop away, so it lands before the real answer can
-        let logged = |rt: &SimRuntime| {
-            let mut log = rt.server("home").unwrap().log().iter();
-            log.any(|e| e.line.starts_with("stray "))
-        };
-        while !logged(&rt) && rt.step().is_some() {}
+        let stray = |rt: &SimRuntime| rt.obs().metrics.counter("handoff.stray_acks") > 0;
+        while !stray(&rt) && rt.step().is_some() {}
         let home = rt.server("home").unwrap();
         assert_eq!(home.pending_transfer_count(), 1, "{what}");
         assert_eq!(
@@ -728,6 +739,7 @@ fn an_ack_before_its_transfer_opens_the_visit_on_admission() {
 #[test]
 fn a_lost_first_registration_falls_back_to_the_destination() {
     let mut rt = gated_world();
+    rt.enable_tracing();
     let naplet = agent(Pattern::seq_of_hosts(&["s0"], None), 1);
     let id = naplet.id().clone();
     rt.launch(naplet).unwrap();
@@ -743,11 +755,7 @@ fn a_lost_first_registration_falls_back_to_the_destination() {
     let expect = |from: &str, attempt| (from.into(), "s0".into(), "home".into(), attempt);
     assert_eq!(seen, [expect("home", 1), expect("s0", 2)]);
     assert_eq!(rt.drain_reports("home").len(), 1, "the journey completes");
-    let s0 = rt.server("s0").unwrap();
-    assert!(s0
-        .log()
-        .iter()
-        .any(|e| e.line.starts_with("RETRY register")));
+    assert!(traced(&rt, "s0", register_retry));
 }
 
 /// A refused landing rolls the departure back: the origin, which
