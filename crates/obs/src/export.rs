@@ -242,7 +242,8 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
     Ok(events.len())
 }
 
-/// One-line-per-event text rendering of the trace.
+/// One-line-per-event text rendering of the trace. A control
+/// character in a string (an `agent.log` line may hold any) is escaped.
 pub fn render_event_log(events: &[TraceEvent]) -> String {
     let mut out = String::new();
     for event in events {
@@ -253,9 +254,14 @@ pub fn render_event_log(events: &[TraceEvent]) -> String {
         }
         for (key, value) in event.kind.args() {
             match value {
+                ArgValue::Str(s) if s.is_empty() => {}
                 ArgValue::Str(s) => {
-                    if !s.is_empty() {
-                        let _ = write!(out, "  {key}={s}");
+                    let _ = write!(out, "  {key}=");
+                    for c in s.chars() {
+                        match c.is_control() {
+                            true => out.extend(c.escape_default()),
+                            false => out.push(c),
+                        }
                     }
                 }
                 ArgValue::Int(n) => {
@@ -709,6 +715,22 @@ mod tests {
         assert_eq!(commit.get("ph").and_then(Json::as_str), Some("X"));
         assert_eq!(commit.get("ts").and_then(Json::as_num), Some(3_000.0));
         assert_eq!(commit.get("dur").and_then(Json::as_num), Some(6_000.0));
+    }
+
+    #[test]
+    fn an_event_renders_as_one_line_whatever_its_strings_hold() {
+        let events = vec![TraceEvent {
+            at: Millis(1),
+            host: "s0".into(),
+            naplet: None,
+            ctx: None,
+            kind: TraceKind::AgentLog {
+                line: "ok\nRETRY fake\tline".into(),
+            },
+        }];
+        let text = render_event_log(&events);
+        assert_eq!(text.lines().count(), 1);
+        assert!(text.ends_with("line=ok\\nRETRY fake\\tline\n"), "{text}");
     }
 
     #[test]
