@@ -17,7 +17,7 @@ use naplet_net::{Bandwidth, Fabric, LatencyModel};
 use naplet_obs::TraceKind;
 use naplet_server::{
     Input, Journal, JournalPhase, JournalStore, LeasePolicy, LocalEvent, LocationMode,
-    MonitorPolicy, NapletServer, Output, ServerConfig, SimRuntime, Wire,
+    MemoryStore, MonitorPolicy, NapletServer, Output, ServerConfig, SimRuntime, Wire,
 };
 
 const CODEBASE: &str = "naplet://code/collector.jar";
@@ -226,6 +226,90 @@ fn origin_crash_between_transfer_and_ack() {
         s0.journal().naplet_records().is_empty(),
         "retired transfers leave the journal"
     );
+}
+
+/// The same crash with the origin restarted 700 s later, past any
+/// window a verdict note could be kept for by its age: the destination
+/// still answers the re-driven Transfer from its note, so the naplet
+/// is admitted once and home gets one report.
+#[test]
+fn an_origin_restarted_late_is_answered_from_the_note_not_admitted_twice() {
+    let mut rt = world(2, None, 3);
+    rt.enable_tracing();
+    rt.launch(agent(&["s0", "s1", "home"], 1)).unwrap();
+    rt.run_until(Millis(12));
+    rt.crash_server("s0", Some(700_000));
+    rt.run_to_quiescence(1_000_000);
+
+    let reports = rt.drain_reports("home");
+    assert_eq!(reports.len(), 1, "one journey, one report");
+    assert_eq!(visits(&reports[0].1), ["s0", "s1", "home"]);
+    assert_eq!(traced(&rt, "s1", granted), 1, "s1 admits it once");
+    assert!(traced(&rt, "s1", duplicate) >= 1, "s1 answers from its note");
+    let s0 = rt.server("s0").unwrap();
+    assert_eq!(s0.recovery_stats().handoffs_resumed, 1);
+    assert!(s0.journal().naplet_records().is_empty());
+}
+
+/// A store that refuses puts of one key and keeps every other record.
+#[derive(Debug)]
+struct Refuses {
+    key: &'static str,
+    kept: MemoryStore,
+}
+
+impl Refuses {
+    fn journal(key: &'static str) -> Journal {
+        let kept = MemoryStore::new();
+        Journal::with_store(Box::new(Refuses { key, kept }))
+    }
+}
+
+impl JournalStore for Refuses {
+    fn put(&mut self, key: &str, value: &[u8]) -> Result<()> {
+        if key == self.key {
+            return Err(NapletError::Service(format!("{key} refused")));
+        }
+        self.kept.put(key, value)
+    }
+    fn remove(&mut self, key: &str) -> Result<()> {
+        self.kept.remove(key)
+    }
+    fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+        self.kept.get(key)
+    }
+    fn keys(&self) -> Result<Vec<String>> {
+        self.kept.keys()
+    }
+    fn count(&self) -> usize {
+        self.kept.count()
+    }
+}
+
+/// An origin whose store keeps every record but the one a transfer id
+/// was once durably numbered by still names its next naplet apart from
+/// every id it issued before a restart: s1 takes the second journey's
+/// Transfer as new, not as a retransmission of the first.
+#[test]
+fn a_restarted_origin_whose_id_record_is_refused_loses_no_naplet() {
+    let mut rt = world(2, None, 3);
+    rt.enable_tracing();
+    let s0 = rt.server_mut("s0").unwrap();
+    s0.set_journal(Refuses::journal("t/watermark"));
+    rt.launch(agent(&["s0", "s1", "home"], 1)).unwrap();
+    rt.run_to_quiescence(1_000_000);
+    assert_eq!(rt.drain_reports("home").len(), 1, "the first journey");
+
+    rt.crash_server("s0", Some(10));
+    rt.run_to_quiescence(1_000_000);
+    rt.launch(agent(&["s0", "s1", "home"], 2)).unwrap();
+    rt.run_to_quiescence(1_000_000);
+
+    let reports = rt.drain_reports("home");
+    assert_eq!(reports.len(), 1, "the second journey reports");
+    assert_eq!(visits(&reports[0].1), ["s0", "s1", "home"]);
+    assert_eq!(traced(&rt, "s1", granted), 2, "s1 admits both");
+    assert_eq!(traced(&rt, "s1", duplicate), 0, "neither is a retransmission");
 }
 
 /// Destination crash mid-visit, after the visit effect applied: the
