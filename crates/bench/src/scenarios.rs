@@ -235,13 +235,12 @@ pub fn messaging_experiment(
 
     let mut forwards = 0;
     let mut stranded = 0;
-    let mut undeliverable = 0;
     for host in world.rt.server_hosts() {
         let s = world.rt.server(&host).unwrap();
         forwards += s.messenger.forwards_performed;
         stranded += s.messenger.early_waiting();
-        undeliverable += s.messenger.undeliverable;
     }
+    let undeliverable = world.rt.obs().metrics.counter("post.undeliverable");
     let stats = world.rt.fabric().stats().snapshot().since(&before);
     MessagingOutcome {
         posted: n_messages,

@@ -43,12 +43,15 @@ pub struct TransferEnvelope {
     /// Origin-scoped transfer id correlating `Transfer` with its
     /// `TransferAck`; the receiver deduplicates on
     /// `(origin, transfer_id)` so retransmissions never duplicate a
-    /// running naplet. `0` marks a same-host continuation that never
-    /// crosses the wire (no acknowledgement protocol).
+    /// running naplet; its high half is the origin's incarnation. `0`
+    /// marks a same-host continuation (no acknowledgement protocol).
     pub transfer_id: u64,
     /// 1-based send attempt; attempts ≥ 2 are retransmissions (metered
     /// in `NetStats::retransmits`).
     pub attempt: u32,
+    /// How far below `transfer_id` the origin's floor lies: the lowest
+    /// id it held un-acked, every one below acknowledged.
+    pub floor_gap: u64,
 }
 
 /// One visit of a naplet to a host, named by the `Transfer` that
@@ -169,10 +172,8 @@ pub enum Wire {
         id: NapletId,
         /// Completed or Destroyed.
         status: NapletStatus,
-        /// Host where it ended.
+        /// Host where it ended, which keeps the record of why.
         host: String,
-        /// Human-readable detail (error text for abnormal ends).
-        detail: String,
     },
     /// Application-level client/server request (e.g. the centralized
     /// SNMP baseline). Dispatched to the server's registered app
@@ -694,13 +695,14 @@ mod tests {
             let action = Some(ActionSpec::ReportHome);
             let mut expected = vec![0]; // `Wire::Transfer`
             expected.extend(naplet.to_wire().unwrap());
-            expected.extend(codec::to_bytes(&(&action, 9u64, 3u32)).unwrap());
+            expected.extend(codec::to_bytes(&(&action, 9u64, 3u32, 2u64)).unwrap());
 
             let wire = Wire::Transfer(TransferEnvelope {
                 naplet: naplet.into(),
                 action,
                 transfer_id: 9,
                 attempt: 3,
+                floor_gap: 2,
             });
             for fill in [false, true] {
                 if let (true, Wire::Transfer(envelope)) = (fill, &wire) {
@@ -946,6 +948,7 @@ mod tests {
             action,
             transfer_id,
             attempt,
+            floor_gap: 0,
         };
         assert_eq!(tag(&Wire::TransferWithMail(envelope, Mailbox::new())), 16);
     }
@@ -972,6 +975,7 @@ mod tests {
                 action: None,
                 transfer_id: 3,
                 attempt,
+                floor_gap: 1,
             };
             let plain = Wire::Transfer(envelope.clone());
             let with_mail = Wire::TransferWithMail(envelope, mail.clone());

@@ -229,9 +229,12 @@ impl JournalStore for FileStore {
     }
 }
 
-/// A durable verdict note: `((origin, transfer_id), seen-at, refusal
-/// reason)`, `None` when the transfer was admitted.
-pub type SeenNote = ((String, u64), Millis, Option<String>);
+/// The verdict a host gave each of an origin's transfers, by transfer
+/// id: the refusal's reason, `None` when admitted.
+pub type Verdicts = BTreeMap<u64, Option<String>>;
+
+/// A durable verdict record: an origin, its floor and its verdicts.
+pub type SeenNote = (String, u64, Verdicts);
 
 /// Where a journaled naplet stood when its snapshot was taken.
 #[derive(Debug, Clone, PartialEq, Encode, Decode)]
@@ -335,15 +338,17 @@ impl RecoveryStats {
 ///
 /// * `n/<naplet-id>` — [`JournalRecord`] for a hosted/in-flight naplet
 /// * `c/<naplet-id>` — creation snapshot for lease re-dispatch (home)
-/// * `s/<transfer-id>/<origin>` — receiver-side transfer dedup entry
-/// * `t/watermark` — high-water mark of issued transfer tokens
+/// * `s/<origin>` — receiver-side verdict record: the origin's floor
+///   and its transfers' verdicts at or above it
+/// * `t/incarnation` — the number of the server's latest life, the
+///   high half of every transfer id that life issues
 /// * `r/<suffix>` — replicated-directory consensus records (term/vote
 ///   meta, log runs, compaction snapshot); opaque to the journal
 #[derive(Debug)]
 pub struct Journal {
     store: Box<dyn JournalStore>,
-    /// Scratch the per-hop `n/<naplet-id>` and per-entry `r/…` keys are
-    /// written into.
+    /// Scratch the per-hop `n/<naplet-id>` and `s/<origin>` and the
+    /// per-entry `r/…` keys are written into.
     key: String,
 }
 
@@ -371,10 +376,6 @@ impl Journal {
 
     fn creation_key(id: &NapletId) -> String {
         format!("c/{id}")
-    }
-
-    fn seen_key(origin: &str, transfer_id: u64) -> String {
-        format!("s/{transfer_id}/{origin}")
     }
 
     /// Durably record the agent whose encoded `image` the caller holds
@@ -489,56 +490,48 @@ impl Journal {
         self.store.remove(&Self::creation_key(id))
     }
 
-    /// Durably note the verdict on a transfer (receiver-side dedup):
-    /// admitted, or `refused` for a reason. A restarted receiver still
-    /// answers a retransmission with it instead of deciding again.
-    pub fn note_seen(
-        &mut self,
-        origin: &str,
-        transfer_id: u64,
-        at: Millis,
-        refused: Option<&str>,
-    ) -> Result<()> {
-        let value = ((origin, transfer_id), at, refused);
-        self.store.put(
-            &Self::seen_key(origin, transfer_id),
-            &codec::to_bytes(&value)?,
-        )
+    /// Durably record `origin`'s `floor` and the verdicts on its
+    /// transfers at or above it (receiver-side dedup): a restarted
+    /// receiver answers a retransmission as before, never decides again.
+    pub fn note_seen(&mut self, origin: &str, floor: u64, verdicts: &Verdicts) -> Result<()> {
+        let value = codec::to_bytes(&(floor, verdicts))?;
+        let key = Self::key_in(&mut self.key, format_args!("s/{origin}"));
+        self.store.put(key, &value)
     }
 
-    /// All durable verdict notes.
+    /// Every origin's durable verdict record.
     pub fn seen(&self) -> Vec<SeenNote> {
-        let decode = |key: &String| codec::from_bytes(&self.store.get(key).ok()??).ok();
-        self.keys_under("s/").iter().filter_map(decode).collect()
+        let decode = |key: String| {
+            let (floor, verdicts) = codec::from_bytes(&self.store.get(&key).ok()??).ok()?;
+            Some((key["s/".len()..].to_string(), floor, verdicts))
+        };
+        self.keys_under("s/")
+            .into_iter()
+            .filter_map(decode)
+            .collect()
     }
 
-    /// Evict dedup entries older than `ttl_ms`; returns how many.
-    pub fn compact_seen(&mut self, now: Millis, ttl_ms: u64) -> usize {
-        let mut evicted = 0;
-        for ((origin, transfer_id), at, _) in self.seen() {
-            if now.since(at) >= ttl_ms {
-                let _ = self.store.remove(&Self::seen_key(&origin, transfer_id));
-                evicted += 1;
-            }
+    /// The life on record, if any (an unreadable record is an error).
+    pub fn incarnation(&self) -> Result<Option<u64>> {
+        let record = self.store.get("t/incarnation")?;
+        record.map(|bytes| codec::from_bytes(&bytes)).transpose()
+    }
+
+    /// Put `life` on record unless a life is on record already.
+    pub fn note_incarnation(&mut self, life: u64) -> Result<()> {
+        match self.incarnation()? {
+            Some(_) => Ok(()),
+            None => self.store.put("t/incarnation", &codec::to_bytes(&life)?),
         }
-        evicted
     }
 
-    /// Durably advance the transfer-token high-water mark. Written on
-    /// every token issue so a recovered server never reuses an id that
-    /// may still be live in a peer's dedup table.
-    pub fn set_token_watermark(&mut self, token: u64) -> Result<()> {
-        self.store.put("t/watermark", &codec::to_bytes(&token)?)
-    }
-
-    /// The last durable token watermark, 0 if never written.
-    pub fn token_watermark(&self) -> u64 {
-        self.store
-            .get("t/watermark")
-            .ok()
-            .flatten()
-            .and_then(|b| codec::from_bytes(&b).ok())
-            .unwrap_or(0)
+    /// Begin the life after the one on record (0 when none is) and put
+    /// it on record before it issues an id; the error says why not.
+    pub fn next_incarnation(&mut self) -> Result<u64> {
+        let life = self.incarnation()?.map_or(0, |life| life + 1);
+        let put = self.store.put("t/incarnation", &codec::to_bytes(&life)?);
+        let refused = |e| NapletError::Internal(format!("incarnation {life} not recorded: {e}"));
+        put.map(|()| life).map_err(refused)
     }
 
     /// Journal lag for the ops plane: `(entries, bytes)` over the
@@ -843,18 +836,16 @@ mod tests {
     }
 
     #[test]
-    fn seen_entries_compacted_by_ttl() {
+    fn a_verdict_record_per_origin_is_rewritten_in_place() {
         let mut journal = Journal::in_memory();
-        journal.note_seen("s1", 7, Millis(100), None).unwrap();
-        journal
-            .note_seen("s2", 9, Millis(500), Some("full"))
-            .unwrap();
-        assert_eq!(journal.seen().len(), 2);
-        let evicted = journal.compact_seen(Millis(700), 300);
-        assert_eq!(evicted, 1);
-        let left = journal.seen();
-        let refused = Some("full".to_string());
-        assert_eq!(left, [(("s2".to_string(), 9), Millis(500), refused)]);
+        let mut verdicts = BTreeMap::from([(7, None), (8, Some("full".to_string()))]);
+        journal.note_seen("s1", 5, &verdicts).unwrap();
+        journal.note_seen("s2", 9, &BTreeMap::new()).unwrap();
+        verdicts.remove(&7);
+        journal.note_seen("s1", 8, &verdicts).unwrap();
+        assert_eq!(journal.len(), 2, "one record per origin");
+        let s1 = ("s1".to_string(), 8, verdicts);
+        assert_eq!(journal.seen(), [s1, ("s2".to_string(), 9, BTreeMap::new())]);
     }
 
     #[test]
@@ -868,7 +859,7 @@ mod tests {
             .record_naplet_bytes(&id, &image, &JournalPhase::Parked, Millis(1))
             .unwrap();
         journal.record_creation(&id, &naplet).unwrap(); // not lag
-        journal.note_seen("s1", 7, Millis(1), None).unwrap(); // not lag
+        journal.note_seen("s1", 7, &BTreeMap::new()).unwrap(); // not lag
         let (entries, bytes) = journal.lag();
         assert_eq!(entries, 1);
         assert!(bytes > 0, "a journaled agent image has bytes");
@@ -877,11 +868,16 @@ mod tests {
     }
 
     #[test]
-    fn token_watermark_persists() {
+    fn each_recovered_life_is_numbered_past_the_one_on_record() {
         let mut journal = Journal::in_memory();
-        assert_eq!(journal.token_watermark(), 0);
-        journal.set_token_watermark(41).unwrap();
-        assert_eq!(journal.token_watermark(), 41);
+        assert_eq!(journal.incarnation().unwrap(), None);
+        assert_eq!(journal.next_incarnation().unwrap(), 0, "none on record");
+        assert_eq!(journal.next_incarnation().unwrap(), 1);
+        journal.note_incarnation(0).unwrap();
+        assert_eq!(journal.incarnation().unwrap(), Some(1), "adoption keeps it");
+        let mut fresh = Journal::in_memory();
+        fresh.note_incarnation(3).unwrap();
+        assert_eq!(fresh.next_incarnation().unwrap(), 4);
     }
 
     #[test]

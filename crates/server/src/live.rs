@@ -168,7 +168,7 @@ impl<T: Transport> LiveRuntime<T> {
     /// `start` (recovery is a boot-time activity; a running server's
     /// journal belongs to its thread).
     pub fn recover(&mut self, host: &str) -> Result<crate::journal::RecoveryStats> {
-        Ok(self.staged(host)?.recover())
+        self.staged(host)?.recover()
     }
 
     /// Start all staged servers on their threads.

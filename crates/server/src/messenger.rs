@@ -69,12 +69,8 @@ pub struct Messenger {
     pub forward_cap: u32,
     /// Forwarding hops this server has performed (E5 reports these).
     pub forwards_performed: u64,
-    /// Messages dropped at the cap.
-    pub undeliverable: u64,
     /// Redelivery attempts made (sends beyond the first).
     pub redeliveries: u64,
-    /// Messages abandoned after exhausting redelivery attempts.
-    pub redelivery_given_up: u64,
     /// Confirmation records evicted by the retention sweep.
     pub confirmations_evicted: u64,
     /// Delivery-dedup entries evicted by the retention sweep.
@@ -98,9 +94,7 @@ impl Messenger {
             delivered: HashSet::new(),
             forward_cap,
             forwards_performed: 0,
-            undeliverable: 0,
             redeliveries: 0,
-            redelivery_given_up: 0,
             confirmations_evicted: 0,
             deliveries_evicted: 0,
         }
@@ -225,7 +219,7 @@ impl Messenger {
         let rec = rec.filter(|rec| rec.attempts == attempt)?;
         if attempt >= budget {
             self.outstanding.remove(&key);
-            self.redelivery_given_up += 1;
+            out.count("post.given_up", 1);
             return Some(None);
         }
         rec.attempts += 1;
@@ -270,7 +264,7 @@ impl Messenger {
     /// (which breaks a chase cycle) counted.
     pub fn forward(&mut self, msg: &mut Message, to: &str, out: &mut Outbox) -> bool {
         if msg.forward_hops >= self.forward_cap {
-            self.undeliverable += 1;
+            out.count("post.undeliverable", 1);
             return false;
         }
         self.forwards_performed += 1;
@@ -362,7 +356,8 @@ mod tests {
         assert_eq!(chased.forward_hops, 2, "each hop counted on the message");
         assert!(!m.forward(&mut chased, "s3", &mut out));
         assert_eq!(m.forwards_performed, 2);
-        assert_eq!(m.undeliverable, 1, "the drop is counted");
+        let dropped = out.obs().metrics.counter("post.undeliverable");
+        assert_eq!(dropped, 1, "the drop is counted");
         assert_eq!(out.obs().metrics.counter("post.forward_hops"), 2);
     }
 
@@ -397,12 +392,12 @@ mod tests {
 
     #[test]
     fn a_spent_budget_gives_the_post_up() {
-        let mut m = Messenger::default();
+        let (mut m, mut out) = (Messenger::default(), out());
         let message = post(&mut m, nid(2));
-        assert!(m.due(&message.from, 1, 1, 2, &mut out()).unwrap().is_some());
-        assert_eq!(m.due(&message.from, 1, 2, 2, &mut out()), Some(None));
-        assert!(m.due(&message.from, 1, 2, 2, &mut out()).is_none());
-        assert_eq!(m.redelivery_given_up, 1);
+        assert!(m.due(&message.from, 1, 1, 2, &mut out).unwrap().is_some());
+        assert_eq!(m.due(&message.from, 1, 2, 2, &mut out), Some(None));
+        assert!(m.due(&message.from, 1, 2, 2, &mut out).is_none());
+        assert_eq!(out.obs().metrics.counter("post.given_up"), 1);
         assert_eq!(m.outstanding_count(), 0);
     }
 

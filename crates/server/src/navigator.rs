@@ -3,16 +3,16 @@
 //! this module owns and the test that holds each invariant.
 //!
 //! One module owns every table the handoff needs: outbound custody by
-//! transfer id, the verdict this host gave each `(origin, transfer id)`
-//! it was sent, the arrival acks that came before their `Transfer`, and
-//! the agents parked here. Its transitions are handed
+//! transfer id; per origin, its floor, the verdict this host gave each
+//! of its transfers at or above it and the arrival acks that came before
+//! their `Transfer`; and the agents parked here. Its transitions are handed
 //! the [`Outbox`] and the journal: each sends its own frames with their
 //! timers, journals the handoff where it stands, and records its own
 //! metrics and trace events. What comes back is only what
 //! the server continues with — an agent to admit, where an admitted
 //! agent landed, the agent after a refusal or a failure.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use naplet_core::clock::Millis;
@@ -25,8 +25,7 @@ use naplet_core::naplet::{Naplet, SharedNaplet};
 use naplet_obs::{TraceKind, COUNT_BOUNDS, LATENCY_BOUNDS_MS};
 
 use crate::events::{LocalEvent, Outbox, TransferEnvelope, Visit, Wire};
-use crate::journal::{Journal, JournalPhase};
-use crate::manager::shared_name;
+use crate::journal::{Journal, JournalPhase, Verdicts};
 use crate::retry::RetryPolicy;
 use crate::status::StatusReport;
 
@@ -57,31 +56,6 @@ struct Handoff {
 }
 
 impl Handoff {
-    /// Put the current attempt of the `Transfer` carrying `naplet` (and
-    /// its unread mail, if any) on the link to `dest` and arm the timer
-    /// after which it counts as unanswered (backoff with jitter).
-    fn send(&self, transfer_id: u64, naplet: SharedNaplet, retry: &RetryPolicy, out: &mut Outbox) {
-        let attempt = self.attempt;
-        let envelope = TransferEnvelope {
-            naplet,
-            action: self.action.clone(),
-            transfer_id,
-            attempt,
-        };
-        let transfer = if self.mailbox.is_empty() {
-            Wire::Transfer(envelope)
-        } else {
-            Wire::TransferWithMail(envelope, self.mailbox.clone())
-        };
-        out.send(self.dest.clone(), transfer);
-        let timeout_ms = retry.jittered_backoff_ms(transfer_id, attempt);
-        let timeout = LocalEvent::TransferTimeout {
-            transfer_id,
-            attempt,
-        };
-        out.after(timeout_ms, timeout);
-    }
-
     /// Show `write` what the journal records for the handoff as it
     /// stands: whose agent, its image, the in-flight phase. The phase
     /// owns the checkpoint for the call and hands it back, so a hop
@@ -146,22 +120,26 @@ pub struct Failed {
     pub park: bool,
 }
 
+/// What this host knows of one origin's transfers, by transfer id.
+#[derive(Default)]
+struct Landings {
+    /// The highest floor a noted `Transfer` carried: none below it can
+    /// come again.
+    floor: u64,
+    /// The verdict on each `Transfer` at or above the floor (`None`:
+    /// admitted): every attempt gets it, never a second decision.
+    verdicts: Verdicts,
+    /// Arrival acks that came before their `Transfer`, and when.
+    early_acks: HashMap<u64, Millis>,
+}
+
 /// The migration protocol of one server, both ends of it.
 pub struct Navigator {
     retry: RetryPolicy,
     /// Outbound handoffs not yet acknowledged, by transfer id.
     handoffs: HashMap<u64, Handoff>,
-    /// The verdict given each `Transfer`, by (origin, transfer id):
-    /// when, and the refusal's reason (`None`: admitted). A retransmit
-    /// gets the same answer, never a second decision.
-    seen: HashMap<(Arc<str>, u64), (Millis, Option<String>)>,
-    /// Verdict notes evicted by [`sweep`](Self::sweep) so far.
-    pub seen_evicted: u64,
-    /// Arrival acks that came before their `Transfer`, by the visit
-    /// they open, with when they came: the admission takes its own.
-    early_acks: HashMap<(Arc<str>, u64), Millis>,
-    /// The origin names the keys above share, one per peer.
-    origins: HashSet<Arc<str>>,
+    /// What this host knows of each origin's transfers.
+    seen: HashMap<Arc<str>, Landings>,
     /// Agents stranded here by a failed required hop, held for owners.
     pub parked: HashMap<NapletId, Naplet>,
 }
@@ -173,23 +151,24 @@ impl Navigator {
             retry,
             handoffs: HashMap::new(),
             seen: HashMap::new(),
-            seen_evicted: 0,
-            early_acks: HashMap::new(),
-            origins: HashSet::new(),
             parked: HashMap::new(),
         }
     }
 
     // ----------------- the destination's end -----------------
 
-    /// The key of a visit's tables, its origin name shared.
-    fn key(&mut self, origin: &str, transfer_id: u64) -> (Arc<str>, u64) {
-        (shared_name(&mut self.origins, origin), transfer_id)
+    /// What this host knows of `origin`'s transfers.
+    fn landings(&mut self, origin: &str) -> &mut Landings {
+        if !self.seen.contains_key(origin) {
+            self.seen.insert(origin.into(), Landings::default());
+        }
+        self.seen.get_mut(origin).expect("held")
     }
 
     /// A `Transfer` came from `from`, and `decision` is this host's
-    /// landing decision on it. The first attempt's decision is the
-    /// verdict, journaled before the ack leaves: every attempt — the
+    /// landing decision on it. One below its origin's floor was acked:
+    /// it is dropped and counted. Otherwise the first attempt's decision
+    /// is the verdict, journaled before the ack leaves: every attempt — the
     /// previous ack may have been the frame that was lost — is answered
     /// with it, by a recovered receiver too. The envelope comes back, to
     /// be admitted, only the first time and only when admitted. A
@@ -202,21 +181,29 @@ impl Navigator {
         journal: &mut Journal,
         out: &mut Outbox,
     ) -> Option<TransferEnvelope> {
-        let (transfer_id, now) = (envelope.transfer_id, out.now());
-        let id = envelope.naplet.id().clone();
-        let key = self.key(from, transfer_id);
-        let (fresh, refused) = match self.seen.get(&key) {
-            Some((_, refused)) => (false, refused.clone()),
+        let transfer_id = envelope.transfer_id;
+        let landings = self.landings(from);
+        if transfer_id < landings.floor {
+            out.count("handoff.below_floor", 1);
+            return None;
+        }
+        let (fresh, refused) = match landings.verdicts.get(&transfer_id) {
+            Some(refused) => (false, refused.clone()),
             None => {
                 let refused = decision.err().map(|e| e.to_string());
-                let noted = journal.note_seen(from, transfer_id, now, refused.as_deref());
-                if noted.is_err() {
+                landings.verdicts.insert(transfer_id, refused.clone());
+                // the floor never falls; the verdicts below it go
+                let floor = transfer_id.saturating_sub(envelope.floor_gap);
+                let floor = landings.floor.max(floor);
+                landings.verdicts.retain(|t, _| *t >= floor);
+                landings.floor = floor;
+                if journal.note_seen(from, floor, &landings.verdicts).is_err() {
                     out.count("journal.failures", 1);
                 }
-                self.seen.insert(key.clone(), (now, refused.clone()));
                 (true, refused)
             }
         };
+        let id = envelope.naplet.id().clone();
         let granted = refused.is_none();
         if fresh {
             let counter = if granted {
@@ -243,27 +230,27 @@ impl Navigator {
         };
         out.send(from.to_string(), ack);
         if !granted {
-            self.early_acks.remove(&key);
+            landings.early_acks.remove(&transfer_id);
         }
         (fresh && granted).then_some(envelope)
     }
 
     /// An arrival ack for `visit` found no admitted agent waiting on
-    /// it. Before the `Transfer` it opens — no verdict on that yet — it
-    /// is held for the admission; after, it answered a visit already
-    /// opened or refused, and is dropped.
+    /// it. Before the `Transfer` it opens — no verdict on that yet, and
+    /// not below its origin's floor — it is held for the admission;
+    /// after, it answered a visit opened, refused or acked: dropped.
     pub fn hold_ack(&mut self, visit: &Visit, now: Millis) {
-        let key = self.key(&visit.origin, visit.transfer_id);
-        if !self.seen.contains_key(&key) {
-            self.early_acks.insert(key, now);
+        let (landings, t) = (self.landings(&visit.origin), visit.transfer_id);
+        if t >= landings.floor && !landings.verdicts.contains_key(&t) {
+            landings.early_acks.insert(t, now);
         }
     }
 
     /// Whether the arrival ack of the visit being admitted came first:
     /// it opens the visit at once, and only once.
     pub fn take_ack(&mut self, visit: &Visit) -> bool {
-        let key = self.key(&visit.origin, visit.transfer_id);
-        self.early_acks.remove(&key).is_some()
+        let landings = self.seen.get_mut(visit.origin.as_str());
+        landings.is_some_and(|l| l.early_acks.remove(&visit.transfer_id).is_some())
     }
 
     // ----------------- the origin's end -----------------
@@ -314,8 +301,36 @@ impl Navigator {
             dest: handoff.dest.clone(),
             transfer_id,
         });
-        handoff.send(transfer_id, agent, &self.retry, out);
+        self.send(transfer_id, agent, out);
         None
+    }
+
+    /// Send the current attempt of `transfer_id` carrying `naplet` (and
+    /// its unread mail, if any) and this host's floor, the lowest id it
+    /// holds un-acked, and arm its timer (backoff with jitter).
+    fn send(&self, transfer_id: u64, naplet: SharedNaplet, out: &mut Outbox) {
+        let handoff = &self.handoffs[&transfer_id];
+        let attempt = handoff.attempt;
+        let floor = (self.handoffs.keys()).fold(transfer_id, |floor, &t| floor.min(t));
+        let envelope = TransferEnvelope {
+            naplet,
+            action: handoff.action.clone(),
+            transfer_id,
+            attempt,
+            floor_gap: transfer_id - floor,
+        };
+        let transfer = if handoff.mailbox.is_empty() {
+            Wire::Transfer(envelope)
+        } else {
+            Wire::TransferWithMail(envelope, handoff.mailbox.clone())
+        };
+        out.send(handoff.dest.clone(), transfer);
+        let timeout_ms = self.retry.jittered_backoff_ms(transfer_id, attempt);
+        let timeout = LocalEvent::TransferTimeout {
+            transfer_id,
+            attempt,
+        };
+        out.after(timeout_ms, timeout);
     }
 
     /// A `TransferAck` for `transfer_id` naming `id` came from `from`,
@@ -386,7 +401,8 @@ impl Navigator {
                 attempt: next,
                 phase: "transfer".to_string(),
             });
-            handoff.send(transfer_id, decode(&handoff.image), &self.retry, out);
+            let naplet = decode(&handoff.image);
+            self.send(transfer_id, naplet, out);
             return None;
         }
         let handoff = self.handoffs.remove(&transfer_id)?;
@@ -471,28 +487,21 @@ impl Navigator {
         Some(handoff.view(transfer_id, write))
     }
 
-    /// Note the verdict on `Transfer` `transfer_id` from `origin`, given
-    /// at `at` (`refused`: its reason), unless one was noted before.
-    /// Recovery replays the journal's durable notes through here.
-    pub fn note_verdict(
-        &mut self,
-        origin: &str,
-        transfer_id: u64,
-        at: Millis,
-        refused: Option<String>,
-    ) {
-        let key = self.key(origin, transfer_id);
-        self.seen.entry(key).or_insert((at, refused));
+    /// Take back each origin's floor and verdicts from `journal`, after
+    /// a crash.
+    pub fn recover(&mut self, journal: &Journal) {
+        for (origin, floor, verdicts) in journal.seen() {
+            let landings = self.landings(&origin);
+            (landings.floor, landings.verdicts) = (floor, verdicts);
+        }
     }
 
-    /// Forget verdicts (counted) and early acks whose `Transfer` never
-    /// came, older than `retention_ms`.
+    /// Forget early acks whose `Transfer` never came, older than
+    /// `retention_ms`.
     pub fn sweep(&mut self, now: Millis, retention_ms: u64) {
-        let before = self.seen.len();
-        self.seen.retain(|_, (at, _)| now.since(*at) < retention_ms);
-        self.seen_evicted += (before - self.seen.len()) as u64;
-        self.early_acks
-            .retain(|_, at| now.since(*at) < retention_ms);
+        for landings in self.seen.values_mut() {
+            (landings.early_acks).retain(|_, at| now.since(*at) < retention_ms);
+        }
     }
 
     /// Outbound handoffs awaiting an acknowledgement.
@@ -847,52 +856,115 @@ mod tests {
     }
 
     #[test]
-    fn a_noted_verdict_answers_until_it_is_swept() {
+    fn a_noted_verdict_answers_until_its_origins_floor_passes_it() {
         let (agent, action, _, _) = departing(ring());
-        let mut nav = navigator();
-        nav.note_verdict("b", 4, Millis(100), None);
-        nav.note_verdict("b", 4, Millis(300), Some("full".into()));
-        nav.note_verdict("c", 4, Millis(300), Some("full".into()));
-        // how a retransmission from `origin` is answered, with room or
-        // not: (admitted here, refused)
-        let answer = |nav: &mut Navigator, origin: &str, room: bool| {
-            let (mut journal, mut out) = (Journal::in_memory(), outbox(1_100));
-            let envelope = TransferEnvelope {
-                naplet: agent.clone(),
-                action: action.clone(),
-                transfer_id: 4,
-                attempt: 2,
+        let (mut nav, mut journal) = (navigator(), Journal::in_memory());
+        // transfer 4 of b admitted, of c refused, as the journal holds
+        for (origin, refused) in [("b", None), ("c", Some("full".to_string()))] {
+            journal
+                .note_seen(origin, 4, &Verdicts::from([(4, refused)]))
+                .unwrap();
+        }
+        nav.recover(&journal);
+        // how `Transfer` `transfer_id` from `origin`, with its origin's
+        // floor `gap` below it, is answered with room: (admitted here,
+        // its verdict — `None` when no ack went out)
+        let answer =
+            |nav: &mut Navigator, journal: &mut Journal, origin: &str, transfer_id, gap| {
+                let envelope = TransferEnvelope {
+                    naplet: agent.clone(),
+                    action: action.clone(),
+                    transfer_id,
+                    attempt: 2,
+                    floor_gap: gap,
+                };
+                let mut out = outbox(1_000_000);
+                let taken = nav.receive(origin, envelope, Ok(()), journal, &mut out);
+                let refused = match out.take().pop() {
+                    Some(Output::Send {
+                        wire: Wire::TransferAck { refused, .. },
+                        ..
+                    }) => Some(refused.is_some()),
+                    None => None,
+                    Some(other) => panic!("not an ack: {other:?}"),
+                };
+                let below = out.obs().metrics.counter("handoff.below_floor");
+                (taken.is_some(), refused, below)
             };
-            let decision = match room {
-                true => Ok(()),
-                false => Err(NapletError::Service("full".into())),
-            };
-            let taken = nav.receive(origin, envelope, decision, &mut journal, &mut out);
-            let Some(Output::Send {
-                wire: Wire::TransferAck { refused, .. },
-                ..
-            }) = out.take().pop()
-            else {
-                panic!("every attempt is answered");
-            };
-            (taken.is_some(), refused.is_some())
-        };
         assert_eq!(
-            answer(&mut nav, "b", false),
-            (false, false),
+            answer(&mut nav, &mut journal, "b", 4, 0),
+            (false, Some(false), 0),
             "the first verdict stands"
         );
         assert_eq!(
-            answer(&mut nav, "c", true),
-            (false, true),
+            answer(&mut nav, &mut journal, "c", 4, 0),
+            (false, Some(true), 0),
             "ids are per origin"
         );
-        nav.sweep(Millis(1_099), 1_000);
-        assert_eq!(nav.seen_evicted, 0);
-        nav.sweep(Millis(1_100), 1_000);
-        assert_eq!(nav.seen_evicted, 1, "b's note aged out, c's did not");
-        assert_eq!(answer(&mut nav, "b", true), (true, false), "decided afresh");
-        assert_eq!(answer(&mut nav, "c", true), (false, true));
+        // b's next transfer lands with nothing of b's below it in flight
+        assert_eq!(
+            answer(&mut nav, &mut journal, "b", 6, 0),
+            (true, Some(false), 0)
+        );
+        assert_eq!(
+            answer(&mut nav, &mut journal, "b", 4, 0),
+            (false, None, 1),
+            "acked: dropped, counted"
+        );
+        assert_eq!(
+            answer(&mut nav, &mut journal, "b", 5, 0),
+            (false, None, 1),
+            "below the floor too"
+        );
+        assert_eq!(
+            answer(&mut nav, &mut journal, "c", 4, 0),
+            (false, Some(true), 0),
+            "c's floor is its own"
+        );
+        let notes = journal.seen().into_iter();
+        let notes: Vec<_> = notes
+            .map(|(o, floor, v)| (o, floor, v.into_keys().collect()))
+            .collect();
+        let expected: [(String, u64, Vec<u64>); 2] =
+            [("b".into(), 6, vec![6]), ("c".into(), 4, vec![4])];
+        assert_eq!(notes, expected, "b's note below its floor left the journal");
+        // a restarted host takes the floor back from the journal
+        let mut nav = navigator();
+        nav.recover(&journal);
+        assert_eq!(
+            answer(&mut nav, &mut journal, "b", 5, 1),
+            (false, None, 1),
+            "the floor survived"
+        );
+        assert_eq!(
+            answer(&mut nav, &mut journal, "b", 6, 0),
+            (false, Some(false), 0)
+        );
+    }
+
+    /// A `DirAck` for a visit its origin's floor has passed is not held:
+    /// its `Transfer` was acked, and its note may be gone.
+    #[test]
+    fn an_arrival_ack_below_the_floor_is_not_held() {
+        let (agent, action, _, _) = departing(ring());
+        let (mut nav, mut journal, mut out) = (navigator(), Journal::in_memory(), outbox(100));
+        let envelope = TransferEnvelope {
+            naplet: agent,
+            action,
+            transfer_id: 8,
+            attempt: 1,
+            floor_gap: 0,
+        };
+        assert!(nav
+            .receive("o", envelope, Ok(()), &mut journal, &mut out)
+            .is_some());
+        for transfer_id in [3, 8, 9] {
+            nav.hold_ack(&Visit::new("o", transfer_id), Millis(100));
+        }
+        let held = |nav: &mut Navigator, t| nav.take_ack(&Visit::new("o", t));
+        assert!(!held(&mut nav, 3), "below the floor");
+        assert!(!held(&mut nav, 8), "decided");
+        assert!(held(&mut nav, 9), "its Transfer is still to come");
     }
 
     #[test]
@@ -903,6 +975,7 @@ mod tests {
             action: action.clone(),
             transfer_id: 4,
             attempt,
+            floor_gap: 1,
         };
         let full = || Err(NapletError::Service("full".into()));
         for admitted_first in [true, false] {
@@ -937,7 +1010,7 @@ mod tests {
             });
             assert_eq!(duplicates.collect::<Vec<_>>(), [false, true]);
             let reason = (!admitted_first).then(|| "service error: full".to_string());
-            let note = (("o".to_string(), 4), Millis(100), reason);
+            let note = ("o".to_string(), 3, Verdicts::from([(4, reason)]));
             assert_eq!(journal.seen(), [note], "the verdict is journaled");
             let decisions = out.obs().tracer.events().into_iter();
             let decisions = decisions.filter_map(|e| match e.kind {

@@ -133,11 +133,13 @@ impl<L: Link> Host<L> {
 
     /// Replay the server's write-ahead journal: retransmitted
     /// handshakes go out on the link, acknowledgement and lease timers
-    /// are re-armed.
-    pub fn recover(&mut self) -> RecoveryStats {
-        self.step(|server, now| server.recover(now));
+    /// are re-armed. A server whose journal cannot put its new life on
+    /// record does not start, and nothing goes out.
+    pub fn recover(&mut self) -> naplet_core::Result<RecoveryStats> {
+        let outputs = self.server.recover(self.now())?;
+        self.step(|_, _| outputs);
         self.link.flush();
-        self.server.recovery_stats()
+        Ok(self.server.recovery_stats())
     }
 
     /// Send one wire value to `to`, stamped and traced like any send

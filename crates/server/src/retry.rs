@@ -5,7 +5,7 @@
 //! exponential backoff and deterministic jitter. After [`RetryPolicy::max_retries`] attempts the
 //! navigator gives up — an `Alt` itinerary falls back to its next
 //! branch, otherwise the naplet is parked with a navigation-log failure
-//! entry; a message is counted as undeliverable.
+//! entry; a message is given up, counted in `post.given_up`.
 
 use naplet_core::codec::{Decode, Encode};
 

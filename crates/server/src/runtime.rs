@@ -388,13 +388,13 @@ impl SimRuntime {
         }
     }
 
-    /// Bring a crashed `host` back: its link up, its journal replayed.
+    /// Bring a crashed `host` back: its journal replayed, its link up
+    /// unless the journal refused its next incarnation.
     fn perform_restart(&mut self, host: &str) {
         let Some(node) = self.hosts.get_mut(host).filter(|node| node.link.down) else {
             return;
         };
-        node.link.down = false;
         self.fabric.stats().record_recovery();
-        node.recover();
+        node.link.down = node.recover().is_err();
     }
 }

@@ -48,9 +48,9 @@ use crate::sandbox::{Effects, ExecOutcome, Sandbox, What};
 use crate::security::{Permission, SecurityManager};
 use crate::status::{ResidentStatus, StatusReport};
 
-/// Retention window for dedup/bookkeeping tables (receiver-side
-/// transfer dedup, messenger confirmations): entries older than this
-/// are compacted away.
+/// Retention window for the bookkeeping tables kept by age (messenger
+/// confirmations and deliveries, early arrival acks, location hints):
+/// entries older than this are compacted away.
 const RETENTION_MS: u64 = 600_000;
 
 /// Completed journeys' logs kept; older ones are evicted and counted.
@@ -126,7 +126,11 @@ pub struct NapletServer {
     actions: ActionRegistry,
     max_residents: Option<usize>,
     retry: RetryPolicy,
+    /// The last id issued: the incarnation above 32 bits of counter.
     next_token: u64,
+    /// The journal was handed over, maybe by an earlier life:
+    /// [`recover`](Self::recover) begins the next incarnation.
+    adopted: bool,
     /// The migration protocol: outbound custody, expected landings,
     /// transfer dedup and the parked set.
     pub navigator: Navigator,
@@ -161,7 +165,11 @@ pub struct NapletServer {
 impl NapletServer {
     /// Build a server from its configuration.
     pub fn new(config: ServerConfig) -> NapletServer {
-        let journal = Journal::in_memory();
+        // this life, the first, is on record before it issues an id
+        let mut journal = Journal::in_memory();
+        journal
+            .note_incarnation(0)
+            .expect("a memory store takes every write");
         let locator = Locator::new(&config.host, config.mode, config.repl, &journal);
         let navigator = Navigator::new(config.retry.clone());
         NapletServer {
@@ -178,6 +186,7 @@ impl NapletServer {
             navigator,
             retry: config.retry,
             next_token: 0,
+            adopted: false,
             app_handler: None,
             state_hook: None,
             journal,
@@ -234,16 +243,20 @@ impl NapletServer {
         &mut self.security
     }
 
-    /// Mutable access to the action registry.
-    pub fn actions_mut(&mut self) -> &mut ActionRegistry {
-        &mut self.actions
-    }
-
     /// Replace the journal (e.g. with a [`crate::journal::FileStore`]
     /// backing, or to hand a crashed server's journal to its rebuilt
     /// replacement). Call before any naplets are hosted.
     pub fn set_journal(&mut self, journal: Journal) {
         self.journal = journal;
+        self.adopted = true;
+        // a journal holding no life gets this one, for recovery to pass
+        if self
+            .journal
+            .note_incarnation(self.next_token >> 32)
+            .is_err()
+        {
+            self.out.count("journal.failures", 1);
+        }
     }
 
     /// Take the journal out of the server, leaving a fresh in-memory
@@ -268,11 +281,9 @@ impl NapletServer {
         stats
     }
 
+    /// A fresh id, above every one an earlier life issued.
     fn token(&mut self) -> u64 {
         self.next_token += 1;
-        // durably advance the watermark so a recovered server never
-        // reissues a transfer id that may be live in a peer's dedup set
-        let _ = self.journal.set_token_watermark(self.next_token);
         self.next_token
     }
 
@@ -294,8 +305,6 @@ impl NapletServer {
         }
         self.last_sweep = now;
         self.navigator.sweep(now, RETENTION_MS);
-        // the durable copies of the same entries age out in lock-step
-        let _ = self.journal.compact_seen(now, RETENTION_MS);
         self.messenger.compact(now, RETENTION_MS);
         self.locator.lapse(now, RETENTION_MS);
     }
@@ -476,9 +485,7 @@ impl NapletServer {
                 self.leases.renew(&id, now);
                 self.reports.push((id, body));
             }
-            Wire::Notify {
-                id, status, host, ..
-            } => {
+            Wire::Notify { id, status, host } => {
                 self.note_status_at_home(&id, status);
                 self.manager.update_status(&id, status, &host, now);
             }
@@ -724,6 +731,7 @@ impl NapletServer {
                             action,
                             transfer_id: 0, // same-host: no handoff protocol
                             attempt: 1,
+                            floor_gap: 0,
                         };
                         self.admit_arrival(envelope, None, mailbox, visit);
                     } else {
@@ -765,7 +773,7 @@ impl NapletServer {
                     if ran.is_err() {
                         self.out.count("agent.errors", 1);
                     }
-                    self.finish_journey(naplet, "completed", true);
+                    self.finish_journey(naplet);
                     return;
                 }
             }
@@ -852,7 +860,7 @@ impl NapletServer {
     fn fail_migration(&mut self, failed: Failed) {
         self.undo_departure(failed.agent.id());
         if failed.park {
-            self.park(failed.agent, failed.mailbox, &failed.dest);
+            self.park(failed.agent, failed.mailbox);
         } else {
             self.continue_journey(failed.agent, failed.mailbox);
         }
@@ -863,24 +871,17 @@ impl NapletServer {
     /// registered here): notify its home with
     /// [`NapletStatus::Parked`] and keep it for owner recovery. Unread
     /// mail returns to the special mailbox rather than being dropped.
-    fn park(&mut self, naplet: Naplet, mut mailbox: Mailbox, dest: &str) {
+    fn park(&mut self, naplet: Naplet, mut mailbox: Mailbox) {
         let id = naplet.id().clone();
         for m in mailbox.drain() {
             self.messenger.forget_delivery(&m);
             self.stash(m, self.out.host().to_string());
         }
-        let detail = format!("destination {dest} unreachable");
-        self.notify_home(&id, NapletStatus::Parked, &detail);
+        self.notify_home(&id, NapletStatus::Parked);
         // a parked agent held for owner recovery must survive a crash
         // of the server holding it
         self.journal_naplet(&naplet, &JournalPhase::Parked);
         self.navigator.parked.insert(id, naplet);
-    }
-
-    /// Outbound migrations currently awaiting an acknowledgement
-    /// (diagnostics/tests).
-    pub fn pending_transfer_count(&self) -> usize {
-        self.navigator.pending_count()
     }
 
     /// Assemble this server's health probe report: a deterministic,
@@ -964,9 +965,9 @@ impl NapletServer {
         let attempt = envelope.attempt;
         let TransferEnvelope { naplet, action, .. } = envelope;
         let id = naplet.id().clone();
-        if let Err(e) = self.security.verify_naplet(&naplet) {
+        if self.security.verify_naplet(&naplet).is_err() {
             self.out.count("security.denials", 1);
-            self.notify_home(&id, NapletStatus::Destroyed, &e.to_string());
+            self.notify_home(&id, NapletStatus::Destroyed);
             return;
         }
         let now = self.out.now();
@@ -1116,9 +1117,7 @@ impl NapletServer {
                             entry.state = RunState::AwaitingCode;
                             self.out.fetch_code(home, bytes, id.clone());
                         }
-                        Err(e) => {
-                            self.destroy_resident(id, &format!("code load failed: {e}"));
-                        }
+                        Err(_) => self.destroy_resident(id, "code.load_failures"),
                     }
                 }
             }
@@ -1174,7 +1173,7 @@ impl NapletServer {
                 // program did
                 let now = self.out.now();
                 self.out.at(now.plus(outcome.dwell_ms));
-                self.finish_journey(entry.naplet, "completed", true);
+                self.finish_journey(entry.naplet);
                 self.out.at(now);
             }
             Ok(outcome) => {
@@ -1198,7 +1197,7 @@ impl NapletServer {
             Err(e) => {
                 self.monitor.kills.push((id.clone(), e.kind().to_string()));
                 self.monitor.restore(entry);
-                self.destroy_resident(id, &e.to_string());
+                self.destroy_resident(id, "agent.errors");
             }
         }
     }
@@ -1438,9 +1437,7 @@ impl NapletServer {
 
     fn apply_control(&mut self, id: &NapletId, verb: &ControlVerb) {
         match verb {
-            ControlVerb::Terminate => {
-                self.destroy_resident(id, "terminated by control message");
-            }
+            ControlVerb::Terminate => self.destroy_resident(id, "control.terminations"),
             ControlVerb::Suspend => {
                 self.monitor.suspend(id);
             }
@@ -1472,10 +1469,11 @@ impl NapletServer {
     // Destruction / completion
     // =====================================================================
 
-    fn destroy_resident(&mut self, id: &NapletId, reason: &str) {
+    fn destroy_resident(&mut self, id: &NapletId, cause: &str) {
         let Some(mut entry) = self.monitor.evict(id) else {
             return;
         };
+        self.out.count(cause, 1);
         // its last word, said while its channels are still open; a
         // failing hook leaves nothing to undo
         let _ = self.run_agent(
@@ -1490,30 +1488,25 @@ impl NapletServer {
         self.out.trace(Some(id), || TraceKind::JourneyDone {
             status: "destroyed".to_string(),
         });
-        self.notify_home(id, NapletStatus::Destroyed, reason);
+        self.notify_home(id, NapletStatus::Destroyed);
         self.send_to_holder(Wire::DirRemove { id: id.clone() });
     }
 
-    fn finish_journey(&mut self, naplet: Naplet, detail: &str, normal: bool) {
+    fn finish_journey(&mut self, naplet: Naplet) {
         let id = naplet.id().clone();
-        let (status, label, counter) = if normal {
-            (NapletStatus::Completed, "completed", "journeys.completed")
-        } else {
-            (NapletStatus::Destroyed, "destroyed", "journeys.destroyed")
-        };
-        self.notify_home(&id, status, detail);
+        self.notify_home(&id, NapletStatus::Completed);
         self.send_to_holder(Wire::DirRemove { id: id.clone() });
         self.monitor.evict(&id);
         self.resources.release(&id);
         self.journal.retire_naplet(&id, &mut self.out);
-        self.out.count(counter, 1);
+        self.out.count("journeys.completed", 1);
         self.out.trace(Some(&id), || TraceKind::JourneyDone {
-            status: label.to_string(),
+            status: "completed".to_string(),
         });
         self.completed.push((id, naplet.nav_log.clone()));
     }
 
-    fn notify_home(&mut self, id: &NapletId, status: NapletStatus, detail: &str) {
+    fn notify_home(&mut self, id: &NapletId, status: NapletStatus) {
         let host = self.out.host();
         if id.home() == host {
             self.note_status_at_home(id, status);
@@ -1524,7 +1517,6 @@ impl NapletServer {
                 id: id.clone(),
                 status,
                 host: host.to_string(),
-                detail: detail.to_string(),
             };
             self.out.send(id.home().to_string(), notice);
         }
@@ -1544,7 +1536,9 @@ impl NapletServer {
             | NapletStatus::Parked
             | NapletStatus::Lost => {
                 self.leases.release(id);
-                let _ = self.journal.remove_creation(id);
+                if self.journal.remove_creation(id).is_err() {
+                    self.out.count("journal.failures", 1);
+                }
             }
             _ => self.leases.renew(id, self.out.now()),
         }
@@ -1622,7 +1616,9 @@ impl NapletServer {
         } else {
             self.leases.lost += 1;
             self.leases.release(id);
-            let _ = self.journal.remove_creation(id);
+            if self.journal.remove_creation(id).is_err() {
+                self.out.count("journal.failures", 1);
+            }
             self.manager
                 .update_status(id, NapletStatus::Lost, self.out.host(), now);
         }
@@ -1662,22 +1658,24 @@ impl NapletServer {
     /// normal registration gate; an in-flight handoff re-enters the
     /// retry machinery under its original transfer id (an immediate
     /// timeout retransmits or fails over by the ordinary rules); a
-    /// parked agent returns to the parked set. The receiver-side dedup
-    /// table, the transfer-token watermark and any home-side leases
-    /// are restored so idempotence, id-uniqueness and liveness
-    /// tracking survive the crash.
-    pub fn recover(&mut self, now: Millis) -> Vec<Output> {
+    /// parked agent returns to the parked set. The receiver-side verdict
+    /// notes, with each origin's floor, and any home-side leases are
+    /// restored so idempotence and liveness tracking survive the crash.
+    /// A journal handed over begins the next incarnation, on record
+    /// before any id is issued; a server that cannot write it does not
+    /// start.
+    pub fn recover(&mut self, now: Millis) -> Result<Vec<Output>> {
+        if std::mem::take(&mut self.adopted) {
+            let life = self.journal.next_incarnation();
+            self.next_token = life.inspect_err(|_| self.out.count("recovery.refused", 1))? << 32;
+        }
         self.out.at(now);
         // consensus state first: term, vote and the replicated log are
         // durable — a rejoining replica must not regress its promises
         self.locator.recover(&self.journal, &mut self.out);
-        // dedup + token state first: nothing replayed below may admit
-        // a duplicate or reuse a pre-crash transfer id
-        for ((origin, transfer_id), at, refused) in self.journal.seen() {
-            self.navigator
-                .note_verdict(&origin, transfer_id, at, refused);
-        }
-        self.next_token = self.next_token.max(self.journal.token_watermark());
+        // dedup state first: nothing replayed below may admit a
+        // duplicate
+        self.navigator.recover(&self.journal);
         let mut local = 0u64;
         let mut suppressed = 0u64;
         let mut resumed = 0u64;
@@ -1761,7 +1759,7 @@ impl NapletServer {
             suppressed,
             resumed,
         });
-        self.out.take()
+        Ok(self.out.take())
     }
 
     /// Take a registration, or a removal once the journey ended, to

@@ -101,6 +101,7 @@ fn one_frame_per_variant(status: naplet_server::StatusReport) -> Vec<Wire> {
         action: Some(ActionSpec::ReportHome),
         transfer_id: 300,
         attempt: 2,
+        floor_gap: 3,
     };
     let message = |seq, payload| Message {
         seq,
@@ -167,7 +168,6 @@ fn one_frame_per_variant(status: naplet_server::StatusReport) -> Vec<Wire> {
             id: id.clone(),
             status: NapletStatus::Completed,
             host: "s1".into(),
-            detail: String::new(),
         },
         Wire::AppRequest {
             token: 6,
@@ -275,8 +275,9 @@ fn journal_records(rt: &SimRuntime, host: &str, digest: &mut Digest) -> usize {
     for note in journal.seen() {
         feed(format!("{host} s/"), codec::to_bytes(&note).unwrap());
     }
-    let watermark = journal.token_watermark();
-    feed(format!("{host} t/"), codec::to_bytes(&watermark).unwrap());
+    if let Some(life) = journal.incarnation().unwrap() {
+        feed(format!("{host} t/"), codec::to_bytes(&life).unwrap());
+    }
     for suffix in journal.repl_keys() {
         let bytes = journal.get_repl(&suffix).unwrap();
         feed(format!("{host} r/{suffix}"), bytes);

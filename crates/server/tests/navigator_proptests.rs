@@ -3,18 +3,22 @@
 //!
 //! The first runs random interleavings of opens, acks (admitting,
 //! refusing, stray), due and stale timers, `Transfer`s received with
-//! and without room, sweeps and crash-style snapshot/restores against a
-//! reference model that is a map of `transfer id → attempt` and one of
-//! `(origin, transfer id) → verdict`. After every step: each transfer id
-//! the model holds is at exactly the attempt the model says (never past
-//! the budget), nothing else is in custody, an answer the model calls
-//! stray changed nothing and sent nothing, an agent leaves custody
-//! exactly once (admitted, refused or failed), a `Transfer` is decided
-//! once — every attempt answered with that verdict — until its note is
-//! swept, and restoring from the journal reproduces all of it. What the
-//! navigator sends is read off its outbox: every `Transfer` is followed
-//! by the `TransferTimeout` for the same transfer id and attempt, and a
-//! restored handoff arms that timer at once.
+//! and without room and with their origin's floor, and crash-style
+//! snapshot/restores against a reference model that is a map of
+//! `transfer id → attempt`, one of `(origin, transfer id) → verdict` and
+//! each origin's floor. After every step: each transfer id the model
+//! holds is at exactly the attempt the model says (never past the
+//! budget), nothing else is in custody, an answer the model calls stray
+//! changed nothing and sent nothing, an agent leaves custody exactly
+//! once (admitted, refused or failed), a `Transfer` is decided once —
+//! every attempt answered with that verdict — until a higher floor of
+//! its origin prunes its note, after which it is dropped unanswered,
+//! the journal holds exactly the notes the model does, and restoring
+//! from the journal reproduces all of it. What the navigator sends is
+//! read off its outbox: every `Transfer` is followed by the
+//! `TransferTimeout` for the same transfer id and attempt, carries the
+//! lowest id held open as its floor, and a restored handoff arms that
+//! timer at once.
 //!
 //! The second is the sticky-verdict law: one agent handed from an
 //! origin to a destination under any interleaving of lost and
@@ -24,11 +28,18 @@
 //! back at the origin after a refusal, never both — and its unread mail
 //! with it.
 //!
-//! The third is the arrival gate's share: whatever the order of a
+//! The third is the at-most-once law across many handoffs: an origin
+//! hands agent after agent to a destination under any delivery order,
+//! loss and duplication of frames, timers, either end restarting — the
+//! origin into its next incarnation — and any time passing between, and
+//! no transfer is ever admitted twice; each one the origin committed was
+//! admitted exactly once.
+//!
+//! The fourth is the arrival gate's share: whatever the order of a
 //! visit's `DirAck`s and `Transfer`s, an ack that comes before its
 //! `Transfer` is taken by the admission that follows, once; one that
-//! comes after its verdict, or whose landing is refused, is held for
-//! nothing.
+//! comes after its verdict, whose landing is refused, or that its
+//! origin's floor passed, is held for nothing.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -52,7 +63,6 @@ use naplet_server::{
 };
 
 const BUDGET: u32 = 3;
-const RETENTION_MS: u64 = 500;
 const DEST: &str = "b";
 const ORIGINS: [&str; 2] = ["b", "c"];
 
@@ -74,13 +84,15 @@ enum Op {
     },
     /// A timer or answer for a transfer nobody opened.
     Ghost,
-    /// A `Transfer` received here, with or without room for it.
+    /// A `Transfer` received here, with or without room for it: its id
+    /// `ahead` of what its origin's floor is here (below it when
+    /// negative), its own floor `gap` below its id.
     Transfer {
         origin: usize,
-        transfer_id: u64,
+        ahead: i64,
+        gap: u64,
         room: bool,
     },
-    Sweep,
     /// Crash: rebuild the navigator from its journal views and notes.
     Restore,
     Tick(u64),
@@ -104,12 +116,12 @@ fn op() -> impl Strategy<Value = Op> {
             skew: [-1, 1, 0, 0][usize::from(a)],
         },
         12 => Op::Ghost,
-        13..=15 => Op::Transfer {
+        13..=16 => Op::Transfer {
             origin: usize::from(a % 2),
-            transfer_id: u64::from(b % 3),
+            ahead: i64::from(b) - 1,
+            gap: ms % 4,
             room: ms % 3 > 0,
         },
-        16 => Op::Sweep,
         17 => Op::Restore,
         _ => Op::Tick(ms),
     })
@@ -186,7 +198,8 @@ fn views(nav: &mut Navigator, ids: impl Iterator<Item = u64>) -> BTreeMap<u64, (
 }
 
 /// A navigator rebuilt from `nav`'s journal: each of `open` from its
-/// view, each verdict from the journal's notes.
+/// view, each verdict from the journal's notes, which give each
+/// origin's floor back.
 fn restored(
     nav: &mut Navigator,
     open: &[u64],
@@ -201,16 +214,14 @@ fn restored(
         let agent: SharedNaplet = codec::from_bytes(&image).unwrap();
         recovered.restore(agent, phase, out);
     }
-    for ((origin, transfer_id), at, refused) in journal.seen() {
-        recovered.note_verdict(&origin, transfer_id, at, refused);
-    }
+    recovered.recover(journal);
     recovered
 }
 
 /// The `Transfer`s the outbox holds, in order, as `(transfer id,
-/// attempt)`: each goes to the destination and is followed by the
-/// `TransferTimeout` for the same transfer id and attempt.
-fn attempts(out: &mut Outbox) -> std::result::Result<Vec<(u64, u32)>, TestCaseError> {
+/// attempt, floor)`: each goes to the destination and is followed by
+/// the `TransferTimeout` for the same transfer id and attempt.
+fn attempts(out: &mut Outbox) -> std::result::Result<Vec<(u64, u32, u64)>, TestCaseError> {
     let mut sent = out.take().into_iter();
     let mut found = Vec::new();
     while let Some(frame) = sent.next() {
@@ -224,12 +235,13 @@ fn attempts(out: &mut Outbox) -> std::result::Result<Vec<(u64, u32)>, TestCaseEr
             return Err(TestCaseError::fail(format!("sent {wire:?}")));
         };
         let (t, attempt) = (envelope.transfer_id, envelope.attempt);
+        let floor = t - envelope.floor_gap;
         let timer = sent.next();
         let armed = matches!(timer, Some(Output::Schedule {
             event: LocalEvent::TransferTimeout { transfer_id, attempt: a }, ..
         }) if transfer_id == t && a == attempt);
         prop_assert!(armed, "frame {}#{} is followed by {:?}", t, attempt, timer);
-        found.push((t, attempt));
+        found.push((t, attempt, floor));
     }
     Ok(found)
 }
@@ -265,8 +277,10 @@ proptest! {
         let mut agents: HashMap<u64, NapletId> = HashMap::new();
         let mut checkpoints: HashMap<u64, Cursor> = HashMap::new();
         let mut left: BTreeSet<u64> = BTreeSet::new();
-        // (origin, transfer id) → (decided at, refused)
-        let mut seen: HashMap<(usize, u64), (u64, bool)> = HashMap::new();
+        // (origin, transfer id) → refused, at or above the origin's floor
+        let mut seen: BTreeMap<(usize, u64), bool> = BTreeMap::new();
+        let mut floors = [0u64; 2];
+        let mut below = 0;
         let (mut now, mut next_id) = (0u64, 0u64);
         let stranger = NapletId::new("czxu", "a", Millis(999_999)).unwrap();
         let (arriving, action, _, _) = departing(0);
@@ -279,7 +293,8 @@ proptest! {
             // `Some(t)`: the model says transfer `t` left custody in this step
             let mut leaves = None;
             let mut stray = false;
-            // what the step must have sent: `(transfer id, attempt)`
+            // what the step must have sent: `(transfer id, attempt)`,
+            // with the floor of what is open once the step opened it
             let mut expect_sent = Vec::new();
             match op {
                 Op::Open => {
@@ -351,30 +366,37 @@ proptest! {
                     prop_assert!(nav.due(t, 1, &mut journal, &mut out).is_none());
                     stray = true;
                 }
-                Op::Transfer { origin, transfer_id, room } => {
+                Op::Transfer { origin, ahead, gap, room } => {
+                    let transfer_id = floors[origin].saturating_add_signed(ahead);
                     let envelope = TransferEnvelope {
                         naplet: arriving.clone(),
                         action: action.clone(),
                         transfer_id,
                         attempt: 1,
+                        floor_gap: gap.min(transfer_id),
                     };
+                    let floor = transfer_id - envelope.floor_gap;
                     let from = ORIGINS[origin];
                     let admitted = nav.receive(from, envelope, decision(room), &mut journal, &mut out);
+                    stray = true; // the origin's custody is untouched
+                    if transfer_id < floors[origin] {
+                        prop_assert!(admitted.is_none(), "admitted below the floor");
+                        prop_assert!(out.take().is_empty(), "answered below the floor");
+                        below += 1;
+                        let counted = out.obs().metrics.counter("handoff.below_floor");
+                        prop_assert_eq!(counted, below, "dropped and counted");
+                        continue;
+                    }
                     let fresh = !seen.contains_key(&(origin, transfer_id));
-                    let (_, refused) = *seen.entry((origin, transfer_id)).or_insert((now, !room));
+                    let refused = *seen.entry((origin, transfer_id)).or_insert(!room);
+                    if fresh {
+                        floors[origin] = floors[origin].max(floor);
+                        seen.retain(|(o, t), _| *o != origin || *t >= floors[origin]);
+                    }
                     prop_assert_eq!(admitted.is_some(), fresh && !refused, "admitted once");
                     let (to, verdict) = the_ack(&mut out)?;
                     prop_assert_eq!(to.as_str(), from);
                     prop_assert_eq!(verdict.is_some(), refused, "the first verdict, every time");
-                    stray = true; // the origin's custody is untouched
-                }
-                Op::Sweep => {
-                    let evicted = nav.seen_evicted;
-                    nav.sweep(Millis(now), RETENTION_MS);
-                    journal.compact_seen(Millis(now), RETENTION_MS);
-                    let held = seen.len();
-                    seen.retain(|_, (at, _)| now - *at < RETENTION_MS);
-                    prop_assert_eq!(nav.seen_evicted - evicted, (held - seen.len()) as u64);
                 }
                 Op::Restore => {
                     nav = restored(&mut nav, &open_ids, &journal, BUDGET, &mut out);
@@ -392,7 +414,18 @@ proptest! {
                 Op::Tick(ms) => now += ms,
             }
 
+            let floor = model.keys().next().copied();
+            let expect_sent: Vec<_> = (expect_sent.into_iter())
+                .map(|(t, attempt)| (t, attempt, floor.unwrap_or(t)))
+                .collect();
             prop_assert_eq!(attempts(&mut out)?, expect_sent, "what the step sent");
+            let mut notes: BTreeMap<(usize, u64), bool> = BTreeMap::new();
+            for (origin, floor, verdicts) in journal.seen() {
+                let o = ORIGINS.iter().position(|n| *n == origin).unwrap();
+                prop_assert_eq!(floor, floors[o], "the journaled floor");
+                notes.extend(verdicts.into_iter().map(|(t, refused)| ((o, t), refused.is_some())));
+            }
+            prop_assert_eq!(&notes, &seen, "the journal's notes are the model's");
             traced(&out);
             if let Some(t) = leaves {
                 model.remove(&t);
@@ -643,35 +676,232 @@ proptest! {
     }
 }
 
+/// One event of an origin handing agents, one handoff each, to a
+/// destination.
+#[derive(Debug, Clone)]
+enum Flow {
+    /// The origin opens a handoff under its next transfer id.
+    Open,
+    /// Deliver the `i`-th `Transfer` in flight, with or without room
+    /// for it; `keep` leaves a copy in flight (a duplicate to come).
+    Transfer { i: usize, keep: bool, room: bool },
+    /// Deliver the `i`-th `TransferAck` in flight to the origin.
+    Ack { i: usize, keep: bool },
+    /// Lose the `i`-th frame in flight either way.
+    Lose(usize),
+    /// The timer of the `i`-th open handoff comes due.
+    Due(usize),
+    /// Time passes, up to years, and the destination sweeps by age as a
+    /// server does.
+    Wait(u64),
+    /// The origin crashes and restarts into its next incarnation.
+    CrashOrigin,
+    /// The destination crashes and recovers from its journal.
+    CrashDest,
+}
+
+fn flow() -> impl Strategy<Value = Flow> {
+    let args = (0..16u8, 0..6usize, any::<bool>(), any::<bool>(), 0..36u32);
+    args.prop_map(|(kind, i, keep, room, exp)| match kind {
+        0..=2 => Flow::Open,
+        3..=6 => Flow::Transfer { i, keep, room },
+        7..=9 => Flow::Ack { i, keep },
+        10 => Flow::Lose(i),
+        11..=12 => Flow::Due(i),
+        13 => Flow::Wait(1 << exp),
+        14 => Flow::CrashOrigin,
+        _ => Flow::CrashDest,
+    })
+}
+
+/// The destination receives `frame` with or without `room`: the
+/// transfer it admits is counted, its answer (if any) put in flight.
+fn deliver(
+    dest: &mut Navigator,
+    journal: &mut Journal,
+    out: &mut Outbox,
+    (envelope, _): (TransferEnvelope, Mailbox),
+    room: bool,
+    admitted: &mut BTreeMap<u64, u32>,
+    net: &mut Net,
+) {
+    let t = envelope.transfer_id;
+    if dest
+        .receive("a", envelope, decision(room), journal, out)
+        .is_some()
+    {
+        *admitted.entry(t).or_default() += 1;
+    }
+    net.collect(out);
+}
+
+proptest! {
+    #[test]
+    fn each_transfer_is_admitted_at_most_once(flows in vec(flow(), 0..80)) {
+        let (mut origin, mut dest) = (navigator(BUDGET), navigator(BUDGET));
+        let (mut origin_journal, mut dest_journal) = (Journal::in_memory(), Journal::in_memory());
+        let (mut out_a, mut out_b) = (Outbox::new("a"), Outbox::new(DEST));
+        let mut net = Net::default();
+        // the origin's ids, as a server issues them: its incarnation
+        // above a counter the incarnation restarts
+        let (mut life, mut counter) = (0u64, 0u64);
+        // open handoffs: transfer id → attempt, and each one's agent
+        let mut open_at: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut agents: HashMap<u64, NapletId> = HashMap::new();
+        // admissions per transfer id; the ids the origin committed
+        let mut admitted: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut committed: BTreeSet<u64> = BTreeSet::new();
+        let mut now = 0u64;
+
+        let answer = |origin: &mut Navigator, journal: &mut Journal, out: &mut Outbox,
+                      (t, id, refused): (u64, NapletId, Option<String>),
+                      open_at: &mut BTreeMap<u64, u32>, committed: &mut BTreeSet<u64>| {
+            match origin.ack(t, DEST, &id, refused, journal, out) {
+                Some(Acked::Admitted { .. }) => {
+                    committed.insert(t);
+                    open_at.remove(&t);
+                }
+                Some(Acked::Refused(..)) => {
+                    open_at.remove(&t);
+                }
+                None => {}
+            }
+        };
+        for event in flows {
+            out_a.at(Millis(now));
+            out_b.at(Millis(now));
+            match event {
+                Flow::Open => {
+                    counter += 1;
+                    let t = (life << 32) | counter;
+                    let (id, _) = open(&mut origin, &mut origin_journal, &mut out_a, t, 0);
+                    agents.insert(t, id);
+                    open_at.insert(t, 1);
+                    net.collect(&mut out_a);
+                }
+                Flow::Transfer { i, keep, room } if !net.transfers.is_empty() => {
+                    let i = i % net.transfers.len();
+                    let frame = match keep {
+                        true => net.transfers[i].clone(),
+                        false => net.transfers.remove(i),
+                    };
+                    deliver(&mut dest, &mut dest_journal, &mut out_b, frame, room,
+                            &mut admitted, &mut net);
+                }
+                Flow::Ack { i, keep } if !net.acks.is_empty() => {
+                    let i = i % net.acks.len();
+                    let ack = match keep {
+                        true => net.acks[i].clone(),
+                        false => net.acks.remove(i),
+                    };
+                    answer(&mut origin, &mut origin_journal, &mut out_a, ack,
+                           &mut open_at, &mut committed);
+                }
+                Flow::Lose(i) => {
+                    let (t, a) = (net.transfers.len(), net.acks.len());
+                    if i < t {
+                        net.transfers.remove(i);
+                    } else if i - t < a {
+                        net.acks.remove(i - t);
+                    }
+                }
+                Flow::Due(i) if !open_at.is_empty() => {
+                    let (&t, &attempt) = open_at.iter().nth(i % open_at.len()).unwrap();
+                    match origin.due(t, attempt, &mut origin_journal, &mut out_a) {
+                        Some(_) => open_at.remove(&t), // given up
+                        None => open_at.insert(t, attempt + 1),
+                    };
+                    net.collect(&mut out_a);
+                }
+                Flow::Wait(ms) => {
+                    now += ms;
+                    dest.sweep(Millis(now), 600_000);
+                }
+                Flow::CrashOrigin => {
+                    let open_ids: Vec<u64> = open_at.keys().copied().collect();
+                    origin = restored(&mut origin, &open_ids, &origin_journal, BUDGET, &mut out_a);
+                    out_a.take(); // the immediate timers: `Due` fires them
+                    (life, counter) = (life + 1, 0);
+                }
+                Flow::CrashDest => {
+                    dest = restored(&mut dest, &[], &dest_journal, BUDGET, &mut out_b);
+                }
+                _ => {}
+            }
+            for (t, n) in &admitted {
+                prop_assert!(*n <= 1, "transfer {:x} admitted {} times", t, n);
+            }
+        }
+        // the network heals: every open handoff is retransmitted until
+        // it is answered, or its budget is spent
+        while let Some((&t, &attempt)) = open_at.iter().next() {
+            out_a.at(Millis(now));
+            out_b.at(Millis(now));
+            if origin.due(t, attempt, &mut origin_journal, &mut out_a).is_some() {
+                open_at.remove(&t);
+                continue;
+            }
+            open_at.insert(t, attempt + 1);
+            net.collect(&mut out_a);
+            let frame = net.transfers.pop().expect("the retransmission");
+            deliver(&mut dest, &mut dest_journal, &mut out_b, frame, true,
+                    &mut admitted, &mut net);
+            let ack = net.acks.pop().expect("an open handoff is never below the floor");
+            answer(&mut origin, &mut origin_journal, &mut out_a, ack,
+                   &mut open_at, &mut committed);
+        }
+        for (t, n) in &admitted {
+            prop_assert!(*n <= 1, "transfer {:x} admitted {} times", t, n);
+        }
+        for t in &committed {
+            prop_assert_eq!(admitted.get(t), Some(&1), "committed {:x}", t);
+        }
+        prop_assert_eq!(origin.pending_count(), 0);
+    }
+}
+
 proptest! {
     #[test]
     fn an_early_arrival_ack_opens_its_own_admission_once(
-        steps in vec((0..3u64, any::<bool>(), any::<bool>()), 0..40),
+        steps in vec((0..4u64, any::<bool>(), any::<bool>(), any::<bool>()), 0..40),
     ) {
         let mut nav = navigator(BUDGET);
         let (mut journal, mut out) = (Journal::in_memory(), Outbox::new(DEST));
         let (agent, action, _, _) = departing(1);
-        // per transfer id: the verdict given (granted?), the acks held
+        // per transfer id at or above the floor: the verdict given
+        // (granted?); the acks held
         let mut verdicts: BTreeMap<u64, bool> = BTreeMap::new();
         let mut held: BTreeSet<u64> = BTreeSet::new();
-        for (step, (transfer_id, is_ack, room)) in steps.into_iter().enumerate() {
+        let mut floor = 0;
+        for (step, (transfer_id, is_ack, room, raise)) in steps.into_iter().enumerate() {
             out.at(Millis(step as u64));
             if is_ack {
                 nav.hold_ack(&Visit::new("c", transfer_id), out.now());
-                if !verdicts.contains_key(&transfer_id) {
+                if transfer_id >= floor && !verdicts.contains_key(&transfer_id) {
                     held.insert(transfer_id);
                 }
                 continue;
             }
+            // the origin holds nothing below this `Transfer`, or all of it
+            let floor_gap = if raise { 0 } else { transfer_id };
             let envelope = TransferEnvelope {
                 naplet: agent.clone(),
                 action: action.clone(),
                 transfer_id,
                 attempt: 1,
+                floor_gap,
             };
             let admitted = nav.receive("c", envelope, decision(room), &mut journal, &mut out);
+            if transfer_id < floor {
+                prop_assert!(admitted.is_none(), "acked before, dropped now");
+                continue;
+            }
             let fresh = !verdicts.contains_key(&transfer_id);
             let granted = *verdicts.entry(transfer_id).or_insert(room);
+            if fresh && raise {
+                floor = transfer_id;
+                verdicts.retain(|t, _| *t >= floor);
+            }
             prop_assert_eq!(admitted.is_some(), fresh && granted);
             if fresh && !granted {
                 held.remove(&transfer_id); // dropped with the refusal
@@ -682,7 +912,7 @@ proptest! {
             }
         }
         // what is still held is exactly the acks whose Transfer never came
-        for transfer_id in 0..3 {
+        for transfer_id in 0..4 {
             let still = nav.take_ack(&Visit::new("c", transfer_id));
             prop_assert_eq!(still, held.contains(&transfer_id));
             prop_assert!(!still || !verdicts.contains_key(&transfer_id));

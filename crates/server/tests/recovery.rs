@@ -16,7 +16,7 @@ use naplet_core::value::Value;
 use naplet_net::{Bandwidth, Fabric, LatencyModel};
 use naplet_obs::TraceKind;
 use naplet_server::{
-    Input, Journal, JournalPhase, JournalStore, LeasePolicy, LocalEvent, LocationMode,
+    Input, Journal, JournalPhase, JournalStore, LeasePolicy, LiveRuntime, LocationMode,
     MemoryStore, MonitorPolicy, NapletServer, Output, ServerConfig, SimRuntime, Wire,
 };
 
@@ -245,7 +245,10 @@ fn an_origin_restarted_late_is_answered_from_the_note_not_admitted_twice() {
     assert_eq!(reports.len(), 1, "one journey, one report");
     assert_eq!(visits(&reports[0].1), ["s0", "s1", "home"]);
     assert_eq!(traced(&rt, "s1", granted), 1, "s1 admits it once");
-    assert!(traced(&rt, "s1", duplicate) >= 1, "s1 answers from its note");
+    assert!(
+        traced(&rt, "s1", duplicate) >= 1,
+        "s1 answers from its note"
+    );
     let s0 = rt.server("s0").unwrap();
     assert_eq!(s0.recovery_stats().handoffs_resumed, 1);
     assert!(s0.journal().naplet_records().is_empty());
@@ -309,7 +312,41 @@ fn a_restarted_origin_whose_id_record_is_refused_loses_no_naplet() {
     assert_eq!(reports.len(), 1, "the second journey reports");
     assert_eq!(visits(&reports[0].1), ["s0", "s1", "home"]);
     assert_eq!(traced(&rt, "s1", granted), 2, "s1 admits both");
-    assert_eq!(traced(&rt, "s1", duplicate), 0, "neither is a retransmission");
+    assert_eq!(
+        traced(&rt, "s1", duplicate),
+        0,
+        "neither is a retransmission"
+    );
+}
+
+/// A server whose store refuses its incarnation record does not start:
+/// the daemon's boot path (`LiveRuntime::recover`) returns why, and a
+/// crashed sim host stays down, counted, its journeys going elsewhere.
+#[test]
+fn a_server_whose_incarnation_cannot_be_recorded_does_not_start() {
+    let fabric = Fabric::new(LatencyModel::Constant(2), Bandwidth::fast_ethernet(), 3);
+    let mut live = LiveRuntime::new(fabric, 1);
+    let cfg = ServerConfig::open("s0", LocationMode::HomeManagers);
+    let server = live.add_server(cfg);
+    server.set_journal(Refuses::journal("t/incarnation"));
+    let refused = live.recover("s0").unwrap_err().to_string();
+    assert!(refused.contains("incarnation"), "{refused}");
+    assert!(refused.contains("t/incarnation refused"), "{refused}");
+    live.shutdown();
+
+    let mut rt = world(1, None, 3);
+    rt.enable_tracing();
+    let s0 = rt.server_mut("s0").unwrap();
+    s0.set_journal(Refuses::journal("t/incarnation"));
+    rt.crash_server("s0", Some(10));
+    rt.run_to_quiescence(1_000_000);
+    assert_eq!(rt.obs().metrics.counter("recovery.refused"), 1);
+    assert_eq!(rt.obs().metrics.counter("recovery.replays"), 0);
+    rt.launch(agent(&["s0", "home"], 1)).unwrap();
+    rt.run_to_quiescence(1_000_000);
+    assert!(rt.drain_reports("home").is_empty(), "s0 never came up");
+    assert_eq!(traced(&rt, "s0", granted), 0);
+    assert_eq!(rt.obs().metrics.counter("handoff.parked"), 1);
 }
 
 /// Destination crash mid-visit, after the visit effect applied: the
@@ -342,26 +379,50 @@ fn dest_crash_mid_visit_suppresses_replay() {
     );
 }
 
-/// The retention sweep bounds the receiver-side dedup table: entries
-/// older than the retention window are evicted and counted.
+/// The origin's floor bounds the receiver-side dedup table, however
+/// long the run: once an origin's next `Transfer` lands, the verdict
+/// notes kept of it, in memory and in the journal, shrink to what it
+/// holds in flight (here that `Transfer` alone).
 #[test]
-fn retention_sweep_bounds_dedup_table() {
+fn the_origins_floor_bounds_the_dedup_table() {
     let mut rt = world(1, None, 3);
-    rt.launch(agent(&["s0", "home"], 1)).unwrap();
-    rt.run_to_quiescence(1_000_000);
-    let s0 = rt.server_mut("s0").unwrap();
-    assert_eq!(s0.navigator.seen_evicted, 0, "fresh entries must survive");
-    // drive any event far past the 600 s retention window; the sweep
-    // runs at the top of the handler
-    let ghost = naplet_core::id::NapletId::new("czxu", "home", Millis(999)).unwrap();
-    s0.handle(
-        Millis(10_000_000),
-        Input::Local(LocalEvent::LeaseCheck { id: ghost }),
-    );
+    let notes_of = |rt: &SimRuntime, host: &str, origin: &str| -> Vec<u64> {
+        let records = rt.server(host).unwrap().journal().seen().into_iter();
+        let mut of = records.filter(|(from, _, _)| from == origin);
+        of.next().map_or(Vec::new(), |(_, _, verdicts)| {
+            verdicts.into_keys().collect()
+        })
+    };
+    let mut kept = Vec::new();
+    for ts in 1..=4 {
+        rt.launch(agent(&["s0", "home"], ts)).unwrap();
+        rt.run_to_quiescence(1_000_000);
+        assert_eq!(rt.drain_reports("home").len(), 1, "journey {ts}");
+        let (from_home, from_s0) = (notes_of(&rt, "s0", "home"), notes_of(&rt, "home", "s0"));
+        assert_eq!((from_home.len(), from_s0.len()), (1, 1), "journey {ts}");
+        kept.push(from_home[0]);
+    }
     assert!(
-        s0.navigator.seen_evicted >= 1,
-        "stale dedup entries must be evicted and counted"
+        kept.windows(2).all(|w| w[0] < w[1]),
+        "the newest note: {kept:?}"
     );
+    // the notes pruned from memory went with those in the journal: a
+    // Transfer the floor passed is dropped, not answered from a note
+    let now = rt.now();
+    let s0 = rt.server_mut("s0").unwrap();
+    let stale = agent(&["s0", "home"], 9);
+    let envelope = naplet_server::TransferEnvelope {
+        naplet: stale.into(),
+        action: None,
+        transfer_id: kept[0],
+        attempt: 2,
+        floor_gap: 0,
+    };
+    let wire = Wire::Transfer(envelope);
+    let from = "home".to_string();
+    let out = s0.handle(now, Input::Wire { from, wire });
+    assert!(out.is_empty(), "no ack, no admission: {out:?}");
+    assert_eq!(s0.obs().metrics.counter("handoff.below_floor"), 1);
 }
 
 /// Home crash while its agent is away: recovery rebuilds the lease
@@ -541,7 +602,7 @@ fn a_recovered_handoff_resends_and_rejournals_the_journaled_image_itself() {
             });
             wires.collect()
         };
-        let timers = recovered.recover(Millis(100));
+        let timers = recovered.recover(Millis(100)).unwrap();
         let [Output::Schedule { delay_ms: 0, event }] = &timers[..] else {
             panic!("recovery arms one immediate timer, got {timers:?}");
         };

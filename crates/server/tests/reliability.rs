@@ -165,12 +165,12 @@ fn redelivery_gives_up_after_max_retries() {
     rt.owner_post("home", ghost, Payload::User(Value::Int(1)))
         .unwrap();
     rt.run_to_quiescence(1_000_000);
+    assert_eq!(rt.obs().metrics.counter("post.given_up"), 1);
     let home = rt.server("home").unwrap();
     assert_eq!(
         home.messenger.redeliveries, 5,
         "attempts 2..=6 are redeliveries"
     );
-    assert_eq!(home.messenger.redelivery_given_up, 1);
     assert_eq!(home.messenger.outstanding_count(), 0);
 }
 
@@ -232,10 +232,10 @@ fn a_lost_directory_answer_strands_no_query_and_a_late_one_posts_nothing() {
     rt.owner_post("home", ghost.clone(), Payload::User(Value::Int(1)))
         .unwrap();
     rt.run_to_quiescence(1_000_000);
+    assert_eq!(rt.obs().metrics.counter("post.given_up"), 1);
     let now = rt.now();
     let home = rt.server_mut("home").unwrap();
     assert_eq!(home.messenger.redeliveries, 5, "re-routed five times");
-    assert_eq!(home.messenger.redelivery_given_up, 1);
     assert_eq!(home.locator.asking(), 0, "each re-route replaces its query");
     // the directory comes back and answers every query it was ever
     // sent: the message was given up, none of them may post it now
@@ -264,9 +264,9 @@ fn a_stashed_copy_nobody_collects_lapses() {
     rt.owner_post("home", ghost, Payload::User(Value::Int(1)))
         .unwrap();
     rt.run_to_quiescence(1_000_000);
+    assert_eq!(rt.obs().metrics.counter("post.given_up"), 1);
     let now = rt.now();
     let home = rt.server_mut("home").unwrap();
-    assert_eq!(home.messenger.redelivery_given_up, 1);
     assert_eq!(home.status_report(now).special_mailbox_depth, 1);
     // a retention window and a sweep interval later, any event sweeps
     let later = Millis(now.0 + 600_000 + 150_000);
@@ -343,6 +343,7 @@ fn duplicate_transfer_is_reacked_but_not_readmitted() {
         action: None,
         transfer_id: 7,
         attempt: 1,
+        floor_gap: 0,
     };
 
     let acks = |outputs: &[Output]| {
@@ -450,7 +451,7 @@ fn a_stray_answer_releases_no_custody() {
         let stray = |rt: &SimRuntime| rt.obs().metrics.counter("handoff.stray_acks") > 0;
         while !stray(&rt) && rt.step().is_some() {}
         let home = rt.server("home").unwrap();
-        assert_eq!(home.pending_transfer_count(), 1, "{what}");
+        assert_eq!(home.navigator.pending_count(), 1, "{what}");
         assert_eq!(
             in_phase(&rt),
             Some(transfer_id),
@@ -463,7 +464,7 @@ fn a_stray_answer_releases_no_custody() {
         let visits = report_list(&reports[0].1, "visits");
         assert_eq!(visits, vec![Value::Str("s0".into())], "{what}");
         let home = rt.server("home").unwrap();
-        assert_eq!(home.pending_transfer_count(), 0, "{what}");
+        assert_eq!(home.navigator.pending_count(), 0, "{what}");
         assert!(home.journal().naplet_records().is_empty(), "{what}");
     }
 }
@@ -524,8 +525,9 @@ fn forward_cap_breaks_chase_cycles() {
             }
         }
     }
+    let dropped = |s: &NapletServer| s.obs().metrics.counter("post.undeliverable");
     assert_eq!(
-        a.messenger.undeliverable + b.messenger.undeliverable,
+        dropped(&a) + dropped(&b),
         1,
         "the cap must drop the cycling message exactly once"
     );
@@ -566,7 +568,6 @@ fn movement_registration_after_the_completion_notice_keeps_completed() {
         id: id.clone(),
         status: NapletStatus::Completed,
         host: "s1".into(),
-        detail: String::new(),
     };
     deliver(&mut home, 30, "s1", notice);
     assert_eq!(status(&home), NapletStatus::Completed);
@@ -706,6 +707,7 @@ fn an_ack_before_its_transfer_opens_the_visit_on_admission() {
             action: None,
             transfer_id: 7,
             attempt: 1,
+            floor_gap: 0,
         };
         let out = deliver(&mut s0, 2, "home", Wire::Transfer(envelope));
         let timers = out.iter().filter(|o| {
