@@ -525,10 +525,12 @@ impl Journal {
         }
     }
 
-    /// Begin the life after the one on record (0 when none is) and put
-    /// it on record before it issues an id; the error says why not.
+    /// Begin the life after the one on record (0 when none is, 2^32 at
+    /// most) and put it on record before it issues an id, or say why not.
     pub fn next_incarnation(&mut self) -> Result<u64> {
-        let life = self.incarnation()?.map_or(0, |life| life + 1);
+        let next = |life: u64| life.checked_add(1).filter(|next| next >> 32 == 0);
+        let life = self.incarnation()?.map_or(Some(0), next);
+        let life = life.ok_or_else(|| NapletError::Internal("incarnations spent".into()))?;
         let put = self.store.put("t/incarnation", &codec::to_bytes(&life)?);
         let refused = |e| NapletError::Internal(format!("incarnation {life} not recorded: {e}"));
         put.map(|()| life).map_err(refused)
@@ -878,6 +880,12 @@ mod tests {
         let mut fresh = Journal::in_memory();
         fresh.note_incarnation(3).unwrap();
         assert_eq!(fresh.next_incarnation().unwrap(), 4);
+        let mut spent = Journal::in_memory();
+        spent.note_incarnation(u64::from(u32::MAX)).unwrap();
+        assert!(
+            spent.next_incarnation().is_err(),
+            "ids keep 32 bits per life"
+        );
     }
 
     #[test]

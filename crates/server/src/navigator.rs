@@ -162,7 +162,7 @@ impl Navigator {
         if !self.seen.contains_key(origin) {
             self.seen.insert(origin.into(), Landings::default());
         }
-        self.seen.get_mut(origin).expect("held")
+        self.seen.get_mut(origin).expect("inserted above")
     }
 
     /// A `Transfer` came from `from`, and `decision` is this host's
