@@ -701,15 +701,15 @@ enum Flow {
 }
 
 fn flow() -> impl Strategy<Value = Flow> {
-    let args = (0..16u8, 0..6usize, any::<bool>(), any::<bool>(), 0..36u32);
+    let args = (0..18u8, 0..6usize, any::<bool>(), any::<bool>(), 0..36u32);
     args.prop_map(|(kind, i, keep, room, exp)| match kind {
         0..=2 => Flow::Open,
-        3..=6 => Flow::Transfer { i, keep, room },
-        7..=9 => Flow::Ack { i, keep },
-        10 => Flow::Lose(i),
-        11..=12 => Flow::Due(i),
-        13 => Flow::Wait(1 << exp),
-        14 => Flow::CrashOrigin,
+        3..=7 => Flow::Transfer { i, keep, room },
+        8..=10 => Flow::Ack { i, keep },
+        11 => Flow::Lose(i),
+        12..=13 => Flow::Due(i),
+        14 => Flow::Wait(1 << exp),
+        15 => Flow::CrashOrigin,
         _ => Flow::CrashDest,
     })
 }
@@ -737,7 +737,7 @@ fn deliver(
 
 proptest! {
     #[test]
-    fn each_transfer_is_admitted_at_most_once(flows in vec(flow(), 0..80)) {
+    fn each_transfer_is_admitted_at_most_once(flows in vec(flow(), 0..120)) {
         let (mut origin, mut dest) = (navigator(BUDGET), navigator(BUDGET));
         let (mut origin_journal, mut dest_journal) = (Journal::in_memory(), Journal::in_memory());
         let (mut out_a, mut out_b) = (Outbox::new("a"), Outbox::new(DEST));
