@@ -249,7 +249,7 @@ impl NapletServer {
     pub fn set_journal(&mut self, journal: Journal) {
         self.journal = journal;
         self.adopted = true;
-        // a journal holding no life gets this one, for recovery to pass
+        // a journal with no life on record gets this one: recovery numbers past it
         if self
             .journal
             .note_incarnation(self.next_token >> 32)
