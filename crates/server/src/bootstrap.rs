@@ -38,8 +38,9 @@ pub struct NodeConfig {
     pub name: String,
     /// TCP listen address for the node's transport.
     pub listen: SocketAddr,
-    /// Write-ahead journal directory; `None` runs without crash
-    /// recovery (in-memory journal only).
+    /// Write-ahead journal directory; `None` keeps the journal in
+    /// memory: a restart recovers no agent, but numbers its ids past
+    /// the earlier boot's by its boot second.
     pub journal: Option<PathBuf>,
 }
 

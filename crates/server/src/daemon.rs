@@ -8,7 +8,8 @@
 //! 1. bind the listen socket and start one thread per peer in the
 //!    static peer list (each dials on its first queued frame);
 //! 2. open the write-ahead journal ([`FileStore`] when the node has a
-//!    `journal` path, in-memory otherwise);
+//!    `journal` path, in-memory otherwise, numbering its ids by the boot
+//!    second: [`Journal::in_memory_at_boot`]);
 //! 3. replay the journal — retransmitted handshakes go out before the
 //!    server accepts new work, so an agent in-flight across a crash
 //!    re-enters the retry machinery first;
@@ -23,6 +24,7 @@
 //! figures are what a successor process will replay.
 
 use std::path::PathBuf;
+use std::time::SystemTime;
 
 use naplet_core::error::{NapletError, Result};
 use naplet_core::value::Value;
@@ -181,9 +183,10 @@ impl Daemon {
             });
         }
         let server = live.add_server(server_cfg);
-        if let Some(dir) = &node_cfg.journal {
-            server.set_journal(Journal::with_store(Box::new(FileStore::open(dir)?)));
-        }
+        server.set_journal(match &node_cfg.journal {
+            Some(dir) => Journal::with_store(Box::new(FileStore::open(dir)?)),
+            None => Journal::in_memory_at_boot(SystemTime::now()),
+        });
         let recovery = live.recover(node)?;
         live.start();
         Ok(Daemon {

@@ -561,6 +561,14 @@ impl Outbox {
         self.obs.metrics.incr(name, by);
     }
 
+    /// Add one to counter `name` if `result` failed (a journal write's
+    /// in `journal.failures`: it weakens durability, not the live run).
+    pub fn count_err<T, E>(&self, name: &str, result: std::result::Result<T, E>) {
+        if result.is_err() {
+            self.count(name, 1);
+        }
+    }
+
     /// Record `value` into histogram `name` (bucketed by `bounds`).
     pub fn observe(&self, name: &str, bounds: &[u64], value: u64) {
         self.obs.metrics.observe(name, bounds, value);

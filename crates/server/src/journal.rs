@@ -36,6 +36,7 @@ use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use naplet_core::codec::{Decode, Encode};
 
@@ -229,12 +230,13 @@ impl JournalStore for FileStore {
     }
 }
 
-/// The verdict a host gave each of an origin's transfers, by transfer
-/// id: the refusal's reason, `None` when admitted.
-pub type Verdicts = BTreeMap<u64, Option<String>>;
+/// What a verdict note holds: the origin's floor as it stood, and the
+/// verdict (the refusal's reason, `None` when admitted).
+pub type Seen<'a> = (u64, &'a Option<String>);
 
-/// A durable verdict record: an origin, its floor and its verdicts.
-pub type SeenNote = (String, u64, Verdicts);
+/// A durable verdict note: the origin, the transfer id, its floor as it
+/// stood and the verdict.
+pub type SeenNote = (String, u64, u64, Option<String>);
 
 /// Where a journaled naplet stood when its snapshot was taken.
 #[derive(Debug, Clone, PartialEq, Encode, Decode)]
@@ -338,8 +340,8 @@ impl RecoveryStats {
 ///
 /// * `n/<naplet-id>` — [`JournalRecord`] for a hosted/in-flight naplet
 /// * `c/<naplet-id>` — creation snapshot for lease re-dispatch (home)
-/// * `s/<origin>` — receiver-side verdict record: the origin's floor
-///   and its transfers' verdicts at or above it
+/// * `s/<origin>/<transfer-id>` — receiver-side verdict note: the
+///   verdict on one of the origin's transfers and its floor as it stood
 /// * `t/incarnation` — the number of the server's latest life, the
 ///   high half of every transfer id that life issues
 /// * `r/<suffix>` — replicated-directory consensus records (term/vote
@@ -347,7 +349,7 @@ impl RecoveryStats {
 #[derive(Debug)]
 pub struct Journal {
     store: Box<dyn JournalStore>,
-    /// Scratch the per-hop `n/<naplet-id>` and `s/<origin>` and the
+    /// Scratch the per-hop `n/<naplet-id>` and `s/<origin>/<id>` and the
     /// per-entry `r/…` keys are written into.
     key: String,
 }
@@ -424,9 +426,7 @@ impl Journal {
     ) {
         let now = out.now();
         let written = image.and_then(|image| self.record_naplet_bytes(id, &image, phase, now));
-        if written.is_err() {
-            out.count("journal.failures", 1);
-        }
+        out.count_err("journal.failures", written);
         let records = self.len() as u64;
         out.observe("journal_records", COUNT_BOUNDS, records);
         out.trace(Some(id), || TraceKind::JournalAppend {
@@ -438,9 +438,7 @@ impl Journal {
     /// [`retire`](Self::retire) `id`'s record and trace the shrink in
     /// `out` (a refusing store is counted in `journal.failures`).
     pub fn retire_naplet(&mut self, id: &NapletId, out: &mut Outbox) {
-        if self.retire(id).is_err() {
-            out.count("journal.failures", 1);
-        }
+        out.count_err("journal.failures", self.retire(id));
         let records = self.len() as u64;
         out.trace(Some(id), || TraceKind::JournalRetire { records });
     }
@@ -490,25 +488,28 @@ impl Journal {
         self.store.remove(&Self::creation_key(id))
     }
 
-    /// Durably record `origin`'s `floor` and the verdicts on its
-    /// transfers at or above it (receiver-side dedup): a restarted
-    /// receiver answers a retransmission as before, never decides again.
-    pub fn note_seen(&mut self, origin: &str, floor: u64, verdicts: &Verdicts) -> Result<()> {
-        let value = codec::to_bytes(&(floor, verdicts))?;
-        let key = Self::key_in(&mut self.key, format_args!("s/{origin}"));
-        self.store.put(key, &value)
+    /// Durably note `origin`'s transfer `t`: the verdict on it and the
+    /// origin's floor as it stood (receiver-side dedup), so a restarted
+    /// receiver answers a retransmission as before, never decides again,
+    /// and takes back the highest floor noted. `None` drops the note, which
+    /// the floor passed.
+    pub fn note_seen(&mut self, origin: &str, t: u64, note: Option<Seen>, out: &mut Outbox) {
+        let key = Self::key_in(&mut self.key, format_args!("s/{origin}/{t}"));
+        let written = match note {
+            Some(note) => codec::to_bytes(&note).and_then(|note| self.store.put(key, &note)),
+            None => self.store.remove(key),
+        };
+        out.count_err("journal.failures", written);
     }
 
-    /// Every origin's durable verdict record.
+    /// Every durable verdict note.
     pub fn seen(&self) -> Vec<SeenNote> {
-        let decode = |key: String| {
-            let (floor, verdicts) = codec::from_bytes(&self.store.get(&key).ok()??).ok()?;
-            Some((key["s/".len()..].to_string(), floor, verdicts))
+        let note = |key: String| {
+            let (origin, t) = key["s/".len()..].rsplit_once('/')?;
+            let (floor, refused) = codec::from_bytes(&self.store.get(&key).ok()??).ok()?;
+            Some((origin.to_string(), t.parse().ok()?, floor, refused))
         };
-        self.keys_under("s/")
-            .into_iter()
-            .filter_map(decode)
-            .collect()
+        self.keys_under("s/").into_iter().filter_map(note).collect()
     }
 
     /// The life on record, if any (an unreadable record is an error).
@@ -517,12 +518,27 @@ impl Journal {
         record.map(|bytes| codec::from_bytes(&bytes)).transpose()
     }
 
-    /// Put `life` on record unless a life is on record already.
-    pub fn note_incarnation(&mut self, life: u64) -> Result<()> {
-        match self.incarnation()? {
-            Some(_) => Ok(()),
-            None => self.store.put("t/incarnation", &codec::to_bytes(&life)?),
+    /// Put `life` on record unless a life is on record already: whether
+    /// it did.
+    pub fn note_incarnation(&mut self, life: u64) -> Result<bool> {
+        let fresh = self.incarnation()?.is_none();
+        if fresh {
+            self.store.put("t/incarnation", &codec::to_bytes(&life)?)?;
         }
+        Ok(fresh)
+    }
+
+    /// A memory journal for a server that keeps none across restarts of
+    /// its process: the wall-clock second of `boot` is on record as the
+    /// life before this one, so each later boot begins a later life and
+    /// no peer takes its ids for those an earlier boot issued. Two boots
+    /// within one second, or across a clock stepped back, share lives.
+    pub fn in_memory_at_boot(boot: SystemTime) -> Journal {
+        let since = boot.duration_since(UNIX_EPOCH).unwrap_or_default();
+        let mut journal = Journal::in_memory();
+        let noted = journal.note_incarnation(since.as_secs().min(u64::from(u32::MAX - 1)));
+        noted.expect("a memory store takes every write");
+        journal
     }
 
     /// Begin the life after the one on record (0 when none is, 2^32 at
@@ -838,16 +854,19 @@ mod tests {
     }
 
     #[test]
-    fn a_verdict_record_per_origin_is_rewritten_in_place() {
-        let mut journal = Journal::in_memory();
-        let mut verdicts = BTreeMap::from([(7, None), (8, Some("full".to_string()))]);
-        journal.note_seen("s1", 5, &verdicts).unwrap();
-        journal.note_seen("s2", 9, &BTreeMap::new()).unwrap();
-        verdicts.remove(&7);
-        journal.note_seen("s1", 8, &verdicts).unwrap();
-        assert_eq!(journal.len(), 2, "one record per origin");
-        let s1 = ("s1".to_string(), 8, verdicts);
-        assert_eq!(journal.seen(), [s1, ("s2".to_string(), 9, BTreeMap::new())]);
+    fn a_verdict_note_per_transfer_goes_when_dropped() {
+        let (mut journal, mut out) = (Journal::in_memory(), Outbox::new("a"));
+        let full = Some("full".to_string());
+        journal.note_seen("s1", 7, Some((5, &None)), &mut out);
+        journal.note_seen("s1", 8, Some((7, &full)), &mut out);
+        journal.note_seen("s/2", 9, Some((9, &None)), &mut out);
+        journal.note_seen("s1", 7, None, &mut out);
+        journal.note_seen("s1", 6, None, &mut out); // never noted: nothing
+        assert_eq!(journal.len(), 2, "one note per transfer");
+        let s1 = ("s1".to_string(), 8, 7, full);
+        let s2 = ("s/2".to_string(), 9, 9, None);
+        assert_eq!(journal.seen(), [s2, s1], "an origin may hold a slash");
+        assert_eq!(out.obs().metrics.counter("journal.failures"), 0);
     }
 
     #[test]
@@ -861,7 +880,7 @@ mod tests {
             .record_naplet_bytes(&id, &image, &JournalPhase::Parked, Millis(1))
             .unwrap();
         journal.record_creation(&id, &naplet).unwrap(); // not lag
-        journal.note_seen("s1", 7, &BTreeMap::new()).unwrap(); // not lag
+        journal.note_seen("s1", 7, Some((7, &None)), &mut Outbox::new("a")); // not lag
         let (entries, bytes) = journal.lag();
         assert_eq!(entries, 1);
         assert!(bytes > 0, "a journaled agent image has bytes");
@@ -886,6 +905,25 @@ mod tests {
             spent.next_incarnation().is_err(),
             "ids keep 32 bits per life"
         );
+    }
+
+    /// A journal kept for one boot holds the boot second as the life
+    /// before this one: a later boot's lives come after an earlier one's.
+    #[test]
+    fn a_boot_journal_numbers_its_lives_from_the_boot_second() {
+        let at = |secs| SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(secs);
+        let mut earlier = Journal::in_memory_at_boot(at(1_000));
+        assert_eq!(earlier.incarnation().unwrap(), Some(1_000));
+        assert_eq!(earlier.next_incarnation().unwrap(), 1_001);
+        let mut later = Journal::in_memory_at_boot(at(1_001));
+        assert_eq!(later.next_incarnation().unwrap(), 1_002);
+        let mut far = Journal::in_memory_at_boot(at(1 << 40));
+        assert_eq!(
+            far.next_incarnation().unwrap(),
+            u64::from(u32::MAX),
+            "within 32 bits"
+        );
+        assert!(!far.note_incarnation(0).unwrap(), "a life is on record");
     }
 
     #[test]

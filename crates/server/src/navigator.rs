@@ -12,7 +12,8 @@
 //! the server continues with — an agent to admit, where an admitted
 //! agent landed, the agent after a refusal or a failure.
 
-use std::collections::HashMap;
+use std::collections::btree_map::OccupiedEntry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use naplet_core::clock::Millis;
@@ -25,7 +26,7 @@ use naplet_core::naplet::{Naplet, SharedNaplet};
 use naplet_obs::{TraceKind, COUNT_BOUNDS, LATENCY_BOUNDS_MS};
 
 use crate::events::{LocalEvent, Outbox, TransferEnvelope, Visit, Wire};
-use crate::journal::{Journal, JournalPhase, Verdicts};
+use crate::journal::{Journal, JournalPhase};
 use crate::retry::RetryPolicy;
 use crate::status::StatusReport;
 
@@ -128,7 +129,7 @@ struct Landings {
     floor: u64,
     /// The verdict on each `Transfer` at or above the floor (`None`:
     /// admitted): every attempt gets it, never a second decision.
-    verdicts: Verdicts,
+    verdicts: BTreeMap<u64, Option<String>>,
     /// Arrival acks that came before their `Transfer`, and when.
     early_acks: HashMap<u64, Millis>,
 }
@@ -136,8 +137,9 @@ struct Landings {
 /// The migration protocol of one server, both ends of it.
 pub struct Navigator {
     retry: RetryPolicy,
-    /// Outbound handoffs not yet acknowledged, by transfer id.
-    handoffs: HashMap<u64, Handoff>,
+    /// Outbound handoffs not yet acknowledged, by transfer id: the
+    /// first is this host's floor.
+    handoffs: BTreeMap<u64, Handoff>,
     /// What this host knows of each origin's transfers.
     seen: HashMap<Arc<str>, Landings>,
     /// Agents stranded here by a failed required hop, held for owners.
@@ -149,7 +151,7 @@ impl Navigator {
     pub fn new(retry: RetryPolicy) -> Navigator {
         Navigator {
             retry,
-            handoffs: HashMap::new(),
+            handoffs: BTreeMap::new(),
             seen: HashMap::new(),
             parked: HashMap::new(),
         }
@@ -191,15 +193,15 @@ impl Navigator {
             Some(refused) => (false, refused.clone()),
             None => {
                 let refused = decision.err().map(|e| e.to_string());
-                landings.verdicts.insert(transfer_id, refused.clone());
-                // the floor never falls; the verdicts below it go
+                // the floor never falls; the notes below it go, one by one
                 let floor = transfer_id.saturating_sub(envelope.floor_gap);
-                let floor = landings.floor.max(floor);
-                landings.verdicts.retain(|t, _| *t >= floor);
-                landings.floor = floor;
-                if journal.note_seen(from, floor, &landings.verdicts).is_err() {
-                    out.count("journal.failures", 1);
+                landings.floor = landings.floor.max(floor);
+                let below = |note: &OccupiedEntry<u64, _>| *note.key() < landings.floor;
+                while let Some(note) = landings.verdicts.first_entry().filter(below) {
+                    journal.note_seen(from, note.remove_entry().0, None, out);
                 }
+                landings.verdicts.insert(transfer_id, refused.clone());
+                journal.note_seen(from, transfer_id, Some((landings.floor, &refused)), out);
                 (true, refused)
             }
         };
@@ -311,7 +313,7 @@ impl Navigator {
     fn send(&self, transfer_id: u64, naplet: SharedNaplet, out: &mut Outbox) {
         let handoff = &self.handoffs[&transfer_id];
         let attempt = handoff.attempt;
-        let floor = (self.handoffs.keys()).fold(transfer_id, |floor, &t| floor.min(t));
+        let floor = *self.handoffs.keys().next().expect("`transfer_id` is open");
         let envelope = TransferEnvelope {
             naplet,
             action: handoff.action.clone(),
@@ -487,12 +489,14 @@ impl Navigator {
         Some(handoff.view(transfer_id, write))
     }
 
-    /// Take back each origin's floor and verdicts from `journal`, after
-    /// a crash.
+    /// Take back each origin's floor, the highest its notes hold, and
+    /// verdicts from `journal`, after a crash (a note whose removal
+    /// failed goes when the floor next rises).
     pub fn recover(&mut self, journal: &Journal) {
-        for (origin, floor, verdicts) in journal.seen() {
+        for (origin, transfer_id, floor, refused) in journal.seen() {
             let landings = self.landings(&origin);
-            (landings.floor, landings.verdicts) = (floor, verdicts);
+            landings.floor = landings.floor.max(floor);
+            landings.verdicts.insert(transfer_id, refused);
         }
     }
 
@@ -861,9 +865,7 @@ mod tests {
         let (mut nav, mut journal) = (navigator(), Journal::in_memory());
         // transfer 4 of b admitted, of c refused, as the journal holds
         for (origin, refused) in [("b", None), ("c", Some("full".to_string()))] {
-            journal
-                .note_seen(origin, 4, &Verdicts::from([(4, refused)]))
-                .unwrap();
+            journal.note_seen(origin, 4, Some((4, &refused)), &mut outbox(0));
         }
         nav.recover(&journal);
         // how `Transfer` `transfer_id` from `origin`, with its origin's
@@ -922,11 +924,8 @@ mod tests {
             "c's floor is its own"
         );
         let notes = journal.seen().into_iter();
-        let notes: Vec<_> = notes
-            .map(|(o, floor, v)| (o, floor, v.into_keys().collect()))
-            .collect();
-        let expected: [(String, u64, Vec<u64>); 2] =
-            [("b".into(), 6, vec![6]), ("c".into(), 4, vec![4])];
+        let notes: Vec<_> = notes.map(|(o, t, floor, _)| (o, t, floor)).collect();
+        let expected = [("b".to_string(), 6, 6), ("c".to_string(), 4, 4)];
         assert_eq!(notes, expected, "b's note below its floor left the journal");
         // a restarted host takes the floor back from the journal
         let mut nav = navigator();
@@ -1010,7 +1009,7 @@ mod tests {
             });
             assert_eq!(duplicates.collect::<Vec<_>>(), [false, true]);
             let reason = (!admitted_first).then(|| "service error: full".to_string());
-            let note = ("o".to_string(), 3, Verdicts::from([(4, reason)]));
+            let note = ("o".to_string(), 4, 3, reason);
             assert_eq!(journal.seen(), [note], "the verdict is journaled");
             let decisions = out.obs().tracer.events().into_iter();
             let decisions = decisions.filter_map(|e| match e.kind {

@@ -128,8 +128,8 @@ pub struct NapletServer {
     retry: RetryPolicy,
     /// The last id issued: the incarnation above 32 bits of counter.
     next_token: u64,
-    /// The journal was handed over, maybe by an earlier life:
-    /// [`recover`](Self::recover) begins the next incarnation.
+    /// The journal handed over holds an earlier life, or refused this
+    /// one: [`recover`](Self::recover) begins the next incarnation.
     adopted: bool,
     /// The migration protocol: outbound custody, expected landings,
     /// transfer dedup and the parked set.
@@ -248,15 +248,10 @@ impl NapletServer {
     /// replacement). Call before any naplets are hosted.
     pub fn set_journal(&mut self, journal: Journal) {
         self.journal = journal;
-        self.adopted = true;
-        // a journal with no life on record gets this one: recovery numbers past it
-        if self
-            .journal
-            .note_incarnation(self.next_token >> 32)
-            .is_err()
-        {
-            self.out.count("journal.failures", 1);
-        }
+        // a journal with no life on record takes this one; recovery
+        // numbers past one on record, or tries again if the write failed
+        let noted = self.journal.note_incarnation(self.next_token >> 32);
+        self.adopted = !matches!(noted, Ok(true));
     }
 
     /// Take the journal out of the server, leaving a fresh in-memory
@@ -281,8 +276,13 @@ impl NapletServer {
         stats
     }
 
-    /// A fresh id, above every one an earlier life issued.
+    /// A fresh id, above every one an earlier life issued. A spent
+    /// counter begins the next life, on record first, or stops the server.
     fn token(&mut self) -> u64 {
+        if self.next_token as u32 == u32::MAX {
+            let life = self.journal.next_incarnation();
+            self.next_token = life.expect("a life is on record before its first id") << 32;
+        }
         self.next_token += 1;
         self.next_token
     }
@@ -377,9 +377,10 @@ impl NapletServer {
         if self.lease_policy.is_some() {
             // durable creation record first, so an orphan can be
             // re-dispatched even after this server itself crashes
-            if self.journal.record_creation(&id, &naplet).is_err() {
-                self.out.count("journal.failures", 1);
-            }
+            self.out.count_err(
+                "journal.failures",
+                self.journal.record_creation(&id, &naplet),
+            );
             self.leases.grant(&id, now);
             self.arm_lease_timer(&id);
         }
@@ -760,9 +761,7 @@ impl NapletServer {
                     // between visits: no monitor entry, so a fresh meter
                     let (what, mut meter) = (What::Action(&action), Meter::default());
                     let ran = self.run_agent(&mut naplet, &mut mailbox, &mut meter, what);
-                    if ran.is_err() {
-                        self.out.count("agent.errors", 1);
-                    }
+                    self.out.count_err("agent.errors", ran);
                 }
                 Step::Done => {
                     // a VM agent parked at travel_next learns the
@@ -770,9 +769,7 @@ impl NapletServer {
                     // report/clean up before destruction
                     let (what, mut meter) = (What::FinalSlice, Meter::default());
                     let ran = self.run_agent(&mut naplet, &mut mailbox, &mut meter, what);
-                    if ran.is_err() {
-                        self.out.count("agent.errors", 1);
-                    }
+                    self.out.count_err("agent.errors", ran);
                     self.finish_journey(naplet);
                     return;
                 }
@@ -1457,9 +1454,7 @@ impl NapletServer {
                     &mut entry.meter,
                     What::Interrupt(verb),
                 );
-                if ran.is_err() {
-                    self.out.count("agent.errors", 1);
-                }
+                self.out.count_err("agent.errors", ran);
                 self.monitor.restore(entry);
             }
         }
@@ -1536,9 +1531,8 @@ impl NapletServer {
             | NapletStatus::Parked
             | NapletStatus::Lost => {
                 self.leases.release(id);
-                if self.journal.remove_creation(id).is_err() {
-                    self.out.count("journal.failures", 1);
-                }
+                self.out
+                    .count_err("journal.failures", self.journal.remove_creation(id));
             }
             _ => self.leases.renew(id, self.out.now()),
         }
@@ -1616,9 +1610,8 @@ impl NapletServer {
         } else {
             self.leases.lost += 1;
             self.leases.release(id);
-            if self.journal.remove_creation(id).is_err() {
-                self.out.count("journal.failures", 1);
-            }
+            self.out
+                .count_err("journal.failures", self.journal.remove_creation(id));
             self.manager
                 .update_status(id, NapletStatus::Lost, self.out.host(), now);
         }
@@ -1661,9 +1654,9 @@ impl NapletServer {
     /// parked agent returns to the parked set. The receiver-side verdict
     /// notes, with each origin's floor, and any home-side leases are
     /// restored so idempotence and liveness tracking survive the crash.
-    /// A journal handed over begins the next incarnation, on record
-    /// before any id is issued; a server that cannot write it does not
-    /// start.
+    /// A journal handed over with a life on record begins the next, on
+    /// record before any id is issued; a server that cannot write it
+    /// does not start.
     pub fn recover(&mut self, now: Millis) -> Result<Vec<Output>> {
         if std::mem::take(&mut self.adopted) {
             let life = self.journal.next_incarnation();
@@ -1774,5 +1767,47 @@ impl NapletServer {
                 self.out.send(host, wire);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn server() -> NapletServer {
+        NapletServer::new(ServerConfig::open("s0", LocationMode::HomeManagers))
+    }
+
+    /// A server booted over an empty journal keeps life 0 and its short
+    /// ids; the next boot over that journal numbers past it.
+    #[test]
+    fn an_empty_journal_keeps_life_zero_and_the_next_boot_numbers_past_it() {
+        let mut first = server();
+        first.set_journal(Journal::in_memory());
+        first.recover(Millis(0)).unwrap();
+        assert_eq!(first.token(), 1);
+        let mut second = server();
+        second.set_journal(first.take_journal());
+        second.recover(Millis(0)).unwrap();
+        assert_eq!(second.token(), (1 << 32) | 1);
+        assert_eq!(second.journal.incarnation().unwrap(), Some(1));
+    }
+
+    /// A life whose 32-bit counter is spent begins the next life, on
+    /// record before its first id: no id carries into the life a later
+    /// boot would number again.
+    #[test]
+    fn a_spent_counter_begins_the_next_life_on_record() {
+        let mut journal = Journal::in_memory();
+        journal.note_incarnation(3).unwrap();
+        let mut server = server();
+        server.set_journal(journal);
+        server.recover(Millis(0)).unwrap();
+        assert_eq!(server.token(), (4 << 32) | 1, "past the life on record");
+        server.next_token = (4 << 32) | u64::from(u32::MAX - 1);
+        assert_eq!(server.token(), (4 << 32) | u64::from(u32::MAX));
+        assert_eq!(server.token(), (5 << 32) | 1);
+        assert_eq!(server.journal.incarnation().unwrap(), Some(5));
+        assert_eq!(server.token(), (5 << 32) | 2);
     }
 }

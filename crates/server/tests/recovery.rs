@@ -4,6 +4,8 @@
 //! exactly the pre-crash outcome — no lost agents, no duplicated
 //! visit effects.
 
+use std::time::{Duration, SystemTime};
+
 use naplet_core::behavior::NapletBehavior;
 use naplet_core::clock::Millis;
 use naplet_core::codebase::CodebaseRegistry;
@@ -319,6 +321,40 @@ fn a_restarted_origin_whose_id_record_is_refused_loses_no_naplet() {
     );
 }
 
+/// An origin that keeps no journal across a restart of its process
+/// (`napletd` without a journal directory) begins its next life past
+/// its boot second, so s1 takes its next handoff as new. A restart that
+/// began life 0 again would reuse the ids s1 already noted and passed
+/// its floor by: that journey is lost.
+#[test]
+fn an_origin_restarted_without_a_journal_hands_off_past_its_earlier_ids() {
+    let boot = SystemTime::UNIX_EPOCH + Duration::from_secs(1_000);
+    for (journal, reports) in [
+        (Journal::in_memory_at_boot(boot), 1),
+        (Journal::in_memory(), 0),
+    ] {
+        let mut rt = world(2, None, 3);
+        rt.enable_tracing();
+        rt.launch(agent(&["s0", "s1", "home"], 1)).unwrap();
+        rt.run_to_quiescence(1_000_000);
+        assert_eq!(rt.drain_reports("home").len(), 1, "the first journey");
+
+        // the process restarts with nothing of its earlier boot
+        rt.crash_server("s0", Some(10));
+        rt.server_mut("s0").unwrap().set_journal(journal);
+        rt.run_to_quiescence(1_000_000);
+        rt.launch(agent(&["s0", "s1", "home"], 2)).unwrap();
+        rt.run_to_quiescence(1_000_000);
+
+        assert_eq!(
+            rt.drain_reports("home").len(),
+            reports,
+            "the second journey"
+        );
+        assert_eq!(traced(&rt, "s1", granted), 1 + reports, "s1 admits it");
+    }
+}
+
 /// A server whose store refuses its incarnation record does not start:
 /// the daemon's boot path (`LiveRuntime::recover`) returns why, and a
 /// crashed sim host stays down, counted, its journeys going elsewhere.
@@ -387,11 +423,9 @@ fn dest_crash_mid_visit_suppresses_replay() {
 fn the_origins_floor_bounds_the_dedup_table() {
     let mut rt = world(1, None, 3);
     let notes_of = |rt: &SimRuntime, host: &str, origin: &str| -> Vec<u64> {
-        let records = rt.server(host).unwrap().journal().seen().into_iter();
-        let mut of = records.filter(|(from, _, _)| from == origin);
-        of.next().map_or(Vec::new(), |(_, _, verdicts)| {
-            verdicts.into_keys().collect()
-        })
+        let notes = rt.server(host).unwrap().journal().seen().into_iter();
+        let of = notes.filter(|(from, ..)| from == origin);
+        of.map(|(_, transfer_id, ..)| transfer_id).collect()
     };
     let mut kept = Vec::new();
     for ts in 1..=4 {
