@@ -272,8 +272,9 @@ fn journal_records(rt: &SimRuntime, host: &str, digest: &mut Digest) -> usize {
         let naplet = journal.creation(&parsed).unwrap();
         feed(format!("{host} c/{id}"), codec::to_bytes(&naplet).unwrap());
     }
-    for note in journal.seen() {
-        feed(format!("{host} s/"), codec::to_bytes(&note).unwrap());
+    for (origin, t, floor, refused) in journal.seen() {
+        let note = codec::to_bytes(&(floor, refused)).unwrap();
+        feed(format!("{host} s/{origin}/{t}"), note);
     }
     if let Some(life) = journal.incarnation().unwrap() {
         feed(format!("{host} t/"), codec::to_bytes(&life).unwrap());
@@ -331,5 +332,5 @@ fn every_journal_record_of_a_seeded_ring_keeps_its_bytes() {
     );
     assert_eq!(rt.drain_reports("home").len(), 1);
     let digest = format!("{:016x}", digest.0);
-    assert_eq!((records, digest.as_str()), (1247, "6e59aea847765e45"));
+    assert_eq!((records, digest.as_str()), (1247, "a65156b00721b5d0"));
 }
