@@ -561,11 +561,11 @@ impl Outbox {
         self.obs.metrics.incr(name, by);
     }
 
-    /// Add one to counter `name` if `result` failed (a journal write's
-    /// in `journal.failures`: it weakens durability, not the live run).
-    pub fn count_err<T, E>(&self, name: &str, result: std::result::Result<T, E>) {
-        if result.is_err() {
-            self.count(name, 1);
+    /// Count a journal write that failed in `journal.failures`: it
+    /// weakens durability, not the live run.
+    pub fn journaled<T>(&self, written: naplet_core::error::Result<T>) {
+        if written.is_err() {
+            self.count("journal.failures", 1);
         }
     }
 

@@ -426,7 +426,7 @@ impl Journal {
     ) {
         let now = out.now();
         let written = image.and_then(|image| self.record_naplet_bytes(id, &image, phase, now));
-        out.count_err("journal.failures", written);
+        out.journaled(written);
         let records = self.len() as u64;
         out.observe("journal_records", COUNT_BOUNDS, records);
         out.trace(Some(id), || TraceKind::JournalAppend {
@@ -438,7 +438,7 @@ impl Journal {
     /// [`retire`](Self::retire) `id`'s record and trace the shrink in
     /// `out` (a refusing store is counted in `journal.failures`).
     pub fn retire_naplet(&mut self, id: &NapletId, out: &mut Outbox) {
-        out.count_err("journal.failures", self.retire(id));
+        out.journaled(self.retire(id));
         let records = self.len() as u64;
         out.trace(Some(id), || TraceKind::JournalRetire { records });
     }
@@ -499,7 +499,7 @@ impl Journal {
             Some(note) => codec::to_bytes(&note).and_then(|note| self.store.put(key, &note)),
             None => self.store.remove(key),
         };
-        out.count_err("journal.failures", written);
+        out.journaled(written);
     }
 
     /// Every durable verdict note.

@@ -295,9 +295,8 @@ impl NapletServer {
             .put_naplet(naplet.id(), image, phase, &mut self.out);
     }
 
-    /// Periodic compaction of dedup/bookkeeping tables under the
-    /// retention window (satellite: these tables previously grew for
-    /// the life of the server).
+    /// Periodic compaction of the tables kept by age under the retention
+    /// window, so none grows for the life of the server.
     fn sweep_retention(&mut self) {
         let now = self.out.now();
         if now.since(self.last_sweep) < RETENTION_MS / 4 {
@@ -377,10 +376,8 @@ impl NapletServer {
         if self.lease_policy.is_some() {
             // durable creation record first, so an orphan can be
             // re-dispatched even after this server itself crashes
-            self.out.count_err(
-                "journal.failures",
-                self.journal.record_creation(&id, &naplet),
-            );
+            self.out
+                .journaled(self.journal.record_creation(&id, &naplet));
             self.leases.grant(&id, now);
             self.arm_lease_timer(&id);
         }
@@ -761,7 +758,9 @@ impl NapletServer {
                     // between visits: no monitor entry, so a fresh meter
                     let (what, mut meter) = (What::Action(&action), Meter::default());
                     let ran = self.run_agent(&mut naplet, &mut mailbox, &mut meter, what);
-                    self.out.count_err("agent.errors", ran);
+                    if ran.is_err() {
+                        self.out.count("agent.errors", 1);
+                    }
                 }
                 Step::Done => {
                     // a VM agent parked at travel_next learns the
@@ -769,7 +768,9 @@ impl NapletServer {
                     // report/clean up before destruction
                     let (what, mut meter) = (What::FinalSlice, Meter::default());
                     let ran = self.run_agent(&mut naplet, &mut mailbox, &mut meter, what);
-                    self.out.count_err("agent.errors", ran);
+                    if ran.is_err() {
+                        self.out.count("agent.errors", 1);
+                    }
                     self.finish_journey(naplet);
                     return;
                 }
@@ -1454,7 +1455,9 @@ impl NapletServer {
                     &mut entry.meter,
                     What::Interrupt(verb),
                 );
-                self.out.count_err("agent.errors", ran);
+                if ran.is_err() {
+                    self.out.count("agent.errors", 1);
+                }
                 self.monitor.restore(entry);
             }
         }
@@ -1531,8 +1534,7 @@ impl NapletServer {
             | NapletStatus::Parked
             | NapletStatus::Lost => {
                 self.leases.release(id);
-                self.out
-                    .count_err("journal.failures", self.journal.remove_creation(id));
+                self.out.journaled(self.journal.remove_creation(id));
             }
             _ => self.leases.renew(id, self.out.now()),
         }
@@ -1610,8 +1612,7 @@ impl NapletServer {
         } else {
             self.leases.lost += 1;
             self.leases.release(id);
-            self.out
-                .count_err("journal.failures", self.journal.remove_creation(id));
+            self.out.journaled(self.journal.remove_creation(id));
             self.manager
                 .update_status(id, NapletStatus::Lost, self.out.host(), now);
         }
