@@ -56,6 +56,19 @@ use crate::events::Outbox;
 pub trait JournalStore: std::fmt::Debug + Send {
     /// Durably write `value` under `key`, replacing any prior value.
     fn put(&mut self, key: &str, value: &[u8]) -> Result<()>;
+    /// [`put`](Self::put) `head ++ image ++ tail`: a record around an
+    /// agent image the caller shares and nothing mutates. The default
+    /// flattens it into one buffer of exactly that size; a store that
+    /// can keep the caller's image overrides it.
+    fn put_image(
+        &mut self,
+        key: &str,
+        head: &[u8],
+        image: &Arc<Vec<u8>>,
+        tail: &[u8],
+    ) -> Result<()> {
+        self.put(key, &[head, image, tail].concat())
+    }
     /// Remove `key` if present.
     fn remove(&mut self, key: &str) -> Result<()>;
     /// Read the value under `key`, if any.
@@ -75,7 +88,27 @@ pub trait JournalStore: std::fmt::Debug + Send {
 /// wipes the server but hands the store to the rebuilt instance.
 #[derive(Debug, Default)]
 pub struct MemoryStore {
-    map: BTreeMap<String, Vec<u8>>,
+    map: BTreeMap<String, Held>,
+}
+
+/// One value of a [`MemoryStore`]: flat bytes, or an image record held
+/// as the caller's image between its head and tail.
+#[derive(Debug)]
+struct Held {
+    /// The flat value, or an image record's head then its tail.
+    bytes: Vec<u8>,
+    /// An image record's image and the length of its head.
+    image: Option<(usize, Arc<Vec<u8>>)>,
+}
+
+impl Held {
+    /// The value as one byte string.
+    fn flat(&self) -> Vec<u8> {
+        match &self.image {
+            Some((head, image)) => [&self.bytes[..*head], image, &self.bytes[*head..]].concat(),
+            None => self.bytes.clone(),
+        }
+    }
 }
 
 impl MemoryStore {
@@ -83,18 +116,41 @@ impl MemoryStore {
     pub fn new() -> MemoryStore {
         MemoryStore::default()
     }
+
+    /// Write `parts`, one after another, and `image` under `key`: a
+    /// naplet is re-recorded several times per stay, so an overwrite
+    /// keeps the key and the value's buffer.
+    fn write(&mut self, key: &str, parts: &[&[u8]], image: Option<(usize, Arc<Vec<u8>>)>) {
+        let Some(held) = self.map.get_mut(key) else {
+            let bytes = parts.concat();
+            self.map.insert(key.to_string(), Held { bytes, image });
+            return;
+        };
+        held.bytes.clear();
+        parts
+            .iter()
+            .for_each(|part| held.bytes.extend_from_slice(part));
+        held.image = image;
+    }
 }
 
 impl JournalStore for MemoryStore {
     fn put(&mut self, key: &str, value: &[u8]) -> Result<()> {
-        // a naplet is re-recorded several times per stay: overwrite in
-        // place, keeping the key and the value's buffer
-        if let Some(held) = self.map.get_mut(key) {
-            held.clear();
-            held.extend_from_slice(value);
-        } else {
-            self.map.insert(key.to_string(), value.to_vec());
-        }
+        self.write(key, &[value], None);
+        Ok(())
+    }
+
+    /// Keeps `image` itself: the record costs its head and tail, and
+    /// shares the agent's bytes with whoever handed them over.
+    fn put_image(
+        &mut self,
+        key: &str,
+        head: &[u8],
+        image: &Arc<Vec<u8>>,
+        tail: &[u8],
+    ) -> Result<()> {
+        let image = Some((head.len(), Arc::clone(image)));
+        self.write(key, &[head, tail], image);
         Ok(())
     }
 
@@ -104,7 +160,7 @@ impl JournalStore for MemoryStore {
     }
 
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
-        Ok(self.map.get(key).cloned())
+        Ok(self.map.get(key).map(Held::flat))
     }
 
     fn keys(&self) -> Result<Vec<String>> {
@@ -286,7 +342,7 @@ impl JournalPhase {
 /// One durable naplet record: the serialized agent plus its phase. On
 /// disk that is the length-prefixed raw image, then the phase, then the
 /// timestamp; [`Journal::record_naplet_bytes`] emits exactly this layout
-/// from a borrowed image, so the field order here is the format.
+/// around a shared image, so the field order here is the format.
 #[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub struct JournalRecord {
     /// `napcode`-encoded [`Naplet`] snapshot.
@@ -295,13 +351,6 @@ pub struct JournalRecord {
     pub phase: JournalPhase,
     /// When the record was written (virtual time).
     pub updated: Millis,
-}
-
-impl JournalRecord {
-    /// Decode the carried naplet snapshot.
-    pub fn decode_naplet(&self) -> Result<Naplet> {
-        codec::from_bytes(&self.naplet)
-    }
 }
 
 /// Counters a recovery replay produces, merged into server diagnostics.
@@ -352,6 +401,9 @@ pub struct Journal {
     /// Scratch the per-hop `n/<naplet-id>` and `s/<origin>/<id>` and the
     /// per-entry `r/…` keys are written into.
     key: String,
+    /// Scratch a naplet record's head and tail, the bytes around its
+    /// image, are encoded into.
+    ends: Vec<u8>,
 }
 
 impl Journal {
@@ -365,6 +417,7 @@ impl Journal {
         Journal {
             store,
             key: String::new(),
+            ends: Vec::new(),
         }
     }
 
@@ -383,25 +436,27 @@ impl Journal {
     /// Durably record the agent whose encoded `image` the caller holds
     /// — a [`naplet_core::naplet::SharedNaplet`]'s cached bytes, or one
     /// fresh encoding of a resident — in `phase`. The one writer of
-    /// naplet records: the byte string, the phase and the time as one
-    /// tuple are a [`JournalRecord`]'s bytes (napcode frames neither
-    /// tuples nor structs), encoded once into a buffer of exactly that
-    /// size while only borrowing the image and the phase.
+    /// naplet records. A [`JournalRecord`]'s bytes are the image's
+    /// length, the image, the phase and the time (napcode frames neither
+    /// tuples nor structs): the length, phase and time are encoded into
+    /// a scratch the journal keeps and handed to the store around the
+    /// image, which the store may keep rather than copy
+    /// ([`JournalStore::put_image`]).
     /// Errors are returned for the caller to log; the protocol proceeds
     /// regardless (a failed write degrades durability, not correctness
     /// of the live run).
     pub fn record_naplet_bytes(
         &mut self,
         id: &NapletId,
-        image: &[u8],
+        image: &Arc<Vec<u8>>,
         phase: &JournalPhase,
         now: Millis,
     ) -> Result<()> {
-        let record = (image, phase, now);
-        let mut buf = Vec::with_capacity(codec::encoded_size(&record)? as usize);
-        codec::to_bytes_into(&record, &mut buf)?;
+        let len = image.len() as u64;
+        codec::to_bytes_into(&(len, phase, now), &mut self.ends)?;
+        let (head, tail) = self.ends.split_at(codec::uvarint_len(len) as usize);
         let key = Self::key_in(&mut self.key, format_args!("n/{id}"));
-        self.store.put(key, &buf)
+        self.store.put_image(key, head, image, tail)
     }
 
     /// Retire a naplet record: the agent is durably someone else's
@@ -464,10 +519,12 @@ impl Journal {
     }
 
     /// Record the creation snapshot of a naplet dispatched from this
-    /// (home) server, for lease-driven re-dispatch.
+    /// (home) server, for lease-driven re-dispatch: its one encoding,
+    /// handed to the store as an image.
     pub fn record_creation(&mut self, id: &NapletId, naplet: &Naplet) -> Result<()> {
+        let image = Arc::new(naplet.to_wire()?);
         self.store
-            .put(&Self::creation_key(id), &codec::to_bytes(naplet)?)
+            .put_image(&Self::creation_key(id), &[], &image, &[])
     }
 
     /// The creation snapshot for `id`, if still held.
@@ -609,13 +666,18 @@ mod tests {
     use naplet_core::naplet::AgentKind;
 
     fn sample_naplet() -> Naplet {
+        naplet_at(1)
+    }
+
+    /// An agent created at `ts`: one a time has its own id.
+    fn naplet_at(ts: u64) -> Naplet {
         let key = SigningKey::new("czxu", b"test-secret");
         let it = Itinerary::new(Pattern::seq_of_hosts(&["s1", "s2"], None)).unwrap();
         Naplet::create(
             &key,
             "czxu",
             "home",
-            Millis(1),
+            Millis(ts),
             "naplet://code/probe.jar",
             AgentKind::Native,
             it,
@@ -644,7 +706,7 @@ mod tests {
         journal
             .record_naplet_bytes(
                 &id,
-                &naplet.to_wire().unwrap(),
+                &Arc::new(naplet.to_wire().unwrap()),
                 &JournalPhase::Resident {
                     applied_epoch: 0,
                     action: Some(ActionSpec::ReportHome),
@@ -656,7 +718,7 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].0, id.to_string());
         assert_eq!(records[0].1.updated, Millis(5));
-        let back = records[0].1.decode_naplet().unwrap();
+        let back = Naplet::from_wire(&records[0].1.naplet).unwrap();
         assert_eq!(back.id(), &id);
         match &records[0].1.phase {
             JournalPhase::Resident {
@@ -697,7 +759,7 @@ mod tests {
 
         let mut journal = Journal::in_memory();
         journal
-            .record_naplet_bytes(&id, &image, &record.phase, Millis(5))
+            .record_naplet_bytes(&id, &Arc::new(image), &record.phase, Millis(5))
             .unwrap();
         let stored = journal.store.get(&Journal::naplet_key(&id)).unwrap();
         assert_eq!(stored.expect("record written"), expected);
@@ -705,7 +767,7 @@ mod tests {
         let records = journal.naplet_records();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].1, record);
-        assert_eq!(records[0].1.decode_naplet().unwrap(), naplet);
+        assert_eq!(Naplet::from_wire(&records[0].1.naplet).unwrap(), naplet);
     }
 
     /// One hop, one image: what the origin journals in flight, what the
@@ -755,7 +817,7 @@ mod tests {
             assert_eq!(origin.naplet, dest.naplet, "framed={framed}");
             assert_eq!(frame[1..1 + dest.naplet.len()], dest.naplet[..]);
             // as received: the arrival is stamped on the live copy only
-            assert_eq!(dest.decode_naplet().unwrap().nav_log.hops(), 0);
+            assert_eq!(Naplet::from_wire(&dest.naplet).unwrap().nav_log.hops(), 0);
         }
     }
 
@@ -869,13 +931,204 @@ mod tests {
         assert_eq!(out.obs().metrics.counter("journal.failures"), 0);
     }
 
+    /// A memory store that takes only `put`: the provided `put_image`
+    /// flattens every image record into it.
+    #[derive(Debug, Default)]
+    struct Flat(MemoryStore);
+
+    impl JournalStore for Flat {
+        fn put(&mut self, key: &str, value: &[u8]) -> Result<()> {
+            self.0.put(key, value)
+        }
+        fn remove(&mut self, key: &str) -> Result<()> {
+            self.0.remove(key)
+        }
+        fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+            self.0.get(key)
+        }
+        fn keys(&self) -> Result<Vec<String>> {
+            self.0.keys()
+        }
+        fn count(&self) -> usize {
+            self.0.count()
+        }
+    }
+
+    /// A memory store the test still reaches once a journal holds it.
+    #[derive(Debug, Clone, Default)]
+    struct Reach(Arc<std::sync::Mutex<MemoryStore>>);
+
+    impl JournalStore for Reach {
+        fn put(&mut self, key: &str, value: &[u8]) -> Result<()> {
+            self.0.lock().unwrap().put(key, value)
+        }
+        fn put_image(
+            &mut self,
+            key: &str,
+            head: &[u8],
+            image: &Arc<Vec<u8>>,
+            tail: &[u8],
+        ) -> Result<()> {
+            self.0.lock().unwrap().put_image(key, head, image, tail)
+        }
+        fn remove(&mut self, key: &str) -> Result<()> {
+            self.0.lock().unwrap().remove(key)
+        }
+        fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+            self.0.lock().unwrap().get(key)
+        }
+        fn keys(&self) -> Result<Vec<String>> {
+            self.0.lock().unwrap().keys()
+        }
+        fn count(&self) -> usize {
+            self.0.lock().unwrap().count()
+        }
+    }
+
+    impl MemoryStore {
+        /// The image an image record under `key` holds.
+        fn image(&self, key: &str) -> Option<&Arc<Vec<u8>>> {
+            self.map.get(key)?.image.as_ref().map(|(_, image)| image)
+        }
+    }
+
+    #[test]
+    fn an_image_record_and_a_flat_one_overwrite_each_other() {
+        let mut store = MemoryStore::new();
+        let image = Arc::new(vec![0xa5u8; 300]);
+        store.put("n/a", b"flat").unwrap();
+        store.put_image("n/a", &[1, 2], &image, &[3]).unwrap();
+        let mut record = vec![1, 2];
+        record.extend_from_slice(&image);
+        record.push(3);
+        assert_eq!(store.get("n/a").unwrap(), Some(record));
+        assert!(
+            Arc::ptr_eq(store.image("n/a").unwrap(), &image),
+            "kept, not copied"
+        );
+        store.put("n/a", b"flat again").unwrap();
+        assert_eq!(store.get("n/a").unwrap().unwrap(), b"flat again");
+        assert_eq!(Arc::strong_count(&image), 1, "the flat record let it go");
+        store.put_image("n/b", &[], &image, &[]).unwrap();
+        assert_eq!(store.get("n/b").unwrap().unwrap(), *image);
+        assert_eq!(store.keys().unwrap(), ["n/a", "n/b"]);
+        assert_eq!(store.count(), 2);
+        store.remove("n/b").unwrap();
+        assert_eq!((store.count(), Arc::strong_count(&image)), (1, 1));
+    }
+
+    /// Whatever the journal writes, a store that keeps images and one
+    /// that takes each record flattened hold the same bytes under the
+    /// same keys.
+    #[test]
+    fn a_store_keeping_images_reads_as_one_that_flattens_them() {
+        let mut journals = [
+            Journal::in_memory(),
+            Journal::with_store(Box::new(Flat::default())),
+        ];
+        let (first, second) = (sample_naplet(), {
+            let mut naplet = naplet_at(2);
+            naplet.state.set("ballast", vec![0xffu8; 4096]);
+            naplet
+        });
+        let images = [&first, &second].map(|naplet| Arc::new(naplet.to_wire().unwrap()));
+        let in_flight = JournalPhase::InFlight {
+            transfer_id: 1 << 32 | 7,
+            dest: "s1".into(),
+            checkpoint: first.cursor().clone(),
+            attempt: 2,
+            action: Some(ActionSpec::ReportHome),
+        };
+        let steps: [&dyn Fn(&mut Journal); 5] = [
+            &|journal| {
+                let phase = JournalPhase::Parked;
+                journal
+                    .record_naplet_bytes(first.id(), &images[0], &phase, Millis(3))
+                    .unwrap();
+                journal.record_creation(second.id(), &second).unwrap();
+                journal.put_repl("m", b"meta").unwrap();
+            },
+            &|journal| {
+                let note = Some((5, &None));
+                journal.note_seen("s1", 7, note, &mut Outbox::new("a"));
+                let phase = &in_flight;
+                journal
+                    .record_naplet_bytes(second.id(), &images[1], phase, Millis(4))
+                    .unwrap();
+            },
+            // an image record over an image record, of another length
+            &|journal| {
+                let phase = &in_flight;
+                journal
+                    .record_naplet_bytes(first.id(), &images[1], phase, Millis(300))
+                    .unwrap();
+            },
+            &|journal| journal.retire(second.id()).unwrap(),
+            &|journal| journal.remove_creation(second.id()).unwrap(),
+        ];
+        for step in steps {
+            journals.iter_mut().for_each(step);
+            let [kept, flat] = &journals;
+            let keys = kept.store.keys().unwrap();
+            assert_eq!(keys, flat.store.keys().unwrap());
+            for key in &keys {
+                let (kept, flat) = (kept.store.get(key), flat.store.get(key));
+                assert_eq!(kept.unwrap(), flat.unwrap(), "{key}");
+            }
+            assert_eq!(kept.len(), flat.len());
+            assert_eq!(kept.lag(), flat.lag());
+            assert_eq!(kept.naplet_records(), flat.naplet_records());
+        }
+        assert_eq!(journals[0].lag().0, 1);
+    }
+
+    /// The in-flight record a departure writes holds the handoff's own
+    /// image: the origin keeps one copy of the agent, not two.
+    #[test]
+    fn the_in_flight_record_holds_the_handoffs_own_image() {
+        use crate::{Navigator, RetryPolicy};
+        use naplet_core::itinerary::Step;
+        use naplet_core::message::Mailbox;
+        use naplet_core::naplet::SharedNaplet;
+
+        let store = Reach::default();
+        let mut journal = Journal::with_store(Box::new(store.clone()));
+        let (mut navigator, mut out) =
+            (Navigator::new(RetryPolicy::default()), Outbox::new("home"));
+        let mut naplet = sample_naplet();
+        let checkpoint = naplet.cursor().clone();
+        let Step::Visit { host, action } = naplet.advance() else {
+            panic!("the route starts with a visit");
+        };
+        let agent = SharedNaplet::new(naplet);
+        let (held, id) = (agent.clone(), agent.id().clone());
+        let mail = Mailbox::new();
+        let opened = navigator.open(
+            1,
+            agent,
+            mail,
+            action,
+            host,
+            checkpoint,
+            &mut journal,
+            &mut out,
+        );
+        assert!(opened.is_none(), "the agent left");
+        let image = held.wire_bytes().unwrap();
+        let store = store.0.lock().unwrap();
+        let record = store
+            .image(&Journal::naplet_key(&id))
+            .expect("an image record");
+        assert!(Arc::ptr_eq(record, &image));
+    }
+
     #[test]
     fn lag_counts_only_unretired_naplet_records() {
         let mut journal = Journal::in_memory();
         assert_eq!(journal.lag(), (0, 0));
         let naplet = sample_naplet();
         let id = naplet.id().clone();
-        let image = naplet.to_wire().unwrap();
+        let image = Arc::new(naplet.to_wire().unwrap());
         journal
             .record_naplet_bytes(&id, &image, &JournalPhase::Parked, Millis(1))
             .unwrap();

@@ -13,7 +13,8 @@
 //! dwell), memory as the deep size of the carried state plus VM image,
 //! and bandwidth as message bytes posted per visit. Exceeding a budget
 //! raises `ResourceExhausted`, upon which the hosting server destroys
-//! the naplet — the "control" half of monitoring and control.
+//! the naplet and counts it in `monitor.budget_kills` — the "control"
+//! half of monitoring and control.
 //!
 //! This file is the monitor's bookkeeping: the run table, the policy,
 //! the per-visit [`Meter`] and the cumulative accounting. The
@@ -239,8 +240,6 @@ pub struct ResourceUsage {
 pub struct NapletMonitor {
     entries: HashMap<NapletId, RunEntry>,
     policy: MonitorPolicy,
-    /// Naplets destroyed for exceeding budgets (id, resource).
-    pub kills: Vec<(NapletId, String)>,
     /// Cumulative per-naplet accounting, keyed by id string so
     /// iteration is deterministic and records outlive eviction.
     usage: BTreeMap<String, ResourceUsage>,
@@ -252,7 +251,6 @@ impl NapletMonitor {
         NapletMonitor {
             entries: HashMap::new(),
             policy,
-            kills: Vec::new(),
             usage: BTreeMap::new(),
         }
     }

@@ -1176,10 +1176,8 @@ impl NapletServer {
             }
             Ok(outcome) => {
                 entry.state = RunState::VisitDone;
-                // the visit's effects just escaped (messages,
-                // reports): ratchet the journaled epoch so a
-                // recovery replay resumes at the visit's end
-                // instead of running it again
+                // the visit's effects just escaped (messages, reports): ratchet the
+                // journaled epoch so a recovery replay resumes at the visit's end
                 let epoch = entry.naplet.nav_log.visit_epoch();
                 self.journal_naplet(
                     &entry.naplet,
@@ -1193,7 +1191,9 @@ impl NapletServer {
                 self.out.after(outcome.dwell_ms, done);
             }
             Err(e) => {
-                self.monitor.kills.push((id.clone(), e.kind().to_string()));
+                if matches!(e, NapletError::ResourceExhausted { .. }) {
+                    self.out.count("monitor.budget_kills", 1);
+                }
                 self.monitor.restore(entry);
                 self.destroy_resident(id, "agent.errors");
             }

@@ -673,12 +673,9 @@ fn vm_agent_killed_when_cpu_budget_exceeded() {
     rt.launch(naplet).unwrap();
     rt.run_to_quiescence(100_000);
 
-    let s0 = rt.server("s0").unwrap();
-    assert!(s0
-        .monitor
-        .kills
-        .iter()
-        .any(|(k, r)| k == &id && r == "resource"));
+    let metrics = &rt.obs().metrics;
+    assert_eq!(metrics.counter("monitor.budget_kills"), 1);
+    assert_eq!(metrics.counter("agent.errors"), 1);
     let entry = rt.server("home").unwrap().manager.table_entry(&id).unwrap();
     assert_eq!(entry.status, NapletStatus::Destroyed);
 }

@@ -4,6 +4,7 @@
 //! exactly the pre-crash outcome — no lost agents, no duplicated
 //! visit effects.
 
+use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use naplet_core::behavior::NapletBehavior;
@@ -575,7 +576,7 @@ fn recovery_from_an_admission_record_reopens_the_visit_as_admitted() {
         panic!("one admission record, got {records:?}");
     };
     let admitted_at = record.updated;
-    let received = record.decode_naplet().unwrap();
+    let received = Naplet::from_wire(&record.naplet).unwrap();
     assert_eq!(received.nav_log.hops(), 0, "journaled as received");
     assert_eq!(received.state.get("greeted"), Value::Int(0));
 
@@ -621,10 +622,10 @@ fn a_recovered_handoff_resends_and_rejournals_the_journaled_image_itself() {
         let mut image = vec![record.naplet[0] | 0x80, 0x00];
         image.extend_from_slice(&record.naplet[1..]);
         let twin: Naplet = naplet_core::codec::from_bytes(&image).unwrap();
-        assert_eq!(twin, record.decode_naplet().unwrap());
+        assert_eq!(twin, Naplet::from_wire(&record.naplet).unwrap());
         assert_ne!(twin.to_wire().unwrap(), image, "no encoder pads a length");
         journal
-            .record_naplet_bytes(&id, &image, &record.phase, record.updated)
+            .record_naplet_bytes(&id, &Arc::new(image.clone()), &record.phase, record.updated)
             .unwrap();
 
         let mut recovered = NapletServer::new(cfg);
