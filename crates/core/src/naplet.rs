@@ -264,8 +264,9 @@ impl Naplet {
 /// retransmit of it, the byte metering on the fabric, the destination's
 /// admission record. The image is produced once — by the first
 /// [`wire_bytes`](Self::wire_bytes), or kept from the frame the handle
-/// was decoded off — and from then on only copied: clones are `Arc`
-/// bumps, and serializing the handle into napcode splices the cached
+/// was decoded off — and from then on shared or copied: clones are `Arc`
+/// bumps, a journal record takes the `Arc` (a memory store keeps it, not
+/// a copy), and serializing the handle into napcode splices the cached
 /// bytes instead of walking the agent again.
 ///
 /// The handle serializes exactly like the underlying [`Naplet`]
